@@ -21,8 +21,9 @@ loop written on top; the continuous-batching scheduler in
 :mod:`repro.serving` interleaves many sessions over one engine, joining new
 requests at block boundaries and retiring finished ones without stalling
 the rest.  Because *all* mutable decode state (target cache, hybrid cache,
-committed tokens, fault status, gamma controller) lives on the session,
-sessions are independent: a fault in one degrades that request alone.
+committed tokens, fault status, gamma controller, random stream) lives on
+the session, sessions are independent: a fault in one degrades that
+request alone, and what one samples never depends on its batch-mates.
 
 Fault tolerance: speculative decoding is lossless-with-fallback by
 construction — the target model alone can always finish a generation — so
@@ -47,6 +48,7 @@ tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -141,6 +143,10 @@ class DecodeSession:
     committed: List[int] = field(default_factory=list)  #: tokens emitted so far
     speculating: bool = True            #: False once speculation was disabled
     request_id: Optional[str] = None    #: serving-layer id (attribution)
+    #: the request's own random stream (``None`` under greedy, which draws
+    #: nothing); every sample, accept test and residual draw of this
+    #: request comes from it and from nowhere else.
+    rng: Optional[np.random.Generator] = None
 
     @property
     def finished(self) -> bool:
@@ -154,6 +160,16 @@ class DecodeSession:
     def n_committed(self) -> int:
         """Tokens emitted so far."""
         return len(self.committed)
+
+    def commit(self, accepted: Sequence[int], next_token: int) -> None:
+        """Emit a verified block, cut at eos or the token budget, whichever is first."""
+        committed = self.committed
+        committed.extend(accepted)
+        committed.append(next_token)
+        cut = self.max_new_tokens
+        if self.eos in committed:
+            cut = min(cut, committed.index(self.eos) + 1)
+        del committed[cut:]
 
     def memory_stats(self) -> ArenaStats:
         """Arena copy/growth accounting over this session's two caches.
@@ -225,8 +241,13 @@ class AASDEngine(Decoder):
         self.config = config or AASDEngineConfig()
         self.gamma_controller = gamma_controller or FixedGamma(self.config.gamma)
         sampler_config = sampler_config or SamplerConfig()
-        self.rng = rng if rng is not None else derive(sampler_config.seed, "engine")
-        self.sampler = Sampler(sampler_config, rng=self.rng)
+        self.sampler = Sampler(sampler_config, rng=rng)
+        # Root of the per-request streams: the sampler seed, or one key
+        # drawn here from an injected generator (never touched again).
+        self._stream_seed = (
+            sampler_config.seed if rng is None else int(rng.integers(1 << 62))
+        )
+        self._admissions = count()   # stream identity of requests without an id
         self._tracer = tracer
         if head.config.n_vision_tokens != target.n_vision_tokens and head.config.use_target_kv:
             raise DecodingError(
@@ -245,17 +266,32 @@ class AASDEngine(Decoder):
         return self._tracer if self._tracer is not None else get_tracer()
 
     # ------------------------------------------------------------------
-    def _target_step(self, last: int, target_cache, record: DecodeRecord, span=NULL_SPAN):
+    def _request_stream(self, request_id: Optional[str]) -> Optional[np.random.Generator]:
+        """The generator a new session draws from, or ``None`` under greedy.
+
+        Derived from the engine's root seed and the request's identity —
+        its ``request_id``, else its admission ordinal on this engine —
+        so a request's draws do not depend on its batch-mates, on batch
+        order, or on packing, and a retried ``request_id`` replays them.
+        """
+        if self.sampler.config.greedy:
+            return None
+        if request_id is None:
+            return derive(self._stream_seed, f"admission:{next(self._admissions)}")
+        return derive(self._stream_seed, f"request:{request_id}")
+
+    def _target_step(self, session: DecodeSession, last: int, span=NULL_SPAN):
         """One plain autoregressive target step (the fallback primitive).
 
         Returns ``(next_token, decode_output)`` so callers can reuse the
         forward's last-layer KV for draft-context maintenance.
         """
-        out = self.target.decode(np.asarray([[last]], dtype=np.int64), target_cache)
+        record = session.record
+        out = self.target.decode(np.asarray([[last]], dtype=np.int64), session.target_cache)
         span.add_sim_ms(record.charge_sim(self.cost_model.target_step(), "fallback"))
         record.count_target_forward()
         record.count_fallback_step()
-        return self.sampler.sample(out.logits.data[0, -1]), out
+        return self.sampler.sample(out.logits.data[0, -1], rng=session.rng), out
 
     def _build_context(self, target_cache, hybrid: HybridKVCache, prompt_ids, n_vis: int,
                        record: DecodeRecord) -> float:
@@ -373,6 +409,7 @@ class AASDEngine(Decoder):
                 target_cache=target_cache,
                 hybrid=hybrid,
                 request_id=request_id,
+                rng=self._request_stream(request_id),
             )
             try:
                 sp.add_sim_ms(
@@ -389,7 +426,7 @@ class AASDEngine(Decoder):
                 speculating = False
             session.speculating = speculating
 
-            session.committed.append(self.sampler.sample(last_logits[0]))
+            session.committed.append(self.sampler.sample(last_logits[0], rng=session.rng))
             controller.reset()
         return session
 
@@ -400,21 +437,23 @@ class AASDEngine(Decoder):
     # (B, 1, D) lockstep tensor (draft) — instead of B per-session Python
     # loops, while every per-session side effect (record charges, fault
     # handling, controller updates, cache maintenance) replicates the
-    # solo path exactly.  Greedy outputs are bitwise token-identical to
-    # per-session stepping; that identity is what licenses the fusion.
+    # solo path exactly.  Outputs are bitwise token-identical to
+    # per-session stepping, greedy or sampled (each request draws from its
+    # own stream); that identity is what licenses the fusion.
     # ------------------------------------------------------------------
     @property
     def packed_ready(self) -> bool:
         """Whether batched calls may take the packed fused path.
 
-        Requires a draft head that advertises ``supports_packed`` (fault
-        injection wrappers intercept per-session ``step`` calls and opt
-        out) and greedy sampling — non-greedy decode draws RNG in
-        session order, which a batch-ordered round would permute.
+        The one condition is a draft head that advertises
+        ``supports_packed`` (fault-injection wrappers intercept
+        per-session ``step`` calls and opt out).  Sampling does not
+        matter: every request draws from its own stream
+        (:meth:`_request_stream`) and the packed kernels reproduce the
+        solo logits bitwise, so a packed round emits, request by request,
+        exactly the tokens of sequential stepping — greedy or sampled.
         """
-        return bool(getattr(self.head, "supports_packed", False)) and bool(
-            self.sampler.config.greedy
-        )
+        return bool(getattr(self.head, "supports_packed", False))
 
     @property
     def tree_ready(self) -> bool:
@@ -546,6 +585,7 @@ class AASDEngine(Decoder):
                     target_cache=cache,
                     hybrid=hybrid,
                     request_id=rids[i],
+                    rng=self._request_stream(rids[i]),
                 )
                 speculating = True
                 try:
@@ -561,7 +601,9 @@ class AASDEngine(Decoder):
                     sp.set_attr("fault", str(exc))
                     speculating = False
                 session.speculating = speculating
-                session.committed.append(self.sampler.sample(last_logits[0]))
+                session.committed.append(
+                    self.sampler.sample(last_logits[0], rng=session.rng)
+                )
                 controller.reset()
                 outcomes[i] = session
         return outcomes
@@ -607,11 +649,8 @@ class AASDEngine(Decoder):
         with no_grad():
             if not session.speculating:
                 with tracer.span("fallback") as sp:
-                    record = session.record
                     committed = session.committed
-                    token, _ = self._target_step(
-                        committed[-1], session.target_cache, record, sp
-                    )
+                    token, _ = self._target_step(session, committed[-1], sp)
                     committed.append(token)
                     report = StepReport(kind="fallback", feed_size=1, draft_kv_lens=())
                 return report
@@ -625,7 +664,7 @@ class AASDEngine(Decoder):
                     committed = session.committed
                     last = committed[-1]
                     last_pos = session.gen_base + len(committed) - 1
-                    token, out = self._target_step(last, session.target_cache, record, sp)
+                    token, out = self._target_step(session, last, sp)
                     try:
                         self._append_committed_kv(
                             out, last, [], 1, last_pos, hybrid, record, "fallback"
@@ -684,7 +723,7 @@ class AASDEngine(Decoder):
                         )
                         ensure_finite(logits, "draft logits")
                         probs = logits_to_probs(logits, self.sampler.config)
-                        token = self.sampler.sample(logits)
+                        token = self.sampler.sample(logits, probs=probs, rng=session.rng)
                         draft_probs.append(probs)
                         draft_tokens.append(token)
                         pos += 1
@@ -730,7 +769,7 @@ class AASDEngine(Decoder):
                 # Nothing drafted this block: take one plain target step
                 # and keep the draft context in sync for the next block.
                 with tracer.span("fallback") as sp:
-                    token, out = self._target_step(last, session.target_cache, record, sp)
+                    token, out = self._target_step(session, last, sp)
                     if session.speculating:
                         try:
                             self._append_committed_kv(
@@ -770,7 +809,7 @@ class AASDEngine(Decoder):
                     np.stack(draft_probs),
                     out.logits.data[0],
                     self.sampler.config,
-                    self.rng,
+                    session.rng,
                 )
                 record.add_block(
                     BlockRecord(
@@ -802,12 +841,7 @@ class AASDEngine(Decoder):
                     sp.set_attr("fault", str(exc))
                     self._disable_speculation(session, "context maintenance failed")
 
-                committed.extend(outcome.accepted)
-                committed.append(outcome.next_token)
-                if session.eos in committed:
-                    del committed[committed.index(session.eos) + 1:]
-                elif len(committed) > session.max_new_tokens:
-                    del committed[session.max_new_tokens:]
+                session.commit(outcome.accepted, outcome.next_token)
                 report = StepReport(
                     kind="verify",
                     feed_size=gamma_used + 1,
@@ -914,7 +948,7 @@ class AASDEngine(Decoder):
                 # Nothing drafted this block: take one plain target step
                 # and keep the draft context in sync for the next block.
                 with tracer.span("fallback") as sp:
-                    token, out = self._target_step(last, session.target_cache, record, sp)
+                    token, out = self._target_step(session, last, sp)
                     if session.speculating:
                         try:
                             self._append_committed_kv(
@@ -1020,12 +1054,7 @@ class AASDEngine(Decoder):
             sp.set_attr("fault", str(exc))
             self._disable_speculation(session, "context maintenance failed")
 
-        session.committed.extend(outcome.accepted)
-        session.committed.append(outcome.next_token)
-        if session.eos in session.committed:
-            del session.committed[session.committed.index(session.eos) + 1:]
-        elif len(session.committed) > session.max_new_tokens:
-            del session.committed[session.max_new_tokens:]
+        session.commit(outcome.accepted, outcome.next_token)
         return StepReport(
             kind="verify",
             feed_size=1 + tree.n_nodes,
@@ -1044,7 +1073,7 @@ class AASDEngine(Decoder):
         """Advance B sessions one block each, as one packed fused round.
 
         Semantically ``[self.step(s) for s in sessions]`` — same committed
-        tokens (bitwise, under greedy), same per-session record charges,
+        tokens (bitwise, greedy or sampled), same per-session record charges,
         fault handling, controller updates, and budget expiry — but the
         compute is batched: all speculating sessions draft in lockstep
         through :meth:`AASDDraftHead.step_packed` (one ``(B, 1, D)``
@@ -1152,7 +1181,9 @@ class AASDEngine(Decoder):
                         try:
                             ensure_finite(logits, "draft logits")
                             probs = logits_to_probs(logits, self.sampler.config)
-                            token = self.sampler.sample(logits)
+                            token = self.sampler.sample(
+                                logits, probs=probs, rng=s.session.rng
+                            )
                         except Exception as exc:
                             if not cfg.fallback_on_fault:
                                 raise
@@ -1199,9 +1230,7 @@ class AASDEngine(Decoder):
                     continue
                 with tracer.span("fallback") as sp:
                     record = session.record
-                    token, out = self._target_step(
-                        s.last, session.target_cache, record, sp
-                    )
+                    token, out = self._target_step(session, s.last, sp)
                     if session.speculating:
                         try:
                             self._append_committed_kv(
@@ -1255,7 +1284,7 @@ class AASDEngine(Decoder):
                             np.stack(s.probs),
                             out.logits.data[0],
                             self.sampler.config,
-                            self.rng,
+                            session.rng,
                         )
                         record.add_block(
                             BlockRecord(
@@ -1285,14 +1314,7 @@ class AASDEngine(Decoder):
                             sp.set_attr("fault", str(exc))
                             self._disable_speculation(session, "context maintenance failed")
 
-                        session.committed.extend(outcome.accepted)
-                        session.committed.append(outcome.next_token)
-                        if session.eos in session.committed:
-                            del session.committed[
-                                session.committed.index(session.eos) + 1:
-                            ]
-                        elif len(session.committed) > session.max_new_tokens:
-                            del session.committed[session.max_new_tokens:]
+                        session.commit(outcome.accepted, outcome.next_token)
                         reports[i] = StepReport(
                             kind="verify",
                             feed_size=gamma_used + 1,
@@ -1427,9 +1449,7 @@ class AASDEngine(Decoder):
                 last, last_pos = anchors[i]
                 with tracer.span("fallback") as sp:
                     record = session.record
-                    token, out = self._target_step(
-                        last, session.target_cache, record, sp
-                    )
+                    token, out = self._target_step(session, last, sp)
                     if session.speculating:
                         try:
                             self._append_committed_kv(

@@ -90,11 +90,26 @@ class Sampler:
         self.config = config
         self.rng = rng if rng is not None else derive(config.seed, "sampler")
 
-    def sample(self, logits: np.ndarray) -> int:
-        probs = logits_to_probs(logits, self.config)
+    def sample(
+        self,
+        logits: np.ndarray,
+        *,
+        probs: Optional[np.ndarray] = None,
+        rng: Optional[np.random.Generator] = None,
+    ) -> int:
+        """Draw one token from the distribution ``logits`` implies.
+
+        ``probs``, when the caller already holds
+        ``logits_to_probs(logits, self.config)``, is drawn from as is
+        instead of being recomputed; ``rng`` draws from the caller's
+        stream (the AASD engine passes each request's own) instead of
+        the sampler's.  Greedy configs consume no draws.
+        """
+        if probs is None:
+            probs = logits_to_probs(logits, self.config)
         if self.config.greedy:
             return int(np.argmax(probs))
-        return int(self.rng.choice(probs.size, p=probs))
+        return int((rng if rng is not None else self.rng).choice(probs.size, p=probs))
 
 
 @dataclass(frozen=True)
@@ -120,7 +135,7 @@ def speculative_verify(
     draft_probs: np.ndarray,
     target_logits: np.ndarray,
     config: SamplerConfig,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
 ) -> VerifyOutcome:
     """Accept/reject a block of draft tokens against target logits.
 
@@ -137,7 +152,9 @@ def speculative_verify(
     config:
         Sampling configuration (shared by draft and target for losslessness).
     rng:
-        Random stream for accept tests and residual sampling.
+        Random stream for accept tests and residual sampling (the AASD
+        engine passes the request's own); unused, and may be ``None``,
+        under greedy configs.
 
     Returns the accepted prefix and the next committed token.  Under greedy
     configs this is exact prefix matching against the target argmax.

@@ -12,15 +12,15 @@ batched prefill) and finished ones retire without stalling the rest —
 classic continuous batching.
 
 Execution *and* pricing are batched.  When the engine is
-:attr:`~repro.core.engine.AASDEngine.packed_ready` (a packable draft head
-and greedy sampling) and the round holds more than one session, the
+:attr:`~repro.core.engine.AASDEngine.packed_ready` (a packable draft
+head) and the round holds more than one session, the
 scheduler drives the engine's packed batched calls
 (:meth:`~repro.core.engine.AASDEngine.begin_batch` /
 :meth:`~repro.core.engine.AASDEngine.step_batch`): each round's prefills
 and verify forwards run as one cu-seqlen-packed set of fused GEMMs and its
 draft steps in ``(B, 1, D)`` lockstep — see ``docs/kernels.md`` — with
-outputs bitwise token-identical to per-session stepping.  Otherwise
-(fault-injection wrappers, non-greedy sampling, a batch of one, or a
+outputs bitwise token-identical to per-session stepping, greedy or
+sampled.  Otherwise (fault-injection wrappers, a batch of one, or a
 breaker-forced fallback round) execution falls back to per-session numpy.
 Either way the **server clock** is charged as if each round's draft steps
 and target forwards ran as single batched GPU forwards, using the
@@ -56,9 +56,10 @@ keeps the legacy fail-fast behavior exactly.  With a
 :class:`~repro.serving.resilience.RetryPolicy`, a session that dies on a
 *transient* fault (per :func:`repro.robustness.faults.is_transient`) is
 dropped and re-enqueued after a deterministic backoff: the retry restarts
-from a fresh prefill with the engine RNG restored to its pre-request
-snapshot, so — under greedy sampling, where decoding consumes no RNG draws
-— the retried output is token-identical to a clean run.  With a
+from a fresh prefill and, because the engine derives each request's random
+stream from its ``request_id``, redraws exactly what the failed attempt
+drew — the retried output is token-identical to a clean run under greedy
+and sampling alike, and its batch-mates' outputs do not move.  With a
 :class:`~repro.serving.resilience.BreakerConfig`, a circuit breaker watches
 per-round acceptance/fault rates and forces the whole batch target-only
 while open.  With a :class:`~repro.serving.resilience.ShedConfig`, queued
@@ -82,7 +83,6 @@ KV-arena accounting into ``scheduler.memory`` (surfaced as
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field as dataclasses_field
 from itertools import zip_longest
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -234,14 +234,6 @@ class _Active:
     first_token_ms: Optional[float] = None
 
 
-@dataclass
-class _RetryState:
-    """Scheduler-internal retry bookkeeping for one request."""
-
-    attempts: int = 0                       #: retries consumed so far
-    rng_state: Optional[dict] = None        #: engine RNG snapshot at first admission
-
-
 class ContinuousBatchingScheduler:
     """Interleaves many :class:`DecodeSession` objects over one engine.
 
@@ -272,7 +264,7 @@ class ContinuousBatchingScheduler:
         #: raw per-request latency samples (server-clock ms) keyed
         #: ``ttft_ms`` / ``tpot_ms`` / ``e2e_ms``; digested into the report.
         self.latency_samples: Dict[str, List[float]] = {}
-        self._retry_state: Dict[str, _RetryState] = {}
+        self._retry_attempts: Dict[str, int] = {}   #: retries consumed per request id
         #: ``(ready_ms, handle)`` for requests waiting out their backoff.
         self._backoff: List[Tuple[float, ServeHandle]] = []
 
@@ -328,8 +320,7 @@ class ContinuousBatchingScheduler:
                  started_ms: Optional[float] = None,
                  first_token_ms: Optional[float] = None) -> None:
         """Retire a request with a terminal status (updates counters)."""
-        retry_state = self._retry_state.pop(handle.request_id, None)
-        retry_count = retry_state.attempts if retry_state is not None else 0
+        retry_count = self._retry_attempts.pop(handle.request_id, 0)
         handle.resolve(ServeResult(
             request_id=handle.request_id,
             status=status,
@@ -391,53 +382,27 @@ class ContinuousBatchingScheduler:
     # ------------------------------------------------------------------
     # Resilience: retry scheduling, backoff waits, load shedding.
     # ------------------------------------------------------------------
-    def _attempts(self, request_id: str) -> int:
-        """Retries already consumed by ``request_id`` (0 when untracked)."""
-        state = self._retry_state.get(request_id)
-        return state.attempts if state is not None else 0
-
-    def _restore_or_snapshot_rng(self, request_id: str) -> None:
-        """Make a retried admission replay the original RNG stream.
-
-        First admission snapshots the engine RNG state; a retry restores
-        it, so the restarted decode draws exactly what the failed attempt
-        would have.  Under greedy sampling decoding consumes no draws and
-        this is an exact no-op — which is why retried outputs are
-        token-identical to a clean run regardless of what batch-mates did
-        in between (the guarantee the chaos harness pins down).  No-op
-        unless a retry policy is configured.
-        """
-        if self._retry_policy is None:
-            return
-        state = self._retry_state.get(request_id)
-        if state is None:
-            self._retry_state[request_id] = _RetryState(
-                rng_state=copy.deepcopy(self.engine.rng.bit_generator.state)
-            )
-        elif state.rng_state is not None:
-            self.engine.rng.bit_generator.state = copy.deepcopy(state.rng_state)
-
     def _maybe_retry(self, handle: ServeHandle, exc: BaseException) -> bool:
         """Schedule a transient-fault retry; False means the fault is terminal.
 
         A retry discards the failed attempt entirely (partial tokens,
         record, caches) and re-enqueues the request after a deterministic
-        backoff — re-admission restores the engine RNG snapshot taken at
-        first admission, so the restarted decode replays the original
-        token stream.  Not retried: persistent faults, exhausted budgets,
-        and backoffs that would land past the request's deadline.
+        backoff — re-admission re-derives the request's random stream
+        from its id, so the restarted decode replays the original token
+        stream.  Not retried: persistent faults, exhausted budgets, and
+        backoffs that would land past the request's deadline.
         """
         policy = self._retry_policy
         if policy is None or not is_transient(exc):
             return False
-        state = self._retry_state.get(handle.request_id)
-        if state is None or state.attempts >= policy.max_retries:
+        attempts = self._retry_attempts.get(handle.request_id, 0)
+        if attempts >= policy.max_retries:
             return False
-        ready_ms = self.now_ms + policy.backoff_ms(handle.request_id, state.attempts)
+        ready_ms = self.now_ms + policy.backoff_ms(handle.request_id, attempts)
         limit = expiry_ms(handle)
         if limit is not None and ready_ms >= limit:
             return False
-        state.attempts += 1
+        self._retry_attempts[handle.request_id] = attempts + 1
         self.n_retries += 1
         self._backoff.append((ready_ms, handle))
         registry = get_registry()
@@ -445,7 +410,7 @@ class ContinuousBatchingScheduler:
         registry.gauge("resilience.pending_retries").set(len(self._backoff))
         log_exception(logger, "request_retry", exc,
                       request_id=handle.request_id,
-                      retry_count=state.attempts,
+                      retry_count=attempts + 1,
                       ready_ms=ready_ms)
         return True
 
@@ -535,14 +500,14 @@ class ContinuousBatchingScheduler:
         tracer = self.engine.tracer
         if len(handles) > 1 and self.engine.packed_ready:
             # Packed path: one cu-seqlen-packed prefill forward for the
-            # whole admission (docs/kernels.md).  Per-request rng snapshot
-            # and span bookkeeping are preserved; begin_batch returns a
-            # per-request session or exception so fault isolation matches
-            # the solo loop below.
+            # whole admission (docs/kernels.md).  Per-request span
+            # bookkeeping is preserved; begin_batch returns a per-request
+            # session or exception so fault isolation matches the solo
+            # loop below.
             for handle in handles:
                 with tracer.span("request", request_id=handle.request_id,
                                  phase="prefill"):
-                    self._restore_or_snapshot_rng(handle.request_id)
+                    pass
             outcomes = self.engine.begin_batch(
                 [h.request.sample for h in handles],
                 records=[DecodeRecord() for _ in handles],
@@ -559,7 +524,7 @@ class ContinuousBatchingScheduler:
                         continue
                     log_exception(logger, "prefill_failed", outcome,
                                   request_id=handle.request_id,
-                                  retry_count=self._attempts(handle.request_id))
+                                  retry_count=self._retry_attempts.get(handle.request_id, 0))
                     self._resolve(handle, STATUS_FAILED,
                                   error=f"prefill failed: {outcome}",
                                   started_ms=started_ms)
@@ -571,7 +536,6 @@ class ContinuousBatchingScheduler:
         for handle in handles:
             request = handle.request
             with tracer.span("request", request_id=request.request_id, phase="prefill"):
-                self._restore_or_snapshot_rng(request.request_id)
                 try:
                     session = self.engine.begin(
                         request.sample,
@@ -585,7 +549,7 @@ class ContinuousBatchingScheduler:
                         continue
                     log_exception(logger, "prefill_failed", exc,
                                   request_id=request.request_id,
-                                  retry_count=self._attempts(request.request_id))
+                                  retry_count=self._retry_attempts.get(request.request_id, 0))
                     self._resolve(handle, STATUS_FAILED, error=f"prefill failed: {exc}",
                                   started_ms=started_ms)
                     continue
@@ -682,7 +646,7 @@ class ContinuousBatchingScheduler:
                     continue
                 log_exception(logger, "step_failed", outcome,
                               request_id=entry.handle.request_id,
-                              retry_count=self._attempts(entry.handle.request_id))
+                              retry_count=self._retry_attempts.get(entry.handle.request_id, 0))
                 self._resolve(entry.handle, STATUS_FAILED,
                               record=self.engine.finish(entry.session),
                               error=f"step failed: {outcome}",

@@ -1,14 +1,16 @@
 """Packed ragged-batch serving: token identity, gating, edge cases.
 
 The packed engine paths (``begin_batch`` / ``step_batch``) promise
-**bitwise** token identity with per-session stepping under greedy
-decoding.  The world here uses dim=96 deliberately: the gemv/gemm
-K-reduction divergence that makes naive packing lossy only appears at
-K >= 64 (``tests/nn/test_ragged.py::TestPackingStability``), so a
-small-dim world would pass even with a broken packing scheme.
+**bitwise** token identity with per-session stepping, under greedy
+decoding and — because every request draws from its own derived stream —
+under sampling too, whatever the batch order, the per-session gammas or
+the moment batch-mates retire.  The world here uses dim=96 deliberately:
+the gemv/gemm K-reduction divergence that makes naive packing lossy only
+appears at K >= 64 (``tests/nn/test_ragged.py::TestPackingStability``),
+so a small-dim world would pass even with a broken packing scheme.
 
 Also pins: B == 1 and non-packable heads reduce to the solo path, the
-``packed_ready`` gate (greedy only, ``supports_packed`` heads only),
+``packed_ready`` gate (``supports_packed`` heads only),
 per-request fault isolation in batched prefill, mixed per-session
 gammas, reference-cache compatibility of the packed path, and rollback
 visibility of packed draft blocks through a ``BlockTable`` view.
@@ -29,7 +31,8 @@ from repro.core.reference import ReferenceHybridKVCache, ReferenceKVCache
 from repro.data.tasks import make_dataset
 from repro.decoding import CostModel, get_profile
 from repro.decoding.adaptive import FixedGamma
-from repro.decoding.sampling import SamplerConfig
+from repro.decoding.sampling import SamplerConfig, VerifyOutcome
+from repro.decoding.tree import TreeAcceptOutcome
 from repro.errors import DecodingError
 from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
 from repro.models.llava import MiniLlava
@@ -80,61 +83,85 @@ def _engine(world, seed=7, head=None, **overrides):
     )
 
 
-def _solo_tokens(world, samples, **overrides):
+SAMPLED = SamplerConfig(greedy=False, temperature=0.8, top_p=0.95)
+
+# A sampled request's stream is derived from its id, so the helpers below
+# give sample ``i`` the id ``req-{i}`` wherever and however it is decoded.
+
+
+def _solo_tokens(world, samples, gammas=None, **overrides):
     engine = _engine(world, **overrides)
     out = []
-    for sample in samples:
-        session = engine.begin(sample)
+    for i, sample in enumerate(samples):
+        session = engine.begin(
+            sample, request_id=f"req-{i}",
+            gamma_controller=FixedGamma(gammas[i]) if gammas else None,
+        )
         while not session.finished:
             engine.step(session)
         out.append(list(session.committed))
     return out
 
 
-def _packed_tokens(world, samples, gamma_controllers=None, **overrides):
+def _packed_tokens(world, samples, gammas=None, order=None, **overrides):
+    """Tokens per sample (in sample order) of one packed run batched in ``order``."""
     engine = _engine(world, **overrides)
     assert engine.packed_ready
-    sessions = engine.begin_batch(list(samples), gamma_controllers=gamma_controllers)
+    order = list(order) if order is not None else list(range(len(samples)))
+    sessions = engine.begin_batch(
+        [samples[i] for i in order],
+        gamma_controllers=[FixedGamma(gammas[i]) for i in order] if gammas else None,
+        request_ids=[f"req-{i}" for i in order],
+    )
     for outcome in sessions:
         assert not isinstance(outcome, Exception), outcome
     while any(not s.finished for s in sessions):
         engine.step_batch([s for s in sessions if not s.finished])
-    return [list(s.committed) for s in sessions]
+    by_sample = dict(zip(order, sessions))
+    return [list(by_sample[i].committed) for i in range(len(samples))]
+
+
+@pytest.fixture(params=[None, SAMPLED], ids=["greedy", "sampled"])
+def sampling(request):
+    """Engine overrides for the two decoding modes the identity must hold in."""
+    return {"sampler_config": request.param}
 
 
 class TestTokenIdentity:
-    def test_packed_matches_solo_bitwise(self, world):
-        assert _packed_tokens(world, world["samples"]) == _solo_tokens(
-            world, world["samples"]
+    def test_packed_matches_solo_bitwise(self, world, sampling):
+        assert _packed_tokens(world, world["samples"], **sampling) == _solo_tokens(
+            world, world["samples"], **sampling
         )
 
-    def test_finished_sessions_drop_out_mid_round(self, world):
+    def test_batch_order_does_not_matter(self, world, sampling):
+        n = len(world["samples"])
+        straight = _packed_tokens(world, world["samples"], **sampling)
+        for order in ([*range(n)][::-1], [3, 0, 5, 1, 4, 2][:n]):
+            assert _packed_tokens(
+                world, world["samples"], order=order, **sampling
+            ) == straight
+
+    def test_finished_sessions_drop_out_mid_round(self, world, sampling):
         # budgets shrink the batch as short generations finish; the
         # remaining sessions' tokens must be unaffected by the shrink
-        engine = _engine(world)
+        engine = _engine(world, **sampling)
         budgets = [4 + 4 * i for i in range(len(world["samples"]))]
         sessions = engine.begin_batch(
             list(world["samples"]),
             max_new_tokens=budgets,
+            request_ids=[f"req-{i}" for i in range(len(budgets))],
         )
         while any(not s.finished for s in sessions):
             engine.step_batch([s for s in sessions if not s.finished])
-        solo = _solo_tokens(world, world["samples"])
+        solo = _solo_tokens(world, world["samples"], **sampling)
         for session, budget, reference in zip(sessions, budgets, solo):
             assert list(session.committed) == reference[:budget]
 
-    def test_mixed_gammas(self, world):
+    def test_mixed_gammas(self, world, sampling):
         gammas = [1, 2, 4, 3, 2, 5][: len(world["samples"])]
-        packed = _packed_tokens(
-            world, world["samples"],
-            gamma_controllers=[FixedGamma(g) for g in gammas],
-        )
-        engine = _engine(world)
-        for sample, gamma, reference in zip(world["samples"], gammas, packed):
-            session = engine.begin(sample, gamma_controller=FixedGamma(gamma))
-            while not session.finished:
-                engine.step(session)
-            assert list(session.committed) == reference
+        assert _packed_tokens(
+            world, world["samples"], gammas=gammas, **sampling
+        ) == _solo_tokens(world, world["samples"], gammas=gammas, **sampling)
 
     def test_reference_cache_compat(self, world, monkeypatch):
         # the packed path builds caches through the same monkeypatchable
@@ -144,6 +171,85 @@ class TestTokenIdentity:
         monkeypatch.setattr(llama_mod, "KVCache", ReferenceKVCache)
         monkeypatch.setattr(engine_mod, "HybridKVCache", ReferenceHybridKVCache)
         assert _packed_tokens(world, world["samples"]) == arena
+
+
+class TestRequestStreams:
+    """A sampled request's draws come from a stream keyed by its identity."""
+
+    def _decode(self, engine, sample, request_id=None):
+        session = engine.begin(sample, request_id=request_id)
+        while not session.finished:
+            engine.step(session)
+        return list(session.committed)
+
+    def test_same_id_same_stream_different_ids_differ(self, world):
+        engine = _engine(world, sampler_config=SAMPLED)
+        sample = world["samples"][0]
+        first = self._decode(engine, sample, "a")
+        other = self._decode(engine, sample, "b")
+        assert self._decode(engine, sample, "a") == first
+        assert other != first
+        # ... and the id, not what was decoded in between, is what counts
+        assert self._decode(_engine(world, sampler_config=SAMPLED), sample, "b") == other
+
+    def test_requests_without_id_use_their_admission_ordinal(self, world):
+        sample = world["samples"][0]
+        engine = _engine(world, sampler_config=SAMPLED)
+        runs = [self._decode(engine, sample) for _ in range(2)]
+        assert runs[0] != runs[1]
+        replay = _engine(world, sampler_config=SAMPLED)
+        assert [self._decode(replay, sample) for _ in range(2)] == runs
+
+    def test_root_key_follows_the_injected_generator(self, world):
+        sample = world["samples"][0]
+        a = self._decode(_engine(world, seed=1, sampler_config=SAMPLED), sample, "a")
+        b = self._decode(_engine(world, seed=2, sampler_config=SAMPLED), sample, "a")
+        assert a != b
+
+    def test_greedy_sessions_carry_no_stream(self, world):
+        assert _engine(world).begin(world["samples"][0]).rng is None
+
+
+class TestTokenBudget:
+    """A verified block that crosses ``max_new_tokens`` *and* holds eos is
+    cut at the budget, on every path that commits a block."""
+
+    @pytest.mark.parametrize("tree", [False, True], ids=["chain", "tree"])
+    @pytest.mark.parametrize("packed", [False, True], ids=["solo", "packed"])
+    def test_eos_past_the_cap_does_not_extend_the_output(
+            self, world, monkeypatch, tree, packed):
+        eos = world["tokenizer"].vocab.eos_id
+        budget = 2
+
+        def accept_all_then_eos(draft_tokens, *_):
+            return VerifyOutcome(tuple(draft_tokens), eos, True)
+
+        def accept_first_branch_then_eos(draft, *_):
+            children, node, path = draft.children(), -1, []
+            while children.get(node):
+                node = children[node][0]
+                path.append(node)
+            return TreeAcceptOutcome(
+                tuple(path), tuple(draft.tokens[i] for i in path), eos
+            )
+
+        monkeypatch.setattr(engine_mod, "speculative_verify", accept_all_then_eos)
+        monkeypatch.setattr(engine_mod, "accept_tree", accept_first_branch_then_eos)
+        engine = _engine(world, max_new_tokens=budget, tree_speculation=tree)
+        assert engine.tree_ready == tree
+        samples = list(world["samples"][:3])
+        if packed:
+            sessions = engine.begin_batch(samples)
+            reports = engine.step_batch(sessions)
+        else:
+            sessions = [engine.begin(sample) for sample in samples]
+            reports = [engine.step(session) for session in sessions]
+        for session, report in zip(sessions, reports):
+            # the block emitted 1 + n_accepted + 1 tokens, eos last
+            assert report.kind == "verify" and report.n_accepted >= 2
+            assert session.finished
+            assert len(session.committed) == budget
+            assert eos not in session.committed
 
 
 class TestSoloReduction:
@@ -172,11 +278,8 @@ class TestPackedGate:
     def test_greedy_packable_head_is_ready(self, world):
         assert _engine(world).packed_ready
 
-    def test_non_greedy_disables_packing(self, world):
-        engine = _engine(
-            world, sampler_config=SamplerConfig(greedy=False, temperature=1.0)
-        )
-        assert not engine.packed_ready
+    def test_sampling_keeps_packing(self, world):
+        assert _engine(world, sampler_config=SAMPLED).packed_ready
 
     def test_faulty_head_wrapper_disables_packing(self, world):
         wrapped = FaultyDraftHead(world["head"], mode="nan-logits", fail_every=1000)

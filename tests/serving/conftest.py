@@ -56,9 +56,10 @@ def sequential_records(world):
 
 @pytest.fixture()
 def make_engine(world):
-    """Factory for fresh engines over the shared world (seeded, greedy)."""
+    """Factory for fresh engines over the shared world (seeded; greedy
+    unless a ``sampler_config`` override says otherwise)."""
 
-    def build(head=None, tracer=None, **overrides) -> AASDEngine:
+    def build(head=None, tracer=None, sampler_config=None, **overrides) -> AASDEngine:
         config = AASDEngineConfig(
             gamma=overrides.pop("gamma", 3),
             max_new_tokens=overrides.pop("max_new_tokens", MAX_NEW_TOKENS),
@@ -70,6 +71,7 @@ def make_engine(world):
             world["tokenizer"],
             world["cm"],
             config,
+            sampler_config=sampler_config,
             rng=np.random.default_rng(7),
             tracer=tracer,
         )

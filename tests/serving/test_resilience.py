@@ -13,6 +13,7 @@ import logging
 
 import pytest
 
+from repro.decoding.sampling import SamplerConfig
 from repro.errors import ServingError
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.robustness import FaultyDraftHead
@@ -284,6 +285,35 @@ class TestRetryIntegration:
             assert result.record.token_ids == solo.token_ids, result.request_id
         assert registry.get("resilience.retries_total").value == report.n_retries
         assert registry.get("resilience.pending_retries").value == 0
+
+    def test_sampled_retry_replays_clean_run_and_spares_batch_mates(
+            self, world, make_engine):
+        # One request of a sampled batch dies on a transient fault and is
+        # retried.  Its random stream is re-derived from its id, so it
+        # emits the clean run's tokens — and, unlike a rewind of shared
+        # RNG state, the retry leaves its batch-mates' draws alone.  The
+        # clean run is the *packed* one (plain head), the faulted run the
+        # per-session one (the wrapper opts out): same tokens either way.
+        sampled = SamplerConfig(greedy=False, temperature=0.8, top_p=0.95)
+        samples = world["samples"][:4]
+        ids = [f"req-{i:03d}" for i in range(len(samples))]
+        clean = serve_requests(make_engine(sampler_config=sampled), samples,
+                               _resilient_config())
+
+        def storm(seed):
+            return FaultyDraftHead(world["head"], mode="raise", transient=True,
+                                   request_fault_rate=0.3, fault_horizon=4, seed=seed)
+
+        head = next(h for h in map(storm, range(100))
+                    if sum(bool(h.storm_steps(rid)) for rid in ids) == 1)
+        engine = make_engine(head=head, fallback_on_fault=False, sampler_config=sampled)
+        report = serve_requests(engine, samples, _resilient_config())
+
+        assert report.n_retries == 1 and head.n_faults == 1
+        assert report.count(STATUS_COMPLETED) == len(samples)
+        for retried, reference in zip(report.results, clean.results):
+            assert retried.record.token_ids == reference.record.token_ids, (
+                retried.request_id)
 
     def test_persistent_fault_fails_without_retry(self, world, make_engine):
         head = FaultyDraftHead(world["head"], mode="raise", transient=False,
