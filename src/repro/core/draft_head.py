@@ -29,14 +29,7 @@ from ..nn.attention import (
     merge_heads,
     split_heads,
 )
-from ..nn.kernels import (
-    linear_data,
-    merge_heads_data,
-    rmsnorm_data,
-    rope_data,
-    split_heads_data,
-    swiglu_data,
-)
+from ..nn.kernels import block_tail_data, project_qkv_data, rmsnorm_data
 from ..nn.layers import Embedding, Linear
 from ..nn.module import Module
 from ..nn.normalization import RMSNorm
@@ -263,34 +256,20 @@ class AASDDraftHead(Module):
 
         Appends the token's own K/V to the hybrid cache's draft segment
         (the query attends to it, matching T-D Attention's ``j = i`` rule).
-        ``request_id`` identifies the requesting session; the head itself
-        ignores it, but wrappers (fault injectors, per-request telemetry)
-        key their behavior on it.
+        ``position`` must lie past every cached key position, as it does
+        wherever the engine drafts.  ``request_id`` identifies the
+        requesting session; the head itself ignores it, but wrappers
+        (fault injectors, per-request telemetry) key their behavior on it.
+
+        A chain step is the tree step whose ancestors are the whole draft
+        segment, so this *is* :meth:`_tree_step` — one spec with
+        gradients on, one kernel with them off.
         """
         del request_id
-        positions = np.asarray([position], dtype=np.int64)
-        x = self.embed(np.asarray([[token_id]], dtype=np.int64))
-        h = self.attn_norm(x)
-        q, k, v = self.qkv(h, positions)
-
-        ctx_k, ctx_v, key_pos, key_blocked = hybrid.gather(
-            disable_image_kv=disable_image_kv, disable_text_kv=disable_text_kv
+        return self._tree_step(
+            token_id, position, hybrid, tuple(range(hybrid.draft_len)),
+            disable_image_kv, disable_text_kv,
         )
-        k_all = concat([Tensor(ctx_k), k], axis=2)
-        v_all = concat([Tensor(ctx_v), v], axis=2)
-        # repro: allow[hotpath-reach] -- O(context) int/bool mask bookkeeping per draft step, not KV storage
-        all_pos = np.concatenate([key_pos, positions])
-        blocked = causal_mask(positions, all_pos)
-        # repro: allow[hotpath-reach] -- O(context) bool mask row, rebuilt per step by design
-        blocked = blocked | np.concatenate([key_blocked, [False]])[None, :]
-
-        attn = MultiHeadAttention.attend(q, k_all, v_all, blocked=blocked)
-        x = x + self.wo(merge_heads(attn))
-        x = x + self.mlp(self.mlp_norm(x))
-        logits = self.lm_head(self.out_norm(x))
-
-        hybrid.append_draft(k.data, v.data, positions)
-        return logits.data[0, -1]
 
     # ------------------------------------------------------------------
     # Tree speculation (repro.decoding.tree; docs/kernels.md)
@@ -325,18 +304,26 @@ class AASDDraftHead(Module):
         disable_image_kv: bool,
         disable_text_kv: bool,
     ) -> np.ndarray:
-        """One tree-node expansion: :meth:`step` restricted to ancestors.
+        """One draft forward: a tree-node expansion, or a chain :meth:`step`.
 
-        Identical to :meth:`step` except that of the hybrid cache's draft
-        segment only ``ancestor_rows`` (the node's root path, in draft-row
-        order) are attended — sibling branches are excluded by *selection*
-        rather than masking, which also keeps same-position sibling keys
-        out of the causal rule's reach.  When the ancestors are the entire
-        draft segment (every chain node) the gathered views are used
-        as-is, making the op sequence bitwise identical to :meth:`step`.
-        Appends the expanded token's own K/V as the next draft row, so
-        DFS-preorder expansion keeps draft-row order equal to node order.
+        Of the hybrid cache's draft segment only ``ancestor_rows`` (the
+        node's root path, in draft-row order) are attended — sibling
+        branches are excluded by *selection* rather than masking, which
+        also keeps same-position sibling keys out of the causal rule's
+        reach.  When the ancestors are the entire draft segment (every
+        chain node) the gathered views are used as-is.  Appends the
+        expanded token's own K/V as the next draft row, so DFS-preorder
+        expansion keeps draft-row order equal to node order.
+
+        With gradients off this is the one-row case of
+        :meth:`_infer_rows`; the ``Module`` ops below are what it must
+        equal bit for bit (``tests/nn/test_inference_forward.py``).
         """
+        if not is_grad_enabled():
+            return self._infer_rows(
+                [token_id], [position], [hybrid], disable_image_kv,
+                disable_text_kv, ancestor_rows=[ancestor_rows],
+            )[0]
         positions = np.asarray([position], dtype=np.int64)
         x = self.embed(np.asarray([[token_id]], dtype=np.int64))
         h = self.attn_norm(x)
@@ -350,6 +337,7 @@ class AASDDraftHead(Module):
             sel_k, sel_v = ctx_k, ctx_v
             sel_pos, sel_blocked = key_pos, key_blocked
         else:
+            # repro: allow[hotpath-reach] -- spec path, gradients on only: no-grad decoding returned above
             index = np.concatenate([
                 np.arange(hybrid.context_len, dtype=np.int64),
                 hybrid.context_len + np.asarray(rows, dtype=np.int64),
@@ -360,8 +348,10 @@ class AASDDraftHead(Module):
             sel_blocked = np.asarray(key_blocked)[index]
         k_all = concat([Tensor(sel_k), k], axis=2)
         v_all = concat([Tensor(sel_v), v], axis=2)
+        # repro: allow[hotpath-reach] -- spec path, gradients on only: no-grad decoding returned above
         all_pos = np.concatenate([sel_pos, positions])
         blocked = causal_mask(positions, all_pos)
+        # repro: allow[hotpath-reach] -- spec path, gradients on only: no-grad decoding returned above
         blocked = blocked | np.concatenate([sel_blocked, [False]])[None, :]
 
         attn = MultiHeadAttention.attend(q, k_all, v_all, blocked=blocked)
@@ -458,29 +448,11 @@ class AASDDraftHead(Module):
     ) -> List[np.ndarray]:
         """One *lockstep* draft step for B sessions; per-session logits.
 
-        Each session feeds exactly one token, so the batch runs as a
-        ``(B, 1, D)`` tensor: the embedding gather, norms, q/k/v/o
-        projections, RoPE, MLP, and LM head each execute as **one** numpy
-        call instead of B.  Because numpy evaluates a ``(B, 1, K) @ (K, N)``
-        matmul by looping the batch axis, every slice still takes the
-        single-row gemv kernel — bitwise identical to B solo :meth:`step`
-        calls (the M=1 side of the packing-stability contract in
-        :mod:`repro.nn.ragged`).  Attention runs per session over each
-        hybrid cache's zero-copy gather view, again at exactly the solo
-        shapes.
-
-        When no ablation flag is set the attention mask is skipped
-        outright: during draft steps every gathered key position is
-        strictly below the query position (compressed vision keys sit at
-        ``0..k-1``, committed-text keys below the last committed
-        position, draft keys at earlier draft positions), so the solo
-        path's causal+segment mask is all-``False`` — and
-        ``masked_fill`` with an all-``False`` mask is a bitwise identity.
-        The packed-vs-solo identity tests would catch any violation.
-
-        Appends each session's fresh draft K/V to its own hybrid cache,
-        exactly as :meth:`step` does.  Returns one ``(vocab,)`` logits
-        row per session, in input order.
+        B calls of :meth:`step` as one :meth:`_infer_rows` pass: appends
+        each session's fresh draft K/V to its own hybrid cache exactly as
+        :meth:`step` does and returns one ``(vocab,)`` logits row per
+        session, in input order, bitwise what B solo steps return.
+        Inference only — it runs the raw kernels whatever the grad mode.
         """
         del request_ids
         if not (len(token_ids) == len(positions) == len(hybrids)):
@@ -488,129 +460,95 @@ class AASDDraftHead(Module):
                 f"step_packed arity mismatch: {len(token_ids)} tokens, "
                 f"{len(positions)} positions, {len(hybrids)} caches"
             )
-        b = len(token_ids)
+        return self._infer_rows(
+            token_ids, positions, hybrids, disable_image_kv, disable_text_kv
+        )
+
+    def _infer_rows(
+        self,
+        token_ids: Sequence[int],
+        positions: Sequence[int],
+        hybrids: Sequence[HybridKVCache],
+        disable_image_kv: bool,
+        disable_text_kv: bool,
+        ancestor_rows: Optional[Sequence[Tuple[int, ...]]] = None,
+    ) -> List[np.ndarray]:
+        """The one no-grad draft step: B sessions, one token each.
+
+        The batch runs as a ``(B, 1, D)`` array through
+        :mod:`repro.nn.kernels`: the embedding gather, norms, q/k/v/o
+        projections, RoPE, MLP and LM head each execute as **one** numpy
+        call instead of B.  numpy evaluates a ``(B, 1, K) @ (K, N)``
+        matmul by looping the batch axis, so every slice takes the
+        single-row gemv kernel whatever B is — the M = 1 side of the
+        packing-stability contract in :mod:`repro.nn.ragged` — and the
+        ufuncs replay the ``Module`` layers' op order, so each row is
+        bitwise what :meth:`step` computes with gradients on.  Attention
+        runs per session over ``(context | chosen draft rows | own key)``
+        at exactly the solo shapes.  ``ancestor_rows[i]``, when given,
+        restricts session ``i``'s draft segment to those rows (the
+        :meth:`_tree_step` rule); ``None`` attends the whole segment.
+
+        When no ablation flag is set the attention mask is skipped
+        outright: during draft steps every attended key position is
+        strictly below the query position (compressed vision keys sit at
+        ``0..k-1``, committed-text keys below the last committed
+        position, draft keys at earlier draft positions), so the causal +
+        segment mask is all-``False`` — and ``masked_fill`` with an
+        all-``False`` mask is a bitwise identity.
+
+        Appends each session's own K/V as its next draft row and returns
+        one ``(vocab,)`` logits row per session.  Builds no ``Tensor``.
+        """
+        b = len(hybrids)
         pos = np.asarray(positions, dtype=np.int64)
         ids = np.asarray(token_ids, dtype=np.int64).reshape(b, 1)
         ablated = disable_image_kv or disable_text_kv
-        fast = not is_grad_enabled()
 
-        def masks():
-            rows = []
-            for i, hybrid in enumerate(hybrids):
-                ctx_k, ctx_v, key_pos, key_blocked = hybrid.gather(
-                    disable_image_kv=disable_image_kv,
-                    disable_text_kv=disable_text_kv,
-                )
-                if ablated:
-                    # repro: allow[hotpath-reach] -- O(context) mask bookkeeping on the ablation path only
-                    all_pos = np.concatenate([key_pos, pos[i : i + 1]])
-                    blocked = causal_mask(pos[i : i + 1], all_pos)
-                    # repro: allow[hotpath-reach] -- O(context) bool mask row on the ablation path only
-                    blocked = blocked | np.concatenate(
-                        [key_blocked, [False]]
-                    )[None, :]
-                else:
-                    blocked = None
-                rows.append((ctx_k, ctx_v, blocked))
-            return rows
-
-        if fast:
-            xd = self.embed.weight.data[ids]
-            h = rmsnorm_data(xd, self.attn_norm.weight.data, self.attn_norm.eps)
-            n_heads = self.config.n_heads
-            qd = split_heads_data(linear_data(h, self.wq.weight.data), n_heads)
-            kd = split_heads_data(linear_data(h, self.wk.weight.data), n_heads)
-            vd = split_heads_data(linear_data(h, self.wv.weight.data), n_heads)
-            cos, sin = self.rope.tables(pos)
-            cos4, sin4 = cos[:, None, None, :], sin[:, None, None, :]
-            qd = rope_data(qd, cos4, sin4)
-            kd = rope_data(kd, cos4, sin4)
-            if not ablated:
-                # Append-then-view: the hybrid cache's arena views then
-                # hold exactly (context | own key) — the same values the
-                # concat would build — and each per-head 2-D slice of the
-                # view is contiguous, so the gemms run copy-free.  Solo
-                # identity is unaffected (post-step cache state matches,
-                # and a round fault rolls the draft segment back).
-                for i, hybrid in enumerate(hybrids):
-                    hybrid.append_draft(
-                        kd[i : i + 1], vd[i : i + 1], pos[i : i + 1]
-                    )
-                outs = []
-                for i, hybrid in enumerate(hybrids):
-                    k_all, v_all, _, _ = hybrid.gather()
-                    outs.append(
-                        attend_data(
-                            qd[i : i + 1],
-                            np.asarray(k_all),
-                            np.asarray(v_all),
-                            None,
-                        )
-                    )
-            else:
-                outs = [
-                    attend_data(
-                        qd[i : i + 1],
-                        # repro: allow[hotpath-reach] -- ragged-row fallback assembles per-row K once per step
-                        np.concatenate(
-                            [np.asarray(ctx_k), kd[i : i + 1]], axis=2
-                        ),
-                        # repro: allow[hotpath-reach] -- ragged-row fallback assembles per-row V once per step
-                        np.concatenate(
-                            [np.asarray(ctx_v), vd[i : i + 1]], axis=2
-                        ),
-                        blocked,
-                    )
-                    for i, (ctx_k, ctx_v, blocked) in enumerate(masks())
-                ]
-            # repro: allow[hotpath-reach] -- reassembles B per-row outputs into one batch tensor, O(batch) per step
-            attn_d = np.concatenate(outs, axis=0) if b > 1 else outs[0]
-            # residuals accumulate in place into the fresh branch output
-            # (bitwise equal: IEEE addition is commutative)
-            delta = linear_data(merge_heads_data(attn_d), self.wo.weight.data)
-            delta += xd
-            xd = delta
-            mlp = self.mlp
-            delta = swiglu_data(
-                rmsnorm_data(xd, self.mlp_norm.weight.data, self.mlp_norm.eps),
-                mlp.gate.weight.data, mlp.up.weight.data, mlp.down.weight.data,
-            )
-            delta += xd
-            xd = delta
-            normed = rmsnorm_data(xd, self.out_norm.weight.data, self.out_norm.eps)
-            logits_d = matmul_data(normed, self.embed.weight.data.swapaxes(0, 1))
-            if ablated:
-                for i, hybrid in enumerate(hybrids):
-                    hybrid.append_draft(
-                        kd[i : i + 1], vd[i : i + 1], pos[i : i + 1]
-                    )
-            return [logits_d[i, -1] for i in range(b)]
-
-        x = self.embed(ids)
-        h = self.attn_norm(x)
-        q = split_heads(self.wq(h), self.config.n_heads)
-        k = split_heads(self.wk(h), self.config.n_heads)
-        v = split_heads(self.wv(h), self.config.n_heads)
+        xd = self.embed.weight.data[ids]
+        h = rmsnorm_data(xd, self.attn_norm.weight.data, self.attn_norm.eps)
         cos, sin = self.rope.tables(pos)
-        cos4, sin4 = cos[:, None, None, :], sin[:, None, None, :]
-        q = apply_rope(q, cos4, sin4)
-        k = apply_rope(k, cos4, sin4)
-
-        outs = [
-            MultiHeadAttention.attend(
-                q[i : i + 1],
-                concat([Tensor(ctx_k), k[i : i + 1]], axis=2),
-                concat([Tensor(ctx_v), v[i : i + 1]], axis=2),
-                blocked=blocked,
-            )
-            for i, (ctx_k, ctx_v, blocked) in enumerate(masks())
-        ]
-        x = x + self.wo(merge_heads(concat(outs, axis=0)))
-        x = x + self.mlp(self.mlp_norm(x))
-        logits = self.lm_head(self.out_norm(x))
-
+        qd, kd, vd = project_qkv_data(
+            self, self.config.n_heads, h,
+            (cos[:, None, None, :], sin[:, None, None, :]),
+        )
+        outs = []
         for i, hybrid in enumerate(hybrids):
-            hybrid.append_draft(
-                k.data[i : i + 1], v.data[i : i + 1], pos[i : i + 1]
+            ctx_k, ctx_v, key_pos, key_blocked = hybrid.gather(
+                disable_image_kv=disable_image_kv, disable_text_kv=disable_text_kv
             )
-        return [logits.data[i, -1] for i in range(b)]
+            rows = None if ancestor_rows is None else list(ancestor_rows[i])
+            if rows is not None and rows != list(range(hybrid.draft_len)):
+                # repro: allow[hotpath-reach] -- O(context) int index selecting a tree node's root path
+                index = np.concatenate([
+                    np.arange(hybrid.context_len, dtype=np.int64),
+                    hybrid.context_len + np.asarray(rows, dtype=np.int64),
+                ])
+                ctx_k, ctx_v = ctx_k[:, :, index, :], ctx_v[:, :, index, :]
+                key_pos, key_blocked = key_pos[index], key_blocked[index]
+            blocked = None
+            if ablated:
+                # repro: allow[hotpath-reach] -- O(context) mask bookkeeping on the ablation path only
+                all_pos = np.concatenate([key_pos, pos[i : i + 1]])
+                # repro: allow[hotpath-reach] -- O(context) bool mask row on the ablation path only
+                blocked = causal_mask(pos[i : i + 1], all_pos) | np.concatenate(
+                    [key_blocked, [False]]
+                )[None, :]
+            outs.append(
+                attend_data(
+                    qd[i : i + 1],
+                    # repro: allow[hotpath-reach] -- (context | own key): the own key stays float64 beside the float32 cache, as in the Module path
+                    np.concatenate([ctx_k, kd[i : i + 1]], axis=2),
+                    # repro: allow[hotpath-reach] -- (context | own value), same reason
+                    np.concatenate([ctx_v, vd[i : i + 1]], axis=2),
+                    blocked,
+                )
+            )
+        # repro: allow[hotpath-reach] -- reassembles B per-row outputs into one batch tensor, O(batch) per step
+        attn_d = np.concatenate(outs, axis=0) if b > 1 else outs[0]
+        xd = block_tail_data(xd, attn_d, self.wo, self.mlp_norm, self.mlp)
+        normed = rmsnorm_data(xd, self.out_norm.weight.data, self.out_norm.eps)
+        logits_d = matmul_data(normed, self.embed.weight.data.swapaxes(0, 1))
+        for i, hybrid in enumerate(hybrids):
+            hybrid.append_draft(kd[i : i + 1], vd[i : i + 1], pos[i : i + 1])
+        return [logits_d[i, -1] for i in range(b)]

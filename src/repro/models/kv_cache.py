@@ -116,9 +116,12 @@ class KVCache:
             raise ShapeError(f"expected (B, H, T, Dh) K/V, got {k.shape}")
         arena_k = self._keys[layer]
         if arena_k is None:
+            # sized from this first append (the prefill), so it lands
+            # without relocating a MIN_CAPACITY buffer it just allocated
             item = (k.shape[0], k.shape[1], 0, k.shape[3])
-            arena_k = Arena(item, axis=2, dtype=k.dtype, stats=self._stats)
-            arena_v = Arena(item, axis=2, dtype=v.dtype, stats=self._stats)
+            rows = k.shape[2]
+            arena_k = Arena(item, axis=2, dtype=k.dtype, stats=self._stats, capacity=rows)
+            arena_v = Arena(item, axis=2, dtype=v.dtype, stats=self._stats, capacity=rows)
             self._keys[layer] = arena_k
             self._values[layer] = arena_v
         else:

@@ -13,20 +13,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import ShapeError
-from ..nn.attention import attend_data, causal_mask, merge_heads, ragged_attend
-from ..nn.kernels import (
-    linear_data,
-    merge_heads_data,
-    project_qkv_data,
-    rmsnorm_data,
-    swiglu_data,
-)
+from ..nn.attention import attend_data, causal_mask
+from ..nn.kernels import block_tail_data, project_qkv_data, rmsnorm_data
 from ..nn.layers import Embedding
 from ..nn.module import Module
 from ..nn.normalization import RMSNorm
 from ..nn.ragged import cu_seqlens, row_extents
 from ..nn.rope import RotaryEmbedding
-from ..nn.tensor import Tensor, concat, is_grad_enabled, matmul_data
+from ..nn.tensor import Tensor, is_grad_enabled, matmul_data
 from ..nn.transformer import DecoderBlock
 from .config import LlamaConfig
 from .kv_cache import KVCache
@@ -48,17 +42,17 @@ class LlamaOutput:
         return self.new_kv[-1]
 
 
-class _PackedSliceOutput:
-    """One request's view of a packed forward, materialised on access.
+class _RowOutput:
+    """One row's view of an inference forward, materialised on access.
 
     Quacks like :class:`LlamaOutput` (``logits`` / ``hidden`` / ``new_kv``
-    / ``last_layer_kv``) but builds each per-request ``Tensor`` slice only
-    when the field is read.  The serving rounds consume just ``logits``
-    and ``last_layer_kv`` — the prefill round only the last-position
-    logits — so the eager construction of B x n_layers x 2 slice tensors
-    per forward was almost entirely thrown away.  Slicing the raw packed
-    array and wrapping it is the same view ``Tensor.__getitem__`` would
-    produce, so values are bitwise unchanged.
+    / ``last_layer_kv``) but builds each ``Tensor`` only when the field
+    is read: the decode rounds consume just ``logits`` and
+    ``last_layer_kv`` — a prefill only the last-position logits — so
+    eagerly wrapping n_layers x 2 KV slices per row per forward was
+    almost entirely thrown away.  Slicing the raw array and wrapping it
+    is the same view ``Tensor.__getitem__`` would produce, so values are
+    bitwise unchanged; a solo forward is the one row ``0:T``.
     """
 
     __slots__ = ("_logits_d", "_normed_d", "_kv_data", "_start", "_end")
@@ -141,6 +135,12 @@ class MiniLlama(Module):
         the causal mask at every layer — the tree-verification hook, where
         new tokens on sibling branches may share positions and must not
         attend to each other (``repro.decoding.tree``).
+
+        With gradients off the call is one row of :meth:`_infer_rows`
+        (whatever the batch width B) and the result wraps its arrays
+        lazily; the ``Module`` layers below run only when a graph is being
+        recorded, and are what the kernels must equal bit for bit
+        (``tests/nn/test_inference_forward.py``).
         """
         positions = np.asarray(positions, dtype=np.int64)
         if x.ndim != 3:
@@ -149,6 +149,10 @@ class MiniLlama(Module):
             raise ShapeError(
                 f"positions length {positions.shape[0]} != sequence length {x.shape[1]}"
             )
+        if not is_grad_enabled():
+            return self._infer_rows(
+                x.data, [positions], [cache], update_cache, [extra_blocked]
+            )[0]
         use_cache = cache is not None and cache.seq_len > 0
         key_positions = cache.positions if use_cache else None
 
@@ -194,16 +198,110 @@ class MiniLlama(Module):
         )
 
     # ------------------------------------------------------------------
-    # Packed ragged-batch forward (docs/kernels.md).
-    #
-    # B variable-length requests run as ONE fused pass: every row-wise op
-    # (norms, q/k/v/o projections, RoPE, MLP, LM head) executes once over
-    # the packed (1, sum_tokens, D) tensor, while attention runs
-    # segment-exact per request so each request's logits stay bitwise
-    # identical to a solo forward_embeds call.  Bitwise safety requires
-    # every row to contribute >= 2 tokens (single rows take the gemv
-    # kernel, whose K-reduction differs from gemm's at large K — the
-    # packing-stability contract in repro.nn.ragged).
+    # The inference forward (docs/kernels.md).  Gradients off => raw
+    # kernels, one row or many: forward_embeds hands its single row (of
+    # any batch width) and forward_packed_embeds its cu-seqlen-packed
+    # rows to the same layer loop below.
+
+    def _infer_rows(
+        self,
+        x: np.ndarray,
+        pos_rows: List[np.ndarray],
+        caches: List[Optional[KVCache]],
+        update_cache: bool,
+        extra_blocked_rows: Optional[List[Optional[np.ndarray]]],
+    ) -> List[_RowOutput]:
+        """The one no-grad decoder pass over ``len(pos_rows)`` rows.
+
+        ``x`` is ``(B, sum_tokens, D)`` raw embeddings; row ``i`` owns the
+        tokens at ``cu[i]:cu[i+1]`` along axis 1 and attends to
+        ``caches[i]`` plus itself, never across rows.  Every row-wise op
+        (norms, q/k/v/o projections, RoPE, MLP, LM head) runs once over
+        all rows through :mod:`repro.nn.kernels` — the same ufuncs in
+        the same order as the ``Module`` layers, so each row is bitwise
+        what the autograd path computes — and attention runs per row at
+        exactly the solo shapes.  A lone row therefore *is* the solo
+        forward (GEMM shapes included, down to the M = 1 gemv), which is
+        why packing needs every row of a multi-row call to hold >= 2
+        tokens (the packing-stability contract in :mod:`repro.nn.ragged`)
+        and a one-row call needs nothing.  Builds no ``Tensor``; outputs
+        are wrapped lazily by :class:`_RowOutput`.
+        """
+        extents = row_extents(cu_seqlens([p.shape[0] for p in pos_rows]))
+        # repro: allow[hotpath-reach] -- packs O(feed) position rows once per forward
+        positions = np.concatenate(pos_rows)
+        use_cache = [c is not None and c.seq_len > 0 for c in caches]
+
+        # Masks and rotary tables depend on positions only, never on
+        # layer values — build them once and reuse across the stack.
+        blocked: List[np.ndarray] = []
+        for i, pos in enumerate(pos_rows):
+            if use_cache[i]:
+                # repro: allow[hotpath-reach] -- O(context) int position vector, built once per row per forward
+                all_pos = np.concatenate(
+                    [np.asarray(caches[i].positions, dtype=np.int64), pos]
+                )
+            else:
+                all_pos = pos
+            mask = causal_mask(pos, all_pos)
+            if extra_blocked_rows is not None and extra_blocked_rows[i] is not None:
+                mask = mask | np.asarray(extra_blocked_rows[i], dtype=bool)
+            blocked.append(mask)
+        rope = self.rope.tables(positions)
+
+        new_kv: List[Tuple[np.ndarray, np.ndarray]] = []
+        hidden = x
+        for layer_idx, block in enumerate(self.blocks):
+            qd, kd, vd = project_qkv_data(
+                block.attn, block.attn.n_heads,
+                rmsnorm_data(hidden, block.attn_norm.weight.data, block.attn_norm.eps),
+                rope,
+            )
+            outs: List[np.ndarray] = []
+            for i, (start, end) in enumerate(extents):
+                k_i = kd[:, :, start:end, :]
+                v_i = vd[:, :, start:end, :]
+                if update_cache and caches[i] is not None:
+                    # append first, then attend over the cache's own view:
+                    # the values the concat would build, minus the
+                    # per-layer-per-row concat copies
+                    caches[i].append(layer_idx, k_i, v_i)
+                    k_all, v_all = caches[i].layer(layer_idx)
+                    k_all, v_all = np.asarray(k_all), np.asarray(v_all)
+                elif use_cache[i]:
+                    past_k, past_v = caches[i].layer(layer_idx)
+                    # repro: allow[hotpath-reach] -- read-only feed (tree verify): the cache must not grow, so K is assembled beside it
+                    k_all = np.concatenate([np.asarray(past_k), k_i], axis=2)
+                    # repro: allow[hotpath-reach] -- read-only feed (tree verify): the cache must not grow, so V is assembled beside it
+                    v_all = np.concatenate([np.asarray(past_v), v_i], axis=2)
+                else:
+                    k_all, v_all = k_i, v_i
+                outs.append(
+                    attend_data(qd[:, :, start:end, :], k_all, v_all, blocked[i])
+                )
+            if len(outs) > 1:
+                # segment writes into one preallocated packed buffer:
+                # same values np.concatenate would copy, minus its
+                # temporary-list machinery (this runs per layer)
+                attn_out = np.empty_like(qd)
+                for (start, end), seg in zip(extents, outs):
+                    attn_out[:, :, start:end, :] = seg
+            else:
+                attn_out = outs[0]
+            hidden = block_tail_data(
+                hidden, attn_out, block.attn.wo, block.mlp_norm, block.mlp
+            )
+            new_kv.append((kd, vd))
+        if update_cache:
+            for cache, pos in zip(caches, pos_rows):
+                if cache is not None:
+                    cache.extend_positions(pos)
+        normed = rmsnorm_data(hidden, self.norm.weight.data, self.norm.eps)
+        logits = matmul_data(normed, self.embed.weight.data.swapaxes(0, 1))
+        return [
+            _RowOutput(logits, normed, new_kv, start, end)
+            for start, end in extents
+        ]
 
     def forward_packed_embeds(
         self,
@@ -214,6 +312,10 @@ class MiniLlama(Module):
         extra_blocked_rows: Optional[List[Optional[np.ndarray]]] = None,
     ) -> List[LlamaOutput]:
         """Fused decoder pass over a cu-seqlen-packed ragged batch.
+
+        Inference only: runs :meth:`_infer_rows` whatever the grad mode
+        and records no autograd graph (training batches are dense and go
+        through :meth:`forward_embeds`).
 
         Parameters
         ----------
@@ -239,8 +341,7 @@ class MiniLlama(Module):
         Returns one :class:`LlamaOutput`-shaped result per request whose
         ``logits`` / ``hidden`` / ``new_kv`` are zero-copy slices of the
         packed results, bitwise identical to that request's solo forward
-        (the inference fast path returns them lazily — see
-        :class:`_PackedSliceOutput`).
+        and wrapped lazily (:class:`_RowOutput`).
         """
         if len(position_rows) != len(caches):
             raise ShapeError(
@@ -249,158 +350,18 @@ class MiniLlama(Module):
         if x.ndim != 3:
             raise ShapeError(f"expected (1, sum_tokens, D) embeddings, got {x.shape}")
         pos_rows = [np.asarray(p, dtype=np.int64) for p in position_rows]
-        lengths = [p.shape[0] for p in pos_rows]
-        cu = cu_seqlens(lengths)
-        extents = row_extents(cu)
-        if x.shape[1] != int(cu[-1]):
+        total = sum(p.shape[0] for p in pos_rows)
+        if x.shape[1] != total:
             raise ShapeError(
-                f"packed length {x.shape[1]} != sum of row lengths {int(cu[-1])}"
+                f"packed length {x.shape[1]} != sum of row lengths {total}"
             )
-        # repro: allow[hotpath-reach] -- packs O(feed) position rows once per packed forward
-        positions = np.concatenate(pos_rows) if pos_rows else np.zeros(0, np.int64)
-        use_cache = [c is not None and c.seq_len > 0 for c in caches]
-
         if extra_blocked_rows is not None and len(extra_blocked_rows) != len(caches):
             raise ShapeError(
                 f"{len(extra_blocked_rows)} extra-mask rows vs {len(caches)} caches"
             )
-
-        # Masks depend on positions only, never on layer values — build
-        # them once and reuse across the whole stack.
-        blocked: List[np.ndarray] = []
-        for i in range(len(extents)):
-            if use_cache[i]:
-                # repro: allow[hotpath-reach] -- O(context) int position vector, built once per row per forward
-                all_pos = np.concatenate(
-                    [np.asarray(caches[i].positions, dtype=np.int64), pos_rows[i]]
-                )
-            else:
-                all_pos = pos_rows[i]
-            mask = causal_mask(pos_rows[i], all_pos)
-            if extra_blocked_rows is not None and extra_blocked_rows[i] is not None:
-                mask = mask | np.asarray(extra_blocked_rows[i], dtype=bool)
-            blocked.append(mask)
-
-        # Inference (the serving rounds) skips the autograd wrappers
-        # entirely: every row-wise op runs through the raw-ndarray
-        # kernels of repro.nn.kernels (same ufuncs in the same order,
-        # so bitwise identity holds), and the per-request attention loop
-        # appends each request's fresh KV to its cache first, then
-        # attends over the cache's arena view — same values the concat
-        # would build, without the per-layer-per-request concat copies.
-        fast = not is_grad_enabled()
-        if fast:
-            new_kv_data: List[Tuple[np.ndarray, np.ndarray]] = []
-            hidden_d = x.data
-            for layer_idx, block in enumerate(self.blocks):
-                attn_layer = block.attn
-                attn_in = rmsnorm_data(
-                    hidden_d, block.attn_norm.weight.data, block.attn_norm.eps
-                )
-                qd, kd, vd = project_qkv_data(attn_layer, attn_in, positions)
-                outs: List[np.ndarray] = []
-                for i, (start, end) in enumerate(extents):
-                    k_i = kd[:, :, start:end, :]
-                    v_i = vd[:, :, start:end, :]
-                    if update_cache and caches[i] is not None:
-                        caches[i].append(layer_idx, k_i, v_i)
-                        k_all, v_all = caches[i].layer(layer_idx)
-                        k_all, v_all = np.asarray(k_all), np.asarray(v_all)
-                    elif use_cache[i]:
-                        past_k, past_v = caches[i].layer(layer_idx)
-                        # repro: allow[hotpath-reach] -- legacy-cache fallback row; arena caches take the zero-copy branch above
-                        k_all = np.concatenate([np.asarray(past_k), k_i], axis=2)
-                        # repro: allow[hotpath-reach] -- legacy-cache fallback row; arena caches take the zero-copy branch above
-                        v_all = np.concatenate([np.asarray(past_v), v_i], axis=2)
-                    else:
-                        k_all, v_all = k_i, v_i
-                    outs.append(
-                        attend_data(qd[:, :, start:end, :], k_all, v_all, blocked[i])
-                    )
-                if len(outs) > 1:
-                    # segment writes into one preallocated packed buffer:
-                    # same values np.concatenate would copy, minus its
-                    # temporary-list machinery (this runs per layer)
-                    attn_out = np.empty_like(qd)
-                    for (start, end), seg in zip(extents, outs):
-                        attn_out[:, :, start:end, :] = seg
-                else:
-                    attn_out = outs[0]
-                # residuals accumulate in place into the fresh branch
-                # output (bitwise equal: IEEE addition is commutative)
-                delta = linear_data(
-                    merge_heads_data(attn_out), attn_layer.wo.weight.data
-                )
-                delta += hidden_d
-                hidden_d = delta
-                mlp = block.mlp
-                delta = swiglu_data(
-                    rmsnorm_data(
-                        hidden_d, block.mlp_norm.weight.data, block.mlp_norm.eps
-                    ),
-                    mlp.gate.weight.data, mlp.up.weight.data, mlp.down.weight.data,
-                )
-                delta += hidden_d
-                hidden_d = delta
-                new_kv_data.append((kd, vd))
-            if update_cache:
-                for cache, pos in zip(caches, pos_rows):
-                    if cache is not None:
-                        cache.extend_positions(pos)
-            normed_d = rmsnorm_data(hidden_d, self.norm.weight.data, self.norm.eps)
-            logits_d = matmul_data(normed_d, self.embed.weight.data.swapaxes(0, 1))
-            return [
-                _PackedSliceOutput(logits_d, normed_d, new_kv_data, start, end)
-                for start, end in extents
-            ]
-
-        new_kv_layers: List[Tuple[Tensor, Tensor]] = []
-        hidden = x
-        for layer_idx, block in enumerate(self.blocks):
-            q, k_new, v_new = block.attn.project_qkv(
-                block.attn_norm(hidden), positions
-            )
-            keys: List[Tensor] = []
-            values: List[Tensor] = []
-            for i, (start, end) in enumerate(extents):
-                k_i = k_new[:, :, start:end, :]
-                v_i = v_new[:, :, start:end, :]
-                if use_cache[i]:
-                    past_k, past_v = caches[i].layer(layer_idx)
-                    k_i = concat([Tensor(np.asarray(past_k)), k_i], axis=2)
-                    v_i = concat([Tensor(np.asarray(past_v)), v_i], axis=2)
-                keys.append(k_i)
-                values.append(v_i)
-            attn = ragged_attend(q, cu, keys, values, blocked)
-            hidden = hidden + block.attn.wo(merge_heads(attn))
-            hidden = hidden + block.mlp(block.mlp_norm(hidden))
-            new_kv_layers.append((k_new, v_new))
-            if update_cache:
-                for i, (start, end) in enumerate(extents):
-                    if caches[i] is not None:
-                        caches[i].append(
-                            layer_idx,
-                            k_new.data[:, :, start:end, :],
-                            v_new.data[:, :, start:end, :],
-                        )
-        if update_cache:
-            for cache, pos in zip(caches, pos_rows):
-                if cache is not None:
-                    cache.extend_positions(pos)
-
-        normed = self.norm(hidden)
-        logits = self.lm_head(normed)
-        return [
-            LlamaOutput(
-                logits=logits[:, start:end, :],
-                hidden=normed[:, start:end, :],
-                new_kv=[
-                    (k[:, :, start:end, :], v[:, :, start:end, :])
-                    for (k, v) in new_kv_layers
-                ],
-            )
-            for start, end in extents
-        ]
+        return self._infer_rows(
+            x.data, pos_rows, caches, update_cache, extra_blocked_rows
+        )
 
     def forward_packed(
         self,

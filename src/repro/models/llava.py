@@ -205,12 +205,14 @@ class MiniLlava:
     ) -> List[LlamaOutput]:
         """Batched :meth:`decode`: one packed forward over B feed rows.
 
-        Used by the engine's packed verification round; every row must
-        hold >= 2 tokens for the packing-stability contract to apply
-        (verify feeds are ``gamma + 1 >= 2`` tokens by construction, tree
-        feeds ``1 + n_nodes >= 2``).  ``position_rows`` /
-        ``extra_blocked_rows`` carry per-request tree-feed positions and
-        ancestor masks (see :meth:`decode`).
+        Used by the engine's packed verification round.  With two or
+        more rows, every row must hold >= 2 tokens for the
+        packing-stability contract to apply (verify feeds are
+        ``gamma + 1 >= 2`` tokens by construction, tree feeds
+        ``1 + n_nodes >= 2``); a single row runs exactly the solo
+        :meth:`decode` kernels and may be any length.  ``position_rows``
+        / ``extra_blocked_rows`` carry per-request tree-feed positions
+        and ancestor masks (see :meth:`decode`).
         """
         return self.llama.forward_packed(
             list(token_rows), list(caches), update_cache,

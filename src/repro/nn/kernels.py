@@ -1,13 +1,17 @@
 """Raw-ndarray inference kernels that bitwise-mirror the autograd layers.
 
-The packed serving rounds (``docs/kernels.md``) promise **bitwise** token
-identity with the per-request autograd path, so these helpers replay the
+Gradients off => raw kernels, one row or many: every no-grad forward of
+``MiniLlama`` and ``AASDDraftHead`` — solo or packed (``docs/kernels.md``)
+— runs on these helpers, and promises **bitwise** identity with what the
+``Module`` layers compute when a graph is recorded.  So they replay the
 *exact* numpy op sequence of their :mod:`repro.nn` counterparts — same
 ufuncs, same order, same scalar-promotion behaviour (python scalars are
 wrapped with ``np.asarray`` exactly where ``as_tensor`` would wrap them) —
 minus the per-op graph-node allocations.  GEMMs go through
 :func:`repro.nn.tensor.matmul_data` so the wall-clock profiler keeps
-attributing them to the ``gemm`` bucket.
+attributing them to the ``gemm`` bucket, and stay one product per weight:
+fusing q|k|v or gate|up along N changes bits on this BLAS
+(``docs/kernels.md`` §2).
 
 Only inference may call these: they take and return plain ``np.ndarray``
 and build no autograd graph.  Training code must keep using the layer
@@ -32,6 +36,7 @@ __all__ = [
     "merge_heads_data",
     "rope_data",
     "project_qkv_data",
+    "block_tail_data",
 ]
 
 
@@ -122,19 +127,44 @@ def rope_data(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 
 def project_qkv_data(
-    attn, x: np.ndarray, positions: np.ndarray
+    proj, n_heads: int, x: np.ndarray,
+    rope: Optional[Tuple[np.ndarray, np.ndarray]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:meth:`MultiHeadAttention.project_qkv` on raw arrays.
 
-    ``attn`` is the :class:`repro.nn.attention.MultiHeadAttention` whose
-    weights (and rotary table) to use; returns per-head ``(q, k, v)`` with
-    RoPE applied when the layer owns a rotary embedding.
+    ``proj`` holds the ``wq`` / ``wk`` / ``wv`` ``Linear`` layers (a
+    :class:`repro.nn.attention.MultiHeadAttention`, or the draft head);
+    ``rope`` is the ``(cos, sin)`` pair already gathered at the rows'
+    positions, or ``None`` for a layer without rotary embedding.  The
+    tables depend on positions only, so the caller gathers them once per
+    forward and every layer reuses them.  Returns per-head ``(q, k, v)``
+    with RoPE applied to ``q`` and ``k``.
     """
-    q = split_heads_data(linear_data(x, attn.wq.weight.data), attn.n_heads)
-    k = split_heads_data(linear_data(x, attn.wk.weight.data), attn.n_heads)
-    v = split_heads_data(linear_data(x, attn.wv.weight.data), attn.n_heads)
-    if attn.rope is not None:
-        cos, sin = attn.rope.tables(positions)
-        q = rope_data(q, cos, sin)
-        k = rope_data(k, cos, sin)
+    q = split_heads_data(linear_data(x, proj.wq.weight.data), n_heads)
+    k = split_heads_data(linear_data(x, proj.wk.weight.data), n_heads)
+    v = split_heads_data(linear_data(x, proj.wv.weight.data), n_heads)
+    if rope is not None:
+        q = rope_data(q, *rope)
+        k = rope_data(k, *rope)
     return q, k, v
+
+
+def block_tail_data(
+    x: np.ndarray, attn_out: np.ndarray, wo, mlp_norm, mlp
+) -> np.ndarray:
+    """Everything a pre-norm block does after attention, on raw arrays.
+
+    ``h = x + wo(merge_heads(attn_out))`` then ``h + mlp(mlp_norm(h))``,
+    for the ``Linear`` / ``RMSNorm`` / ``SwiGLU`` modules passed in (the
+    target's decoder blocks and the draft head hold them on different
+    owners).  Both residuals accumulate in place into the fresh branch
+    output — bitwise equal, IEEE addition is commutative.
+    """
+    h = linear_data(merge_heads_data(attn_out), wo.weight.data)
+    h += x
+    out = swiglu_data(
+        rmsnorm_data(h, mlp_norm.weight.data, mlp_norm.eps),
+        mlp.gate.weight.data, mlp.up.weight.data, mlp.down.weight.data,
+    )
+    out += h
+    return out

@@ -23,7 +23,9 @@ layer that removes both costs:
 
 Growth policy: capacities start at :data:`MIN_CAPACITY` tokens and double
 until they fit the request, so total relocation work over a sequence of
-appends is O(T) — amortized O(1) per token.
+appends is O(T) — amortized O(1) per token.  A caller that knows its
+first append (``KVCache`` does: the prefill) passes it as ``capacity`` and
+the same rule sizes the first buffer, so the prefill never relocates.
 
 This module lives in ``repro.utils`` (below both ``repro.models`` and
 ``repro.core``) so either cache can build on it without an import cycle;
@@ -136,7 +138,7 @@ class Arena:
         capacity: int = MIN_CAPACITY,
     ) -> None:
         shape = list(item_shape)
-        shape[axis] = max(int(capacity), MIN_CAPACITY)
+        shape[axis] = _grown_capacity(0, int(capacity))
         self._store = _Store(np.empty(tuple(shape), dtype=dtype))
         self._len = 0
         self._axis = axis

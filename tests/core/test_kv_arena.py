@@ -167,6 +167,39 @@ class TestKVCacheViews:
         assert k3.shape[2] == 2
 
 
+class TestFirstAppendSizing:
+    """A layer arena is sized from its first append, by the growth rule."""
+
+    PREFILL = MIN_CAPACITY + 6       # like a real prefill: just past MIN_CAPACITY
+
+    def test_prefill_sized_first_append_never_relocates(self):
+        cache = KVCache(n_layers=2)
+        prefill = _tokens(self.PREFILL)
+        for layer in range(2):
+            cache.append(layer, prefill, prefill)
+        stats = cache.arena_stats()
+        assert stats.grow_events == 0
+        assert stats.bytes_copied == 4 * prefill.nbytes
+        assert cache._keys[0].capacity == 2 * MIN_CAPACITY   # doubling rule, not exact fit
+
+    def test_decode_copies_only_the_tokens_it_appends(self):
+        # prefill + 48 generated tokens stays inside the buffer the first
+        # append sized, so no byte is copied twice
+        cache = KVCache(n_layers=1)
+        prefill, token = _tokens(self.PREFILL), _tokens(1)
+        cache.append(0, prefill, prefill)
+        for _ in range(48):
+            cache.append(0, token, token)
+        stats = cache.arena_stats()
+        assert stats.grow_events == 0
+        assert stats.bytes_copied == 2 * (prefill.nbytes + 48 * token.nbytes)
+
+    def test_small_first_append_keeps_the_minimum(self):
+        cache = KVCache(n_layers=1)
+        cache.append(0, _tokens(3), _tokens(3))
+        assert cache._keys[0].capacity == MIN_CAPACITY
+
+
 class TestHybridGatherViews:
     """Regression: ``gather`` is zero-copy with a memoized blocked row."""
 

@@ -1,0 +1,306 @@
+"""The differential oracle for the inference forwards.
+
+Gradients off => raw kernels, one row or many (``docs/kernels.md`` §5):
+``MiniLlama`` and ``AASDDraftHead`` each have one no-grad implementation
+(``_infer_rows``) behind their solo and packed entry points.  The
+autograd ``Module`` path — what the same call computes with gradients on —
+is the executable spec, and every case here demands ``np.array_equal``
+between the two on the smoke target and head: outputs, fresh KV, and the
+caches left behind.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.models.llama as llama_mod
+from repro.core.hybrid_cache import HybridKVCache
+from repro.core.reference import ReferenceHybridKVCache, ReferenceKVCache
+from repro.data.tasks import make_dataset
+from repro.decoding.base import encode_prompt
+from repro.decoding.tree import TreeDraft, tree_extra_blocked
+from repro.nn.tensor import Tensor, no_grad
+
+FEED = [5, 9, 7, 11]        # a gamma + 1 = 4 token verify feed
+# anchor + 5 nodes; nodes 1 and 2 are siblings (same position), node 4 is
+# the anchor's second child: feed positions p, p+1, p+2, p+2, p+3, p+1
+TREE = TreeDraft(tokens=(5, 9, 7, 11, 3), parents=(-1, 0, 0, 2, -1),
+                 depths=(1, 2, 2, 3, 1))
+ABLATIONS = [
+    {},
+    {"disable_image_kv": True},
+    {"disable_text_kv": True},
+]
+
+
+@pytest.fixture(scope="module")
+def world(smoke_zoo):
+    tokenizer = smoke_zoo.tokenizer()
+    samples = make_dataset("coco-sim", 3, seed=4).samples
+    return dict(
+        target=smoke_zoo.target("sim-7b"),
+        head=smoke_zoo.aasd_head("sim-7b"),
+        samples=samples,
+        prompts=[encode_prompt(tokenizer, s) for s in samples],
+    )
+
+
+@pytest.fixture
+def tensors_built(monkeypatch):
+    """A list that grows by one for every ``Tensor`` constructed."""
+    built = []
+    init = Tensor.__init__
+    monkeypatch.setattr(
+        Tensor, "__init__",
+        lambda self, *a, **kw: (built.append(1), init(self, *a, **kw))[1],
+    )
+    return built
+
+
+def both(build):
+    """``build()`` with gradients on (the Module spec), then off (the kernels)."""
+    spec = build()
+    with no_grad():
+        fast = build()
+    return spec, fast
+
+
+def prefill(world, i=0):
+    return world["target"].prefill(world["samples"][i].image[None], world["prompts"][i][None])
+
+
+def same_output(spec, fast):
+    assert spec.logits.requires_grad and not fast.logits.requires_grad
+    assert fast.logits.data.dtype == spec.logits.data.dtype
+    assert np.array_equal(spec.logits.data, fast.logits.data)
+    assert np.array_equal(spec.hidden.data, fast.hidden.data)
+    assert len(spec.new_kv) == len(fast.new_kv)
+    for (ks, vs), (kf, vf) in zip(spec.new_kv, fast.new_kv):
+        assert np.array_equal(ks.data, kf.data) and np.array_equal(vs.data, vf.data)
+    for s, f in zip(spec.last_layer_kv, fast.last_layer_kv):
+        assert np.array_equal(s.data, f.data)
+
+
+def same_cache(spec, fast):
+    assert spec.seq_len == fast.seq_len
+    assert np.array_equal(np.asarray(spec.positions), np.asarray(fast.positions))
+    for layer in range(spec.n_layers):
+        for s, f in zip(spec.layer(layer), fast.layer(layer)):
+            assert np.array_equal(s, f)
+
+
+def same_hybrid(spec, fast):
+    assert (spec.context_len, spec.draft_len) == (fast.context_len, fast.draft_len)
+    for s, f in zip(spec.gather(), fast.gather()):
+        assert np.array_equal(s, f)
+
+
+class TestTargetForward:
+    def test_prefill(self, world):                                   # (a)
+        (cache_s, logits_s), (cache_f, logits_f) = both(lambda: prefill(world))
+        assert np.array_equal(logits_s, logits_f)
+        same_cache(cache_s, cache_f)
+        assert cache_s.segments == cache_f.segments
+
+    @pytest.mark.parametrize("cache_cls", [None, ReferenceKVCache],
+                             ids=["arena", "reference"])
+    def test_verify_feed_and_cache_afterwards(self, world, monkeypatch, cache_cls):   # (b)
+        if cache_cls is not None:
+            monkeypatch.setattr(llama_mod, "KVCache", cache_cls)
+
+        def build():
+            cache, _ = prefill(world)
+            return cache, world["target"].decode(np.asarray([FEED]), cache)
+
+        (cache_s, out_s), (cache_f, out_f) = both(build)
+        if cache_cls is not None:
+            assert isinstance(cache_f, cache_cls)
+        same_output(out_s, out_f)
+        same_cache(cache_s, cache_f)
+        # ... and after the rejected tail is rolled back and decoding resumes
+        for cache in (cache_s, cache_f):
+            cache.truncate(cache.seq_len - 2)
+        out_s = world["target"].decode(np.asarray([[FEED[0]]]), cache_s)
+        with no_grad():
+            out_f = world["target"].decode(np.asarray([[FEED[0]]]), cache_f)
+        same_output(out_s, out_f)
+        same_cache(cache_s, cache_f)
+
+    def test_one_token_step(self, world):                            # (c)
+        def build():
+            cache, _ = prefill(world)
+            return cache, world["target"].decode(np.asarray([[FEED[0]]]), cache)
+
+        (cache_s, out_s), (cache_f, out_f) = both(build)
+        assert out_f.logits.shape[1] == 1     # the M = 1 gemv case
+        same_output(out_s, out_f)
+        same_cache(cache_s, cache_f)
+
+    def test_tree_feed(self, world):                                 # (d)
+        def build():
+            cache, _ = prefill(world)
+            anchor = cache.next_position()
+            positions = TREE.feed_positions(anchor)
+            assert (np.diff(positions) < 0).any()       # non-monotone
+            out = world["target"].decode(
+                np.asarray([[FEED[0], *TREE.tokens]]), cache, update_cache=False,
+                positions=positions,
+                extra_blocked=tree_extra_blocked(TREE.parents, cache.seq_len),
+            )
+            return cache, out
+
+        (cache_s, out_s), (cache_f, out_f) = both(build)
+        same_output(out_s, out_f)
+        same_cache(cache_s, cache_f)
+        assert cache_f.seq_len == len(world["prompts"][0]) + world["target"].n_vision_tokens
+
+    def test_update_cache_false_leaves_the_cache_alone(self, world):  # (e)
+        def build():
+            cache, _ = prefill(world)
+            before = [tuple(np.array(a) for a in cache.layer(i))
+                      for i in range(cache.n_layers)]
+            out = world["target"].decode(np.asarray([FEED]), cache, update_cache=False)
+            for i, (k, v) in enumerate(before):
+                assert np.array_equal(cache.layer(i)[0], k)
+                assert np.array_equal(cache.layer(i)[1], v)
+            return cache, out
+
+        (cache_s, out_s), (cache_f, out_f) = both(build)
+        same_output(out_s, out_f)
+        same_cache(cache_s, cache_f)
+
+    def test_dense_batch(self, world):                               # (h)
+        width = min(len(p) for p in world["prompts"])
+        images = np.stack([s.image for s in world["samples"]])
+        text = np.stack([p[:width] for p in world["prompts"]])
+        out_s, out_f = both(lambda: world["target"].forward_train(images, text))
+        assert out_f.logits.shape[0] == len(world["samples"]) > 1
+        same_output(out_s, out_f)
+
+    def test_dense_batch_through_a_cache(self, world):
+        width = min(len(p) for p in world["prompts"])
+        text = np.stack([p[:width] for p in world["prompts"]])
+        llama = world["target"].llama
+
+        def build():
+            cache = llama.new_cache()
+            llama.forward(text[:, :-2], cache=cache)
+            return cache, llama.forward(text[:, -2:], cache=cache)
+
+        (cache_s, out_s), (cache_f, out_f) = both(build)
+        same_output(out_s, out_f)
+        same_cache(cache_s, cache_f)
+
+    def test_packed_rows_equal_the_spec_row_by_row(self, world):
+        feeds = [np.asarray([FEED]), np.asarray([FEED[:2]])]
+        spec = []
+        for i, feed in enumerate(feeds):
+            cache, _ = prefill(world, i)
+            spec.append((cache, world["target"].decode(feed, cache)))
+        with no_grad():
+            caches, first = world["target"].prefill_batch(
+                [world["samples"][i].image for i in range(2)],
+                [world["prompts"][i] for i in range(2)],
+            )
+            outs = world["target"].decode_batch(feeds, caches)
+        for i, ((cache_s, out_s), cache_f, out_f) in enumerate(zip(spec, caches, outs)):
+            same_output(out_s, out_f)
+            same_cache(cache_s, cache_f)
+            assert np.array_equal(first[i], prefill(world, i)[1])
+
+    def test_no_tensor_is_built_until_an_output_is_read(self, world, tensors_built):
+        cache, _ = prefill(world)
+        llama = world["target"].llama
+        x = llama.embed_tokens(np.asarray([FEED]))
+        del tensors_built[:]
+        with no_grad():
+            out = llama.forward_embeds(
+                x, cache.next_position() + np.arange(len(FEED)), cache=cache
+            )
+        assert not tensors_built
+        assert out.logits.shape == (1, len(FEED), llama.config.vocab_size)
+        assert len(tensors_built) == 1
+
+
+class TestDraftForward:
+    @staticmethod
+    def _hybrid(world, hybrid_cls=HybridKVCache, i=0):
+        head = world["head"]
+        with no_grad():
+            cache, logits = prefill(world, i)
+            hybrid = hybrid_cls(head.config.n_heads, head.config.head_dim)
+            head.build_context(cache, hybrid)
+        return hybrid, cache.next_position(), int(np.argmax(logits[0]))
+
+    @pytest.mark.parametrize("flags", ABLATIONS, ids=["plain", "no-image", "no-text"])
+    @pytest.mark.parametrize("hybrid_cls", [HybridKVCache, ReferenceHybridKVCache],
+                             ids=["arena", "reference"])
+    def test_step(self, world, flags, hybrid_cls):                   # (f)
+        head = world["head"]
+
+        def build():
+            hybrid, pos, token = self._hybrid(world, hybrid_cls)
+            rows = []
+            for step in range(3):
+                rows.append(head.step(token, pos + step, hybrid, **flags))
+                token = FEED[step]
+            return hybrid, rows
+
+        (hybrid_s, rows_s), (hybrid_f, rows_f) = both(build)
+        for s, f in zip(rows_s, rows_f):
+            assert s.dtype == f.dtype and np.array_equal(s, f)
+        same_hybrid(hybrid_s, hybrid_f)
+
+    @pytest.mark.parametrize("flags", ABLATIONS, ids=["plain", "no-image", "no-text"])
+    def test_tree_step(self, world, flags):                          # (g)
+        head = world["head"]
+        # (token, depth, ancestor rows): rows 0-1 attend the whole draft
+        # segment (the chain case); row 2 is row 1's sibling and row 3 its
+        # child, so both select a strict subset
+        plan = [(None, 0, ()), (5, 1, (0,)), (9, 1, (0,)), (7, 2, (0, 2))]
+        kv = (flags.get("disable_image_kv", False), flags.get("disable_text_kv", False))
+
+        def build():
+            hybrid, pos, first = self._hybrid(world)
+            rows, whole_segment = [], []
+            for token, depth, ancestors in plan:
+                whole_segment.append(list(ancestors) == list(range(hybrid.draft_len)))
+                rows.append(head._tree_step(
+                    first if token is None else token, pos + depth, hybrid,
+                    ancestors, *kv,
+                ))
+            assert whole_segment == [True, True, False, False]
+            return hybrid, rows
+
+        (hybrid_s, rows_s), (hybrid_f, rows_f) = both(build)
+        for s, f in zip(rows_s, rows_f):
+            assert np.array_equal(s, f)
+        same_hybrid(hybrid_s, hybrid_f)
+
+    @pytest.mark.parametrize("flags", ABLATIONS, ids=["plain", "no-image", "no-text"])
+    def test_packed_rows_equal_the_spec_row_by_row(self, world, flags):
+        head = world["head"]
+        spec = []
+        for i in range(2):
+            hybrid, pos, token = self._hybrid(world, i=i)
+            spec.append((hybrid, pos, token, head.step(token, pos, hybrid, **flags)))
+        fresh = [self._hybrid(world, i=i) for i in range(2)]
+        with no_grad():
+            rows = head.step_packed(
+                [t for _, _, t in fresh], [p for _, p, _ in fresh],
+                [h for h, _, _ in fresh], **flags,
+            )
+        for (hybrid_s, _, _, row_s), (hybrid_f, _, _), row_f in zip(spec, fresh, rows):
+            assert np.array_equal(row_s, row_f)
+            same_hybrid(hybrid_s, hybrid_f)
+
+    def test_no_tensor_is_built(self, world, tensors_built):
+        head = world["head"]
+        hybrid, pos, token = self._hybrid(world)
+        del tensors_built[:]
+        with no_grad():
+            head.step(token, pos, hybrid)
+            head._tree_step(FEED[0], pos + 1, hybrid, (0,), False, False)
+            head.step_packed([FEED[1]], [pos + 2], [hybrid])
+        assert not tensors_built and hybrid.draft_len == 3

@@ -103,7 +103,16 @@ class TestSummarize:
         record = _engine(world, tracer=tracer).decode(world["samples"][0])
         summary = summarize_spans(tracer.spans)
         assert summary.n_decodes == 1
-        assert summary.coverage is not None and summary.coverage > 0.99
+        # Phase spans tile the decode up to a fixed cost per span boundary
+        # (closing one span, the step preamble that picks the next phase,
+        # opening it): 6-8 us measured.  The invariant is that absolute
+        # gap, not a share of a decode whose phases keep getting faster —
+        # an untraced phase on this dim-16 world would add ~400 us per
+        # block, far past the 50 us bound (docs/observability.md).
+        assert summary.coverage is not None and summary.coverage <= 1.0
+        n_phases = sum(phase.count for phase in summary.phases.values())
+        gap_ms = (1.0 - summary.coverage) * summary.decode_wall_ms
+        assert gap_ms / n_phases < 0.05
         blocks = record.blocks
         drafted = sum(b.n_draft for b in blocks)
         if drafted:
