@@ -18,9 +18,9 @@ claims are asserted:
   engine construction hoisted out of the timed region — noise on a
   shared runner only ever *adds* time, so the per-side minimum is the
   robust estimator of the quiet-machine serving cost.  Both sides run
-  the same raw-ndarray kernels (a batch of one is a one-row call), so
-  the ratio measures what packing itself buys: B rows per numpy
-  dispatch instead of one.  Eight runs of both smoke targets measured
+  the same round (``AASDEngine.step_batch``; a batch of one is its
+  one-row case) on the same raw-ndarray kernels, so the ratio measures
+  what width itself buys: B rows per numpy dispatch instead of one.  Eight runs of both smoke targets measured
   1.98-2.78x in 15 of the 16 target-runs and 1.61x in one, where the
   shared VM slowed down between the c=1 and the c=16 timing
   (docs/performance.md lists every run; the ratio was 3.2-3.5x while

@@ -90,12 +90,6 @@ class DraftHeadConfig:
 class AASDDraftHead(Module):
     """One hybrid-attention transformer block + tied LM head."""
 
-    #: The engine's packed batched rounds (``step_batch``) may drive this
-    #: head via :meth:`step_packed`.  Wrappers that intercept per-request
-    #: ``step`` calls (e.g. the fault injector) advertise ``False`` so the
-    #: engine falls back to per-session stepping.
-    supports_packed = True
-
     #: The engine's tree-speculation rounds may drive this head via
     #: :meth:`draft_tree`.  Wrappers that intercept per-request ``step``
     #: calls (e.g. the fault injector) advertise ``False`` so the engine
@@ -337,7 +331,6 @@ class AASDDraftHead(Module):
             sel_k, sel_v = ctx_k, ctx_v
             sel_pos, sel_blocked = key_pos, key_blocked
         else:
-            # repro: allow[hotpath-reach] -- spec path, gradients on only: no-grad decoding returned above
             index = np.concatenate([
                 np.arange(hybrid.context_len, dtype=np.int64),
                 hybrid.context_len + np.asarray(rows, dtype=np.int64),
@@ -348,10 +341,8 @@ class AASDDraftHead(Module):
             sel_blocked = np.asarray(key_blocked)[index]
         k_all = concat([Tensor(sel_k), k], axis=2)
         v_all = concat([Tensor(sel_v), v], axis=2)
-        # repro: allow[hotpath-reach] -- spec path, gradients on only: no-grad decoding returned above
         all_pos = np.concatenate([sel_pos, positions])
         blocked = causal_mask(positions, all_pos)
-        # repro: allow[hotpath-reach] -- spec path, gradients on only: no-grad decoding returned above
         blocked = blocked | np.concatenate([sel_blocked, [False]])[None, :]
 
         attn = MultiHeadAttention.attend(q, k_all, v_all, blocked=blocked)
@@ -433,6 +424,10 @@ class AASDDraftHead(Module):
                          ancestor_rows + (my_row,))
 
         grow(int(token_id), 0, -1, ())
+        # a recursive closure refers to itself: empty the cell, or the
+        # cycle keeps ``hybrid`` and whatever ``on_step`` holds (a whole
+        # session) alive until the next gc pass
+        del grow
         return TreeDraft(
             tokens=tuple(tokens), parents=tuple(parents), depths=tuple(depths)
         )
@@ -453,6 +448,10 @@ class AASDDraftHead(Module):
         :meth:`step` does and returns one ``(vocab,)`` logits row per
         session, in input order, bitwise what B solo steps return.
         Inference only — it runs the raw kernels whatever the grad mode.
+        ``request_ids`` is ignored here; wrappers key per-request behavior
+        on it, and may return an ``Exception`` in a row's slot, which the
+        engine treats as that row's draft fault (raising instead faults
+        every row of the call).
         """
         del request_ids
         if not (len(token_ids) == len(positions) == len(hybrids)):

@@ -48,10 +48,8 @@ class BlockTable:
     rounds — appends, ``truncate``, and the pointer-decrement
     ``clear_draft`` rollback — are always visible through the table
     (pinned by ``tests/core/test_ragged_serving.py``).  The only copying
-    method is :meth:`packed_layer`, the explicitly fused gather behind
-    the exact fused entry mode of ``ragged_attend`` (which builds its
-    masks internally but still attends per segment — see
-    ``repro.nn.attention``) and the tree-verification path.
+    method is :meth:`packed_layer`, the explicitly fused gather; the
+    packed forward attends per block and never calls it.
     """
 
     def __init__(self, caches: Sequence[object]) -> None:
@@ -121,8 +119,7 @@ class BlockTable:
 
         Concatenates every request's layer views into single
         ``(1, H, sum_k, Dh)`` arrays plus the flat key-position vector —
-        the input shape of fused ragged attention
-        (:func:`repro.nn.attention.ragged_attend` with ``fused=True``).
+        the input shape of one fused attention over the whole batch.
         The bitwise-exact serving path never calls this; it attends per
         block via :meth:`layer_blocks`.
         """

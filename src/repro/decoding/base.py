@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from ..data.tasks import MultimodalSample
 from ..tokenizer import WordTokenizer
 from .metrics import DecodeRecord
 
-__all__ = ["Decoder", "encode_prompt", "trim_at_eos"]
+__all__ = ["Decoder", "encode_prompt", "trim_at_eos", "commit_block"]
 
 
 def encode_prompt(tokenizer: WordTokenizer, sample: MultimodalSample) -> np.ndarray:
@@ -26,6 +26,23 @@ def trim_at_eos(token_ids: List[int], eos_id: int) -> List[int]:
     if eos_id in token_ids:
         return token_ids[: token_ids.index(eos_id) + 1]
     return token_ids
+
+
+def commit_block(committed: List[int], accepted: Sequence[int], next_token: int,
+                 eos_id: int, max_new_tokens: int) -> None:
+    """Emit a verified block into ``committed``, in place.
+
+    The one eos/cap rule of every speculative loop: the output is cut at
+    the first eos (inclusive) or at ``max_new_tokens``, whichever comes
+    first — so a block that crosses the token budget never emits past it,
+    even when it holds an eos further on.
+    """
+    committed.extend(accepted)
+    committed.append(next_token)
+    cut = max_new_tokens
+    if eos_id in committed:
+        cut = min(cut, committed.index(eos_id) + 1)
+    del committed[cut:]
 
 
 class Decoder(ABC):

@@ -24,7 +24,7 @@ from ..tokenizer import WordTokenizer
 from ..utils.rng import derive
 from ..utils.timing import WallTimer
 from .adaptive import FixedGamma, GammaController
-from .base import Decoder, encode_prompt
+from .base import Decoder, commit_block, encode_prompt
 from .cost_model import CostModel
 from .metrics import BlockRecord, DecodeRecord
 from .sampling import Sampler, SamplerConfig, logits_to_probs, speculative_verify
@@ -247,14 +247,8 @@ class SpeculativeDecoder(Decoder):
                     if synced:
                         sp.add_sim_ms(record.charge_sim(self.cost_model.draft_step(), "verify"))
 
-                    committed.extend(outcome.accepted)
-                    committed.append(outcome.next_token)
-                if eos in committed:
-                    committed = committed[: committed.index(eos) + 1]
-                    break
-                if len(committed) >= self.max_new_tokens:
-                    committed = committed[: self.max_new_tokens]
-                    break
+                    commit_block(committed, outcome.accepted, outcome.next_token,
+                                 eos, self.max_new_tokens)
 
             root.set_attr("n_tokens", len(committed))
             root.add_sim_ms(record.sim_time_ms)

@@ -12,14 +12,13 @@ needs:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import functional as F
 from .layers import Linear
 from .module import Module
-from .ragged import cu_seqlens, pack_rows, ragged_blocked
 from .rope import RotaryEmbedding, apply_rope
 from .tensor import Tensor, concat, is_grad_enabled, matmul_data
 
@@ -29,7 +28,6 @@ __all__ = [
     "causal_mask",
     "split_heads",
     "merge_heads",
-    "ragged_attend",
 ]
 
 
@@ -61,76 +59,6 @@ def attend_data(
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     return matmul_data(scores, v)
-
-
-def ragged_attend(
-    q: Tensor,
-    cu_q: np.ndarray,
-    keys: Sequence[Tensor],
-    values: Sequence[Tensor],
-    blocked: Optional[Sequence[Optional[np.ndarray]]] = None,
-    *,
-    fused: bool = False,
-    query_positions: Optional[Sequence[np.ndarray]] = None,
-    key_positions: Optional[Sequence[np.ndarray]] = None,
-    tree_parent_rows: Optional[Sequence[Optional[Sequence[int]]]] = None,
-) -> Tensor:
-    """Attention over a cu-seqlen-packed ragged batch of B requests.
-
-    ``q`` is the packed query tensor ``(1, H, sum_q, Dh)`` whose segment
-    ``i`` (rows ``cu_q[i]:cu_q[i+1]``) belongs to request ``i``;
-    ``keys[i]``/``values[i]`` are that request's keys/values
-    ``(1, H, Tk_i, Dh)`` — typically zero-copy arena views from a
-    :class:`repro.core.kv_arena.BlockTable`.  Queries never attend
-    across requests.
-
-    Two entry modes, one execution strategy:
-
-    * **Segment-exact** (default): runs :meth:`MultiHeadAttention.attend`
-      once per request on the query segment, with ``blocked[i]`` as that
-      request's mask (``None`` entries skip masking entirely — the fast
-      path when causality is vacuous).  Each segment's scores/softmax/
-      value GEMMs have exactly the solo path's shapes, so the result is
-      **bitwise identical** to per-request attention.  This is the mode
-      the packed decode paths use.
-    * **Fused** (``fused=True``): the caller hands over ``query_positions``
-      / ``key_positions`` (required in this mode; ``blocked`` is ignored)
-      plus optional per-request ``tree_parent_rows``, and the masks are
-      built internally — per request, the matching diagonal block of
-      :func:`repro.nn.ragged.ragged_blocked` (causal rule, plus the
-      :func:`repro.nn.ragged.tree_blocked` ancestor mask for requests
-      carrying tree parents).  Execution still attends **per segment**:
-      one concatenated score GEMM would reduce at different shapes than
-      the solo path and is *not* bitwise stable on this BLAS (pinned by
-      ``tests/nn/test_ragged.py::TestPackingStability``), and a fully
-      masked cross-segment score contributes an exact float32 zero to the
-      softmax sum whose accumulation-order effects still perturb the
-      result by ulps.  Per-segment execution under the internally built
-      masks is therefore the exact semantics of the fused mask layout —
-      bitwise identical to the segment path and to solo attention — and
-      is the tree-verification path used by the engine.
-
-    Returns the packed attention output ``(1, H, sum_q, Dh)``.
-    """
-    if len(keys) != len(values):
-        raise ValueError(f"{len(keys)} key blocks vs {len(values)} value blocks")
-    if len(keys) != len(cu_q) - 1:
-        raise ValueError(f"{len(keys)} KV blocks vs {len(cu_q) - 1} query segments")
-    if fused:
-        if query_positions is None or key_positions is None:
-            raise ValueError("fused ragged attention requires query/key positions")
-        mask = ragged_blocked(query_positions, key_positions, tree_parent_rows)
-        cu_k = cu_seqlens([np.asarray(k).reshape(-1).shape[0] for k in key_positions])
-        blocked = [
-            mask[int(cu_q[i]):int(cu_q[i + 1]), int(cu_k[i]):int(cu_k[i + 1])]
-            for i in range(len(keys))
-        ]
-    outs = []
-    for i, (k, v) in enumerate(zip(keys, values)):
-        q_i = q[:, :, int(cu_q[i]):int(cu_q[i + 1]), :]
-        mask = blocked[i] if blocked is not None else None
-        outs.append(MultiHeadAttention.attend(q_i, k, v, blocked=mask))
-    return pack_rows(outs, axis=2)
 
 
 def causal_mask(query_positions: np.ndarray, key_positions: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ embedding gather, RMSNorm, the q/k/v/o projections, RoPE, the MLP, the
 LM head — then runs as **one** fused call over all rows instead of B
 per-request Python dispatches.  Only attention needs per-request
 structure, because request ``i``'s queries may attend to request ``i``'s
-keys alone; see :func:`repro.nn.attention.ragged_attend`.
+keys alone: the packed forward attends per request over zero-copy cache
+views (:class:`repro.core.kv_arena.BlockTable`) at exactly the solo shapes.
 
 Packing-stability contract
 --------------------------
@@ -49,7 +50,6 @@ __all__ = [
     "row_extents",
     "pack_rows",
     "unpack_rows",
-    "ragged_blocked",
     "tree_blocked",
 ]
 
@@ -115,7 +115,7 @@ def tree_blocked(parents: Sequence[int]) -> np.ndarray:
     itself, the anchor, and its root-path ancestors — every sibling branch
     is blocked.  Committed-context keys are handled by the caller (they
     precede the anchor, so the plain causal rule already admits them; see
-    :func:`ragged_blocked`).
+    :func:`repro.decoding.tree.tree_extra_blocked`).
 
     For a linear chain (``parents == [-1, 0, 1, ...]``) every earlier feed
     row is an ancestor, so the mask degenerates to the strict upper
@@ -134,61 +134,3 @@ def tree_blocked(parents: Sequence[int]) -> np.ndarray:
             )
         allow[i + 1] |= allow[p + 1]
     return ~allow
-
-
-def ragged_blocked(
-    query_positions: Sequence[np.ndarray],
-    key_positions: Sequence[np.ndarray],
-    tree_parent_rows: Union[Sequence[Union[Sequence[int], None]], None] = None,
-) -> np.ndarray:
-    """Block-diagonal ragged attention mask; ``True`` marks blocked pairs.
-
-    Generalizes :func:`repro.nn.attention.causal_mask` to a packed batch:
-    for per-request query/key position rows, the returned
-    ``(sum_q, sum_k)`` boolean matrix blocks every cross-request pair
-    outright and applies the causal rule (key position > query position)
-    inside each request's diagonal block.
-
-    ``tree_parent_rows`` optionally carries one parent-pointer array per
-    request (or ``None`` for plain causal requests): request ``i``'s
-    queries are then a tree-verification feed ``[anchor] + nodes`` whose
-    trailing ``len(parents) + 1`` key columns additionally get the
-    :func:`tree_blocked` mask OR'd in, so each node attends only to the
-    committed context, the anchor, and its root-path ancestors — never to
-    sibling branches that may share its position.
-
-    This is the exact mask of the fused verification path
-    (``ragged_attend(..., fused=True)``), which slices its per-segment
-    masks out of this layout; the two paths are bitwise identical.
-    """
-    if len(query_positions) != len(key_positions):
-        raise ValueError(
-            f"{len(query_positions)} query rows vs {len(key_positions)} key rows"
-        )
-    if tree_parent_rows is not None and len(tree_parent_rows) != len(query_positions):
-        raise ValueError(
-            f"{len(tree_parent_rows)} tree parent rows vs "
-            f"{len(query_positions)} query rows"
-        )
-    q_rows = [np.asarray(q).reshape(-1) for q in query_positions]
-    k_rows = [np.asarray(k).reshape(-1) for k in key_positions]
-    cu_q = cu_seqlens([len(q) for q in q_rows])
-    cu_k = cu_seqlens([len(k) for k in k_rows])
-    blocked = np.ones((int(cu_q[-1]), int(cu_k[-1])), dtype=bool)
-    for i, (q, k) in enumerate(zip(q_rows, k_rows)):
-        block = k.reshape(1, -1) > q.reshape(-1, 1)
-        parents = tree_parent_rows[i] if tree_parent_rows is not None else None
-        if parents is not None:
-            n_feed = len(parents) + 1
-            if n_feed != len(q):
-                raise ValueError(
-                    f"request {i}: {len(parents)} tree parents imply a feed of "
-                    f"{n_feed} rows, got {len(q)} query rows"
-                )
-            if n_feed > len(k):
-                raise ValueError(
-                    f"request {i}: feed of {n_feed} rows exceeds {len(k)} key rows"
-                )
-            block[:, len(k) - n_feed:] |= tree_blocked(parents)
-        blocked[cu_q[i]:cu_q[i + 1], cu_k[i]:cu_k[i + 1]] = block
-    return blocked

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..nn.module import Module
+from ..obs.logsetup import get_logger, log_exception
 
 __all__ = [
     "truncate_checkpoint",
@@ -47,6 +48,8 @@ __all__ = [
     "NaNLogitsFault",
     "is_transient",
 ]
+
+logger = get_logger(__name__)
 
 
 class DraftFault(RuntimeError):
@@ -184,6 +187,12 @@ class FaultyDraftHead:
     when requests interleave in a batch, so two chaos runs with different
     scheduling orders fault different requests.
 
+    The engine drafts in lockstep through :meth:`step_packed`, which runs
+    this wrapper's own :meth:`step` row by row: a global counter therefore
+    advances position-major across the batch (row 0 of every request, then
+    row 1, ...), and a fault is returned in the faulting row's slot so it
+    stays that request's fault.
+
     ``per_request=True`` keys the schedule per request id instead: each
     request gets its own monotone step counter (never reset, so a retried
     request continues at the index where its last attempt died and a
@@ -206,15 +215,11 @@ class FaultyDraftHead:
     MODES = ("nan-logits", "inf-logits", "raise", "latency", "arena-pressure",
              "corrupt-cache")
 
-    #: The fault schedules hook per-request ``step`` calls, so the engine
-    #: must not route this wrapper through the packed lockstep path (a
-    #: class attribute, because ``__getattr__`` delegation would otherwise
+    #: The fault schedules hook per-request ``step`` calls and
+    #: ``draft_tree`` would bypass them, so the engine keeps the chain
+    #: draft (where fault injection works) for wrapped heads (a class
+    #: attribute, because ``__getattr__`` delegation would otherwise
     #: surface the wrapped head's ``True``).
-    supports_packed = False
-
-    #: Same reasoning for the tree path: ``draft_tree`` would bypass the
-    #: intercepted ``step``, so the engine keeps the linear draft path
-    #: (where fault injection works) for wrapped heads.
     supports_tree = False
 
     def __init__(
@@ -302,6 +307,7 @@ class FaultyDraftHead:
         return index
 
     def step(self, token_id: int, position: int, hybrid, **kwargs) -> np.ndarray:
+        """One draft step: the wrapped head's, or this step's scheduled fault."""
         request_id = kwargs.get("request_id")
         step_index = self._next_index(request_id)
         if not self._should_fail(step_index, request_id):
@@ -325,3 +331,32 @@ class FaultyDraftHead:
             return logits
         fill = np.nan if self.mode == "nan-logits" else np.inf
         return np.full(self._head.config.vocab_size, fill, dtype=np.float64)
+
+    def step_packed(self, token_ids: Sequence[int], positions: Sequence[int],
+                    hybrids: Sequence, disable_image_kv: bool = False,
+                    disable_text_kv: bool = False,
+                    request_ids: Optional[Sequence[Optional[str]]] = None) -> list:
+        """Lockstep draft step with the fault schedule applied row by row.
+
+        Each row advances its own schedule through :meth:`step`, so fault
+        storms run through the same lockstep loop as healthy traffic and
+        a per-request schedule faults the same requests at any batch
+        width.  A row that raises gets its exception in its slot of the
+        returned list (a row-level draft fault to the engine) instead of
+        failing its batch-mates.
+        """
+        rids = request_ids if request_ids is not None else [None] * len(hybrids)
+        rows: list = []
+        for token_id, position, hybrid, rid in zip(token_ids, positions, hybrids, rids):
+            try:
+                rows.append(self.step(
+                    token_id, position, hybrid,
+                    disable_image_kv=disable_image_kv,
+                    disable_text_kv=disable_text_kv,
+                    request_id=rid,
+                ))
+            except Exception as exc:  # the row's fault, not the batch's
+                log_exception(logger, "draft_fault", exc,
+                              request_id=rid, position=position)
+                rows.append(exc)
+        return rows

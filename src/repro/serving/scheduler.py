@@ -2,27 +2,25 @@
 
 How batching works here
 -----------------------
-The engine's session API (:meth:`~repro.core.engine.AASDEngine.begin` /
-:meth:`~repro.core.engine.AASDEngine.step`) keeps every piece of mutable
-decode state on the :class:`~repro.core.engine.DecodeSession`, so the
-scheduler can interleave many in-flight generations over one engine.  Each
-scheduler *round* advances every active session by exactly one
-draft-then-verify block; new requests join at these block boundaries (a
-batched prefill) and finished ones retire without stalling the rest —
-classic continuous batching.
+The engine keeps every piece of mutable decode state on the
+:class:`~repro.core.engine.DecodeSession`, so the scheduler can interleave
+many in-flight generations over one engine.  Each scheduler *round* makes
+exactly two engine calls — :meth:`~repro.core.engine.AASDEngine.begin_batch`
+for the requests it admits and
+:meth:`~repro.core.engine.AASDEngine.step_batch` for every active session —
+advancing each session by one draft-then-verify block; new requests join
+at these block boundaries and finished ones retire without stalling the
+rest — classic continuous batching.  Both calls return one outcome per
+request, a session / :class:`~repro.core.engine.StepReport` or the
+exception that request raised, so a fault retries or fails the request it
+hit and nothing else.  A batch of one is a one-row round: there is no
+second code path for it (``docs/serving.md``, "The model of batching").
 
-Execution *and* pricing are batched.  When the engine is
-:attr:`~repro.core.engine.AASDEngine.packed_ready` (a packable draft
-head) and the round holds more than one session, the
-scheduler drives the engine's packed batched calls
-(:meth:`~repro.core.engine.AASDEngine.begin_batch` /
-:meth:`~repro.core.engine.AASDEngine.step_batch`): each round's prefills
-and verify forwards run as one cu-seqlen-packed set of fused GEMMs and its
+Execution *and* pricing are batched.  Each round's prefills and verify
+forwards run as one cu-seqlen-packed set of fused GEMMs and its chain
 draft steps in ``(B, 1, D)`` lockstep — see ``docs/kernels.md`` — with
-outputs bitwise token-identical to per-session stepping, greedy or
-sampled.  Otherwise (fault-injection wrappers, a batch of one, or a
-breaker-forced fallback round) execution falls back to per-session numpy.
-Either way the **server clock** is charged as if each round's draft steps
+outputs bitwise token-identical at every batch width, greedy or sampled.
+The **server clock** is charged as if each round's draft steps
 and target forwards ran as single batched GPU forwards, using the
 ``batched_*`` prices of :class:`~repro.decoding.cost_model.CostModel`
 (memory-bound batching: base cost paid once per forward, per-token work
@@ -65,16 +63,17 @@ per-round acceptance/fault rates and forces the whole batch target-only
 while open.  With a :class:`~repro.serving.resilience.ShedConfig`, queued
 requests are shed under queue-time pressure.  ``deadline_in_round=True``
 passes each session's remaining budget into
-:meth:`~repro.core.engine.AASDEngine.step` so a request expiring mid-round
-stops before its verify forward.
+:meth:`~repro.core.engine.AASDEngine.step_batch` so a request expiring
+mid-round stops before its verify forward.
 
 Observability
 -------------
 Every round runs inside a ``schedule`` span (feeding the
 ``span_ms.schedule`` histogram when tracing is enabled with a registry),
-each per-request prefill/step inside a ``request`` span tagged with the
-request id, and the registry carries ``serving.queue_depth`` /
-``serving.batch_occupancy`` / ``serving.kv_tokens`` gauges plus
+each phase emits one ``request`` marker span per request it serves
+(tagged with the request id and the phase), and the registry carries
+``serving.queue_depth`` / ``serving.batch_occupancy`` /
+``serving.kv_tokens`` gauges plus
 ``serving.requests_*_total`` counters.  Retired sessions fold their
 KV-arena accounting into ``scheduler.memory`` (surfaced as
 ``bytes_copied`` / ``arena_grows`` / ``peak_cache_tokens`` on the
@@ -498,62 +497,34 @@ class ContinuousBatchingScheduler:
         started_ms = self.now_ms
         admitted: List[_Active] = []
         tracer = self.engine.tracer
-        if len(handles) > 1 and self.engine.packed_ready:
-            # Packed path: one cu-seqlen-packed prefill forward for the
-            # whole admission (docs/kernels.md).  Per-request span
-            # bookkeeping is preserved; begin_batch returns a per-request
-            # session or exception so fault isolation matches the solo
-            # loop below.
-            for handle in handles:
-                with tracer.span("request", request_id=handle.request_id,
-                                 phase="prefill"):
-                    pass
-            outcomes = self.engine.begin_batch(
-                [h.request.sample for h in handles],
-                records=[DecodeRecord() for _ in handles],
-                max_new_tokens=[h.request.max_new_tokens for h in handles],
-                gamma_controllers=[
-                    self._controller(self._effective_gamma(h.request))
-                    for h in handles
-                ],
-                request_ids=[h.request_id for h in handles],
-            )
-            for handle, outcome in zip(handles, outcomes):
-                if isinstance(outcome, Exception):
-                    if self._maybe_retry(handle, outcome):
-                        continue
-                    log_exception(logger, "prefill_failed", outcome,
-                                  request_id=handle.request_id,
-                                  retry_count=self._retry_attempts.get(handle.request_id, 0))
-                    self._resolve(handle, STATUS_FAILED,
-                                  error=f"prefill failed: {outcome}",
-                                  started_ms=started_ms)
-                    continue
-                entry = _Active(handle, outcome, started_ms)
-                self._active.append(entry)
-                admitted.append(entry)
-            handles = []
         for handle in handles:
-            request = handle.request
-            with tracer.span("request", request_id=request.request_id, phase="prefill"):
-                try:
-                    session = self.engine.begin(
-                        request.sample,
-                        record=DecodeRecord(),
-                        max_new_tokens=request.max_new_tokens,
-                        gamma_controller=self._controller(self._effective_gamma(request)),
-                        request_id=request.request_id,
-                    )
-                except Exception as exc:  # isolate the fault to this request
-                    if self._maybe_retry(handle, exc):
-                        continue
-                    log_exception(logger, "prefill_failed", exc,
-                                  request_id=request.request_id,
-                                  retry_count=self._retry_attempts.get(request.request_id, 0))
-                    self._resolve(handle, STATUS_FAILED, error=f"prefill failed: {exc}",
-                                  started_ms=started_ms)
+            with tracer.span("request", request_id=handle.request_id, phase="prefill"):
+                pass
+        # One cu-seqlen-packed prefill forward for the whole admission
+        # (docs/kernels.md); begin_batch returns a session or the
+        # exception per request, so a fault fails (or retries) only the
+        # request that raised it.
+        outcomes = self.engine.begin_batch(
+            [h.request.sample for h in handles],
+            records=[DecodeRecord() for _ in handles],
+            max_new_tokens=[h.request.max_new_tokens for h in handles],
+            gamma_controllers=[
+                self._controller(self._effective_gamma(h.request)) for h in handles
+            ],
+            request_ids=[h.request_id for h in handles],
+        )
+        for handle, outcome in zip(handles, outcomes):
+            if isinstance(outcome, Exception):
+                if self._maybe_retry(handle, outcome):
                     continue
-            entry = _Active(handle, session, started_ms)
+                log_exception(logger, "prefill_failed", outcome,
+                              request_id=handle.request_id,
+                              retry_count=self._retry_attempts.get(handle.request_id, 0))
+                self._resolve(handle, STATUS_FAILED,
+                              error=f"prefill failed: {outcome}",
+                              started_ms=started_ms)
+                continue
+            entry = _Active(handle, outcome, started_ms)
             self._active.append(entry)
             admitted.append(entry)
         if admitted:
@@ -597,44 +568,26 @@ class ContinuousBatchingScheduler:
         n_escaped_faults = 0
         n_record_faults = 0
         eligible = [e for e in self._active if not e.session.finished]
-        outcomes: List[Tuple[_Active, object]] = []
-        if len(eligible) > 1 and not force_fallback and self.engine.packed_ready:
-            # Packed path: one lockstep draft + one cu-seqlen-packed verify
-            # forward for the whole round (docs/kernels.md).  Per-request
-            # spans are still emitted so traces keep request granularity;
-            # a batch-wide engine failure is attributed to every session
-            # (each then goes through the same retry/fail path as a solo
-            # step failure would).
-            for entry in eligible:
-                with tracer.span("request", request_id=entry.handle.request_id,
-                                 phase="step"):
-                    pass
-            try:
-                reports = self.engine.step_batch(
-                    [e.session for e in eligible],
-                    budgets_ms=[self._step_budget_ms(e) for e in eligible],
-                )
-                outcomes = list(zip(eligible, reports))
-            except Exception as exc:
-                log_exception(logger, "step_fault", exc, batch=len(eligible))
-                outcomes = [(e, exc) for e in eligible]
-        else:
-            for entry in eligible:
-                with tracer.span("request", request_id=entry.handle.request_id,
-                                 phase="step"):
-                    try:
-                        report = self.engine.step(
-                            entry.session,
-                            budget_ms=self._step_budget_ms(entry),
-                            force_fallback=force_fallback,
-                        )
-                    except Exception as exc:  # isolate the fault to this request
-                        log_exception(logger, "step_fault", exc,
-                                      request_id=entry.handle.request_id)
-                        outcomes.append((entry, exc))
-                        continue
-                outcomes.append((entry, report))
-        for entry, outcome in outcomes:
+        if not eligible:
+            return
+        for entry in eligible:
+            with tracer.span("request", request_id=entry.handle.request_id, phase="step"):
+                pass
+        # One lockstep draft + one cu-seqlen-packed verify forward for the
+        # whole round (docs/kernels.md); step_batch returns a report or
+        # the exception per session.  A failure of the round itself (the
+        # shared verify forward) is attributed to every session, each of
+        # which then goes through the same retry/fail path.
+        try:
+            outcomes = self.engine.step_batch(
+                [e.session for e in eligible],
+                budgets_ms=[self._step_budget_ms(e) for e in eligible],
+                force_fallback=force_fallback,
+            )
+        except Exception as exc:
+            log_exception(logger, "step_fault", exc, batch=len(eligible))
+            outcomes = [exc] * len(eligible)
+        for entry, outcome in zip(eligible, outcomes):
             if isinstance(outcome, Exception):
                 n_escaped_faults += 1
                 n_record_faults += (
@@ -732,7 +685,7 @@ class ContinuousBatchingScheduler:
             self.clock.charge(ms, "fallback")
             charged += ms
         elif feeds:
-            if any(getattr(r, "tree", False) for r in reports):
+            if any(r.tree for r in reports):
                 ms = cost.batched_tree_verify(feeds)
             else:
                 ms = cost.batched_verify(feeds)

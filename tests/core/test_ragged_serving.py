@@ -1,7 +1,7 @@
-"""Packed ragged-batch serving: token identity, gating, edge cases.
+"""Packed ragged-batch serving: token identity, isolation, edge cases.
 
-The packed engine paths (``begin_batch`` / ``step_batch``) promise
-**bitwise** token identity with per-session stepping, under greedy
+The engine's one round (``begin_batch`` / ``step_batch``) promises
+**bitwise** token identity with one-session-at-a-time stepping, under greedy
 decoding and — because every request draws from its own derived stream —
 under sampling too, whatever the batch order, the per-session gammas or
 the moment batch-mates retire.  The world here uses dim=96 deliberately:
@@ -9,8 +9,10 @@ the gemv/gemm K-reduction divergence that makes naive packing lossy only
 appears at K >= 64 (``tests/nn/test_ragged.py::TestPackingStability``),
 so a small-dim world would pass even with a broken packing scheme.
 
-Also pins: B == 1 and non-packable heads reduce to the solo path, the
-``packed_ready`` gate (``supports_packed`` heads only),
+Also pins: ``step`` / ``begin`` are the one-row round report for report,
+per-request outcomes (a session's hard fault is its own entry of
+``step_batch``'s result, on the plain head and on ``FaultyDraftHead``; a
+row-level fault from ``step_packed`` degrades its session alone),
 per-request fault isolation in batched prefill, mixed per-session
 gammas, reference-cache compatibility of the packed path, and rollback
 visibility of packed draft blocks through a ``BlockTable`` view.
@@ -25,18 +27,20 @@ import pytest
 
 import repro.core.engine as engine_mod
 import repro.models.llama as llama_mod
-from repro.core import AASDDraftHead, AASDEngine, AASDEngineConfig, DraftHeadConfig
+from repro.core import (
+    AASDDraftHead, AASDEngine, AASDEngineConfig, DraftHeadConfig, StepReport,
+)
 from repro.core.kv_arena import BlockTable
 from repro.core.reference import ReferenceHybridKVCache, ReferenceKVCache
 from repro.data.tasks import make_dataset
-from repro.decoding import CostModel, get_profile
+from repro.decoding import AutoregressiveDecoder, CostModel, get_profile
 from repro.decoding.adaptive import FixedGamma
 from repro.decoding.sampling import SamplerConfig, VerifyOutcome
 from repro.decoding.tree import TreeAcceptOutcome
 from repro.errors import DecodingError
 from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
 from repro.models.llava import MiniLlava
-from repro.robustness.faults import FaultyDraftHead
+from repro.robustness.faults import DraftFault, FaultyDraftHead
 
 MAX_NEW_TOKENS = 24
 N_SAMPLES = 6
@@ -106,7 +110,6 @@ def _solo_tokens(world, samples, gammas=None, **overrides):
 def _packed_tokens(world, samples, gammas=None, order=None, **overrides):
     """Tokens per sample (in sample order) of one packed run batched in ``order``."""
     engine = _engine(world, **overrides)
-    assert engine.packed_ready
     order = list(order) if order is not None else list(range(len(samples)))
     sessions = engine.begin_batch(
         [samples[i] for i in order],
@@ -274,19 +277,120 @@ class TestSoloReduction:
             engine.step_batch(sessions)
 
 
-class TestPackedGate:
-    def test_greedy_packable_head_is_ready(self, world):
-        assert _engine(world).packed_ready
+class _RowFaultHead:
+    """Plain head whose lockstep step spoils one request's row, once.
 
-    def test_sampling_keeps_packing(self, world):
-        assert _engine(world, sampler_config=SAMPLED).packed_ready
+    ``fault`` is an exception instance (returned in the row's slot, the
+    row-level fault contract of ``step_packed``) or ``None`` (the row's
+    logits come back NaN, for the engine's own finiteness guard to catch).
+    """
 
-    def test_faulty_head_wrapper_disables_packing(self, world):
-        wrapped = FaultyDraftHead(world["head"], mode="nan-logits", fail_every=1000)
-        assert not _engine(world, head=wrapped).packed_ready
-        # the gate must come from the wrapper itself, not delegation
-        assert wrapped.supports_packed is False
-        assert wrapped._head.supports_packed is True
+    def __init__(self, head, request_id, fault=None):
+        self._head, self.request_id, self.fault = head, request_id, fault
+        self.fired = False
+
+    def __getattr__(self, name):
+        return getattr(self._head, name)
+
+    def step_packed(self, token_ids, positions, hybrids, request_ids=None, **kwargs):
+        rows = self._head.step_packed(
+            token_ids, positions, hybrids, request_ids=request_ids, **kwargs
+        )
+        if not self.fired and self.request_id in request_ids:
+            self.fired = True
+            at = list(request_ids).index(self.request_id)
+            rows[at] = self.fault if self.fault is not None else np.full_like(rows[at], np.nan)
+        return rows
+
+
+def _ar_tokens(world, samples):
+    ar = AutoregressiveDecoder(
+        world["target"], world["tokenizer"], world["cm"], max_new_tokens=MAX_NEW_TOKENS
+    )
+    return [ar.decode(sample).token_ids for sample in samples]
+
+
+class TestPerRequestOutcomes:
+    """``step_batch`` answers per session: a report, or that session's exception."""
+
+    IDS = [f"req-{i}" for i in range(4)]
+
+    def _begin(self, engine, world):
+        sessions = engine.begin_batch(list(world["samples"][:4]), request_ids=self.IDS)
+        assert not any(isinstance(s, Exception) for s in sessions)
+        return sessions
+
+    def _drain(self, engine, sessions):
+        while any(not s.finished for s in sessions):
+            for outcome in engine.step_batch([s for s in sessions if not s.finished]):
+                assert isinstance(outcome, StepReport), outcome
+
+    @pytest.mark.parametrize("wrapper", ["faulty-head", "nan-row"])
+    def test_hard_fault_fails_only_its_session(self, world, wrapper):
+        if wrapper == "faulty-head":
+            # a storm seed that afflicts exactly one of the four requests
+            head = next(
+                h for h in (
+                    FaultyDraftHead(world["head"], mode="raise", seed=seed,
+                                    request_fault_rate=0.3, fault_horizon=1)
+                    for seed in range(100)
+                ) if [bool(h.storm_steps(rid)) for rid in self.IDS] == [0, 0, 1, 0]
+            )
+        else:
+            head = _RowFaultHead(world["head"], "req-2")
+        engine = _engine(world, head=head, fallback_on_fault=False)
+        sessions = self._begin(engine, world)
+        outcomes = engine.step_batch(sessions)
+        assert isinstance(outcomes[2], Exception)
+        assert all(isinstance(outcomes[i], StepReport) for i in (0, 1, 3))
+        assert sessions[2].record.n_draft_faults == 0   # failed, not degraded
+        survivors = [sessions[i] for i in (0, 1, 3)]
+        self._drain(engine, survivors)
+        reference = _ar_tokens(world, world["samples"][:4])
+        assert [list(s.committed) for s in survivors] == [reference[i] for i in (0, 1, 3)]
+
+    def test_step_reraises_its_sessions_outcome(self, world):
+        head = FaultyDraftHead(world["head"], mode="raise", per_request=True,
+                               fail_steps=[0])
+        engine = _engine(world, head=head, fallback_on_fault=False)
+        with pytest.raises(DraftFault):
+            engine.step(engine.begin(world["samples"][0], request_id="r"))
+
+    def test_row_level_fault_degrades_only_its_session(self, world):
+        head = _RowFaultHead(world["head"], "req-1", fault=DraftFault("row fault"))
+        engine = _engine(world, head=head)
+        sessions = self._begin(engine, world)
+        reports = engine.step_batch(sessions)
+        assert [r.kind for r in reports] == ["verify", "fallback", "verify", "verify"]
+        self._drain(engine, sessions)
+        assert [s.record.n_draft_faults for s in sessions] == [0, 1, 0, 0]
+        assert [list(s.committed) for s in sessions] == _ar_tokens(
+            world, world["samples"][:4]
+        )
+
+    @pytest.mark.parametrize("tree", [False, True], ids=["chain", "tree"])
+    def test_step_is_the_one_row_round(self, world, tree):
+        # same request through step() and through step_batch([s])[0]:
+        # plain blocks, a breaker-forced block, then a deadline expiry
+        plan = [{}, {"force_fallback": True}, {}, {"budget_ms": 0.0}]
+        solo, batched = (
+            _engine(world, tree_speculation=tree, tree_max_branch=2) for _ in range(2)
+        )
+        a = solo.begin(world["samples"][0], request_id="r")
+        (b,) = batched.begin_batch([world["samples"][0]], request_ids=["r"])
+        kinds = []
+        for kwargs in plan:
+            report = solo.step(a, **kwargs)
+            budget = kwargs.get("budget_ms")
+            (twin,) = batched.step_batch(
+                [b], budgets_ms=[budget],
+                force_fallback=kwargs.get("force_fallback", False),
+            )
+            assert report == twin
+            assert a.committed == b.committed
+            kinds.append(report.kind)
+        assert kinds == ["verify", "fallback", "verify", "expired"]
+        assert a.record.sim_time_ms == b.record.sim_time_ms
 
 
 class TestFaultIsolation:

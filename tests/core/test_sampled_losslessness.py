@@ -96,7 +96,6 @@ def _aasd_draws(parts, seeds):
             AASDEngineConfig(gamma=3, max_new_tokens=N_TOKENS),
             sampler_config=_sampler(seed),
         )
-        assert engine.packed_ready
         sessions = engine.begin_batch(list(parts["samples"]) * COPIES)
         while any(not s.finished for s in sessions):
             engine.step_batch([s for s in sessions if not s.finished])

@@ -180,10 +180,14 @@ class TestSingleForwardPerRound:
         assert engine.tree_ready
         session = engine.begin(world["samples"][0])
         calls = []
-        original = engine.target.decode
+        original = engine.target.decode_batch
+        monkeypatch.setattr(
+            engine.target, "decode_batch",
+            lambda *a, **kw: calls.append(1) or original(*a, **kw),
+        )
         monkeypatch.setattr(
             engine.target, "decode",
-            lambda *a, **kw: calls.append(1) or original(*a, **kw),
+            lambda *a, **kw: pytest.fail("a verify is never a per-session decode"),
         )
         report = engine.step(session)
         assert report.kind == "verify" and report.tree

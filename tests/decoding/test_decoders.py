@@ -11,7 +11,7 @@ from repro.core.draft_head import AASDDraftHead, DraftHeadConfig
 from repro.core.engine import AASDEngine, AASDEngineConfig
 from repro.data.tasks import make_dataset
 from repro.decoding.autoregressive import AutoregressiveDecoder
-from repro.decoding.base import encode_prompt, trim_at_eos
+from repro.decoding.base import commit_block, encode_prompt, trim_at_eos
 from repro.decoding.cost_model import CostModel, get_profile
 from repro.decoding.sampling import SamplerConfig
 from repro.decoding.speculative import LlamaTextDraft, LlavaDraft, SpeculativeDecoder
@@ -67,6 +67,38 @@ class TestBaseHelpers:
     def test_trim_at_eos(self):
         assert trim_at_eos([5, 2, 7], eos_id=2) == [5, 2]
         assert trim_at_eos([5, 7], eos_id=2) == [5, 7]
+
+
+class TestTokenBudget:
+    """One eos/cap rule for every speculative loop (``commit_block``)."""
+
+    @pytest.mark.parametrize("accepted,nxt,expected", [
+        ([5, 6], 7, [1, 5, 6, 7]),          # fits: nothing cut
+        ([5, 2, 6], 7, [1, 5, 2]),          # eos inside the budget: cut after it
+        ([5, 6, 7, 8], 2, [1, 5, 6, 7, 8]),  # crosses the cap, eos past it: cap wins
+        ([5, 6, 7], 2, [1, 5, 6, 7, 2]),    # eos lands exactly on the cap
+    ])
+    def test_cut_at_eos_or_cap_whichever_is_first(self, accepted, nxt, expected):
+        committed = [1]
+        commit_block(committed, accepted, nxt, eos_id=2, max_new_tokens=5)
+        assert committed == expected
+
+    def test_baseline_block_straddling_the_cap_stays_in_budget(self, smoke_zoo):
+        # smoke DT-LLaMA, gamma 5, cap 4: the second verify block of this
+        # sample crosses the cap and holds an eos further on; cutting at
+        # eos before checking the cap emitted 6 tokens.
+        from repro.eval.baselines import build_row_decoder
+
+        cap = 4
+        cm = CostModel(get_profile("sim-7b"))
+        sample = smoke_zoo.eval_dataset("llava-bench-sim", 4).samples[3]
+        decoder = build_row_decoder("DT-LLaMA", smoke_zoo, "sim-7b", 5, cm,
+                                    max_new_tokens=cap)
+        ar = AutoregressiveDecoder(smoke_zoo.target("sim-7b"), smoke_zoo.tokenizer(),
+                                   cm, max_new_tokens=cap)
+        tokens = decoder.decode(sample).token_ids
+        assert len(tokens) <= cap
+        assert tokens == ar.decode(sample).token_ids
 
 
 class TestAutoregressive:

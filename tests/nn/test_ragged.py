@@ -1,4 +1,4 @@
-"""Ragged packing helpers, packing-stability contract, ragged attention.
+"""Ragged packing helpers, the tree mask, and the packing-stability contract.
 
 ``TestPackingStability`` pins the empirical BLAS properties the packed
 serving paths depend on (see the ``repro.nn.ragged`` module docstring):
@@ -12,11 +12,9 @@ identity.
 import numpy as np
 import pytest
 
-from repro.nn.attention import MultiHeadAttention, causal_mask, ragged_attend
 from repro.nn.ragged import (
     cu_seqlens,
     pack_rows,
-    ragged_blocked,
     row_extents,
     tree_blocked,
     unpack_rows,
@@ -57,34 +55,6 @@ class TestPackUnpack:
         assert pack_rows([row]) is row
 
 
-class TestRaggedBlocked:
-    def test_cross_request_pairs_blocked(self):
-        blocked = ragged_blocked(
-            [np.arange(2), np.arange(3)], [np.arange(2), np.arange(3)]
-        )
-        assert blocked.shape == (5, 5)
-        assert blocked[:2, 2:].all() and blocked[2:, :2].all()
-
-    def test_diagonal_blocks_are_causal(self):
-        blocked = ragged_blocked(
-            [np.arange(2), np.arange(3)], [np.arange(2), np.arange(3)]
-        )
-        assert np.array_equal(blocked[:2, :2], causal_mask(np.arange(2), np.arange(2)))
-        assert np.array_equal(blocked[2:, 2:], causal_mask(np.arange(3), np.arange(3)))
-
-    def test_ragged_key_rows(self):
-        # decode-style: 1 query over 4 past keys per request
-        blocked = ragged_blocked(
-            [np.array([3]), np.array([3])], [np.arange(4), np.arange(4)]
-        )
-        assert not blocked[0, :4].any()
-        assert blocked[0, 4:].all()
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            ragged_blocked([np.arange(2)], [np.arange(2), np.arange(2)])
-
-
 class TestTreeBlocked:
     def test_chain_is_strict_upper_triangle(self):
         # A linear chain admits every earlier feed row -> exactly the
@@ -121,38 +91,6 @@ class TestTreeBlocked:
             tree_blocked([0])           # node 0 cannot have itself as parent
         with pytest.raises(ValueError):
             tree_blocked([-2])          # below the anchor sentinel
-
-    def test_ragged_blocked_ors_tree_into_trailing_columns(self):
-        # Request: 2 committed keys + a 3-row feed [anchor, n0, n1(sibling)].
-        q_pos = np.array([2, 3, 3])     # siblings share absolute positions
-        k_pos = np.array([0, 1, 2, 3, 3])
-        parents = [-1, -1]
-        blocked = ragged_blocked([q_pos], [k_pos], [parents])
-        expected = causal_mask(q_pos, k_pos)
-        expected[:, 2:] |= tree_blocked(parents)
-        assert np.array_equal(blocked, expected)
-        # The causal rule alone would let the siblings see each other
-        # (equal positions); the tree mask is what separates them.
-        assert blocked[1, 4] and blocked[2, 3]
-        # Committed context stays visible to every feed row.
-        assert not blocked[:, :2].any()
-
-    def test_tree_arity_and_length_validation(self):
-        with pytest.raises(ValueError):    # one parents row per request
-            ragged_blocked([np.arange(3)], [np.arange(3)], [[-1], [-1]])
-        with pytest.raises(ValueError):    # parents imply 3 feed rows, got 2
-            ragged_blocked([np.arange(2)], [np.arange(2)], [[-1, 0]])
-        with pytest.raises(ValueError):    # feed larger than the key row
-            ragged_blocked([np.arange(3)], [np.arange(2)], [[-1, 0]])
-
-    def test_mixed_tree_and_causal_requests(self):
-        blocked = ragged_blocked(
-            [np.array([1, 2, 2]), np.arange(2)],
-            [np.array([0, 1, 2, 2]), np.arange(2)],
-            [[-1, -1], None],
-        )
-        plain = ragged_blocked([np.arange(2)], [np.arange(2)])
-        assert np.array_equal(blocked[3:, 4:], plain)
 
 
 class TestPackingStability:
@@ -191,91 +129,3 @@ class TestPackingStability:
         lockstep = np.matmul(x, w)
         for b in range(5):
             assert np.array_equal(lockstep[b], x[b] @ w), f"B-slice {b} K={k}"
-
-
-class TestRaggedAttend:
-    def make(self, rng, dim=24, heads=4):
-        return MultiHeadAttention(dim, heads, rng=rng)
-
-    def _qkv(self, attn, rng, lens, n_heads=4, head_dim=6):
-        qs, ks, vs = [], [], []
-        for n in lens:
-            qs.append(rng.standard_normal((1, n_heads, n, head_dim)).astype(np.float32))
-            ks.append(Tensor(rng.standard_normal((1, n_heads, n, head_dim)).astype(np.float32)))
-            vs.append(Tensor(rng.standard_normal((1, n_heads, n, head_dim)).astype(np.float32)))
-        q = Tensor(np.concatenate(qs, axis=2))
-        return q, ks, vs
-
-    def test_segment_path_matches_solo(self, rng):
-        attn = self.make(rng)
-        lens = [3, 1, 4]
-        q, ks, vs = self._qkv(attn, rng, lens)
-        cu = cu_seqlens(lens)
-        blocked = [causal_mask(np.arange(n), np.arange(n)) for n in lens]
-        out = ragged_attend(q, cu, ks, vs, blocked)
-        for (start, end), k, v, mask in zip(row_extents(cu), ks, vs, blocked):
-            solo = MultiHeadAttention.attend(
-                q[:, :, start:end, :], k, v, blocked=mask
-            )
-            assert np.array_equal(out.data[:, :, start:end, :], solo.data)
-
-    def test_fused_path_is_bitwise_exact(self, rng):
-        # fused=True builds the masks internally but still attends per
-        # segment, so it is bitwise identical to the segment path (and
-        # therefore to solo attention) — the tree-verification contract.
-        attn = self.make(rng)
-        lens = [3, 2]
-        q, ks, vs = self._qkv(attn, rng, lens)
-        cu = cu_seqlens(lens)
-        positions = [np.arange(n) for n in lens]
-        blocked = [causal_mask(p, p) for p in positions]
-        exact = ragged_attend(q, cu, ks, vs, blocked)
-        fused = ragged_attend(
-            q, cu, ks, vs, fused=True,
-            query_positions=positions, key_positions=positions,
-        )
-        assert np.array_equal(exact.data, fused.data)
-
-    def test_fused_tree_matches_explicit_masks(self, rng):
-        # A tree-verification feed [anchor, n0, n1] over 2 committed keys:
-        # fused mask building == hand-built causal-plus-tree segment masks.
-        attn = self.make(rng)
-        parents = [-1, -1]
-        q_pos = [np.array([2, 3, 3]), np.arange(2)]
-        k_pos = [np.array([0, 1, 2, 3, 3]), np.arange(2)]
-        qs = rng.standard_normal((1, 4, 3, 6)).astype(np.float32)
-        q = Tensor(np.concatenate(
-            [qs, rng.standard_normal((1, 4, 2, 6)).astype(np.float32)], axis=2
-        ))
-        ks = [Tensor(rng.standard_normal((1, 4, n, 6)).astype(np.float32)) for n in (5, 2)]
-        vs = [Tensor(rng.standard_normal((1, 4, n, 6)).astype(np.float32)) for n in (5, 2)]
-        cu = cu_seqlens([3, 2])
-        tree_mask = causal_mask(q_pos[0], k_pos[0])
-        tree_mask[:, 2:] |= tree_blocked(parents)
-        explicit = ragged_attend(
-            q, cu, ks, vs, [tree_mask, causal_mask(q_pos[1], k_pos[1])]
-        )
-        fused = ragged_attend(
-            q, cu, ks, vs, fused=True,
-            query_positions=q_pos, key_positions=k_pos,
-            tree_parent_rows=[parents, None],
-        )
-        assert np.array_equal(explicit.data, fused.data)
-
-    def test_b1_reduces_to_plain_attend(self, rng):
-        attn = self.make(rng)
-        q, ks, vs = self._qkv(attn, rng, [4])
-        mask = causal_mask(np.arange(4), np.arange(4))
-        out = ragged_attend(q, cu_seqlens([4]), ks, vs, [mask])
-        solo = MultiHeadAttention.attend(q, ks[0], vs[0], blocked=mask)
-        assert np.array_equal(out.data, solo.data)
-
-    def test_arity_mismatch(self, rng):
-        q, ks, vs = self._qkv(self.make(rng), rng, [2, 2])
-        with pytest.raises(ValueError):
-            ragged_attend(q, cu_seqlens([2, 2]), ks[:1], vs)
-
-    def test_fused_requires_positions(self, rng):
-        q, ks, vs = self._qkv(self.make(rng), rng, [2, 2])
-        with pytest.raises(ValueError):
-            ragged_attend(q, cu_seqlens([2, 2]), ks, vs, fused=True)

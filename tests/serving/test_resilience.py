@@ -291,9 +291,10 @@ class TestRetryIntegration:
         # One request of a sampled batch dies on a transient fault and is
         # retried.  Its random stream is re-derived from its id, so it
         # emits the clean run's tokens — and, unlike a rewind of shared
-        # RNG state, the retry leaves its batch-mates' draws alone.  The
-        # clean run is the *packed* one (plain head), the faulted run the
-        # per-session one (the wrapper opts out): same tokens either way.
+        # RNG state, the retry leaves its batch-mates' draws alone.  Both
+        # runs draft in lockstep; in the faulted one the wrapper hands the
+        # afflicted row's exception back in its slot of step_packed, so
+        # only that session's outcome is the fault.
         sampled = SamplerConfig(greedy=False, temperature=0.8, top_p=0.95)
         samples = world["samples"][:4]
         ids = [f"req-{i:03d}" for i in range(len(samples))]

@@ -115,8 +115,9 @@ class TestFaultIsolation:
         self, make_engine, world, sequential_records
     ):
         # fail_steps=[0]: the very first draft-head call in the batch —
-        # deterministically the first admitted request — raises hard, and
-        # with fallback disabled the exception escapes engine.step.
+        # deterministically row 0 of the first lockstep step, the first
+        # admitted request — raises hard.  With fallback disabled the
+        # exception is that session's entry in step_batch's outcomes.
         faulty = FaultyDraftHead(world["head"], mode="raise", fail_steps=[0])
         engine = make_engine(head=faulty, fallback_on_fault=False)
         samples = world["samples"][:4]
@@ -144,6 +145,60 @@ class TestFaultIsolation:
         # losslessness holds even for the degraded request
         for result, solo in zip(report.results, sequential_records[:4]):
             assert result.record.token_ids == solo.token_ids
+
+    def test_plain_head_hard_fault_fails_one_request(self, make_engine, world,
+                                                     sequential_records):
+        # the plain head's lockstep step hands one request NaN logits:
+        # the engine's own row guard makes it that request's outcome
+        class NanForOne:
+            def __init__(self, head):
+                self._head = head
+
+            def __getattr__(self, name):
+                return getattr(self._head, name)
+
+            def step_packed(self, token_ids, positions, hybrids, request_ids=None, **kw):
+                rows = self._head.step_packed(
+                    token_ids, positions, hybrids, request_ids=request_ids, **kw)
+                if "req-002" in request_ids:
+                    rows[list(request_ids).index("req-002")][:] = np.nan
+                return rows
+
+        engine = make_engine(head=NanForOne(world["head"]), fallback_on_fault=False)
+        report = serve_requests(engine, world["samples"][:4],
+                                ServingConfig(max_batch_size=4))
+        assert [r.status for r in report.results] == [
+            STATUS_COMPLETED, STATUS_COMPLETED, STATUS_FAILED, STATUS_COMPLETED]
+        for i in (0, 1, 3):
+            assert report.results[i].record.token_ids == sequential_records[i].token_ids
+
+    @pytest.mark.parametrize("mode", ["nan-logits", "raise"])
+    def test_request_storm_is_width_independent(self, make_engine, world,
+                                                sequential_records, mode):
+        # a per-request schedule faults the same requests at the same
+        # request-local steps whether they draft alone or in lockstep
+        def run(width):
+            head = FaultyDraftHead(world["head"], mode=mode, seed=3,
+                                   request_fault_rate=0.5, fault_horizon=6)
+            report = serve_requests(make_engine(head=head), world["samples"],
+                                    ServingConfig(max_batch_size=width))
+            assert report.count(STATUS_COMPLETED) == len(world["samples"])
+            return head.faults_by_request, [r.record.token_ids for r in report.results]
+
+        faults_solo, tokens_solo = run(1)
+        faults_wide, tokens_wide = run(4)
+        assert faults_solo == faults_wide and sum(faults_solo.values()) > 0
+        assert tokens_solo == tokens_wide == [r.token_ids for r in sequential_records]
+
+    def test_tree_rounds_are_width_independent(self, make_engine, world,
+                                               sequential_records):
+        for width in (1, 4):
+            engine = make_engine(tree_speculation=True)
+            assert engine.tree_ready
+            report = serve_requests(engine, world["samples"],
+                                    ServingConfig(max_batch_size=width))
+            assert [r.record.token_ids for r in report.results] == [
+                r.token_ids for r in sequential_records]
 
     def test_prefill_failure_is_isolated(self, make_engine, world):
         # a malformed image makes the target's prefill raise for this
