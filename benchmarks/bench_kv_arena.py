@@ -199,7 +199,7 @@ def _assert_same_end_state(workload, arena_end, naive_end):
             for a, b in zip(arena_end.layer(i), naive_end.layer(i)):
                 np.testing.assert_array_equal(a, b)
     else:
-        assert arena_end.total_len == naive_end.total_len
+        assert arena_end.seq_len == naive_end.seq_len
         assert arena_end.segment_counts() == naive_end.segment_counts()
         for a, b in zip(arena_end.gather(), naive_end.gather()):
             np.testing.assert_array_equal(a, b)

@@ -1,8 +1,9 @@
 """Image captioning (COCO-sim) with every Table-1 decoding strategy.
 
-Decodes the same captioning workload with the autoregressive baseline,
-a conventional speculative decoder using a language-only draft, and the
-AASD engine — then prints a head-to-head metric comparison.
+Decodes the same captioning workload with the autoregressive baseline and
+with the speculative engine over two drafters — a conventional
+language-only draft model and the AASD head — then prints a head-to-head
+metric comparison.
 
     python examples/image_captioning.py --profile full --samples 10
 """
@@ -15,7 +16,6 @@ from repro.decoding import (
     AutoregressiveDecoder,
     CostModel,
     LlamaTextDraft,
-    SpeculativeDecoder,
     aggregate_metrics,
     get_profile,
 )
@@ -37,15 +37,12 @@ def main() -> None:
     dataset = zoo.eval_dataset("coco-sim", args.samples)
 
     baseline = AutoregressiveDecoder(target, tokenizer, cost_model, max_new_tokens=48)
-    conventional = SpeculativeDecoder(
-        target,
-        LlamaTextDraft(zoo.text_draft("ft", "sim-7b"), "ft-llama"),
-        tokenizer, cost_model, gamma=args.gamma, max_new_tokens=48,
+    config = AASDEngineConfig(gamma=args.gamma, max_new_tokens=48)
+    conventional = AASDEngine(
+        target, LlamaTextDraft(zoo.text_draft("ft", "sim-7b"), "ft-llama"),
+        tokenizer, cost_model, config,
     )
-    aasd = AASDEngine(
-        target, zoo.aasd_head("sim-7b"), tokenizer, cost_model,
-        AASDEngineConfig(gamma=args.gamma, max_new_tokens=48),
-    )
+    aasd = AASDEngine(target, zoo.aasd_head("sim-7b"), tokenizer, cost_model, config)
 
     ar_records = [baseline.decode(s) for s in dataset]
     print("sample captions (all decoders are lossless, outputs identical):")

@@ -171,6 +171,20 @@ class CallGraph:
                 return hit
         return None
 
+    def dispatch_targets(self, class_qname: str, method: str) -> List[str]:
+        """Implementations a call on a ``class_qname`` receiver may run.
+
+        Its own (via MRO) plus every project subclass's override: a
+        value typed as an interface may hold any implementation.
+        """
+        hits = [self.resolve_method(class_qname, method)]
+        frontier = [class_qname]
+        while frontier:
+            frontier = [c.qname for c in self.classes.values()
+                        if any(base in frontier for base in c.bases)]
+            hits.extend(self.classes[q].methods.get(method) for q in frontier)
+        return sorted({hit for hit in hits if hit is not None})
+
     def module_env(self, module: str) -> Dict[str, str]:
         """The import environment of ``module`` (name -> dotted target)."""
         return self._imports.get(module, {})
@@ -465,9 +479,7 @@ def _resolve_call_targets(graph: CallGraph, func: FunctionInfo,
     if isinstance(target, ast.Attribute):
         owner = env.infer(target.value)
         if owner is not None:
-            hit = graph.resolve_method(owner, target.attr)
-            if hit is not None:
-                return [hit]
+            return graph.dispatch_targets(owner, target.attr)
     return []
 
 

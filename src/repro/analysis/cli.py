@@ -12,9 +12,9 @@ Entry points behind one module:
   a function, ``--reachable`` closure from entry patterns, or a full JSON
   dump for tooling.
 * ``python -m repro.analysis docs`` — markdown link integrity and
-  executable doc examples (folded ``scripts/check_docs.py``).
+  executable doc examples.
 * ``python -m repro.analysis docstrings`` — public docstring coverage
-  gate (folded ``scripts/check_docstrings.py``).
+  gate.
 
 Exit codes: 0 clean (possibly via baseline/allows), 1 findings, 2 usage
 error.

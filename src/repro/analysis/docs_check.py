@@ -1,7 +1,6 @@
 """Docs honesty checks: link integrity + executable examples.
 
-Folded into ``repro.analysis`` from the original ``scripts/check_docs.py``
-(a thin shim remains there for existing CI invocations).  Two checks:
+Run as ``python -m repro.analysis docs``.  Two checks:
 
 1. **Links** — every relative markdown link in ``docs/*.md`` and
    ``README.md`` must point at an existing file (fragments are stripped;

@@ -1,7 +1,6 @@
 """Docstring-coverage gate for the documented public surface.
 
-Folded into ``repro.analysis`` from the original
-``scripts/check_docstrings.py`` (a thin shim remains there).  Walks the
+Run as ``python -m repro.analysis docstrings``.  Walks the
 targets listed in :data:`TARGETS` — each either a package directory
 (scanned recursively) or a single module file (e.g. the ragged-kernel
 modules backing docs/kernels.md) — with ``ast`` (no imports, so it is

@@ -13,13 +13,16 @@ versus the 112M independent drafts.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..decoding.cost_model import CostModel
+from ..decoding.speculative import Drafter
 from ..decoding.tree import TreeDraft
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, DecodingError, ShapeError
 from ..models.llama import MiniLlama
 from ..nn import functional as F
 from ..nn.attention import (
@@ -36,7 +39,7 @@ from ..nn.normalization import RMSNorm
 from ..nn.rope import RotaryEmbedding, apply_rope
 from ..nn.tensor import Tensor, concat, is_grad_enabled, matmul_data
 from ..nn.transformer import SwiGLU
-from ..robustness.guards import ensure_finite
+from ..robustness.guards import check_hybrid_cache, ensure_finite
 from ..utils.rng import derive
 from .hybrid_cache import SEGMENT_TEXT, SEGMENT_VISION, HybridKVCache
 from .kv_projector import KVProjector
@@ -87,14 +90,26 @@ class DraftHeadConfig:
         )
 
 
-class AASDDraftHead(Module):
-    """One hybrid-attention transformer block + tied LM head."""
+class AASDDraftHead(Module, Drafter):
+    """One hybrid-attention transformer block + tied LM head.
 
+    The KV-reusing :class:`~repro.decoding.speculative.Drafter`: a
+    request's draft state is its :class:`HybridKVCache`, opened from the
+    target's prefill and extended by each verify forward's own last-layer
+    KV.  The Figure 3 (``use_target_kv=False``: the head encodes its own
+    context) and Figure 4 (:meth:`ablate_kv`) variants sit behind the seam.
+    """
+
+    name = "ours"
     #: The engine's tree-speculation rounds may drive this head via
     #: :meth:`draft_tree`.  Wrappers that intercept per-request ``step``
     #: calls (e.g. the fault injector) advertise ``False`` so the engine
     #: keeps the linear draft path, where interception works.
     supports_tree = True
+    #: Figure 4 ablation: context segments hidden from every draft step
+    #: (set on a weight-sharing view by :meth:`ablate_kv`).
+    disable_image_kv = False
+    disable_text_kv = False
 
     def __init__(self, config: DraftHeadConfig, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
@@ -196,8 +211,76 @@ class AASDDraftHead(Module):
         return self.lm_head(self.out_norm(x))
 
     # ------------------------------------------------------------------
-    # Inference
+    # Inference: the drafter seam (state = the request's HybridKVCache)
     # ------------------------------------------------------------------
+    def ablate_kv(self, disable_image_kv: bool = False,
+                  disable_text_kv: bool = False) -> "AASDDraftHead":
+        """A view of this head (same weights) drafting without a context segment."""
+        view = copy.copy(self)
+        view.disable_image_kv = disable_image_kv
+        view.disable_text_kv = disable_text_kv
+        return view
+
+    def check_target(self, target) -> None:
+        """The projector is sized for one vision-token count: the target's."""
+        if self.config.use_target_kv and self.config.n_vision_tokens != target.n_vision_tokens:
+            raise DecodingError(
+                f"draft head expects {self.config.n_vision_tokens} vision tokens, "
+                f"target produces {target.n_vision_tokens}"
+            )
+
+    def open(self, sample, prompt_ids: np.ndarray, target_cache) -> HybridKVCache:
+        """The request's draft context: the target's KV, or (Figure 3) the head's own."""
+        del sample
+        hybrid = HybridKVCache(self.config.n_heads, self.config.head_dim)
+        if self.config.use_target_kv:
+            self.build_context(target_cache, hybrid)
+        else:
+            positions = target_cache.segments.n_vision + np.arange(
+                len(prompt_ids), dtype=np.int64)
+            k_own, v_own = self.self_encode(prompt_ids, positions)
+            hybrid.append_context(k_own, v_own, positions, SEGMENT_TEXT)
+        return hybrid
+
+    def prefill_ms(self, cost: CostModel, n_requests: int = 1) -> float:
+        """One projector application per request (or the head's own prompt encode)."""
+        if not self.config.use_target_kv:
+            return n_requests * cost.draft_prefill()
+        return n_requests * cost.projector() if self.projector is not None else 0.0
+
+    def step_ms(self, cost: CostModel, kv_lens: Sequence[int]) -> float:
+        """One batched head forward; a single row is :meth:`CostModel.aasd_step`."""
+        return cost.batched_aasd_step(kv_lens)
+
+    def rollback(self, hybrid: HybridKVCache) -> None:
+        """Drop the draft segment (a pointer decrement)."""
+        hybrid.clear_draft()
+
+    def absorb(self, hybrid: HybridKVCache, out, tokens: Sequence[int],
+               positions: np.ndarray, cost: CostModel,
+               rows: Optional[np.ndarray] = None) -> float:
+        """Move the verified tokens' KV into the context store.
+
+        A free by-product of verification: the forward's last-layer KV,
+        trimmed to the accepted prefix (or gathered along the accepted
+        root path ``rows``).  Without target KV the head re-encodes them.
+        """
+        hybrid.clear_draft()
+        if self.config.use_target_kv:
+            k_new, v_new = out.last_layer_kv
+            keep = slice(len(tokens)) if rows is None else rows
+            hybrid.append_context(
+                k_new.data[:, :, keep, :], v_new.data[:, :, keep, :], positions, SEGMENT_TEXT
+            )
+            return 0.0
+        k_own, v_own = self.self_encode(np.asarray(tokens, dtype=np.int64), positions)
+        hybrid.append_context(k_own, v_own, positions, SEGMENT_TEXT)
+        return cost.draft_sync(len(tokens))
+
+    def check(self, hybrid: HybridKVCache) -> None:
+        """Structural and numeric invariants of the hybrid cache."""
+        check_hybrid_cache(hybrid)
+
     def build_context(self, target_cache, hybrid: HybridKVCache) -> None:
         """Populate the hybrid cache from the target's last-layer KV.
 
@@ -242,8 +325,6 @@ class AASDDraftHead(Module):
         token_id: int,
         position: int,
         hybrid: HybridKVCache,
-        disable_image_kv: bool = False,
-        disable_text_kv: bool = False,
         request_id: Optional[str] = None,
     ) -> np.ndarray:
         """One draft step: returns next-token logits ``(vocab,)``.
@@ -261,8 +342,7 @@ class AASDDraftHead(Module):
         """
         del request_id
         return self._tree_step(
-            token_id, position, hybrid, tuple(range(hybrid.draft_len)),
-            disable_image_kv, disable_text_kv,
+            token_id, position, hybrid, tuple(range(hybrid.draft_len))
         )
 
     # ------------------------------------------------------------------
@@ -295,8 +375,6 @@ class AASDDraftHead(Module):
         position: int,
         hybrid: HybridKVCache,
         ancestor_rows: Tuple[int, ...],
-        disable_image_kv: bool,
-        disable_text_kv: bool,
     ) -> np.ndarray:
         """One draft forward: a tree-node expansion, or a chain :meth:`step`.
 
@@ -315,8 +393,7 @@ class AASDDraftHead(Module):
         """
         if not is_grad_enabled():
             return self._infer_rows(
-                [token_id], [position], [hybrid], disable_image_kv,
-                disable_text_kv, ancestor_rows=[ancestor_rows],
+                [token_id], [position], [hybrid], ancestor_rows=[ancestor_rows]
             )[0]
         positions = np.asarray([position], dtype=np.int64)
         x = self.embed(np.asarray([[token_id]], dtype=np.int64))
@@ -324,7 +401,7 @@ class AASDDraftHead(Module):
         q, k, v = self.qkv(h, positions)
 
         ctx_k, ctx_v, key_pos, key_blocked = hybrid.gather(
-            disable_image_kv=disable_image_kv, disable_text_kv=disable_text_kv
+            disable_image_kv=self.disable_image_kv, disable_text_kv=self.disable_text_kv
         )
         rows = list(ancestor_rows)
         if rows == list(range(hybrid.draft_len)):
@@ -363,8 +440,6 @@ class AASDDraftHead(Module):
         max_branch: int = 2,
         max_nodes: int = 12,
         entropy_scale: float = 1.0,
-        disable_image_kv: bool = False,
-        disable_text_kv: bool = False,
         request_id: Optional[str] = None,
         on_step=None,
     ):
@@ -386,7 +461,7 @@ class AASDDraftHead(Module):
         with the number of keys that forward attends (context + ancestors
         + itself), so callers can charge draft cost in the linear path's
         charge-then-step order; for a chain the sequence of ``kv_len``
-        values equals the linear path's ``total_len + 1`` charges exactly.
+        values equals the linear path's ``seq_len + 1`` charges exactly.
         ``request_id`` is accepted for wrapper parity with :meth:`step`
         and ignored.
 
@@ -403,10 +478,7 @@ class AASDDraftHead(Module):
             """Expand one node and recurse into its children, DFS preorder."""
             if on_step is not None:
                 on_step(hybrid.context_len + len(ancestor_rows) + 1)
-            logits = self._tree_step(
-                token, position + depth, hybrid, ancestor_rows,
-                disable_image_kv, disable_text_kv,
-            )
+            logits = self._tree_step(token, position + depth, hybrid, ancestor_rows)
             ensure_finite(logits, "draft logits")
             my_row = hybrid.draft_len - 1
             width = self._branch_width(logits, max_branch, entropy_scale)
@@ -437,8 +509,6 @@ class AASDDraftHead(Module):
         token_ids: Sequence[int],
         positions: Sequence[int],
         hybrids: Sequence[HybridKVCache],
-        disable_image_kv: bool = False,
-        disable_text_kv: bool = False,
         request_ids: Optional[Sequence[Optional[str]]] = None,
     ) -> List[np.ndarray]:
         """One *lockstep* draft step for B sessions; per-session logits.
@@ -459,17 +529,13 @@ class AASDDraftHead(Module):
                 f"step_packed arity mismatch: {len(token_ids)} tokens, "
                 f"{len(positions)} positions, {len(hybrids)} caches"
             )
-        return self._infer_rows(
-            token_ids, positions, hybrids, disable_image_kv, disable_text_kv
-        )
+        return self._infer_rows(token_ids, positions, hybrids)
 
     def _infer_rows(
         self,
         token_ids: Sequence[int],
         positions: Sequence[int],
         hybrids: Sequence[HybridKVCache],
-        disable_image_kv: bool,
-        disable_text_kv: bool,
         ancestor_rows: Optional[Sequence[Tuple[int, ...]]] = None,
     ) -> List[np.ndarray]:
         """The one no-grad draft step: B sessions, one token each.
@@ -502,6 +568,7 @@ class AASDDraftHead(Module):
         b = len(hybrids)
         pos = np.asarray(positions, dtype=np.int64)
         ids = np.asarray(token_ids, dtype=np.int64).reshape(b, 1)
+        disable_image_kv, disable_text_kv = self.disable_image_kv, self.disable_text_kv
         ablated = disable_image_kv or disable_text_kv
 
         xd = self.embed.weight.data[ids]

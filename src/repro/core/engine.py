@@ -14,6 +14,14 @@ This is the paper's Figure 2a pipeline:
    output* for the accepted tokens is appended to the draft context, so
    context maintenance costs nothing extra.
 
+One drafter seam: what is particular to the speculating module — its
+per-request state, how that is opened, stepped, rolled back and extended
+over a verified block, and what each costs on the simulated clock — sits
+behind :class:`~repro.decoding.speculative.Drafter`.  The engine runs the
+same round over whichever drafter it is handed as ``head``: the KV-reusing
+:class:`~repro.core.draft_head.AASDDraftHead` or an independent draft of
+Table 1, so every guarantee below covers the baselines too.
+
 One round: the loop is written once.  :meth:`AASDEngine.begin_batch` is
 the only prefill and :meth:`AASDEngine.step_batch` the only draft / verify
 / commit implementation; each advances B resumable per-request state
@@ -24,8 +32,8 @@ the solo GEMM shapes: :meth:`AASDEngine.begin` / :meth:`AASDEngine.step`
 are exactly that, :meth:`AASDEngine.decode` is the single-request loop on
 top, and the continuous-batching scheduler in :mod:`repro.serving` drives
 the same two calls at any width (``docs/serving.md``, "The model of
-batching").  Because *all* mutable decode state (target cache, hybrid
-cache, committed tokens, fault status, gamma controller, random stream)
+batching").  Because *all* mutable decode state (target cache, draft
+state, committed tokens, fault status, gamma controller, random stream)
 lives on the session, sessions are independent: a fault in one degrades or
 fails that request alone, and what one samples never depends on its
 batch-mates, on batch order or on batch width.
@@ -33,8 +41,8 @@ batch-mates, on batch order or on batch width.
 Fault tolerance: speculative decoding is lossless-with-fallback by
 construction — the target model alone can always finish a generation — so
 a broken drafter must only ever cost speed, never availability.  Every
-draft block is guarded against NaN/Inf logits, hybrid-cache invariant
-violations, and arbitrary draft-head exceptions.  On a fault the engine
+draft block is guarded against NaN/Inf logits, draft-state invariant
+violations, and arbitrary drafter exceptions.  On a fault the engine
 drops the block, takes one plain target step instead and, after
 ``max_draft_faults`` faults, disables the speculating module and decodes
 the rest autoregressively (with ``fallback_on_fault=False`` the fault is
@@ -64,27 +72,24 @@ from ..decoding.base import Decoder, commit_block, encode_prompt
 from ..decoding.cost_model import CostModel
 from ..decoding.metrics import BlockRecord, DecodeRecord
 from ..decoding.sampling import Sampler, SamplerConfig, logits_to_probs, speculative_verify
+from ..decoding.speculative import Drafter
 from ..decoding.tree import TreeDraft, accept_tree, tree_extra_blocked
 from ..errors import DecodingError
 from ..models.llava import MiniLlava
 from ..nn.tensor import no_grad
 from ..obs.logsetup import get_logger, log_exception
 from ..obs.tracing import Tracer, get_tracer
-from ..robustness.guards import check_hybrid_cache, ensure_finite
+from ..robustness.guards import ensure_finite
 from ..tokenizer import WordTokenizer
 from ..decoding.adaptive import FixedGamma, GammaController
 from ..utils.rng import derive
 from ..utils.timing import WallTimer
-from .draft_head import AASDDraftHead
-from .hybrid_cache import SEGMENT_TEXT, HybridKVCache
 from .kv_arena import ArenaStats, combined_stats
 
 __all__ = ["AASDEngineConfig", "AASDEngine", "DecodeSession", "StepReport"]
 
 logger = get_logger(__name__)
 
-FALLBACK_NONE = "none"
-FALLBACK_DEGRADED = "degraded"
 FALLBACK_TARGET_ONLY = "target-only"
 
 
@@ -94,11 +99,9 @@ class AASDEngineConfig:
 
     gamma: int = 3
     max_new_tokens: int = 64
-    disable_image_kv: bool = False   # Figure 4 ablation
-    disable_text_kv: bool = False    # Figure 4 ablation
     fallback_on_fault: bool = True   # degrade instead of raising on draft faults
     max_draft_faults: int = 3        # after this many faults, go target-only
-    guard_cache: bool = True         # validate hybrid-cache invariants per block
+    guard_cache: bool = True         # validate draft-state invariants per block
     # Tree speculation (repro.decoding.tree): draft a candidate *tree*
     # instead of a gamma-chain and verify every branch in one target
     # forward.  Greedy-only; with max_branch=1 the tree degenerates to
@@ -146,7 +149,9 @@ class DecodeSession:
     max_new_tokens: int                 #: per-request generation budget
     gamma_controller: GammaController   #: per-session speculation depth policy
     target_cache: object                #: the target model's KV cache
-    hybrid: HybridKVCache               #: the speculating module's hybrid cache
+    #: the drafter's per-request state, in the drafter's own format
+    #: (``None`` when opening it faulted and the session went target-only)
+    draft_state: object = None
     committed: List[int] = field(default_factory=list)  #: tokens emitted so far
     speculating: bool = True            #: False once speculation was disabled
     request_id: Optional[str] = None    #: serving-layer id (attribution)
@@ -163,14 +168,15 @@ class DecodeSession:
             or len(self.committed) >= self.max_new_tokens
         )
 
-    @property
-    def n_committed(self) -> int:
-        """Tokens emitted so far."""
-        return len(self.committed)
-
     def commit(self, accepted: Sequence[int], next_token: int) -> None:
         """Emit a verified block, cut at eos or the token budget, whichever is first."""
         commit_block(self.committed, accepted, next_token, self.eos, self.max_new_tokens)
+
+    @property
+    def kv_tokens(self) -> int:
+        """KV entries this request holds: target cache plus draft state."""
+        draft = self.draft_state
+        return self.target_cache.seq_len + (draft.seq_len if draft is not None else 0)
 
     def memory_stats(self) -> ArenaStats:
         """Arena copy/growth accounting over this session's two caches.
@@ -178,7 +184,7 @@ class DecodeSession:
         Tolerates non-arena (reference) cache implementations, which
         simply contribute nothing.
         """
-        return combined_stats(self.target_cache, self.hybrid)
+        return combined_stats(self.target_cache, self.draft_state)
 
 
 @dataclass
@@ -201,7 +207,7 @@ class _PackedDraftState:
     tokens: List[int] = field(default_factory=list)       #: drafted chain
     probs: List[np.ndarray] = field(default_factory=list)  #: its draft distributions
     tree: Optional[TreeDraft] = None                      #: drafted tree
-    kv_lens: List[int] = field(default_factory=list)      #: hybrid KV len per draft forward
+    kv_lens: List[int] = field(default_factory=list)      #: keys attended per draft forward
     draft_ms: float = 0.0           #: solo-priced draft charge (budget check)
     faulted: bool = False           #: a draft fault emptied this block
     failure: Optional[Exception] = None   #: the fault, when it is the session's outcome
@@ -228,25 +234,27 @@ class StepReport:
     """What one round did for one session, for batched cost grouping.
 
     The serving scheduler uses the step composition — how many tokens the
-    target forward fed and the hybrid-KV length of every draft-head step —
-    to charge the *batched* cost of a round to the server clock, while the
-    session's own :class:`DecodeRecord` keeps solo-priced attribution.
+    target forward fed, the KV length of every draft step and what the
+    drafter charged for absorbing the verified block — to charge the
+    *batched* cost of a round to the server clock, while the session's own
+    :class:`DecodeRecord` keeps solo-priced attribution.
     """
 
     kind: str                           #: ``"verify"``, ``"fallback"``, or ``"expired"``
     feed_size: int                      #: tokens fed to the target forward
-    draft_kv_lens: Tuple[int, ...]      #: hybrid KV length per draft-head step
+    draft_kv_lens: Tuple[int, ...]      #: keys attended per draft step
     n_accepted: int = 0                 #: draft tokens accepted (verify only)
     tree: bool = False                  #: the block was drafted as a tree
+    absorb_ms: float = 0.0              #: the drafter's charge for absorbing the block
 
 
 class AASDEngine(Decoder):
-    """Speculative decoding with the KV-reusing speculating module."""
+    """Speculative decoding: one round, over whichever drafter is passed as ``head``."""
 
     def __init__(
         self,
         target: MiniLlava,
-        head: AASDDraftHead,
+        head: Drafter,
         tokenizer: WordTokenizer,
         cost_model: CostModel,
         config: Optional[AASDEngineConfig] = None,
@@ -270,16 +278,12 @@ class AASDEngine(Decoder):
         )
         self._admissions = count()   # stream identity of requests without an id
         self._tracer = tracer
-        if head.config.n_vision_tokens != target.n_vision_tokens and head.config.use_target_kv:
-            raise DecodingError(
-                f"draft head expects {head.config.n_vision_tokens} vision tokens, "
-                f"target produces {target.n_vision_tokens}"
-            )
+        head.check_target(target)
 
     @property
     def name(self) -> str:
-        """Table label of this decoder."""
-        return "ours"
+        """Table label of this decoder: its drafter's (``ours``, ``sd(ft-llama)``)."""
+        return self.head.name
 
     @property
     def tracer(self) -> Tracer:
@@ -301,24 +305,6 @@ class AASDEngine(Decoder):
             return derive(self._stream_seed, f"admission:{next(self._admissions)}")
         return derive(self._stream_seed, f"request:{request_id}")
 
-    def _build_context(self, target_cache, hybrid: HybridKVCache, prompt_ids, n_vis: int,
-                       record: DecodeRecord) -> float:
-        """Build the draft context; returns the simulated ms charged."""
-        charged = 0.0
-        if self.head.config.use_target_kv:
-            self.head.build_context(target_cache, hybrid)
-            if self.head.projector is not None:
-                charged += record.charge_sim(self.cost_model.projector(), "prefill")
-        else:
-            # Figure 3 ablation: the head encodes the prompt itself.
-            positions = n_vis + np.arange(len(prompt_ids), dtype=np.int64)
-            k_own, v_own = self.head.self_encode(prompt_ids, positions)
-            hybrid.append_context(k_own, v_own, positions, SEGMENT_TEXT)
-            charged += record.charge_sim(self.cost_model.draft_prefill(), "prefill")
-        if self.config.guard_cache:
-            check_hybrid_cache(hybrid)
-        return charged
-
     def _disable_speculation(self, session: DecodeSession, reason: str) -> None:
         """Turn a session target-only after repeated / unrecoverable faults."""
         session.speculating = False
@@ -334,10 +320,10 @@ class AASDEngine(Decoder):
             },
         )
 
-    def _charge_draft_step(self, state: _PackedDraftState, sp, kv_len: int) -> None:
-        """Solo-price one draft-head forward over ``kv_len`` keys *before* it runs."""
+    def _charge_draft_forward(self, state: _PackedDraftState, sp, kv_len: int) -> None:
+        """Solo-price one draft forward over ``kv_len`` keys *before* it runs."""
         step_ms = state.session.record.charge_sim(
-            self.cost_model.aasd_step(kv_len), "draft"
+            self.head.step_ms(self.cost_model, (kv_len,)), "draft"
         )
         sp.add_sim_ms(step_ms)
         state.draft_ms += step_ms
@@ -359,10 +345,10 @@ class AASDEngine(Decoder):
         state.probs = []
         state.tree = None
         state.faulted = True
-        # The draft segment may be poisoned; the context store is
-        # target-provided and still trusted (the fallback step that
-        # follows re-validates it).
-        session.hybrid.clear_draft()
+        # The speculated block may be poisoned; what the state held
+        # before it is still trusted (the fallback step that follows
+        # re-validates it).
+        self.head.rollback(session.draft_state)
         if not cfg.fallback_on_fault:
             state.failure = exc
             return
@@ -373,47 +359,33 @@ class AASDEngine(Decoder):
                 session, f"{session.record.n_draft_faults} draft faults"
             )
 
-    def _append_committed_kv(self, session: DecodeSession, out, last: int, accepted,
-                             keep: int, last_pos: int, category: str, sp,
-                             rows: Optional[np.ndarray] = None) -> None:
-        """Context maintenance after a verify (or fallback) target forward.
+    def _absorb(self, session: DecodeSession, out, tokens: Sequence[int], last_pos: int,
+                category: str, sp, rows: Optional[np.ndarray] = None) -> float:
+        """Draft-state maintenance after a verify (or fallback) target forward.
 
-        ``rows`` selects which fed rows were accepted when the feed was a
-        candidate tree (acceptance is a root path, not a prefix, so the
-        kept rows need not be contiguous); ``None`` keeps the linear
-        behavior of taking the first ``keep`` rows.
+        ``tokens`` are the fed tokens now committed (the anchor at
+        ``last_pos``, then the accepted drafts); ``rows`` selects which
+        fed rows they were when the feed was a candidate tree (a root
+        path need not be contiguous), ``None`` meaning the first
+        ``len(tokens)``.  Returns what the drafter charged for it.
 
-        This is the one guard around the append: failing to extend the
-        draft context never loses the tokens the target just produced.
+        This is the one guard around the absorb: failing to extend the
+        draft state never loses the tokens the target just produced.
         With ``fallback_on_fault`` the session goes target-only and the
         caller commits as usual; without it the exception is the
         session's outcome.
         """
         cfg = self.config
-        hybrid = session.hybrid
-        positions = last_pos + np.arange(keep, dtype=np.int64)
+        state = session.draft_state
+        positions = last_pos + np.arange(len(tokens), dtype=np.int64)
         try:
-            if self.head.config.use_target_kv:
-                # Free by-product of verification: last-layer KV of the fed
-                # tokens, trimmed to the accepted prefix (or gathered along
-                # the accepted root path).
-                k_new, v_new = out.last_layer_kv
-                if rows is None:
-                    k_keep = k_new.data[:, :, :keep, :]
-                    v_keep = v_new.data[:, :, :keep, :]
-                else:
-                    k_keep = k_new.data[:, :, rows, :]
-                    v_keep = v_new.data[:, :, rows, :]
-                hybrid.append_context(k_keep, v_keep, positions, SEGMENT_TEXT)
-            else:
-                emitted = np.asarray([last] + list(accepted), dtype=np.int64)
-                k_own, v_own = self.head.self_encode(emitted, positions)
-                hybrid.append_context(k_own, v_own, positions, SEGMENT_TEXT)
-                session.record.charge_sim(self.cost_model.draft_sync(keep), category)
+            ms = self.head.absorb(state, out, tokens, positions, self.cost_model, rows=rows)
+            sp.add_sim_ms(session.record.charge_sim(ms, category))
             # A fallback step follows a block with no (clean) draft-phase
-            # guard, so the context store is re-validated here.
+            # guard, so the state is re-validated here.
             if category == "fallback" and cfg.guard_cache:
-                check_hybrid_cache(hybrid)
+                self.head.check(state)
+            return ms
         except Exception as exc:  # degrade to plain decode
             if not cfg.fallback_on_fault:
                 raise
@@ -422,6 +394,7 @@ class AASDEngine(Decoder):
             session.record.note_fault(f"context maintenance failed: {exc}")
             sp.set_attr("fault", str(exc))
             self._disable_speculation(session, "context maintenance failed")
+            return 0.0
 
     # ------------------------------------------------------------------
     # Session API: begin_batch / step_batch / finish are the implementation;
@@ -497,7 +470,7 @@ class AASDEngine(Decoder):
                       max_new_tokens: Optional[int], request_id: Optional[str],
                       target_cache, last_logits: np.ndarray,
                       sp) -> Union[DecodeSession, Exception]:
-        """Charge one request's prefill, build its draft context, emit token 1.
+        """Charge one request's prefill, open its draft state, emit token 1.
 
         What this raises is the request's outcome, not its batch-mates'.
         """
@@ -512,7 +485,6 @@ class AASDEngine(Decoder):
                 controller = self.gamma_controller
             sp.add_sim_ms(record.charge_sim(self.cost_model.target_prefill(), "prefill"))
             record.count_target_forward()
-            hybrid = HybridKVCache(self.head.config.n_heads, self.head.config.head_dim)
             session = DecodeSession(
                 sample=sample,
                 record=record,
@@ -522,15 +494,17 @@ class AASDEngine(Decoder):
                 max_new_tokens=max_new_tokens or cfg.max_new_tokens,
                 gamma_controller=controller,
                 target_cache=target_cache,
-                hybrid=hybrid,
                 request_id=request_id,
                 rng=self._request_stream(request_id),
             )
             try:
+                session.draft_state = self.head.open(sample, prompt_ids, target_cache)
                 sp.add_sim_ms(
-                    self._build_context(target_cache, hybrid, prompt_ids, n_vis, record)
+                    record.charge_sim(self.head.prefill_ms(self.cost_model), "prefill")
                 )
-            except Exception as exc:  # any head fault degrades, never aborts
+                if cfg.guard_cache:
+                    self.head.check(session.draft_state)
+            except Exception as exc:  # any drafter fault degrades, never aborts
                 if not cfg.fallback_on_fault:
                     raise
                 log_exception(logger, "context_build_fault", exc, request_id=request_id)
@@ -570,9 +544,9 @@ class AASDEngine(Decoder):
         runs cu-seqlen-packed (:meth:`MiniLlava.prefill_batch`), bitwise
         token-identical to B one-request prefills.  The round is traced
         as one ``prefill`` span; each record is charged the solo
-        ``target_prefill`` price, then its projector / draft-prefill
-        share, and each session's draft context is built from its own
-        target cache.
+        ``target_prefill`` price, then its drafter's own prefill share,
+        and each session's draft state is opened from its own target
+        cache.
         """
         n = len(samples)
         recs = list(records) if records is not None else [None] * n
@@ -653,14 +627,14 @@ class AASDEngine(Decoder):
            breaker uses it to flip a batch target-only temporarily, so
            speculation can resume the moment it re-closes.
         2. **Draft lane**, one ``draft`` span — chains are drafted in
-           lockstep through :meth:`AASDDraftHead.step_packed` (one
-           ``(B, 1, D)`` kernel set per draft position, rows dropping out
-           as their gamma is reached or a fault ends their block); trees
-           (:attr:`tree_ready`) grow per session through
+           lockstep through the drafter's ``step_packed`` (for the AASD
+           head one ``(B, 1, D)`` kernel set per draft position, rows
+           dropping out as their gamma is reached or a fault ends their
+           block); trees (:attr:`tree_ready`) grow per session through
            :meth:`AASDDraftHead.draft_tree`, tree growth being
            data-dependent.  Each draft forward is charged to its
            session's record, solo-priced, before it runs.  A draft fault
-           — NaN/Inf logits, a cache-invariant violation, an exception in
+           — NaN/Inf logits, a draft-state invariant violation, an exception in
            a row's slot of ``step_packed``'s result, or one raised by the
            head (which faults every row active at that position) — ends
            that session's block by the one rule of :meth:`_draft_fault`.
@@ -718,7 +692,7 @@ class AASDEngine(Decoder):
                 for st in states:
                     if self.config.guard_cache and not st.faulted:
                         try:
-                            check_hybrid_cache(st.session.hybrid)
+                            self.head.check(st.session.draft_state)
                         except Exception as exc:
                             log_exception(logger, "draft_fault", exc,
                                           request_id=st.session.request_id,
@@ -733,7 +707,7 @@ class AASDEngine(Decoder):
                         # scheduler retires the session as timed out
                         # without another round.
                         sp.set_attr("expired", True)
-                        st.session.hybrid.clear_draft()
+                        self.head.rollback(st.session.draft_state)
                         outcomes[st.slot] = StepReport(
                             kind="expired", feed_size=0,
                             draft_kv_lens=tuple(st.kv_lens), tree=tree,
@@ -788,8 +762,8 @@ class AASDEngine(Decoder):
         """One plain autoregressive target step under a ``fallback`` span.
 
         While the session still speculates (a forced step, or a block
-        whose draft came up empty) the forward's last-layer KV keeps the
-        draft context in sync for the next block.  What the step raises
+        whose draft came up empty) the drafter absorbs the forward, so
+        its state is in sync for the next block.  What the step raises
         is the session's outcome, not its batch-mates'.
         """
         try:
@@ -806,14 +780,16 @@ class AASDEngine(Decoder):
                 record.count_target_forward()
                 record.count_fallback_step()
                 token = self.sampler.sample(out.logits.data[0, -1], rng=session.rng)
+                absorb_ms = 0.0
                 if session.speculating:
-                    self._append_committed_kv(
-                        session, out, last, (), 1,
+                    absorb_ms = self._absorb(
+                        session, out, (last,),
                         session.gen_base + len(committed) - 1, "fallback", sp,
                     )
                 committed.append(token)
                 return StepReport(
-                    kind="fallback", feed_size=1, draft_kv_lens=draft_kv_lens, tree=tree
+                    kind="fallback", feed_size=1, draft_kv_lens=draft_kv_lens,
+                    tree=tree, absorb_ms=absorb_ms,
                 )
         except Exception as exc:  # isolate the fault to this session
             log_exception(logger, "step_fault", exc, request_id=session.request_id)
@@ -821,20 +797,17 @@ class AASDEngine(Decoder):
 
     def _draft_chains(self, states: Sequence[_PackedDraftState], sp) -> None:
         """Draft every session's gamma-chain in lockstep, one position at a time."""
-        cfg = self.config
         for depth in range(max(st.gamma for st in states)):
             active = [st for st in states if st.gamma > depth and not st.faulted]
             if not active:
                 break
             for st in active:
-                self._charge_draft_step(st, sp, st.session.hybrid.total_len + 1)
+                self._charge_draft_forward(st, sp, st.session.draft_state.seq_len + 1)
             try:
                 logit_rows = self.head.step_packed(
                     [st.token for st in active],
                     [st.pos for st in active],
-                    [st.session.hybrid for st in active],
-                    disable_image_kv=cfg.disable_image_kv,
-                    disable_text_kv=cfg.disable_text_kv,
+                    [st.session.draft_state for st in active],
                     request_ids=[st.session.request_id for st in active],
                 )
             except Exception as exc:  # faults every active row
@@ -872,15 +845,13 @@ class AASDEngine(Decoder):
                 st.tree = self.head.draft_tree(
                     st.last,
                     st.last_pos,
-                    st.session.hybrid,
+                    st.session.draft_state,
                     gamma=st.gamma,
                     max_branch=cfg.tree_max_branch,
                     max_nodes=cfg.tree_max_nodes,
                     entropy_scale=cfg.tree_entropy_scale,
-                    disable_image_kv=cfg.disable_image_kv,
-                    disable_text_kv=cfg.disable_text_kv,
                     request_id=st.session.request_id,
-                    on_step=partial(self._charge_draft_step, st, sp),
+                    on_step=partial(self._charge_draft_forward, st, sp),
                 )
             except Exception as exc:  # any head fault degrades, never aborts
                 log_exception(logger, "draft_fault", exc,
@@ -942,9 +913,8 @@ class AASDEngine(Decoder):
             )
         )
         session.gamma_controller.update(outcome.n_accepted, depth)
-        session.hybrid.clear_draft()
-        self._append_committed_kv(
-            session, out, state.last, outcome.accepted, keep, state.last_pos,
+        absorb_ms = self._absorb(
+            session, out, (state.last, *outcome.accepted), state.last_pos,
             "verify", sp, rows=rows,
         )
         session.commit(outcome.accepted, outcome.next_token)
@@ -954,6 +924,7 @@ class AASDEngine(Decoder):
             draft_kv_lens=tuple(state.kv_lens),
             n_accepted=outcome.n_accepted,
             tree=tree is not None,
+            absorb_ms=absorb_ms,
         )
 
     def finish(self, session: DecodeSession) -> DecodeRecord:

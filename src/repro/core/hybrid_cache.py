@@ -13,7 +13,7 @@ can mask a modality at attention time.
 
 Storage is a single :class:`~repro.utils.arena.Arena` lane pair per array
 with the context occupying ``[0, context_len)`` and the draft segment the
-tail ``[context_len, total_len)``.  Because the engine only ever appends
+tail ``[context_len, seq_len)``.  Because the engine only ever appends
 context while the draft segment is empty (cleared after every verify),
 both lanes share one buffer, and the old per-``gather`` rebuild — five
 ``np.concatenate`` calls over the *entire* context on every draft step —
@@ -78,7 +78,7 @@ class HybridKVCache:
         return len(self._k) - self._ctx_len
 
     @property
-    def total_len(self) -> int:
+    def seq_len(self) -> int:
         """Total attended KV length: context plus current draft segment."""
         return len(self._k)
 
@@ -169,7 +169,7 @@ class HybridKVCache:
         key = (disable_image_kv, disable_text_kv)
         blocked = self._blocked.get(key)
         if blocked is None:
-            blocked = np.zeros(self.total_len, dtype=bool)
+            blocked = np.zeros(self.seq_len, dtype=bool)
             if disable_image_kv or disable_text_kv:
                 seg = self._seg.view()[: self._ctx_len]
                 if disable_image_kv:

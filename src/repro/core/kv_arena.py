@@ -38,7 +38,7 @@ class BlockTable:
     A ``BlockTable`` wraps an ordered sequence of per-request caches —
     either layered target caches (``KVCache`` / ``ReferenceKVCache``:
     anything with ``seq_len``, ``layer(i)`` and ``positions``) or draft
-    hybrid caches (``HybridKVCache``-likes with ``total_len`` and
+    hybrid caches (``HybridKVCache``-likes with ``seq_len`` and
     ``gather``) — and exposes the batch as ragged *blocks*: request
     ``i``'s KV is block ``i``, addressed by the same cu-seqlen offsets
     that index the packed activation tensor.
@@ -66,11 +66,8 @@ class BlockTable:
         return len(self._caches)
 
     def seq_lens(self) -> List[int]:
-        """Current per-request KV lengths (``seq_len`` or ``total_len``)."""
-        return [
-            int(c.seq_len) if hasattr(c, "seq_len") else int(c.total_len)
-            for c in self._caches
-        ]
+        """Current per-request KV lengths."""
+        return [int(c.seq_len) for c in self._caches]
 
     def cu_seqlens(self) -> np.ndarray:
         """Cu-seqlen offsets over the current per-request KV lengths."""

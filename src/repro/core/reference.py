@@ -152,7 +152,7 @@ class ReferenceHybridKVCache:
         return self._draft_k.shape[2]
 
     @property
-    def total_len(self) -> int:
+    def seq_len(self) -> int:
         """Total attended KV length: context plus current draft segment."""
         return self.context_len + self.draft_len
 

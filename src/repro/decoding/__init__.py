@@ -2,7 +2,7 @@
 
 from .adaptive import AdaptiveGamma, FixedGamma, GammaController
 from .autoregressive import AutoregressiveDecoder
-from .base import Decoder, encode_prompt, trim_at_eos
+from .base import Decoder, encode_prompt
 from .cost_model import PROFILES, CostModel, CostProfile, get_profile
 from .metrics import BlockRecord, DecodeRecord, SpeedupReport, aggregate_metrics
 from .sampling import (
@@ -12,12 +12,7 @@ from .sampling import (
     logits_to_probs,
     speculative_verify,
 )
-from .speculative import (
-    IndependentDraft,
-    LlamaTextDraft,
-    LlavaDraft,
-    SpeculativeDecoder,
-)
+from .speculative import Drafter, LlamaTextDraft, LlavaDraft
 from .tree import TreeAcceptOutcome, TreeDraft, accept_tree, tree_extra_blocked
 
 __all__ = [
@@ -26,10 +21,8 @@ __all__ = [
     "AdaptiveGamma",
     "Decoder",
     "encode_prompt",
-    "trim_at_eos",
     "AutoregressiveDecoder",
-    "SpeculativeDecoder",
-    "IndependentDraft",
+    "Drafter",
     "LlamaTextDraft",
     "LlavaDraft",
     "CostModel",

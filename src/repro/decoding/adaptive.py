@@ -4,9 +4,9 @@ The paper fixes the speculation depth gamma per run (3 or 5).  A natural
 extension — explored by follow-up SD work ("Decoding Speculative Decoding",
 Yan et al. 2024) — is to adapt gamma online: when recent draft tokens are
 being accepted, speculate deeper; after rejections, back off.  This module
-provides pluggable controllers that both :class:`SpeculativeDecoder` and
-:class:`AASDEngine` accept, plus an ablation benchmark target
-(``benchmarks/bench_ablation_gamma.py``).
+provides the pluggable controllers :class:`~repro.core.engine.AASDEngine`
+accepts — per engine or per session, whichever drafter it runs — plus an
+ablation benchmark target (``benchmarks/bench_ablation_gamma.py``).
 """
 
 from __future__ import annotations

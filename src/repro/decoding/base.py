@@ -1,4 +1,4 @@
-"""Decoder interface shared by the AR baseline, generic SD, and AASD."""
+"""Decoder interface shared by the AR baseline and the speculative engine."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from ..data.tasks import MultimodalSample
 from ..tokenizer import WordTokenizer
 from .metrics import DecodeRecord
 
-__all__ = ["Decoder", "encode_prompt", "trim_at_eos", "commit_block"]
+__all__ = ["Decoder", "encode_prompt", "commit_block"]
 
 
 def encode_prompt(tokenizer: WordTokenizer, sample: MultimodalSample) -> np.ndarray:
@@ -19,13 +19,6 @@ def encode_prompt(tokenizer: WordTokenizer, sample: MultimodalSample) -> np.ndar
     return np.asarray(
         [tokenizer.vocab.bos_id] + tokenizer.encode(sample.prompt), dtype=np.int64
     )
-
-
-def trim_at_eos(token_ids: List[int], eos_id: int) -> List[int]:
-    """Cut the sequence after the first eos (inclusive)."""
-    if eos_id in token_ids:
-        return token_ids[: token_ids.index(eos_id) + 1]
-    return token_ids
 
 
 def commit_block(committed: List[int], accepted: Sequence[int], next_token: int,

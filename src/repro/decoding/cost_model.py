@@ -192,11 +192,7 @@ class CostModel:
 
     def aasd_step(self, kv_len: int) -> float:
         """One draft-head step attending over ``kv_len`` hybrid KV tokens."""
-        if kv_len < 0:
-            raise ConfigError(f"kv_len must be >= 0, got {kv_len}")
-        extra = max(0, kv_len - self.profile.aasd_reference_kv)
-        frac = self.profile.aasd_step_frac + self.profile.aasd_per_kv_token_frac * extra
-        return frac * self.profile.target_step_ms
+        return self.batched_aasd_step((kv_len,))
 
     # -- batched serving (one forward shared by several requests) ---------
     def batched_prefill(self, n_requests: int) -> float:

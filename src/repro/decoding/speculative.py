@@ -1,259 +1,221 @@
-"""Generic draft-then-verify speculative decoding with independent drafts.
+"""The drafter seam, and the independent drafts of the paper's Table 1.
 
-This is the conventional SD pipeline the paper compares against: a separate
-small model (language-only LLaMA or a tiny LLaVA) proposes gamma tokens, the
-target verifies them in one parallel forward, and both models keep their own
-KV caches in sync.  The AASD engine in :mod:`repro.core.engine` replaces the
-independent draft with the KV-reusing speculating module.
+Speculative decoding has one loop in this repository —
+:meth:`repro.core.engine.AASDEngine.step_batch`: draft, verify, commit — and
+one place where the rows of Table 1 differ: *who drafts*.  :class:`Drafter`
+names what the round needs from that module.  It is implemented exactly
+twice: the KV-reusing :class:`~repro.core.draft_head.AASDDraftHead`, and
+here the conventional pipeline the paper compares against — a separate
+small model (language-only LLaMA, or a tiny LLaVA) drafting from its own
+KV cache.  Which one an engine runs is decided by the object passed as its
+``head``, and by nothing else.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..data.tasks import MultimodalSample
-from ..errors import DecodingError
+from ..models.kv_cache import KVCache
 from ..models.llama import MiniLlama
 from ..models.llava import MiniLlava
-from ..nn.tensor import no_grad
-from ..obs.tracing import Tracer, get_tracer
-from ..tokenizer import WordTokenizer
-from ..utils.rng import derive
-from ..utils.timing import WallTimer
-from .adaptive import FixedGamma, GammaController
-from .base import Decoder, commit_block, encode_prompt
+from ..utils.arena import ArenaStats
 from .cost_model import CostModel
-from .metrics import BlockRecord, DecodeRecord
-from .sampling import Sampler, SamplerConfig, logits_to_probs, speculative_verify
 
-__all__ = ["IndependentDraft", "LlamaTextDraft", "LlavaDraft", "SpeculativeDecoder"]
+__all__ = ["Drafter", "LlamaTextDraft", "LlavaDraft"]
 
 
-class IndependentDraft(ABC):
-    """A separate small model proposing draft tokens with its own cache.
+class Drafter(ABC):
+    """What one decode round needs from a speculating module.
 
-    Invariant maintained by the decoder: after :meth:`begin` or
-    :meth:`commit`, the draft's cache covers every committed token *except
-    the most recent one*, which is always fed at the start of the next
-    :meth:`propose` call.
+    A drafter is shared by every request of an engine and keeps nothing
+    per request: :meth:`open` returns the request's *draft state*, the
+    engine keeps it on the session and hands it back to every later call.
+    A state's format is its drafter's business; the engine reads only
+    ``state.seq_len`` (keys the next step attends before its own) and, if
+    present, ``state.arena_stats()``.
+
+    The drafter also prices itself on the simulated clock, so neither the
+    engine nor the scheduler knows which cost family a drafter bills.
     """
 
+    #: Table label of an engine running this drafter (``ours``, ``sd(ft-llama)``).
     name: str = "draft"
+    #: Whether tree rounds may call ``draft_tree`` (else the round drafts chains).
+    supports_tree: bool = False
+
+    def check_target(self, target: MiniLlava) -> None:
+        """Raise :class:`~repro.errors.DecodingError` if ``target`` cannot be served."""
 
     @abstractmethod
-    def begin(self, sample: MultimodalSample, prompt_ids: np.ndarray) -> None:
-        """Prime the draft's own context for a new sample."""
+    def open(self, sample: MultimodalSample, prompt_ids: np.ndarray, target_cache):
+        """Open one request's draft state from its finished target prefill."""
 
     @abstractmethod
-    def propose(
-        self, last_token: int, gamma: int, sampler: Sampler
-    ) -> Tuple[List[int], np.ndarray]:
-        """Draft ``gamma`` tokens; returns (tokens, per-token probs)."""
+    def prefill_ms(self, cost: CostModel, n_requests: int = 1) -> float:
+        """Simulated ms :meth:`open` costs ``n_requests`` requests, beyond the target prefill."""
 
     @abstractmethod
-    def commit(self, n_accepted: int, gamma: int, draft_tokens: List[int]) -> bool:
-        """Reconcile the cache after verification.
+    def step_packed(self, token_ids: Sequence[int], positions: Sequence[int],
+                    states: Sequence, request_ids: Optional[Sequence] = None) -> list:
+        """One lockstep draft step over B states; next-token logits per state.
 
-        Returns True when the draft had to run one extra forward (all
-        tokens accepted, so the cache was missing the last drafted token).
+        Bitwise what B one-state calls return.  A row's slot may hold an
+        ``Exception`` instead — that row's draft fault; raising faults
+        every row of the call.
         """
 
+    @abstractmethod
+    def step_ms(self, cost: CostModel, kv_lens: Sequence[int]) -> float:
+        """Simulated ms of one lockstep step whose rows attend ``kv_lens`` keys.
 
-class _CachedLMDraft(IndependentDraft):
-    """Shared cache logic for drafts backed by a causal-LM cache."""
-
-    def __init__(self) -> None:
-        self._cache = None
-        self._block_start = 0
+        One row is the solo price a request's record is charged; the rows
+        of a round are what the server clock is charged.
+        """
 
     @abstractmethod
-    def _prime_cache(self, sample: MultimodalSample, prompt_ids: np.ndarray) -> None:
-        """Build ``self._cache`` covering the sample context."""
+    def rollback(self, state) -> None:
+        """Drop the speculated, unverified block from ``state``."""
 
     @abstractmethod
-    def _forward_token(self, token: int) -> np.ndarray:
-        """Advance the cache by one token; return next-token logits."""
+    def absorb(self, state, out, tokens: Sequence[int], positions: np.ndarray,
+               cost: CostModel, rows: Optional[np.ndarray] = None) -> float:
+        """Extend ``state`` over a verified block; returns the simulated ms it cost.
 
-    def begin(self, sample: MultimodalSample, prompt_ids: np.ndarray) -> None:
-        self._prime_cache(sample, prompt_ids)
-        self._block_start = self._cache.seq_len
+        ``tokens`` are the block's anchor and accepted drafts, now
+        committed, at absolute ``positions``; ``out`` is the target
+        forward that verified them and ``rows`` the fed rows they came
+        from (``None``: the first ``len(tokens)``).  Whatever else the
+        block speculated is dropped.
+        """
 
-    def propose(
-        self, last_token: int, gamma: int, sampler: Sampler
-    ) -> Tuple[List[int], np.ndarray]:
-        if gamma <= 0:
-            raise DecodingError(f"gamma must be positive, got {gamma}")
-        self._block_start = self._cache.seq_len
-        tokens: List[int] = []
-        probs: List[np.ndarray] = []
-        token = last_token
-        for _ in range(gamma):
-            logits = self._forward_token(token)
-            probs.append(logits_to_probs(logits, sampler.config))
-            token = sampler.sample(logits)
-            tokens.append(token)
-        return tokens, np.stack(probs)
+    def check(self, state) -> None:
+        """Raise :class:`~repro.errors.GuardViolation` if ``state`` broke an invariant."""
 
-    def commit(self, n_accepted: int, gamma: int, draft_tokens: List[int]) -> bool:
-        # During propose the cache grew by gamma entries, covering
-        # [last_committed, d1 .. d_{gamma-1}] — d_gamma was sampled but
-        # never fed.
-        if n_accepted == gamma:
-            # Everything kept; feed d_gamma so the cache covers the full
-            # committed prefix before the next block.
-            self._forward_token(draft_tokens[-1])
-            return True
-        # Partial acceptance: keep [last] + the accepted prefix only.
-        self._cache.truncate(self._block_start + 1 + n_accepted)
-        return False
+
+@dataclass
+class _LMDraftState:
+    """An independent draft's own KV cache and its committed-prefix mark.
+
+    Between rounds the cache covers every committed token except the
+    newest, which the next block's first step feeds.
+    """
+
+    cache: KVCache
+    kept: int   #: cache rows covering committed tokens
+
+    @property
+    def seq_len(self) -> int:
+        """Keys the next draft step attends before its own."""
+        return self.cache.seq_len
+
+    def arena_stats(self) -> ArenaStats:
+        """Copy/growth accounting of the draft's cache."""
+        return self.cache.arena_stats()
+
+
+class _CachedLMDraft(Drafter):
+    """A separate causal LM drafting from its own cache, one row at a time.
+
+    Rows of a lockstep step run one by one, so a packed round equals the
+    sequential one by construction, and the round is priced as that many
+    solo draft steps.
+    """
+
+    def __init__(self, label: str) -> None:
+        self.name = f"sd({label})"
+
+    @abstractmethod
+    def _prime(self, sample: MultimodalSample, prompt_ids: np.ndarray) -> KVCache:
+        """A fresh cache covering the sample's context."""
+
+    @abstractmethod
+    def _forward(self, token: int, cache: KVCache) -> np.ndarray:
+        """Advance ``cache`` by one token; return next-token logits."""
+
+    def open(self, sample: MultimodalSample, prompt_ids: np.ndarray,
+             target_cache) -> _LMDraftState:
+        """Encode the context with the draft's own model; the target's cache is unused."""
+        del target_cache
+        cache = self._prime(sample, prompt_ids)
+        return _LMDraftState(cache, cache.seq_len)
+
+    def prefill_ms(self, cost: CostModel, n_requests: int = 1) -> float:
+        """Each request pays the draft model's own context prefill."""
+        return n_requests * cost.draft_prefill()
+
+    def step(self, token_id: int, position: int, state: _LMDraftState,
+             request_id: Optional[str] = None) -> np.ndarray:
+        """One draft forward for one request (fault-injecting wrappers hook this)."""
+        del position, request_id   # the cache carries its own positions
+        return self._forward(token_id, state.cache)
+
+    def step_packed(self, token_ids: Sequence[int], positions: Sequence[int],
+                    states: Sequence[_LMDraftState],
+                    request_ids: Optional[Sequence] = None) -> List[np.ndarray]:
+        """:meth:`step`, row by row."""
+        del request_ids
+        return [self.step(t, p, s) for t, p, s in zip(token_ids, positions, states)]
+
+    def step_ms(self, cost: CostModel, kv_lens: Sequence[int]) -> float:
+        """One solo draft step per row, whatever it attends."""
+        return len(kv_lens) * cost.draft_step()
+
+    def rollback(self, state: _LMDraftState) -> None:
+        """Truncate the cache back to the committed prefix."""
+        state.cache.truncate(state.kept)
+
+    def absorb(self, state: _LMDraftState, out, tokens: Sequence[int],
+               positions: np.ndarray, cost: CostModel,
+               rows: Optional[np.ndarray] = None) -> float:
+        """Keep the block's verified rows; feed the token the cache still lacks.
+
+        Drafting ``n`` tokens cached ``[anchor, d1 .. d_{n-1}]``, so only a
+        fully accepted block (or a fallback step, which drafted nothing)
+        is one token short: that forward is charged as one draft step.
+        """
+        del out, positions, rows   # nothing of the target's forward is reused
+        cache = state.cache
+        have = min(cache.seq_len - state.kept, len(tokens))
+        cache.truncate(state.kept + have)
+        ms = 0.0
+        for token in tokens[have:]:
+            self._forward(token, cache)
+            ms += cost.draft_step()
+        state.kept = cache.seq_len
+        return ms
 
 
 class LlamaTextDraft(_CachedLMDraft):
     """Language-only draft: never sees the image (Gagrani et al. style)."""
 
     def __init__(self, model: MiniLlama, label: str = "llama-draft") -> None:
-        super().__init__()
+        super().__init__(label)
         self.model = model
-        self.name = label
 
-    def _prime_cache(self, sample: MultimodalSample, prompt_ids: np.ndarray) -> None:
-        self._cache = self.model.new_cache()
-        self.model.forward(prompt_ids[None], cache=self._cache)
+    def _prime(self, sample: MultimodalSample, prompt_ids: np.ndarray) -> KVCache:
+        cache = self.model.new_cache()
+        self.model.forward(prompt_ids[None], cache=cache)
+        return cache
 
-    def _forward_token(self, token: int) -> np.ndarray:
-        out = self.model.forward(np.asarray([[token]]), cache=self._cache)
-        return out.logits.data[0, -1]
+    def _forward(self, token: int, cache: KVCache) -> np.ndarray:
+        return self.model.forward(np.asarray([[token]]), cache=cache).logits.data[0, -1]
 
 
 class LlavaDraft(_CachedLMDraft):
     """Tiny multimodal draft with its own vision tower."""
 
     def __init__(self, model: MiniLlava, label: str = "llava-draft") -> None:
-        super().__init__()
+        super().__init__(label)
         self.model = model
-        self.name = label
 
-    def _prime_cache(self, sample: MultimodalSample, prompt_ids: np.ndarray) -> None:
-        self._cache, _ = self.model.prefill(sample.image[None], prompt_ids[None])
+    def _prime(self, sample: MultimodalSample, prompt_ids: np.ndarray) -> KVCache:
+        cache, _ = self.model.prefill(sample.image[None], prompt_ids[None])
+        return cache
 
-    def _forward_token(self, token: int) -> np.ndarray:
-        out = self.model.decode(np.asarray([[token]]), self._cache)
-        return out.logits.data[0, -1]
-
-
-class SpeculativeDecoder(Decoder):
-    """Draft-then-verify decoding with an independent draft model."""
-
-    def __init__(
-        self,
-        target: MiniLlava,
-        draft: IndependentDraft,
-        tokenizer: WordTokenizer,
-        cost_model: CostModel,
-        gamma: int = 3,
-        max_new_tokens: int = 64,
-        sampler_config: Optional[SamplerConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        gamma_controller: Optional[GammaController] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self._tracer = tracer
-        if gamma <= 0:
-            raise DecodingError(f"gamma must be positive, got {gamma}")
-        self.target = target
-        self.draft = draft
-        self.tokenizer = tokenizer
-        self.cost_model = cost_model
-        self.gamma = gamma
-        self.gamma_controller = gamma_controller or FixedGamma(gamma)
-        self.max_new_tokens = max_new_tokens
-        sampler_config = sampler_config or SamplerConfig()
-        self.rng = rng if rng is not None else derive(sampler_config.seed, "speculative")
-        self.sampler = Sampler(sampler_config, rng=self.rng)
-
-    @property
-    def name(self) -> str:
-        return f"sd({self.draft.name})"
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
-
-    def decode(self, sample: MultimodalSample) -> DecodeRecord:
-        tracer = self.tracer
-        record = DecodeRecord()
-        prompt_ids = encode_prompt(self.tokenizer, sample)
-        eos = self.tokenizer.vocab.eos_id
-
-        with WallTimer() as timer, no_grad(), tracer.span(
-            "decode", decoder=self.name, n_prompt_tokens=len(prompt_ids)
-        ) as root:
-            with tracer.span("prefill") as sp:
-                target_cache, last_logits = self.target.prefill(
-                    sample.image[None], prompt_ids[None]
-                )
-                sp.add_sim_ms(record.charge_sim(self.cost_model.target_prefill(), "prefill"))
-                record.count_target_forward()
-                self.draft.begin(sample, prompt_ids)
-                sp.add_sim_ms(record.charge_sim(self.cost_model.draft_prefill(), "prefill"))
-
-                committed: List[int] = [self.sampler.sample(last_logits[0])]
-                self.gamma_controller.reset()
-
-            while committed[-1] != eos and len(committed) < self.max_new_tokens:
-                last = committed[-1]
-                with tracer.span("draft") as sp:
-                    gamma = self.gamma_controller.next_gamma()
-                    sp.set_attr("gamma", gamma)
-                    sp.set_attr("n_draft", gamma)
-                    draft_tokens, draft_probs = self.draft.propose(last, gamma, self.sampler)
-                    sp.add_sim_ms(record.charge_sim(
-                        gamma * self.cost_model.draft_step(), "draft"
-                    ))
-
-                # Verify: one parallel target forward over [last, d1..dγ].
-                with tracer.span("verify", n_draft=gamma) as sp:
-                    verify_start = target_cache.seq_len
-                    feed = np.asarray([[last] + draft_tokens], dtype=np.int64)
-                    out = self.target.decode(feed, target_cache)
-                    sp.add_sim_ms(record.charge_sim(
-                        self.cost_model.target_verify(gamma + 1), "verify"
-                    ))
-                    record.count_target_forward()
-
-                    outcome = speculative_verify(
-                        draft_tokens,
-                        draft_probs,
-                        out.logits.data[0],
-                        self.sampler.config,
-                        self.rng,
-                    )
-                    record.add_block(
-                        BlockRecord(
-                            n_draft=gamma,
-                            n_accepted=outcome.n_accepted,
-                            n_emitted=outcome.tokens_emitted,
-                        )
-                    )
-                    sp.set_attr("n_accepted", outcome.n_accepted)
-                    self.gamma_controller.update(outcome.n_accepted, gamma)
-
-                    # Target cache keeps [last] + accepted drafts only.
-                    target_cache.truncate(verify_start + 1 + outcome.n_accepted)
-                    synced = self.draft.commit(outcome.n_accepted, gamma, draft_tokens)
-                    if synced:
-                        sp.add_sim_ms(record.charge_sim(self.cost_model.draft_step(), "verify"))
-
-                    commit_block(committed, outcome.accepted, outcome.next_token,
-                                 eos, self.max_new_tokens)
-
-            root.set_attr("n_tokens", len(committed))
-            root.add_sim_ms(record.sim_time_ms)
-
-        record.token_ids = committed
-        record.wall_time_s = timer.elapsed
-        record.text = self.tokenizer.decode(committed)
-        return record
+    def _forward(self, token: int, cache: KVCache) -> np.ndarray:
+        return self.model.decode(np.asarray([[token]]), cache).logits.data[0, -1]

@@ -165,8 +165,10 @@ def _hash_unit(seed: int, tag: str) -> float:
 
 
 class FaultyDraftHead:
-    """Wraps an :class:`~repro.core.draft_head.AASDDraftHead`, injecting
-    faults into ``step`` on a deterministic schedule.
+    """Wraps a drafter (an :class:`~repro.core.draft_head.AASDDraftHead`,
+    or for the exception modes any
+    :class:`~repro.decoding.speculative.Drafter` with a per-request
+    ``step``), injecting faults into ``step`` on a deterministic schedule.
 
     Modes
     -----
@@ -208,8 +210,9 @@ class FaultyDraftHead:
     afflicted request faults at ``faults_per_request`` derived step
     indices within its first ``fault_horizon`` steps.
 
-    All other attributes delegate to the wrapped head, so the engine
-    cannot tell the difference until a fault fires.
+    All other attributes — the rest of the drafter seam included (``open``,
+    ``rollback``, ``absorb``, the prices) — delegate to the wrapped head, so
+    the engine cannot tell the difference until a fault fires.
     """
 
     MODES = ("nan-logits", "inf-logits", "raise", "latency", "arena-pressure",
@@ -333,8 +336,7 @@ class FaultyDraftHead:
         return np.full(self._head.config.vocab_size, fill, dtype=np.float64)
 
     def step_packed(self, token_ids: Sequence[int], positions: Sequence[int],
-                    hybrids: Sequence, disable_image_kv: bool = False,
-                    disable_text_kv: bool = False,
+                    hybrids: Sequence,
                     request_ids: Optional[Sequence[Optional[str]]] = None) -> list:
         """Lockstep draft step with the fault schedule applied row by row.
 
@@ -349,12 +351,7 @@ class FaultyDraftHead:
         rows: list = []
         for token_id, position, hybrid, rid in zip(token_ids, positions, hybrids, rids):
             try:
-                rows.append(self.step(
-                    token_id, position, hybrid,
-                    disable_image_kv=disable_image_kv,
-                    disable_text_kv=disable_text_kv,
-                    request_id=rid,
-                ))
+                rows.append(self.step(token_id, position, hybrid, request_id=rid))
             except Exception as exc:  # the row's fault, not the batch's
                 log_exception(logger, "draft_fault", exc,
                               request_id=rid, position=position)

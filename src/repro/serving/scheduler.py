@@ -20,11 +20,13 @@ Execution *and* pricing are batched.  Each round's prefills and verify
 forwards run as one cu-seqlen-packed set of fused GEMMs and its chain
 draft steps in ``(B, 1, D)`` lockstep — see ``docs/kernels.md`` — with
 outputs bitwise token-identical at every batch width, greedy or sampled.
-The **server clock** is charged as if each round's draft steps
-and target forwards ran as single batched GPU forwards, using the
-``batched_*`` prices of :class:`~repro.decoding.cost_model.CostModel`
-(memory-bound batching: base cost paid once per forward, per-token work
-summed, small per-sequence increment).  Each session's own
+The **server clock** is charged as if each round's target forwards ran
+as single batched GPU forwards, using the ``batched_*`` prices of
+:class:`~repro.decoding.cost_model.CostModel` (memory-bound batching:
+base cost paid once per forward, per-token work summed, small
+per-sequence increment); draft steps, draft prefills and block absorbs
+are priced by the engine's drafter — the AASD head bills one batched head
+forward per draft position, an independent draft one solo step per row.  Each session's own
 :class:`~repro.decoding.metrics.DecodeRecord` is still charged solo prices
 by the engine, so per-request attribution is identical to sequential
 decoding — and with one request in the system every round reduces exactly
@@ -472,7 +474,7 @@ class ContinuousBatchingScheduler:
         Only requests whose effective gamma matches the active batch are
         taken; incompatible ones stay queued until the batch drains.  The
         server clock is charged one *batched* prefill for all admissions
-        of this round, plus the per-request projector application.
+        of this round, plus the drafter's own prefill share of each.
         """
         free = self.config.max_batch_size - len(self._active)
         if free <= 0:
@@ -530,10 +532,9 @@ class ContinuousBatchingScheduler:
         if admitted:
             n_prefilled = len(admitted)
             cost = self.engine.cost_model
-            charge = cost.batched_prefill(n_prefilled)
-            head = self.engine.head
-            if head.config.use_target_kv and head.projector is not None:
-                charge += n_prefilled * cost.projector()
+            charge = cost.batched_prefill(n_prefilled) + self.engine.head.prefill_ms(
+                cost, n_prefilled
+            )
             self.clock.charge(charge, "prefill")
             span.add_sim_ms(charge)
             span.set_attr("n_admitted", n_prefilled)
@@ -634,10 +635,7 @@ class ContinuousBatchingScheduler:
             )
         if not reports:
             return
-        kv_tokens = sum(
-            e.session.target_cache.seq_len + e.session.hybrid.total_len
-            for e in self._active
-        )
+        kv_tokens = sum(e.session.kv_tokens for e in self._active)
         span.set_attr("kv_tokens", kv_tokens)
         get_registry().gauge("serving.kv_tokens").set(kv_tokens)
 
@@ -652,7 +650,9 @@ class ContinuousBatchingScheduler:
         """Price one round's draft steps + target forward on the server clock.
 
         Draft steps are grouped *by position*: position ``i`` of every
-        session that drafted that deep shares one batched head forward.
+        session that drafted that deep shares one lockstep draft step,
+        priced by the drafter (one batched head forward for the AASD
+        head, one solo step per row for an independent draft).
         For tree rounds "position" means *expansion index* — the i-th
         node each session's tree grew — which matches the solo charges
         exactly (every expansion is priced once) even though tree shapes
@@ -662,17 +662,20 @@ class ContinuousBatchingScheduler:
         :meth:`~repro.decoding.cost_model.CostModel.batched_tree_verify`,
         so a request's rejected branches are billed exactly once by the
         forward that fed them and never again at rollback (rollback is
-        free — rejected rows are never written).  With a single session
-        the charges reduce exactly to the engine's own solo prices, so a
-        batch of one costs the same as sequential decoding.
+        free — rejected rows are never written).  What each drafter
+        charged for absorbing its verified block rides in the same
+        category.  With a single session the charges reduce exactly to
+        the engine's own solo prices, so a batch of one costs the same
+        as sequential decoding.
         """
         cost = self.engine.cost_model
+        head = self.engine.head
         charged = 0.0
         drafted = [r.draft_kv_lens for r in reports if r.draft_kv_lens]
         for lens_at_pos in zip_longest(*drafted):
             lens = [kv for kv in lens_at_pos if kv is not None]
             if lens:
-                ms = cost.batched_aasd_step(lens)
+                ms = head.step_ms(cost, lens)
                 self.clock.charge(ms, "draft")
                 charged += ms
         # Expired sessions drafted but never fed the target (feed_size 0):
@@ -681,15 +684,16 @@ class ContinuousBatchingScheduler:
         if len(reports) == 1 and reports[0].kind == "fallback":
             # Solo fallback: keep exact parity with sequential decoding,
             # which prices a plain target step (not a 1-token verify).
-            ms = cost.target_step()
-            self.clock.charge(ms, "fallback")
-            charged += ms
+            forward_ms, category = cost.target_step(), "fallback"
         elif feeds:
-            if any(r.tree for r in reports):
-                ms = cost.batched_tree_verify(feeds)
-            else:
-                ms = cost.batched_verify(feeds)
-            self.clock.charge(ms, "verify")
+            forward_ms, category = (
+                cost.batched_tree_verify(feeds) if any(r.tree for r in reports)
+                else cost.batched_verify(feeds)
+            ), "verify"
+        else:
+            return charged
+        for ms in (forward_ms, sum(r.absorb_ms for r in reports)):
+            self.clock.charge(ms, category)
             charged += ms
         return charged
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.engine as engine_mod
+import repro.core.draft_head as draft_head_mod
 import repro.models.llama as llama_mod
 from repro.core import AASDDraftHead, AASDEngine, AASDEngineConfig, DraftHeadConfig
 from repro.core.reference import ReferenceHybridKVCache, ReferenceKVCache
@@ -63,7 +63,7 @@ def _engine(world, seed=7, gamma=3):
 def _with_reference_caches(monkeypatch):
     """Swap both KV stores for the pre-arena reference implementations."""
     monkeypatch.setattr(llama_mod, "KVCache", ReferenceKVCache)
-    monkeypatch.setattr(engine_mod, "HybridKVCache", ReferenceHybridKVCache)
+    monkeypatch.setattr(draft_head_mod, "HybridKVCache", ReferenceHybridKVCache)
 
 
 def test_solo_decode_token_identical(world, monkeypatch):

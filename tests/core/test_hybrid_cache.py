@@ -26,7 +26,7 @@ class TestAppend:
         cache.append_context(k, v, np.arange(3), SEGMENT_VISION)
         cache.append_context(*kv(2, seed=1), positions=np.array([10, 11]), segment=SEGMENT_TEXT)
         assert cache.context_len == 5
-        assert cache.total_len == 5
+        assert cache.seq_len == 5
         assert cache.segment_counts() == (3, 2)
 
     def test_draft_grows_and_clears(self, cache):
@@ -34,7 +34,7 @@ class TestAppend:
         assert cache.draft_len == 2
         cache.clear_draft()
         assert cache.draft_len == 0
-        assert cache.total_len == 0
+        assert cache.seq_len == 0
 
     def test_bad_segment(self, cache):
         with pytest.raises(ShapeError):

@@ -128,7 +128,7 @@ def test_hybrid_cache_matches_reference(seed, ops):
         elif op == "clear":
             arena.clear_draft()
             ref.clear_draft()
-            pos = arena.total_len
+            pos = arena.seq_len
         _assert_hybrid_equal(arena, ref, disable_image=flag, disable_text=not flag)
     _assert_hybrid_equal(arena, ref)
     _assert_hybrid_equal(arena, ref, disable_image=True, disable_text=True)

@@ -16,6 +16,11 @@ row-level fault from ``step_packed`` degrades its session alone),
 per-request fault isolation in batched prefill, mixed per-session
 gammas, reference-cache compatibility of the packed path, and rollback
 visibility of packed draft blocks through a ``BlockTable`` view.
+
+The drafter is one more input of these cases: the round is the same over
+the AASD head and over the independent drafts of Table 1 (``dt-llama``: a
+language-only LM, ``ft-llava``: a tiny LLaVA — random weights, the labels
+only name the two cache shapes), so the baselines inherit every property.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.core.draft_head as draft_head_mod
 import repro.core.engine as engine_mod
 import repro.models.llama as llama_mod
 from repro.core import (
@@ -33,12 +39,15 @@ from repro.core import (
 from repro.core.kv_arena import BlockTable
 from repro.core.reference import ReferenceHybridKVCache, ReferenceKVCache
 from repro.data.tasks import make_dataset
-from repro.decoding import AutoregressiveDecoder, CostModel, get_profile
+from repro.decoding import (
+    AutoregressiveDecoder, CostModel, LlamaTextDraft, LlavaDraft, get_profile,
+)
 from repro.decoding.adaptive import FixedGamma
 from repro.decoding.sampling import SamplerConfig, VerifyOutcome
 from repro.decoding.tree import TreeAcceptOutcome
 from repro.errors import DecodingError
 from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
+from repro.models.llama import MiniLlama
 from repro.models.llava import MiniLlava
 from repro.robustness.faults import DraftFault, FaultyDraftHead
 
@@ -66,9 +75,20 @@ def world(tokenizer):
         ),
         rng=gen,
     )
+    small = LlamaConfig(vocab_size=vocab, dim=32, n_layers=1, n_heads=2, mlp_hidden=48)
+    drafters = {
+        "aasd": head,
+        "dt-llama": LlamaTextDraft(MiniLlama(small, rng=gen), "dt-llama"),
+        "ft-llava": LlavaDraft(MiniLlava(LlavaConfig(
+            llama=small,
+            vision=VisionConfig(image_size=48, patch_size=16, dim=16, n_layers=1,
+                                n_heads=2, mlp_hidden=24),
+        ), rng=gen), "ft-llava"),
+    }
     cm = CostModel(get_profile("sim-7b"))
     samples = make_dataset("coco-sim", N_SAMPLES, seed=4).samples
-    return dict(target=target, head=head, cm=cm, samples=samples, tokenizer=tokenizer)
+    return dict(target=target, head=head, cm=cm, samples=samples, tokenizer=tokenizer,
+                **drafters)
 
 
 def _engine(world, seed=7, head=None, **overrides):
@@ -124,10 +144,15 @@ def _packed_tokens(world, samples, gammas=None, order=None, **overrides):
     return [list(by_sample[i].committed) for i in range(len(samples))]
 
 
-@pytest.fixture(params=[None, SAMPLED], ids=["greedy", "sampled"])
-def sampling(request):
-    """Engine overrides for the two decoding modes the identity must hold in."""
-    return {"sampler_config": request.param}
+@pytest.fixture(params=[
+    pytest.param((drafter, config), id=mode if drafter == "aasd" else f"{drafter}-{mode}")
+    for drafter in ("aasd", "dt-llama", "ft-llava")
+    for mode, config in (("greedy", None), ("sampled", SAMPLED))
+])
+def sampling(request, world):
+    """Engine overrides: every drafter, in both decoding modes the identity must hold in."""
+    drafter, config = request.param
+    return {"head": world[drafter], "sampler_config": config}
 
 
 class TestTokenIdentity:
@@ -172,7 +197,7 @@ class TestTokenIdentity:
         # run packed and stay token-identical
         arena = _packed_tokens(world, world["samples"])
         monkeypatch.setattr(llama_mod, "KVCache", ReferenceKVCache)
-        monkeypatch.setattr(engine_mod, "HybridKVCache", ReferenceHybridKVCache)
+        monkeypatch.setattr(draft_head_mod, "HybridKVCache", ReferenceHybridKVCache)
         assert _packed_tokens(world, world["samples"]) == arena
 
 
@@ -278,25 +303,23 @@ class TestSoloReduction:
 
 
 class _RowFaultHead:
-    """Plain head whose lockstep step spoils one request's row, once.
+    """Plain drafter whose lockstep step spoils one request's row (``once``, or always).
 
     ``fault`` is an exception instance (returned in the row's slot, the
     row-level fault contract of ``step_packed``) or ``None`` (the row's
     logits come back NaN, for the engine's own finiteness guard to catch).
     """
 
-    def __init__(self, head, request_id, fault=None):
+    def __init__(self, head, request_id, fault=None, once=True):
         self._head, self.request_id, self.fault = head, request_id, fault
-        self.fired = False
+        self.once, self.fired = once, False
 
     def __getattr__(self, name):
         return getattr(self._head, name)
 
-    def step_packed(self, token_ids, positions, hybrids, request_ids=None, **kwargs):
-        rows = self._head.step_packed(
-            token_ids, positions, hybrids, request_ids=request_ids, **kwargs
-        )
-        if not self.fired and self.request_id in request_ids:
+    def step_packed(self, token_ids, positions, states, request_ids=None):
+        rows = self._head.step_packed(token_ids, positions, states, request_ids=request_ids)
+        if not (self.once and self.fired) and self.request_id in request_ids:
             self.fired = True
             at = list(request_ids).index(self.request_id)
             rows[at] = self.fault if self.fault is not None else np.full_like(rows[at], np.nan)
@@ -325,19 +348,24 @@ class TestPerRequestOutcomes:
             for outcome in engine.step_batch([s for s in sessions if not s.finished]):
                 assert isinstance(outcome, StepReport), outcome
 
-    @pytest.mark.parametrize("wrapper", ["faulty-head", "nan-row"])
-    def test_hard_fault_fails_only_its_session(self, world, wrapper):
+    @pytest.mark.parametrize("wrapper,drafter", [
+        pytest.param("faulty-head", "aasd", id="faulty-head"),
+        pytest.param("nan-row", "aasd", id="nan-row"),
+        pytest.param("faulty-head", "dt-llama", id="faulty-dt-llama"),
+        pytest.param("nan-row", "ft-llava", id="nan-row-ft-llava"),
+    ])
+    def test_hard_fault_fails_only_its_session(self, world, wrapper, drafter):
         if wrapper == "faulty-head":
             # a storm seed that afflicts exactly one of the four requests
             head = next(
                 h for h in (
-                    FaultyDraftHead(world["head"], mode="raise", seed=seed,
+                    FaultyDraftHead(world[drafter], mode="raise", seed=seed,
                                     request_fault_rate=0.3, fault_horizon=1)
                     for seed in range(100)
                 ) if [bool(h.storm_steps(rid)) for rid in self.IDS] == [0, 0, 1, 0]
             )
         else:
-            head = _RowFaultHead(world["head"], "req-2")
+            head = _RowFaultHead(world[drafter], "req-2")
         engine = _engine(world, head=head, fallback_on_fault=False)
         sessions = self._begin(engine, world)
         outcomes = engine.step_batch(sessions)
@@ -357,24 +385,34 @@ class TestPerRequestOutcomes:
             engine.step(engine.begin(world["samples"][0], request_id="r"))
 
     def test_row_level_fault_degrades_only_its_session(self, world):
-        head = _RowFaultHead(world["head"], "req-1", fault=DraftFault("row fault"))
-        engine = _engine(world, head=head)
-        sessions = self._begin(engine, world)
-        reports = engine.step_batch(sessions)
-        assert [r.kind for r in reports] == ["verify", "fallback", "verify", "verify"]
-        self._drain(engine, sessions)
-        assert [s.record.n_draft_faults for s in sessions] == [0, 1, 0, 0]
-        assert [list(s.committed) for s in sessions] == _ar_tokens(
-            world, world["samples"][:4]
-        )
+        # an exception in the row's slot, or NaN logits for the engine's
+        # own finiteness guard: either way that session alone falls back
+        for drafter, fault in (("aasd", DraftFault("row fault")),
+                               ("dt-llama", DraftFault("row fault")),
+                               ("ft-llava", None)):
+            head = _RowFaultHead(world[drafter], "req-1", fault=fault)
+            engine = _engine(world, head=head)
+            sessions = self._begin(engine, world)
+            reports = engine.step_batch(sessions)
+            assert [r.kind for r in reports] == ["verify", "fallback", "verify", "verify"]
+            self._drain(engine, sessions)
+            assert [s.record.n_draft_faults for s in sessions] == [0, 1, 0, 0]
+            assert [list(s.committed) for s in sessions] == _ar_tokens(
+                world, world["samples"][:4]
+            )
 
-    @pytest.mark.parametrize("tree", [False, True], ids=["chain", "tree"])
-    def test_step_is_the_one_row_round(self, world, tree):
+    @pytest.mark.parametrize("tree,drafter", [
+        pytest.param(False, "aasd", id="chain"),
+        pytest.param(True, "aasd", id="tree"),
+        pytest.param(False, "dt-llama", id="dt-llama"),
+    ])
+    def test_step_is_the_one_row_round(self, world, tree, drafter):
         # same request through step() and through step_batch([s])[0]:
         # plain blocks, a breaker-forced block, then a deadline expiry
         plan = [{}, {"force_fallback": True}, {}, {"budget_ms": 0.0}]
         solo, batched = (
-            _engine(world, tree_speculation=tree, tree_max_branch=2) for _ in range(2)
+            _engine(world, head=world[drafter], tree_speculation=tree, tree_max_branch=2)
+            for _ in range(2)
         )
         a = solo.begin(world["samples"][0], request_id="r")
         (b,) = batched.begin_batch([world["samples"][0]], request_ids=["r"])
@@ -394,6 +432,29 @@ class TestPerRequestOutcomes:
 
 
 class TestFaultIsolation:
+    @pytest.mark.parametrize("mode", ["raise", "nan"])
+    def test_broken_independent_draft_costs_speed_never_tokens(self, world, mode):
+        # req-1's draft faults at every step: it degrades after the first
+        # fault, goes target-only after max_draft_faults, and neither its
+        # output nor its batch-mates' blocks notice
+        head = _RowFaultHead(
+            world["dt-llama"], "req-1", once=False,
+            fault=DraftFault("broken draft") if mode == "raise" else None,
+        )
+        engine = _engine(world, head=head, max_draft_faults=2)
+        ids = [f"req-{i}" for i in range(3)]
+        sessions = engine.begin_batch(list(world["samples"][:3]), request_ids=ids)
+        while any(not s.finished for s in sessions):
+            engine.step_batch([s for s in sessions if not s.finished])
+        broken, mates = sessions[1], (sessions[0], sessions[2])
+        assert [list(s.committed) for s in sessions] == _ar_tokens(
+            world, world["samples"][:3]
+        )
+        assert broken.record.n_draft_faults == 2
+        assert broken.record.fallback_mode == "target-only" and not broken.record.blocks
+        assert broken.record.n_fallback_steps == len(broken.committed) - 1
+        assert all(s.record.n_draft_faults == 0 and s.record.blocks for s in mates)
+
     def test_bad_image_faults_only_its_request(self, world):
         bad = dataclasses.replace(
             world["samples"][0], image=np.zeros((8, 8, 3), dtype=np.float32)
@@ -416,17 +477,17 @@ class TestBlockTableRollback:
         # through a BlockTable built over the same hybrid caches
         engine = _engine(world)
         sessions = engine.begin_batch(list(world["samples"][:3]))
-        table = BlockTable([s.hybrid for s in sessions])
+        table = BlockTable([s.draft_state for s in sessions])
         before = table.seq_lens()
         engine.step_batch(sessions)
         # every draft block was either committed (context grew) or rolled
         # back; in both cases no speculative entries may linger
         for hybrid, n_before in zip(table.caches, before):
             assert hybrid.draft_len == 0
-            assert hybrid.total_len >= n_before
-        assert table.seq_lens() == [h.total_len for h in table.caches]
+            assert hybrid.seq_len >= n_before
+        assert table.seq_lens() == [h.seq_len for h in table.caches]
         assert table.cu_seqlens().tolist() == np.cumsum(
-            [0] + [h.total_len for h in table.caches]
+            [0] + [h.seq_len for h in table.caches]
         ).tolist()
 
     def test_layer_blocks_are_views(self, world):

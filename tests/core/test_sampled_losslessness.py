@@ -2,8 +2,9 @@
 
 Speculative sampling promises that the *distribution* of the output is
 the target's own (PAPER.md §1.3), which no token-identity test can see.
-Here packed sampled AASD rounds (chain, gamma 3, B = 8, the smoke head)
-are run over a fixed list of sampler seeds — every batch holds each
+Here packed sampled rounds (chain, gamma 3, B = 8; the smoke AASD head, and
+the smoke FT-LLaMA independent draft, whose weaker proposals reach the
+residual draw far more often) are run over a fixed list of sampler seeds — every batch holds each
 prompt several times under different request ids, so one round yields
 several independent draws — and the first tokens are compared, prompt by
 prompt and position by position, with plain sampling of the target at the
@@ -22,7 +23,7 @@ import pytest
 
 import repro.core.engine as engine_mod
 from repro.core import AASDEngine, AASDEngineConfig
-from repro.decoding import CostModel, get_profile
+from repro.decoding import CostModel, LlamaTextDraft, get_profile
 from repro.decoding.base import encode_prompt
 from repro.decoding.sampling import SamplerConfig, VerifyOutcome, logits_to_probs
 from repro.nn.tensor import no_grad
@@ -48,6 +49,7 @@ def _sampler(seed: int) -> SamplerConfig:
 def parts(smoke_zoo):
     return dict(
         target=smoke_zoo.target(TARGET), head=smoke_zoo.aasd_head(TARGET),
+        baseline=LlamaTextDraft(smoke_zoo.text_draft("ft", TARGET), "ft-llama"),
         tokenizer=smoke_zoo.tokenizer(), cost=CostModel(get_profile(TARGET)),
         samples=smoke_zoo.eval_dataset("coco-sim", N_PROMPTS).samples,
     )
@@ -87,12 +89,12 @@ def reference(parts):
     return draws
 
 
-def _aasd_draws(parts, seeds):
+def _aasd_draws(parts, seeds, head="head"):
     """Per prompt, ``COPIES`` token tuples per seed from packed sampled rounds."""
     draws = [[] for _ in range(N_PROMPTS)]
     for seed in seeds:
         engine = AASDEngine(
-            parts["target"], parts["head"], parts["tokenizer"], parts["cost"],
+            parts["target"], parts[head], parts["tokenizer"], parts["cost"],
             AASDEngineConfig(gamma=3, max_new_tokens=N_TOKENS),
             sampler_config=_sampler(seed),
         )
@@ -136,6 +138,7 @@ def _z_score(ours, theirs):
 
 def test_packed_sampled_output_is_distributed_as_the_targets(parts, reference):
     assert _z_score(_aasd_draws(parts, SEEDS), reference) < MAX_Z
+    assert _z_score(_aasd_draws(parts, SEEDS, head="baseline"), reference) < MAX_Z
 
 
 def test_the_statistic_sees_a_biased_accept_rule(parts, reference, monkeypatch):

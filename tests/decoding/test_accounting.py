@@ -14,9 +14,9 @@ from repro.decoding import (
     AutoregressiveDecoder,
     CostModel,
     LlamaTextDraft,
-    SpeculativeDecoder,
     get_profile,
 )
+from repro.eval.baselines import TABLE1_ROWS, build_row_decoder
 from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
 from repro.models.llama import MiniLlama
 from repro.models.llava import MiniLlava
@@ -61,24 +61,24 @@ class TestAutoregressiveAccounting:
         assert rec.n_target_forwards == rec.n_tokens
 
 
+def _sd(setup, gamma=3):
+    """The engine's round over an independent draft (a Table 1 baseline row)."""
+    return AASDEngine(
+        setup["target"], LlamaTextDraft(setup["draft"]), setup["tokenizer"],
+        setup["cm"], AASDEngineConfig(gamma=gamma, max_new_tokens=12),
+    )
+
+
 class TestSpeculativeAccounting:
     def test_forward_counts(self, setup):
-        sd = SpeculativeDecoder(
-            setup["target"], LlamaTextDraft(setup["draft"]),
-            setup["tokenizer"], setup["cm"], gamma=3, max_new_tokens=12,
-        )
-        rec = sd.decode(setup["sample"])
+        rec = _sd(setup).decode(setup["sample"])
         # One target forward per verify block plus the prefill.
         assert rec.n_target_forwards == len(rec.blocks) + 1
 
     def test_charge_decomposition(self, setup):
         cm = setup["cm"]
         gamma = 3
-        sd = SpeculativeDecoder(
-            setup["target"], LlamaTextDraft(setup["draft"]),
-            setup["tokenizer"], cm, gamma=gamma, max_new_tokens=12,
-        )
-        rec = sd.decode(setup["sample"])
+        rec = _sd(setup, gamma).decode(setup["sample"])
         n_blocks = len(rec.blocks)
         n_full = sum(1 for b in rec.blocks if b.n_accepted == b.n_draft)
         expected = (
@@ -88,6 +88,17 @@ class TestSpeculativeAccounting:
             + n_full * cm.draft_step()  # cache-sync forward on full acceptance
         )
         assert rec.sim_time_ms == pytest.approx(expected)
+
+
+class TestTable1Rows:
+    @pytest.mark.parametrize("row", TABLE1_ROWS)
+    def test_every_row_stamps_time_to_first_token(self, smoke_zoo, row):
+        # every Table 1 row is the engine's round, so every record carries
+        # what only AASDEngine.decode used to stamp
+        cm = CostModel(get_profile("sim-7b"))
+        decoder = build_row_decoder(row, smoke_zoo, "sim-7b", 3, cm, max_new_tokens=6)
+        rec = decoder.decode(smoke_zoo.eval_dataset("coco-sim", 1).samples[0])
+        assert 0.0 < rec.ttft_wall_s <= rec.wall_time_s
 
 
 class TestAASDAccounting:

@@ -75,12 +75,12 @@ class TestAdaptiveGamma:
 
 class TestControllerInDecoders:
     def test_adaptive_sd_still_lossless(self, tokenizer):
+        from repro.core import AASDEngine, AASDEngineConfig
         from repro.data.tasks import make_dataset
         from repro.decoding import (
             AutoregressiveDecoder,
             CostModel,
             LlamaTextDraft,
-            SpeculativeDecoder,
             get_profile,
         )
         from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
@@ -102,9 +102,9 @@ class TestControllerInDecoders:
         cm = CostModel(get_profile("sim-7b"))
         sample = make_dataset("coco-sim", 1, seed=5)[0]
         ar = AutoregressiveDecoder(target, tokenizer, cm, max_new_tokens=14).decode(sample)
-        sd = SpeculativeDecoder(
+        sd = AASDEngine(
             target, LlamaTextDraft(draft), tokenizer, cm,
-            gamma=3, max_new_tokens=14,
+            AASDEngineConfig(gamma=3, max_new_tokens=14),
             gamma_controller=AdaptiveGamma(initial_gamma=2, max_gamma=5),
         ).decode(sample)
         assert sd.token_ids == ar.token_ids

@@ -11,10 +11,10 @@ from repro.core.draft_head import AASDDraftHead, DraftHeadConfig
 from repro.core.engine import AASDEngine, AASDEngineConfig
 from repro.data.tasks import make_dataset
 from repro.decoding.autoregressive import AutoregressiveDecoder
-from repro.decoding.base import commit_block, encode_prompt, trim_at_eos
+from repro.decoding.base import commit_block, encode_prompt
 from repro.decoding.cost_model import CostModel, get_profile
 from repro.decoding.sampling import SamplerConfig
-from repro.decoding.speculative import LlamaTextDraft, LlavaDraft, SpeculativeDecoder
+from repro.decoding.speculative import LlamaTextDraft, LlavaDraft
 from repro.errors import DecodingError
 from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
 from repro.models.llama import MiniLlama
@@ -63,10 +63,6 @@ class TestBaseHelpers:
     def test_encode_prompt_prepends_bos(self, world):
         ids = encode_prompt(world["tokenizer"], world["dataset"][0])
         assert ids[0] == world["tokenizer"].vocab.bos_id
-
-    def test_trim_at_eos(self):
-        assert trim_at_eos([5, 2, 7], eos_id=2) == [5, 2]
-        assert trim_at_eos([5, 7], eos_id=2) == [5, 7]
 
 
 class TestTokenBudget:
@@ -121,31 +117,30 @@ class TestAutoregressive:
         assert ar.name == "autoregressive"
 
 
+def _sd(world, draft, gamma=3, max_new_tokens=16):
+    """The engine's round over an independent draft (a Table 1 baseline row)."""
+    return AASDEngine(
+        world["target"], draft, world["tokenizer"], world["cm"],
+        AASDEngineConfig(gamma=gamma, max_new_tokens=max_new_tokens),
+    )
+
+
 class TestSpeculativeLossless:
     @pytest.mark.parametrize("gamma", [1, 2, 3, 5])
     def test_text_draft_lossless(self, world, gamma):
         ar = AutoregressiveDecoder(world["target"], world["tokenizer"], world["cm"], max_new_tokens=16)
-        sd = SpeculativeDecoder(
-            world["target"], LlamaTextDraft(world["text_draft"]),
-            world["tokenizer"], world["cm"], gamma=gamma, max_new_tokens=16,
-        )
+        sd = _sd(world, LlamaTextDraft(world["text_draft"]), gamma=gamma)
         for sample in world["dataset"]:
             assert sd.decode(sample).token_ids == ar.decode(sample).token_ids
 
     def test_llava_draft_lossless(self, world):
         ar = AutoregressiveDecoder(world["target"], world["tokenizer"], world["cm"], max_new_tokens=16)
-        sd = SpeculativeDecoder(
-            world["target"], LlavaDraft(world["llava_draft"]),
-            world["tokenizer"], world["cm"], gamma=3, max_new_tokens=16,
-        )
+        sd = _sd(world, LlavaDraft(world["llava_draft"]))
         for sample in world["dataset"]:
             assert sd.decode(sample).token_ids == ar.decode(sample).token_ids
 
     def test_blocks_recorded(self, world):
-        sd = SpeculativeDecoder(
-            world["target"], LlamaTextDraft(world["text_draft"]),
-            world["tokenizer"], world["cm"], gamma=3, max_new_tokens=16,
-        )
+        sd = _sd(world, LlamaTextDraft(world["text_draft"]))
         rec = sd.decode(world["dataset"][0])
         assert rec.blocks
         assert all(b.n_draft == 3 for b in rec.blocks)
@@ -157,17 +152,11 @@ class TestSpeculativeLossless:
 
     def test_gamma_validation(self, world):
         with pytest.raises(DecodingError):
-            SpeculativeDecoder(
-                world["target"], LlamaTextDraft(world["text_draft"]),
-                world["tokenizer"], world["cm"], gamma=0,
-            )
+            _sd(world, LlamaTextDraft(world["text_draft"]), gamma=0)
 
     def test_name_includes_draft(self, world):
-        sd = SpeculativeDecoder(
-            world["target"], LlamaTextDraft(world["text_draft"], "ft-llama"),
-            world["tokenizer"], world["cm"],
-        )
-        assert "ft-llama" in sd.name
+        assert _sd(world, LlamaTextDraft(world["text_draft"], "ft-llama")).name == "sd(ft-llama)"
+        assert _sd(world, world["head"]).name == "ours"
 
 
 class TestAASDEngineLossless:
@@ -190,8 +179,8 @@ class TestAASDEngineLossless:
         """Masking draft context hurts acceptance, never correctness."""
         ar = AutoregressiveDecoder(world["target"], world["tokenizer"], world["cm"], max_new_tokens=12)
         engine = AASDEngine(
-            world["target"], world["head"], world["tokenizer"], world["cm"],
-            AASDEngineConfig(gamma=3, max_new_tokens=12, **flags),
+            world["target"], world["head"].ablate_kv(**flags), world["tokenizer"],
+            world["cm"], AASDEngineConfig(gamma=3, max_new_tokens=12),
         )
         sample = world["dataset"][0]
         assert engine.decode(sample).token_ids == ar.decode(sample).token_ids

@@ -237,13 +237,13 @@ class TestDraftForward:
     @pytest.mark.parametrize("hybrid_cls", [HybridKVCache, ReferenceHybridKVCache],
                              ids=["arena", "reference"])
     def test_step(self, world, flags, hybrid_cls):                   # (f)
-        head = world["head"]
+        head = world["head"].ablate_kv(**flags)
 
         def build():
             hybrid, pos, token = self._hybrid(world, hybrid_cls)
             rows = []
             for step in range(3):
-                rows.append(head.step(token, pos + step, hybrid, **flags))
+                rows.append(head.step(token, pos + step, hybrid))
                 token = FEED[step]
             return hybrid, rows
 
@@ -254,12 +254,11 @@ class TestDraftForward:
 
     @pytest.mark.parametrize("flags", ABLATIONS, ids=["plain", "no-image", "no-text"])
     def test_tree_step(self, world, flags):                          # (g)
-        head = world["head"]
+        head = world["head"].ablate_kv(**flags)
         # (token, depth, ancestor rows): rows 0-1 attend the whole draft
         # segment (the chain case); row 2 is row 1's sibling and row 3 its
         # child, so both select a strict subset
         plan = [(None, 0, ()), (5, 1, (0,)), (9, 1, (0,)), (7, 2, (0, 2))]
-        kv = (flags.get("disable_image_kv", False), flags.get("disable_text_kv", False))
 
         def build():
             hybrid, pos, first = self._hybrid(world)
@@ -267,8 +266,7 @@ class TestDraftForward:
             for token, depth, ancestors in plan:
                 whole_segment.append(list(ancestors) == list(range(hybrid.draft_len)))
                 rows.append(head._tree_step(
-                    first if token is None else token, pos + depth, hybrid,
-                    ancestors, *kv,
+                    first if token is None else token, pos + depth, hybrid, ancestors,
                 ))
             assert whole_segment == [True, True, False, False]
             return hybrid, rows
@@ -280,16 +278,16 @@ class TestDraftForward:
 
     @pytest.mark.parametrize("flags", ABLATIONS, ids=["plain", "no-image", "no-text"])
     def test_packed_rows_equal_the_spec_row_by_row(self, world, flags):
-        head = world["head"]
+        head = world["head"].ablate_kv(**flags)
         spec = []
         for i in range(2):
             hybrid, pos, token = self._hybrid(world, i=i)
-            spec.append((hybrid, pos, token, head.step(token, pos, hybrid, **flags)))
+            spec.append((hybrid, pos, token, head.step(token, pos, hybrid)))
         fresh = [self._hybrid(world, i=i) for i in range(2)]
         with no_grad():
             rows = head.step_packed(
                 [t for _, _, t in fresh], [p for _, p, _ in fresh],
-                [h for h, _, _ in fresh], **flags,
+                [h for h, _, _ in fresh],
             )
         for (hybrid_s, _, _, row_s), (hybrid_f, _, _), row_f in zip(spec, fresh, rows):
             assert np.array_equal(row_s, row_f)
@@ -301,6 +299,6 @@ class TestDraftForward:
         del tensors_built[:]
         with no_grad():
             head.step(token, pos, hybrid)
-            head._tree_step(FEED[0], pos + 1, hybrid, (0,), False, False)
+            head._tree_step(FEED[0], pos + 1, hybrid, (0,))
             head.step_packed([FEED[1]], [pos + 2], [hybrid])
         assert not tensors_built and hybrid.draft_len == 3

@@ -12,8 +12,9 @@ import pytest
 
 from repro.core import AASDDraftHead, AASDEngine, AASDEngineConfig, DraftHeadConfig
 from repro.data.tasks import make_dataset
-from repro.decoding import CostModel, get_profile
+from repro.decoding import CostModel, LlamaTextDraft, get_profile
 from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
+from repro.models.llama import MiniLlama
 from repro.models.llava import MiniLlava
 
 MAX_NEW_TOKENS = 20
@@ -38,9 +39,14 @@ def world(tokenizer):
         ),
         rng=gen,
     )
+    # an independent draft (a Table 1 baseline row) served by the same round
+    dt_llama = LlamaTextDraft(MiniLlama(
+        LlamaConfig(vocab_size=vocab, dim=16, n_layers=1, n_heads=2, mlp_hidden=24), rng=gen,
+    ), "dt-llama")
     cm = CostModel(get_profile("sim-7b"))
     samples = make_dataset("coco-sim", 8, seed=4).samples
-    return dict(target=target, head=head, cm=cm, samples=samples, tokenizer=tokenizer)
+    return dict(target=target, head=head, dt_llama=dt_llama, cm=cm, samples=samples,
+                tokenizer=tokenizer)
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import AASDDraftHead
 from repro.errors import AdmissionError
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import Tracer
@@ -41,17 +42,22 @@ class TestBatchedSequentialEquivalence:
     def test_tokens_and_records_identical_under_greedy(
         self, make_engine, world, sequential_records
     ):
-        report = serve_requests(
-            make_engine(), world["samples"], ServingConfig(max_batch_size=4)
-        )
-        assert report.count(STATUS_COMPLETED) == len(world["samples"])
-        for result, solo in zip(report.results, sequential_records):
-            assert result.record.token_ids == solo.token_ids
-            assert result.record.text == solo.text
-            # per-request attribution stays solo-priced: same sim charge,
-            # same block structure as a sequential decode of that sample
-            assert result.record.sim_time_ms == pytest.approx(solo.sim_time_ms)
-            assert len(result.record.blocks) == len(solo.blocks)
+        baseline = make_engine(head=world["dt_llama"])
+        for head, sequential in (
+            (world["head"], sequential_records),
+            (world["dt_llama"], [baseline.decode(s) for s in world["samples"]]),
+        ):
+            report = serve_requests(
+                make_engine(head=head), world["samples"], ServingConfig(max_batch_size=4)
+            )
+            assert report.count(STATUS_COMPLETED) == len(world["samples"])
+            for result, solo in zip(report.results, sequential):
+                assert result.record.token_ids == solo.token_ids
+                assert result.record.text == solo.text
+                # per-request attribution stays solo-priced: same sim charge,
+                # same block structure as a sequential decode of that sample
+                assert result.record.sim_time_ms == pytest.approx(solo.sim_time_ms)
+                assert len(result.record.blocks) == len(solo.blocks)
 
     def test_batch_of_one_costs_exactly_sequential(
         self, make_engine, world, sequential_records
@@ -63,6 +69,18 @@ class TestBatchedSequentialEquivalence:
         sequential_ms = sum(r.sim_time_ms for r in sequential_records[:3])
         assert report.total_sim_ms == pytest.approx(sequential_ms)
         assert report.max_batch_occupancy == 1
+        # with one request in the system the server clock is charged what
+        # the request's record is, addition for addition, whoever drafts
+        # (the self-encoding head pays for its prefill and every absorb)
+        self_encoding = AASDDraftHead(
+            dataclasses.replace(world["head"].config, use_target_kv=False),
+            rng=np.random.default_rng(1),
+        )
+        for head in (world["head"], world["dt_llama"], self_encoding):
+            report = serve_requests(make_engine(head=head), samples[:1])
+            record = report.results[0].record
+            assert report.sim_by_category == record.sim_by_category
+            assert report.total_sim_ms == record.sim_time_ms
 
     def test_batching_beats_sequential_on_server_clock(
         self, make_engine, world, sequential_records

@@ -15,7 +15,7 @@ from repro.data.tasks import make_dataset
 from repro.decoding.autoregressive import AutoregressiveDecoder
 from repro.decoding.cost_model import CostModel, get_profile
 from repro.decoding.sampling import SamplerConfig, logits_to_probs, speculative_verify
-from repro.decoding.speculative import LlamaTextDraft, SpeculativeDecoder
+from repro.decoding.speculative import LlamaTextDraft
 from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
 from repro.models.kv_cache import KVCache
 from repro.models.llama import MiniLlama
@@ -47,8 +47,9 @@ def test_sd_lossless_for_random_weights(seed, gamma, tokenizer):
     cm = CostModel(get_profile("sim-7b"))
     sample = make_dataset("llava-bench-sim", 1, seed=seed)[0]
     ar = AutoregressiveDecoder(target, tokenizer, cm, max_new_tokens=12).decode(sample)
-    sd = SpeculativeDecoder(
-        target, LlamaTextDraft(draft), tokenizer, cm, gamma=gamma, max_new_tokens=12
+    sd = AASDEngine(
+        target, LlamaTextDraft(draft), tokenizer, cm,
+        AASDEngineConfig(gamma=gamma, max_new_tokens=12),
     ).decode(sample)
     assert sd.token_ids == ar.token_ids
 

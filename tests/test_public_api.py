@@ -33,7 +33,8 @@ def test_version():
             "repro.decoding",
             [
                 "AutoregressiveDecoder",
-                "SpeculativeDecoder",
+                "Drafter",
+                "LlamaTextDraft",
                 "speculative_verify",
                 "CostModel",
                 "aggregate_metrics",
