@@ -12,7 +12,7 @@ claims are asserted:
   the sequential baseline (memory-bound batched pricing, see the
   "Batched serving" section of ``repro/decoding/cost_model.py``);
 * **wall-clock scaling** — host ``wall_tok_per_s`` at concurrency 16 is
-  at least ``WALL_SCALING_FLOOR`` (1.5x) concurrency 1: the packed
+  at least ``WALL_SCALING_FLOOR`` (1.3x) concurrency 1: the packed
   ragged-batch rounds (``docs/kernels.md``) must win on the *real*
   clock, not only on the simulated one.  Wall times are best-of-3 with
   engine construction hoisted out of the timed region — noise on a
@@ -20,14 +20,16 @@ claims are asserted:
   robust estimator of the quiet-machine serving cost.  Both sides run
   the same round (``AASDEngine.step_batch``; a batch of one is its
   one-row case) on the same raw-ndarray kernels, so the ratio measures
-  what width itself buys: B rows per numpy dispatch instead of one.  Eight runs of both smoke targets measured
-  1.98-2.78x in 15 of the 16 target-runs and 1.61x in one, where the
-  shared VM slowed down between the c=1 and the c=16 timing
-  (docs/performance.md lists every run; the ratio was 3.2-3.5x while
-  c=1 still paid autograd bookkeeping on every forward).  The floor,
-  1.5x, is a quarter under the low end of the undisturbed runs and
-  half again above the ~1.0x that reverting to per-request Python
-  loops measures — a regression gate, not the headline number.
+  what width itself buys: B rows per numpy dispatch instead of one.
+  Since every forward reads its weights as float64 operands prepared
+  once per engine, not cast on every product (docs/kernels.md §5), c=1
+  is 1.3-1.6x faster and c=16 1.05-1.15x, so the ratio fell: five runs
+  of both smoke targets measured 1.77-2.07x (sim-7b) and 1.62-1.71x
+  (sim-13b), where it had been 2.22-2.39x and 2.34-2.44x on the same
+  VM the same day (docs/performance.md lists every run).  The floor,
+  1.3x, is a fifth under the lowest run and a third above the ~1.0x
+  that reverting to per-request Python loops measures — a regression
+  gate, not the headline number.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ CONCURRENCY = (1, 4, 16)
 N_REQUESTS = 16
 GAMMA = 3
 WALL_PASSES = 3  # best-of-N wall timing; min is the noise-robust estimator
-WALL_SCALING_FLOOR = 1.5  # c=16 over c=1 wall tok/s; measured 1.98-2.78 (once 1.61), regression ~1.0
+WALL_SCALING_FLOOR = 1.3  # c=16 over c=1 wall tok/s; measured 1.62-2.07, regression ~1.0
 _RESULTS = {}
 _SEQUENTIAL = {}
 
@@ -187,7 +189,7 @@ def test_serving_summary(runner):
         # real wall-clock scaling: packed ragged-batch rounds must beat
         # one-row-at-a-time execution on the host clock, not just the
         # simulated server clock (docs/kernels.md; docs/performance.md
-        # has the measurements behind the floor — scaling is 2.1-2.5x, a
+        # has the measurements behind the floor — scaling is 1.6-2.1x, a
         # per-request-loop regression is ~1.0x)
         wall_1 = _RESULTS[(target, 1, "serving")]["wall_tok_per_s"]
         wall_16 = _RESULTS[(target, 16, "serving")]["wall_tok_per_s"]

@@ -11,20 +11,25 @@ Outputs under ``--out``:
 
 * ``trace.jsonl``        — lossless span log (op attrs included)
 * ``flamegraph.collapsed`` — collapsed stacks for speedscope/flamegraph.pl
-* ``attribution.txt`` / ``attribution.json`` — the {gemm, arena_copy,
-  python_overhead, other} wall-clock split
+* ``attribution.txt`` / ``attribution.json`` — the {gemm, gemm_cast,
+  arena_copy, python_overhead, other} wall-clock split
 * ``metrics.json``       — registry snapshot (histograms with p50/p95/p99)
 
 The attribution table is the quantitative form of the ROADMAP's
 wall-clock question: how much of a batched round is fused compute vs.
 N× per-request Python.  Inspect any trace later with
 ``python -m repro.obs summarize --attribution <out>/trace.jsonl``.
+
+Exits 1 if the run recorded any ``gemm_cast`` product: every forward of a
+serving engine reads prepared float64 operands (``docs/kernels.md`` §5),
+so a mixed-dtype GEMM means a weight is being cast on every call again.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from repro.decoding.cost_model import CostModel, get_profile
@@ -37,16 +42,18 @@ from repro.obs import (
     export_collapsed,
     export_jsonl,
     get_logger,
+    get_profiler,
     get_registry,
     render_attribution,
 )
+from repro.obs.profile import OP_GEMM_CAST
 from repro.serving import ServingConfig, serve_requests
 from repro.zoo import ModelZoo, PROFILE_SMOKE
 
 logger = get_logger("repro.scripts.profile_serving")
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/profile")
     parser.add_argument("--requests", type=int, default=8)
@@ -101,7 +108,12 @@ def main() -> None:
               f"p99 {digest['p99']:.1f} (server ms)")
     print()
     print(f"wrote {jsonl}, {flame}, {out_dir / 'attribution.txt'}, {metrics}")
+    casts = get_profiler().op(OP_GEMM_CAST).calls
+    if casts:
+        print(f"FAILED: {casts} mixed-dtype GEMMs (gemm_cast) in a serving run")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

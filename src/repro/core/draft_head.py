@@ -32,7 +32,9 @@ from ..nn.attention import (
     merge_heads,
     split_heads,
 )
-from ..nn.kernels import block_tail_data, project_qkv_data, rmsnorm_data
+from ..nn.kernels import (
+    block_tail_data, operand, project_qkv_data, rmsnorm_data, rope_tables_data,
+)
 from ..nn.layers import Embedding, Linear
 from ..nn.module import Module
 from ..nn.normalization import RMSNorm
@@ -125,7 +127,7 @@ class AASDDraftHead(Module, Drafter):
         self.mlp_norm = RMSNorm(config.dim)
         self.mlp = SwiGLU(config.dim, config.mlp_hidden, rng=gen)
         self.out_norm = RMSNorm(config.dim)
-        self.projector = (
+        self.projector: Optional[KVProjector] = (
             KVProjector(config.n_vision_tokens, config.k_compressed, rng=gen)
             if (config.use_kv_projector and config.use_target_kv)
             else None
@@ -314,11 +316,14 @@ class AASDDraftHead(Module, Drafter):
         Because the head is a single block, its keys/values depend only on
         each token's embedding — so priming a self-context (the
         ``use_target_kv=False`` ablation) is one parallel projection.
+        Inference only: it runs the raw kernels whatever the grad mode,
+        bitwise what :meth:`qkv` over the normed embeddings computes.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64).reshape(1, -1)
-        h = self.attn_norm(self.embed(token_ids))
-        _, k, v = self.qkv(h, positions)
-        return k.data, v.data
+        h = rmsnorm_data(self.embed.lookup_data(token_ids), self.attn_norm)
+        rope = rope_tables_data(self.rope, np.asarray(positions, dtype=np.int64))
+        _, k, v = project_qkv_data(self, self.config.n_heads, h, rope)
+        return k, v
 
     def step(
         self,
@@ -572,8 +577,8 @@ class AASDDraftHead(Module, Drafter):
         ablated = disable_image_kv or disable_text_kv
 
         xd = self.embed.weight.data[ids]
-        h = rmsnorm_data(xd, self.attn_norm.weight.data, self.attn_norm.eps)
-        cos, sin = self.rope.tables(pos)
+        h = rmsnorm_data(xd, self.attn_norm)
+        cos, sin = rope_tables_data(self.rope, pos)
         qd, kd, vd = project_qkv_data(
             self, self.config.n_heads, h,
             (cos[:, None, None, :], sin[:, None, None, :]),
@@ -613,8 +618,8 @@ class AASDDraftHead(Module, Drafter):
         # repro: allow[hotpath-reach] -- reassembles B per-row outputs into one batch tensor, O(batch) per step
         attn_d = np.concatenate(outs, axis=0) if b > 1 else outs[0]
         xd = block_tail_data(xd, attn_d, self.wo, self.mlp_norm, self.mlp)
-        normed = rmsnorm_data(xd, self.out_norm.weight.data, self.out_norm.eps)
-        logits_d = matmul_data(normed, self.embed.weight.data.swapaxes(0, 1))
+        normed = rmsnorm_data(xd, self.out_norm)
+        logits_d = matmul_data(normed, operand(self.embed.weight, transpose=True))
         for i, hybrid in enumerate(hybrids):
             hybrid.append_draft(kd[i : i + 1], vd[i : i + 1], pos[i : i + 1])
         return [logits_d[i, -1] for i in range(b)]

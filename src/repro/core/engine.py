@@ -60,6 +60,7 @@ tokens.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
@@ -76,6 +77,7 @@ from ..decoding.speculative import Drafter
 from ..decoding.tree import TreeDraft, accept_tree, tree_extra_blocked
 from ..errors import DecodingError
 from ..models.llava import MiniLlava
+from ..nn.kernels import pin_operands
 from ..nn.tensor import no_grad
 from ..obs.logsetup import get_logger, log_exception
 from ..obs.tracing import Tracer, get_tracer
@@ -279,6 +281,9 @@ class AASDEngine(Decoder):
         self._admissions = count()   # stream identity of requests without an id
         self._tracer = tracer
         head.check_target(target)
+        # The float64 operands every no-grad forward reads (repro.nn.kernels)
+        # live while an engine serves these weights, and die with the last.
+        weakref.finalize(self, pin_operands([*target.parameters(), *head.parameters()]))
 
     @property
     def name(self) -> str:

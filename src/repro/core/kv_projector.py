@@ -20,8 +20,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
+from ..nn.kernels import operand
 from ..nn.module import Module, Parameter
-from ..nn.tensor import Tensor, as_tensor
+from ..nn.tensor import Tensor, as_tensor, is_grad_enabled, matmul_data
 from ..utils.rng import derive
 
 __all__ = ["KVProjector"]
@@ -65,12 +66,26 @@ class KVProjector(Module):
     def forward(self, k_vision, v_vision) -> Tuple[Tensor, Tensor]:
         """Apply Eq. (3) to the vision slice of the target's last-layer KV.
 
-        Accepts tensors or numpy arrays of shape ``(B, H, n, Dh)``.
+        Accepts tensors or numpy arrays of shape ``(B, H, n, Dh)``.  With
+        gradients off this wraps :meth:`_infer_rows`.
         """
         k_vision = as_tensor(k_vision)
         v_vision = as_tensor(v_vision)
-        if k_vision.shape[2] != self.n_vision_tokens:
-            raise ShapeError(
-                f"expected {self.n_vision_tokens} vision tokens, got {k_vision.shape[2]}"
-            )
+        if not is_grad_enabled():
+            k_cmp, v_cmp = self._infer_rows(k_vision.data, v_vision.data)
+            return Tensor(k_cmp), Tensor(v_cmp)
+        self._check(k_vision.shape)
         return self.w_k @ k_vision, self.w_v @ v_vision
+
+    def _check(self, shape) -> None:
+        if shape[2] != self.n_vision_tokens:
+            raise ShapeError(
+                f"expected {self.n_vision_tokens} vision tokens, got {shape[2]}"
+            )
+
+    def _infer_rows(self, k_vision: np.ndarray,
+                    v_vision: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Eq. (3) on raw arrays: the one no-grad projection (bitwise the layer's)."""
+        self._check(k_vision.shape)
+        return (matmul_data(operand(self.w_k), k_vision),
+                matmul_data(operand(self.w_v), v_vision))

@@ -51,6 +51,10 @@ class Drafter(ABC):
     def check_target(self, target: MiniLlava) -> None:
         """Raise :class:`~repro.errors.DecodingError` if ``target`` cannot be served."""
 
+    def parameters(self) -> list:
+        """The weights this drafter's forwards read (an engine pins their operands)."""
+        return []
+
     @abstractmethod
     def open(self, sample: MultimodalSample, prompt_ids: np.ndarray, target_cache):
         """Open one request's draft state from its finished target prefill."""
@@ -143,6 +147,10 @@ class _CachedLMDraft(Drafter):
         del target_cache
         cache = self._prime(sample, prompt_ids)
         return _LMDraftState(cache, cache.seq_len)
+
+    def parameters(self) -> list:
+        """The draft model's weights."""
+        return self.model.parameters()
 
     def prefill_ms(self, cost: CostModel, n_requests: int = 1) -> float:
         """Each request pays the draft model's own context prefill."""

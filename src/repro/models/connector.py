@@ -11,9 +11,10 @@ from typing import Optional
 import numpy as np
 
 from ..nn import functional as F
+from ..nn.kernels import gelu_data, linear_data
 from ..nn.layers import Linear
 from ..nn.module import Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, is_grad_enabled
 
 __all__ = ["Connector"]
 
@@ -34,4 +35,11 @@ class Connector(Module):
         self.fc2 = Linear(hidden, llm_dim, rng=gen)
 
     def forward(self, visual_features: Tensor) -> Tensor:
+        """Project features; with gradients off this wraps :meth:`_infer_rows`."""
+        if not is_grad_enabled():
+            return Tensor(self._infer_rows(visual_features.data))
         return self.fc2(F.gelu(self.fc1(visual_features)))
+
+    def _infer_rows(self, visual_features: np.ndarray) -> np.ndarray:
+        """The one no-grad projection, on :mod:`repro.nn.kernels` (bitwise the layers)."""
+        return linear_data(gelu_data(linear_data(visual_features, self.fc1)), self.fc2)

@@ -14,7 +14,9 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..nn.attention import attend_data, causal_mask
-from ..nn.kernels import block_tail_data, project_qkv_data, rmsnorm_data
+from ..nn.kernels import (
+    block_tail_data, operand, project_qkv_data, rmsnorm_data, rope_tables_data,
+)
 from ..nn.layers import Embedding
 from ..nn.module import Module
 from ..nn.normalization import RMSNorm
@@ -52,7 +54,8 @@ class _RowOutput:
     eagerly wrapping n_layers x 2 KV slices per row per forward was
     almost entirely thrown away.  Slicing the raw array and wrapping it
     is the same view ``Tensor.__getitem__`` would produce, so values are
-    bitwise unchanged; a solo forward is the one row ``0:T``.
+    bitwise unchanged; a solo forward is the one row ``0:T``.  The row's
+    logits come already cut to it (the LM head runs per row).
     """
 
     __slots__ = ("_logits_d", "_normed_d", "_kv_data", "_start", "_end")
@@ -66,7 +69,7 @@ class _RowOutput:
 
     @property
     def logits(self) -> Tensor:
-        return Tensor(self._logits_d[:, self._start:self._end, :])
+        return Tensor(self._logits_d)
 
     @property
     def hidden(self) -> Tensor:
@@ -81,6 +84,11 @@ class _RowOutput:
             )
             for k, v in self._kv_data
         ]
+
+    @property
+    def last_logits_data(self) -> np.ndarray:
+        """``logits.data[:, -1, :]``, read without building the ``Tensor``."""
+        return self._logits_d[:, -1, :]
 
     @property
     def last_layer_kv(self) -> Tuple[Tensor, Tensor]:
@@ -216,11 +224,11 @@ class MiniLlama(Module):
         ``x`` is ``(B, sum_tokens, D)`` raw embeddings; row ``i`` owns the
         tokens at ``cu[i]:cu[i+1]`` along axis 1 and attends to
         ``caches[i]`` plus itself, never across rows.  Every row-wise op
-        (norms, q/k/v/o projections, RoPE, MLP, LM head) runs once over
-        all rows through :mod:`repro.nn.kernels` — the same ufuncs in
-        the same order as the ``Module`` layers, so each row is bitwise
-        what the autograd path computes — and attention runs per row at
-        exactly the solo shapes.  A lone row therefore *is* the solo
+        (norms, q/k/v/o projections, RoPE, MLP) runs once over all rows
+        through :mod:`repro.nn.kernels` — the same ufuncs in the same
+        order as the ``Module`` layers, so each row is bitwise what the
+        autograd path computes — and attention and the LM head run per
+        row at exactly the solo shapes.  A lone row therefore *is* the solo
         forward (GEMM shapes included, down to the M = 1 gemv), which is
         why packing needs every row of a multi-row call to hold >= 2
         tokens (the packing-stability contract in :mod:`repro.nn.ragged`)
@@ -247,14 +255,14 @@ class MiniLlama(Module):
             if extra_blocked_rows is not None and extra_blocked_rows[i] is not None:
                 mask = mask | np.asarray(extra_blocked_rows[i], dtype=bool)
             blocked.append(mask)
-        rope = self.rope.tables(positions)
+        rope = rope_tables_data(self.rope, positions)
 
         new_kv: List[Tuple[np.ndarray, np.ndarray]] = []
         hidden = x
         for layer_idx, block in enumerate(self.blocks):
             qd, kd, vd = project_qkv_data(
                 block.attn, block.attn.n_heads,
-                rmsnorm_data(hidden, block.attn_norm.weight.data, block.attn_norm.eps),
+                rmsnorm_data(hidden, block.attn_norm),
                 rope,
             )
             outs: List[np.ndarray] = []
@@ -296,10 +304,13 @@ class MiniLlama(Module):
             for cache, pos in zip(caches, pos_rows):
                 if cache is not None:
                     cache.extend_positions(pos)
-        normed = rmsnorm_data(hidden, self.norm.weight.data, self.norm.eps)
-        logits = matmul_data(normed, self.embed.weight.data.swapaxes(0, 1))
+        normed = rmsnorm_data(hidden, self.norm)
+        head = operand(self.embed.weight, transpose=True)
+        # the tied head runs at each row's solo shape: its vocabulary-wide
+        # product is not row-stable once rows are stacked (docs/kernels.md §2)
         return [
-            _RowOutput(logits, normed, new_kv, start, end)
+            _RowOutput(matmul_data(normed[:, start:end, :], head),
+                       normed, new_kv, start, end)
             for start, end in extents
         ]
 

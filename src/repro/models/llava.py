@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ShapeError
-from ..nn.ragged import pack_rows
 from ..nn.tensor import Tensor, concat
 from .config import LlavaConfig
 from .connector import Connector
@@ -164,7 +163,9 @@ class MiniLlava:
         cu-seqlen-packed forward over the concatenated ``[vision][text]``
         rows.  Returns per-request primed caches (segments set as in
         :meth:`prefill`) and the ``(1, vocab)`` last-position logits,
-        bitwise identical to B solo prefills.
+        bitwise identical to B solo prefills.  Inference only: every
+        stage runs its raw ``_infer_rows`` pass whatever the grad mode,
+        and no ``Tensor`` is built.
         """
         if not isinstance(images, np.ndarray):
             # repro: allow[hotpath-reach] -- prefill runs once per request, not per decode step
@@ -173,8 +174,8 @@ class MiniLlava:
             raise ShapeError(
                 f"batch mismatch: {images.shape[0]} images vs {len(text_rows)} text rows"
             )
-        vis = self.encode_image(images)
-        pieces: List[Tensor] = []
+        vis = self.connector._infer_rows(self.vision._infer_rows(images))
+        pieces: List[np.ndarray] = []
         position_rows: List[np.ndarray] = []
         caches: List[KVCache] = []
         rows2d: List[np.ndarray] = []
@@ -184,16 +185,17 @@ class MiniLlava:
                 text_ids = text_ids[None, :]
             rows2d.append(text_ids)
             pieces.append(vis[i : i + 1])
-            pieces.append(self.llama.embed_tokens(text_ids))
+            pieces.append(self.llama.embed.lookup_data(text_ids))
             total = self.n_vision_tokens + text_ids.shape[1]
             position_rows.append(np.arange(total, dtype=np.int64))
             caches.append(self.llama.new_cache())
-        outs = self.llama.forward_packed_embeds(
-            pack_rows(pieces, axis=1), position_rows, list(caches)
+        outs = self.llama._infer_rows(
+            # repro: allow[hotpath-reach] -- packs the prefill rows once per request, not per decode step
+            np.concatenate(pieces, axis=1), position_rows, caches, True, None
         )
         for cache, text_ids in zip(caches, rows2d):
             cache.set_segments(self.n_vision_tokens, text_ids.shape[1])
-        return caches, [out.logits.data[:, -1, :] for out in outs]
+        return caches, [out.last_logits_data for out in outs]
 
     def decode_batch(
         self,

@@ -9,10 +9,14 @@ import numpy as np
 from ..errors import ShapeError
 from ..nn import functional as F
 from ..nn import initializers as init
+from ..nn.attention import attend_data
+from ..nn.kernels import (
+    gelu_data, layernorm_data, linear_data, merge_heads_data, split_heads_data,
+)
 from ..nn.layers import Linear
 from ..nn.module import Module, Parameter
 from ..nn.normalization import LayerNorm
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, is_grad_enabled, matmul_data
 from .config import VisionConfig
 
 __all__ = ["VisionEncoder", "patchify"]
@@ -88,13 +92,44 @@ class VisionEncoder(Module):
         ]
         self.out_norm = LayerNorm(config.dim)
 
-    def forward(self, images: np.ndarray) -> Tensor:
+    def _patches(self, images: np.ndarray) -> np.ndarray:
         patches = patchify(images, self.config.patch_size)
         if patches.shape[1] != self.config.n_patches:
             raise ShapeError(
                 f"expected {self.config.n_patches} patches, got {patches.shape[1]}"
             )
-        x = self.patch_embed(Tensor(patches)) + self.pos_embed
+        return patches
+
+    def forward(self, images: np.ndarray) -> Tensor:
+        """Encode ``images``; with gradients off this wraps :meth:`_infer_rows`."""
+        if not is_grad_enabled():
+            return Tensor(self._infer_rows(images))
+        x = self.patch_embed(Tensor(self._patches(images))) + self.pos_embed
         for block in self.blocks:
             x = block(x)
         return self.out_norm(x)
+
+    def _infer_rows(self, images: np.ndarray) -> np.ndarray:
+        """The one no-grad encoder pass, on :mod:`repro.nn.kernels`.
+
+        Replays the ``Module`` path op for op (``tests/nn/test_inference_forward.py``
+        pins it bitwise); each image of the batch is a row of numpy's
+        batched products, so its features equal its solo encode.  The
+        patch embedding is the one float32 x float32 product of the
+        forward — nothing is cast there, so it reads the stored weight.
+        """
+        embed = self.patch_embed
+        x = matmul_data(self._patches(images), embed.weight.data.swapaxes(-1, -2))
+        x += embed.bias.data
+        x += self.pos_embed.data
+        for block in self.blocks:
+            attn = block.attn
+            h = layernorm_data(x, block.attn_norm)
+            q, k, v = (split_heads_data(linear_data(h, w), attn.n_heads)
+                       for w in (attn.wq, attn.wk, attn.wv))
+            h = linear_data(merge_heads_data(attend_data(q, k, v)), attn.wo)
+            h += x
+            x = linear_data(gelu_data(linear_data(layernorm_data(h, block.mlp_norm),
+                                                  block.fc1)), block.fc2)
+            x += h
+        return layernorm_data(x, self.out_norm)

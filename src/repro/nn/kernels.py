@@ -1,17 +1,27 @@
 """Raw-ndarray inference kernels that bitwise-mirror the autograd layers.
 
 Gradients off => raw kernels, one row or many: every no-grad forward of
-``MiniLlama`` and ``AASDDraftHead`` — solo or packed (``docs/kernels.md``)
-— runs on these helpers, and promises **bitwise** identity with what the
-``Module`` layers compute when a graph is recorded.  So they replay the
-*exact* numpy op sequence of their :mod:`repro.nn` counterparts — same
-ufuncs, same order, same scalar-promotion behaviour (python scalars are
-wrapped with ``np.asarray`` exactly where ``as_tensor`` would wrap them) —
-minus the per-op graph-node allocations.  GEMMs go through
+``MiniLlama``, ``AASDDraftHead``, the vision tower, the connector and the
+KV projector — solo or packed (``docs/kernels.md``) — runs on these
+helpers, and promises **bitwise** identity with what the ``Module``
+layers compute when a graph is recorded.  So they replay the *exact*
+numpy op sequence of their :mod:`repro.nn` counterparts — same ufuncs,
+same order, same scalar-promotion behaviour (python scalars are wrapped
+with ``np.asarray`` exactly where ``as_tensor`` would wrap them) — minus
+the per-op graph-node allocations.  GEMMs go through
 :func:`repro.nn.tensor.matmul_data` so the wall-clock profiler keeps
 attributing them to the ``gemm`` bucket, and stay one product per weight:
 fusing q|k|v or gate|up along N changes bits on this BLAS
 (``docs/kernels.md`` §2).
+
+Operands: the zoo stores float32 weights while every inference
+activation past the first norm is float64, so numpy would cast each
+weight into a fresh float64 buffer on every product.  :func:`operand`
+is the one accessor the kernels read weights and scales through; while
+an engine pins a model (:func:`pin_operands`) it returns that buffer
+built once — the C-contiguous float64 array numpy's mixed-dtype
+``matmul`` builds per call, so every product keeps its bits
+(``tests/nn/test_operands.py``).
 
 Only inference may call these: they take and return plain ``np.ndarray``
 and build no autograd graph.  Training code must keep using the layer
@@ -20,38 +30,132 @@ and build no autograd graph.  Training code must keep using the layer
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
+from .rope import RotaryEmbedding
 from .tensor import matmul_data
 
 __all__ = [
+    "operand",
+    "pin_operands",
     "linear_data",
     "rmsnorm_data",
+    "layernorm_data",
+    "gelu_data",
     "sigmoid_data",
     "silu_data",
     "swiglu_data",
     "split_heads_data",
     "merge_heads_data",
+    "rope_tables_data",
     "rope_data",
     "project_qkv_data",
     "block_tail_data",
 ]
 
 
-def linear_data(
-    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """``x @ W^T (+ b)`` with ``weight`` in the ``(out, in)`` layout of
-    :class:`repro.nn.layers.Linear`."""
-    out = matmul_data(x, weight.swapaxes(-1, -2))
-    if bias is not None:
-        out = out + bias
+class _Pin:
+    """A pinned parameter's state: how many holders it has, and its operand.
+
+    ``source`` is the ``param.data`` array the operand was built from
+    (identity-checked on every read, so replacing the array invalidates
+    it); ``frozen`` records that ``source`` was made read-only here, so an
+    in-place write raises instead of leaving the operand stale.
+    """
+
+    __slots__ = ("count", "source", "array", "frozen")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.source: Optional[np.ndarray] = None
+        self.array: Optional[np.ndarray] = None
+        self.frozen = False
+
+    def prepare(self, data: np.ndarray, transpose: bool) -> np.ndarray:
+        """Build the operand for ``data``, dropping the one built before."""
+        view = data.swapaxes(-1, -2) if transpose else data
+        # a float64 parameter is read as stored: there is nothing to cast
+        array = view if data.dtype == np.float64 else np.ascontiguousarray(
+            view, dtype=np.float64)
+        self.drop()
+        self.source, self.array = data, array
+        if array is not view and data.flags.writeable:
+            data.flags.writeable = False
+            self.frozen = True
+        if not self.count:
+            # the last holder released meanwhile: a collected engine's
+            # finalizer can run inside any allocation above
+            self.drop()
+        return array
+
+    def drop(self) -> None:
+        """Forget the operand and make its source writable again."""
+        if self.frozen:
+            self.source.flags.writeable = True
+            self.frozen = False
+        self.source = self.array = None
+
+
+def operand(param, transpose: bool = False) -> np.ndarray:
+    """The array a no-grad forward reads for ``param``: the one accessor.
+
+    ``transpose`` reads a weight stored ``(out, in)`` as ``(in, out)``
+    (a ``Linear`` weight, a tied LM head); a parameter is always read in
+    the same layout.  While ``param`` is pinned this is a float64 array
+    built once per parameter array — for a float32 weight, the
+    C-contiguous copy numpy's mixed-dtype ``matmul`` (or ufunc) would
+    otherwise build on every call, so products and scales keep their
+    bits.  Unpinned, it is the stored array itself and numpy casts per
+    call, as the ``Module`` path does.
+    """
+    pin: Optional[_Pin] = param.pin
+    data = param.data
+    if pin is None:
+        return data.swapaxes(-1, -2) if transpose else data
+    if pin.source is data:
+        return pin.array
+    return pin.prepare(data, transpose)
+
+
+def pin_operands(params: Iterable) -> Callable[[], None]:
+    """Pin ``params``' operands until the returned ``release`` is called.
+
+    Pins count: operands are built on first read and live until the last
+    holder releases, when they are dropped and every weight is writable
+    again.  :class:`repro.core.engine.AASDEngine` pins its target and
+    drafter at construction and releases when it is collected.
+    """
+    held = list({id(p): p for p in params}.values())
+    for p in held:
+        if p.pin is None:
+            p.pin = _Pin()
+        p.pin.count += 1
+
+    def release() -> None:
+        for p in held:
+            p.pin.count -= 1
+            if not p.pin.count:
+                p.pin.drop()
+                p.pin = None
+
+    return release
+
+
+def linear_data(x: np.ndarray, layer) -> np.ndarray:
+    """:class:`repro.nn.layers.Linear` on raw arrays: ``x @ W^T (+ b)``.
+
+    ``x`` is float64, as every inference activation past the first norm
+    is; the weight and bias are read through :func:`operand`.
+    """
+    out = matmul_data(x, operand(layer.weight, transpose=True))
+    if layer.bias is not None:
+        out += operand(layer.bias)
     return out
 
 
-def rmsnorm_data(x: np.ndarray, weight: np.ndarray, eps: float) -> np.ndarray:
+def rmsnorm_data(x: np.ndarray, norm) -> np.ndarray:
     """:class:`repro.nn.normalization.RMSNorm` on raw arrays.
 
     Mirrors ``x / sqrt(mean(x*x) + eps) * weight`` where the mean is
@@ -61,8 +165,45 @@ def rmsnorm_data(x: np.ndarray, weight: np.ndarray, eps: float) -> np.ndarray:
     ``(sum_tokens, D)`` temporary).
     """
     ms = (x * x).sum(axis=-1, keepdims=True) * np.asarray(1.0 / x.shape[-1])
-    out = x / np.sqrt(ms + np.asarray(eps))
-    out *= weight
+    out = x / np.sqrt(ms + np.asarray(norm.eps))
+    out *= operand(norm.weight)
+    return out
+
+
+def layernorm_data(x: np.ndarray, norm) -> np.ndarray:
+    """:class:`repro.nn.normalization.LayerNorm` on raw arrays.
+
+    Both means are ``sum * (1/n)`` as in ``Tensor.mean``; ``x - mean`` is
+    the bits of the layer's ``x + (mean * -1.0)`` (negation is exact).
+    The quotient, scale and shift run in place on the fresh centred copy.
+    """
+    inv_n = np.asarray(1.0 / x.shape[-1])
+    out = x - x.sum(axis=-1, keepdims=True) * inv_n
+    var = (out * out).sum(axis=-1, keepdims=True) * inv_n
+    out /= np.sqrt(var + np.asarray(norm.eps))
+    out *= operand(norm.weight)
+    out += operand(norm.bias)
+    return out
+
+
+_SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
+
+
+def gelu_data(x: np.ndarray) -> np.ndarray:
+    """:func:`repro.nn.functional.gelu` (tanh form) on float64 raw arrays.
+
+    ``x * 0.5 * (tanh((x + x*x*x * c) * sqrt(2/pi)) + 1)`` in the layer's
+    order, accumulating in place on two fresh temporaries.
+    """
+    t = x * x
+    t *= x
+    t *= np.asarray(0.044715)
+    t += x
+    t *= np.asarray(_SQRT_2_OVER_PI)
+    np.tanh(t, out=t)
+    t += np.asarray(1.0)
+    out = x * np.asarray(0.5)
+    out *= t
     return out
 
 
@@ -87,13 +228,11 @@ def silu_data(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def swiglu_data(
-    x: np.ndarray, gate_w: np.ndarray, up_w: np.ndarray, down_w: np.ndarray
-) -> np.ndarray:
+def swiglu_data(x: np.ndarray, mlp) -> np.ndarray:
     """:class:`repro.nn.transformer.SwiGLU` MLP: ``down(silu(gate(x)) * up(x))``."""
-    gated = silu_data(linear_data(x, gate_w))
-    gated *= linear_data(x, up_w)
-    return linear_data(gated, down_w)
+    gated = silu_data(linear_data(x, mlp.gate))
+    gated *= linear_data(x, mlp.up)
+    return linear_data(gated, mlp.down)
 
 
 def split_heads_data(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -108,12 +247,23 @@ def merge_heads_data(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
+def rope_tables_data(rope: RotaryEmbedding,
+                     positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``rope.tables(positions)`` cast to float64 once per forward.
+
+    :meth:`repro.nn.rope.RotaryEmbedding.tables` stores float32; every
+    q/k it rotates is float64, so the layers' products cast the pair on
+    each use.  Casting is exact, so the rotated bits are unchanged.
+    """
+    cos, sin = rope.tables(positions)
+    return cos.astype(np.float64), sin.astype(np.float64)
+
+
 def rope_data(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotary transform ``x*cos + rotate_half(x)*sin`` on raw arrays.
 
-    ``cos``/``sin`` are the float32 tables from
-    :meth:`repro.nn.rope.RotaryEmbedding.tables`; the float64 activations
-    promote exactly as in the autograd path.
+    ``cos``/``sin`` are the tables from :func:`rope_tables_data`,
+    gathered at the rows' positions.
     """
     half = x.shape[-1] // 2
     x1 = x[..., :half]
@@ -134,15 +284,15 @@ def project_qkv_data(
 
     ``proj`` holds the ``wq`` / ``wk`` / ``wv`` ``Linear`` layers (a
     :class:`repro.nn.attention.MultiHeadAttention`, or the draft head);
-    ``rope`` is the ``(cos, sin)`` pair already gathered at the rows'
-    positions, or ``None`` for a layer without rotary embedding.  The
-    tables depend on positions only, so the caller gathers them once per
-    forward and every layer reuses them.  Returns per-head ``(q, k, v)``
+    ``rope`` is the :func:`rope_tables_data` pair already gathered at the
+    rows' positions, or ``None`` for a layer without rotary embedding.
+    The tables depend on positions only, so the caller gathers them once
+    per forward and every layer reuses them.  Returns per-head ``(q, k, v)``
     with RoPE applied to ``q`` and ``k``.
     """
-    q = split_heads_data(linear_data(x, proj.wq.weight.data), n_heads)
-    k = split_heads_data(linear_data(x, proj.wk.weight.data), n_heads)
-    v = split_heads_data(linear_data(x, proj.wv.weight.data), n_heads)
+    q = split_heads_data(linear_data(x, proj.wq), n_heads)
+    k = split_heads_data(linear_data(x, proj.wk), n_heads)
+    v = split_heads_data(linear_data(x, proj.wv), n_heads)
     if rope is not None:
         q = rope_data(q, *rope)
         k = rope_data(k, *rope)
@@ -160,11 +310,8 @@ def block_tail_data(
     owners).  Both residuals accumulate in place into the fresh branch
     output — bitwise equal, IEEE addition is commutative.
     """
-    h = linear_data(merge_heads_data(attn_out), wo.weight.data)
+    h = linear_data(merge_heads_data(attn_out), wo)
     h += x
-    out = swiglu_data(
-        rmsnorm_data(h, mlp_norm.weight.data, mlp_norm.eps),
-        mlp.gate.weight.data, mlp.up.weight.data, mlp.down.weight.data,
-    )
+    out = swiglu_data(rmsnorm_data(h, mlp_norm), mlp)
     out += h
     return out

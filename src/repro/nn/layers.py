@@ -51,14 +51,21 @@ class Embedding(Module):
         self.dim = dim
         self.weight = Parameter(init.normal(gen, (num_embeddings, dim)), name="weight")
 
-    def forward(self, indices: np.ndarray) -> Tensor:
+    def _checked(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):
             raise IndexError(
                 f"embedding index out of range [0, {self.num_embeddings}): "
                 f"min={indices.min()}, max={indices.max()}"
             )
-        return F.embedding(self.weight, indices)
+        return indices
+
+    def forward(self, indices: np.ndarray) -> Tensor:
+        return F.embedding(self.weight, self._checked(indices))
+
+    def lookup_data(self, indices: np.ndarray) -> np.ndarray:
+        """The table rows at ``indices`` as a raw array (what ``forward`` wraps)."""
+        return self.weight.data[self._checked(indices)]
 
     def __repr__(self) -> str:
         return f"Embedding(num={self.num_embeddings}, dim={self.dim})"

@@ -14,6 +14,10 @@ __all__ = ["Module", "Parameter"]
 class Parameter(Tensor):
     """A tensor that is registered as trainable when assigned to a module."""
 
+    #: Inference-operand state while an engine pins this parameter
+    #: (:func:`repro.nn.kernels.pin_operands`); ``None`` when unpinned.
+    pin = None
+
     def __init__(self, data, name: str = "") -> None:
         super().__init__(data, requires_grad=True, name=name)
 

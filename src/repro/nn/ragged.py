@@ -4,12 +4,14 @@ A batch of B requests with lengths ``L_0..L_{B-1}`` is packed into one
 ``(1, sum(L_i), d)`` tensor plus an offsets vector ``cu`` (*cumulative
 sequence lengths*, the flash-attention / vLLM idiom): request ``i`` owns
 rows ``cu[i]:cu[i+1]``.  Every *row-wise* op of a transformer stack —
-embedding gather, RMSNorm, the q/k/v/o projections, RoPE, the MLP, the
-LM head — then runs as **one** fused call over all rows instead of B
-per-request Python dispatches.  Only attention needs per-request
-structure, because request ``i``'s queries may attend to request ``i``'s
-keys alone: the packed forward attends per request over zero-copy cache
-views (:class:`repro.core.kv_arena.BlockTable`) at exactly the solo shapes.
+embedding gather, RMSNorm, the q/k/v/o projections, RoPE, the MLP — then
+runs as **one** fused call over all rows instead of B per-request Python
+dispatches.  Attention needs per-request structure, because request
+``i``'s queries may attend to request ``i``'s keys alone: the packed
+forward attends per request over zero-copy cache views
+(:class:`repro.core.kv_arena.BlockTable`) at exactly the solo shapes.
+So does the vocabulary-wide LM head, whose rows are not stable under
+stacking (below).
 
 Packing-stability contract
 --------------------------
@@ -21,8 +23,10 @@ runs on, pinned by ``tests/nn/test_ragged.py::TestPackingStability``:
 
 * **M >= 2 rows are stable under packing**: row ``r`` of
   ``(M, K) @ (K, N)`` is bitwise independent of ``M`` for every
-  ``M >= 2`` — the kernel reduces over K identically per row, so
-  stacking more rows on top never changes an existing row.
+  ``M >= 2`` at the layer widths — the kernel reduces over K identically
+  per row, so stacking more rows on top never changes an existing row.
+  Not at the LM head's vocabulary width (N = 84 on the smoke zoo), where
+  rows change once 125 or more are stacked: it runs per request.
 * **M == 1 is different**: a single-row matmul takes the gemv kernel,
   whose K-reduction order differs from the gemm kernel's once K is large
   enough (observed at K >= 64 in float32).  A lone row therefore may NOT

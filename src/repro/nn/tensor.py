@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..obs.profile import OP_GEMM, PROFILER as _PROFILER
+from ..obs.profile import OP_GEMM, OP_GEMM_CAST, PROFILER as _PROFILER
 
 __all__ = [
     "Tensor",
@@ -99,7 +99,10 @@ def matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Every GEMM in the repo flows through here (``Tensor.__matmul__``
     delegates, and inference fast paths that skip the autograd wrapper —
     e.g. :meth:`repro.nn.attention.MultiHeadAttention.attend` — call it
-    directly), so this one hook gives complete compute attribution.  One
+    directly), so this one hook gives complete compute attribution.  A
+    product of two dtypes is booked as ``gemm_cast``: numpy copies the
+    narrower operand into a fresh buffer first, the per-call cost the
+    inference operands (:mod:`repro.nn.kernels`) exist to remove.  One
     flag check when profiling is off; timing only (no RNG, no copies)
     when on.
     """
@@ -107,7 +110,7 @@ def matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         begin = time.perf_counter()
         product = np.matmul(a, b)
         _PROFILER.record(
-            OP_GEMM,
+            OP_GEMM if a.dtype == b.dtype else OP_GEMM_CAST,
             1000.0 * (time.perf_counter() - begin),
             flops=2.0 * product.size * a.shape[-1],
         )

@@ -7,7 +7,7 @@ Usage:
 ``TRACE`` may be a JSONL span log or a Chrome trace-event file (the format
 is sniffed from the content).  ``summarize`` prints the per-phase
 breakdown table; ``--attribution`` adds the op-level wall-clock split
-({gemm, arena_copy, python_overhead, other}) from spans recorded with
+({gemm, gemm_cast, arena_copy, python_overhead, other}) from spans recorded with
 profiling enabled.  ``flamegraph`` folds the span tree into a
 collapsed-stack file loadable by speedscope / ``flamegraph.pl``.
 """

@@ -6,18 +6,22 @@ arena memcpy, or plain per-request Python overhead.  This module adds the
 op level:
 
 * :class:`Profiler` — a process-wide, off-by-default accumulator that
-  instrumented hot paths feed: :meth:`Tensor.__matmul__
-  <repro.nn.tensor.Tensor.__matmul__>` records every GEMM (calls, ms,
-  FLOPs) and :class:`~repro.utils.arena.Arena` records every memcpy and
-  view rebuild (calls, ms, bytes).  Each record is also accumulated onto
+  instrumented hot paths feed: :func:`~repro.nn.tensor.matmul_data`
+  records every GEMM (calls, ms, FLOPs) — a product of two dtypes, which
+  makes numpy cast an operand first, as ``gemm_cast`` — and
+  :class:`~repro.utils.arena.Arena` records every memcpy and view rebuild
+  (calls, ms, bytes).  Each record is also accumulated onto
   the innermost open span (``gemm_ms`` / ``arena_copy_ms`` / ... span
   attributes), so exported traces carry the attribution and
   ``python -m repro.obs summarize --attribution`` can rebuild it offline.
-* :func:`build_attribution` — folds a span tree into a four-bucket
-  wall-time split ``{gemm, arena_copy, python_overhead, other}``:
+* :func:`build_attribution` — folds a span tree into a five-bucket
+  wall-time split ``{gemm, gemm_cast, arena_copy, python_overhead,
+  other}``:
 
-  - **gemm** / **arena_copy**: measured op time (view rebuilds are
-    counted with arena copies — both are storage-layer time);
+  - **gemm** / **gemm_cast** / **arena_copy**: measured op time
+    (``gemm_cast`` is a mixed-dtype product, cast included — a serving
+    run records none; view rebuilds are counted with arena copies — both
+    are storage-layer time);
   - **python_overhead**: container self-time — the part of ``decode`` /
     ``request`` / ``schedule`` spans not covered by their children, i.e.
     the N× per-request Python loop the batched round still pays;
@@ -63,6 +67,7 @@ __all__ = [
 
 #: Ops the hot-path hooks report (span attrs are ``<op>_ms`` etc.).
 OP_GEMM = "gemm"
+OP_GEMM_CAST = "gemm_cast"
 OP_ARENA_COPY = "arena_copy"
 OP_ARENA_VIEW = "arena_view"
 
@@ -177,13 +182,14 @@ def disable_profiling() -> Profiler:
 
 
 # ---------------------------------------------------------------------------
-# Attribution: span tree -> {gemm, arena_copy, python_overhead, other}.
+# Attribution: span tree -> {gemm, gemm_cast, arena_copy, python_overhead, other}.
 # ---------------------------------------------------------------------------
 def _op_ms(span: SpanRecord) -> Dict[str, float]:
-    """Measured op milliseconds stamped on ``span`` (gemm / arena buckets)."""
+    """Measured op milliseconds stamped on ``span`` (gemm / gemm_cast / arena buckets)."""
     attrs = span.attrs
     arena = float(attrs.get("arena_copy_ms", 0.0)) + float(attrs.get("arena_view_ms", 0.0))
-    return {"gemm": float(attrs.get("gemm_ms", 0.0)), "arena_copy": arena}
+    return {"gemm": float(attrs.get("gemm_ms", 0.0)),
+            "gemm_cast": float(attrs.get("gemm_cast_ms", 0.0)), "arena_copy": arena}
 
 
 @dataclass
@@ -196,14 +202,16 @@ class PhaseAttribution:
     gemm_ms: float = 0.0
     gemm_calls: int = 0
     gemm_flops: float = 0.0
+    gemm_cast_ms: float = 0.0
+    gemm_cast_calls: int = 0
     arena_ms: float = 0.0
     arena_bytes: int = 0
-    other_ms: float = 0.0   #: wall - gemm - arena, clamped at zero per span
+    other_ms: float = 0.0   #: wall - gemm - gemm_cast - arena, clamped at zero per span
 
 
 @dataclass
 class AttributionReport:
-    """The four-bucket wall-time split ``summarize --attribution`` prints."""
+    """The five-bucket wall-time split ``summarize --attribution`` prints."""
 
     total_ms: float = 0.0                 #: wall time of all root spans
     buckets: Dict[str, float] = field(default_factory=dict)
@@ -246,6 +254,8 @@ class AttributionReport:
                     "gemm_ms": p.gemm_ms,
                     "gemm_calls": p.gemm_calls,
                     "gemm_flops": p.gemm_flops,
+                    "gemm_cast_ms": p.gemm_cast_ms,
+                    "gemm_cast_calls": p.gemm_cast_calls,
                     "arena_ms": p.arena_ms,
                     "arena_bytes": p.arena_bytes,
                     "other_ms": p.other_ms,
@@ -256,11 +266,12 @@ class AttributionReport:
 
 
 def build_attribution(spans: Sequence[SpanRecord]) -> AttributionReport:
-    """Fold a span tree into the four-bucket wall-time attribution.
+    """Fold a span tree into the five-bucket wall-time attribution.
 
     * phase spans (``prefill``/``draft``/``verify``/``fallback``/
-      ``ar_step``) split their wall into measured ``gemm`` + ``arena``
-      op time and ``other`` (the unclaimed interior);
+      ``ar_step``) split their wall into measured ``gemm`` +
+      ``gemm_cast`` + ``arena`` op time and ``other`` (the unclaimed
+      interior);
     * container spans (``decode``/``request``/``schedule``) contribute
       their *self time* minus any ops recorded directly on them to
       ``python_overhead`` — the per-request / per-round loop cost;
@@ -268,7 +279,8 @@ def build_attribution(spans: Sequence[SpanRecord]) -> AttributionReport:
       to cover, bounded in practice by the span-tiling guarantee.
     """
     report = AttributionReport(
-        buckets={"gemm": 0.0, "arena_copy": 0.0, "python_overhead": 0.0, "other": 0.0},
+        buckets={"gemm": 0.0, "gemm_cast": 0.0, "arena_copy": 0.0,
+                 "python_overhead": 0.0, "other": 0.0},
     )
     by_id = {s.span_id: s for s in spans}
     child_ms: Dict[int, float] = {}
@@ -280,7 +292,7 @@ def build_attribution(spans: Sequence[SpanRecord]) -> AttributionReport:
 
     for span in spans:
         ops = _op_ms(span)
-        measured = ops["gemm"] + ops["arena_copy"]
+        measured = sum(ops.values())
         if measured > 0:
             report.has_ops = True
         if span.name in PHASE_SPANS:
@@ -292,16 +304,18 @@ def build_attribution(spans: Sequence[SpanRecord]) -> AttributionReport:
             phase.gemm_ms += ops["gemm"]
             phase.gemm_calls += int(span.attrs.get("gemm_calls", 0))
             phase.gemm_flops += float(span.attrs.get("gemm_flops", 0.0))
+            phase.gemm_cast_ms += ops["gemm_cast"]
+            phase.gemm_cast_calls += int(span.attrs.get("gemm_cast_calls", 0))
             phase.arena_ms += ops["arena_copy"]
             phase.arena_bytes += int(span.attrs.get("arena_copy_bytes", 0))
             phase.other_ms += max(0.0, span.duration_ms - measured)
-            report.buckets["gemm"] += ops["gemm"]
-            report.buckets["arena_copy"] += ops["arena_copy"]
+            for bucket, ms in ops.items():
+                report.buckets[bucket] += ms
             report.buckets["other"] += max(0.0, span.duration_ms - measured)
         elif span.name in CONTAINER_SPANS:
             self_ms = max(0.0, span.duration_ms - child_ms.get(span.span_id, 0.0))
-            report.buckets["gemm"] += ops["gemm"]
-            report.buckets["arena_copy"] += ops["arena_copy"]
+            for bucket, ms in ops.items():
+                report.buckets[bucket] += ms
             report.buckets["python_overhead"] += max(0.0, self_ms - measured)
     return report
 
@@ -319,8 +333,9 @@ def render_attribution(report: AttributionReport) -> str:
     """Aligned text rendering of an :class:`AttributionReport`."""
     lines: List[str] = []
     header = (
-        f"{'phase':>10} {'count':>7} {'wall ms':>10} {'gemm ms':>9} "
-        f"{'arena ms':>9} {'other ms':>9} {'gemm calls':>11} {'arena bytes':>12}"
+        f"{'phase':>10} {'count':>7} {'wall ms':>10} {'gemm ms':>9} {'cast ms':>8} "
+        f"{'arena ms':>9} {'other ms':>9} {'gemm calls':>11} {'cast calls':>11} "
+        f"{'arena bytes':>12}"
     )
     lines.append("wall-clock attribution")
     lines.append(header)
@@ -331,7 +346,8 @@ def render_attribution(report: AttributionReport) -> str:
         p = report.phases[name]
         lines.append(
             f"{p.name:>10} {p.count:>7d} {p.wall_ms:>10.2f} {p.gemm_ms:>9.2f} "
-            f"{p.arena_ms:>9.2f} {p.other_ms:>9.2f} {p.gemm_calls:>11d} "
+            f"{p.gemm_cast_ms:>8.2f} {p.arena_ms:>9.2f} {p.other_ms:>9.2f} "
+            f"{p.gemm_calls:>11d} {p.gemm_cast_calls:>11d} "
             f"{_format_bytes(p.arena_bytes):>12}"
         )
     lines.append("")
@@ -340,7 +356,7 @@ def render_attribution(report: AttributionReport) -> str:
     def share(ms: float) -> str:
         return f"{100.0 * ms / total:5.1f}%" if total > 0 else "    -"
 
-    for bucket in ("gemm", "arena_copy", "python_overhead", "other"):
+    for bucket in ("gemm", "gemm_cast", "arena_copy", "python_overhead", "other"):
         ms = report.buckets.get(bucket, 0.0)
         lines.append(f"{bucket:>16}: {ms:>10.2f} ms  {share(ms)}")
     lines.append(f"{'residual':>16}: {report.residual_ms:>10.2f} ms  "

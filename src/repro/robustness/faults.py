@@ -139,7 +139,9 @@ def inject_nan_weights(module: Module, fraction: float = 0.05, seed: int = 0) ->
     """Overwrite a deterministic subset of parameter entries with NaN.
 
     Returns the number of poisoned scalars.  ``fraction`` applies per
-    parameter tensor (at least one element each once fraction > 0).
+    parameter tensor (at least one element each once fraction > 0).  Each
+    poisoned array *replaces* the parameter's, as an optimizer step does,
+    so a live engine's inference operands see it (``repro.nn.kernels``).
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
@@ -148,7 +150,9 @@ def inject_nan_weights(module: Module, fraction: float = 0.05, seed: int = 0) ->
     for _, param in module.named_parameters():
         n = max(1, int(param.data.size * fraction))
         idx = rng.choice(param.data.size, size=n, replace=False)
-        np.put(param.data, idx, np.nan)
+        poisoned = param.data.copy()
+        np.put(poisoned, idx, np.nan)
+        param.data = poisoned
         n_poisoned += n
     return n_poisoned
 

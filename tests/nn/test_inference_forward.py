@@ -1,12 +1,15 @@
 """The differential oracle for the inference forwards.
 
 Gradients off => raw kernels, one row or many (``docs/kernels.md`` §5):
-``MiniLlama`` and ``AASDDraftHead`` each have one no-grad implementation
-(``_infer_rows``) behind their solo and packed entry points.  The
-autograd ``Module`` path — what the same call computes with gradients on —
-is the executable spec, and every case here demands ``np.array_equal``
-between the two on the smoke target and head: outputs, fresh KV, and the
-caches left behind.
+``MiniLlama``, ``AASDDraftHead``, the vision tower, the connector and the
+KV projector each have one no-grad implementation (``_infer_rows``)
+behind their solo and packed entry points.  The autograd ``Module`` path
+— what the same call computes with gradients on — is the executable
+spec, and every case here demands ``np.array_equal`` between the two on
+the smoke target and head: outputs, fresh KV, and the caches left
+behind.  The target and head are pinned for the whole module, as a
+serving engine pins them, so the kernels read the prepared float64
+operands (``tests/nn/test_operands.py``).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.core.reference import ReferenceHybridKVCache, ReferenceKVCache
 from repro.data.tasks import make_dataset
 from repro.decoding.base import encode_prompt
 from repro.decoding.tree import TreeDraft, tree_extra_blocked
+from repro.nn.kernels import pin_operands
 from repro.nn.tensor import Tensor, no_grad
 
 FEED = [5, 9, 7, 11]        # a gamma + 1 = 4 token verify feed
@@ -38,12 +42,15 @@ ABLATIONS = [
 def world(smoke_zoo):
     tokenizer = smoke_zoo.tokenizer()
     samples = make_dataset("coco-sim", 3, seed=4).samples
-    return dict(
-        target=smoke_zoo.target("sim-7b"),
-        head=smoke_zoo.aasd_head("sim-7b"),
+    target, head = smoke_zoo.target("sim-7b"), smoke_zoo.aasd_head("sim-7b")
+    release = pin_operands([*target.parameters(), *head.parameters()])
+    yield dict(
+        target=target,
+        head=head,
         samples=samples,
         prompts=[encode_prompt(tokenizer, s) for s in samples],
     )
+    release()
 
 
 @pytest.fixture
@@ -302,3 +309,65 @@ class TestDraftForward:
             head._tree_step(FEED[0], pos + 1, hybrid, (0,))
             head.step_packed([FEED[1]], [pos + 2], [hybrid])
         assert not tensors_built and hybrid.draft_len == 3
+
+
+CACHES = [(HybridKVCache, None), (ReferenceHybridKVCache, ReferenceKVCache)]
+
+
+class TestPrefillThroughTheProjector:
+    """Vision tower -> connector -> LM prefill -> ``build_context`` (projector)."""
+
+    @staticmethod
+    def _context(world, cache, hybrid_cls):
+        head = world["head"]
+        hybrid = hybrid_cls(head.config.n_heads, head.config.head_dim)
+        head.build_context(cache, hybrid)
+        return hybrid
+
+    def test_vision_tower_and_connector(self, world):
+        images = np.stack([s.image for s in world["samples"]])
+        target = world["target"]
+        spec, fast = both(lambda: target.encode_image(images))
+        assert spec.requires_grad and not fast.requires_grad
+        assert np.array_equal(spec.data, fast.data)
+        raw = target.connector._infer_rows(target.vision._infer_rows(images))
+        assert np.array_equal(spec.data, raw)
+
+    @pytest.mark.parametrize("hybrid_cls, cache_cls", CACHES, ids=["arena", "reference"])
+    @pytest.mark.parametrize("width", [1, 3], ids=["solo", "packed3"])
+    def test_prefill_and_context(self, world, monkeypatch, width, hybrid_cls, cache_cls):
+        if cache_cls is not None:
+            monkeypatch.setattr(llama_mod, "KVCache", cache_cls)
+        spec = []
+        for i in range(width):
+            cache, logits = prefill(world, i)
+            spec.append((cache, logits, self._context(world, cache, hybrid_cls)))
+        with no_grad():
+            if width == 1:
+                solo = [prefill(world)]
+            else:
+                caches, logit_rows = world["target"].prefill_batch(
+                    [s.image for s in world["samples"][:width]], world["prompts"][:width])
+                solo = list(zip(caches, logit_rows))
+            fast = [(c, l, self._context(world, c, hybrid_cls)) for c, l in solo]
+        for (cache_s, logits_s, hybrid_s), (cache_f, logits_f, hybrid_f) in zip(spec, fast):
+            if cache_cls is not None:
+                assert isinstance(cache_f, cache_cls)
+            assert np.array_equal(logits_s, logits_f)
+            same_cache(cache_s, cache_f)
+            assert cache_s.segments == cache_f.segments
+            same_hybrid(hybrid_s, hybrid_f)
+
+    def test_prefill_batch_builds_no_tensor(self, world, tensors_built):
+        del tensors_built[:]
+        world["target"].prefill_batch(
+            [s.image for s in world["samples"]], world["prompts"])
+        assert not tensors_built
+
+    def test_self_encode(self, world):                # the Figure 3 context encoder
+        head = world["head"]
+        ids = np.asarray(FEED)
+        positions = 40 + np.arange(len(ids))
+        _, k_s, v_s = head.qkv(head.attn_norm(head.embed(ids[None])), positions)
+        k_f, v_f = head.self_encode(ids, positions)
+        assert np.array_equal(k_s.data, k_f) and np.array_equal(v_s.data, v_f)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import AASDEngine, AASDEngineConfig
 from repro.errors import ConfigError
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, matmul_data
 from repro.obs.flamegraph import export_collapsed, fold_spans, read_collapsed
 from repro.obs.metrics import MetricsRegistry, exact_quantile
 from repro.obs.profile import (
@@ -133,6 +133,14 @@ class TestHooks:
         assert stats.flops == pytest.approx(2.0 * 4 * 5 * 8)
         assert stats.wall_ms > 0.0
 
+    def test_mixed_dtype_product_is_booked_as_gemm_cast(self, profiler):
+        x = np.ones((4, 8))                        # float64 activations
+        w = np.ones((8, 5), dtype=np.float32)      # a float32 weight
+        matmul_data(x, w)
+        matmul_data(x, w.astype(np.float64))
+        assert profiler.op("gemm_cast").calls == 1
+        assert profiler.op("gemm").calls == 1
+
     def test_disabled_hook_records_nothing(self):
         PROFILER.reset()
         assert not PROFILER.enabled
@@ -219,7 +227,10 @@ class TestAttribution:
         assert report.total_ms > 0.0
         # Measured op time never exceeds the wall of the span it ran in.
         for phase in report.phases.values():
-            assert phase.gemm_ms + phase.arena_ms <= phase.wall_ms * 1.001
+            assert phase.gemm_ms + phase.gemm_cast_ms + phase.arena_ms <= phase.wall_ms * 1.001
+        # An engine's forwards read prepared operands: no product casts.
+        assert PROFILER.op("gemm_cast").calls == 0
+        assert report.buckets["gemm_cast"] == 0.0
         # Buckets + residual account for the whole trace, and the
         # unattributed residual respects the span-tiling guarantee.
         total = sum(report.buckets.values())
@@ -228,6 +239,7 @@ class TestAttribution:
         assert report.buckets["gemm"] > 0.0
         rendered = render_attribution(report)
         assert "python_overhead" in rendered and "residual" in rendered
+        assert "gemm_cast" in rendered
 
     def test_profiling_is_invisible_to_decoding(self, world):
         baseline = _engine(world).decode(world["samples"][0])

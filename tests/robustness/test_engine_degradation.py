@@ -110,8 +110,10 @@ class TestFaultModes:
         )
         head.init_from_target(target.llama)
         head.eval()
-        inject_nan_weights(head, fraction=0.02, seed=0)
         engine = _engine(target, head, tokenizer, cost_model)
+        assert engine.decode(samples[0]).n_draft_faults == 0
+        # poisoned while the engine serves the head: its operands follow
+        inject_nan_weights(head, fraction=0.02, seed=0)
         record = engine.decode(samples[0])
         assert record.token_ids == ar_records[0].token_ids
         assert record.n_draft_faults > 0
