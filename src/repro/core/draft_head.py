@@ -21,7 +21,7 @@ import numpy as np
 
 from ..decoding.cost_model import CostModel
 from ..decoding.speculative import Drafter
-from ..decoding.tree import TreeDraft
+from ..decoding.tree import DraftWalk, TreeDraft
 from ..errors import ConfigError, DecodingError, ShapeError
 from ..models.llama import MiniLlama
 from ..nn import functional as F
@@ -103,10 +103,7 @@ class AASDDraftHead(Module, Drafter):
     """
 
     name = "ours"
-    #: The engine's tree-speculation rounds may drive this head via
-    #: :meth:`draft_tree`.  Wrappers that intercept per-request ``step``
-    #: calls (e.g. the fault injector) advertise ``False`` so the engine
-    #: keeps the linear draft path, where interception works.
+    #: A step attends any root path of the draft segment (``ancestor_rows``).
     supports_tree = True
     #: Figure 4 ablation: context segments hidden from every draft step
     #: (set on a weight-sharing view by :meth:`ablate_kv`).
@@ -331,71 +328,29 @@ class AASDDraftHead(Module, Drafter):
         position: int,
         hybrid: HybridKVCache,
         request_id: Optional[str] = None,
+        ancestor_rows: Optional[Tuple[int, ...]] = None,
     ) -> np.ndarray:
-        """One draft step: returns next-token logits ``(vocab,)``.
+        """One draft forward: returns next-token logits ``(vocab,)``.
 
-        Appends the token's own K/V to the hybrid cache's draft segment
-        (the query attends to it, matching T-D Attention's ``j = i`` rule).
-        ``position`` must lie past every cached key position, as it does
-        wherever the engine drafts.  ``request_id`` identifies the
+        Appends the token's own K/V as the hybrid cache's next draft row
+        (the query attends to it, matching T-D Attention's ``j = i``
+        rule), so DFS-preorder expansion keeps draft-row order equal to
+        node order.  ``position`` must lie past every attended key
+        position, as it does wherever the engine drafts.  Of the draft
+        segment only ``ancestor_rows`` (a tree node's root path: distinct
+        rows in increasing order, so the whole segment exactly when it is
+        as long) are attended — sibling branches are excluded by
+        *selection* rather than masking, which also keeps same-position
+        sibling keys out of the causal rule's reach; ``None`` (a chain
+        step) attends the whole segment.  ``request_id`` identifies the
         requesting session; the head itself ignores it, but wrappers
         (fault injectors, per-request telemetry) key their behavior on it.
-
-        A chain step is the tree step whose ancestors are the whole draft
-        segment, so this *is* :meth:`_tree_step` — one spec with
-        gradients on, one kernel with them off.
-        """
-        del request_id
-        return self._tree_step(
-            token_id, position, hybrid, tuple(range(hybrid.draft_len))
-        )
-
-    # ------------------------------------------------------------------
-    # Tree speculation (repro.decoding.tree; docs/kernels.md)
-    # ------------------------------------------------------------------
-    def _branch_width(self, logits: np.ndarray, max_branch: int,
-                      entropy_scale: float) -> int:
-        """Entropy-adapted branch width for one tree expansion (DREAM-style).
-
-        High draft-head entropy means the argmax continuation is unsure,
-        so hedging across more children is worth the verify rows; a
-        confident head keeps the tree narrow.  The width is
-        ``1 + floor(H / entropy_scale)`` (H in nats, from the raw softmax
-        over the float64 logits), clamped to ``[1, max_branch]`` — always
-        at least the argmax child, so a ``max_branch`` of 1 degenerates
-        to the linear chain exactly.
-        """
-        if max_branch <= 1:
-            return 1
-        z = np.asarray(logits, dtype=np.float64)
-        z = z - z.max()
-        p = np.exp(z)
-        p /= p.sum()
-        entropy = float(-(p * np.log(np.maximum(p, 1e-300))).sum())
-        return 1 + min(max_branch - 1, int(entropy / entropy_scale))
-
-    def _tree_step(
-        self,
-        token_id: int,
-        position: int,
-        hybrid: HybridKVCache,
-        ancestor_rows: Tuple[int, ...],
-    ) -> np.ndarray:
-        """One draft forward: a tree-node expansion, or a chain :meth:`step`.
-
-        Of the hybrid cache's draft segment only ``ancestor_rows`` (the
-        node's root path, in draft-row order) are attended — sibling
-        branches are excluded by *selection* rather than masking, which
-        also keeps same-position sibling keys out of the causal rule's
-        reach.  When the ancestors are the entire draft segment (every
-        chain node) the gathered views are used as-is.  Appends the
-        expanded token's own K/V as the next draft row, so DFS-preorder
-        expansion keeps draft-row order equal to node order.
 
         With gradients off this is the one-row case of
         :meth:`_infer_rows`; the ``Module`` ops below are what it must
         equal bit for bit (``tests/nn/test_inference_forward.py``).
         """
+        del request_id
         if not is_grad_enabled():
             return self._infer_rows(
                 [token_id], [position], [hybrid], ancestor_rows=[ancestor_rows]
@@ -408,24 +363,18 @@ class AASDDraftHead(Module, Drafter):
         ctx_k, ctx_v, key_pos, key_blocked = hybrid.gather(
             disable_image_kv=self.disable_image_kv, disable_text_kv=self.disable_text_kv
         )
-        rows = list(ancestor_rows)
-        if rows == list(range(hybrid.draft_len)):
-            sel_k, sel_v = ctx_k, ctx_v
-            sel_pos, sel_blocked = key_pos, key_blocked
-        else:
+        if ancestor_rows is not None:
             index = np.concatenate([
                 np.arange(hybrid.context_len, dtype=np.int64),
-                hybrid.context_len + np.asarray(rows, dtype=np.int64),
+                hybrid.context_len + np.asarray(ancestor_rows, dtype=np.int64),
             ])
-            sel_k = np.asarray(ctx_k)[:, :, index, :]
-            sel_v = np.asarray(ctx_v)[:, :, index, :]
-            sel_pos = np.asarray(key_pos)[index]
-            sel_blocked = np.asarray(key_blocked)[index]
-        k_all = concat([Tensor(sel_k), k], axis=2)
-        v_all = concat([Tensor(sel_v), v], axis=2)
-        all_pos = np.concatenate([sel_pos, positions])
+            ctx_k, ctx_v = ctx_k[:, :, index, :], ctx_v[:, :, index, :]
+            key_pos, key_blocked = key_pos[index], key_blocked[index]
+        k_all = concat([Tensor(ctx_k), k], axis=2)
+        v_all = concat([Tensor(ctx_v), v], axis=2)
+        all_pos = np.concatenate([key_pos, positions])
         blocked = causal_mask(positions, all_pos)
-        blocked = blocked | np.concatenate([sel_blocked, [False]])[None, :]
+        blocked = blocked | np.concatenate([key_blocked, [False]])[None, :]
 
         attn = MultiHeadAttention.attend(q, k_all, v_all, blocked=blocked)
         x = x + self.wo(merge_heads(attn))
@@ -435,79 +384,16 @@ class AASDDraftHead(Module, Drafter):
         hybrid.append_draft(k.data, v.data, positions)
         return logits.data[0, -1]
 
-    def draft_tree(
-        self,
-        token_id: int,
-        position: int,
-        hybrid: HybridKVCache,
-        *,
-        gamma: int,
-        max_branch: int = 2,
-        max_nodes: int = 12,
-        entropy_scale: float = 1.0,
-        request_id: Optional[str] = None,
-        on_step=None,
-    ):
-        """Draft a candidate tree below the anchor ``token_id``; DFS preorder.
-
-        Expansion: one :meth:`_tree_step` forward per expanded node (anchor
-        first) yields that node's continuation logits; the top-``w`` tokens
-        (``w`` from :meth:`_branch_width`, stable-descending order so rank
-        0 is the argmax) become its children, each created and then
-        immediately descended into — true DFS preorder, so node order,
-        draft-row order, and (for ``max_branch=1``) the linear chain's
-        order all coincide.  Nodes at depth ``gamma`` are leaves and are
-        never expanded, mirroring the linear path where the last drafted
-        token's KV is never computed.  The node budget is
-        ``max(max_nodes, gamma)`` — a tree is never smaller than the
-        linear chain it replaces.
-
-        ``on_step(kv_len)`` is invoked immediately *before* each expansion
-        with the number of keys that forward attends (context + ancestors
-        + itself), so callers can charge draft cost in the linear path's
-        charge-then-step order; for a chain the sequence of ``kv_len``
-        values equals the linear path's ``seq_len + 1`` charges exactly.
-        ``request_id`` is accepted for wrapper parity with :meth:`step`
-        and ignored.
-
-        Returns a :class:`repro.decoding.tree.TreeDraft`.
-        """
-        del request_id
-        budget = max(int(max_nodes), int(gamma))
-        tokens: List[int] = []
-        parents: List[int] = []
-        depths: List[int] = []
-
-        def grow(token: int, depth: int, parent_idx: int,
-                 ancestor_rows: Tuple[int, ...]) -> None:
-            """Expand one node and recurse into its children, DFS preorder."""
-            if on_step is not None:
-                on_step(hybrid.context_len + len(ancestor_rows) + 1)
-            logits = self._tree_step(token, position + depth, hybrid, ancestor_rows)
-            ensure_finite(logits, "draft logits")
-            my_row = hybrid.draft_len - 1
-            width = self._branch_width(logits, max_branch, entropy_scale)
-            order = np.argsort(-np.asarray(logits, dtype=np.float64), kind="stable")
-            for rank in range(width):
-                if len(tokens) >= budget:
-                    break
-                child_token = int(order[rank])
-                child_idx = len(tokens)
-                tokens.append(child_token)
-                parents.append(parent_idx)
-                depths.append(depth + 1)
-                if depth + 1 < gamma and len(tokens) < budget:
-                    grow(child_token, depth + 1, child_idx,
-                         ancestor_rows + (my_row,))
-
-        grow(int(token_id), 0, -1, ())
-        # a recursive closure refers to itself: empty the cell, or the
-        # cycle keeps ``hybrid`` and whatever ``on_step`` holds (a whole
-        # session) alive until the next gc pass
-        del grow
-        return TreeDraft(
-            tokens=tuple(tokens), parents=tuple(parents), depths=tuple(depths)
-        )
+    def draft_tree(self, token_id: int, position: int, hybrid: HybridKVCache, *,
+                   gamma: int, max_branch: int = 2, max_nodes: int = 12,
+                   entropy_scale: float = 1.0, request_id: Optional[str] = None) -> TreeDraft:
+        """One session's tree alone: the engine's lockstep :class:`DraftWalk`, one :meth:`step` each."""
+        walk = DraftWalk.tree(token_id, gamma, max_branch, max_nodes, entropy_scale)
+        while walk.pending is not None:
+            token, depth, ancestors = walk.pending
+            logits = self.step(token, position + depth, hybrid, request_id, ancestors)
+            walk.expand(ensure_finite(logits, "draft logits"))
+        return walk.draft
 
     def step_packed(
         self,
@@ -515,6 +401,7 @@ class AASDDraftHead(Module, Drafter):
         positions: Sequence[int],
         hybrids: Sequence[HybridKVCache],
         request_ids: Optional[Sequence[Optional[str]]] = None,
+        ancestor_rows: Optional[Sequence[Optional[Tuple[int, ...]]]] = None,
     ) -> List[np.ndarray]:
         """One *lockstep* draft step for B sessions; per-session logits.
 
@@ -522,11 +409,13 @@ class AASDDraftHead(Module, Drafter):
         each session's fresh draft K/V to its own hybrid cache exactly as
         :meth:`step` does and returns one ``(vocab,)`` logits row per
         session, in input order, bitwise what B solo steps return.
-        Inference only — it runs the raw kernels whatever the grad mode.
-        ``request_ids`` is ignored here; wrappers key per-request behavior
-        on it, and may return an ``Exception`` in a row's slot, which the
-        engine treats as that row's draft fault (raising instead faults
-        every row of the call).
+        ``ancestor_rows[i]`` is row ``i``'s :meth:`step` argument, so rows
+        of different sessions' trees share the call.  Inference only — it
+        runs the raw kernels whatever the grad mode.  ``request_ids`` is
+        ignored here; wrappers key per-request behavior on it, and may
+        return an ``Exception`` in a row's slot, which the engine treats
+        as that row's draft fault (raising instead faults every row of
+        the call).
         """
         del request_ids
         if not (len(token_ids) == len(positions) == len(hybrids)):
@@ -534,14 +423,14 @@ class AASDDraftHead(Module, Drafter):
                 f"step_packed arity mismatch: {len(token_ids)} tokens, "
                 f"{len(positions)} positions, {len(hybrids)} caches"
             )
-        return self._infer_rows(token_ids, positions, hybrids)
+        return self._infer_rows(token_ids, positions, hybrids, ancestor_rows)
 
     def _infer_rows(
         self,
         token_ids: Sequence[int],
         positions: Sequence[int],
         hybrids: Sequence[HybridKVCache],
-        ancestor_rows: Optional[Sequence[Tuple[int, ...]]] = None,
+        ancestor_rows: Optional[Sequence[Optional[Tuple[int, ...]]]] = None,
     ) -> List[np.ndarray]:
         """The one no-grad draft step: B sessions, one token each.
 
@@ -557,7 +446,7 @@ class AASDDraftHead(Module, Drafter):
         runs per session over ``(context | chosen draft rows | own key)``
         at exactly the solo shapes.  ``ancestor_rows[i]``, when given,
         restricts session ``i``'s draft segment to those rows (the
-        :meth:`_tree_step` rule); ``None`` attends the whole segment.
+        :meth:`step` rule); ``None`` attends the whole segment.
 
         When no ablation flag is set the attention mask is skipped
         outright: during draft steps every attended key position is
@@ -588,8 +477,8 @@ class AASDDraftHead(Module, Drafter):
             ctx_k, ctx_v, key_pos, key_blocked = hybrid.gather(
                 disable_image_kv=disable_image_kv, disable_text_kv=disable_text_kv
             )
-            rows = None if ancestor_rows is None else list(ancestor_rows[i])
-            if rows is not None and rows != list(range(hybrid.draft_len)):
+            rows = None if ancestor_rows is None else ancestor_rows[i]
+            if rows is not None and len(rows) != hybrid.draft_len:
                 # repro: allow[hotpath-reach] -- O(context) int index selecting a tree node's root path
                 index = np.concatenate([
                     np.arange(hybrid.context_len, dtype=np.int64),

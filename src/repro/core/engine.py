@@ -74,7 +74,7 @@ from ..decoding.cost_model import CostModel
 from ..decoding.metrics import BlockRecord, DecodeRecord
 from ..decoding.sampling import Sampler, SamplerConfig, logits_to_probs, speculative_verify
 from ..decoding.speculative import Drafter
-from ..decoding.tree import TreeDraft, accept_tree, tree_extra_blocked
+from ..decoding.tree import DraftWalk, accept_tree, tree_extra_blocked
 from ..errors import DecodingError
 from ..models.llava import MiniLlava
 from ..nn.kernels import pin_operands
@@ -189,14 +189,23 @@ class DecodeSession:
         return combined_stats(self.target_cache, self.draft_state)
 
 
+def _sample_child(sampler: Sampler, rng: Optional[np.random.Generator],
+                  probs: List[np.ndarray], logits: np.ndarray) -> int:
+    """A chain's child rule: one draw from the draft distribution, kept in ``probs``."""
+    dist = logits_to_probs(logits, sampler.config)
+    token = sampler.sample(logits, probs=dist, rng=rng)
+    probs.append(dist)
+    return token
+
+
 @dataclass
 class _PackedDraftState:
     """One session's speculated block within a round, chain or tree.
 
-    Holds the verify anchor, what was drafted below it (``tokens`` +
-    ``probs`` for a chain, the :class:`TreeDraft` for a tree), the
-    solo-priced draft charge the deadline check compares to the
-    session's budget, and how the draft phase ended for this session.
+    Holds the verify anchor, the :class:`DraftWalk` growing the block
+    below it (a chain is its width-1 tree), the solo-priced draft charge
+    the deadline check compares to the session's budget, and how the
+    draft phase ended for this session.
     """
 
     slot: int                       #: index of the session in the round
@@ -204,31 +213,19 @@ class _PackedDraftState:
     last: int                       #: last committed token (verify anchor)
     last_pos: int                   #: absolute position of ``last``
     gamma: int                      #: depth the controller granted this round
-    token: int                      #: token fed to the next chain step
-    pos: int                        #: position of ``token`` (fault reports)
-    tokens: List[int] = field(default_factory=list)       #: drafted chain
-    probs: List[np.ndarray] = field(default_factory=list)  #: its draft distributions
-    tree: Optional[TreeDraft] = None                      #: drafted tree
+    open_len: int                   #: draft-state ``seq_len`` at block open
+    walk: DraftWalk                 #: the block, grown one expansion per lane step
+    probs: List[np.ndarray]         #: a chain's draft distributions (its child rule fills it)
+    pos: int = 0                    #: position of the last token fed (fault reports)
     kv_lens: List[int] = field(default_factory=list)      #: keys attended per draft forward
     draft_ms: float = 0.0           #: solo-priced draft charge (budget check)
     faulted: bool = False           #: a draft fault emptied this block
     failure: Optional[Exception] = None   #: the fault, when it is the session's outcome
 
-    @classmethod
-    def open(cls, slot: int, session: DecodeSession) -> "_PackedDraftState":
-        """Anchor a new block at the session's last committed token."""
-        last = session.committed[-1]
-        last_pos = session.gen_base + len(session.committed) - 1
-        return cls(
-            slot=slot, session=session, last=last, last_pos=last_pos,
-            gamma=session.gamma_controller.next_gamma(),
-            token=last, pos=last_pos,
-        )
-
     @property
     def drafted(self) -> Sequence[int]:
         """The block's tokens in feed order (empty: nothing to verify)."""
-        return self.tree.tokens if self.tree is not None else self.tokens
+        return () if self.faulted else self.walk.draft.tokens
 
 
 @dataclass(frozen=True)
@@ -346,9 +343,6 @@ class AASDEngine(Decoder):
         """
         cfg = self.config
         session = state.session
-        state.tokens = []
-        state.probs = []
-        state.tree = None
         state.faulted = True
         # The speculated block may be poisoned; what the state held
         # before it is still trusted (the fallback step that follows
@@ -410,12 +404,10 @@ class AASDEngine(Decoder):
     def tree_ready(self) -> bool:
         """Whether rounds draft candidate trees instead of gamma-chains.
 
-        The single gate of the round: the config switch, a head that
-        advertises ``supports_tree`` (fault-injection wrappers intercept
-        per-request ``step`` calls and opt out, keeping the chain draft
-        where interception works), and greedy sampling — tree acceptance
-        is defined for greedy configs only
-        (:func:`repro.decoding.tree.accept_tree`).
+        The single gate of the round: the config switch, a drafter that
+        advertises ``supports_tree`` (its steps attend any root path of
+        the block), and greedy sampling — tree acceptance is defined for
+        greedy configs only (:func:`repro.decoding.tree.accept_tree`).
         """
         return (
             self.config.tree_speculation
@@ -631,17 +623,19 @@ class AASDEngine(Decoder):
            controller but still maintains the draft context — the circuit
            breaker uses it to flip a batch target-only temporarily, so
            speculation can resume the moment it re-closes.
-        2. **Draft lane**, one ``draft`` span — chains are drafted in
-           lockstep through the drafter's ``step_packed`` (for the AASD
-           head one ``(B, 1, D)`` kernel set per draft position, rows
-           dropping out as their gamma is reached or a fault ends their
-           block); trees (:attr:`tree_ready`) grow per session through
-           :meth:`AASDDraftHead.draft_tree`, tree growth being
-           data-dependent.  Each draft forward is charged to its
-           session's record, solo-priced, before it runs.  A draft fault
+        2. **Draft lane**, one ``draft`` span — every session's block is
+           a :class:`~repro.decoding.tree.DraftWalk` (a gamma-chain, or
+           under :attr:`tree_ready` a candidate tree; the chain is the
+           width-1 tree), and the walks grow in lockstep: one
+           ``step_packed`` call per expansion index (for the AASD head
+           one ``(B, 1, D)`` kernel set), each row attending its node's
+           root path, rows dropping out as their walk completes or a
+           fault ends their block (:meth:`_draft`).  Each draft forward
+           is charged to its session's record, solo-priced, before it
+           runs.  A draft fault
            — NaN/Inf logits, a draft-state invariant violation, an exception in
            a row's slot of ``step_packed``'s result, or one raised by the
-           head (which faults every row active at that position) — ends
+           head (which faults every row active at that expansion) — ends
            that session's block by the one rule of :meth:`_draft_fault`.
         3. **Deadline expiry** — ``budgets_ms[i]`` is session ``i``'s
            remaining deadline budget on the server clock: when its draft
@@ -659,8 +653,8 @@ class AASDEngine(Decoder):
            drafted block, then per session the accept rule, cache commit,
            context maintenance and token commit (:meth:`_verify_block`).
 
-        Chain and tree differ in exactly two places: how the block is
-        drafted (2) and the accept rule with the rows it keeps (5).
+        Chain and tree differ in exactly two places: the walk's child rule
+        (2) and the accept rule with the rows it keeps (5).
         Tokens are identical, request by request, at any batch width and
         in any batch order, greedy or sampled.
         """
@@ -687,13 +681,10 @@ class AASDEngine(Decoder):
                 return outcomes  # type: ignore[return-value]
 
             with self.tracer.span("draft") as sp:
-                states = [_PackedDraftState.open(i, sessions[i]) for i in drafting]
+                states = [self._open_block(i, sessions[i], tree) for i in drafting]
                 sp.set_attr("batch", len(states))
                 sp.set_attr("gamma", max(st.gamma for st in states))
-                if tree:
-                    self._draft_trees(states, sp)
-                else:
-                    self._draft_chains(states, sp)
+                self._draft(states, sp)
                 for st in states:
                     if self.config.guard_cache and not st.faulted:
                         try:
@@ -742,17 +733,18 @@ class AASDEngine(Decoder):
                         caches,
                         update_cache=not tree,
                         position_rows=[
-                            st.tree.feed_positions(st.last_pos) for st in verifying
+                            st.walk.draft.feed_positions(st.last_pos) for st in verifying
                         ] if tree else None,
                         extra_blocked_rows=[
-                            tree_extra_blocked(st.tree.parents, start)
+                            tree_extra_blocked(st.walk.draft.parents, start)
                             for st, start in zip(verifying, verify_starts)
                         ] if tree else None,
                     )
                     n_accepted = 0
                     for st, out, start in zip(verifying, outs, verify_starts):
                         try:
-                            report = outcomes[st.slot] = self._verify_block(st, out, start, sp)
+                            report = outcomes[st.slot] = self._verify_block(
+                                st, out, start, sp, tree)
                             n_accepted += report.n_accepted
                         except Exception as exc:  # isolate the fault to this session
                             log_exception(logger, "step_fault", exc,
@@ -800,71 +792,64 @@ class AASDEngine(Decoder):
             log_exception(logger, "step_fault", exc, request_id=session.request_id)
             return exc
 
-    def _draft_chains(self, states: Sequence[_PackedDraftState], sp) -> None:
-        """Draft every session's gamma-chain in lockstep, one position at a time."""
-        for depth in range(max(st.gamma for st in states)):
-            active = [st for st in states if st.gamma > depth and not st.faulted]
+    def _open_block(self, slot: int, session: DecodeSession,
+                    tree: bool) -> _PackedDraftState:
+        """Anchor a new block at the session's last committed token."""
+        cfg = self.config
+        last, gamma = session.committed[-1], session.gamma_controller.next_gamma()
+        probs: List[np.ndarray] = []
+        walk = DraftWalk.tree(
+            last, gamma, cfg.tree_max_branch, cfg.tree_max_nodes, cfg.tree_entropy_scale,
+        ) if tree else DraftWalk.chain(
+            last, gamma, partial(_sample_child, self.sampler, session.rng, probs))
+        return _PackedDraftState(
+            slot=slot, session=session, last=last,
+            last_pos=session.gen_base + len(session.committed) - 1,
+            gamma=gamma, open_len=session.draft_state.seq_len, walk=walk, probs=probs,
+        )
+
+    def _draft(self, states: Sequence[_PackedDraftState], sp) -> None:
+        """Grow every session's block in lockstep, one expansion index at a time.
+
+        At expansion ``e`` each unfaulted session whose walk has a pending
+        node is charged that forward, solo-priced, and all of them share
+        **one** ``step_packed`` call, each row attending its node's root
+        path.  Each walk keeps its own DFS order, so a session drafts the
+        block it would draft alone (:meth:`AASDDraftHead.draft_tree`).
+        """
+        for expansion in count():
+            active = [st for st in states if not st.faulted and st.walk.pending is not None]
             if not active:
-                break
-            for st in active:
-                self._charge_draft_forward(st, sp, st.session.draft_state.seq_len + 1)
+                return
+            nodes = [st.walk.pending for st in active]
+            for st, (_, depth, ancestors) in zip(active, nodes):
+                st.pos = st.last_pos + depth
+                self._charge_draft_forward(st, sp, st.open_len + len(ancestors) + 1)
             try:
                 logit_rows = self.head.step_packed(
-                    [st.token for st in active],
+                    [token for token, _, _ in nodes],
                     [st.pos for st in active],
                     [st.session.draft_state for st in active],
                     request_ids=[st.session.request_id for st in active],
+                    ancestor_rows=[ancestors for _, _, ancestors in nodes],
                 )
             except Exception as exc:  # faults every active row
                 log_exception(logger, "draft_fault", exc,
-                              batch=len(active), depth=depth)
+                              batch=len(active), expansion=expansion)
                 logit_rows = [exc] * len(active)
             for st, logits in zip(active, logit_rows):
                 if isinstance(logits, Exception):   # logged where it was caught
                     self._draft_fault(st, logits, sp)
                     continue
                 try:
-                    ensure_finite(logits, "draft logits")
-                    probs = logits_to_probs(logits, self.sampler.config)
-                    token = self.sampler.sample(logits, probs=probs, rng=st.session.rng)
+                    st.walk.expand(ensure_finite(logits, "draft logits"))
                 except Exception as exc:
                     log_exception(logger, "draft_fault", exc,
                                   request_id=st.session.request_id, position=st.pos)
                     self._draft_fault(st, exc, sp)
-                    continue
-                st.probs.append(probs)
-                st.tokens.append(token)
-                st.token = token
-                st.pos += 1
-
-    def _draft_trees(self, states: Sequence[_PackedDraftState], sp) -> None:
-        """Draft one candidate tree per session (entropy-adapted branching).
-
-        With ``tree_max_branch=1`` the tree is the gamma-chain and every
-        emitted token, charge, and cache byte matches the chain draft
-        bitwise.
-        """
-        cfg = self.config
-        for st in states:
-            try:
-                st.tree = self.head.draft_tree(
-                    st.last,
-                    st.last_pos,
-                    st.session.draft_state,
-                    gamma=st.gamma,
-                    max_branch=cfg.tree_max_branch,
-                    max_nodes=cfg.tree_max_nodes,
-                    entropy_scale=cfg.tree_entropy_scale,
-                    request_id=st.session.request_id,
-                    on_step=partial(self._charge_draft_forward, st, sp),
-                )
-            except Exception as exc:  # any head fault degrades, never aborts
-                log_exception(logger, "draft_fault", exc,
-                              request_id=st.session.request_id, position=st.pos)
-                self._draft_fault(st, exc, sp)
 
     def _verify_block(self, state: _PackedDraftState, out, verify_start: int,
-                      sp) -> StepReport:
+                      sp, tree: bool) -> StepReport:
         """Accept rule + commit for one session's slice of the verify forward.
 
         Chain: speculative sampling (greedy match or rejection sampling)
@@ -877,18 +862,18 @@ class AASDEngine(Decoder):
         """
         session = state.session
         record = session.record
-        tree = state.tree
-        n_draft = len(state.drafted)
+        draft = state.walk.draft
+        n_draft = draft.n_nodes
         cost = self.cost_model
         sp.add_sim_ms(record.charge_sim(
-            cost.target_verify(n_draft + 1) if tree is None
-            else cost.tree_verify(1 + n_draft),
+            cost.tree_verify(1 + n_draft) if tree
+            else cost.target_verify(n_draft + 1),
             "verify",
         ))
         record.count_target_forward()
-        if tree is None:
+        if not tree:
             outcome = speculative_verify(
-                state.tokens,
+                draft.tokens,
                 np.stack(state.probs),
                 out.logits.data[0],
                 self.sampler.config,
@@ -899,8 +884,8 @@ class AASDEngine(Decoder):
             keep = 1 + outcome.n_accepted
             session.target_cache.truncate(verify_start + keep)
         else:
-            outcome = accept_tree(tree, out.logits.data[0], self.sampler.config)
-            depth = tree.max_depth
+            outcome = accept_tree(draft, out.logits.data[0], self.sampler.config)
+            depth = draft.max_depth
             rows = np.asarray([0] + [i + 1 for i in outcome.path], dtype=np.int64)
             keep = len(rows)
             for layer_idx, (k_new, v_new) in enumerate(out.new_kv):
@@ -928,7 +913,7 @@ class AASDEngine(Decoder):
             feed_size=n_draft + 1,
             draft_kv_lens=tuple(state.kv_lens),
             n_accepted=outcome.n_accepted,
-            tree=tree is not None,
+            tree=tree,
             absorb_ms=absorb_ms,
         )
 

@@ -45,7 +45,8 @@ class Drafter(ABC):
 
     #: Table label of an engine running this drafter (``ours``, ``sd(ft-llama)``).
     name: str = "draft"
-    #: Whether tree rounds may call ``draft_tree`` (else the round drafts chains).
+    #: Whether a step accepts strict-subset ``ancestor_rows`` (else rounds
+    #: draft chains, whose every step attends the whole block).
     supports_tree: bool = False
 
     def check_target(self, target: MiniLlava) -> None:
@@ -65,12 +66,15 @@ class Drafter(ABC):
 
     @abstractmethod
     def step_packed(self, token_ids: Sequence[int], positions: Sequence[int],
-                    states: Sequence, request_ids: Optional[Sequence] = None) -> list:
+                    states: Sequence, request_ids: Optional[Sequence] = None,
+                    ancestor_rows: Optional[Sequence] = None) -> list:
         """One lockstep draft step over B states; next-token logits per state.
 
-        Bitwise what B one-state calls return.  A row's slot may hold an
-        ``Exception`` instead — that row's draft fault; raising faults
-        every row of the call.
+        Bitwise what B one-state calls return.  ``ancestor_rows[i]`` are
+        the block's earlier steps row ``i`` attends (step ``e`` wrote row
+        ``e``): a tree node's root path, the whole block for a chain.  A
+        row's slot may hold an ``Exception`` instead — that row's draft
+        fault; raising faults every row of the call.
         """
 
     @abstractmethod
@@ -157,16 +161,18 @@ class _CachedLMDraft(Drafter):
         return n_requests * cost.draft_prefill()
 
     def step(self, token_id: int, position: int, state: _LMDraftState,
-             request_id: Optional[str] = None) -> np.ndarray:
-        """One draft forward for one request (fault-injecting wrappers hook this)."""
-        del position, request_id   # the cache carries its own positions
+             request_id: Optional[str] = None,
+             ancestor_rows: Optional[Sequence[int]] = None) -> np.ndarray:
+        """One chain draft step for one request (fault-injecting wrappers hook this)."""
+        del position, request_id, ancestor_rows   # the cache carries its own positions
         return self._forward(token_id, state.cache)
 
     def step_packed(self, token_ids: Sequence[int], positions: Sequence[int],
                     states: Sequence[_LMDraftState],
-                    request_ids: Optional[Sequence] = None) -> List[np.ndarray]:
+                    request_ids: Optional[Sequence] = None,
+                    ancestor_rows: Optional[Sequence] = None) -> List[np.ndarray]:
         """:meth:`step`, row by row."""
-        del request_ids
+        del request_ids, ancestor_rows
         return [self.step(t, p, s) for t, p, s in zip(token_ids, positions, states)]
 
     def step_ms(self, cost: CostModel, kv_lens: Sequence[int]) -> float:

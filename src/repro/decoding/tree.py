@@ -10,6 +10,11 @@ on a sibling.
 
 This module holds the engine-agnostic pieces:
 
+* :class:`DraftWalk` — one block's draft, grown depth-first one expansion
+  at a time, and the tree-shape policy (:func:`branch_width`, the node
+  budget, the depth-γ leaf rule).  A chain is the width-1 walk; the
+  engine advances every session's walk in lockstep, one packed draft
+  forward per expansion index.
 * :class:`TreeDraft` — the serialized tree: a DFS-preorder token list plus
   a parent-pointer array (``-1`` = child of the anchor token).  The
   serialization invariant ``parents[i] < i`` is what makes the mask
@@ -29,7 +34,7 @@ This module holds the engine-agnostic pieces:
   ancestor-closure mask, so sibling branches — which may share absolute
   positions — can never attend to each other.
 
-The engine glue (drafting via ``AASDDraftHead.draft_tree``, the
+The engine glue (the lockstep draft lane over the walks, the
 single-forward verify + pointer-only commit/rollback) lives in
 ``repro.core``; pricing lives in :meth:`CostModel.tree_verify
 <repro.decoding.cost_model.CostModel.tree_verify>`.
@@ -38,7 +43,7 @@ single-forward verify + pointer-only commit/rollback) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,11 +52,102 @@ from ..nn.ragged import tree_blocked
 from .sampling import SamplerConfig, logits_to_probs
 
 __all__ = [
+    "DraftWalk",
+    "branch_width",
     "TreeDraft",
     "TreeAcceptOutcome",
     "accept_tree",
     "tree_extra_blocked",
 ]
+
+
+def branch_width(logits: np.ndarray, max_branch: int, entropy_scale: float) -> int:
+    """Entropy-adapted branch width for one tree expansion (DREAM-style).
+
+    High draft-head entropy means the argmax continuation is unsure, so
+    hedging across more children is worth the verify rows; a confident
+    head keeps the tree narrow.  The width is ``1 + floor(H /
+    entropy_scale)`` (H in nats, from the raw softmax over the float64
+    logits), clamped to ``[1, max_branch]`` — always at least the argmax
+    child, so a ``max_branch`` of 1 degenerates to the linear chain
+    exactly.
+    """
+    if max_branch <= 1:
+        return 1
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max()
+    p = np.exp(z)
+    p /= p.sum()
+    entropy = float(-(p * np.log(np.maximum(p, 1e-300))).sum())
+    return 1 + min(max_branch - 1, int(entropy / entropy_scale))
+
+
+class DraftWalk:
+    """One block's draft, grown depth-first one expansion at a time.
+
+    A resumable DFS with an explicit stack.  :attr:`pending` is the next
+    node to expand — ``(token, depth, ancestor_rows)``: the token fed, its
+    depth below the anchor and the draft rows of its root path
+    (expansion ``e`` writes draft row ``e``) — or ``None`` once the block
+    is complete, when :attr:`draft` holds the :class:`TreeDraft`.
+    :meth:`expand` takes the pending node's logits; the child rule ranks
+    its children, each created and then immediately descended into — DFS
+    preorder, so node order, draft-row order and (at width 1) the chain's
+    order coincide.  Nodes at depth ``gamma`` are leaves, never expanded
+    (the last drafted token's KV is never computed), and no node is
+    created past ``budget``.  The caller runs each expansion, so many
+    walks can share one packed forward per expansion index while each
+    keeps its own order.
+    """
+
+    def __init__(self, anchor: int, gamma: int, budget: int,
+                 child_rule: Callable[[np.ndarray], Sequence[int]]) -> None:
+        self.gamma, self.budget, self._child_rule = gamma, budget, child_rule
+        self.pending: Optional[Tuple[int, int, Tuple[int, ...]]] = (int(anchor), 0, ())
+        self.draft: Optional[TreeDraft] = None
+        self._nodes: List[Tuple[int, int, int]] = []   # (token, parent, depth), preorder
+        self._node = -1   # node index of ``pending`` (-1: the anchor)
+        self._rows = 0    # expansions so far: the next one's draft row
+        #: expanded nodes with children left to create: (those children,
+        #: node index, depth, root-path draft rows including its own)
+        self._stack: List[Tuple[Iterator[int], int, int, Tuple[int, ...]]] = []
+
+    @classmethod
+    def tree(cls, anchor: int, gamma: int, max_branch: int, max_nodes: int,
+             entropy_scale: float) -> "DraftWalk":
+        """A candidate tree: the top-``w`` children (:func:`branch_width`),
+        argmax first, and at least as many nodes as the ``gamma``-chain."""
+        def top_children(logits: np.ndarray) -> np.ndarray:
+            width = branch_width(logits, max_branch, entropy_scale)
+            return np.argsort(-np.asarray(logits, dtype=np.float64), kind="stable")[:width]
+        return cls(anchor, gamma, max(int(max_nodes), int(gamma)), top_children)
+
+    @classmethod
+    def chain(cls, anchor: int, gamma: int,
+              sample: Callable[[np.ndarray], int]) -> "DraftWalk":
+        """The ``gamma``-chain: the width-1 tree whose child is ``sample(logits)``."""
+        return cls(anchor, gamma, gamma, lambda logits: (sample(logits),))
+
+    def expand(self, logits: np.ndarray) -> None:
+        """Give the pending node its logits; advance to the next node to expand."""
+        _, depth, ancestors = self.pending
+        self._stack.append((iter(self._child_rule(logits)), self._node, depth,
+                            ancestors + (self._rows,)))
+        self._rows += 1
+        self.pending = None
+        nodes = self._nodes
+        while self._stack and self.pending is None:
+            children, parent, depth, ancestors = self._stack[-1]
+            child = next(children, None)
+            if child is None or len(nodes) >= self.budget:
+                self._stack.pop()
+                continue
+            self._node = len(nodes)
+            nodes.append((int(child), parent, depth + 1))
+            if depth + 1 < self.gamma and len(nodes) < self.budget:
+                self.pending = (int(child), depth + 1, ancestors)
+        if self.pending is None:
+            self.draft = TreeDraft(*(tuple(column) for column in zip(*nodes)))
 
 
 @dataclass(frozen=True)

@@ -193,11 +193,12 @@ class FaultyDraftHead:
     when requests interleave in a batch, so two chaos runs with different
     scheduling orders fault different requests.
 
-    The engine drafts in lockstep through :meth:`step_packed`, which runs
-    this wrapper's own :meth:`step` row by row: a global counter therefore
-    advances position-major across the batch (row 0 of every request, then
-    row 1, ...), and a fault is returned in the faulting row's slot so it
-    stays that request's fault.
+    The engine drafts chains and trees in lockstep through
+    :meth:`step_packed`, which runs this wrapper's own :meth:`step` row by
+    row: a global counter therefore advances expansion-major across the
+    batch (expansion 0 of every request, then expansion 1, ...), and a
+    fault is returned in the faulting row's slot so it stays that
+    request's fault.
 
     ``per_request=True`` keys the schedule per request id instead: each
     request gets its own monotone step counter (never reset, so a retried
@@ -215,19 +216,13 @@ class FaultyDraftHead:
     indices within its first ``fault_horizon`` steps.
 
     All other attributes — the rest of the drafter seam included (``open``,
-    ``rollback``, ``absorb``, the prices) — delegate to the wrapped head, so
-    the engine cannot tell the difference until a fault fires.
+    ``rollback``, ``absorb``, the prices, ``supports_tree``) — delegate to
+    the wrapped head, so the engine cannot tell the difference until a
+    fault fires.
     """
 
     MODES = ("nan-logits", "inf-logits", "raise", "latency", "arena-pressure",
              "corrupt-cache")
-
-    #: The fault schedules hook per-request ``step`` calls and
-    #: ``draft_tree`` would bypass them, so the engine keeps the chain
-    #: draft (where fault injection works) for wrapped heads (a class
-    #: attribute, because ``__getattr__`` delegation would otherwise
-    #: surface the wrapped head's ``True``).
-    supports_tree = False
 
     def __init__(
         self,
@@ -341,21 +336,27 @@ class FaultyDraftHead:
 
     def step_packed(self, token_ids: Sequence[int], positions: Sequence[int],
                     hybrids: Sequence,
-                    request_ids: Optional[Sequence[Optional[str]]] = None) -> list:
+                    request_ids: Optional[Sequence[Optional[str]]] = None,
+                    ancestor_rows: Optional[Sequence] = None) -> list:
         """Lockstep draft step with the fault schedule applied row by row.
 
-        Each row advances its own schedule through :meth:`step`, so fault
-        storms run through the same lockstep loop as healthy traffic and
-        a per-request schedule faults the same requests at any batch
-        width.  A row that raises gets its exception in its slot of the
-        returned list (a row-level draft fault to the engine) instead of
-        failing its batch-mates.
+        Each row advances its own schedule through :meth:`step`, with its
+        own ``ancestor_rows``, so fault storms run through the same
+        lockstep loop as healthy traffic, chain or tree, and a
+        per-request schedule faults the same requests at any batch width.
+        A row that raises gets its exception in its slot of the returned
+        list (a row-level draft fault to the engine) instead of failing
+        its batch-mates.
         """
-        rids = request_ids if request_ids is not None else [None] * len(hybrids)
+        n = len(hybrids)
+        rids = request_ids if request_ids is not None else [None] * n
+        ancestors = ancestor_rows if ancestor_rows is not None else [None] * n
         rows: list = []
-        for token_id, position, hybrid, rid in zip(token_ids, positions, hybrids, rids):
+        for token_id, position, hybrid, rid, path in zip(
+                token_ids, positions, hybrids, rids, ancestors):
             try:
-                rows.append(self.step(token_id, position, hybrid, request_id=rid))
+                rows.append(self.step(token_id, position, hybrid,
+                                      request_id=rid, ancestor_rows=path))
             except Exception as exc:  # the row's fault, not the batch's
                 log_exception(logger, "draft_fault", exc,
                               request_id=rid, position=position)

@@ -17,8 +17,9 @@ hit and nothing else.  A batch of one is a one-row round: there is no
 second code path for it (``docs/serving.md``, "The model of batching").
 
 Execution *and* pricing are batched.  Each round's prefills and verify
-forwards run as one cu-seqlen-packed set of fused GEMMs and its chain
-draft steps in ``(B, 1, D)`` lockstep — see ``docs/kernels.md`` — with
+forwards run as one cu-seqlen-packed set of fused GEMMs and its draft
+steps, chain positions and tree expansions alike, in ``(B, 1, D)``
+lockstep — see ``docs/kernels.md`` — with
 outputs bitwise token-identical at every batch width, greedy or sampled.
 The **server clock** is charged as if each round's target forwards ran
 as single batched GPU forwards, using the ``batched_*`` prices of
@@ -26,7 +27,7 @@ as single batched GPU forwards, using the ``batched_*`` prices of
 base cost paid once per forward, per-token work summed, small
 per-sequence increment); draft steps, draft prefills and block absorbs
 are priced by the engine's drafter — the AASD head bills one batched head
-forward per draft position, an independent draft one solo step per row.  Each session's own
+forward per expansion index, an independent draft one solo step per row.  Each session's own
 :class:`~repro.decoding.metrics.DecodeRecord` is still charged solo prices
 by the engine, so per-request attribution is identical to sequential
 decoding — and with one request in the system every round reduces exactly
@@ -649,15 +650,16 @@ class ContinuousBatchingScheduler:
     def _charge_round(self, reports: Sequence) -> float:
         """Price one round's draft steps + target forward on the server clock.
 
-        Draft steps are grouped *by position*: position ``i`` of every
-        session that drafted that deep shares one lockstep draft step,
-        priced by the drafter (one batched head forward for the AASD
-        head, one solo step per row for an independent draft).
-        For tree rounds "position" means *expansion index* — the i-th
-        node each session's tree grew — which matches the solo charges
-        exactly (every expansion is priced once) even though tree shapes
-        differ across sessions.  All target feeds (verify blocks and
-        1-token fallback steps) share one batched verify forward; tree
+        Draft steps are grouped *by expansion index*: expansion ``i`` of
+        every session that drafted that many shares one lockstep draft
+        step, priced by the drafter (one batched head forward for the AASD
+        head, one solo step per row for an independent draft).  That is
+        the step the engine's draft lane runs — one ``step_packed`` call
+        per expansion index, chain position or tree node alike — and it
+        matches the solo charges exactly (every expansion is priced once)
+        even though tree shapes differ across sessions.  All target
+        feeds (verify blocks and 1-token fallback steps) share one
+        batched verify forward; tree
         rounds price it per fed tree node via
         :meth:`~repro.decoding.cost_model.CostModel.batched_tree_verify`,
         so a request's rejected branches are billed exactly once by the

@@ -317,8 +317,9 @@ class _RowFaultHead:
     def __getattr__(self, name):
         return getattr(self._head, name)
 
-    def step_packed(self, token_ids, positions, states, request_ids=None):
-        rows = self._head.step_packed(token_ids, positions, states, request_ids=request_ids)
+    def step_packed(self, token_ids, positions, states, request_ids=None, **kw):
+        rows = self._head.step_packed(
+            token_ids, positions, states, request_ids=request_ids, **kw)
         if not (self.once and self.fired) and self.request_id in request_ids:
             self.fired = True
             at = list(request_ids).index(self.request_id)

@@ -9,7 +9,10 @@ tree path:
 * branch-factor-1 trees are bitwise identical to the linear speculative
   path — tokens, simulated time, and forward counts,
 * batched tree stepping matches solo tree stepping bitwise,
-* the ``tree_ready`` gate (greedy-only, ``supports_tree`` heads only),
+* the draft lane grows every session's tree in lockstep — one packed
+  forward per expansion index — each exactly as ``draft_tree`` alone,
+* the ``tree_ready`` gate (greedy-only, ``supports_tree`` heads only) and
+  fault injection in tree rounds,
 * pointer-only commit keeps the target cache exactly in sync.
 
 The world uses dim=96 like the ragged-serving tests: the gemv/gemm
@@ -22,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.engine as engine_mod
 from repro.core import AASDDraftHead, AASDEngine, AASDEngineConfig, DraftHeadConfig
 from repro.data.tasks import make_dataset
 from repro.decoding import AutoregressiveDecoder, CostModel, get_profile
@@ -30,7 +34,9 @@ from repro.decoding.sampling import SamplerConfig
 from repro.decoding.tree import TreeDraft, accept_tree, tree_extra_blocked
 from repro.errors import DecodingError
 from repro.nn.ragged import tree_blocked
+from repro.nn.tensor import no_grad
 from repro.robustness.faults import FaultyDraftHead
+from repro.serving import STATUS_COMPLETED, ServingConfig, serve_requests
 
 MAX_NEW_TOKENS = 20
 N_SAMPLES = 3
@@ -274,6 +280,63 @@ class TestBatchedTree:
             assert batched.record.sim_time_ms == reference.record.sim_time_ms
 
 
+class _CountingHead:
+    """The head, counting its packed draft forwards."""
+
+    def __init__(self, head):
+        self._head, self.calls = head, 0
+
+    def __getattr__(self, name):
+        return getattr(self._head, name)
+
+    def step_packed(self, *args, **kwargs):
+        self.calls += 1
+        return self._head.step_packed(*args, **kwargs)
+
+
+class TestLockstepDraftLane:
+    def test_round_is_one_packed_forward_per_expansion(self, world, monkeypatch):
+        head = world["head"]
+        counting = _CountingHead(head)
+        engine = _tree_engine(world, head=counting, tree_max_nodes=8, gamma=4)
+        cfg = engine.config
+        sessions = engine.begin_batch(list(world["samples"]))
+        trees = []
+        monkeypatch.setattr(
+            engine_mod, "accept_tree",
+            lambda tree, *a: trees.append(tree) or accept_tree(tree, *a),
+        )
+        reports = engine.step_batch(sessions)
+        assert [r.kind for r in reports] == ["verify"] * len(sessions)
+
+        # the spec: each session's tree drafted alone by ``draft_tree``
+        reference = _tree_engine(world)
+        expansions = []
+        for session, report, tree in zip(sessions, reports, trees):
+            solo = reference.begin(session.sample)
+            with no_grad():
+                spec = head.draft_tree(
+                    solo.committed[-1], solo.gen_base + len(solo.committed) - 1,
+                    solo.draft_state, gamma=cfg.gamma, max_branch=cfg.tree_max_branch,
+                    max_nodes=cfg.tree_max_nodes, entropy_scale=cfg.tree_entropy_scale,
+                )
+            assert tree == spec
+            # the anchor and every node with children were expanded, in
+            # preorder, each attending the context, its ancestors and itself
+            ctx = solo.draft_state.context_len
+            parents = set(spec.parents)
+            kv_lens = [ctx + 1] + [ctx + d + 1 for i, d in enumerate(spec.depths)
+                                   if i in parents]
+            assert report.draft_kv_lens == tuple(kv_lens)
+            record = solo.record
+            for kv in kv_lens:
+                record.charge_sim(head.step_ms(world["cm"], (kv,)), "draft")
+            record.charge_sim(world["cm"].tree_verify(1 + spec.n_nodes), "verify")
+            assert session.record.sim_time_ms == record.sim_time_ms
+            expansions.append(len(kv_lens))
+        assert counting.calls == max(expansions) < sum(expansions)
+
+
 class TestTreeGate:
     def test_ready_when_greedy_and_supported(self, world):
         assert _tree_engine(world).tree_ready
@@ -285,18 +348,37 @@ class TestTreeGate:
         )
         assert not engine.tree_ready
 
-    def test_faulty_wrapper_disables_tree(self, world):
-        wrapped = FaultyDraftHead(world["head"], mode="nan-logits", fail_every=10**6)
-        engine = _tree_engine(world, head=wrapped)
-        assert wrapped.supports_tree is False
-        assert not engine.tree_ready
-        # and the linear fallback path still decodes losslessly
+    def test_faulty_wrapper_drafts_trees(self, world):
         ar = AutoregressiveDecoder(
             world["target"], world["tokenizer"], world["cm"],
             max_new_tokens=MAX_NEW_TOKENS,
         )
-        sample = world["samples"][0]
-        assert engine.decode(sample).token_ids == ar.decode(sample).token_ids
+        expected = [ar.decode(sample).token_ids for sample in world["samples"]]
+        for mode in ("nan-logits", "raise", "corrupt-cache"):
+            wrapped = FaultyDraftHead(world["head"], mode=mode, fail_every=7)
+            engine = _tree_engine(world, head=wrapped)
+            assert wrapped.supports_tree and engine.tree_ready
+            records = [engine.decode(sample) for sample in world["samples"]]
+            assert [r.token_ids for r in records] == expected, mode
+            assert all(r.n_draft_faults > 0 for r in records), mode
+            # faults end single blocks: the rest still verify as trees
+            assert any(b.n_draft > engine.config.gamma for r in records for b in r.blocks)
+
+    def test_request_storm_is_width_independent(self, world):
+        # a per-request schedule faults the same requests at the same
+        # request-local expansions whether their trees grow alone or in lockstep
+        def run(width):
+            head = FaultyDraftHead(world["head"], mode="nan-logits", seed=3,
+                                   request_fault_rate=0.5, fault_horizon=6)
+            report = serve_requests(_tree_engine(world, head=head), world["samples"],
+                                    ServingConfig(max_batch_size=width))
+            assert report.count(STATUS_COMPLETED) == len(world["samples"])
+            return head.faults_by_request, [r.record.token_ids for r in report.results]
+
+        faults_solo, tokens_solo = run(1)
+        faults_wide, tokens_wide = run(len(world["samples"]))
+        assert faults_solo == faults_wide and sum(faults_solo.values()) > 0
+        assert tokens_solo == tokens_wide
 
     def test_config_validation(self):
         for bad in (

@@ -31,6 +31,19 @@ FEED = [5, 9, 7, 11]        # a gamma + 1 = 4 token verify feed
 # the anchor's second child: feed positions p, p+1, p+2, p+2, p+3, p+1
 TREE = TreeDraft(tokens=(5, 9, 7, 11, 3), parents=(-1, 0, 0, 2, -1),
                  depths=(1, 2, 2, 3, 1))
+# One packed draft step over two sessions: per session, the draft steps
+# taken before it and the packed row, each a (token, depth, ancestor rows)
+# node (``None`` token: the anchor; ``None`` rows: the whole segment).
+PACKED_CASES = [
+    [([], (None, 0, None)), ([], (None, 0, None))],      # two block openings
+    [
+        # a tree: rows 1 and 2 are the anchor's two children, and the
+        # packed row expands row 2 — a strict-subset root path
+        ([(None, 0, ()), (5, 1, (0,)), (9, 1, (0,))], (7, 2, (0, 2))),
+        # beside a chain row attending its whole draft segment
+        ([(None, 0, ()), (5, 1, (0,))], (9, 2, (0, 1))),
+    ],
+]
 ABLATIONS = [
     {},
     {"disable_image_kv": True},
@@ -272,8 +285,9 @@ class TestDraftForward:
             rows, whole_segment = [], []
             for token, depth, ancestors in plan:
                 whole_segment.append(list(ancestors) == list(range(hybrid.draft_len)))
-                rows.append(head._tree_step(
-                    first if token is None else token, pos + depth, hybrid, ancestors,
+                rows.append(head.step(
+                    first if token is None else token, pos + depth, hybrid,
+                    ancestor_rows=ancestors,
                 ))
             assert whole_segment == [True, True, False, False]
             return hybrid, rows
@@ -286,19 +300,35 @@ class TestDraftForward:
     @pytest.mark.parametrize("flags", ABLATIONS, ids=["plain", "no-image", "no-text"])
     def test_packed_rows_equal_the_spec_row_by_row(self, world, flags):
         head = world["head"].ablate_kv(**flags)
-        spec = []
-        for i in range(2):
-            hybrid, pos, token = self._hybrid(world, i=i)
-            spec.append((hybrid, pos, token, head.step(token, pos, hybrid)))
-        fresh = [self._hybrid(world, i=i) for i in range(2)]
-        with no_grad():
-            rows = head.step_packed(
-                [t for _, _, t in fresh], [p for _, p, _ in fresh],
-                [h for h, _, _ in fresh],
-            )
-        for (hybrid_s, _, _, row_s), (hybrid_f, _, _), row_f in zip(spec, fresh, rows):
-            assert np.array_equal(row_s, row_f)
-            same_hybrid(hybrid_s, hybrid_f)
+
+        def step(hybrid, pos, first, node):
+            token, depth, ancestors = node
+            return head.step(first if token is None else token, pos + depth, hybrid,
+                             ancestor_rows=ancestors)
+
+        def drafted(i, plan):
+            hybrid, pos, first = self._hybrid(world, i=i)
+            for node in plan:
+                step(hybrid, pos, first, node)
+            return hybrid, pos, first
+
+        for case in PACKED_CASES:
+            spec = []
+            for i, (plan, node) in enumerate(case):
+                hybrid, pos, first = drafted(i, plan)
+                spec.append((hybrid, step(hybrid, pos, first, node)))
+            with no_grad():
+                fresh = [drafted(i, plan) for i, (plan, _) in enumerate(case)]
+                rows = head.step_packed(
+                    [first if token is None else token
+                     for (_, _, first), (_, (token, _, _)) in zip(fresh, case)],
+                    [pos + depth for (_, pos, _), (_, (_, depth, _)) in zip(fresh, case)],
+                    [hybrid for hybrid, _, _ in fresh],
+                    ancestor_rows=[ancestors for _, (_, _, ancestors) in case],
+                )
+            for (hybrid_s, row_s), (hybrid_f, _, _), row_f in zip(spec, fresh, rows):
+                assert np.array_equal(row_s, row_f)
+                same_hybrid(hybrid_s, hybrid_f)
 
     def test_no_tensor_is_built(self, world, tensors_built):
         head = world["head"]
@@ -306,7 +336,7 @@ class TestDraftForward:
         del tensors_built[:]
         with no_grad():
             head.step(token, pos, hybrid)
-            head._tree_step(FEED[0], pos + 1, hybrid, (0,))
+            head.step(FEED[0], pos + 1, hybrid, ancestor_rows=(0,))
             head.step_packed([FEED[1]], [pos + 2], [hybrid])
         assert not tensors_built and hybrid.draft_len == 3
 
