@@ -11,10 +11,13 @@ Pieces:
 * :mod:`~repro.analysis.framework` — :class:`Rule` base class, registry,
   :func:`run_analysis` engine;
 * :mod:`~repro.analysis.project` — parsed modules + resolved import graph;
-* :mod:`~repro.analysis.rules` — the six repo-specific rules;
-* :mod:`~repro.analysis.baseline` — justified suppression entries keyed by
-  source content, not line numbers;
-* :mod:`~repro.analysis.reporters` — text and JSON output;
+* :mod:`~repro.analysis.callgraph` / :mod:`~repro.analysis.dataflow` —
+  the whole-program engines the rules' n-hop checks run on;
+* :mod:`~repro.analysis.rules` — the six repo-specific rules, one per
+  invariant;
+* :mod:`~repro.analysis.suppressions` — justified inline
+  ``# repro: allow[rule] -- reason`` comments, the only suppression;
+* :mod:`~repro.analysis.reporters` — text, JSON and SARIF output;
 * :mod:`~repro.analysis.docs_check` / :mod:`~repro.analysis.docstrings` —
   the folded docs gates (``docs`` / ``docstrings`` subcommands);
 * :mod:`~repro.analysis.cli` — ``python -m repro.analysis``.
@@ -22,15 +25,12 @@ Pieces:
 See ``docs/static_analysis.md`` for the rule catalogue and workflow.
 """
 
-from .baseline import Baseline, BaselineEntry, write_baseline
 from .findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
 from .framework import (Rule, default_rules, get_rule, register, rule_ids,
                         run_analysis, run_rules)
 from .project import ImportEdge, ModuleInfo, Project, load_project
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "ImportEdge",
     "ModuleInfo",
@@ -45,5 +45,4 @@ __all__ = [
     "rule_ids",
     "run_analysis",
     "run_rules",
-    "write_baseline",
 ]

@@ -1,11 +1,10 @@
 """Whole-program call graph over a parsed :class:`~repro.analysis.project.Project`.
 
-This module is the spine of the interprocedural rule packs
-(``lock-discipline``, ``lock-order``, ``determinism-flow``,
-``hotpath-reach``): it turns the per-module ASTs into a project-wide
-symbol table (every function, method, and class under a stable qualified
-name), resolves call sites to their targets, and answers reachability
-queries.
+This module is the spine of the interprocedural checks (``locks``,
+``determinism``, ``hotpath``): it turns the per-module ASTs into a
+project-wide symbol table (every function, method, and class under a
+stable qualified name), resolves call sites to their targets, and answers
+reachability queries.
 
 Resolution is deliberately *static and conservative* — no code is ever
 imported or executed:
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .astutil import dotted_name
+from .astutil import dotted_name, self_attr
 from .project import ModuleInfo, Project
 
 __all__ = ["FunctionInfo", "ClassInfo", "CallSite", "CallEdge", "CallGraph",
@@ -400,15 +399,10 @@ def _collect_attr_types(graph: CallGraph, cls: ClassInfo) -> None:
                 target = node.target
                 cls_from_ann = _annotation_to_class(
                     graph, func.module, node.annotation)
-                if (cls_from_ann and isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
+                if cls_from_ann and self_attr(target):
                     cls.attr_types.setdefault(target.attr, cls_from_ann)
                 value = node.value
-            if (target is not None and value is not None
-                    and isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"):
+            if value is not None and self_attr(target):
                 inferred = env.infer(value)
                 if inferred is not None:
                     cls.attr_types.setdefault(target.attr, inferred)
@@ -559,7 +553,7 @@ def _mark_parents(tree: ast.AST) -> None:
 def call_graph_for(project: Project) -> CallGraph:
     """The project's call graph, built once and cached on the project.
 
-    Every interprocedural rule pack calls this, so a full analysis run
+    Every interprocedural check calls this, so a full analysis run
     pays the graph-construction cost exactly once per loaded project.
     """
     cached = getattr(project, "_call_graph", None)

@@ -3,9 +3,9 @@
 Entry points behind one module:
 
 * ``python -m repro.analysis [check] [PATHS...]`` — run every analysis
-  rule (lexical + whole-program) against the committed baseline and the
-  inline ``# repro: allow[...]`` suppressions (default path: ``src``);
-  exit 1 on any non-suppressed error finding.  ``check`` is the explicit
+  rule against the inline ``# repro: allow[...]`` suppressions (default
+  path: ``src``); exit 1 on any non-suppressed error finding, or on an
+  allow that is unjustified or names an unknown rule.  ``check`` is the explicit
   spelling CI uses; with no subcommand the behaviour is identical.
 * ``python -m repro.analysis graph [PATHS...]`` — build and inspect the
   whole-program call graph: summary stats, ``--callees``/``--callers`` of
@@ -16,8 +16,7 @@ Entry points behind one module:
 * ``python -m repro.analysis docstrings`` — public docstring coverage
   gate.
 
-Exit codes: 0 clean (possibly via baseline/allows), 1 findings, 2 usage
-error.
+Exit codes: 0 clean (possibly via allows), 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -27,17 +26,13 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import docs_check, docstrings
-from .baseline import Baseline, write_baseline
 from .findings import SEVERITY_ERROR
 from .framework import default_rules, rule_ids, run_rules
 from .project import load_project
 from .reporters import render_json, render_sarif, render_text
 from .suppressions import collect_suppressions
 
-__all__ = ["main", "graph_main", "DEFAULT_BASELINE"]
-
-#: Baseline filename looked up in the cwd when --baseline is not given.
-DEFAULT_BASELINE = "analysis_baseline.json"
+__all__ = ["main", "graph_main"]
 
 
 def _build_parser():
@@ -50,17 +45,12 @@ def _build_parser():
     )
     parser.add_argument("paths", nargs="*", default=None,
                         help="files/directories to analyze (default: src)")
-    parser.add_argument("--baseline", default=None,
-                        help=f"suppression file (default: ./{DEFAULT_BASELINE} "
-                             f"when present)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text", help="stdout format (default: text)")
     parser.add_argument("--output", default=None, metavar="FILE",
                         help="also write the JSON report to FILE (for CI artifacts)")
     parser.add_argument("--sarif", default=None, metavar="FILE",
                         help="also write a SARIF 2.1.0 report to FILE")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="write current findings as a baseline skeleton and exit 0")
     parser.add_argument("--rules", default=None,
                         help="comma-separated rule ids to run (default: all)")
     parser.add_argument("--list-rules", action="store_true",
@@ -140,26 +130,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     findings = run_rules(project, selected)
     n_files = len(project.modules) + len(project.parse_errors)
 
-    if args.write_baseline:
-        n = write_baseline(findings, args.write_baseline)
-        print(f"wrote {n} baseline entr{'y' if n == 1 else 'ies'} to "
-              f"{args.write_baseline} — now justify or fix each one")
-        return 0
-
-    baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE).exists():
-        baseline_path = DEFAULT_BASELINE
-    baseline = Baseline.load(baseline_path) if baseline_path else Baseline()
     inline = collect_suppressions(project)
-
     active, suppressed = [], []
     for f in findings:
-        # Both layers get asked (each tracks which entries fired), so a
-        # finding covered twice still marks both suppressions used.
-        in_baseline = baseline.suppresses(f)
-        in_inline = inline.suppresses(f)
-        (suppressed if in_baseline or in_inline else active).append(f)
-    active.extend(inline.problems())
+        (suppressed if inline.suppresses(f) else active).append(f)
+    active.extend(inline.problems(rule_ids()))
 
     ids = [r.rule_id for r in selected]
     if args.format == "json":
@@ -167,7 +142,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.format == "sarif":
         print(render_sarif(active, suppressed, selected))
     else:
-        print(render_text(active, suppressed, baseline, n_files))
+        print(render_text(active, suppressed, n_files))
         for allow in inline.unused():
             print(f"note: stale inline allow at {allow.file}:{allow.line} "
                   f"({', '.join(allow.rules)}) matched nothing — delete it")

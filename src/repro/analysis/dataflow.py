@@ -1,10 +1,11 @@
 """Interprocedural forward taint analysis over the call graph.
 
-This is the small dataflow framework the ``determinism-flow`` rule pack is
-built on (and that future packs can reuse): a :class:`TaintSpec` names the
-*sources* (expressions that produce a tainted value — an unseeded RNG, a
-wall-clock read, an environment variable), and the engine propagates that
-taint through the program until it settles:
+This is the small dataflow framework the ``determinism`` rule's n-hop
+check is built on (and that future rules can reuse): a
+:class:`TaintSpec` names the *sources* (expressions that produce a
+tainted value — an unseeded RNG, a wall-clock read, an environment
+variable), and the engine propagates that taint through the program
+until it settles:
 
 * through local bindings (``x = source()``, tuple unpacks, ``a if c else b``);
 * through attributes (``self.rng = source()`` taints ``(Class, "rng")``
@@ -29,7 +30,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .astutil import dotted_name
+from .astutil import dotted_name, flat_statements
 from .callgraph import CallGraph, FunctionInfo, _TypeEnv
 
 __all__ = ["Taint", "TaintSpec", "TaintEvent", "TaintAnalysis", "run_taint"]
@@ -219,7 +220,7 @@ class _FunctionPass:
 
     # -- statement walk ------------------------------------------------
     def run(self) -> None:
-        for stmt in _flat_statements(self.func.node.body):
+        for stmt in flat_statements(self.func.node.body):
             self._visit_stmt(stmt)
 
     def _visit_stmt(self, stmt: ast.stmt) -> None:
@@ -285,26 +286,6 @@ def _arg_names(node: ast.AST) -> List[str]:
     names = [a.arg for a in list(args.posonlyargs) + list(args.args)]
     names += [a.arg for a in args.kwonlyargs]
     return names
-
-
-def _flat_statements(body: List[ast.stmt]) -> List[ast.stmt]:
-    """Statements in source order, descending control flow, skipping defs."""
-    out: List[ast.stmt] = []
-    stack = list(reversed(body))
-    while stack:
-        stmt = stack.pop()
-        out.append(stmt)
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        blocks = [getattr(stmt, "body", None), getattr(stmt, "orelse", None),
-                  getattr(stmt, "finalbody", None)]
-        for handler in getattr(stmt, "handlers", ()) or ():
-            blocks.append(handler.body)
-        for case in getattr(stmt, "cases", ()) or ():
-            blocks.append(case.body)
-        for block in reversed([b for b in blocks if b]):
-            stack.extend(reversed(block))
-    return out
 
 
 def _stmt_exprs(stmt: ast.stmt):

@@ -1,11 +1,9 @@
 """The :class:`Finding` model every analysis rule reports through.
 
 A finding pins one defect to one source location and carries everything a
-reporter (or the baseline matcher) needs: the rule that fired, a
-human-readable message, an actionable fix hint, and the stripped source
-line (``snippet``) the finding anchors to.  Snippet-based identity is what
-makes baseline entries survive unrelated line drift — see
-:mod:`repro.analysis.baseline`.
+reporter needs: the rule that fired, a human-readable message, an
+actionable fix hint, and the stripped source line (``snippet``) the
+finding anchors to.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 __all__ = ["Finding", "SEVERITY_ERROR", "SEVERITY_WARNING"]
 
-#: Findings at this severity fail the run (exit code 1) unless baselined.
+#: Findings at this severity fail the run (exit code 1) unless allowed inline.
 SEVERITY_ERROR = "error"
 #: Advisory findings: reported, never fatal.
 SEVERITY_WARNING = "warning"
@@ -30,7 +28,7 @@ class Finding:
     message: str        #: what is wrong, in one sentence
     fix_hint: str = ""  #: how to fix it (shown indented under the message)
     severity: str = SEVERITY_ERROR
-    snippet: str = ""   #: stripped source line at ``line`` (baseline identity)
+    snippet: str = ""   #: stripped source line at ``line``
 
     @property
     def location(self) -> str:

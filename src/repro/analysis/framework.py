@@ -3,9 +3,10 @@
 A rule is a small class with a unique ``rule_id`` and one or both hooks:
 
 * :meth:`Rule.check_module` — called once per parsed module (AST-local
-  rules: determinism, hot-path allocation, ...);
+  checks: views, except-discipline, determinism's zero-hop case);
 * :meth:`Rule.check_project` — called once with the whole
-  :class:`~repro.analysis.project.Project` (graph rules: layering).
+  :class:`~repro.analysis.project.Project` (graph checks: layering,
+  locks, hotpath, determinism's n-hop case).
 
 Registering is one decorator::
 

@@ -7,15 +7,14 @@ round-trips through :meth:`Finding.to_dict`.  The SARIF reporter emits
 `SARIF 2.1.0 <https://docs.oasis-open.org/sarif/sarif/v2.1.0/>`_ so
 editors and code-review UIs can render findings in place; suppressed
 findings are included with a ``suppressions`` entry rather than dropped,
-which is what lets a reviewer audit what the baseline hides.
+which is what lets a reviewer audit what the inline allows hide.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from .baseline import Baseline
 from .findings import SEVERITY_ERROR, Finding
 
 __all__ = ["render_text", "render_json", "render_sarif", "report_payload"]
@@ -29,7 +28,7 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
 
 def render_text(active: Sequence[Finding], suppressed: Sequence[Finding],
-                baseline: Optional[Baseline] = None, n_files: int = 0) -> str:
+                n_files: int = 0) -> str:
     """Human-readable report; active findings first, then bookkeeping."""
     lines: List[str] = []
     for f in active:
@@ -46,18 +45,7 @@ def render_text(active: Sequence[Finding], suppressed: Sequence[Finding],
         lines.append(f"{len(active)} finding(s) across {n_files} file(s): {breakdown}")
     else:
         lines.append(f"clean: 0 findings across {n_files} file(s)"
-                     + (f" ({len(suppressed)} baselined)" if suppressed else ""))
-    if baseline is not None:
-        for entry in baseline.unjustified():
-            lines.append(
-                f"note: baseline entry for {entry.file} ({entry.rule}) has no "
-                f"justification and was ignored"
-            )
-        for entry in baseline.unused():
-            lines.append(
-                f"note: stale baseline entry for {entry.file} ({entry.rule}): "
-                f"{entry.content!r} no longer matches — delete it"
-            )
+                     + (f" ({len(suppressed)} allowed inline)" if suppressed else ""))
     return "\n".join(lines)
 
 
@@ -103,7 +91,7 @@ def _sarif_result(finding: Finding, suppressed: bool) -> Dict[str, object]:
     }
     if suppressed:
         result["suppressions"] = [{"kind": "external",
-                                   "justification": "baselined or inline-allowed"}]
+                                   "justification": "inline-allowed"}]
     return result
 
 

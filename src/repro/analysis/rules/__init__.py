@@ -1,55 +1,38 @@
 """Built-in rules; importing this package registers all of them.
 
 Rule catalogue (see ``docs/static_analysis.md`` for the full writeup).
-Lexical packs (single-AST, PR 5):
+One rule per invariant; where a rule looks across calls, the lexical
+finding is its zero-hop case:
 
-================== ==========================================================
-``layering``       import direction follows the architecture's layer contract;
-                   module import graph is acyclic
-``determinism``    no global np.random state, stdlib random, or wall-clock
-                   seeds — randomness flows through repro.utils.rng
-``hotpath-alloc``  no np.concatenate/np.stack/.copy() in zero-copy modules
-``view-mutation``  no in-place writes through arena view API results
+===================== =======================================================
+``layering``          import direction follows the architecture's layer
+                      contract; module import graph is acyclic
+``determinism``       no global np.random state, stdlib random, or
+                      wall-clock seeds; no unseeded RNG / wall-clock / env
+                      value flows into a decode rng/seed slot
+``hotpath``           no np.concatenate/np.stack/.copy() in zero-copy modules
+                      or anywhere reachable from the decode entry points
+``views``             arena views are never written in place, and not read,
+                      returned, stored or captured past a mutation
 ``except-discipline`` no bare except; broad handlers log structurally or
-                   re-raise; CheckpointError is never swallowed
-================== ==========================================================
-
-Whole-program packs (call graph + dataflow, PR 10):
-
-==================== ========================================================
-``lock-discipline``  lockset analysis: guarded state is written with
-                     self._lock held on *every* call path from a public entry
-``lock-order``       nested acquisitions follow one global order; no path
-                     re-acquires a held (non-reentrant) lock
-``determinism-flow`` unseeded RNGs / wall-clock / env values must not flow
-                     into decode rng/seed slots (interprocedural taint)
-``view-escape``      arena views are not read/returned/stored/captured past
-                     a mutation of the producing cache
-``hotpath-reach``    no tensor allocation anywhere transitively reachable
-                     from the serving/decode entry points
-==================== ========================================================
+                      re-raise; CheckpointError is never swallowed
+``locks``             guarded state is written with self._lock held on every
+                      call path; no re-acquisition; one global lock order
+===================== =======================================================
 """
 
 from .determinism import DeterminismRule
-from .escape import ViewEscapeRule
 from .exceptions import ExceptionDisciplineRule
-from .hotpath import HotPathAllocationRule
-from .hotreach import HotPathReachRule
+from .hotpath import HotPathRule
 from .layering import LayeringRule
-from .lockorder import LockOrderRule
-from .locks import LockDisciplineRule
-from .taintflow import DeterminismFlowRule
-from .views import ViewMutationRule
+from .locks import LockRule
+from .views import ViewRule
 
 __all__ = [
-    "DeterminismFlowRule",
     "DeterminismRule",
     "ExceptionDisciplineRule",
-    "HotPathAllocationRule",
-    "HotPathReachRule",
+    "HotPathRule",
     "LayeringRule",
-    "LockDisciplineRule",
-    "LockOrderRule",
-    "ViewEscapeRule",
-    "ViewMutationRule",
+    "LockRule",
+    "ViewRule",
 ]

@@ -1,16 +1,13 @@
-"""Lockset discipline: guarded state is only written with ``self._lock`` held.
+"""Lock discipline: guarded writes, no re-acquisition, one acquisition order.
 
 The metrics registry, the serving admission queue, the tracer, and the
-profiler are documented thread-safe; their invariant used to be enforced
-*lexically* — every attribute write inside a ``with self._lock:`` block in
-the same method.  That misses both directions: a helper whose writes are
-lexically bare but which is only ever called under the lock is perfectly
-safe (the old rule flagged it), while a helper called from even one
-unlocked path is a data race no single-threaded test will catch (the old
-rule could not say which).
+profiler are documented thread-safe.  Any class whose ``__init__`` assigns
+``self._lock`` is a *lock owner*; one lexical walk over each owner's
+methods records, per method, its ``self.<attr>`` writes, its
+``with self._lock:`` acquisitions, and every call with whether it sits
+inside a locked region.  That walk feeds two checks.
 
-This version computes a per-class *lockset* over the intra-class call
-graph.  Any class whose ``__init__`` assigns ``self._lock`` opts in; then:
+**Lockset** (over the intra-class call graph):
 
 * every public method (and every private method never called from inside
   the class) is an *entry*, assumed to be invoked with the lock **not**
@@ -23,21 +20,38 @@ graph.  Any class whose ``__init__`` assigns ``self._lock`` opts in; then:
   reaches it with the lock not held — and the finding names that path.
 
 ``__init__``/``__post_init__``/``__new__`` stay exempt as callers and as
-writers: the object is not shared yet.  Classes without ``self._lock``
-are untouched.  Lock *ordering* hazards (inversions, non-reentrant
-re-acquisition) are the ``lock-order`` pack's job, not this one's.
+writers: the object is not shared yet.
+
+**Order** (over the whole-program call graph).  Code paths legitimately
+nest locks (``AdmissionQueue._publish`` updates the queue-depth gauge
+*while holding* the queue lock); that is fine as long as every thread
+acquires in one global order.  So:
+
+* every function gets the set of owners whose lock it may acquire —
+  directly or through any resolved call (fixpoint over the call graph);
+* each call inside a locked region adds an order edge ``holder ->
+  acquired`` for every lock the callee may take — re-acquiring the
+  *holder's own* lock is reported at once (``threading.Lock`` is not
+  re-entrant: a guaranteed one-thread deadlock);
+* every cycle in the acquisition-order graph is reported as a potential
+  deadlock, naming one witness site.
+
+Resolution is conservative: an unresolvable dynamic call contributes no
+edge, so order findings are high-confidence.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
+from ..astutil import owned_exprs, self_attr, short_name
+from ..callgraph import CallGraph, call_graph_for
 from ..framework import Rule, register
-from ..project import ModuleInfo, Project
+from ..project import Project
 
-__all__ = ["LockDisciplineRule", "collect_lock_facts", "unlocked_reachable",
+__all__ = ["LockRule", "collect_lock_facts", "unlocked_reachable",
            "MethodFacts", "LOCK_ATTR", "UNGUARDED_METHODS", "assigns_lock"]
 
 #: Methods allowed to write without the lock (object not yet shared).
@@ -47,43 +61,9 @@ LOCK_ATTR = "_lock"
 
 def assigns_lock(func: ast.AST) -> bool:
     """True when ``func`` (an ``__init__``) binds ``self._lock``."""
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (isinstance(target, ast.Attribute) and target.attr == LOCK_ATTR
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    return True
-    return False
-
-
-def _is_self_lock(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Attribute) and node.attr == LOCK_ATTR
-            and isinstance(node.value, ast.Name) and node.value.id == "self")
-
-
-def _self_attr_target(node: ast.AST) -> str:
-    """Attribute name when ``node`` is a ``self.<attr>`` store, else ''."""
-    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id == "self"):
-        return node.attr
-    return ""
-
-
-def _stmt_expr_calls(stmt: ast.stmt) -> Iterator[ast.Call]:
-    """Call nodes in the expressions directly owned by ``stmt``.
-
-    Child statement blocks (``body``/``orelse``/...) are *not* entered —
-    the lexical walk handles those with their own lock state — and neither
-    are nested function definitions (their bodies run later, lock-free).
-    """
-    for fname, value in ast.iter_fields(stmt):
-        if fname in ("body", "orelse", "finalbody", "handlers", "cases", "items"):
-            continue
-        values = value if isinstance(value, list) else [value]
-        for v in values:
-            if isinstance(v, ast.expr):
-                yield from _expr_calls(v)
+    return any(isinstance(node, ast.Assign)
+               and any(self_attr(t) == LOCK_ATTR for t in node.targets)
+               for node in ast.walk(func))
 
 
 def _expr_calls(expr: ast.expr) -> Iterator[ast.Call]:
@@ -106,12 +86,16 @@ class MethodFacts:
     node: ast.AST
     #: ``(attr, lineno, locked)`` for every ``self.<attr>`` store
     writes: List[Tuple[str, int, bool]] = field(default_factory=list)
-    #: ``(method, lineno, locked)`` for every ``self.<method>()`` call
-    self_calls: List[Tuple[str, int, bool]] = field(default_factory=list)
+    #: ``(call, locked)`` for every call, in source order
+    calls: List[Tuple[ast.Call, bool]] = field(default_factory=list)
     #: lines of ``with self._lock:`` acquisitions (lexical)
     acquire_lines: List[int] = field(default_factory=list)
-    #: ``with self._lock:`` nested inside an already-locked region
-    nested_acquires: List[int] = field(default_factory=list)
+
+    @property
+    def self_calls(self) -> List[Tuple[str, int, bool]]:
+        """``(method, lineno, locked)`` for every ``self.<method>()`` call."""
+        return [(self_attr(call.func), call.lineno, locked)
+                for call, locked in self.calls if self_attr(call.func)]
 
 
 def collect_lock_facts(cls: ast.ClassDef) -> Dict[str, MethodFacts]:
@@ -130,29 +114,19 @@ def _walk(stmts: List[ast.stmt], locked: bool, mf: MethodFacts) -> None:
     for stmt in stmts:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue  # nested scopes run later, outside this lock region
-        for call in _stmt_expr_calls(stmt):
-            if (isinstance(call.func, ast.Attribute)
-                    and isinstance(call.func.value, ast.Name)
-                    and call.func.value.id == "self"):
-                mf.self_calls.append((call.func.attr, call.lineno, locked))
+        for expr in owned_exprs(stmt):
+            mf.calls.extend((call, locked) for call in _expr_calls(expr))
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                for call in _expr_calls(item.context_expr):
-                    if (isinstance(call.func, ast.Attribute)
-                            and isinstance(call.func.value, ast.Name)
-                            and call.func.value.id == "self"):
-                        mf.self_calls.append((call.func.attr, call.lineno, locked))
-            acquires = any(_is_self_lock(item.context_expr) for item in stmt.items)
+            acquires = any(self_attr(item.context_expr) == LOCK_ATTR
+                           for item in stmt.items)
             if acquires:
                 mf.acquire_lines.append(stmt.lineno)
-                if locked:
-                    mf.nested_acquires.append(stmt.lineno)
             _walk(stmt.body, locked or acquires, mf)
             continue
         if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             for target in targets:
-                attr = _self_attr_target(target)
+                attr = self_attr(target)
                 if attr and attr != LOCK_ATTR:
                     mf.writes.append((attr, stmt.lineno, locked))
         for body in (getattr(stmt, "body", None), getattr(stmt, "orelse", None),
@@ -182,13 +156,14 @@ def unlocked_reachable(facts: Dict[str, MethodFacts]) -> Dict[str, Tuple[str, ..
     methods never seed or propagate reachability (the object is unshared
     while they run).
     """
-    called = {callee for mf in facts.values()
-              if mf.name not in UNGUARDED_METHODS
-              for callee, _, _ in mf.self_calls}
+    self_calls = {name: mf.self_calls for name, mf in facts.items()}
+    called = {callee for name, calls in self_calls.items()
+              if name not in UNGUARDED_METHODS
+              for callee, _, _ in calls}
     unlocked: Dict[str, Tuple[str, ...]] = {}
     frontier: List[str] = []
-    for name, mf in sorted(facts.items()):
-        if mf.name in UNGUARDED_METHODS:
+    for name in sorted(facts):
+        if name in UNGUARDED_METHODS:
             continue
         if _is_entry(name) or name not in called:
             unlocked[name] = (name,)
@@ -196,7 +171,7 @@ def unlocked_reachable(facts: Dict[str, MethodFacts]) -> Dict[str, Tuple[str, ..
     while frontier:
         nxt: List[str] = []
         for name in frontier:
-            for callee, _line, locked in facts[name].self_calls:
+            for callee, _line, locked in self_calls[name]:
                 if locked or callee in UNGUARDED_METHODS:
                     continue
                 if callee in facts and callee not in unlocked:
@@ -206,44 +181,125 @@ def unlocked_reachable(facts: Dict[str, MethodFacts]) -> Dict[str, Tuple[str, ..
     return unlocked
 
 
+def _may_acquire(graph: CallGraph, direct: Dict[str, str]) -> Dict[str, Set[str]]:
+    """Fixpoint: function qname -> lock-owner classes it may acquire.
+
+    ``direct`` maps each function holding a literal ``with self._lock:``
+    to its owner class.
+    """
+    acq: Dict[str, Set[str]] = {
+        q: ({direct[q]} if q in direct else set()) for q in graph.functions
+    }
+    changed = True
+    while changed:
+        changed = False
+        for qname in graph.functions:
+            merged = set(acq[qname])
+            for edge in graph.callees(qname):
+                merged |= acq.get(edge.callee, set())
+            if merged != acq[qname]:
+                acq[qname] = merged
+                changed = True
+    return acq
+
+
 @register
-class LockDisciplineRule(Rule):
-    """Writes to guarded state must hold the lock on every call path."""
+class LockRule(Rule):
+    """Guarded writes hold the lock; no re-acquisition; one global order."""
 
-    rule_id = "lock-discipline"
+    rule_id = "locks"
     description = (
-        "in classes that create self._lock, every attribute write must hold "
-        "the lock on every call path from a public entry (lockset analysis "
-        "over the intra-class call graph)"
+        "in classes that create self._lock, every attribute write holds the "
+        "lock on every call path from a public entry; no call path "
+        "re-acquires a held (non-reentrant) lock; nested acquisitions "
+        "follow one global order"
     )
-    fix_hint = "wrap the write in `with self._lock:`, or make every call " \
-               "path to this helper enter it with the lock already held"
+    fix_hint = (
+        "wrap the write in `with self._lock:` (or enter the helper with the "
+        "lock held); for a re-acquisition or an order cycle, hoist the inner "
+        "acquisition out of the locked region (compute under the lock, "
+        "publish after) or take the locks in one order everywhere"
+    )
 
-    def check_module(self, module: ModuleInfo, project: Project) -> Iterator:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(module, node)
+    def check_project(self, project: Project) -> Iterator:
+        """Lockset and re-acquisition findings per owner, then order cycles."""
+        graph = call_graph_for(project)
+        owners: Dict[str, Dict[str, MethodFacts]] = {}
+        for cls in graph.classes.values():
+            init = cls.methods.get("__init__")
+            if init is not None and assigns_lock(graph.functions[init].node):
+                owners[cls.qname] = collect_lock_facts(cls.node)
+        direct = {f"{owner}.{name}": owner for owner, facts in owners.items()
+                  for name, mf in facts.items() if mf.acquire_lines}
+        acq = _may_acquire(graph, direct)
+        # holder class -> acquired class -> first witness (module, line, text)
+        order: Dict[str, Dict[str, Tuple[str, int, str]]] = {}
+        for holder, facts in sorted(owners.items()):
+            cls = graph.classes[holder]
+            module = project.modules[cls.module]
+            yield from self._lockset(module, cls.name, facts)
+            for name, mf in sorted(facts.items()):
+                qname = f"{holder}.{name}"
+                sites = {id(s.node): s.callees for s in graph.sites.get(qname, ())}
+                for call, locked in mf.calls:
+                    if not locked:
+                        continue
+                    for callee in sites.get(id(call), ()):
+                        for acquired in sorted(acq.get(callee, ())):
+                            if acquired == holder:
+                                yield self.finding(
+                                    module, call.lineno,
+                                    f"re-acquisition of {short_name(holder)}._lock: "
+                                    f"{short_name(qname)} calls {short_name(callee)} "
+                                    f"with the lock already held; threading.Lock "
+                                    f"is not re-entrant, this path self-deadlocks",
+                                )
+                            else:
+                                order.setdefault(holder, {}).setdefault(
+                                    acquired, (cls.module, call.lineno,
+                                               f"{short_name(qname)} -> {short_name(callee)}"))
+        yield from self._report_cycles(project, order)
 
-    def _check_class(self, module: ModuleInfo, cls: ast.ClassDef) -> Iterator:
-        init = next((m for m in cls.body
-                     if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-                     and m.name == "__init__"), None)
-        if init is None or not assigns_lock(init):
-            return
-        facts = collect_lock_facts(cls)
-        unlocked = unlocked_reachable(facts)
-        for name, path in sorted(unlocked.items()):
-            mf = facts[name]
-            for attr, line, locked in mf.writes:
+    # ------------------------------------------------------------------
+    def _lockset(self, module, cls_name: str,
+                 facts: Dict[str, MethodFacts]) -> Iterator:
+        """Writes some entry path reaches with the lock not held."""
+        for name, path in sorted(unlocked_reachable(facts).items()):
+            for attr, line, locked in facts[name].writes:
                 if locked:
                     continue
                 via = ""
                 if len(path) > 1:
                     via = (" (reachable without the lock via "
-                           + " -> ".join(f"{cls.name}.{p}" for p in path) + ")")
+                           + " -> ".join(f"{cls_name}.{p}" for p in path) + ")")
                 yield self.finding(
                     module, line,
-                    f"unguarded write to self.{attr} in {cls.name}.{name}: "
+                    f"unguarded write to self.{attr} in {cls_name}.{name}: "
                     f"class owns self._lock, so shared state must be "
                     f"written under it{via}",
                 )
+
+    def _report_cycles(self, project: Project,
+                       order: Dict[str, Dict[str, Tuple[str, int, str]]]) -> Iterator:
+        """DFS cycle detection over the acquisition-order graph."""
+        seen_cycles: Set[Tuple[str, ...]] = set()
+        for start in sorted(order):
+            stack: List[Tuple[str, List[str]]] = [(start, [start])]
+            while stack:
+                node, path = stack.pop()
+                for nxt in sorted(order.get(node, ())):
+                    if nxt == start:
+                        cycle = tuple(sorted(path))
+                        if cycle in seen_cycles:
+                            continue
+                        seen_cycles.add(cycle)
+                        names = " -> ".join(short_name(c) for c in path + [start])
+                        witness_mod, line, via = order[node][nxt]
+                        yield self.finding(
+                            project.modules[witness_mod], line,
+                            f"lock-order inversion: acquisition cycle "
+                            f"{names} (witness: {via}); opposite nesting "
+                            f"orders can deadlock under concurrency",
+                        )
+                    elif nxt not in path and len(path) < 8:
+                        stack.append((nxt, path + [nxt]))

@@ -1,24 +1,24 @@
 """Inline suppressions: ``# repro: allow[rule-id] -- reason``.
 
-The baseline file suppresses *pre-existing* findings; inline allows are
-for code where the violation is the point — a sanctioned allocation on a
-setup path, a fixture deliberately seeded with a bug.  The comment lives
-next to the code it excuses::
+The analyzer's only suppression mechanism, for code where the finding is
+correct-by-design — a sanctioned allocation on a setup path, a fixture
+deliberately seeded with a bug.  The comment lives next to the code it
+excuses, where the next reader sees it::
 
-    blocks = np.stack(parts)  # repro: allow[hotpath-reach] -- prefill runs once per request
+    blocks = np.stack(parts)  # repro: allow[hotpath] -- prefill runs once per request
 
 or, when the line is long, on its own line directly above the offending
 one::
 
-    # repro: allow[view-escape] -- snapshot is copied by the caller
+    # repro: allow[views] -- snapshot is copied by the caller
     rows = table.gather_rows(idx)
 
 Both forms require a justification after ``--``; an allow without one is
-**ignored** and additionally reported as an ``inline-allow`` error — the
-same no-silent-suppression contract the baseline enforces with its
-``justification`` field.  Several rules can share one comment:
-``allow[rule-a, rule-b]``.  Allows that match no finding are surfaced as
-stale, mirroring stale baseline entries.
+**ignored** and reported as an ``inline-allow`` error, so nothing is ever
+suppressed silently.  Several rules can share one comment:
+``allow[rule-a, rule-b]``.  An id that names no registered rule (a typo,
+or a rule id retired since) is an ``inline-allow`` error too; allows that
+match no finding are surfaced as stale.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Collection, Dict, List, Tuple
 
 from .findings import SEVERITY_ERROR, Finding
 from .project import Project
@@ -78,25 +78,34 @@ class InlineSuppressions:
                 hit = True
         return hit
 
-    def problems(self) -> List[Finding]:
-        """Error findings for allow comments missing a justification."""
+    def problems(self, known_rules: Collection[str]) -> List[Finding]:
+        """Error findings for unjustified allows and unknown rule ids."""
         out = []
         for allow in self.allows:
             if not allow.justified:
-                out.append(Finding(
-                    file=allow.file, line=allow.line,
-                    rule_id=INLINE_ALLOW_RULE_ID,
-                    message=(
-                        f"inline allow for {', '.join(allow.rules)} has no "
-                        f"justification and was ignored; write "
-                        f"`# repro: allow[{','.join(allow.rules)}] -- <reason>`"
-                    ),
-                    fix_hint="a suppression without a written reason is a "
-                             "silent escape hatch; say why the finding is "
-                             "acceptable here",
-                    severity=SEVERITY_ERROR,
+                out.append(self._problem(
+                    allow,
+                    f"inline allow for {', '.join(allow.rules)} has no "
+                    f"justification and was ignored; write "
+                    f"`# repro: allow[{','.join(allow.rules)}] -- <reason>`",
+                    "a suppression without a written reason is a silent "
+                    "escape hatch; say why the finding is acceptable here",
+                ))
+            unknown = [r for r in allow.rules if r not in known_rules]
+            if unknown:
+                out.append(self._problem(
+                    allow,
+                    f"inline allow names unknown rule id(s) "
+                    f"{', '.join(unknown)}; it can suppress nothing",
+                    f"use a registered rule id ({', '.join(sorted(known_rules))})",
                 ))
         return out
+
+    @staticmethod
+    def _problem(allow: InlineAllow, message: str, fix_hint: str) -> Finding:
+        return Finding(file=allow.file, line=allow.line,
+                       rule_id=INLINE_ALLOW_RULE_ID, message=message,
+                       fix_hint=fix_hint, severity=SEVERITY_ERROR)
 
     def unused(self) -> List[InlineAllow]:
         """Justified allows that matched no finding — stale, delete them."""

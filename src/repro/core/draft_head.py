@@ -479,7 +479,7 @@ class AASDDraftHead(Module, Drafter):
             )
             rows = None if ancestor_rows is None else ancestor_rows[i]
             if rows is not None and len(rows) != hybrid.draft_len:
-                # repro: allow[hotpath-reach] -- O(context) int index selecting a tree node's root path
+                # repro: allow[hotpath] -- O(context) int index selecting a tree node's root path
                 index = np.concatenate([
                     np.arange(hybrid.context_len, dtype=np.int64),
                     hybrid.context_len + np.asarray(rows, dtype=np.int64),
@@ -488,23 +488,23 @@ class AASDDraftHead(Module, Drafter):
                 key_pos, key_blocked = key_pos[index], key_blocked[index]
             blocked = None
             if ablated:
-                # repro: allow[hotpath-reach] -- O(context) mask bookkeeping on the ablation path only
+                # repro: allow[hotpath] -- O(context) mask bookkeeping on the ablation path only
                 all_pos = np.concatenate([key_pos, pos[i : i + 1]])
-                # repro: allow[hotpath-reach] -- O(context) bool mask row on the ablation path only
+                # repro: allow[hotpath] -- O(context) bool mask row on the ablation path only
                 blocked = causal_mask(pos[i : i + 1], all_pos) | np.concatenate(
                     [key_blocked, [False]]
                 )[None, :]
             outs.append(
                 attend_data(
                     qd[i : i + 1],
-                    # repro: allow[hotpath-reach] -- (context | own key): the own key stays float64 beside the float32 cache, as in the Module path
+                    # repro: allow[hotpath] -- (context | own key): the own key stays float64 beside the float32 cache, as in the Module path
                     np.concatenate([ctx_k, kd[i : i + 1]], axis=2),
-                    # repro: allow[hotpath-reach] -- (context | own value), same reason
+                    # repro: allow[hotpath] -- (context | own value), same reason
                     np.concatenate([ctx_v, vd[i : i + 1]], axis=2),
                     blocked,
                 )
             )
-        # repro: allow[hotpath-reach] -- reassembles B per-row outputs into one batch tensor, O(batch) per step
+        # repro: allow[hotpath] -- reassembles B per-row outputs into one batch tensor, O(batch) per step
         attn_d = np.concatenate(outs, axis=0) if b > 1 else outs[0]
         xd = block_tail_data(xd, attn_d, self.wo, self.mlp_norm, self.mlp)
         normed = rmsnorm_data(xd, self.out_norm)

@@ -874,6 +874,7 @@ class AASDEngine(Decoder):
         if not tree:
             outcome = speculative_verify(
                 draft.tokens,
+                # repro: allow[hotpath] -- Per-session stack of gamma draft distributions for speculative_verify; O(gamma*V) per verify call, bounded by gamma_max, not O(T) in sequence length.
                 np.stack(state.probs),
                 out.logits.data[0],
                 self.sampler.config,

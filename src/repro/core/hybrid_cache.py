@@ -113,8 +113,11 @@ class HybridKVCache:
         stashed = None
         if self.draft_len:
             stashed = (
+                # repro: allow[hotpath] -- Draft-segment stash in append_context, a legal-API path used by tests and tooling, not the engine block loop; copies O(draft_len) keys so arena truncation cannot alias the re-appended segment.
                 self._k.view()[:, :, self._ctx_len:, :].copy(),
+                # repro: allow[hotpath] -- Draft-segment stash in append_context (values); same O(draft_len) non-engine path as the key stash above.
                 self._v.view()[:, :, self._ctx_len:, :].copy(),
+                # repro: allow[hotpath] -- Draft-segment stash in append_context (positions); same O(draft_len) non-engine path as the key stash above.
                 self._pos.view()[self._ctx_len:].copy(),
             )
             self._k.truncate(self._ctx_len)

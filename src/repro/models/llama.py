@@ -236,7 +236,7 @@ class MiniLlama(Module):
         are wrapped lazily by :class:`_RowOutput`.
         """
         extents = row_extents(cu_seqlens([p.shape[0] for p in pos_rows]))
-        # repro: allow[hotpath-reach] -- packs O(feed) position rows once per forward
+        # repro: allow[hotpath] -- packs O(feed) position rows once per forward
         positions = np.concatenate(pos_rows)
         use_cache = [c is not None and c.seq_len > 0 for c in caches]
 
@@ -245,7 +245,7 @@ class MiniLlama(Module):
         blocked: List[np.ndarray] = []
         for i, pos in enumerate(pos_rows):
             if use_cache[i]:
-                # repro: allow[hotpath-reach] -- O(context) int position vector, built once per row per forward
+                # repro: allow[hotpath] -- O(context) int position vector, built once per row per forward
                 all_pos = np.concatenate(
                     [np.asarray(caches[i].positions, dtype=np.int64), pos]
                 )
@@ -278,9 +278,9 @@ class MiniLlama(Module):
                     k_all, v_all = np.asarray(k_all), np.asarray(v_all)
                 elif use_cache[i]:
                     past_k, past_v = caches[i].layer(layer_idx)
-                    # repro: allow[hotpath-reach] -- read-only feed (tree verify): the cache must not grow, so K is assembled beside it
+                    # repro: allow[hotpath] -- read-only feed (tree verify): the cache must not grow, so K is assembled beside it
                     k_all = np.concatenate([np.asarray(past_k), k_i], axis=2)
-                    # repro: allow[hotpath-reach] -- read-only feed (tree verify): the cache must not grow, so V is assembled beside it
+                    # repro: allow[hotpath] -- read-only feed (tree verify): the cache must not grow, so V is assembled beside it
                     v_all = np.concatenate([np.asarray(past_v), v_i], axis=2)
                 else:
                     k_all, v_all = k_i, v_i
@@ -417,7 +417,7 @@ class MiniLlama(Module):
                 start = cache.next_position() if cache is not None else 0
                 pos = np.arange(start, start + ids.shape[1], dtype=np.int64)
             pos_rows.append(pos)
-        # repro: allow[hotpath-reach] -- packs O(feed) token ids once per packed forward
+        # repro: allow[hotpath] -- packs O(feed) token ids once per packed forward
         packed_ids = np.concatenate(rows2d, axis=1)
         return self.forward_packed_embeds(
             self.embed_tokens(packed_ids), pos_rows, caches, update_cache,

@@ -168,7 +168,7 @@ class MiniLlava:
         and no ``Tensor`` is built.
         """
         if not isinstance(images, np.ndarray):
-            # repro: allow[hotpath-reach] -- prefill runs once per request, not per decode step
+            # repro: allow[hotpath] -- prefill runs once per request, not per decode step
             images = np.stack([np.asarray(img) for img in images])
         if images.shape[0] != len(text_rows):
             raise ShapeError(
@@ -190,7 +190,7 @@ class MiniLlava:
             position_rows.append(np.arange(total, dtype=np.int64))
             caches.append(self.llama.new_cache())
         outs = self.llama._infer_rows(
-            # repro: allow[hotpath-reach] -- packs the prefill rows once per request, not per decode step
+            # repro: allow[hotpath] -- packs the prefill rows once per request, not per decode step
             np.concatenate(pieces, axis=1), position_rows, caches, True, None
         )
         for cache, text_ids in zip(caches, rows2d):

@@ -269,7 +269,7 @@ def rope_data(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     x1 = x[..., :half]
     x2 = x[..., half:]
     out = x * cos
-    # repro: allow[hotpath-reach] -- the rotate-half buffer IS the RoPE math; O(feed), freed immediately
+    # repro: allow[hotpath] -- the rotate-half buffer IS the RoPE math; O(feed), freed immediately
     rot = np.concatenate([-x2, x1], axis=-1)
     rot *= sin
     out += rot

@@ -38,7 +38,7 @@ class RotaryEmbedding:
         inv_freq = 1.0 / (self.base ** (np.arange(0, half, dtype=np.float64) / half))
         t = np.arange(length, dtype=np.float64)
         freqs = np.outer(t, inv_freq)  # (length, half)
-        # repro: allow[hotpath-reach] -- table doubling: amortized O(log T) growths, not per-step
+        # repro: allow[hotpath] -- table doubling: amortized O(log T) growths, not per-step
         emb = np.concatenate([freqs, freqs], axis=-1)
         self._cos = np.cos(emb).astype(np.float32)
         self._sin = np.sin(emb).astype(np.float32)

@@ -545,7 +545,7 @@ def as_tensor(value: TensorLike) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     tensors = [as_tensor(t) for t in tensors]
-    # repro: allow[hotpath-reach] -- concat() is the allocation primitive itself; callers own the budget
+    # repro: allow[hotpath] -- concat() is the allocation primitive itself; callers own the budget
     data = np.concatenate([t.data for t in tensors], axis=axis)
     out = Tensor(data)
     if _GradMode.enabled and any(t.requires_grad for t in tensors):

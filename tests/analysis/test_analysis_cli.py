@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, JSON schema, baseline workflow, subcommands."""
+"""CLI behaviour: exit codes, JSON schema, rule selection, subcommands."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import docstrings
 from repro.analysis.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -42,7 +43,7 @@ def test_json_format_schema(bad_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == 1
     assert payload["summary"]["errors"] >= 1
-    assert set(payload["rules"]) >= {"determinism", "layering", "hotpath-alloc"}
+    assert set(payload["rules"]) >= {"determinism", "layering", "hotpath"}
     finding = payload["findings"][0]
     assert {"file", "line", "rule_id", "message", "severity", "snippet"} <= set(finding)
 
@@ -55,52 +56,14 @@ def test_output_artifact_written(bad_file, tmp_path, capsys):
     assert payload["summary"]["errors"] >= 1
 
 
-def test_baseline_workflow_end_to_end(bad_file, tmp_path, capsys):
-    """write-baseline skeleton is inert; justified entries suppress."""
-    bl = tmp_path / "bl.json"
-    assert main([bad_file, "--write-baseline", str(bl)]) == 0
-    # The TODO skeleton must not silence anything.
-    assert main([bad_file, "--baseline", str(bl)]) == 1
-    assert "no justification" in capsys.readouterr().out
-    payload = json.loads(bl.read_text())
-    for entry in payload["entries"]:
-        entry["justification"] = "accepted: fixture for the CLI test"
-    bl.write_text(json.dumps(payload))
-    assert main([bad_file, "--baseline", str(bl)]) == 0
-    assert "baselined" in capsys.readouterr().out
-
-
-def test_default_baseline_picked_up_from_cwd(bad_file, tmp_path, capsys):
-    bl = tmp_path / "analysis_baseline.json"
-    main([bad_file, "--write-baseline", str(bl)])
-    payload = json.loads(bl.read_text())
-    for entry in payload["entries"]:
-        entry["justification"] = "accepted: fixture"
-    bl.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main([bad_file]) == 0  # no --baseline flag needed
-
-
-def test_stale_baseline_entry_reported(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "ok.py").write_text(OK_SOURCE)
-    bl = tmp_path / "bl.json"
-    bl.write_text(json.dumps({"version": 1, "entries": [{
-        "rule": "determinism", "file": "gone.py",
-        "content": "import random", "justification": "was real once",
-    }]}))
-    assert main(["ok.py", "--baseline", str(bl)]) == 0
-    assert "stale baseline entry" in capsys.readouterr().out
-
-
 def test_rule_selection_and_listing(bad_file, capsys):
     # Selecting a rule that cannot fire on the file -> clean.
-    assert main([bad_file, "--rules", "lock-discipline"]) == 0
+    assert main([bad_file, "--rules", "locks"]) == 0
     capsys.readouterr()
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("layering", "determinism", "hotpath-alloc",
-                    "view-mutation", "except-discipline", "lock-discipline"):
+    for rule_id in ("layering", "determinism", "hotpath",
+                    "views", "except-discipline", "locks"):
         assert rule_id in out
 
 
@@ -133,3 +96,11 @@ def test_docs_subcommand_links_only(monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
     assert main(["docs", "--links-only"]) == 0
     assert "links ok" in capsys.readouterr().out
+
+
+def test_docstrings_missing_target_fails(monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setattr(docstrings, "TARGETS",
+                        ("src/repro/analysis/rules/gone.py",))
+    assert main(["docstrings"]) == 1
+    assert "FAIL src/repro/analysis/rules/gone.py" in capsys.readouterr().out

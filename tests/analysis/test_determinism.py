@@ -1,4 +1,4 @@
-"""Determinism rule: global RNG, stdlib random, and wall-clock seeds."""
+"""Determinism rule, zero hops: global RNG, stdlib random, wall-clock seeds."""
 
 from __future__ import annotations
 

@@ -1,14 +1,14 @@
-"""View-escape rule: zero-copy views outliving the arena state they alias."""
+"""Views rule, lifetime: zero-copy views outliving the arena state they alias."""
 
 from __future__ import annotations
 
 from repro.analysis.framework import run_rules
-from repro.analysis.rules.escape import ViewEscapeRule
+from repro.analysis.rules.views import ViewRule
 
 
 def test_bad_fixture_flags_all_escape_shapes(load_fixture):
     project = load_fixture("escape")
-    findings = [f for f in run_rules(project, [ViewEscapeRule()])
+    findings = [f for f in run_rules(project, [ViewRule()])
                 if f.file.endswith("bad.py")]
     messages = [f.message for f in findings]
     assert any("stale view read" in m for m in messages), messages
@@ -20,6 +20,6 @@ def test_bad_fixture_flags_all_escape_shapes(load_fixture):
 def test_ok_fixture_is_clean(load_fixture):
     """Consume-before-mutate, .copy() detach, and fresh returns all pass."""
     project = load_fixture("escape")
-    findings = [f for f in run_rules(project, [ViewEscapeRule()])
+    findings = [f for f in run_rules(project, [ViewRule()])
                 if f.file.endswith("ok.py")]
     assert findings == []

@@ -1,13 +1,13 @@
-"""Hot-path allocation rule: forbidden allocators, exemptions, scoping."""
+"""Hot-path rule, zero hops: forbidden allocators, exemptions, scoping."""
 
 from __future__ import annotations
 
 from repro.analysis.framework import run_rules
-from repro.analysis.rules.hotpath import HotPathAllocationRule
+from repro.analysis.rules.hotpath import HotPathRule
 
 
-def _rule() -> HotPathAllocationRule:
-    return HotPathAllocationRule(
+def _rule() -> HotPathRule:
+    return HotPathRule(
         hot_modules={"hot.engine"}, hot_prefixes=(), exempt={"hot.reference"}
     )
 
@@ -32,8 +32,11 @@ def test_exempt_and_cold_modules_untouched(load_fixture):
 
 def test_default_scope_matches_the_repo():
     """The shipped scope covers the real hot modules and exempts the spec."""
-    rule = HotPathAllocationRule()
+    rule = HotPathRule()
     assert "repro.core.engine" in rule.hot_modules
     assert "repro.utils.arena" in rule.hot_modules
     assert any("repro.decoding" in p for p in rule.hot_prefixes)
     assert "repro.core.reference" in rule.exempt
+    assert any(p.endswith("ContinuousBatchingScheduler.run_round")
+               for p in rule.entry_patterns)
+    assert "repro.core.engine.AASDEngine.step*" in rule.entry_patterns

@@ -1,14 +1,14 @@
-"""Lock-order rule: cross-class inversion cycles and self-deadlocks."""
+"""Locks rule, order check: cross-class inversion cycles and self-deadlocks."""
 
 from __future__ import annotations
 
 from repro.analysis.framework import run_rules
-from repro.analysis.rules.lockorder import LockOrderRule
+from repro.analysis.rules.locks import LockRule
 
 
 def test_bad_fixture_flags_inversion_and_reacquisition(load_fixture):
     project = load_fixture("lockorder")
-    findings = [f for f in run_rules(project, [LockOrderRule()])
+    findings = [f for f in run_rules(project, [LockRule()])
                 if f.file.endswith("bad.py")]
     messages = [f.message for f in findings]
     inversions = [m for m in messages if "lock-order inversion" in m]
@@ -22,6 +22,6 @@ def test_bad_fixture_flags_inversion_and_reacquisition(load_fixture):
 def test_ok_fixture_is_clean(load_fixture):
     """One global nesting order and unlocked helpers produce no findings."""
     project = load_fixture("lockorder")
-    findings = [f for f in run_rules(project, [LockOrderRule()])
+    findings = [f for f in run_rules(project, [LockRule()])
                 if f.file.endswith("ok.py")]
     assert findings == []

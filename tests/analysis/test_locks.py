@@ -1,14 +1,14 @@
-"""Lock-discipline rule: guarded classes write only under self._lock."""
+"""Locks rule, lockset check: guarded classes write only under self._lock."""
 
 from __future__ import annotations
 
 from repro.analysis.framework import run_rules
-from repro.analysis.rules.locks import LockDisciplineRule
+from repro.analysis.rules.locks import LockRule
 
 
 def test_bad_fixture_flags_unguarded_writes(load_fixture):
     project = load_fixture("locks")
-    findings = [f for f in run_rules(project, [LockDisciplineRule()])
+    findings = [f for f in run_rules(project, [LockRule()])
                 if f.file.endswith("bad.py")]
     messages = [f.message for f in findings]
     assert len(findings) == 2
@@ -19,6 +19,6 @@ def test_bad_fixture_flags_unguarded_writes(load_fixture):
 def test_ok_fixture_is_clean(load_fixture):
     """Guarded writes pass; classes without a _lock are out of scope."""
     project = load_fixture("locks")
-    findings = [f for f in run_rules(project, [LockDisciplineRule()])
+    findings = [f for f in run_rules(project, [LockRule()])
                 if f.file.endswith("ok.py")]
     assert findings == []

@@ -57,6 +57,18 @@ def test_allow_for_other_rule_does_not_suppress(workdir, capsys):
     assert "determinism" in capsys.readouterr().out
 
 
+def test_allow_naming_unknown_rule_is_an_error(workdir, capsys):
+    """A typo'd or retired rule id can never suppress: fail loudly."""
+    (workdir / "mod.py").write_text(
+        BAD_LINE.format(reason="retired id left behind").replace(
+            "allow[determinism]", "allow[determinism, hotpath-reach]"))
+    assert main(["mod.py"]) == 1
+    out = capsys.readouterr().out
+    assert "inline-allow" in out
+    assert "unknown rule id(s) hotpath-reach" in out
+    assert "mod.py:1: determinism" not in out  # the known id still applies
+
+
 def test_allow_inside_string_literal_is_ignored(workdir, capsys):
     (workdir / "mod.py").write_text(
         'DOC = "# repro: allow[determinism] -- not a real comment"\n'

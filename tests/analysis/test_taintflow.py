@@ -1,16 +1,15 @@
-"""Determinism-flow rule: nondeterministic sources reaching decode sinks."""
+"""Determinism rule, n hops: nondeterministic sources reaching decode sinks."""
 
 from __future__ import annotations
 
 from repro.analysis.framework import run_rules
-from repro.analysis.rules.taintflow import DeterminismFlowRule
+from repro.analysis.rules.determinism import DeterminismRule
 
 
 def _rule():
     # Fixture modules are named taintflow.bad / taintflow.ok, so the sink
     # scope must cover them (the default scopes to repro.decoding/core).
-    return DeterminismFlowRule(sink_prefixes=("taintflow.",),
-                               clock_exempt=())
+    return DeterminismRule(sink_prefixes=("taintflow.",), clock_exempt=())
 
 
 def test_bad_fixture_flags_sources_reaching_sinks(load_fixture):

@@ -1,14 +1,14 @@
-"""View-mutation rule: taint pass over arena view API results."""
+"""Views rule, write-through: in-place writes into arena view API results."""
 
 from __future__ import annotations
 
 from repro.analysis.framework import run_rules
-from repro.analysis.rules.views import ViewMutationRule
+from repro.analysis.rules.views import ViewRule
 
 
 def test_bad_fixture_flags_every_write(load_fixture):
     project = load_fixture("views")
-    findings = [f for f in run_rules(project, [ViewMutationRule()])
+    findings = [f for f in run_rules(project, [ViewRule()])
                 if f.file.endswith("bad.py")]
     assert len(findings) == 4
     messages = " | ".join(f.message for f in findings)
@@ -21,6 +21,6 @@ def test_bad_fixture_flags_every_write(load_fixture):
 def test_ok_fixture_is_clean(load_fixture):
     """Reads, explicit .copy(), and rebinding clear the taint."""
     project = load_fixture("views")
-    findings = [f for f in run_rules(project, [ViewMutationRule()])
+    findings = [f for f in run_rules(project, [ViewRule()])
                 if f.file.endswith("ok.py")]
     assert findings == []
