@@ -14,11 +14,21 @@ Outputs under ``--out``:
 * ``attribution.txt`` / ``attribution.json`` — the {gemm, gemm_cast,
   arena_copy, python_overhead, other} wall-clock split
 * ``metrics.json``       — registry snapshot (histograms with p50/p95/p99)
+* ``memory.txt`` / ``memory.json`` — where the run's ``peak_rss_mb`` goes:
+  parameters, pinned operands, target KV (reserved vs live), draft state
+  and the forward transient, at the admission or round that set the peak
+  (``repro.serving.memory``)
 
 The attribution table is the quantitative form of the ROADMAP's
 wall-clock question: how much of a batched round is fused compute vs.
 N× per-request Python.  Inspect any trace later with
 ``python -m repro.obs summarize --attribution <out>/trace.jsonl``.
+
+The memory table comes from its own pass over the same requests, in a
+process of its own that finishes before the attribution pass starts: its
+high-water mark starts from a fresh zoo load, as the e2e benchmark's
+does, and its tracemalloc runs never touch the attribution pass's wall
+clock.
 
 Exits 1 if the run recorded any ``gemm_cast`` product: every forward of a
 serving engine reads prepared float64 operands (``docs/kernels.md`` §5),
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -48,9 +59,29 @@ from repro.obs import (
 )
 from repro.obs.profile import OP_GEMM_CAST
 from repro.serving import ServingConfig, serve_requests
+from repro.serving.memory import MemoryProbe, MemoryTable, render_memory
 from repro.zoo import ModelZoo, PROFILE_SMOKE
 
 logger = get_logger("repro.scripts.profile_serving")
+
+
+def _serve(args: argparse.Namespace, probe: bool = False):
+    """Serve the batch on a fresh engine: the report, and the probe if asked for."""
+    zoo = ModelZoo(PROFILE_SMOKE)
+    engine = build_aasd_engine(
+        zoo, args.target, args.gamma, CostModel(get_profile(args.target)),
+        max_new_tokens=args.max_new_tokens,
+    )
+    samples = zoo.eval_dataset("coco-sim", args.requests)
+    probed = MemoryProbe(engine) if probe else None
+    report = serve_requests(engine, samples, ServingConfig(max_batch_size=args.concurrency))
+    return report, probed
+
+
+def memory_pass(args: argparse.Namespace) -> MemoryTable:
+    """The memory table of the same run (called in a fresh process)."""
+    _, probe = _serve(args, probe=True)
+    return probe.table()
 
 
 def main() -> int:
@@ -67,19 +98,15 @@ def main() -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    zoo = ModelZoo(PROFILE_SMOKE)
-    cost_model = CostModel(get_profile(args.target))
-    engine = build_aasd_engine(
-        zoo, args.target, args.gamma, cost_model,
-        max_new_tokens=args.max_new_tokens,
-    )
-    samples = zoo.eval_dataset("coco-sim", args.requests)
+    # The memory pass goes first, in a process started while this one is
+    # small: Linux carries a process's high-water mark across exec, so a
+    # child started after the attribution pass would begin at its peak.
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        memory = pool.apply(memory_pass, (args,))
 
     tracer = enable_tracing()
     enable_profiling()
-    report = serve_requests(
-        engine, samples, ServingConfig(max_batch_size=args.concurrency)
-    )
+    report, _ = _serve(args)
     logger.info(
         "served batch",
         extra={"event": "profile_serving_done", **report.summary()},
@@ -106,8 +133,15 @@ def main() -> int:
         print(f"{metric:>8}: n={int(digest['count'])} mean {digest['mean']:.1f} "
               f"p50 {digest['p50']:.1f} p95 {digest['p95']:.1f} "
               f"p99 {digest['p99']:.1f} (server ms)")
+    memory_txt = render_memory(memory)
+    (out_dir / "memory.txt").write_text(memory_txt + "\n", encoding="utf-8")
+    (out_dir / "memory.json").write_text(
+        json.dumps(memory.to_dict(), indent=2), encoding="utf-8")
     print()
-    print(f"wrote {jsonl}, {flame}, {out_dir / 'attribution.txt'}, {metrics}")
+    print(memory_txt)
+    print()
+    print(f"wrote {jsonl}, {flame}, {out_dir / 'attribution.txt'}, {metrics}, "
+          f"{out_dir / 'memory.txt'}")
     casts = get_profiler().op(OP_GEMM_CAST).calls
     if casts:
         print(f"FAILED: {casts} mixed-dtype GEMMs (gemm_cast) in a serving run")

@@ -35,7 +35,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import ShapeError
-from ..utils.arena import Arena, ArenaStats
+from ..utils.arena import Arena, ArenaStats, total_footprint
 
 __all__ = ["HybridKVCache", "SEGMENT_VISION", "SEGMENT_TEXT"]
 
@@ -189,3 +189,7 @@ class HybridKVCache:
     def arena_stats(self) -> ArenaStats:
         """Copy/growth accounting aggregated over this cache's arenas."""
         return self._stats
+
+    def footprint(self) -> Tuple[int, int]:
+        """``(reserved, live)`` bytes of the K/V, position and segment lanes."""
+        return total_footprint([self._k, self._v, self._pos, self._seg])

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 import numpy as np
 
 from ..data.tasks import MultimodalSample
 from ..models.llava import MiniLlava
+from ..nn.kernels import pin_operands
 from ..nn.tensor import no_grad
 from ..obs.tracing import Tracer, get_tracer
 from ..tokenizer import WordTokenizer
@@ -21,7 +23,14 @@ __all__ = ["AutoregressiveDecoder"]
 
 
 class AutoregressiveDecoder(Decoder):
-    """Plain one-token-per-forward decoding of the target MLLM."""
+    """Plain one-token-per-forward decoding of the target MLLM.
+
+    Like :class:`~repro.core.engine.AASDEngine`, it pins the target's
+    float64 operands while it lives (``docs/kernels.md`` §5): its
+    forwards read them instead of casting every weight per product, and
+    the target's weights are read-only meanwhile — replace ``param.data``
+    to change one.
+    """
 
     def __init__(
         self,
@@ -39,6 +48,7 @@ class AutoregressiveDecoder(Decoder):
         self.max_new_tokens = max_new_tokens
         self.sampler = Sampler(sampler_config or SamplerConfig(), rng=rng)
         self._tracer = tracer
+        weakref.finalize(self, pin_operands(target.parameters()))
 
     @property
     def name(self) -> str:

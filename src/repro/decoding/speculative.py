@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,6 +124,10 @@ class _LMDraftState:
     def arena_stats(self) -> ArenaStats:
         """Copy/growth accounting of the draft's cache."""
         return self.cache.arena_stats()
+
+    def footprint(self) -> Tuple[int, int]:
+        """``(reserved, live)`` bytes of the draft's cache."""
+        return self.cache.footprint()
 
 
 class _CachedLMDraft(Drafter):

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import ShapeError
-from ..utils.arena import Arena, ArenaStats
+from ..utils.arena import Arena, ArenaStats, total_footprint
 
 __all__ = ["KVCache", "Segments"]
 
@@ -174,6 +174,10 @@ class KVCache:
     def arena_stats(self) -> ArenaStats:
         """Copy/growth accounting aggregated over this cache's arenas."""
         return self._stats
+
+    def footprint(self) -> Tuple[int, int]:
+        """``(reserved, live)`` bytes of every layer and the positions."""
+        return total_footprint([*self._keys, *self._values, self._positions])
 
     def clone(self) -> "KVCache":
         """Copy-on-write snapshot (verification rollouts, what-if decoding).

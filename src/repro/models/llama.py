@@ -56,16 +56,38 @@ class _RowOutput:
     is the same view ``Tensor.__getitem__`` would produce, so values are
     bitwise unchanged; a solo forward is the one row ``0:T``.  The row's
     logits come already cut to it (the LM head runs per row).
+
+    A forward that wrote every row's cache kept only the last layer's
+    fresh K/V arrays (``None`` stands for the others in ``kv_data``):
+    ``new_kv`` reads those layers back from ``cache``, at the rows the
+    forward appended from ``cached_at`` on.  The read-back views follow
+    :meth:`KVCache.layer`'s contract — valid until that cache next
+    changes.  ``last_layer_kv`` never reads the cache, so it survives the
+    rollback a verify applies before the draft head absorbs it.
     """
 
-    __slots__ = ("_logits_d", "_normed_d", "_kv_data", "_start", "_end")
+    __slots__ = ("_logits_d", "_normed_d", "_kv_data", "_start", "_end",
+                 "_cache", "_cached_at")
 
-    def __init__(self, logits_d, normed_d, kv_data, start: int, end: int) -> None:
+    def __init__(self, logits_d, normed_d, kv_data, start: int, end: int,
+                 cache: Optional[KVCache] = None, cached_at: int = 0) -> None:
         self._logits_d = logits_d
         self._normed_d = normed_d
         self._kv_data = kv_data
         self._start = start
         self._end = end
+        self._cache = cache
+        self._cached_at = cached_at
+
+    def _layer_kv(self, layer: int) -> Tuple[Tensor, Tensor]:
+        kv = self._kv_data[layer]
+        if kv is None:
+            k, v = self._cache.layer(layer)
+            rows = slice(self._cached_at, self._cached_at + self._end - self._start)
+        else:
+            k, v = kv
+            rows = slice(self._start, self._end)
+        return Tensor(k[:, :, rows, :]), Tensor(v[:, :, rows, :])
 
     @property
     def logits(self) -> Tensor:
@@ -77,13 +99,7 @@ class _RowOutput:
 
     @property
     def new_kv(self) -> List[Tuple[Tensor, Tensor]]:
-        return [
-            (
-                Tensor(k[:, :, self._start:self._end, :]),
-                Tensor(v[:, :, self._start:self._end, :]),
-            )
-            for k, v in self._kv_data
-        ]
+        return [self._layer_kv(layer) for layer in range(len(self._kv_data))]
 
     @property
     def last_logits_data(self) -> np.ndarray:
@@ -92,11 +108,7 @@ class _RowOutput:
 
     @property
     def last_layer_kv(self) -> Tuple[Tensor, Tensor]:
-        k, v = self._kv_data[-1]
-        return (
-            Tensor(k[:, :, self._start:self._end, :]),
-            Tensor(v[:, :, self._start:self._end, :]),
-        )
+        return self._layer_kv(len(self._kv_data) - 1)
 
 
 class MiniLlama(Module):
@@ -234,11 +246,19 @@ class MiniLlama(Module):
         tokens (the packing-stability contract in :mod:`repro.nn.ragged`)
         and a one-row call needs nothing.  Builds no ``Tensor``; outputs
         are wrapped lazily by :class:`_RowOutput`.
+
+        When every row writes its cache, each fresh K/V row has one copy,
+        the cache's: only the last layer's arrays are kept beside it (the
+        draft head absorbs them after a verify rolled the cache back), and
+        the rows read the other layers back from their caches.
         """
         extents = row_extents(cu_seqlens([p.shape[0] for p in pos_rows]))
         # repro: allow[hotpath] -- packs O(feed) position rows once per forward
         positions = np.concatenate(pos_rows)
-        use_cache = [c is not None and c.seq_len > 0 for c in caches]
+        cached = [0 if c is None else c.seq_len for c in caches]
+        use_cache = [n > 0 for n in cached]
+        read_back = update_cache and None not in caches
+        last = len(self.blocks) - 1
 
         # Masks and rotary tables depend on positions only, never on
         # layer values — build them once and reuse across the stack.
@@ -257,7 +277,7 @@ class MiniLlama(Module):
             blocked.append(mask)
         rope = rope_tables_data(self.rope, positions)
 
-        new_kv: List[Tuple[np.ndarray, np.ndarray]] = []
+        new_kv: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
         hidden = x
         for layer_idx, block in enumerate(self.blocks):
             qd, kd, vd = project_qkv_data(
@@ -299,7 +319,7 @@ class MiniLlama(Module):
             hidden = block_tail_data(
                 hidden, attn_out, block.attn.wo, block.mlp_norm, block.mlp
             )
-            new_kv.append((kd, vd))
+            new_kv.append(None if read_back and layer_idx < last else (kd, vd))
         if update_cache:
             for cache, pos in zip(caches, pos_rows):
                 if cache is not None:
@@ -310,8 +330,8 @@ class MiniLlama(Module):
         # product is not row-stable once rows are stacked (docs/kernels.md §2)
         return [
             _RowOutput(matmul_data(normed[:, start:end, :], head),
-                       normed, new_kv, start, end)
-            for start, end in extents
+                       normed, new_kv, start, end, cache, at)
+            for (start, end), cache, at in zip(extents, caches, cached)
         ]
 
     def forward_packed_embeds(

@@ -39,6 +39,7 @@ from .tensor import matmul_data
 
 __all__ = [
     "operand",
+    "operand_nbytes",
     "pin_operands",
     "linear_data",
     "rmsnorm_data",
@@ -141,6 +142,22 @@ def pin_operands(params: Iterable) -> Callable[[], None]:
                 p.pin = None
 
     return release
+
+
+def operand_nbytes(params: Iterable) -> int:
+    """Bytes the built operands of ``params`` hold beyond the stored arrays.
+
+    A float32 weight's operand is its float64 copy; a float64 parameter
+    is read as stored, so its operand costs nothing.  A parameter that is
+    not pinned, or whose operand was not read yet, counts zero.
+    """
+    total = 0
+    for p in {id(p): p for p in params}.values():
+        pin: Optional[_Pin] = p.pin
+        if pin is not None and pin.array is not None and not np.may_share_memory(
+                pin.array, pin.source):
+            total += pin.array.nbytes
+    return total
 
 
 def linear_data(x: np.ndarray, layer) -> np.ndarray:

@@ -174,10 +174,12 @@ class GateReport:
 
 
 def validate_justification(justification: str) -> str:
-    """Reject empty / placeholder justifications (mirrors the lint baseline).
+    """Reject a justification shorter than 10 characters or a placeholder.
 
-    A baseline update is a statement that the perf shift is intentional;
-    ``TODO``-style text defers that statement, which defeats the gate.
+    A placeholder is text starting with ``TODO``, ``FIXME``, ``XXX`` or
+    ``TBD`` (any case).  A baseline update is a statement that the perf
+    shift is intentional; placeholder text defers that statement, which
+    defeats the gate.  Returns the stripped text.
     """
     text = (justification or "").strip()
     if len(text) < 10:

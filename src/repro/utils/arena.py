@@ -45,7 +45,7 @@ from ..errors import ShapeError
 from ..obs.metrics import get_registry
 from ..obs.profile import OP_ARENA_COPY, OP_ARENA_VIEW, PROFILER as _PROFILER
 
-__all__ = ["Arena", "ArenaStats", "MIN_CAPACITY", "combined_stats"]
+__all__ = ["Arena", "ArenaStats", "MIN_CAPACITY", "combined_stats", "total_footprint"]
 
 #: Smallest capacity (in tokens along the grow axis) an arena allocates.
 MIN_CAPACITY = 64
@@ -88,6 +88,12 @@ def combined_stats(*caches: object) -> ArenaStats:
         if getter is not None:
             total.add(getter())
     return total
+
+
+def total_footprint(arenas) -> Tuple[int, int]:
+    """``(reserved, live)`` bytes summed over ``arenas``, skipping ``None`` slots."""
+    sizes = [a.footprint() for a in arenas if a is not None]
+    return sum(r for r, _ in sizes), sum(n for _, n in sizes)
 
 
 class _Store:
@@ -161,6 +167,11 @@ class Arena:
     def dtype(self) -> np.dtype:
         """Element dtype of the backing buffer."""
         return self._store.buf.dtype
+
+    def footprint(self) -> Tuple[int, int]:
+        """``(reserved, live)`` bytes: the backing buffer, and its live prefix."""
+        buf = self._store.buf
+        return buf.nbytes, buf.nbytes // self.capacity * self._len
 
     @property
     def stats(self) -> ArenaStats:

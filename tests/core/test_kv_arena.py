@@ -125,6 +125,14 @@ class TestArena:
         a.truncate(0)
         assert stats.peak_tokens == 2      # peak is monotone
 
+    def test_footprint_is_capacity_and_live_rows(self):
+        kv = KVCache(n_layers=1)
+        kv.append(0, _tokens(3), _tokens(3))
+        kv.extend_positions(np.arange(3))
+        row = _tokens(1).nbytes            # one (1, 2, 1, 4) float32 K or V row
+        assert kv.footprint() == (2 * MIN_CAPACITY * row + MIN_CAPACITY * 8,
+                                  2 * 3 * row + 3 * 8)
+
     def test_combined_stats(self):
         kv = KVCache(n_layers=1)
         kv.append(0, _tokens(2), _tokens(2))

@@ -14,6 +14,8 @@ operands (``tests/nn/test_operands.py``).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,7 +214,11 @@ class TestTargetForward:
         same_output(out_s, out_f)
         same_cache(cache_s, cache_f)
 
-    def test_packed_rows_equal_the_spec_row_by_row(self, world):
+    @pytest.mark.parametrize("cache_cls", [None, ReferenceKVCache],
+                             ids=["arena", "reference"])
+    def test_packed_rows_equal_the_spec_row_by_row(self, world, monkeypatch, cache_cls):
+        if cache_cls is not None:
+            monkeypatch.setattr(llama_mod, "KVCache", cache_cls)
         feeds = [np.asarray([FEED]), np.asarray([FEED[:2]])]
         spec = []
         for i, feed in enumerate(feeds):
@@ -228,6 +234,33 @@ class TestTargetForward:
             same_output(out_s, out_f)
             same_cache(cache_s, cache_f)
             assert np.array_equal(first[i], prefill(world, i)[1])
+
+    @pytest.mark.parametrize("cache_cls", [None, ReferenceKVCache],
+                             ids=["arena", "reference"])
+    def test_packed_prefill_reads_new_kv_back_from_the_caches(self, world, monkeypatch,
+                                                              cache_cls):
+        if cache_cls is not None:
+            monkeypatch.setattr(llama_mod, "KVCache", cache_cls)
+        target, llama = world["target"], world["target"].llama
+        rows = [target.build_input_embeds(s.image[None], p[None]).data
+                for s, p in zip(world["samples"], world["prompts"])]
+        positions = [np.arange(x.shape[1]) for x in rows]
+        spec = []
+        for x, pos in zip(rows, positions):
+            cache = llama.new_cache()
+            spec.append((cache, llama.forward_embeds(Tensor(x), pos, cache=cache)))
+        caches = [llama.new_cache() for _ in rows]
+        with no_grad():
+            outs = llama.forward_packed_embeds(
+                Tensor(np.concatenate(rows, axis=1)), positions, caches)
+        for (cache_s, out_s), cache_f, out_f in zip(spec, caches, outs):
+            same_output(out_s, out_f)
+            same_cache(cache_s, cache_f)
+            # one copy of each fresh row: every layer but the last is the cache's
+            for layer, (k, v) in enumerate(out_f.new_kv):
+                k_all, v_all = cache_f.layer(layer)
+                shared = np.shares_memory(k.data, k_all) and np.shares_memory(v.data, v_all)
+                assert shared == (layer < llama.config.n_layers - 1)
 
     def test_no_tensor_is_built_until_an_output_is_read(self, world, tensors_built):
         cache, _ = prefill(world)
@@ -339,6 +372,68 @@ class TestDraftForward:
             head.step(FEED[0], pos + 1, hybrid, ancestor_rows=(0,))
             head.step_packed([FEED[1]], [pos + 2], [hybrid])
         assert not tensors_built and hybrid.draft_len == 3
+
+
+class TestOneCopyOfEachKVRow:
+    """A forward that writes the caches keeps no second copy of the rows.
+
+    Under tracemalloc a 4-request ``prefill_batch`` and the packed
+    ``decode_batch`` after it retain, beside what their caches allocated,
+    only what their row outputs hold: the last layer's fresh K and V, the
+    final-norm hidden states and the logits.  At six layers, keeping every
+    layer's K/V beside the caches holds five more K/V pairs.
+    """
+
+    SLACK = 64 << 10     # Python objects: caches, arenas, cached views, row wrappers
+
+    def test_prefill_and_decode_batch_retain_only_the_last_layer(self, world, monkeypatch):
+        target = world["target"]
+        config = target.llama.config
+        held = []
+        infer = llama_mod.MiniLlama._infer_rows
+
+        def keep(self, *args):      # prefill_batch drops its row outputs; hold them
+            outs = infer(self, *args)
+            held.append(outs)
+            return outs
+
+        monkeypatch.setattr(llama_mod.MiniLlama, "_infer_rows", keep)
+        samples = [*world["samples"], world["samples"][0]]
+        images = [s.image for s in samples]
+        prompts = [*world["prompts"], world["prompts"][0]]
+        feeds = [np.asarray([FEED]), np.asarray([FEED[::-1]]),
+                 np.asarray([FEED[1:]]), np.asarray([FEED[:2]])]
+
+        def outputs(n_tokens):
+            # last layer K + V, final-norm hidden (each tokens x dim) and the logits
+            return 8 * n_tokens * (3 * config.dim + config.vocab_size)
+
+        def traced(call):
+            tracemalloc.start()
+            try:
+                out = call()
+                retained, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return out, retained
+
+        with no_grad():
+            warm, _ = target.prefill_batch(images, prompts)   # operands, RoPE tables
+            target.decode_batch(feeds, warm)
+            del warm, held[:]
+            (caches, _), prefill_held = traced(lambda: target.prefill_batch(images, prompts))
+            before = [c.footprint()[0] for c in caches]
+            outs, decode_held = traced(lambda: target.decode_batch(feeds, caches))
+        after = [c.footprint()[0] for c in caches]
+
+        n_prefill = sum(target.n_vision_tokens + len(p) for p in prompts)
+        expected = sum(before) + outputs(n_prefill)
+        assert expected <= prefill_held <= expected + self.SLACK
+        # a cache that relocated holds a fresh buffer; one that did not, nothing new
+        grown = sum(a for a, b in zip(after, before) if a != b)
+        expected = grown + outputs(sum(f.shape[1] for f in feeds))
+        assert expected <= decode_held <= expected + self.SLACK
+        assert len(outs) == 4
 
 
 CACHES = [(HybridKVCache, None), (ReferenceHybridKVCache, ReferenceKVCache)]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import AASDEngine, AASDEngineConfig
+from repro.decoding import AutoregressiveDecoder
 from repro.errors import ConfigError
 from repro.nn.tensor import Tensor, matmul_data
 from repro.obs.flamegraph import export_collapsed, fold_spans, read_collapsed
@@ -240,6 +241,19 @@ class TestAttribution:
         rendered = render_attribution(report)
         assert "python_overhead" in rendered and "residual" in rendered
         assert "gemm_cast" in rendered
+
+    def test_autoregressive_decode_reads_prepared_operands(self, world):
+        decoder = AutoregressiveDecoder(world["target"], world["tokenizer"], world["cm"],
+                                        max_new_tokens=8)
+        PROFILER.reset()
+        enable_profiling()
+        try:
+            decoder.decode(world["samples"][0])
+            gemms, casts = PROFILER.op("gemm").calls, PROFILER.op("gemm_cast").calls
+        finally:
+            disable_profiling()
+            PROFILER.reset()
+        assert gemms > 0 and casts == 0
 
     def test_profiling_is_invisible_to_decoding(self, world):
         baseline = _engine(world).decode(world["samples"][0])
