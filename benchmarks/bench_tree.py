@@ -11,8 +11,14 @@ asserts the tentpole claims in-process:
   than the linear chain's at the same gamma: when the chain's argmax
   continuation is rejected, a sibling branch can still rescue the round,
 * **compute** — the simulated decode time does not regress: the extra
-  verify rows are priced (CostModel.tree_verify bills every fed node)
-  yet the saved rounds more than pay for them.
+  verify rows are priced (the verify price bills every fed node) yet the
+  saved rounds more than pay for them.
+
+The ``-sampled`` modes run the same pair under temperature sampling at a
+fixed seed.  They guard against a silent downgrade: a sampled tree engine
+must really draft trees (some block has more nodes than ``gamma``) and
+emit only vocabulary tokens.  Their ``apf`` is reported in the table; no
+ordering is asserted, since a sampled run is one draw, not an expectation.
 
 Gamma is 7 here, deliberately above the smoke head's easy-acceptance
 range: at gamma 3 the smoke draft head is accepted wholesale and a tree
@@ -33,6 +39,7 @@ import pytest
 
 from repro.core.engine import AASDEngineConfig
 from repro.decoding.autoregressive import AutoregressiveDecoder
+from repro.decoding.sampling import SamplerConfig
 from repro.eval import build_aasd_engine, save_results
 
 from .conftest import RESULTS_DIR
@@ -43,7 +50,8 @@ BRANCH = 2
 MAX_NODES = 8
 N_SAMPLES = 8
 NEW_TOKENS = 48
-MODES = ("linear", "tree")
+MODES = ("linear", "tree", "linear-sampled", "tree-sampled")
+SAMPLED = SamplerConfig(greedy=False, temperature=0.8, top_p=0.95, seed=0)
 _RESULTS = {}
 _AR_TOKENS = {}
 
@@ -58,12 +66,13 @@ def _engine(zoo, runner, target, mode):
     config = AASDEngineConfig(
         gamma=GAMMA,
         max_new_tokens=NEW_TOKENS,
-        tree_speculation=(mode == "tree"),
+        tree_speculation=mode.startswith("tree"),
         tree_max_branch=BRANCH,
         tree_max_nodes=MAX_NODES,
     )
     return build_aasd_engine(
-        zoo, target, GAMMA, runner.cost_model(target), config=config
+        zoo, target, GAMMA, runner.cost_model(target), config=config,
+        sampler_config=SAMPLED if mode.endswith("sampled") else None,
     )
 
 
@@ -81,16 +90,21 @@ def _ar_tokens(zoo, runner, target):
 def test_tree_cell(benchmark, zoo, runner, target, mode):
     samples = _samples(zoo)
     engine = _engine(zoo, runner, target, mode)
-    if mode == "tree":
-        assert engine.tree_ready
+    assert engine.tree_ready == mode.startswith("tree")
 
     records = benchmark.pedantic(
         lambda: [engine.decode(s) for s in samples], rounds=1, iterations=1
     )
 
-    # Losslessness first: the throughput numbers mean nothing otherwise.
-    for record, reference in zip(records, _ar_tokens(zoo, runner, target)):
-        assert record.token_ids == reference, f"{mode} decode diverged from AR"
+    if mode.endswith("sampled"):
+        vocab = zoo.tokenizer().vocab_size
+        assert all(0 <= t < vocab for r in records for t in r.token_ids), mode
+        if engine.tree_ready:   # no silent downgrade to chains
+            assert any(b.n_draft > GAMMA for r in records for b in r.blocks), mode
+    else:
+        # Losslessness first: the throughput numbers mean nothing otherwise.
+        for record, reference in zip(records, _ar_tokens(zoo, runner, target)):
+            assert record.token_ids == reference, f"{mode} decode diverged from AR"
 
     tokens = sum(r.n_tokens for r in records)
     forwards = sum(r.n_target_forwards for r in records)
@@ -107,10 +121,10 @@ def test_tree_cell(benchmark, zoo, runner, target, mode):
 
 def test_tree_summary(benchmark, runner):
     assert len(_RESULTS) == len(CASES), "run the full parametrized set first"
-    lines = [f"{'target':>10} {'mode':>8} {'apf':>7} {'fwd':>6} {'sim ms':>10} {'tok/s':>8}"]
+    lines = [f"{'target':>10} {'mode':>14} {'apf':>7} {'fwd':>6} {'sim ms':>10} {'tok/s':>8}"]
     for (target, gamma, mode), row in sorted(_RESULTS.items()):
         lines.append(
-            f"{target:>10} {mode:>8} {row['apf']:>7.3f} {row['forwards']:>6.0f} "
+            f"{target:>10} {mode:>14} {row['apf']:>7.3f} {row['forwards']:>6.0f} "
             f"{row['sim_ms']:>10.1f} {row['tok_per_s']:>8.1f}"
         )
     rendered = benchmark.pedantic(lambda: "\n".join(lines), rounds=1, iterations=1)

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import count
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -72,9 +71,9 @@ from ..data.tasks import MultimodalSample
 from ..decoding.base import Decoder, commit_block, encode_prompt
 from ..decoding.cost_model import CostModel
 from ..decoding.metrics import BlockRecord, DecodeRecord
-from ..decoding.sampling import Sampler, SamplerConfig, logits_to_probs, speculative_verify
+from ..decoding.sampling import Sampler, SamplerConfig
 from ..decoding.speculative import Drafter
-from ..decoding.tree import DraftWalk, accept_tree, tree_extra_blocked
+from ..decoding.tree import DraftWalk, speculative_verify, tree_extra_blocked
 from ..errors import DecodingError
 from ..models.llava import MiniLlava
 from ..nn.kernels import pin_operands
@@ -94,6 +93,10 @@ logger = get_logger(__name__)
 
 FALLBACK_TARGET_ONLY = "target-only"
 
+# The one accept rule, bound a second time under its old tree name only
+# because the e2e tracer (benchmarks/e2e/trace.py) looks both names up here.
+accept_tree = speculative_verify
+
 
 @dataclass(frozen=True)
 class AASDEngineConfig:
@@ -106,11 +109,11 @@ class AASDEngineConfig:
     guard_cache: bool = True         # validate draft-state invariants per block
     # Tree speculation (repro.decoding.tree): draft a candidate *tree*
     # instead of a gamma-chain and verify every branch in one target
-    # forward.  Greedy-only; with max_branch=1 the tree degenerates to
-    # the chain and the engine's output is bitwise identical to the
-    # linear speculative path.
+    # forward, greedy or sampled, by the one acceptance rule.  With
+    # max_branch=1 the tree degenerates to the chain and the engine's
+    # output is bitwise identical to the linear speculative path.
     tree_speculation: bool = False   # route steps through the tree path
-    tree_max_branch: int = 2         # top-k branching cap per draft step
+    tree_max_branch: int = 2         # children cap per draft step
     tree_max_nodes: int = 12         # node budget per tree (floored at gamma)
     tree_entropy_scale: float = 1.0  # draft-head nats needed per extra branch
 
@@ -189,15 +192,6 @@ class DecodeSession:
         return combined_stats(self.target_cache, self.draft_state)
 
 
-def _sample_child(sampler: Sampler, rng: Optional[np.random.Generator],
-                  probs: List[np.ndarray], logits: np.ndarray) -> int:
-    """A chain's child rule: one draw from the draft distribution, kept in ``probs``."""
-    dist = logits_to_probs(logits, sampler.config)
-    token = sampler.sample(logits, probs=dist, rng=rng)
-    probs.append(dist)
-    return token
-
-
 @dataclass
 class _PackedDraftState:
     """One session's speculated block within a round, chain or tree.
@@ -215,7 +209,6 @@ class _PackedDraftState:
     gamma: int                      #: depth the controller granted this round
     open_len: int                   #: draft-state ``seq_len`` at block open
     walk: DraftWalk                 #: the block, grown one expansion per lane step
-    probs: List[np.ndarray]         #: a chain's draft distributions (its child rule fills it)
     pos: int = 0                    #: position of the last token fed (fault reports)
     kv_lens: List[int] = field(default_factory=list)      #: keys attended per draft forward
     draft_ms: float = 0.0           #: solo-priced draft charge (budget check)
@@ -243,7 +236,6 @@ class StepReport:
     feed_size: int                      #: tokens fed to the target forward
     draft_kv_lens: Tuple[int, ...]      #: keys attended per draft step
     n_accepted: int = 0                 #: draft tokens accepted (verify only)
-    tree: bool = False                  #: the block was drafted as a tree
     absorb_ms: float = 0.0              #: the drafter's charge for absorbing the block
 
 
@@ -404,16 +396,12 @@ class AASDEngine(Decoder):
     def tree_ready(self) -> bool:
         """Whether rounds draft candidate trees instead of gamma-chains.
 
-        The single gate of the round: the config switch, a drafter that
-        advertises ``supports_tree`` (its steps attend any root path of
-        the block), and greedy sampling — tree acceptance is defined for
-        greedy configs only (:func:`repro.decoding.tree.accept_tree`).
+        The single gate of the round: the config switch and a drafter
+        that advertises ``supports_tree`` (its steps attend any root path
+        of the block).  Greedy and sampled requests alike: one acceptance
+        rule verifies every tree (``repro.decoding.tree``).
         """
-        return (
-            self.config.tree_speculation
-            and bool(getattr(self.head, "supports_tree", False))
-            and bool(self.sampler.config.greedy)
-        )
+        return self.config.tree_speculation and bool(getattr(self.head, "supports_tree", False))
 
     def begin(
         self,
@@ -653,8 +641,10 @@ class AASDEngine(Decoder):
            drafted block, then per session the accept rule, cache commit,
            context maintenance and token commit (:meth:`_verify_block`).
 
-        Chain and tree differ in exactly two places: the walk's child rule
-        (2) and the accept rule with the rows it keeps (5).
+        Chain and tree differ in exactly two places: the walk's width (2)
+        and how the verify forward's rows reach the target cache (5); the
+        child rule and the accept rule are the same
+        (``repro.decoding.tree``).
         Tokens are identical, request by request, at any batch width and
         in any batch order, greedy or sampled.
         """
@@ -706,14 +696,14 @@ class AASDEngine(Decoder):
                         self.head.rollback(st.session.draft_state)
                         outcomes[st.slot] = StepReport(
                             kind="expired", feed_size=0,
-                            draft_kv_lens=tuple(st.kv_lens), tree=tree,
+                            draft_kv_lens=tuple(st.kv_lens),
                         )
                 sp.set_attr("n_draft", sum(len(st.drafted) for st in states))
 
             for st in states:
                 if outcomes[st.slot] is None and not st.drafted:
                     outcomes[st.slot] = self._fallback_step(
-                        st.session, draft_kv_lens=tuple(st.kv_lens), tree=tree
+                        st.session, draft_kv_lens=tuple(st.kv_lens)
                     )
 
             verifying = [st for st in states if outcomes[st.slot] is None]
@@ -754,8 +744,7 @@ class AASDEngine(Decoder):
         return outcomes  # type: ignore[return-value]
 
     def _fallback_step(self, session: DecodeSession, *, forced: bool = False,
-                       draft_kv_lens: Tuple[int, ...] = (),
-                       tree: bool = False) -> Union[StepReport, Exception]:
+                       draft_kv_lens: Tuple[int, ...] = ()) -> Union[StepReport, Exception]:
         """One plain autoregressive target step under a ``fallback`` span.
 
         While the session still speculates (a forced step, or a block
@@ -786,7 +775,7 @@ class AASDEngine(Decoder):
                 committed.append(token)
                 return StepReport(
                     kind="fallback", feed_size=1, draft_kv_lens=draft_kv_lens,
-                    tree=tree, absorb_ms=absorb_ms,
+                    absorb_ms=absorb_ms,
                 )
         except Exception as exc:  # isolate the fault to this session
             log_exception(logger, "step_fault", exc, request_id=session.request_id)
@@ -797,15 +786,16 @@ class AASDEngine(Decoder):
         """Anchor a new block at the session's last committed token."""
         cfg = self.config
         last, gamma = session.committed[-1], session.gamma_controller.next_gamma()
-        probs: List[np.ndarray] = []
-        walk = DraftWalk.tree(
-            last, gamma, cfg.tree_max_branch, cfg.tree_max_nodes, cfg.tree_entropy_scale,
-        ) if tree else DraftWalk.chain(
-            last, gamma, partial(_sample_child, self.sampler, session.rng, probs))
+        walk = DraftWalk(
+            last, gamma, max_branch=cfg.tree_max_branch if tree else 1,
+            max_nodes=cfg.tree_max_nodes if tree else gamma,
+            entropy_scale=cfg.tree_entropy_scale,
+            config=self.sampler.config, rng=session.rng,
+        )
         return _PackedDraftState(
             slot=slot, session=session, last=last,
             last_pos=session.gen_base + len(session.committed) - 1,
-            gamma=gamma, open_len=session.draft_state.seq_len, walk=walk, probs=probs,
+            gamma=gamma, open_len=session.draft_state.seq_len, walk=walk,
         )
 
     def _draft(self, states: Sequence[_PackedDraftState], sp) -> None:
@@ -852,49 +842,35 @@ class AASDEngine(Decoder):
                       sp, tree: bool) -> StepReport:
         """Accept rule + commit for one session's slice of the verify forward.
 
-        Chain: speculative sampling (greedy match or rejection sampling)
-        over the prefix, then the rejected rows are truncated off the
-        target cache.  Tree: walk the longest root path matching the
-        target's argmax; the forward ran with ``update_cache=False``, so
-        committing means *gathering* the accepted rows' fresh KV (anchor
-        + root path) into the target cache — rejected branches were never
-        written and rollback costs nothing.
+        The one acceptance rule (:func:`repro.decoding.tree.speculative_verify`)
+        walks the block, chain or tree, greedy or sampled.  Committing
+        then forks on the feed: a chain's rows were written to the target
+        cache and the rejected ones are truncated off; a tree's forward
+        ran with ``update_cache=False``, so committing means *gathering*
+        the accepted rows' fresh KV (anchor + root path) into the target
+        cache — rejected branches were never written and rollback costs
+        nothing.
         """
         session = state.session
         record = session.record
         draft = state.walk.draft
         n_draft = draft.n_nodes
-        cost = self.cost_model
-        sp.add_sim_ms(record.charge_sim(
-            cost.tree_verify(1 + n_draft) if tree
-            else cost.target_verify(n_draft + 1),
-            "verify",
-        ))
+        sp.add_sim_ms(record.charge_sim(self.cost_model.target_verify(n_draft + 1), "verify"))
         record.count_target_forward()
+        outcome = speculative_verify(
+            draft, state.walk.probs, out.logits.data[0], self.sampler.config, session.rng,
+        )
+        rows = None
         if not tree:
-            outcome = speculative_verify(
-                draft.tokens,
-                # repro: allow[hotpath] -- Per-session stack of gamma draft distributions for speculative_verify; O(gamma*V) per verify call, bounded by gamma_max, not O(T) in sequence length.
-                np.stack(state.probs),
-                out.logits.data[0],
-                self.sampler.config,
-                session.rng,
-            )
-            depth = n_draft
-            rows = None
-            keep = 1 + outcome.n_accepted
-            session.target_cache.truncate(verify_start + keep)
+            session.target_cache.truncate(verify_start + 1 + outcome.n_accepted)
         else:
-            outcome = accept_tree(draft, out.logits.data[0], self.sampler.config)
-            depth = draft.max_depth
             rows = np.asarray([0] + [i + 1 for i in outcome.path], dtype=np.int64)
-            keep = len(rows)
             for layer_idx, (k_new, v_new) in enumerate(out.new_kv):
                 session.target_cache.append(
                     layer_idx, k_new.data[:, :, rows, :], v_new.data[:, :, rows, :]
                 )
             session.target_cache.extend_positions(
-                state.last_pos + np.arange(keep, dtype=np.int64)
+                state.last_pos + np.arange(len(rows), dtype=np.int64)
             )
         record.add_block(
             BlockRecord(
@@ -903,7 +879,7 @@ class AASDEngine(Decoder):
                 n_emitted=outcome.tokens_emitted,
             )
         )
-        session.gamma_controller.update(outcome.n_accepted, depth)
+        session.gamma_controller.update(outcome.n_accepted, draft.max_depth)
         absorb_ms = self._absorb(
             session, out, (state.last, *outcome.accepted), state.last_pos,
             "verify", sp, rows=rows,
@@ -914,7 +890,6 @@ class AASDEngine(Decoder):
             feed_size=n_draft + 1,
             draft_kv_lens=tuple(state.kv_lens),
             n_accepted=outcome.n_accepted,
-            tree=tree,
             absorb_ms=absorb_ms,
         )
 

@@ -5,15 +5,9 @@ from .autoregressive import AutoregressiveDecoder
 from .base import Decoder, encode_prompt
 from .cost_model import PROFILES, CostModel, CostProfile, get_profile
 from .metrics import BlockRecord, DecodeRecord, SpeedupReport, aggregate_metrics
-from .sampling import (
-    Sampler,
-    SamplerConfig,
-    VerifyOutcome,
-    logits_to_probs,
-    speculative_verify,
-)
+from .sampling import Sampler, SamplerConfig, logits_to_probs
 from .speculative import Drafter, LlamaTextDraft, LlavaDraft
-from .tree import TreeAcceptOutcome, TreeDraft, accept_tree, tree_extra_blocked
+from .tree import TreeDraft, VerifyOutcome, speculative_verify, tree_extra_blocked
 
 __all__ = [
     "GammaController",
@@ -39,7 +33,5 @@ __all__ = [
     "logits_to_probs",
     "speculative_verify",
     "TreeDraft",
-    "TreeAcceptOutcome",
-    "accept_tree",
     "tree_extra_blocked",
 ]

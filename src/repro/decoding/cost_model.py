@@ -149,28 +149,16 @@ class CostModel:
         return self.profile.target_step_ms
 
     def target_verify(self, n_tokens: int) -> float:
-        """One parallel forward over ``n_tokens`` new tokens."""
+        """One parallel forward over ``n_tokens`` new tokens.
+
+        A candidate tree feeds its anchor plus every node, so it is billed
+        per fed row (``1 + n_nodes``) whether a branch is later accepted
+        or not; rollback is free, since rejected rows are never written.
+        """
         if n_tokens <= 0:
             raise ConfigError(f"verify needs at least one token, got {n_tokens}")
         frac = self.profile.verify_base_frac + self.profile.verify_per_token_frac * n_tokens
         return frac * self.profile.target_step_ms
-
-    def tree_verify(self, n_rows: int) -> float:
-        """One tree-verification forward feeding ``n_rows`` rows.
-
-        ``n_rows`` is the anchor plus every tree node (``1 + n_nodes``) —
-        the billed quantity is the *tree-node count*, not ``gamma * B``:
-        every fed row is billed exactly once whether its branch is later
-        accepted or rolled back, and rollback itself is free (rejected
-        rows were never written to the cache, so there is nothing to
-        undo).  A chain tree of depth γ feeds ``gamma + 1`` rows and costs
-        exactly :meth:`target_verify` of ``gamma + 1`` — the same float —
-        which keeps branch-factor-1 tree decoding cost-identical to
-        linear speculation.
-        """
-        if n_rows <= 0:
-            raise ConfigError(f"tree verify needs at least one row, got {n_rows}")
-        return self.target_verify(n_rows)
 
     # -- independent draft (FT/DT-LLaMA, FT/DT-LLaVA) --------------------
     def draft_prefill(self) -> float:
@@ -228,19 +216,6 @@ class CostModel:
             + self.profile.batch_per_seq_frac * (len(sizes) - 1)
         )
         return frac * self.profile.target_step_ms
-
-    def batched_tree_verify(self, feed_sizes: Sequence[int]) -> float:
-        """One batched tree-verification forward over several requests.
-
-        ``feed_sizes`` holds each request's fed row count (``1 + n_nodes``
-        for a tree, ``1`` for a fallback step riding the same forward).
-        As with :meth:`tree_verify`, billing is per fed row — every tree
-        node is charged exactly once regardless of acceptance, rollback is
-        free — so the price is exactly :meth:`batched_verify` of the same
-        sizes and a batch of chain trees costs the same float as the
-        packed linear round it replaces.
-        """
-        return self.batched_verify(feed_sizes)
 
     def batched_aasd_step(self, kv_lens: Sequence[int]) -> float:
         """One batched draft-head step across several sessions' hybrid caches.

@@ -1,23 +1,20 @@
-"""Token sampling and lossless speculative accept/reject.
+"""Token sampling: greedy / temperature / top-k / top-p.
 
-Implements greedy / temperature / top-k / top-p sampling plus the
-Leviathan et al. (2023) speculative-sampling rule used by the verify step:
-the combined draft-then-verify procedure provably samples from the target
-distribution, and degenerates to exact prefix matching under greedy
-decoding.
+The lossless accept rule that verifies a drafted block against these
+distributions is :func:`repro.decoding.tree.speculative_verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..errors import DecodingError
 from ..utils.rng import derive
 
-__all__ = ["SamplerConfig", "Sampler", "logits_to_probs", "speculative_verify", "VerifyOutcome"]
+__all__ = ["SamplerConfig", "Sampler", "logits_to_probs"]
 
 
 @dataclass(frozen=True)
@@ -110,104 +107,3 @@ class Sampler:
         if self.config.greedy:
             return int(np.argmax(probs))
         return int((rng if rng is not None else self.rng).choice(probs.size, p=probs))
-
-
-@dataclass(frozen=True)
-class VerifyOutcome:
-    """Result of verifying one block of draft tokens."""
-
-    accepted: Tuple[int, ...]   # draft tokens that survived, in order
-    next_token: int             # correction token (or bonus if all accepted)
-    all_accepted: bool
-
-    @property
-    def n_accepted(self) -> int:
-        return len(self.accepted)
-
-    @property
-    def tokens_emitted(self) -> int:
-        """Tokens produced by this block: accepted drafts + the next token."""
-        return len(self.accepted) + 1
-
-
-def speculative_verify(
-    draft_tokens: List[int],
-    draft_probs: np.ndarray,
-    target_logits: np.ndarray,
-    config: SamplerConfig,
-    rng: Optional[np.random.Generator],
-) -> VerifyOutcome:
-    """Accept/reject a block of draft tokens against target logits.
-
-    Parameters
-    ----------
-    draft_tokens:
-        The gamma proposed token ids.
-    draft_probs:
-        ``(gamma, vocab)`` draft distributions each token was drawn from.
-    target_logits:
-        ``(gamma + 1, vocab)`` target logits: row ``i`` is the target's
-        distribution for draft position ``i``; the final row is the bonus
-        distribution used when every draft token is accepted.
-    config:
-        Sampling configuration (shared by draft and target for losslessness).
-    rng:
-        Random stream for accept tests and residual sampling (the AASD
-        engine passes the request's own); unused, and may be ``None``,
-        under greedy configs.
-
-    Returns the accepted prefix and the next committed token.  Under greedy
-    configs this is exact prefix matching against the target argmax.
-    """
-    gamma = len(draft_tokens)
-    target_logits = np.asarray(target_logits, dtype=np.float64)
-    if target_logits.shape[0] != gamma + 1:
-        raise DecodingError(
-            f"need {gamma + 1} target logit rows for {gamma} draft tokens, "
-            f"got {target_logits.shape[0]}"
-        )
-    draft_probs = np.asarray(draft_probs, dtype=np.float64)
-    if draft_probs.shape[0] != gamma:
-        raise DecodingError(
-            f"need {gamma} draft prob rows, got {draft_probs.shape[0]}"
-        )
-
-    accepted: List[int] = []
-    for i, token in enumerate(draft_tokens):
-        target_probs = logits_to_probs(target_logits[i], config)
-        if config.greedy:
-            if int(np.argmax(target_probs)) == token:
-                accepted.append(token)
-                continue
-            return VerifyOutcome(tuple(accepted), int(np.argmax(target_probs)), False)
-        row = draft_probs[i]
-        if not (np.isfinite(row).all() and 0.0 < float(row.sum()) < np.inf):
-            # Corrupt draft distribution (NaN/Inf or degenerate mass):
-            # discard the proposal and emit a pure target sample, which is
-            # lossless no matter what the drafter produced.
-            next_token = int(rng.choice(target_probs.size, p=target_probs))
-            return VerifyOutcome(tuple(accepted), next_token, False)
-        p_target = target_probs[token]
-        p_draft = row[token]
-        if p_draft <= 0.0 or rng.random() < min(1.0, p_target / p_draft):
-            if p_target <= 0.0 and p_draft <= 0.0:
-                # Token impossible under both: reject via the residual below.
-                pass
-            else:
-                accepted.append(token)
-                continue
-        residual = np.maximum(target_probs - draft_probs[i], 0.0)
-        total = residual.sum()
-        if total <= 0.0:
-            # Distributions identical: any target sample is valid.
-            next_token = int(rng.choice(target_probs.size, p=target_probs))
-        else:
-            next_token = int(rng.choice(residual.size, p=residual / total))
-        return VerifyOutcome(tuple(accepted), next_token, False)
-
-    bonus_probs = logits_to_probs(target_logits[gamma], config)
-    if config.greedy:
-        bonus = int(np.argmax(bonus_probs))
-    else:
-        bonus = int(rng.choice(bonus_probs.size, p=bonus_probs))
-    return VerifyOutcome(tuple(accepted), bonus, True)

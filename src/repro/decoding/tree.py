@@ -1,49 +1,60 @@
-"""Tree-structured speculation: candidate trees and single-pass verification.
+"""Tree-structured speculation: one draft walk and one acceptance rule.
 
 Linear speculative decoding drafts a γ-token *chain* and discards the whole
 tail on the first rejection.  Tree speculation (Spec-LLaVA, arXiv
-2509.11961; DREAM, arXiv 2505.19201) instead drafts a candidate *tree* —
-top-k branching per step, width adapted by draft-head entropy — and lets
-the target verify **every** branch in one forward pass under a
+2509.11961; DREAM, arXiv 2505.19201) instead drafts a candidate *tree* and
+lets the target verify **every** branch in one forward pass under a
 tree-attention mask, so a rejection on one branch can still accept tokens
-on a sibling.
+on a sibling.  A chain is the width-1 tree and greedy decoding is the
+one-hot case of sampling, so one child rule and one walk decide every
+block — chain or tree, greedy or sampled.
 
-This module holds the engine-agnostic pieces:
+**The child rule** (:class:`DraftWalk`).  An expanded node gets ``w``
+children, ``w`` = :func:`branch_width` of its draft logits (always 1 for a
+chain).  Under greedy they are the top-``w`` tokens by logits, and no draft
+distribution is built.  Under sampling they are ``w`` draws *without
+replacement* from ``q = logits_to_probs(logits, config)``, and ``q`` is
+recorded per expansion (:attr:`DraftWalk.probs`); at ``w = 1`` that is one
+``rng.choice`` from ``q``.
 
-* :class:`DraftWalk` — one block's draft, grown depth-first one expansion
-  at a time, and the tree-shape policy (:func:`branch_width`, the node
-  budget, the depth-γ leaf rule).  A chain is the width-1 walk; the
-  engine advances every session's walk in lockstep, one packed draft
-  forward per expansion index.
-* :class:`TreeDraft` — the serialized tree: a DFS-preorder token list plus
-  a parent-pointer array (``-1`` = child of the anchor token).  The
-  serialization invariant ``parents[i] < i`` is what makes the mask
-  builder (:func:`repro.nn.ragged.tree_blocked`) a single forward scan
-  and keeps a branch-factor-1 tree byte-for-byte equal to the linear
-  draft chain.
-* :func:`accept_tree` — the greedy acceptance walk: starting at the
-  anchor, repeatedly take the target's argmax and descend into the child
-  drafted with that exact token; the walk ends at the first position
-  where no child matches, and that argmax becomes the correction (or
-  bonus) token.  For a chain this reproduces
-  :func:`repro.decoding.sampling.speculative_verify` under greedy configs
-  exactly.
-* :func:`tree_extra_blocked` — the full-width extra attention mask the
-  target forward needs: committed-context columns stay open (plain
-  causality already admits them) and the trailing feed columns carry the
-  ancestor-closure mask, so sibling branches — which may share absolute
-  positions — can never attend to each other.
+**The walk** (:func:`speculative_verify`).  Start at the anchor with ``p``
+the target's distribution there.  Try the children in draft order: accept
+child ``c`` with probability ``min(1, p(c) / q(c))`` and descend into it.
+On a rejection set ``p ← norm(max(p − q, 0))``, and drop ``c`` from ``q``
+and renormalise — the next sibling was drawn from ``q`` without ``c``.
+When every child is rejected the correction token is drawn from ``p``;
+past a leaf the bonus token is.  Each try is one exact speculative-sampling
+step (Leviathan et al., 2023) against the current residual, so the
+committed tokens are distributed exactly as the target's: this is the
+multi-candidate rejection sampling of SpecInfer (arXiv 2305.09781) and
+Sequoia (arXiv 2402.12374).
 
-The engine glue (the lockstep draft lane over the walks, the
-single-forward verify + pointer-only commit/rollback) lives in
-``repro.core``; pricing lives in :meth:`CostModel.tree_verify
-<repro.decoding.cost_model.CostModel.tree_verify>`.
+**Greedy is the one-hot case.**  Under greedy ``p`` is one-hot at the
+target's argmax, so every ratio is 0 or ≥ 1 and a rejected child leaves
+``p`` as it was: the walk descends into the child drafted with the argmax,
+and otherwise emits the argmax.  It draws nothing from the random stream
+and needs no ``q``.
+
+**Why sampled siblings, not top-k.**  The accept test is exact only for a
+child that was *drawn* from the ``q`` it divides by.  A top-k child is
+fixed: the argmax child with ``p(c) = 0.5 ≤ q(c) = 0.6`` would be tried
+every time and kept with probability 0.83, not 0.5.  Greedy trees keep
+top-k because a one-hot ``p`` accepts exactly the argmax token, whichever
+rule proposed it.
+
+Also here: :class:`TreeDraft`, the serialized tree (DFS preorder plus
+parent pointers), and :func:`tree_extra_blocked`, the ancestor-closure
+mask of the verify forward.  The engine glue — the lockstep draft lane
+over the walks, the single verify forward and the commit — lives in
+``repro.core``; a tree is priced per fed row like any verify feed
+(:meth:`CostModel.target_verify
+<repro.decoding.cost_model.CostModel.target_verify>`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,10 +66,12 @@ __all__ = [
     "DraftWalk",
     "branch_width",
     "TreeDraft",
-    "TreeAcceptOutcome",
-    "accept_tree",
+    "VerifyOutcome",
+    "speculative_verify",
     "tree_extra_blocked",
 ]
+
+_GREEDY = SamplerConfig()
 
 
 def branch_width(logits: np.ndarray, max_branch: int, entropy_scale: float) -> int:
@@ -68,9 +81,8 @@ def branch_width(logits: np.ndarray, max_branch: int, entropy_scale: float) -> i
     hedging across more children is worth the verify rows; a confident
     head keeps the tree narrow.  The width is ``1 + floor(H /
     entropy_scale)`` (H in nats, from the raw softmax over the float64
-    logits), clamped to ``[1, max_branch]`` — always at least the argmax
-    child, so a ``max_branch`` of 1 degenerates to the linear chain
-    exactly.
+    logits), clamped to ``[1, max_branch]`` — always at least one child,
+    so a ``max_branch`` of 1 degenerates to the linear chain exactly.
     """
     if max_branch <= 1:
         return 1
@@ -82,6 +94,13 @@ def branch_width(logits: np.ndarray, max_branch: int, entropy_scale: float) -> i
     return 1 + min(max_branch - 1, int(entropy / entropy_scale))
 
 
+def _without(q: np.ndarray, token: int) -> Optional[np.ndarray]:
+    """``q`` given that ``token`` was not drawn; ``None`` when no mass is left."""
+    rest = np.where(np.arange(q.size) == token, 0.0, q)
+    total = rest.sum()
+    return rest / total if total > 0.0 else None
+
+
 class DraftWalk:
     """One block's draft, grown depth-first one expansion at a time.
 
@@ -90,19 +109,27 @@ class DraftWalk:
     depth below the anchor and the draft rows of its root path
     (expansion ``e`` writes draft row ``e``) — or ``None`` once the block
     is complete, when :attr:`draft` holds the :class:`TreeDraft`.
-    :meth:`expand` takes the pending node's logits; the child rule ranks
-    its children, each created and then immediately descended into — DFS
-    preorder, so node order, draft-row order and (at width 1) the chain's
-    order coincide.  Nodes at depth ``gamma`` are leaves, never expanded
-    (the last drafted token's KV is never computed), and no node is
-    created past ``budget``.  The caller runs each expansion, so many
-    walks can share one packed forward per expansion index while each
-    keeps its own order.
+    :meth:`expand` takes the pending node's logits; the child rule (module
+    docstring) picks its children, each created and then immediately
+    descended into — DFS preorder, so node order, draft-row order,
+    expansion order and (at width 1) the chain's order coincide.  Nodes
+    at depth ``gamma`` are leaves, never expanded (the last drafted
+    token's KV is never computed), and no node is created past
+    ``max(max_nodes, gamma)``.  The defaults draft the greedy
+    ``gamma``-chain.  The caller runs each expansion, so many walks can
+    share one packed forward per expansion index while each keeps its own
+    order.
     """
 
-    def __init__(self, anchor: int, gamma: int, budget: int,
-                 child_rule: Callable[[np.ndarray], Sequence[int]]) -> None:
-        self.gamma, self.budget, self._child_rule = gamma, budget, child_rule
+    def __init__(self, anchor: int, gamma: int, *, max_branch: int = 1,
+                 max_nodes: int = 0, entropy_scale: float = 1.0,
+                 config: SamplerConfig = _GREEDY,
+                 rng: Optional[np.random.Generator] = None) -> None:
+        self.gamma, self.budget = gamma, max(int(max_nodes), int(gamma))
+        self.max_branch, self.entropy_scale = max_branch, entropy_scale
+        self.config, self.rng = config, rng
+        #: under sampling, the draft distribution of each expansion, in order
+        self.probs: List[np.ndarray] = []
         self.pending: Optional[Tuple[int, int, Tuple[int, ...]]] = (int(anchor), 0, ())
         self.draft: Optional[TreeDraft] = None
         self._nodes: List[Tuple[int, int, int]] = []   # (token, parent, depth), preorder
@@ -112,26 +139,22 @@ class DraftWalk:
         #: node index, depth, root-path draft rows including its own)
         self._stack: List[Tuple[Iterator[int], int, int, Tuple[int, ...]]] = []
 
-    @classmethod
-    def tree(cls, anchor: int, gamma: int, max_branch: int, max_nodes: int,
-             entropy_scale: float) -> "DraftWalk":
-        """A candidate tree: the top-``w`` children (:func:`branch_width`),
-        argmax first, and at least as many nodes as the ``gamma``-chain."""
-        def top_children(logits: np.ndarray) -> np.ndarray:
-            width = branch_width(logits, max_branch, entropy_scale)
+    def _children(self, logits: np.ndarray) -> Sequence[int]:
+        """The child rule: top-``w`` under greedy, ``w`` draws without replacement otherwise."""
+        width = branch_width(logits, self.max_branch, self.entropy_scale)
+        if self.config.greedy:
             return np.argsort(-np.asarray(logits, dtype=np.float64), kind="stable")[:width]
-        return cls(anchor, gamma, max(int(max_nodes), int(gamma)), top_children)
-
-    @classmethod
-    def chain(cls, anchor: int, gamma: int,
-              sample: Callable[[np.ndarray], int]) -> "DraftWalk":
-        """The ``gamma``-chain: the width-1 tree whose child is ``sample(logits)``."""
-        return cls(anchor, gamma, gamma, lambda logits: (sample(logits),))
+        q = logits_to_probs(logits, self.config)
+        self.probs.append(q)
+        drawn = [int(self.rng.choice(q.size, p=q))]
+        while len(drawn) < width and (q := _without(q, drawn[-1])) is not None:
+            drawn.append(int(self.rng.choice(q.size, p=q)))
+        return drawn
 
     def expand(self, logits: np.ndarray) -> None:
         """Give the pending node its logits; advance to the next node to expand."""
         _, depth, ancestors = self.pending
-        self._stack.append((iter(self._child_rule(logits)), self._node, depth,
+        self._stack.append((iter(self._children(logits)), self._node, depth,
                             ancestors + (self._rows,)))
         self._rows += 1
         self.pending = None
@@ -159,10 +182,10 @@ class TreeDraft:
     (the last committed token, which is fed as row 0 of the verification
     feed so the feed row of node ``i`` is ``i + 1``).  Nodes are listed in
     DFS preorder — ``parents[i] < i`` always — and siblings appear in
-    draft-head rank order, so the first child of any parent carries that
-    parent's argmax continuation.  ``depths[i]`` is the 1-based root-path
-    depth: node ``i`` sits at absolute position ``anchor_position +
-    depths[i]``.
+    draft order: rank order under greedy, so the first child of any
+    parent carries that parent's argmax continuation, and draw order
+    under sampling.  ``depths[i]`` is the 1-based root-path depth: node
+    ``i`` sits at absolute position ``anchor_position + depths[i]``.
     """
 
     tokens: Tuple[int, ...]
@@ -187,6 +210,13 @@ class TreeDraft:
                     f"node {i} at depth {d}, but its parent implies depth {expected}"
                 )
 
+    @classmethod
+    def chain(cls, tokens: Sequence[int]) -> "TreeDraft":
+        """The width-1 tree of a linear draft ``tokens``."""
+        n = len(tokens)
+        return cls(tuple(int(t) for t in tokens), tuple(range(-1, n - 1)),
+                   tuple(range(1, n + 1)))
+
     @property
     def n_nodes(self) -> int:
         """Number of drafted nodes (the anchor is not a node)."""
@@ -203,10 +233,10 @@ class TreeDraft:
         return all(p == i - 1 for i, p in enumerate(self.parents))
 
     def children(self) -> Dict[int, List[int]]:
-        """Children of each node (and of the anchor, keyed ``-1``), rank-ordered.
+        """Children of each node (and of the anchor, keyed ``-1``), in draft order.
 
-        Scanning nodes in index order preserves sibling rank order because
-        the DFS construction creates each child before descending into it.
+        Scanning nodes in index order preserves sibling order because the
+        DFS construction creates each child before descending into it.
         """
         out: Dict[int, List[int]] = {}
         for i, p in enumerate(self.parents):
@@ -222,13 +252,13 @@ class TreeDraft:
 
 
 @dataclass(frozen=True)
-class TreeAcceptOutcome:
-    """Result of the greedy acceptance walk over one verified tree."""
+class VerifyOutcome:
+    """Result of verifying one drafted block, chain or tree."""
 
-    path: Tuple[int, ...]       # node indices of the accepted root path, in order
-    accepted: Tuple[int, ...]   # their token ids
-    next_token: int             # correction token (or bonus when the walk
-                                # ran off the deepest matching node)
+    accepted: Tuple[int, ...]   # token ids of the accepted root path, in order
+    next_token: int             # correction token (or bonus if all accepted)
+    all_accepted: bool          # the walk ran past a leaf
+    path: Tuple[int, ...]       # node indices of the accepted root path
 
     @property
     def n_accepted(self) -> int:
@@ -237,61 +267,95 @@ class TreeAcceptOutcome:
 
     @property
     def tokens_emitted(self) -> int:
-        """Tokens committed by this block: accepted drafts + the next token."""
+        """Tokens produced by this block: accepted drafts + the next token."""
         return len(self.accepted) + 1
 
 
-def accept_tree(
+def _draw(p: np.ndarray, config: SamplerConfig, rng: Optional[np.random.Generator]) -> int:
+    """One token from the target distribution ``p``: its argmax under greedy."""
+    return int(np.argmax(p)) if config.greedy else int(rng.choice(p.size, p=p))
+
+
+def speculative_verify(
     tree: TreeDraft,
+    draft_probs: Sequence[np.ndarray],
     target_logits: np.ndarray,
     config: SamplerConfig,
-) -> TreeAcceptOutcome:
-    """Walk the longest root path whose tokens match the target's argmax.
+    rng: Optional[np.random.Generator],
+) -> VerifyOutcome:
+    """Accept/reject a drafted block against the target: the one acceptance rule.
 
-    ``target_logits`` is the ``(1 + n_nodes, vocab)`` output of the single
-    tree-verification forward, row-aligned with the feed ``[anchor] +
-    nodes``: row 0 is the target's continuation of the anchor, row
-    ``i + 1`` its continuation of node ``i``.  Starting at the anchor, the
-    walk repeatedly computes the greedy target token for the current row
-    (via :func:`logits_to_probs`, so non-finite hardening matches the
-    linear verify path) and descends into the child drafted with exactly
-    that token; when no child matches, that target token is emitted as the
-    correction — or, past a leaf, the bonus — token.  Every step of the
-    walk is exactly one accepted token, so for a chain tree the outcome
-    coincides with greedy :func:`~repro.decoding.sampling.speculative_verify`.
+    Runs the walk of the module docstring.  ``target_logits`` is the
+    ``(1 + n_nodes, vocab)`` output of the verify forward, row-aligned
+    with the feed ``[anchor] + nodes``: row 0 is the target's continuation
+    of the anchor, row ``i + 1`` its continuation of node ``i``.
+    ``draft_probs`` holds the draft distribution of each expanded node (the
+    anchor, then every node with children, in index order:
+    :attr:`DraftWalk.probs`); for a chain that is the ``(gamma, vocab)``
+    stack whose row ``i`` node ``i`` was drawn from.  It is not read under
+    greedy configs, where ``rng`` may be ``None`` too.
 
-    Only greedy configs are supported: stochastic tree acceptance needs a
-    multi-branch residual scheme that is out of scope here, and the engine
-    gates tree speculation on ``sampler.config.greedy`` accordingly.
+    Two guards keep a sampled walk lossless whatever the drafter produced:
+    a corrupt ``q`` (NaN/Inf, or no mass) ends the node's tries and draws
+    from ``p``; a child with ``q(c) <= 0`` takes no accept draw and is
+    kept exactly when ``p(c) > 0``.  A rejection that leaves no residual
+    mass (``p`` equal to ``q``) keeps ``p``: any target sample is valid.
     """
-    if not config.greedy:
-        raise DecodingError("tree acceptance is defined for greedy configs only")
     target_logits = np.asarray(target_logits)
     if target_logits.ndim != 2 or target_logits.shape[0] != tree.n_nodes + 1:
         raise DecodingError(
             f"need {tree.n_nodes + 1} target logit rows for {tree.n_nodes} "
-            f"tree nodes, got {target_logits.shape}"
+            f"draft nodes, got {target_logits.shape}"
         )
     children = tree.children()
+    if not config.greedy and len(draft_probs) != len(children):
+        raise DecodingError(
+            f"need {len(children)} draft prob rows (one per expanded node), "
+            f"got {len(draft_probs)}"
+        )
+    expansion = {node: row for row, node in enumerate(sorted(children))}   # draft_probs rows
     path: List[int] = []
-    current = -1
+    node = -1
     while True:
-        row = 0 if current == -1 else current + 1
-        probs = logits_to_probs(target_logits[row], config)
-        target_token = int(np.argmax(probs))
-        next_node: Optional[int] = None
-        for child in children.get(current, ()):  # rank order: argmax child first
-            if tree.tokens[child] == target_token:
-                next_node = child
-                break
-        if next_node is None:
-            return TreeAcceptOutcome(
-                path=tuple(path),
-                accepted=tuple(tree.tokens[i] for i in path),
-                next_token=target_token,
-            )
-        path.append(next_node)
-        current = next_node
+        p = logits_to_probs(target_logits[node + 1], config)
+        kids = children.get(node)
+        if not kids:   # past a leaf: the bonus token
+            return VerifyOutcome(tuple(tree.tokens[i] for i in path),
+                                 _draw(p, config, rng), True, tuple(path))
+        q = None if config.greedy else np.asarray(draft_probs[expansion[node]], np.float64)
+        child, p = _try_children(kids, tree.tokens, p, q, config, rng)
+        if child is None:   # every child rejected: the correction token
+            return VerifyOutcome(tuple(tree.tokens[i] for i in path),
+                                 _draw(p, config, rng), False, tuple(path))
+        path.append(child)
+        node = child
+
+
+def _try_children(kids: Sequence[int], tokens: Sequence[int], p: np.ndarray,
+                  q: Optional[np.ndarray], config: SamplerConfig,
+                  rng: Optional[np.random.Generator]) -> Tuple[Optional[int], np.ndarray]:
+    """Try one node's children in draft order: the accepted child (or ``None``), and ``p``."""
+    for k, child in enumerate(kids):
+        token = tokens[child]
+        if config.greedy:
+            if p[token] > 0.0:   # one-hot p: every ratio is 0 or >= 1
+                return child, p
+            continue             # and a rejection leaves p as it was
+        if q is None or not (np.isfinite(q).all() and 0.0 < float(q.sum()) < np.inf):
+            return None, p       # corrupt draft distribution: draw from p
+        if q[token] <= 0.0:
+            keep = p[token] > 0.0
+        else:
+            keep = rng.random() < min(1.0, p[token] / q[token])
+        if keep:
+            return child, p
+        residual = np.maximum(p - q, 0.0)
+        total = residual.sum()
+        if total > 0.0:
+            p = residual / total
+        if k + 1 < len(kids):
+            q = _without(q, token)
+    return None, p
 
 
 def tree_extra_blocked(parents: Sequence[int], n_cache: int) -> np.ndarray:

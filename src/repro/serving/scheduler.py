@@ -659,16 +659,13 @@ class ContinuousBatchingScheduler:
         matches the solo charges exactly (every expansion is priced once)
         even though tree shapes differ across sessions.  All target
         feeds (verify blocks and 1-token fallback steps) share one
-        batched verify forward; tree
-        rounds price it per fed tree node via
-        :meth:`~repro.decoding.cost_model.CostModel.batched_tree_verify`,
-        so a request's rejected branches are billed exactly once by the
-        forward that fed them and never again at rollback (rollback is
-        free — rejected rows are never written).  What each drafter
-        charged for absorbing its verified block rides in the same
-        category.  With a single session the charges reduce exactly to
-        the engine's own solo prices, so a batch of one costs the same
-        as sequential decoding.
+        batched verify forward, priced per fed row, so a tree's rejected
+        branches are billed exactly once by the forward that fed them and
+        never again at rollback (rollback is free — rejected rows are
+        never written).  What each drafter charged for absorbing its
+        verified block rides in the same category.  With a single session
+        the charges reduce exactly to the engine's own solo prices, so a
+        batch of one costs the same as sequential decoding.
         """
         cost = self.engine.cost_model
         head = self.engine.head
@@ -688,10 +685,7 @@ class ContinuousBatchingScheduler:
             # which prices a plain target step (not a 1-token verify).
             forward_ms, category = cost.target_step(), "fallback"
         elif feeds:
-            forward_ms, category = (
-                cost.batched_tree_verify(feeds) if any(r.tree for r in reports)
-                else cost.batched_verify(feeds)
-            ), "verify"
+            forward_ms, category = cost.batched_verify(feeds), "verify"
         else:
             return charged
         for ms in (forward_ms, sum(r.absorb_ms for r in reports)):

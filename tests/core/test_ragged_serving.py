@@ -43,8 +43,8 @@ from repro.decoding import (
     AutoregressiveDecoder, CostModel, LlamaTextDraft, LlavaDraft, get_profile,
 )
 from repro.decoding.adaptive import FixedGamma
-from repro.decoding.sampling import SamplerConfig, VerifyOutcome
-from repro.decoding.tree import TreeAcceptOutcome
+from repro.decoding.sampling import SamplerConfig
+from repro.decoding.tree import VerifyOutcome
 from repro.errors import DecodingError
 from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
 from repro.models.llama import MiniLlama
@@ -145,14 +145,19 @@ def _packed_tokens(world, samples, gammas=None, order=None, **overrides):
 
 
 @pytest.fixture(params=[
-    pytest.param((drafter, config), id=mode if drafter == "aasd" else f"{drafter}-{mode}")
+    pytest.param((drafter, config, False),
+                 id=mode if drafter == "aasd" else f"{drafter}-{mode}")
     for drafter in ("aasd", "dt-llama", "ft-llava")
+    for mode, config in (("greedy", None), ("sampled", SAMPLED))
+] + [
+    pytest.param(("aasd", config, True), id=f"tree-{mode}")
     for mode, config in (("greedy", None), ("sampled", SAMPLED))
 ])
 def sampling(request, world):
-    """Engine overrides: every drafter, in both decoding modes the identity must hold in."""
-    drafter, config = request.param
-    return {"head": world[drafter], "sampler_config": config}
+    """Engine overrides: every drafter, in both decoding modes the identity
+    must hold in, and the AASD head drafting trees in both modes too."""
+    drafter, config, tree = request.param
+    return {"head": world[drafter], "sampler_config": config, "tree_speculation": tree}
 
 
 class TestTokenIdentity:
@@ -242,28 +247,27 @@ class TestTokenBudget:
     """A verified block that crosses ``max_new_tokens`` *and* holds eos is
     cut at the budget, on every path that commits a block."""
 
-    @pytest.mark.parametrize("tree", [False, True], ids=["chain", "tree"])
+    @pytest.mark.parametrize("tree,config", [
+        pytest.param(False, None, id="chain"),
+        pytest.param(True, None, id="tree"),
+        pytest.param(True, SAMPLED, id="tree-sampled"),
+    ])
     @pytest.mark.parametrize("packed", [False, True], ids=["solo", "packed"])
     def test_eos_past_the_cap_does_not_extend_the_output(
-            self, world, monkeypatch, tree, packed):
+            self, world, monkeypatch, tree, config, packed):
         eos = world["tokenizer"].vocab.eos_id
         budget = 2
-
-        def accept_all_then_eos(draft_tokens, *_):
-            return VerifyOutcome(tuple(draft_tokens), eos, True)
 
         def accept_first_branch_then_eos(draft, *_):
             children, node, path = draft.children(), -1, []
             while children.get(node):
                 node = children[node][0]
                 path.append(node)
-            return TreeAcceptOutcome(
-                tuple(path), tuple(draft.tokens[i] for i in path), eos
-            )
+            return VerifyOutcome(tuple(draft.tokens[i] for i in path), eos, True, tuple(path))
 
-        monkeypatch.setattr(engine_mod, "speculative_verify", accept_all_then_eos)
-        monkeypatch.setattr(engine_mod, "accept_tree", accept_first_branch_then_eos)
-        engine = _engine(world, max_new_tokens=budget, tree_speculation=tree)
+        monkeypatch.setattr(engine_mod, "speculative_verify", accept_first_branch_then_eos)
+        engine = _engine(world, max_new_tokens=budget, tree_speculation=tree,
+                         sampler_config=config)
         assert engine.tree_ready == tree
         samples = list(world["samples"][:3])
         if packed:

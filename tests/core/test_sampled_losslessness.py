@@ -4,7 +4,10 @@ Speculative sampling promises that the *distribution* of the output is
 the target's own (PAPER.md §1.3), which no token-identity test can see.
 Here packed sampled rounds (chain, gamma 3, B = 8; the smoke AASD head, and
 the smoke FT-LLaMA independent draft, whose weaker proposals reach the
-residual draw far more often) are run over a fixed list of sampler seeds — every batch holds each
+residual draw far more often; and candidate trees shaped like the
+``tree_arrivals`` benchmark workload, gamma 7, branch 2, 8 nodes, where
+rejected children are rescued by their siblings) are run over a fixed
+list of sampler seeds — every batch holds each
 prompt several times under different request ids, so one round yields
 several independent draws — and the first tokens are compared, prompt by
 prompt and position by position, with plain sampling of the target at the
@@ -25,7 +28,8 @@ import repro.core.engine as engine_mod
 from repro.core import AASDEngine, AASDEngineConfig
 from repro.decoding import CostModel, LlamaTextDraft, get_profile
 from repro.decoding.base import encode_prompt
-from repro.decoding.sampling import SamplerConfig, VerifyOutcome, logits_to_probs
+from repro.decoding.sampling import SamplerConfig, logits_to_probs
+from repro.decoding.tree import VerifyOutcome
 from repro.nn.tensor import no_grad
 from repro.utils.rng import derive
 
@@ -37,6 +41,9 @@ SEEDS = range(40)      # 160 AASD draws per prompt
 N_REFERENCE = 480      # plain target draws per prompt
 MIN_BIN = 10           # pooled count below which tokens share one "rare" bin
 MAX_Z = 3.0            # (chi2 - df) / sqrt(2 df) above this fails
+CHAIN = AASDEngineConfig(gamma=3, max_new_tokens=N_TOKENS)
+TREE = AASDEngineConfig(gamma=7, max_new_tokens=N_TOKENS, tree_speculation=True,
+                        tree_max_branch=2, tree_max_nodes=8)
 
 
 def _sampler(seed: int) -> SamplerConfig:
@@ -89,15 +96,15 @@ def reference(parts):
     return draws
 
 
-def _aasd_draws(parts, seeds, head="head"):
+def _aasd_draws(parts, seeds, head="head", config=CHAIN):
     """Per prompt, ``COPIES`` token tuples per seed from packed sampled rounds."""
     draws = [[] for _ in range(N_PROMPTS)]
     for seed in seeds:
         engine = AASDEngine(
-            parts["target"], parts[head], parts["tokenizer"], parts["cost"],
-            AASDEngineConfig(gamma=3, max_new_tokens=N_TOKENS),
+            parts["target"], parts[head], parts["tokenizer"], parts["cost"], config,
             sampler_config=_sampler(seed),
         )
+        assert engine.tree_ready == config.tree_speculation
         sessions = engine.begin_batch(list(parts["samples"]) * COPIES)
         while any(not s.finished for s in sessions):
             engine.step_batch([s for s in sessions if not s.finished])
@@ -141,13 +148,36 @@ def test_packed_sampled_output_is_distributed_as_the_targets(parts, reference):
     assert _z_score(_aasd_draws(parts, SEEDS, head="baseline"), reference) < MAX_Z
 
 
+def test_sampled_trees_are_distributed_as_the_targets(parts, reference, monkeypatch):
+    honest = engine_mod.speculative_verify
+    rescued = []
+
+    def watched(tree, *args):
+        outcome = honest(tree, *args)
+        children = tree.children()
+        rescued.extend(node != children[parent][0]
+                       for parent, node in zip((-1, *outcome.path), outcome.path))
+        return outcome
+
+    monkeypatch.setattr(engine_mod, "speculative_verify", watched)
+    assert _z_score(_aasd_draws(parts, SEEDS, config=TREE), reference) < MAX_Z
+    assert any(rescued), "no accepted node was a later sibling: nothing was rescued"
+
+
 def test_the_statistic_sees_a_biased_accept_rule(parts, reference, monkeypatch):
-    """Power check: an accept rule that keeps every draft token must fail."""
+    """Power check: an accept rule that keeps the first branch to its leaf must fail,
+    for chains (every draft token) and for trees."""
     honest = engine_mod.speculative_verify
 
-    def accept_everything(draft_tokens, draft_probs, target_logits, config, rng):
-        outcome = honest(draft_tokens, draft_probs, target_logits, config, rng)
-        return VerifyOutcome(tuple(draft_tokens), outcome.next_token, True)
+    def accept_everything(tree, draft_probs, target_logits, config, rng):
+        outcome = honest(tree, draft_probs, target_logits, config, rng)
+        children, path = tree.children(), [-1]
+        while path[-1] in children:
+            path.append(children[path[-1]][0])
+        path = tuple(path[1:])
+        return VerifyOutcome(tuple(tree.tokens[i] for i in path), outcome.next_token,
+                             True, path)
 
     monkeypatch.setattr(engine_mod, "speculative_verify", accept_everything)
     assert _z_score(_aasd_draws(parts, SEEDS), reference) > MAX_Z
+    assert _z_score(_aasd_draws(parts, SEEDS, config=TREE), reference) > MAX_Z

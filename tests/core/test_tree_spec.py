@@ -3,7 +3,9 @@
 Pins the tentpole contracts of ``repro.decoding.tree`` + the engine's
 tree path:
 
-* ``TreeDraft`` serialization invariants and the greedy acceptance walk,
+* ``TreeDraft`` serialization invariants and the one acceptance walk
+  (``speculative_verify``) on trees, greedy and sampled — its exactness
+  is pinned in ``tests/decoding/test_sampling.py``,
 * verification is ONE target forward per round (counted on the model),
 * greedy token identity with the autoregressive baseline (losslessness),
 * branch-factor-1 trees are bitwise identical to the linear speculative
@@ -11,8 +13,8 @@ tree path:
 * batched tree stepping matches solo tree stepping bitwise,
 * the draft lane grows every session's tree in lockstep — one packed
   forward per expansion index — each exactly as ``draft_tree`` alone,
-* the ``tree_ready`` gate (greedy-only, ``supports_tree`` heads only) and
-  fault injection in tree rounds,
+* the ``tree_ready`` gate (``supports_tree`` heads only; sampled engines
+  draft trees too) and fault injection in tree rounds,
 * pointer-only commit keeps the target cache exactly in sync.
 
 The world uses dim=96 like the ragged-serving tests: the gemv/gemm
@@ -31,7 +33,7 @@ from repro.data.tasks import make_dataset
 from repro.decoding import AutoregressiveDecoder, CostModel, get_profile
 from repro.decoding.adaptive import FixedGamma
 from repro.decoding.sampling import SamplerConfig
-from repro.decoding.tree import TreeDraft, accept_tree, tree_extra_blocked
+from repro.decoding.tree import TreeDraft, speculative_verify, tree_extra_blocked
 from repro.errors import DecodingError
 from repro.nn.ragged import tree_blocked
 from repro.nn.tensor import no_grad
@@ -40,6 +42,7 @@ from repro.serving import STATUS_COMPLETED, ServingConfig, serve_requests
 
 MAX_NEW_TOKENS = 20
 N_SAMPLES = 3
+SAMPLED = SamplerConfig(greedy=False, temperature=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -125,44 +128,58 @@ class TestTreeDraftUnit:
 
 
 class TestAcceptTree:
+    """The one acceptance rule on trees.  Greedy walks take no draft
+    distributions and no random stream (both ``None`` / empty here)."""
+
     CFG = SamplerConfig(greedy=True)
 
-    def _logits(self, rows, vocab=8):
+    def _logits(self, rows, vocab=8, peak=5.0):
         """Logits whose argmax per row is ``rows[i]``."""
         out = np.zeros((len(rows), vocab), dtype=np.float32)
         for i, tok in enumerate(rows):
-            out[i, tok] = 5.0
+            out[i, tok] = peak
         return out
 
     def test_chain_full_accept_with_bonus(self):
         tree = TreeDraft(tokens=(3, 4), parents=(-1, 0), depths=(1, 2))
-        out = accept_tree(tree, self._logits([3, 4, 6]), self.CFG)
-        assert out.path == (0, 1) and out.accepted == (3, 4)
+        out = speculative_verify(tree, (), self._logits([3, 4, 6]), self.CFG, None)
+        assert out.path == (0, 1) and out.accepted == (3, 4) and out.all_accepted
         assert out.next_token == 6 and out.tokens_emitted == 3
 
     def test_sibling_rescues_rejected_branch(self):
         # anchor's children: n0 (token 3, rank 0) and n2 (token 5);
         # the target prefers 5, so the walk descends the second branch.
         tree = TreeDraft(tokens=(3, 4, 5), parents=(-1, 0, -1), depths=(1, 2, 1))
-        out = accept_tree(tree, self._logits([5, 0, 0, 7]), self.CFG)
+        out = speculative_verify(tree, (), self._logits([5, 0, 0, 7]), self.CFG, None)
         assert out.path == (2,) and out.accepted == (5,)
         assert out.next_token == 7    # row 3 = continuation of node 2
 
     def test_no_match_emits_correction(self):
         tree = TreeDraft(tokens=(3,), parents=(-1,), depths=(1,))
-        out = accept_tree(tree, self._logits([6, 1]), self.CFG)
+        out = speculative_verify(tree, (), self._logits([6, 1]), self.CFG, None)
         assert out.path == () and out.n_accepted == 0 and out.next_token == 6
+        assert not out.all_accepted
 
-    def test_rejects_non_greedy_config(self):
-        tree = TreeDraft(tokens=(3,), parents=(-1,), depths=(1,))
-        with pytest.raises(DecodingError):
-            accept_tree(tree, self._logits([3, 1]),
-                        SamplerConfig(greedy=False, temperature=1.0))
+    def test_sampled_sibling_rescues_rejected_branch(self):
+        # the same tree under sampling: the draft split its mass between
+        # the two anchor children, the target wants 5 (and then 7), so the
+        # first child is rejected, the residual moves onto 5, and the
+        # second child is kept
+        tree = TreeDraft(tokens=(3, 4, 5), parents=(-1, 0, -1), depths=(1, 2, 1))
+        q = np.zeros(8)
+        q[[3, 5]] = 0.5
+        config = SamplerConfig(greedy=False)
+        out = speculative_verify(tree, [q, q], self._logits([5, 0, 0, 7], peak=60.0),
+                                 config, np.random.default_rng(0))
+        assert out.path == (2,) and out.accepted == (5,) and out.next_token == 7
+        with pytest.raises(DecodingError):   # one draft row per expanded node
+            speculative_verify(tree, [q], self._logits([5, 0, 0, 7]), config,
+                               np.random.default_rng(0))
 
     def test_rejects_misshapen_logits(self):
         tree = TreeDraft(tokens=(3, 4), parents=(-1, 0), depths=(1, 2))
-        with pytest.raises(DecodingError):
-            accept_tree(tree, self._logits([3, 4]), self.CFG)   # needs 3 rows
+        with pytest.raises(DecodingError):   # needs 3 rows
+            speculative_verify(tree, (), self._logits([3, 4]), self.CFG, None)
 
 
 class TestTreeExtraBlocked:
@@ -196,7 +213,8 @@ class TestSingleForwardPerRound:
             lambda *a, **kw: pytest.fail("a verify is never a per-session decode"),
         )
         report = engine.step(session)
-        assert report.kind == "verify" and report.tree
+        # more nodes than the gamma-chain has: the block was a tree
+        assert report.kind == "verify" and report.feed_size > 1 + engine.config.gamma
         assert len(calls) == 1, "tree verification must be a single target forward"
         # feed = anchor + nodes; leaves are never expanded, so there are
         # fewer draft forwards (kv_lens entries) than fed rows.
@@ -219,7 +237,7 @@ class TestSingleForwardPerRound:
             or orig_batch(*a, **kw),
         )
         reports = engine.step_batch(sessions)
-        assert all(r.tree for r in reports)
+        assert all(r.feed_size > 1 + engine.config.gamma for r in reports)
         assert calls["decode_batch"] == 1 and calls["decode"] == 0
 
     def test_forward_accounting(self, world):
@@ -303,8 +321,8 @@ class TestLockstepDraftLane:
         sessions = engine.begin_batch(list(world["samples"]))
         trees = []
         monkeypatch.setattr(
-            engine_mod, "accept_tree",
-            lambda tree, *a: trees.append(tree) or accept_tree(tree, *a),
+            engine_mod, "speculative_verify",
+            lambda tree, *a: trees.append(tree) or speculative_verify(tree, *a),
         )
         reports = engine.step_batch(sessions)
         assert [r.kind for r in reports] == ["verify"] * len(sessions)
@@ -331,7 +349,7 @@ class TestLockstepDraftLane:
             record = solo.record
             for kv in kv_lens:
                 record.charge_sim(head.step_ms(world["cm"], (kv,)), "draft")
-            record.charge_sim(world["cm"].tree_verify(1 + spec.n_nodes), "verify")
+            record.charge_sim(world["cm"].target_verify(1 + spec.n_nodes), "verify")
             assert session.record.sim_time_ms == record.sim_time_ms
             expansions.append(len(kv_lens))
         assert counting.calls == max(expansions) < sum(expansions)
@@ -342,11 +360,25 @@ class TestTreeGate:
         assert _tree_engine(world).tree_ready
         assert not _engine(world).tree_ready    # tree_speculation off
 
-    def test_non_greedy_disables_tree(self, world):
-        engine = _tree_engine(
-            world, sampler_config=SamplerConfig(greedy=False, temperature=1.0)
-        )
-        assert not engine.tree_ready
+    def test_sampled_engine_drafts_trees(self, world):
+        engine = _tree_engine(world, sampler_config=SAMPLED)
+        assert engine.tree_ready
+        vocab = world["tokenizer"].vocab_size
+        for sample in world["samples"]:
+            record = engine.decode(sample)
+            assert all(0 <= t < vocab for t in record.token_ids)
+            assert any(b.n_draft > engine.config.gamma for b in record.blocks)
+
+    def test_faulty_wrapper_drafts_sampled_trees(self, world):
+        wrapped = FaultyDraftHead(world["head"], mode="nan-logits", fail_every=7)
+        engine = _tree_engine(world, head=wrapped, sampler_config=SAMPLED)
+        records = [engine.decode(sample) for sample in world["samples"]]
+        eos = world["tokenizer"].vocab.eos_id
+        # every decode completes: at its budget or at eos
+        assert all(len(r.token_ids) == MAX_NEW_TOKENS or r.token_ids[-1] == eos
+                   for r in records)
+        assert all(r.n_draft_faults > 0 for r in records)
+        assert any(b.n_draft > engine.config.gamma for r in records for b in r.blocks)
 
     def test_faulty_wrapper_drafts_trees(self, world):
         ar = AutoregressiveDecoder(

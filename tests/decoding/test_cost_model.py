@@ -84,30 +84,18 @@ class TestCostModel:
 
 
 class TestTreeVerify:
+    """A tree round is priced like any verify round, per fed row: each
+    request feeds its anchor plus every drafted node."""
+
     @pytest.fixture()
     def cm(self):
         return CostModel(get_profile("sim-7b"))
 
-    def test_prices_tree_node_count_like_linear_rows(self, cm):
-        """A chain of depth gamma costs exactly target_verify(gamma + 1):
-        the billed quantity is fed rows, not gamma * branch."""
-        for rows in (2, 4, 8, 13):
-            assert cm.tree_verify(rows) == cm.target_verify(rows)
-
     def test_rejects_empty_feed(self, cm):
-        with pytest.raises(ConfigError):
-            cm.tree_verify(0)
+        for feeds in ([], [3, 0]):
+            with pytest.raises(ConfigError):
+                cm.batched_verify(feeds)
 
     def test_monotonic_in_nodes(self, cm):
-        costs = [cm.tree_verify(n) for n in range(1, 10)]
+        costs = [cm.batched_verify([n, 3]) for n in range(1, 10)]
         assert all(a < b for a, b in zip(costs, costs[1:]))
-
-    def test_batched_reduces_to_solo_at_b1(self, cm):
-        for rows in (2, 5, 9):
-            assert cm.batched_tree_verify([rows]) == cm.tree_verify(rows)
-
-    def test_batched_matches_batched_verify(self, cm):
-        """Tree rounds reuse the packed-verify pricing row-for-row, so a
-        packed round of trees bills each fed node exactly once."""
-        feeds = [3, 7, 2]
-        assert cm.batched_tree_verify(feeds) == cm.batched_verify(feeds)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.hybrid_cache import SEGMENT_TEXT, HybridKVCache
 from repro.errors import ConfigError, DecodingError, GuardViolation
-from repro.decoding.sampling import SamplerConfig, logits_to_probs, speculative_verify
+from repro.decoding.sampling import SamplerConfig, logits_to_probs
+from repro.decoding.tree import TreeDraft, speculative_verify
 from repro.nn.layers import Linear
 from repro.robustness import (
     ArenaPressureFault,
@@ -215,7 +216,7 @@ class TestSamplingHardening:
         target_logits = np.zeros((2, vocab))
         target_logits[:, 2] = 50.0  # target overwhelmingly wants token 2
         draft_probs = np.full((1, vocab), np.nan)
-        outcome = speculative_verify([4], draft_probs, target_logits, config, rng)
+        outcome = speculative_verify(TreeDraft.chain([4]), draft_probs, target_logits, config, rng)
         assert outcome.n_accepted == 0
         assert outcome.next_token == 2
         assert not outcome.all_accepted
@@ -227,6 +228,6 @@ class TestSamplingHardening:
         target_logits[0, 4] = 10.0
         target_logits[1, 1] = 10.0
         draft_probs = np.full((1, vocab), np.nan)
-        outcome = speculative_verify([4], draft_probs, target_logits, config, rng)
+        outcome = speculative_verify(TreeDraft.chain([4]), draft_probs, target_logits, config, rng)
         assert outcome.accepted == (4,)
         assert outcome.next_token == 1

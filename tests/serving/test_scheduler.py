@@ -349,15 +349,15 @@ class TestTreeServing:
     def test_rejected_branches_billed_exactly_once(self, make_engine, world,
                                                    monkeypatch):
         """Double-billing regression: the round's verify charge is exactly
-        the batched tree-verify price of the fed node counts — rejected
+        the batched verify price of the fed node counts — rejected
         branches are billed once by the forward that fed them and never
         again at rollback."""
         engine = self._tree_engine(make_engine)
         cm = engine.cost_model
         calls = []
-        orig = cm.batched_tree_verify
+        orig = cm.batched_verify
         monkeypatch.setattr(
-            cm, "batched_tree_verify",
+            cm, "batched_verify",
             lambda feeds: calls.append(tuple(feeds)) or orig(feeds),
         )
         scheduler = ContinuousBatchingScheduler(
@@ -365,7 +365,7 @@ class TestTreeServing:
         )
         report = serve_requests(engine, world["samples"][:4], scheduler=scheduler)
         assert report.count(STATUS_COMPLETED) == 4
-        assert calls, "tree rounds must price through batched_tree_verify"
+        assert calls, "tree rounds must price through batched_verify"
         # feeds are node counts (anchor + drafted nodes), never gamma * B,
         # and never depend on how many nodes were later accepted
         for feeds in calls:

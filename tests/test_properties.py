@@ -14,8 +14,9 @@ from repro.core.engine import AASDEngine, AASDEngineConfig
 from repro.data.tasks import make_dataset
 from repro.decoding.autoregressive import AutoregressiveDecoder
 from repro.decoding.cost_model import CostModel, get_profile
-from repro.decoding.sampling import SamplerConfig, logits_to_probs, speculative_verify
+from repro.decoding.sampling import SamplerConfig, logits_to_probs
 from repro.decoding.speculative import LlamaTextDraft
+from repro.decoding.tree import TreeDraft, speculative_verify
 from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
 from repro.models.kv_cache import KVCache
 from repro.models.llama import MiniLlama
@@ -84,7 +85,7 @@ def test_verify_outcome_invariants(seed, gamma):
     draft_probs = gen.dirichlet(np.ones(vocab), size=gamma)
     target_logits = gen.standard_normal((gamma + 1, vocab))
     cfg = SamplerConfig(greedy=bool(gen.integers(2)))
-    out = speculative_verify(draft_tokens, draft_probs, target_logits, cfg, gen)
+    out = speculative_verify(TreeDraft.chain(draft_tokens), draft_probs, target_logits, cfg, gen)
     assert list(out.accepted) == draft_tokens[: out.n_accepted]
     assert out.tokens_emitted == out.n_accepted + 1
     assert out.all_accepted == (out.n_accepted == gamma)
