@@ -33,6 +33,12 @@ clock.
 Exits 1 if the run recorded any ``gemm_cast`` product: every forward of a
 serving engine reads prepared float64 operands (``docs/kernels.md`` §5),
 so a mixed-dtype GEMM means a weight is being cast on every call again.
+Exits 1 too if the memory table shows more than
+:data:`MAX_DUPLICATE_OPERANDS_MB` of pinned operands beside their float32
+arrays (a weight stored twice again: the operand is a pinned weight's one
+copy) or a forward transient above :data:`MAX_TRANSIENT_MB` (a prefill no
+longer bounded by its row budget).  At 16 requests × 16 they read 0.13
+and 1.50 MB.
 """
 
 from __future__ import annotations
@@ -63,6 +69,11 @@ from repro.serving.memory import MemoryProbe, MemoryTable, render_memory
 from repro.zoo import ModelZoo, PROFILE_SMOKE
 
 logger = get_logger("repro.scripts.profile_serving")
+
+#: Most MB of pinned operands held beside a stored float32 array.
+MAX_DUPLICATE_OPERANDS_MB = 0.5
+#: Most MB any probed call may peak above what it retains.
+MAX_TRANSIENT_MB = 3.0
 
 
 def _serve(args: argparse.Namespace, probe: bool = False):
@@ -142,11 +153,20 @@ def main() -> int:
     print()
     print(f"wrote {jsonl}, {flame}, {out_dir / 'attribution.txt'}, {metrics}, "
           f"{out_dir / 'memory.txt'}")
+    failures = []
     casts = get_profiler().op(OP_GEMM_CAST).calls
     if casts:
-        print(f"FAILED: {casts} mixed-dtype GEMMs (gemm_cast) in a serving run")
-        return 1
-    return 0
+        failures.append(f"{casts} mixed-dtype GEMMs (gemm_cast) in a serving run")
+    largest = {owner: mb for owner, _, mb in memory.rows()}
+    if largest["pinned operands"] > MAX_DUPLICATE_OPERANDS_MB:
+        failures.append(f"{largest['pinned operands']:.2f} MB of pinned operands beside "
+                        f"their float32 arrays (> {MAX_DUPLICATE_OPERANDS_MB} MB)")
+    if largest["forward transient"] > MAX_TRANSIENT_MB:
+        failures.append(f"a {largest['forward transient']:.2f} MB forward transient "
+                        f"(> {MAX_TRANSIENT_MB} MB)")
+    for failure in failures:
+        print(f"FAILED: {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -133,7 +133,7 @@ class AASDDraftHead(Module, Drafter):
     # ------------------------------------------------------------------
     def init_from_target(self, target_llama: MiniLlama) -> None:
         """Copy the target's embedding table (shared token geometry)."""
-        if target_llama.embed.weight.data.shape != self.embed.weight.data.shape:
+        if target_llama.embed.weight.shape != self.embed.weight.shape:
             raise ShapeError("target embedding shape does not match draft head config")
         self.embed.weight.data = target_llama.embed.weight.data.copy()
 

@@ -74,7 +74,7 @@ from ..decoding.metrics import BlockRecord, DecodeRecord
 from ..decoding.sampling import Sampler, SamplerConfig
 from ..decoding.speculative import Drafter
 from ..decoding.tree import DraftWalk, speculative_verify, tree_extra_blocked
-from ..errors import DecodingError
+from ..errors import DecodingError, PrefillGroupError
 from ..models.llava import MiniLlava
 from ..nn.kernels import pin_operands
 from ..nn.tensor import no_grad
@@ -431,24 +431,30 @@ class AASDEngine(Decoder):
     def _prefill_isolated(
         self, images: Sequence[np.ndarray], prompts: Sequence[np.ndarray],
     ) -> List[Union[Tuple[object, np.ndarray], Exception]]:
-        """One packed target prefill; ``(cache, last_logits)`` or the fault, per request.
+        """One batched target prefill; ``(cache, last_logits)`` or the fault, per request.
 
-        A batch-wide failure (e.g. one malformed image makes the image
-        stack ragged) must not take down the whole admission: the batch
-        is redone one request at a time, so only the requests that
-        genuinely fault are failed.
+        A group's failure (e.g. one malformed image makes its image stack
+        ragged) must not take down the whole admission: that group is
+        redone one request at a time, so only the requests that genuinely
+        fault are failed, and the groups that completed stand.
         """
         try:
             caches, logit_rows = self.target.prefill_batch(list(images), list(prompts))
+            return list(zip(caches, logit_rows))
         except Exception as exc:
             log_exception(logger, "prefill_fault", exc, batch=len(images))
-            if len(images) == 1:
-                return [exc]
-            return [
-                self._prefill_isolated([image], [prompt])[0]
-                for image, prompt in zip(images, prompts)
-            ]
-        return list(zip(caches, logit_rows))
+            groups = (exc.outcomes if isinstance(exc, PrefillGroupError)
+                      else [(range(len(images)), exc)])
+        results: List[Union[Tuple[object, np.ndarray], Exception]] = []
+        for members, outcome in groups:
+            if not isinstance(outcome, Exception):
+                results.extend(zip(*outcome))
+            elif len(members) == 1:
+                results.append(outcome)
+            else:
+                results.extend(self._prefill_isolated([images[i]], [prompts[i]])[0]
+                               for i in members)
+        return results
 
     def _open_session(self, sample: MultimodalSample, record: Optional[DecodeRecord],
                       prompt_ids: np.ndarray, controller: Optional[GammaController],
@@ -512,7 +518,7 @@ class AASDEngine(Decoder):
         gamma_controllers: Optional[Sequence[Optional[GammaController]]] = None,
         request_ids: Optional[Sequence[Optional[str]]] = None,
     ) -> List[Union[DecodeSession, Exception]]:
-        """Prefill B requests as one packed forward; per-request outcomes.
+        """Prefill B requests as packed forwards; per-request outcomes.
 
         The only prefill: a batch of one is a one-row packed forward with
         the solo GEMM shapes.  The per-request option sequences parallel
@@ -525,9 +531,10 @@ class AASDEngine(Decoder):
         prefill raised — failures are isolated, one bad sample never
         aborts its batch-mates.
 
-        The image batch is encoded in one vision call and the LM prefill
-        runs cu-seqlen-packed (:meth:`MiniLlava.prefill_batch`), bitwise
-        token-identical to B one-request prefills.  The round is traced
+        The requests run in groups of at most ``PREFILL_ROWS`` rows; per
+        group the images are encoded in one vision call and the LM
+        prefill runs cu-seqlen-packed (:meth:`MiniLlava.prefill_batch`),
+        bitwise token-identical to B one-request prefills.  The round is traced
         as one ``prefill`` span; each record is charged the solo
         ``target_prefill`` price, then its drafter's own prefill share,
         and each session's draft state is opened from its own target

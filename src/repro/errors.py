@@ -7,6 +7,7 @@ __all__ = [
     "ConfigError",
     "TokenizerError",
     "ShapeError",
+    "PrefillGroupError",
     "DecodingError",
     "TrainingError",
     "CheckpointError",
@@ -31,6 +32,22 @@ class TokenizerError(ReproError):
 
 class ShapeError(ReproError):
     """Tensor shape mismatch detected at an API boundary."""
+
+
+class PrefillGroupError(ReproError):
+    """Some groups of a row-budgeted batched prefill raised; the rest completed.
+
+    Raised by :meth:`repro.models.llava.MiniLlava.prefill_batch` when it
+    ran more than one group.  ``outcomes`` pairs each group's request
+    indices (a ``range``, in input order) with its ``(caches,
+    last_logits)`` lists or with the exception it raised, so a caller
+    redoes only the failed groups.
+    """
+
+    def __init__(self, outcomes) -> None:
+        failed = [o for _, o in outcomes if isinstance(o, Exception)]
+        super().__init__(f"{len(failed)} of {len(outcomes)} prefill groups failed: {failed[0]}")
+        self.outcomes = outcomes
 
 
 class DecodingError(ReproError):

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import PrefillGroupError, ShapeError
 from ..nn.tensor import Tensor, concat
 from .config import LlavaConfig
 from .connector import Connector
@@ -20,7 +20,29 @@ from .kv_cache import KVCache
 from .llama import LlamaOutput, MiniLlama
 from .vision import VisionEncoder
 
-__all__ = ["MiniLlava"]
+__all__ = ["MiniLlava", "PREFILL_ROWS"]
+
+#: Most ``[vision][text]`` rows one forward of :meth:`MiniLlava.prefill_batch`
+#: runs: the token budget that bounds a prefill's activations whatever the
+#: admission's size (Sarathi-Serve's per-forward budget, over whole requests).
+PREFILL_ROWS = 256
+
+
+def _row_groups(rows: Sequence[int]) -> List[range]:
+    """Consecutive groups of requests whose rows sum to at most :data:`PREFILL_ROWS`.
+
+    A request longer than the budget is a group of its own.
+    """
+    groups: List[range] = []
+    start, total = 0, 0
+    for i, n in enumerate(rows):
+        if i > start and total + n > PREFILL_ROWS:
+            groups.append(range(start, i))
+            start, total = i, 0
+        total += n
+    if rows:
+        groups.append(range(start, len(rows)))
+    return groups
 
 
 class MiniLlava:
@@ -71,11 +93,11 @@ class MiniLlava:
         for name, param in own.items():
             if name in state:
                 value = np.asarray(state[name])
-                if value.shape != param.data.shape:
+                if value.shape != param.shape:
                     raise ValueError(
-                        f"shape mismatch for {name}: {value.shape} vs {param.data.shape}"
+                        f"shape mismatch for {name}: {value.shape} vs {param.shape}"
                     )
-                param.data = value.astype(param.data.dtype, copy=True)
+                param.data = value.astype(param.dtype, copy=True)
 
     def train(self, mode: bool = True) -> "MiniLlava":
         self.vision.train(mode)
@@ -152,38 +174,61 @@ class MiniLlava:
         images: Sequence[np.ndarray],
         text_rows: Sequence[np.ndarray],
     ) -> Tuple[List[KVCache], List[np.ndarray]]:
-        """Prefill B requests as one packed forward; per-request results.
+        """Prefill B requests as packed forwards; per-request results.
 
         ``images`` is the image batch — a stacked ``(B, ...)`` array or a
         sequence of per-request images — and ``text_rows[i]`` request
-        ``i``'s prompt ids (ragged lengths allowed).  The vision tower
-        and connector run once over the whole image batch (numpy loops
-        the batch axis per image, so each image's embedding is bitwise
-        equal to its solo encode), then the LM prefill runs as one
-        cu-seqlen-packed forward over the concatenated ``[vision][text]``
-        rows.  Returns per-request primed caches (segments set as in
-        :meth:`prefill`) and the ``(1, vocab)`` last-position logits,
-        bitwise identical to B solo prefills.  Inference only: every
-        stage runs its raw ``_infer_rows`` pass whatever the grad mode,
-        and no ``Tensor`` is built.
+        ``i``'s prompt ids (ragged lengths allowed).  The requests run in
+        consecutive groups of whole requests whose ``[vision][text]``
+        rows sum to at most :data:`PREFILL_ROWS` (a longer request is a
+        group of its own), which bounds a forward's activations.  Per
+        group, the vision tower and connector run over its images (numpy
+        loops the batch axis per image, so each image's embedding is
+        bitwise equal to its solo encode), then the LM prefill runs as
+        one cu-seqlen-packed forward over the group's rows; rows are
+        M-independent (``docs/kernels.md`` §2), so the grouping changes
+        no bit.  Returns per-request primed caches (segments set as in
+        :meth:`prefill`) and the ``(1, vocab)`` last-position logits, in
+        input order, bitwise identical to B solo prefills.  If a group
+        raises, the others still run: one group re-raises its exception,
+        several raise :class:`~repro.errors.PrefillGroupError`.
+        Inference only: every stage runs its raw ``_infer_rows`` pass
+        whatever the grad mode, and no ``Tensor`` is built.
         """
+        if len(images) != len(text_rows):
+            raise ShapeError(
+                f"batch mismatch: {len(images)} images vs {len(text_rows)} text rows"
+            )
+        rows2d = [np.atleast_2d(np.asarray(ids, dtype=np.int64)) for ids in text_rows]
+        outcomes = []
+        for group in _row_groups([self.n_vision_tokens + ids.shape[1] for ids in rows2d]):
+            try:
+                outcome = self._prefill_group(
+                    images[group.start:group.stop], rows2d[group.start:group.stop])
+            # repro: allow[except-discipline] -- kept for the raise below: the other groups still run
+            except Exception as exc:
+                outcome = exc
+            outcomes.append((group, outcome))
+        failed = [outcome for _, outcome in outcomes if isinstance(outcome, Exception)]
+        if failed:
+            if len(outcomes) == 1:
+                raise failed[0]
+            raise PrefillGroupError(outcomes) from failed[0]
+        return ([cache for _, (caches, _) in outcomes for cache in caches],
+                [row for _, (_, logit_rows) in outcomes for row in logit_rows])
+
+    def _prefill_group(
+        self, images: Sequence[np.ndarray], rows2d: Sequence[np.ndarray],
+    ) -> Tuple[List[KVCache], List[np.ndarray]]:
+        """One group of :meth:`prefill_batch`: one vision pass, one packed LM forward."""
         if not isinstance(images, np.ndarray):
             # repro: allow[hotpath] -- prefill runs once per request, not per decode step
             images = np.stack([np.asarray(img) for img in images])
-        if images.shape[0] != len(text_rows):
-            raise ShapeError(
-                f"batch mismatch: {images.shape[0]} images vs {len(text_rows)} text rows"
-            )
         vis = self.connector._infer_rows(self.vision._infer_rows(images))
         pieces: List[np.ndarray] = []
         position_rows: List[np.ndarray] = []
         caches: List[KVCache] = []
-        rows2d: List[np.ndarray] = []
-        for i, text_ids in enumerate(text_rows):
-            text_ids = np.asarray(text_ids, dtype=np.int64)
-            if text_ids.ndim == 1:
-                text_ids = text_ids[None, :]
-            rows2d.append(text_ids)
+        for i, text_ids in enumerate(rows2d):
             pieces.append(vis[i : i + 1])
             pieces.append(self.llama.embed.lookup_data(text_ids))
             total = self.n_vision_tokens + text_ids.shape[1]

@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
+from .module import STORED
 from .rope import RotaryEmbedding
 from .tensor import matmul_data
 
@@ -60,43 +61,72 @@ __all__ = [
 class _Pin:
     """A pinned parameter's state: how many holders it has, and its operand.
 
-    ``source`` is the ``param.data`` array the operand was built from
-    (identity-checked on every read, so replacing the array invalidates
-    it); ``frozen`` records that ``source`` was made read-only here, so an
-    in-place write raises instead of leaving the operand stale.
+    Once a float32 weight's operand is built it is the weight's one
+    stored copy: the parameter drops its float32 array (its ``STORED``
+    slot reads ``None``) and :meth:`rebuild` restores it exactly on the
+    first raw read of ``param.data`` (an embedding lookup, the patch
+    embed, ``state_dict``, an optimizer).  A rebuilt array is ``frozen``
+    — read-only — until release, so an in-place write raises instead of
+    leaving the operand stale.  ``shape`` and ``dtype`` describe the
+    dropped array, so reading them rebuilds nothing.
     """
 
-    __slots__ = ("count", "source", "array", "frozen")
+    __slots__ = ("count", "array", "transpose", "shape", "dtype", "frozen")
 
     def __init__(self) -> None:
         self.count = 0
-        self.source: Optional[np.ndarray] = None
         self.array: Optional[np.ndarray] = None
-        self.frozen = False
+        self.transpose = False
+        self.shape: Tuple[int, ...] = ()
+        self.dtype = None
+        self.frozen: Optional[np.ndarray] = None
 
-    def prepare(self, data: np.ndarray, transpose: bool) -> np.ndarray:
-        """Build the operand for ``data``, dropping the one built before."""
+    def prepare(self, param, transpose: bool) -> np.ndarray:
+        """Build ``param``'s operand; it becomes the stored copy of a cast weight."""
+        data = STORED.__get__(param)
         view = data.swapaxes(-1, -2) if transpose else data
-        # a float64 parameter is read as stored: there is nothing to cast
-        array = view if data.dtype == np.float64 else np.ascontiguousarray(
-            view, dtype=np.float64)
-        self.drop()
-        self.source, self.array = data, array
-        if array is not view and data.flags.writeable:
-            data.flags.writeable = False
-            self.frozen = True
-        if not self.count:
-            # the last holder released meanwhile: a collected engine's
-            # finalizer can run inside any allocation above
-            self.drop()
+        if data.dtype == np.float64:
+            # a float64 parameter is read as stored: there is nothing to cast
+            self.array = view
+            return view
+        array = np.ascontiguousarray(view, dtype=np.float64)
+        self.array, self.transpose = array, transpose
+        self.shape, self.dtype = data.shape, data.dtype
+        STORED.__set__(param, None)
+        if not self.count and STORED.__get__(param) is None:
+            # the last holder released meanwhile (a collected engine's
+            # finalizer can run inside any allocation here): keep the array
+            STORED.__set__(param, data)
+            self.array = None
         return array
 
-    def drop(self) -> None:
-        """Forget the operand and make its source writable again."""
-        if self.frozen:
-            self.source.flags.writeable = True
-            self.frozen = False
-        self.source = self.array = None
+    def restored(self) -> np.ndarray:
+        """The dropped array, bit for bit: float64 holds every float32 exactly."""
+        array = self.array.swapaxes(-1, -2) if self.transpose else self.array
+        return np.ascontiguousarray(array, dtype=self.dtype)
+
+    def rebuild(self, param) -> np.ndarray:
+        """``param.data`` after its array was dropped: rebuilt, read-only until release."""
+        data = self.restored()
+        stored = STORED.__get__(param)
+        if stored is not None:
+            return stored           # a release inside the allocation restored it
+        data.flags.writeable = False
+        self.frozen = data
+        STORED.__set__(param, data)
+        return data
+
+    def forget(self) -> None:
+        """Drop the operand: the parameter's array is being replaced."""
+        if self.frozen is not None:
+            self.frozen.flags.writeable = True
+        self.array = self.frozen = None
+
+    def release(self, param) -> None:
+        """Hand ``param`` back a writeable float32 array and drop the operand."""
+        if STORED.__get__(param) is None:
+            STORED.__set__(param, self.restored())
+        self.forget()
 
 
 def operand(param, transpose: bool = False) -> np.ndarray:
@@ -108,25 +138,27 @@ def operand(param, transpose: bool = False) -> np.ndarray:
     built once per parameter array — for a float32 weight, the
     C-contiguous copy numpy's mixed-dtype ``matmul`` (or ufunc) would
     otherwise build on every call, so products and scales keep their
-    bits.  Unpinned, it is the stored array itself and numpy casts per
-    call, as the ``Module`` path does.
+    bits — and that copy is then the weight's stored one (``_Pin``).
+    Unpinned, it is the stored array itself and numpy casts per call, as
+    the ``Module`` path does.
     """
     pin: Optional[_Pin] = param.pin
-    data = param.data
     if pin is None:
+        data = param.data
         return data.swapaxes(-1, -2) if transpose else data
-    if pin.source is data:
+    if pin.array is not None:
         return pin.array
-    return pin.prepare(data, transpose)
+    return pin.prepare(param, transpose)
 
 
 def pin_operands(params: Iterable) -> Callable[[], None]:
     """Pin ``params``' operands until the returned ``release`` is called.
 
     Pins count: operands are built on first read and live until the last
-    holder releases, when they are dropped and every weight is writable
-    again.  :class:`repro.core.engine.AASDEngine` pins its target and
-    drafter at construction and releases when it is collected.
+    holder releases, when they are dropped and every weight holds a
+    writeable float32 array again, bit-identical to the one pinned.
+    :class:`repro.core.engine.AASDEngine` pins its target and drafter at
+    construction and releases when it is collected.
     """
     held = list({id(p): p for p in params}.values())
     for p in held:
@@ -138,7 +170,7 @@ def pin_operands(params: Iterable) -> Callable[[], None]:
         for p in held:
             p.pin.count -= 1
             if not p.pin.count:
-                p.pin.drop()
+                p.pin.release(p)
                 p.pin = None
 
     return release
@@ -147,15 +179,19 @@ def pin_operands(params: Iterable) -> Callable[[], None]:
 def operand_nbytes(params: Iterable) -> int:
     """Bytes the built operands of ``params`` hold beyond the stored arrays.
 
-    A float32 weight's operand is its float64 copy; a float64 parameter
-    is read as stored, so its operand costs nothing.  A parameter that is
-    not pinned, or whose operand was not read yet, counts zero.
+    A float32 weight's operand is its stored copy once built, so it
+    counts only while the float32 array is held too (rebuilt by a raw
+    read, as a tied embedding's lookup does); a float64 parameter is read
+    as stored.  A parameter that is not pinned, or whose operand was not
+    read yet, counts zero.  Nothing is rebuilt to answer.
     """
     total = 0
     for p in {id(p): p for p in params}.values():
         pin: Optional[_Pin] = p.pin
-        if pin is not None and pin.array is not None and not np.may_share_memory(
-                pin.array, pin.source):
+        if pin is None or pin.array is None:
+            continue
+        stored = STORED.__get__(p)
+        if stored is not None and not np.may_share_memory(pin.array, stored):
             total += pin.array.nbytes
     return total
 

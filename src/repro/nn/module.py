@@ -11,8 +11,19 @@ from .tensor import Tensor
 __all__ = ["Module", "Parameter"]
 
 
+#: The slot behind ``Parameter.data``: the stored array, or ``None`` while
+#: a pinned operand is the weight's only copy.
+STORED = Tensor.data
+
+
 class Parameter(Tensor):
-    """A tensor that is registered as trainable when assigned to a module."""
+    """A tensor that is registered as trainable when assigned to a module.
+
+    While an engine pins it (:func:`repro.nn.kernels.pin_operands`) its
+    float64 operand may be the weight's only copy: ``data`` then rebuilds
+    the float32 array exactly on first read and keeps it, read-only,
+    until release; ``shape``, ``dtype`` and ``size`` never rebuild.
+    """
 
     #: Inference-operand state while an engine pins this parameter
     #: (:func:`repro.nn.kernels.pin_operands`); ``None`` when unpinned.
@@ -20,6 +31,37 @@ class Parameter(Tensor):
 
     def __init__(self, data, name: str = "") -> None:
         super().__init__(data, requires_grad=True, name=name)
+
+    @property
+    def data(self) -> np.ndarray:
+        stored = STORED.__get__(self)
+        return stored if stored is not None else self.pin.rebuild(self)
+
+    @data.setter
+    def data(self, array: np.ndarray) -> None:
+        STORED.__set__(self, array)
+        if self.pin is not None:
+            self.pin.forget()       # a replaced array invalidates the operand
+
+    @property
+    def stored(self) -> np.ndarray:
+        """The array holding the weight now, read without rebuilding anything."""
+        stored = STORED.__get__(self)
+        return stored if stored is not None else self.pin.array
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        stored = STORED.__get__(self)
+        return stored.shape if stored is not None else self.pin.shape
+
+    @property
+    def dtype(self):
+        stored = STORED.__get__(self)
+        return stored.dtype if stored is not None else self.pin.dtype
+
+    @property
+    def size(self) -> int:
+        return self.stored.size
 
 
 class Module:
@@ -57,8 +99,6 @@ class Module:
 
     def modules(self) -> Iterator["Module"]:
         yield self
-        for value in vars(self).items():
-            pass
         for attr, value in vars(self).items():
             if isinstance(value, Module):
                 yield from value.modules()
@@ -106,11 +146,11 @@ class Module:
             if name not in state:
                 continue
             value = np.asarray(state[name])
-            if value.shape != param.data.shape:
+            if value.shape != param.shape:
                 raise ValueError(
-                    f"shape mismatch for {name}: checkpoint {value.shape} vs model {param.data.shape}"
+                    f"shape mismatch for {name}: checkpoint {value.shape} vs model {param.shape}"
                 )
-            param.data = value.astype(param.data.dtype, copy=True)
+            param.data = value.astype(param.dtype, copy=True)
 
     # ------------------------------------------------------------------
     # Call protocol

@@ -13,9 +13,11 @@ owner.  It wraps an engine's two round entry points — ``begin_batch``
   boundary can see it;
 * samples every owner at the round boundary after the call.
 
-The owners are the served models' **parameters**, their **pinned
-operands** (the float64 copies counted by
-:func:`repro.nn.kernels.operand_nbytes`), the **target KV** of every live
+The owners are the served models' **parameters** (each weight's one
+stored array: a pinned weight's float64 operand once built), their
+**pinned operands** (the float64 copies held beside a stored float32
+array, counted by :func:`repro.nn.kernels.operand_nbytes`: the tied
+embeddings' transposed operands), the **target KV** of every live
 session (arena capacity reserved, and the rows live in it), the
 drafters' per-session **draft state**, and the forward transient.  What
 the peak holds beyond them — interpreter, imports, datasets, tokenizer,
@@ -204,7 +206,7 @@ class MemoryProbe:
             live += n
             if session.draft_state is not None:
                 draft += session.draft_state.footprint()[0]
-        stored = {id(p.data): p.data.nbytes for p in self._params}
+        stored = {id(array): array.nbytes for array in (p.stored for p in self._params)}
         return {
             "parameters": sum(stored.values()) / _MB,
             "pinned operands": operand_nbytes(self._params) / _MB,

@@ -33,6 +33,7 @@ import pytest
 import repro.core.draft_head as draft_head_mod
 import repro.core.engine as engine_mod
 import repro.models.llama as llama_mod
+import repro.models.llava as llava_mod
 from repro.core import (
     AASDDraftHead, AASDEngine, AASDEngineConfig, DraftHeadConfig, StepReport,
 )
@@ -43,6 +44,7 @@ from repro.decoding import (
     AutoregressiveDecoder, CostModel, LlamaTextDraft, LlavaDraft, get_profile,
 )
 from repro.decoding.adaptive import FixedGamma
+from repro.decoding.base import encode_prompt
 from repro.decoding.sampling import SamplerConfig
 from repro.decoding.tree import VerifyOutcome
 from repro.errors import DecodingError
@@ -459,6 +461,32 @@ class TestFaultIsolation:
         assert broken.record.fallback_mode == "target-only" and not broken.record.blocks
         assert broken.record.n_fallback_steps == len(broken.committed) - 1
         assert all(s.record.n_draft_faults == 0 and s.record.blocks for s in mates)
+
+    def test_a_failed_prefill_group_is_redone_alone(self, world, monkeypatch):
+        # a budget of two requests' rows: the bad image's group is redone one
+        # request at a time, and the groups that completed stand
+        samples = list(world["samples"])
+        samples[3] = dataclasses.replace(
+            samples[3], image=np.zeros((8, 8, 3), dtype=np.float32))
+        engine = _engine(world)
+        rows = [engine.target.n_vision_tokens + len(encode_prompt(world["tokenizer"], s))
+                for s in samples]
+        monkeypatch.setattr(llava_mod, "PREFILL_ROWS", 2 * max(rows))
+        groups = llava_mod._row_groups(rows)
+        failed = next(g for g in groups if 3 in g)
+        assert len(groups) > 1 and len(failed) > 1
+        sizes = []
+        run_group = MiniLlava._prefill_group
+        monkeypatch.setattr(MiniLlava, "_prefill_group", lambda self, images, rows2d: (
+            sizes.append(len(rows2d)), run_group(self, images, rows2d))[1])
+        outcomes = engine.begin_batch(samples)
+        assert sizes == [len(g) for g in groups] + [1] * len(failed)
+        assert [isinstance(o, Exception) for o in outcomes] == [i == 3 for i in range(len(rows))]
+        sessions = [o for o in outcomes if not isinstance(o, Exception)]
+        while not all(s.finished for s in sessions):
+            engine.step_batch([s for s in sessions if not s.finished])
+        good = [s for i, s in enumerate(world["samples"]) if i != 3]
+        assert [list(s.committed) for s in sessions] == _solo_tokens(world, good)
 
     def test_bad_image_faults_only_its_request(self, world):
         bad = dataclasses.replace(

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro.models.llama as llama_mod
+import repro.models.llava as llava_mod
 from repro.core.hybrid_cache import HybridKVCache
 from repro.core.reference import ReferenceHybridKVCache, ReferenceKVCache
 from repro.data.tasks import make_dataset
@@ -234,6 +235,37 @@ class TestTargetForward:
             same_output(out_s, out_f)
             same_cache(cache_s, cache_f)
             assert np.array_equal(first[i], prefill(world, i)[1])
+
+    def test_the_prefill_row_budget_changes_no_bit(self, smoke_zoo, world, monkeypatch):
+        # 16 zoo requests, one of them longer than the budget on its own
+        target = world["target"]
+        tokenizer = smoke_zoo.tokenizer()
+        samples = make_dataset("coco-sim", 16, seed=5).samples
+        images = [s.image for s in samples]
+        prompts = [encode_prompt(tokenizer, s) for s in samples]
+        prompts[5] = np.resize(prompts[5], llava_mod.PREFILL_ROWS)
+        forwards = []
+        infer = llama_mod.MiniLlama._infer_rows
+
+        def count(self, x, *args):
+            forwards.append(x.shape[1])
+            return infer(self, x, *args)
+
+        monkeypatch.setattr(llama_mod.MiniLlama, "_infer_rows", count)
+        budgeted = target.prefill_batch(images, prompts)
+        groups = list(forwards)
+        monkeypatch.setattr(llava_mod, "PREFILL_ROWS", 1 << 30)
+        whole = target.prefill_batch(images, prompts)
+        # several groups, each within the budget unless it is the long request alone
+        n_vis = target.n_vision_tokens
+        assert len(groups) > 2 and sum(groups) == forwards[-1]
+        assert n_vis + len(prompts[5]) in groups
+        assert all(n <= llava_mod.PREFILL_ROWS for n in groups if n != n_vis + len(prompts[5]))
+        assert len(budgeted[0]) == len(whole[1]) == 16
+        for cache_b, logits_b, cache_w, logits_w in zip(*budgeted, *whole):
+            same_cache(cache_w, cache_b)
+            assert cache_w.segments == cache_b.segments
+            assert np.array_equal(logits_w, logits_b)
 
     @pytest.mark.parametrize("cache_cls", [None, ReferenceKVCache],
                              ids=["arena", "reference"])

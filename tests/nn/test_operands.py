@@ -3,7 +3,7 @@
 While an engine serves a model, every no-grad forward reads its weights
 and scales through :func:`repro.nn.kernels.operand` — float64 arrays built
 once instead of numpy casting the float32 weight on every product
-(``docs/kernels.md`` §2, §5).  Three things make that safe, and each has
+(``docs/kernels.md`` §2, §5).  Four things make that safe, and each has
 a case here:
 
 * the prepared operand *is* the buffer the mixed-dtype product builds, so
@@ -12,6 +12,9 @@ a case here:
 * an operand can never be stale: replacing a parameter's array (an
   optimizer step, ``load_state_dict``, ``init_from_target``) rebuilds it,
   and an in-place write to a weight with a live operand raises;
+* the operand is a served weight's one stored copy, and that is invisible:
+  every raw read sees the float32 array an unpinned twin holds, and a
+  release hands back a writeable one, bit-identical;
 * operands die with the last engine that pinned them.
 """
 
@@ -23,7 +26,9 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core import AASDDraftHead, DraftHeadConfig, HybridKVCache
+from repro.core import (
+    AASDDraftHead, AASDEngine, AASDEngineConfig, DraftHeadConfig, HybridKVCache,
+)
 from repro.core.kv_projector import KVProjector
 from repro.data.tasks import make_dataset
 from repro.decoding import CostModel, get_profile
@@ -35,6 +40,7 @@ from repro.nn.kernels import operand, pin_operands
 from repro.nn.layers import Linear
 from repro.nn.optim import SGD
 from repro.nn.tensor import no_grad
+from repro.serving import STATUS_COMPLETED, ServingConfig, serve_requests
 from repro.zoo import PROFILE_SMOKE, ModelZoo
 
 ROWS = range(1, 18)          # M: solo steps, verify / tree feeds, prefills
@@ -94,9 +100,10 @@ def test_prepared_product_is_the_mixed_dtype_product(name, tokenizer):
     assert len(seen) >= 4
 
 
-def _tiny(seed):
+def _tiny(seed, vocab_size=60):
     """A random sim-112m-llava target (9 vision tokens) and a head over it."""
-    target = MiniLlava(get_config("sim-112m-llava", 60), rng=np.random.default_rng(seed))
+    target = MiniLlava(get_config("sim-112m-llava", vocab_size),
+                       rng=np.random.default_rng(seed))
     head = AASDDraftHead(DraftHeadConfig.for_target(
         target.config.llama, n_vision_tokens=target.n_vision_tokens, k_compressed=4,
     ), rng=np.random.default_rng(seed + 1))
@@ -194,6 +201,86 @@ class TestInvalidation:
         assert operand(weight, transpose=True) is prepared
         second()
         assert operand(weight, transpose=True).base is weight.data
+
+
+def _params(models):
+    target, head = models
+    return [*target.parameters(), *head.parameters()]
+
+
+class TestPinningIsInvisible:
+    """A served model's weights read exactly as an unpinned twin's.
+
+    Once an engine's forwards have built a float32 weight's operand, the
+    float64 operand is the weight's one stored copy; every raw read —
+    ``param.data``, ``state_dict``, the ``Module`` forward, an optimizer —
+    must still see the float32 array the twin holds.
+    """
+
+    @pytest.fixture
+    def served(self, tokenizer):
+        models = _tiny(0, tokenizer.vocab_size)
+        twin = _tiny(0, tokenizer.vocab_size)
+        engine = AASDEngine(*models, tokenizer, CostModel(get_profile("sim-7b")),
+                            AASDEngineConfig(gamma=3, max_new_tokens=8))
+        # packed_batch16's shape: one admission of 16, then packed rounds
+        samples = make_dataset("coco-sim", 16, seed=3).samples
+        report = serve_requests(engine, samples, ServingConfig(max_batch_size=16))
+        assert report.count(STATUS_COMPLETED) == 16
+        alive = [engine]
+        del engine, report
+        yield models, twin, alive
+
+    def test_a_serve_rebuilds_no_weight_read_only_through_its_operand(self, served):
+        models, twin, _ = served
+        target, head = models
+        # the tied embeddings' lookups read the float32 table: the one rebuild
+        tied = {id(target.llama.embed.weight), id(head.embed.weight)}
+        built = [p for p in _params(models) if p.pin.array is not None]
+        assert len(built) > len(tied) and all(p.pin.array.dtype == np.float64 for p in built)
+        for p, q in zip(_params(models), _params(twin)):
+            assert (p.shape, p.dtype, p.size) == (q.shape, q.dtype, q.size)
+        # answering shape / dtype / size rebuilt nothing either
+        for p in built:
+            assert (p.stored is p.pin.array) == (id(p) not in tied)
+
+    def test_raw_reads_see_the_twins_arrays(self, served):
+        models, twin, _ = served
+        for p, q in zip(_params(models), _params(twin)):
+            assert p.data.dtype == q.data.dtype == np.float32
+            assert p.data.shape == q.data.shape
+            assert p.data.tobytes() == q.data.tobytes()
+        for mine, theirs in zip(models, twin):
+            state, expected = mine.state_dict(), theirs.state_dict()
+            assert list(state) == list(expected)
+            for name in state:
+                assert state[name].dtype == expected[name].dtype
+                assert state[name].tobytes() == expected[name].tobytes()
+
+    def test_the_module_forward_and_an_sgd_step_match_the_twins(self, served):
+        models, twin, _ = served
+        sample = make_dataset("coco-sim", 1, seed=3).samples[0]
+        prompt = np.array([1, 5, 7, 9])
+        for spec, fast in zip(_forwards(*models, sample.image, prompt),
+                              _forwards(*twin, sample.image, prompt)):
+            assert np.array_equal(spec, fast)
+        rng = np.random.default_rng(2)
+        for p, q in zip(_params(models), _params(twin)):
+            p.grad = q.grad = rng.standard_normal(q.shape).astype(q.dtype)
+        SGD(_params(models), lr=0.05).step()
+        SGD(_params(twin), lr=0.05).step()
+        for p, q in zip(_params(models), _params(twin)):
+            assert p.data.dtype == q.data.dtype
+            assert p.data.tobytes() == q.data.tobytes()
+
+    def test_release_restores_the_pinned_arrays(self, served):
+        models, twin, alive = served
+        alive.clear()
+        gc.collect()
+        for p, q in zip(_params(models), _params(twin)):
+            assert p.pin is None
+            assert p.data.flags.c_contiguous and p.data.flags.writeable
+            assert p.data.dtype == q.data.dtype and p.data.tobytes() == q.data.tobytes()
 
 
 def test_operands_die_with_the_last_engine(smoke_zoo):

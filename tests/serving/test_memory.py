@@ -6,6 +6,9 @@ import json
 
 import pytest
 
+from repro.decoding import CostModel, get_profile
+from repro.eval import build_aasd_engine
+from repro.nn.kernels import operand
 from repro.serving import ServingConfig, serve_requests
 from repro.serving.memory import (
     OWNERS, CallSample, MemoryProbe, MemoryTable, render_memory,
@@ -27,18 +30,39 @@ def test_probe_samples_every_call_and_changes_no_token(world, make_engine):
     first = table.calls[0]
     assert (first.kind, first.batch) == ("admission", 4)
     assert {c.kind for c in table.calls[1:]} == {"round"}
-    params = {id(p.data): p.data for p in [*engine.target.parameters(),
-                                           *engine.head.parameters()]}
-    assert first.owners_mb["parameters"] == pytest.approx(
-        sum(a.nbytes for a in params.values()) / 2**20)
-    # the float32 weights' float64 copies that the forwards read
-    assert first.owners_mb["pinned operands"] > 0
+    # each weight counts once: its one stored array, read without a rebuild
+    # (a pinned weight read only through its operand keeps the operand alone)
+    last = table.calls[-1]
+    stored = {id(p.stored): p.stored for p in [*engine.target.parameters(),
+                                               *engine.head.parameters()]}
+    assert last.owners_mb["parameters"] == pytest.approx(
+        sum(a.nbytes for a in stored.values()) / 2**20)
+    # the true duplicates: each tied embedding's transposed float64 operand
+    # beside the float32 table its lookups read
+    tied = [engine.target.llama.embed.weight, engine.head.embed.weight]
+    assert last.owners_mb["pinned operands"] == pytest.approx(
+        sum(operand(w, transpose=True).nbytes for w in tied) / 2**20)
     assert first.owners_mb["target KV reserved"] >= first.owners_mb["target KV live"] > 0
     assert first.owners_mb["draft state"] > 0 and first.transient_mb > 0
     assert [row[0] for row in table.rows()] == [*OWNERS, "forward transient",
                                                 "rest of process"]
     json.dumps(table.to_dict())
     assert "forward transient" in render_memory(table)
+
+
+def test_a_sixteen_request_admission_keeps_its_transient_small(smoke_zoo):
+    # the row-budgeted prefill bounds an admission's activations however
+    # many requests it holds; one unbudgeted forward over all 16 (~800
+    # rows) peaks about 7.6 MB above what the admission keeps
+    engine = build_aasd_engine(smoke_zoo, "sim-7b", 3, CostModel(get_profile("sim-7b")))
+    samples = smoke_zoo.eval_dataset("coco-sim", 16).samples
+    engine.begin_batch(samples)        # warm: operands built, RoPE tables grown
+    probe = MemoryProbe(engine)
+    sessions = engine.begin_batch(samples)
+    probe.detach()
+    (call,) = probe.calls
+    assert all(not isinstance(s, Exception) for s in sessions)
+    assert call.batch == 16 and call.transient_mb < 3.0
 
 
 def test_the_peak_is_split_at_the_call_that_set_it():
