@@ -8,16 +8,16 @@ resilience invariant held.
 
 Unlike the pytest-benchmark suites in this directory this is a plain
 CLI — the chaos CI job runs ``python benchmarks/bench_chaos.py --quick``
-and uploads the JSON report as an artifact, so availability regressions
-show up as artifact diffs rather than red builds.
+and uploads the JSON report as an artifact, so availability and
+server-clock changes show up as artifact diffs.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_chaos.py [--quick] [--seed N]
         [--repeats N] [--out results/chaos]
 
-Exit status is non-zero when any storm violates an invariant (the CI job
-is ``continue-on-error``, so this marks the job without blocking merges).
+Exit status is non-zero when any storm violates an invariant, which fails
+the (blocking) chaos CI job.
 """
 
 from __future__ import annotations

@@ -105,6 +105,8 @@ class AASDDraftHead(Module, Drafter):
     name = "ours"
     #: A step attends any root path of the draft segment (``ancestor_rows``).
     supports_tree = True
+    #: One lockstep step is one batched head forward over the hybrid KV.
+    step_phase = "head"
     #: Figure 4 ablation: context segments hidden from every draft step
     #: (set on a weight-sharing view by :meth:`ablate_kv`).
     disable_image_kv = False
@@ -241,15 +243,12 @@ class AASDDraftHead(Module, Drafter):
             hybrid.append_context(k_own, v_own, positions, SEGMENT_TEXT)
         return hybrid
 
-    def prefill_ms(self, cost: CostModel, n_requests: int = 1) -> float:
+    @property
+    def prefill_phase(self) -> Optional[str]:
         """One projector application per request (or the head's own prompt encode)."""
         if not self.config.use_target_kv:
-            return n_requests * cost.draft_prefill()
-        return n_requests * cost.projector() if self.projector is not None else 0.0
-
-    def step_ms(self, cost: CostModel, kv_lens: Sequence[int]) -> float:
-        """One batched head forward; a single row is :meth:`CostModel.aasd_step`."""
-        return cost.batched_aasd_step(kv_lens)
+            return "draft_prefill"
+        return "projector" if self.projector is not None else None
 
     def rollback(self, hybrid: HybridKVCache) -> None:
         """Drop the draft segment (a pointer decrement)."""
@@ -274,7 +273,7 @@ class AASDDraftHead(Module, Drafter):
             return 0.0
         k_own, v_own = self.self_encode(np.asarray(tokens, dtype=np.int64), positions)
         hybrid.append_context(k_own, v_own, positions, SEGMENT_TEXT)
-        return cost.draft_sync(len(tokens))
+        return cost.price("sync", (len(tokens),))
 
     def check(self, hybrid: HybridKVCache) -> None:
         """Structural and numeric invariants of the hybrid cache."""

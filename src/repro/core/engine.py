@@ -16,8 +16,8 @@ This is the paper's Figure 2a pipeline:
 
 One drafter seam: what is particular to the speculating module — its
 per-request state, how that is opened, stepped, rolled back and extended
-over a verified block, and what each costs on the simulated clock — sits
-behind :class:`~repro.decoding.speculative.Drafter`.  The engine runs the
+over a verified block, and which cost-model phase each call is priced as —
+sits behind :class:`~repro.decoding.speculative.Drafter`.  The engine runs the
 same round over whichever drafter it is handed as ``head``: the KV-reusing
 :class:`~repro.core.draft_head.AASDDraftHead` or an independent draft of
 Table 1, so every guarantee below covers the baselines too.
@@ -84,7 +84,7 @@ from ..robustness.guards import ensure_finite
 from ..tokenizer import WordTokenizer
 from ..decoding.adaptive import FixedGamma, GammaController
 from ..utils.rng import derive
-from ..utils.timing import WallTimer
+from ..utils.timing import SimulatedClock, WallTimer
 from .kv_arena import ArenaStats, combined_stats
 
 __all__ = ["AASDEngineConfig", "AASDEngine", "DecodeSession", "StepReport"]
@@ -198,8 +198,9 @@ class _PackedDraftState:
 
     Holds the verify anchor, the :class:`DraftWalk` growing the block
     below it (a chain is its width-1 tree), the solo-priced draft charge
-    the deadline check compares to the session's budget, and how the
-    draft phase ended for this session.
+    the deadline check compares to the session's budget, how the draft
+    phase ended for this session and what absorbing its verified block
+    cost.
     """
 
     slot: int                       #: index of the session in the round
@@ -210,8 +211,9 @@ class _PackedDraftState:
     open_len: int                   #: draft-state ``seq_len`` at block open
     walk: DraftWalk                 #: the block, grown one expansion per lane step
     pos: int = 0                    #: position of the last token fed (fault reports)
-    kv_lens: List[int] = field(default_factory=list)      #: keys attended per draft forward
+    n_forwards: int = 0             #: draft forwards charged to this block
     draft_ms: float = 0.0           #: solo-priced draft charge (budget check)
+    absorb_ms: float = 0.0          #: the drafter's charge for absorbing the block
     faulted: bool = False           #: a draft fault emptied this block
     failure: Optional[Exception] = None   #: the fault, when it is the session's outcome
 
@@ -223,20 +225,16 @@ class _PackedDraftState:
 
 @dataclass(frozen=True)
 class StepReport:
-    """What one round did for one session, for batched cost grouping.
+    """What one round did for one session.
 
-    The serving scheduler uses the step composition — how many tokens the
-    target forward fed, the KV length of every draft step and what the
-    drafter charged for absorbing the verified block — to charge the
-    *batched* cost of a round to the server clock, while the session's own
-    :class:`DecodeRecord` keeps solo-priced attribution.
+    A scheduler reads how the step ended and the speculation counts its
+    circuit breaker watches; the prices of the step's model calls were
+    already charged where the calls ran (:meth:`AASDEngine.step_batch`).
     """
 
     kind: str                           #: ``"verify"``, ``"fallback"``, or ``"expired"``
-    feed_size: int                      #: tokens fed to the target forward
-    draft_kv_lens: Tuple[int, ...]      #: keys attended per draft step
+    n_draft_forwards: int = 0           #: draft forwards run for this session
     n_accepted: int = 0                 #: draft tokens accepted (verify only)
-    absorb_ms: float = 0.0              #: the drafter's charge for absorbing the block
 
 
 class AASDEngine(Decoder):
@@ -317,11 +315,11 @@ class AASDEngine(Decoder):
     def _charge_draft_forward(self, state: _PackedDraftState, sp, kv_len: int) -> None:
         """Solo-price one draft forward over ``kv_len`` keys *before* it runs."""
         step_ms = state.session.record.charge_sim(
-            self.head.step_ms(self.cost_model, (kv_len,)), "draft"
+            self.cost_model.price(self.head.step_phase, (1,), (kv_len,)), "draft"
         )
         sp.add_sim_ms(step_ms)
         state.draft_ms += step_ms
-        state.kv_lens.append(kv_len)
+        state.n_forwards += 1
 
     def _draft_fault(self, state: _PackedDraftState, exc: Exception, sp) -> None:
         """The one draft-fault rule: drop the block, then degrade or fail.
@@ -430,31 +428,42 @@ class AASDEngine(Decoder):
 
     def _prefill_isolated(
         self, images: Sequence[np.ndarray], prompts: Sequence[np.ndarray],
-    ) -> List[Union[Tuple[object, np.ndarray], Exception]]:
-        """One batched target prefill; ``(cache, last_logits)`` or the fault, per request.
+    ) -> Tuple[List[Union[Tuple[object, np.ndarray], Exception]],
+               List[Tuple[List[int], List[int]]]]:
+        """Batched target prefill: per request ``(cache, last_logits)`` or the fault.
 
         A group's failure (e.g. one malformed image makes its image stack
         ragged) must not take down the whole admission: that group is
         redone one request at a time, so only the requests that genuinely
-        fault are failed, and the groups that completed stand.
+        fault are failed, and the groups that completed stand.  Also
+        returns each :meth:`MiniLlava.prefill_batch` call made, as the
+        requests it ran and the requests it prefilled.
         """
-        try:
-            caches, logit_rows = self.target.prefill_batch(list(images), list(prompts))
-            return list(zip(caches, logit_rows))
-        except Exception as exc:
-            log_exception(logger, "prefill_fault", exc, batch=len(images))
-            groups = (exc.outcomes if isinstance(exc, PrefillGroupError)
-                      else [(range(len(images)), exc)])
-        results: List[Union[Tuple[object, np.ndarray], Exception]] = []
-        for members, outcome in groups:
-            if not isinstance(outcome, Exception):
-                results.extend(zip(*outcome))
-            elif len(members) == 1:
-                results.append(outcome)
-            else:
-                results.extend(self._prefill_isolated([images[i]], [prompts[i]])[0]
-                               for i in members)
-        return results
+        results: List[Union[Tuple[object, np.ndarray], Exception]] = [None] * len(images)
+        calls: List[Tuple[List[int], List[int]]] = []
+        pending = [list(range(len(images)))]
+        while pending:
+            ran = pending.pop(0)
+            done: List[int] = []
+            calls.append((ran, done))
+            try:
+                groups = [(range(len(ran)), self.target.prefill_batch(
+                    [images[i] for i in ran], [prompts[i] for i in ran]))]
+            except Exception as exc:
+                log_exception(logger, "prefill_fault", exc, batch=len(ran))
+                groups = (exc.outcomes if isinstance(exc, PrefillGroupError)
+                          else [(range(len(ran)), exc)])
+            for members, outcome in groups:
+                rows = [ran[j] for j in members]
+                if not isinstance(outcome, Exception):
+                    done.extend(rows)
+                    for i, result in zip(rows, zip(*outcome)):
+                        results[i] = result
+                elif len(rows) == 1:
+                    results[rows[0]] = outcome
+                else:
+                    pending.extend([i] for i in rows)
+        return results, calls
 
     def _open_session(self, sample: MultimodalSample, record: Optional[DecodeRecord],
                       prompt_ids: np.ndarray, controller: Optional[GammaController],
@@ -474,7 +483,8 @@ class AASDEngine(Decoder):
                 record.request_id = request_id
             if controller is None:
                 controller = self.gamma_controller
-            sp.add_sim_ms(record.charge_sim(self.cost_model.target_prefill(), "prefill"))
+            sp.add_sim_ms(record.charge_sim(
+                self.cost_model.price("prefill", (n_vis + len(prompt_ids),)), "prefill"))
             record.count_target_forward()
             session = DecodeSession(
                 sample=sample,
@@ -490,9 +500,9 @@ class AASDEngine(Decoder):
             )
             try:
                 session.draft_state = self.head.open(sample, prompt_ids, target_cache)
-                sp.add_sim_ms(
-                    record.charge_sim(self.head.prefill_ms(self.cost_model), "prefill")
-                )
+                phase = self.head.prefill_phase
+                if phase is not None:
+                    sp.add_sim_ms(record.charge_sim(self.cost_model.price(phase, (1,)), "prefill"))
                 if cfg.guard_cache:
                     self.head.check(session.draft_state)
             except Exception as exc:  # any drafter fault degrades, never aborts
@@ -517,6 +527,7 @@ class AASDEngine(Decoder):
         max_new_tokens: Optional[Sequence[Optional[int]]] = None,
         gamma_controllers: Optional[Sequence[Optional[GammaController]]] = None,
         request_ids: Optional[Sequence[Optional[str]]] = None,
+        clock: Optional[SimulatedClock] = None,
     ) -> List[Union[DecodeSession, Exception]]:
         """Prefill B requests as packed forwards; per-request outcomes.
 
@@ -535,10 +546,12 @@ class AASDEngine(Decoder):
         group the images are encoded in one vision call and the LM
         prefill runs cu-seqlen-packed (:meth:`MiniLlava.prefill_batch`),
         bitwise token-identical to B one-request prefills.  The round is traced
-        as one ``prefill`` span; each record is charged the solo
-        ``target_prefill`` price, then its drafter's own prefill share,
-        and each session's draft state is opened from its own target
-        cache.
+        as one ``prefill`` span; each record is charged the one-row
+        ``prefill`` price, then its drafter's ``prefill_phase``, and each
+        session's draft state is opened from its own target cache.  A
+        server ``clock`` is charged once per ``prefill_batch`` call: the
+        ``prefill`` price over the rows it ran plus the drafter's price
+        over the sessions it opened.
         """
         n = len(samples)
         recs = list(records) if records is not None else [None] * n
@@ -558,9 +571,9 @@ class AASDEngine(Decoder):
                 except Exception as exc:
                     log_exception(logger, "prefill_fault", exc, request_id=rids[i])
                     outcomes[i] = exc
-            prefilled = self._prefill_isolated(
+            prefilled, calls = self._prefill_isolated(
                 [samples[i].image for i, _ in live], [ids for _, ids in live]
-            ) if live else []
+            ) if live else ([], [])
             for (i, prompt_ids), result in zip(live, prefilled):
                 if isinstance(result, Exception):
                     outcomes[i] = result
@@ -569,6 +582,14 @@ class AASDEngine(Decoder):
                         samples[i], recs[i], prompt_ids, ctrls[i], mnts[i], rids[i],
                         *result, sp,
                     )
+            if clock is not None:
+                n_vis, phase = self.target.n_vision_tokens, self.head.prefill_phase
+                for ran, done in calls:
+                    ms = self.cost_model.price("prefill", [n_vis + len(live[j][1]) for j in ran])
+                    opened = sum(isinstance(outcomes[live[j][0]], DecodeSession) for j in done)
+                    if phase is not None and opened:
+                        ms += self.cost_model.price(phase, [1] * opened)
+                    clock.charge(ms, "prefill")
         return outcomes
 
     def step(
@@ -597,23 +618,33 @@ class AASDEngine(Decoder):
         *,
         budgets_ms: Optional[Sequence[Optional[float]]] = None,
         force_fallback: bool = False,
+        clock: Optional[SimulatedClock] = None,
     ) -> List[Union[StepReport, Exception]]:
         """Advance B sessions one block each: the one draft / verify / commit round.
 
         Every decode step of the system is this method; a solo step is
         its one-row case, which runs the solo GEMM shapes.  Sessions are
         mutated in place (committed tokens, caches, fault state, record
-        charges).  Returns one entry per session, in input order: the
-        :class:`StepReport` of the step's composition, from which a
-        scheduler prices the round — or the exception that session's step
+        charges).  Returns one entry per session, in input order: its
+        :class:`StepReport` — or the exception that session's step
         raised, which fails that session alone.  (A failure of the shared
         verify forward is nobody's in particular and propagates, as does
         :class:`~repro.errors.DecodingError` for a finished session.)
 
+        Pricing: every model call is priced once, by
+        :meth:`~repro.decoding.cost_model.CostModel.price`, where it
+        runs.  Each session's record is charged the one-row price of the
+        calls made for it; a server ``clock`` is charged each call's price
+        over all its rows — one ``draft`` charge per ``step_packed`` call,
+        one ``verify`` charge per ``decode_batch`` call, then one of the
+        round's summed absorbs, and per fallback ``decode`` call one
+        ``fallback`` step charge and its absorb.
+
         The round has one shape:
 
         1. **Fallback lane** — sessions no longer speculating, and every
-           session under ``force_fallback``, take one plain target step.
+           session under ``force_fallback``, take one plain target step
+           (one ``decode`` call each).
            ``force_fallback`` neither consults nor advances the gamma
            controller but still maintains the draft context — the circuit
            breaker uses it to flip a batch target-only temporarily, so
@@ -639,8 +670,8 @@ class AASDEngine(Decoder):
            session keeps its partial generation but stops consuming
            verify compute for tokens a dead request could never use.  The
            check prices the draft solo, a documented approximation of its
-           batched share (always within one phase of the scheduler's own
-           round-boundary accounting).
+           share of the batched draft calls the server clock is charged
+           (budgets are checked against that clock at round boundaries).
         4. **Nothing drafted** (a fault emptied the block) — one plain
            target step, as in lane 1.
         5. **Verify lane**, one ``verify`` span — one cu-seqlen-packed
@@ -673,7 +704,7 @@ class AASDEngine(Decoder):
                 if session.speculating and not force_fallback:
                     drafting.append(i)
                 else:
-                    outcomes[i] = self._fallback_step(session, forced=force_fallback)
+                    outcomes[i] = self._fallback_step(session, clock, forced=force_fallback)
             if not drafting:
                 return outcomes  # type: ignore[return-value]
 
@@ -681,7 +712,7 @@ class AASDEngine(Decoder):
                 states = [self._open_block(i, sessions[i], tree) for i in drafting]
                 sp.set_attr("batch", len(states))
                 sp.set_attr("gamma", max(st.gamma for st in states))
-                self._draft(states, sp)
+                self._draft(states, sp, clock)
                 for st in states:
                     if self.config.guard_cache and not st.faulted:
                         try:
@@ -702,16 +733,13 @@ class AASDEngine(Decoder):
                         sp.set_attr("expired", True)
                         self.head.rollback(st.session.draft_state)
                         outcomes[st.slot] = StepReport(
-                            kind="expired", feed_size=0,
-                            draft_kv_lens=tuple(st.kv_lens),
-                        )
+                            kind="expired", n_draft_forwards=st.n_forwards)
                 sp.set_attr("n_draft", sum(len(st.drafted) for st in states))
 
             for st in states:
                 if outcomes[st.slot] is None and not st.drafted:
                     outcomes[st.slot] = self._fallback_step(
-                        st.session, draft_kv_lens=tuple(st.kv_lens)
-                    )
+                        st.session, clock, n_draft_forwards=st.n_forwards)
 
             verifying = [st for st in states if outcomes[st.slot] is None]
             if verifying:
@@ -720,13 +748,17 @@ class AASDEngine(Decoder):
                     sp.set_attr("n_draft", sum(len(st.drafted) for st in verifying))
                     caches = [st.session.target_cache for st in verifying]
                     verify_starts = [cache.seq_len for cache in caches]
+                    feeds = [np.asarray([st.last, *st.drafted], dtype=np.int64)
+                             for st in verifying]
+                    if clock is not None:
+                        clock.charge(self.cost_model.price("verify", [len(f) for f in feeds]),
+                                     "verify")
                     # Chain rows are written to the cache and truncated to
                     # the accepted prefix; tree rows carry per-branch
                     # positions and ancestor masks and are never written
                     # — the accepted root path is gathered in afterwards.
                     outs = self.target.decode_batch(
-                        [np.asarray([st.last, *st.drafted], dtype=np.int64)
-                         for st in verifying],
+                        feeds,
                         caches,
                         update_cache=not tree,
                         position_rows=[
@@ -747,17 +779,22 @@ class AASDEngine(Decoder):
                             log_exception(logger, "step_fault", exc,
                                           request_id=st.session.request_id)
                             outcomes[st.slot] = exc
+                    if clock is not None:
+                        clock.charge(sum(st.absorb_ms for st in verifying), "verify")
                     sp.set_attr("n_accepted", n_accepted)
         return outcomes  # type: ignore[return-value]
 
-    def _fallback_step(self, session: DecodeSession, *, forced: bool = False,
-                       draft_kv_lens: Tuple[int, ...] = ()) -> Union[StepReport, Exception]:
+    def _fallback_step(self, session: DecodeSession, clock: Optional[SimulatedClock], *,
+                       forced: bool = False,
+                       n_draft_forwards: int = 0) -> Union[StepReport, Exception]:
         """One plain autoregressive target step under a ``fallback`` span.
 
         While the session still speculates (a forced step, or a block
         whose draft came up empty) the drafter absorbs the forward, so
-        its state is in sync for the next block.  What the step raises
-        is the session's outcome, not its batch-mates'.
+        its state is in sync for the next block.  The ``decode`` call is
+        a one-row ``step``: the record and a server ``clock`` are charged
+        its price and the absorb's.  What the step raises is the
+        session's outcome, not its batch-mates'.
         """
         try:
             with self.tracer.span("fallback") as sp:
@@ -766,24 +803,25 @@ class AASDEngine(Decoder):
                 record = session.record
                 committed = session.committed
                 last = committed[-1]
+                step_ms = self.cost_model.target_step()
+                if clock is not None:
+                    clock.charge(step_ms, "fallback")
                 out = self.target.decode(
                     np.asarray([[last]], dtype=np.int64), session.target_cache
                 )
-                sp.add_sim_ms(record.charge_sim(self.cost_model.target_step(), "fallback"))
+                sp.add_sim_ms(record.charge_sim(step_ms, "fallback"))
                 record.count_target_forward()
                 record.count_fallback_step()
                 token = self.sampler.sample(out.logits.data[0, -1], rng=session.rng)
-                absorb_ms = 0.0
                 if session.speculating:
                     absorb_ms = self._absorb(
                         session, out, (last,),
                         session.gen_base + len(committed) - 1, "fallback", sp,
                     )
+                    if clock is not None:
+                        clock.charge(absorb_ms, "fallback")
                 committed.append(token)
-                return StepReport(
-                    kind="fallback", feed_size=1, draft_kv_lens=draft_kv_lens,
-                    absorb_ms=absorb_ms,
-                )
+                return StepReport(kind="fallback", n_draft_forwards=n_draft_forwards)
         except Exception as exc:  # isolate the fault to this session
             log_exception(logger, "step_fault", exc, request_id=session.request_id)
             return exc
@@ -805,23 +843,31 @@ class AASDEngine(Decoder):
             gamma=gamma, open_len=session.draft_state.seq_len, walk=walk,
         )
 
-    def _draft(self, states: Sequence[_PackedDraftState], sp) -> None:
+    def _draft(self, states: Sequence[_PackedDraftState], sp,
+               clock: Optional[SimulatedClock]) -> None:
         """Grow every session's block in lockstep, one expansion index at a time.
 
         At expansion ``e`` each unfaulted session whose walk has a pending
         node is charged that forward, solo-priced, and all of them share
         **one** ``step_packed`` call, each row attending its node's root
-        path.  Each walk keeps its own DFS order, so a session drafts the
-        block it would draft alone (:meth:`AASDDraftHead.draft_tree`).
+        path, which a server ``clock`` is charged at the drafter's
+        ``step_phase`` over those rows.  Each walk keeps its own DFS
+        order, so a session drafts the block it would draft alone
+        (:meth:`AASDDraftHead.draft_tree`).
         """
         for expansion in count():
             active = [st for st in states if not st.faulted and st.walk.pending is not None]
             if not active:
                 return
             nodes = [st.walk.pending for st in active]
-            for st, (_, depth, ancestors) in zip(active, nodes):
+            kv_lens = [st.open_len + len(ancestors) + 1 for st, (_, _, ancestors)
+                       in zip(active, nodes)]
+            for st, (_, depth, _), kv_len in zip(active, nodes, kv_lens):
                 st.pos = st.last_pos + depth
-                self._charge_draft_forward(st, sp, st.open_len + len(ancestors) + 1)
+                self._charge_draft_forward(st, sp, kv_len)
+            if clock is not None:
+                clock.charge(self.cost_model.price(
+                    self.head.step_phase, [1] * len(active), kv_lens), "draft")
             try:
                 logit_rows = self.head.step_packed(
                     [token for token, _, _ in nodes],
@@ -862,7 +908,7 @@ class AASDEngine(Decoder):
         record = session.record
         draft = state.walk.draft
         n_draft = draft.n_nodes
-        sp.add_sim_ms(record.charge_sim(self.cost_model.target_verify(n_draft + 1), "verify"))
+        sp.add_sim_ms(record.charge_sim(self.cost_model.price("verify", (n_draft + 1,)), "verify"))
         record.count_target_forward()
         outcome = speculative_verify(
             draft, state.walk.probs, out.logits.data[0], self.sampler.config, session.rng,
@@ -887,18 +933,13 @@ class AASDEngine(Decoder):
             )
         )
         session.gamma_controller.update(outcome.n_accepted, draft.max_depth)
-        absorb_ms = self._absorb(
+        state.absorb_ms = self._absorb(
             session, out, (state.last, *outcome.accepted), state.last_pos,
             "verify", sp, rows=rows,
         )
         session.commit(outcome.accepted, outcome.next_token)
-        return StepReport(
-            kind="verify",
-            feed_size=n_draft + 1,
-            draft_kv_lens=tuple(state.kv_lens),
-            n_accepted=outcome.n_accepted,
-            absorb_ms=absorb_ms,
-        )
+        return StepReport(kind="verify", n_draft_forwards=state.n_forwards,
+                          n_accepted=outcome.n_accepted)
 
     def finish(self, session: DecodeSession) -> DecodeRecord:
         """Finalize a session: detokenize and return its record.

@@ -39,8 +39,9 @@ class Drafter(ABC):
     ``state.seq_len`` (keys the next step attends before its own) and, if
     present, ``state.arena_stats()``.
 
-    The drafter also prices itself on the simulated clock, so neither the
-    engine nor the scheduler knows which cost family a drafter bills.
+    A drafter names the cost-model phases its calls are priced as
+    (:meth:`~repro.decoding.cost_model.CostModel.price`); the engine
+    charges them, so it never knows which cost family a drafter bills.
     """
 
     #: Table label of an engine running this drafter (``ours``, ``sd(ft-llama)``).
@@ -48,6 +49,11 @@ class Drafter(ABC):
     #: Whether a step accepts strict-subset ``ancestor_rows`` (else rounds
     #: draft chains, whose every step attends the whole block).
     supports_tree: bool = False
+    #: Cost-model phase of one :meth:`step_packed` call.
+    step_phase: str = "draft"
+    #: Cost-model phase of one :meth:`open`, beyond the target prefill
+    #: (``None``: opening costs nothing more).
+    prefill_phase: Optional[str] = None
 
     def check_target(self, target: MiniLlava) -> None:
         """Raise :class:`~repro.errors.DecodingError` if ``target`` cannot be served."""
@@ -59,10 +65,6 @@ class Drafter(ABC):
     @abstractmethod
     def open(self, sample: MultimodalSample, prompt_ids: np.ndarray, target_cache):
         """Open one request's draft state from its finished target prefill."""
-
-    @abstractmethod
-    def prefill_ms(self, cost: CostModel, n_requests: int = 1) -> float:
-        """Simulated ms :meth:`open` costs ``n_requests`` requests, beyond the target prefill."""
 
     @abstractmethod
     def step_packed(self, token_ids: Sequence[int], positions: Sequence[int],
@@ -78,14 +80,6 @@ class Drafter(ABC):
         """
 
     @abstractmethod
-    def step_ms(self, cost: CostModel, kv_lens: Sequence[int]) -> float:
-        """Simulated ms of one lockstep step whose rows attend ``kv_lens`` keys.
-
-        One row is the solo price a request's record is charged; the rows
-        of a round are what the server clock is charged.
-        """
-
-    @abstractmethod
     def rollback(self, state) -> None:
         """Drop the speculated, unverified block from ``state``."""
 
@@ -93,6 +87,9 @@ class Drafter(ABC):
     def absorb(self, state, out, tokens: Sequence[int], positions: np.ndarray,
                cost: CostModel, rows: Optional[np.ndarray] = None) -> float:
         """Extend ``state`` over a verified block; returns the simulated ms it cost.
+
+        The ms are the :meth:`CostModel.price` of the forwards this runs
+        (``0.0`` when it runs none).
 
         ``tokens`` are the block's anchor and accepted drafts, now
         committed, at absolute ``positions``; ``out`` is the target
@@ -134,9 +131,12 @@ class _CachedLMDraft(Drafter):
     """A separate causal LM drafting from its own cache, one row at a time.
 
     Rows of a lockstep step run one by one, so a packed round equals the
-    sequential one by construction, and the round is priced as that many
-    solo draft steps.
+    sequential one by construction, and the ``draft`` phase prices each
+    extra row as one more solo step.
     """
+
+    step_phase = "draft"
+    prefill_phase = "draft_prefill"
 
     def __init__(self, label: str) -> None:
         self.name = f"sd({label})"
@@ -160,10 +160,6 @@ class _CachedLMDraft(Drafter):
         """The draft model's weights."""
         return self.model.parameters()
 
-    def prefill_ms(self, cost: CostModel, n_requests: int = 1) -> float:
-        """Each request pays the draft model's own context prefill."""
-        return n_requests * cost.draft_prefill()
-
     def step(self, token_id: int, position: int, state: _LMDraftState,
              request_id: Optional[str] = None,
              ancestor_rows: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -178,10 +174,6 @@ class _CachedLMDraft(Drafter):
         """:meth:`step`, row by row."""
         del request_ids, ancestor_rows
         return [self.step(t, p, s) for t, p, s in zip(token_ids, positions, states)]
-
-    def step_ms(self, cost: CostModel, kv_lens: Sequence[int]) -> float:
-        """One solo draft step per row, whatever it attends."""
-        return len(kv_lens) * cost.draft_step()
 
     def rollback(self, state: _LMDraftState) -> None:
         """Truncate the cache back to the committed prefix."""
@@ -203,7 +195,7 @@ class _CachedLMDraft(Drafter):
         ms = 0.0
         for token in tokens[have:]:
             self._forward(token, cache)
-            ms += cost.draft_step()
+            ms += cost.price("draft", (1,))
         state.kept = cache.seq_len
         return ms
 

@@ -46,9 +46,9 @@ Also here: :class:`TreeDraft`, the serialized tree (DFS preorder plus
 parent pointers), and :func:`tree_extra_blocked`, the ancestor-closure
 mask of the verify forward.  The engine glue — the lockstep draft lane
 over the walks, the single verify forward and the commit — lives in
-``repro.core``; a tree is priced per fed row like any verify feed
-(:meth:`CostModel.target_verify
-<repro.decoding.cost_model.CostModel.target_verify>`).
+``repro.core``; a tree is priced per fed row like any verify feed, by
+the ``verify`` phase of :meth:`CostModel.price
+<repro.decoding.cost_model.CostModel.price>`.
 """
 
 from __future__ import annotations

@@ -16,22 +16,22 @@ exception that request raised, so a fault retries or fails the request it
 hit and nothing else.  A batch of one is a one-row round: there is no
 second code path for it (``docs/serving.md``, "The model of batching").
 
-Execution *and* pricing are batched.  Each round's prefills and verify
-forwards run as one cu-seqlen-packed set of fused GEMMs and its draft
-steps, chain positions and tree expansions alike, in ``(B, 1, D)``
-lockstep — see ``docs/kernels.md`` — with
-outputs bitwise token-identical at every batch width, greedy or sampled.
-The **server clock** is charged as if each round's target forwards ran
-as single batched GPU forwards, using the ``batched_*`` prices of
-:class:`~repro.decoding.cost_model.CostModel` (memory-bound batching:
-base cost paid once per forward, per-token work summed, small
-per-sequence increment); draft steps, draft prefills and block absorbs
-are priced by the engine's drafter — the AASD head bills one batched head
-forward per expansion index, an independent draft one solo step per row.  Each session's own
-:class:`~repro.decoding.metrics.DecodeRecord` is still charged solo prices
-by the engine, so per-request attribution is identical to sequential
-decoding — and with one request in the system every round reduces exactly
-to the sequential prices, which the equivalence tests pin down.
+Execution is batched.  Each round's prefills and verify forwards run as
+one cu-seqlen-packed set of fused GEMMs and its draft steps, chain
+positions and tree expansions alike, in ``(B, 1, D)`` lockstep — see
+``docs/kernels.md`` — with outputs bitwise token-identical at every batch
+width, greedy or sampled.  The scheduler holds no pricing code: it hands
+its **server clock** to ``begin_batch`` / ``step_batch``, and the engine
+charges it once per model call, where the call runs, at the one law of
+:meth:`~repro.decoding.cost_model.CostModel.price` over that call's rows
+(memory-bound batching: base cost paid once per call, per-token work
+summed, a small increment per extra row).  A fallback step is the
+one-row target ``step`` it runs.  Each session's own
+:class:`~repro.decoding.metrics.DecodeRecord` is charged the one-row
+price of every call made for it, so per-request attribution is identical
+to sequential decoding — and with one request in the system the server
+clock is charged the same additions, which the equivalence tests pin
+down.
 
 Batch compatibility
 -------------------
@@ -86,8 +86,7 @@ KV-arena accounting into ``scheduler.memory`` (surfaced as
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclasses_field
-from itertools import zip_longest
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.engine import AASDEngine, DecodeSession, StepReport
 from ..core.kv_arena import ArenaStats
@@ -231,8 +230,8 @@ class _Active:
     session: DecodeSession
     started_ms: float   #: server clock at admission
     n_faults_seen: int = 0   #: record.n_draft_faults already reported to the breaker
-    #: server clock when the first token was committed (after the round's
-    #: batched prefill charge); None only for sessions that never prefilled.
+    #: server clock when the first token was committed (after the
+    #: admission's prefill charge); None only for sessions that never prefilled.
     first_token_ms: Optional[float] = None
 
 
@@ -474,8 +473,7 @@ class ContinuousBatchingScheduler:
 
         Only requests whose effective gamma matches the active batch are
         taken; incompatible ones stay queued until the batch drains.  The
-        server clock is charged one *batched* prefill for all admissions
-        of this round, plus the drafter's own prefill share of each.
+        engine charges the server clock for the admission's prefill.
         """
         free = self.config.max_batch_size - len(self._active)
         if free <= 0:
@@ -515,6 +513,7 @@ class ContinuousBatchingScheduler:
                 self._controller(self._effective_gamma(h.request)) for h in handles
             ],
             request_ids=[h.request_id for h in handles],
+            clock=self.clock,
         )
         for handle, outcome in zip(handles, outcomes):
             if isinstance(outcome, Exception):
@@ -531,16 +530,9 @@ class ContinuousBatchingScheduler:
             self._active.append(entry)
             admitted.append(entry)
         if admitted:
-            n_prefilled = len(admitted)
-            cost = self.engine.cost_model
-            charge = cost.batched_prefill(n_prefilled) + self.engine.head.prefill_ms(
-                cost, n_prefilled
-            )
-            self.clock.charge(charge, "prefill")
-            span.add_sim_ms(charge)
-            span.set_attr("n_admitted", n_prefilled)
-            # begin() committed each session's first token; on the server
-            # clock that token exists once the batched prefill is charged.
+            span.set_attr("n_admitted", len(admitted))
+            # begin_batch committed each session's first token; on the
+            # server clock that token exists once the prefill is charged.
             for entry in admitted:
                 entry.first_token_ms = self.now_ms
 
@@ -555,7 +547,7 @@ class ContinuousBatchingScheduler:
         return limit - self.now_ms
 
     def _step_batch(self, span) -> None:
-        """Advance every active session one block; charge batched prices.
+        """Advance every active session one block (the engine charges the clock).
 
         With resilience configured, this is also where the policies bite:
         the breaker's ``force_fallback`` flips the whole batch target-only,
@@ -585,6 +577,7 @@ class ContinuousBatchingScheduler:
                 [e.session for e in eligible],
                 budgets_ms=[self._step_budget_ms(e) for e in eligible],
                 force_fallback=force_fallback,
+                clock=self.clock,
             )
         except Exception as exc:
             log_exception(logger, "step_fault", exc, batch=len(eligible))
@@ -630,7 +623,7 @@ class ContinuousBatchingScheduler:
         reports = [r for _, r in stepped]
         if self.breaker is not None and (stepped or n_escaped_faults):
             self.breaker.observe_round(
-                n_drafted=sum(len(r.draft_kv_lens) for r in reports),
+                n_drafted=sum(r.n_draft_forwards for r in reports),
                 n_accepted=sum(r.n_accepted for r in reports),
                 n_faults=n_escaped_faults + n_record_faults,
             )
@@ -640,58 +633,10 @@ class ContinuousBatchingScheduler:
         span.set_attr("kv_tokens", kv_tokens)
         get_registry().gauge("serving.kv_tokens").set(kv_tokens)
 
-        charge = self._charge_round(reports)
-        span.add_sim_ms(charge)
         span.set_attr("batch_size", len(reports))
         occupancy = len(reports)
         self.max_batch_occupancy = max(self.max_batch_occupancy, occupancy)
         get_registry().gauge("serving.batch_occupancy").set(occupancy)
-
-    def _charge_round(self, reports: Sequence) -> float:
-        """Price one round's draft steps + target forward on the server clock.
-
-        Draft steps are grouped *by expansion index*: expansion ``i`` of
-        every session that drafted that many shares one lockstep draft
-        step, priced by the drafter (one batched head forward for the AASD
-        head, one solo step per row for an independent draft).  That is
-        the step the engine's draft lane runs — one ``step_packed`` call
-        per expansion index, chain position or tree node alike — and it
-        matches the solo charges exactly (every expansion is priced once)
-        even though tree shapes differ across sessions.  All target
-        feeds (verify blocks and 1-token fallback steps) share one
-        batched verify forward, priced per fed row, so a tree's rejected
-        branches are billed exactly once by the forward that fed them and
-        never again at rollback (rollback is free — rejected rows are
-        never written).  What each drafter charged for absorbing its
-        verified block rides in the same category.  With a single session
-        the charges reduce exactly to the engine's own solo prices, so a
-        batch of one costs the same as sequential decoding.
-        """
-        cost = self.engine.cost_model
-        head = self.engine.head
-        charged = 0.0
-        drafted = [r.draft_kv_lens for r in reports if r.draft_kv_lens]
-        for lens_at_pos in zip_longest(*drafted):
-            lens = [kv for kv in lens_at_pos if kv is not None]
-            if lens:
-                ms = head.step_ms(cost, lens)
-                self.clock.charge(ms, "draft")
-                charged += ms
-        # Expired sessions drafted but never fed the target (feed_size 0):
-        # their draft work is priced above, but they join no verify.
-        feeds = [r.feed_size for r in reports if r.feed_size > 0]
-        if len(reports) == 1 and reports[0].kind == "fallback":
-            # Solo fallback: keep exact parity with sequential decoding,
-            # which prices a plain target step (not a 1-token verify).
-            forward_ms, category = cost.target_step(), "fallback"
-        elif feeds:
-            forward_ms, category = cost.batched_verify(feeds), "verify"
-        else:
-            return charged
-        for ms in (forward_ms, sum(r.absorb_ms for r in reports)):
-            self.clock.charge(ms, category)
-            charged += ms
-        return charged
 
     def _retire(self) -> None:
         """Resolve finished and deadline-expired sessions (batch keeps going)."""
@@ -742,8 +687,10 @@ class ContinuousBatchingScheduler:
         if not self._active and len(self.queue) == 0 and self._backoff:
             self._advance_to_next_backoff()
         with self.engine.tracer.span("schedule", round=self.n_rounds) as span:
+            started_ms = self.now_ms
             self._admit(span)
             self._step_batch(span)
+            span.add_sim_ms(self.now_ms - started_ms)
             self._retire()
             if self.breaker is not None:
                 span.set_attr("breaker_state", self.breaker.state)

@@ -39,6 +39,7 @@ from repro.nn.ragged import tree_blocked
 from repro.nn.tensor import no_grad
 from repro.robustness.faults import FaultyDraftHead
 from repro.serving import STATUS_COMPLETED, ServingConfig, serve_requests
+from repro.utils.timing import SimulatedClock
 
 MAX_NEW_TOKENS = 20
 N_SAMPLES = 3
@@ -212,14 +213,17 @@ class TestSingleForwardPerRound:
             engine.target, "decode",
             lambda *a, **kw: pytest.fail("a verify is never a per-session decode"),
         )
+        priced = _spy_prices(engine.cost_model, monkeypatch)
         report = engine.step(session)
+        (fed,) = [rows for phase, rows, _ in priced if phase == "verify"]
         # more nodes than the gamma-chain has: the block was a tree
-        assert report.kind == "verify" and report.feed_size > 1 + engine.config.gamma
+        assert report.kind == "verify" and fed[0] > 1 + engine.config.gamma
         assert len(calls) == 1, "tree verification must be a single target forward"
         # feed = anchor + nodes; leaves are never expanded, so there are
-        # fewer draft forwards (kv_lens entries) than fed rows.
-        assert 2 <= report.feed_size <= 1 + engine.config.tree_max_nodes
-        assert len(report.draft_kv_lens) < report.feed_size
+        # fewer draft forwards (priced head steps) than fed rows.
+        assert 2 <= fed[0] <= 1 + engine.config.tree_max_nodes
+        n_forwards = sum(phase == "head" for phase, _, _ in priced)
+        assert report.n_draft_forwards == n_forwards < fed[0]
 
     def test_batched_verify_is_one_packed_call(self, world, monkeypatch):
         engine = _tree_engine(world)
@@ -236,9 +240,13 @@ class TestSingleForwardPerRound:
             lambda *a, **kw: calls.__setitem__("decode_batch", calls["decode_batch"] + 1)
             or orig_batch(*a, **kw),
         )
-        reports = engine.step_batch(sessions)
-        assert all(r.feed_size > 1 + engine.config.gamma for r in reports)
+        priced = _spy_prices(engine.cost_model, monkeypatch)
+        reports = engine.step_batch(sessions, clock=SimulatedClock())
         assert calls["decode_batch"] == 1 and calls["decode"] == 0
+        # the server's verify price over all rows, then each record's row
+        server, *one_row = [rows for phase, rows, _ in priced if phase == "verify"]
+        assert one_row == [(n,) for n in server] and len(server) == len(reports)
+        assert all(n > 1 + engine.config.gamma for n in server)
 
     def test_forward_accounting(self, world):
         session = _run(_tree_engine(world), world["samples"][0])
@@ -298,6 +306,30 @@ class TestBatchedTree:
             assert batched.record.sim_time_ms == reference.record.sim_time_ms
 
 
+def _spy_prices(cost_model, monkeypatch):
+    """Record every ``price`` call as ``(phase, rows, kv_lens)``."""
+    priced = []
+    orig = cost_model.price
+    monkeypatch.setattr(
+        cost_model, "price",
+        lambda phase, rows, kv_lens=None: priced.append(
+            (phase, tuple(rows), tuple(kv_lens or ()))) or orig(phase, rows, kv_lens),
+    )
+    return priced
+
+
+class _ChargeLog(SimulatedClock):
+    """A server clock that logs each charge into the price log beside it."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def charge(self, seconds, category="other"):
+        self.log.append(("charge", category, ()))
+        super().charge(seconds, category)
+
+
 class _CountingHead:
     """The head, counting its packed draft forwards."""
 
@@ -324,12 +356,18 @@ class TestLockstepDraftLane:
             engine_mod, "speculative_verify",
             lambda tree, *a: trees.append(tree) or speculative_verify(tree, *a),
         )
-        reports = engine.step_batch(sessions)
+        priced = _spy_prices(engine.cost_model, monkeypatch)
+        reports = engine.step_batch(sessions, clock=_ChargeLog(priced))
         assert [r.kind for r in reports] == ["verify"] * len(sessions)
+        # the server's price is the one right before each draft charge
+        server = [priced[k - 1][2] for k, event in enumerate(priced)
+                  if event[:2] == ("charge", "draft")]
+        one_row = [kv for k, (phase, _, kv) in enumerate(priced) if phase == "head"
+                   and priced[k + 1][:2] != ("charge", "draft")]
 
         # the spec: each session's tree drafted alone by ``draft_tree``
         reference = _tree_engine(world)
-        expansions = []
+        expansions, per_session = [], []
         for session, report, tree in zip(sessions, reports, trees):
             solo = reference.begin(session.sample)
             with no_grad():
@@ -345,14 +383,21 @@ class TestLockstepDraftLane:
             parents = set(spec.parents)
             kv_lens = [ctx + 1] + [ctx + d + 1 for i, d in enumerate(spec.depths)
                                    if i in parents]
-            assert report.draft_kv_lens == tuple(kv_lens)
+            assert report.n_draft_forwards == len(kv_lens)
             record = solo.record
             for kv in kv_lens:
-                record.charge_sim(head.step_ms(world["cm"], (kv,)), "draft")
-            record.charge_sim(world["cm"].target_verify(1 + spec.n_nodes), "verify")
+                record.charge_sim(world["cm"].price("head", (1,), (kv,)), "draft")
+            record.charge_sim(world["cm"].price("verify", (1 + spec.n_nodes,)), "verify")
             assert session.record.sim_time_ms == record.sim_time_ms
             expansions.append(len(kv_lens))
+            per_session.append(kv_lens)
         assert counting.calls == max(expansions) < sum(expansions)
+        # expansion e priced once over the rows of every session still
+        # drafting, in batch order, and each of those rows solo
+        by_expansion = [tuple(kv[e] for kv in per_session if len(kv) > e)
+                        for e in range(max(expansions))]
+        assert server == by_expansion
+        assert one_row == [(kv,) for row in by_expansion for kv in row]
 
 
 class TestTreeGate:

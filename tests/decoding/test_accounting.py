@@ -81,11 +81,12 @@ class TestSpeculativeAccounting:
         rec = _sd(setup, gamma).decode(setup["sample"])
         n_blocks = len(rec.blocks)
         n_full = sum(1 for b in rec.blocks if b.n_accepted == b.n_draft)
+        draft_step = cm.price("draft", (1,))
         expected = (
             cm.target_prefill()
-            + cm.draft_prefill()
-            + n_blocks * (gamma * cm.draft_step() + cm.target_verify(gamma + 1))
-            + n_full * cm.draft_step()  # cache-sync forward on full acceptance
+            + cm.price("draft_prefill", (1,))
+            + n_blocks * (gamma * draft_step + cm.price("verify", (gamma + 1,)))
+            + n_full * draft_step  # cache-sync forward on full acceptance
         )
         assert rec.sim_time_ms == pytest.approx(expected)
 
@@ -113,11 +114,12 @@ class TestAASDAccounting:
         assert rec.n_target_forwards == len(rec.blocks) + 1
 
         n_blocks = len(rec.blocks)
-        fixed = cm.target_prefill() + cm.projector() + n_blocks * cm.target_verify(gamma + 1)
+        fixed = (cm.target_prefill() + cm.price("projector", (1,))
+                 + n_blocks * cm.price("verify", (gamma + 1,)))
         # Draft steps attend to a KV whose length grows within a generation;
         # bound it by the shortest and longest possible spans.
-        min_step = cm.aasd_step(0)
-        max_step = cm.aasd_step(10_000)
+        min_step = cm.price("head", (1,), (0,))
+        max_step = cm.price("head", (1,), (10_000,))
         assert fixed + n_blocks * gamma * min_step <= rec.sim_time_ms
         assert rec.sim_time_ms <= fixed + n_blocks * gamma * max_step
 

@@ -11,6 +11,7 @@ from repro.core import AASDDraftHead
 from repro.errors import AdmissionError
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import Tracer
+from repro.decoding import SamplerConfig
 from repro.robustness import FaultyDraftHead
 from repro.serving import (
     STATUS_COMPLETED,
@@ -21,6 +22,8 @@ from repro.serving import (
     ServingConfig,
     serve_requests,
 )
+from repro.serving.resilience import BreakerConfig, ResilienceConfig
+from repro.utils.timing import SimulatedClock
 
 
 class TestEmptyAndIdle:
@@ -348,27 +351,138 @@ class TestTreeServing:
 
     def test_rejected_branches_billed_exactly_once(self, make_engine, world,
                                                    monkeypatch):
-        """Double-billing regression: the round's verify charge is exactly
-        the batched verify price of the fed node counts — rejected
+        """Double-billing regression: the server's verify charge is exactly
+        the ``verify`` price of each forward's fed node counts — rejected
         branches are billed once by the forward that fed them and never
         again at rollback."""
         engine = self._tree_engine(make_engine)
         cm = engine.cost_model
         calls = []
-        orig = cm.batched_verify
+        orig = engine.target.decode_batch
         monkeypatch.setattr(
-            cm, "batched_verify",
-            lambda feeds: calls.append(tuple(feeds)) or orig(feeds),
+            engine.target, "decode_batch",
+            lambda rows, *a, **kw: calls.append([len(r) for r in rows])
+            or orig(rows, *a, **kw),
         )
         scheduler = ContinuousBatchingScheduler(
             engine, ServingConfig(max_batch_size=4)
         )
         report = serve_requests(engine, world["samples"][:4], scheduler=scheduler)
         assert report.count(STATUS_COMPLETED) == 4
-        assert calls, "tree rounds must price through batched_verify"
+        assert any(len(feeds) > 1 for feeds in calls), "rounds must verify packed"
         # feeds are node counts (anchor + drafted nodes), never gamma * B,
         # and never depend on how many nodes were later accepted
         for feeds in calls:
             assert all(2 <= f <= 1 + engine.config.tree_max_nodes for f in feeds)
-        expected = sum(orig(list(feeds)) for feeds in calls)
-        assert scheduler.clock.by_category["verify"] == pytest.approx(expected)
+        # one charge per forward (the KV-reusing head's absorbs are free)
+        assert scheduler.clock.by_category["verify"] == sum(
+            cm.price("verify", feeds) for feeds in calls)
+        # and each request's record its one-row share of each
+        assert sum(r.record.sim_by_category["verify"] for r in report.results) == (
+            pytest.approx(sum(cm.price("verify", (f,)) for feeds in calls for f in feeds)))
+
+
+
+class _ChargeLog(SimulatedClock):
+    """A server clock logging each charge into the call log beside it."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def charge(self, seconds, category="other"):
+        self.log.append(("charge", category, seconds))
+        super().charge(seconds, category)
+
+
+#: server-clock category each spied model call is charged under
+_CALL_CATEGORY = {"prefill_batch": "prefill", "step_packed": "draft",
+                  "decode_batch": "verify", "decode": "fallback"}
+
+
+class TestOneChargePerModelCall:
+    """The engine charges the server clock once per model call, at the
+    law's price over that call's rows: the prefill right after its call
+    (the drafter's opens ride that charge), every other call just before
+    it runs — and nothing else lands on the clock but the absorb charge
+    right after a verify or fallback forward."""
+
+    def _serve(self, engine, head, samples, monkeypatch, **serving):
+        log = []
+
+        def spy(owner, name):
+            orig = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, **kwargs: (
+                log.append(("call", name, args)) or orig(*args, **kwargs)))
+
+        for name in ("prefill_batch", "decode_batch", "decode"):
+            spy(engine.target, name)
+        spy(head, "step_packed")
+        scheduler = ContinuousBatchingScheduler(engine, ServingConfig(**serving))
+        scheduler.clock = _ChargeLog(log)
+        report = serve_requests(engine, samples, scheduler=scheduler)
+        assert report.count(STATUS_COMPLETED) == len(samples)
+        return self._check(log, engine), scheduler
+
+    @staticmethod
+    def _check(log, engine):
+        """Pair every call with its charge; returns the calls per name."""
+        cm, n_vis = engine.cost_model, engine.target.n_vision_tokens
+        charges = {k for k, event in enumerate(log) if event[0] == "charge"}
+        calls = [(k, name, args) for k, (kind, name, args) in enumerate(log)
+                 if kind == "call"]
+        claimed = set()
+        for k, name, args in calls:
+            j, expected = k - 1, None
+            if name == "prefill_batch":
+                j = k + 1
+                expected = cm.price("prefill", [n_vis + len(row) for row in args[1]])
+                expected += cm.price(engine.head.prefill_phase, [1] * len(args[1]))
+            elif name == "decode_batch":
+                expected = cm.price("verify", [len(row) for row in args[0]])
+            elif name == "decode":
+                expected = cm.price("step", (1,))
+            assert j in charges - claimed and log[j][1] == _CALL_CATEGORY[name], (k, name)
+            assert expected is None or log[j][2] == expected, (k, name)
+            claimed.add(j)
+        for k, name, _ in calls:   # the absorb charged right after a forward
+            if name in ("decode_batch", "decode") and k + 1 in charges - claimed:
+                assert log[k + 1][1] == _CALL_CATEGORY[name]
+                claimed.add(k + 1)
+        assert claimed == charges
+        return {name: sum(n == name for _, n, _ in calls) for name in _CALL_CATEGORY}
+
+    def test_greedy_chain(self, make_engine, world, monkeypatch):
+        engine = make_engine()
+        counts, _ = self._serve(engine, world["head"], world["samples"][:6], monkeypatch,
+                                max_batch_size=4)
+        assert counts["decode_batch"] > 0 and counts["decode"] == 0
+
+    def test_sampled(self, make_engine, world, monkeypatch):
+        engine = make_engine(sampler_config=SamplerConfig(greedy=False, seed=3))
+        counts, _ = self._serve(engine, world["head"], world["samples"][:6], monkeypatch,
+                                max_batch_size=4)
+        assert counts["step_packed"] > 0 and counts["decode"] == 0
+
+    def test_tree(self, make_engine, world, monkeypatch):
+        engine = make_engine(tree_speculation=True, tree_max_branch=2, tree_max_nodes=6,
+                             gamma=4)
+        counts, _ = self._serve(engine, world["head"], world["samples"][:6], monkeypatch,
+                                max_batch_size=4)
+        assert counts["decode_batch"] > 0
+
+    def test_breaker_forced_fallback_storm(self, make_engine, world, monkeypatch):
+        """Every draft step raises a latency fault; the breaker flips whole
+        batches target-only, so rounds mix fallback steps, faulted blocks
+        and half-open probes."""
+        head = FaultyDraftHead(world["head"], mode="latency", fail_every=1)
+        engine = make_engine(head=head, max_draft_faults=10_000)
+        breaker = BreakerConfig(window=4, open_above_fault_rate=1.0,
+                                cooldown_rounds=3, probe_rounds=2)
+        counts, scheduler = self._serve(
+            engine, head, world["samples"][:4], monkeypatch, max_batch_size=4,
+            resilience=ResilienceConfig(breaker=breaker),
+        )
+        assert ("closed", "open") in [t[1:] for t in scheduler.breaker.transitions]
+        assert counts["decode"] > counts["decode_batch"] == 0
+        assert counts["step_packed"] > 0
