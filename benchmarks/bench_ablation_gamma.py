@@ -1,8 +1,8 @@
-"""Ablation: fixed speculation depth vs the adaptive-gamma extension.
+"""Ablation: the speculation depth gamma, swept over fixed values.
 
-Compares the paper's fixed gamma in {1..8} against the AIMD controller in
-:mod:`repro.decoding.adaptive` on the AASD engine, reporting where the
-fixed-depth sweet spot lies and whether adaptation tracks it.
+Runs the AASD engine at fixed gamma in {1..8} (the paper fixes 3 or 5 per
+run), reporting where the fixed-depth sweet spot lies and checking that
+every depth still beats plain autoregressive decoding.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import AASDEngine, AASDEngineConfig
-from repro.decoding import AdaptiveGamma
 from repro.eval import render_bars, save_results
 from .conftest import RESULTS_DIR
 
@@ -18,14 +17,13 @@ FIXED_GAMMAS = (1, 2, 3, 5, 8)
 _RESULTS = {}
 
 
-def _engine(zoo, runner, gamma, controller=None):
+def _engine(zoo, runner, gamma):
     return AASDEngine(
         zoo.target("sim-7b"),
         zoo.aasd_head("sim-7b"),
         zoo.tokenizer(),
         runner.cost_model("sim-7b"),
         AASDEngineConfig(gamma=gamma, max_new_tokens=runner.config.max_new_tokens),
-        gamma_controller=controller,
     )
 
 
@@ -39,20 +37,8 @@ def test_fixed_gamma(benchmark, zoo, runner, gamma):
     benchmark.extra_info.update(report.row())
 
 
-def test_adaptive_gamma(benchmark, zoo, runner):
-    engine = _engine(
-        zoo, runner, gamma=3,
-        controller=AdaptiveGamma(initial_gamma=3, min_gamma=1, max_gamma=8),
-    )
-    sample = runner.dataset("coco-sim")[0]
-    benchmark.pedantic(lambda: engine.decode(sample), rounds=2, iterations=1)
-    report = runner.evaluate(engine, "sim-7b")
-    _RESULTS[("sim-7b", 0, "adaptive")] = report.row()
-    benchmark.extra_info.update(report.row())
-
-
 def test_gamma_ablation_summary(benchmark, runner):
-    assert len(_RESULTS) == len(FIXED_GAMMAS) + 1
+    assert len(_RESULTS) == len(FIXED_GAMMAS)
     series = {label: row["omega"] for (_, _, label), row in _RESULTS.items()}
     rendered = benchmark.pedantic(
         lambda: render_bars("Speculation depth ablation: walltime speedup", series, unit="x"),
@@ -60,9 +46,5 @@ def test_gamma_ablation_summary(benchmark, runner):
     )
     print("\n" + rendered)
     save_results(_RESULTS, RESULTS_DIR / "ablation_gamma", rendered=rendered)
-    adaptive = _RESULTS[("sim-7b", 0, "adaptive")]["omega"]
-    worst_fixed = min(
-        row["omega"] for key, row in _RESULTS.items() if key[2].startswith("fixed")
-    )
-    # Adaptation must never collapse below the worst fixed depth.
-    assert adaptive > worst_fixed
+    # Every fixed depth must still beat autoregressive decoding (omega > 1).
+    assert all(omega > 1.0 for omega in series.values()), series

@@ -33,7 +33,7 @@ are exactly that, :meth:`AASDEngine.decode` is the single-request loop on
 top, and the continuous-batching scheduler in :mod:`repro.serving` drives
 the same two calls at any width (``docs/serving.md``, "The model of
 batching").  Because *all* mutable decode state (target cache, draft
-state, committed tokens, fault status, gamma controller, random stream)
+state, committed tokens, fault status, speculation depth, random stream)
 lives on the session, sessions are independent: a fault in one degrades or
 fails that request alone, and what one samples never depends on its
 batch-mates, on batch order or on batch width.
@@ -82,7 +82,6 @@ from ..obs.logsetup import get_logger, log_exception
 from ..obs.tracing import Tracer, get_tracer
 from ..robustness.guards import ensure_finite
 from ..tokenizer import WordTokenizer
-from ..decoding.adaptive import FixedGamma, GammaController
 from ..utils.rng import derive
 from ..utils.timing import SimulatedClock, WallTimer
 from .kv_arena import ArenaStats, combined_stats
@@ -152,7 +151,7 @@ class DecodeSession:
     eos: int                            #: tokenizer eos id
     gen_base: int                       #: absolute position of ``committed[0]``
     max_new_tokens: int                 #: per-request generation budget
-    gamma_controller: GammaController   #: per-session speculation depth policy
+    gamma: int                          #: speculation depth of every block
     target_cache: object                #: the target model's KV cache
     #: the drafter's per-request state, in the drafter's own format
     #: (``None`` when opening it faulted and the session went target-only)
@@ -207,7 +206,6 @@ class _PackedDraftState:
     session: DecodeSession
     last: int                       #: last committed token (verify anchor)
     last_pos: int                   #: absolute position of ``last``
-    gamma: int                      #: depth the controller granted this round
     open_len: int                   #: draft-state ``seq_len`` at block open
     walk: DraftWalk                 #: the block, grown one expansion per lane step
     pos: int = 0                    #: position of the last token fed (fault reports)
@@ -249,7 +247,6 @@ class AASDEngine(Decoder):
         config: Optional[AASDEngineConfig] = None,
         sampler_config: Optional[SamplerConfig] = None,
         rng: Optional[np.random.Generator] = None,
-        gamma_controller: Optional[GammaController] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.target = target
@@ -257,7 +254,6 @@ class AASDEngine(Decoder):
         self.tokenizer = tokenizer
         self.cost_model = cost_model
         self.config = config or AASDEngineConfig()
-        self.gamma_controller = gamma_controller or FixedGamma(self.config.gamma)
         sampler_config = sampler_config or SamplerConfig()
         self.sampler = Sampler(sampler_config, rng=rng)
         # Root of the per-request streams: the sampler seed, or one key
@@ -407,7 +403,7 @@ class AASDEngine(Decoder):
         *,
         record: Optional[DecodeRecord] = None,
         max_new_tokens: Optional[int] = None,
-        gamma_controller: Optional[GammaController] = None,
+        gamma: Optional[int] = None,
         request_id: Optional[str] = None,
     ) -> DecodeSession:
         """Prefill one request: :meth:`begin_batch` over a batch of one.
@@ -419,7 +415,7 @@ class AASDEngine(Decoder):
             [sample],
             records=[record],
             max_new_tokens=[max_new_tokens],
-            gamma_controllers=[gamma_controller],
+            gammas=[gamma],
             request_ids=[request_id],
         )
         if isinstance(outcome, Exception):
@@ -466,8 +462,8 @@ class AASDEngine(Decoder):
         return results, calls
 
     def _open_session(self, sample: MultimodalSample, record: Optional[DecodeRecord],
-                      prompt_ids: np.ndarray, controller: Optional[GammaController],
-                      max_new_tokens: Optional[int], request_id: Optional[str],
+                      prompt_ids: np.ndarray, gamma: int,
+                      max_new_tokens: int, request_id: Optional[str],
                       target_cache, last_logits: np.ndarray,
                       sp) -> Union[DecodeSession, Exception]:
         """Charge one request's prefill, open its draft state, emit token 1.
@@ -481,8 +477,6 @@ class AASDEngine(Decoder):
                 record = DecodeRecord()
             if request_id is not None:
                 record.request_id = request_id
-            if controller is None:
-                controller = self.gamma_controller
             sp.add_sim_ms(record.charge_sim(
                 self.cost_model.price("prefill", (n_vis + len(prompt_ids),)), "prefill"))
             record.count_target_forward()
@@ -492,8 +486,8 @@ class AASDEngine(Decoder):
                 prompt_ids=prompt_ids,
                 eos=self.tokenizer.vocab.eos_id,
                 gen_base=n_vis + len(prompt_ids),
-                max_new_tokens=max_new_tokens or cfg.max_new_tokens,
-                gamma_controller=controller,
+                max_new_tokens=max_new_tokens,
+                gamma=gamma,
                 target_cache=target_cache,
                 request_id=request_id,
                 rng=self._request_stream(request_id),
@@ -513,7 +507,6 @@ class AASDEngine(Decoder):
                 self._disable_speculation(session, "context build failed")
                 sp.set_attr("fault", str(exc))
             session.committed.append(self.sampler.sample(last_logits[0], rng=session.rng))
-            controller.reset()
             return session
         except Exception as exc:  # isolate the fault to this request
             log_exception(logger, "prefill_fault", exc, request_id=request_id)
@@ -525,7 +518,7 @@ class AASDEngine(Decoder):
         *,
         records: Optional[Sequence[Optional[DecodeRecord]]] = None,
         max_new_tokens: Optional[Sequence[Optional[int]]] = None,
-        gamma_controllers: Optional[Sequence[Optional[GammaController]]] = None,
+        gammas: Optional[Sequence[Optional[int]]] = None,
         request_ids: Optional[Sequence[Optional[str]]] = None,
         clock: Optional[SimulatedClock] = None,
     ) -> List[Union[DecodeSession, Exception]]:
@@ -534,13 +527,13 @@ class AASDEngine(Decoder):
         The only prefill: a batch of one is a one-row packed forward with
         the solo GEMM shapes.  The per-request option sequences parallel
         ``samples``; a ``None`` entry takes the default — a fresh
-        :class:`DecodeRecord`, the config's ``max_new_tokens``, the
-        engine's shared gamma controller (pass a fresh controller per
-        session when interleaving; whichever is used is reset here), no
-        request id.  Returns one entry per request *in order*: the
-        started :class:`DecodeSession`, or the exception that request's
-        prefill raised — failures are isolated, one bad sample never
-        aborts its batch-mates.
+        :class:`DecodeRecord`, the config's ``max_new_tokens`` and
+        ``gamma``, no request id; a non-positive ``max_new_tokens`` or
+        ``gammas`` entry raises :class:`~repro.errors.DecodingError`
+        before any prefill runs.  Returns one entry per request *in
+        order*: the started :class:`DecodeSession`, or the exception that
+        request's prefill raised — failures are isolated, one bad sample
+        never aborts its batch-mates.
 
         The requests run in groups of at most ``PREFILL_ROWS`` rows; per
         group the images are encoded in one vision call and the LM
@@ -556,10 +549,15 @@ class AASDEngine(Decoder):
         n = len(samples)
         recs = list(records) if records is not None else [None] * n
         mnts = list(max_new_tokens) if max_new_tokens is not None else [None] * n
-        ctrls = list(gamma_controllers) if gamma_controllers is not None else [None] * n
+        gams = list(gammas) if gammas is not None else [None] * n
         rids = list(request_ids) if request_ids is not None else [None] * n
-        if not (len(recs) == len(mnts) == len(ctrls) == len(rids) == n):
+        if not (len(recs) == len(mnts) == len(gams) == len(rids) == n):
             raise DecodingError("begin_batch per-request sequences must parallel samples")
+        mnts = [self.config.max_new_tokens if m is None else m for m in mnts]
+        gams = [self.config.gamma if g is None else g for g in gams]
+        for name, values in (("max_new_tokens", mnts), ("gamma", gams)):
+            if n and min(values) <= 0:
+                raise DecodingError(f"{name} must be positive, got {min(values)}")
 
         outcomes: List[Union[DecodeSession, Exception]] = [None] * n  # type: ignore[list-item]
         with no_grad(), self.tracer.span("prefill") as sp:
@@ -579,7 +577,7 @@ class AASDEngine(Decoder):
                     outcomes[i] = result
                 else:
                     outcomes[i] = self._open_session(
-                        samples[i], recs[i], prompt_ids, ctrls[i], mnts[i], rids[i],
+                        samples[i], recs[i], prompt_ids, gams[i], mnts[i], rids[i],
                         *result, sp,
                     )
             if clock is not None:
@@ -645,10 +643,10 @@ class AASDEngine(Decoder):
         1. **Fallback lane** — sessions no longer speculating, and every
            session under ``force_fallback``, take one plain target step
            (one ``decode`` call each).
-           ``force_fallback`` neither consults nor advances the gamma
-           controller but still maintains the draft context — the circuit
-           breaker uses it to flip a batch target-only temporarily, so
-           speculation can resume the moment it re-closes.
+           ``force_fallback`` drafts nothing but still maintains the
+           draft context — the circuit breaker uses it to flip a batch
+           target-only temporarily, so speculation can resume the moment
+           it re-closes.
         2. **Draft lane**, one ``draft`` span — every session's block is
            a :class:`~repro.decoding.tree.DraftWalk` (a gamma-chain, or
            under :attr:`tree_ready` a candidate tree; the chain is the
@@ -711,7 +709,7 @@ class AASDEngine(Decoder):
             with self.tracer.span("draft") as sp:
                 states = [self._open_block(i, sessions[i], tree) for i in drafting]
                 sp.set_attr("batch", len(states))
-                sp.set_attr("gamma", max(st.gamma for st in states))
+                sp.set_attr("gamma", max(st.session.gamma for st in states))
                 self._draft(states, sp, clock)
                 for st in states:
                     if self.config.guard_cache and not st.faulted:
@@ -830,7 +828,7 @@ class AASDEngine(Decoder):
                     tree: bool) -> _PackedDraftState:
         """Anchor a new block at the session's last committed token."""
         cfg = self.config
-        last, gamma = session.committed[-1], session.gamma_controller.next_gamma()
+        last, gamma = session.committed[-1], session.gamma
         walk = DraftWalk(
             last, gamma, max_branch=cfg.tree_max_branch if tree else 1,
             max_nodes=cfg.tree_max_nodes if tree else gamma,
@@ -840,7 +838,7 @@ class AASDEngine(Decoder):
         return _PackedDraftState(
             slot=slot, session=session, last=last,
             last_pos=session.gen_base + len(session.committed) - 1,
-            gamma=gamma, open_len=session.draft_state.seq_len, walk=walk,
+            open_len=session.draft_state.seq_len, walk=walk,
         )
 
     def _draft(self, states: Sequence[_PackedDraftState], sp,
@@ -932,7 +930,6 @@ class AASDEngine(Decoder):
                 n_emitted=outcome.tokens_emitted,
             )
         )
-        session.gamma_controller.update(outcome.n_accepted, draft.max_depth)
         state.absorb_ms = self._absorb(
             session, out, (state.last, *outcome.accepted), state.last_pos,
             "verify", sp, rows=rows,

@@ -1,6 +1,5 @@
 """Decoding framework: AR baseline, speculative decoding, metrics, costs."""
 
-from .adaptive import AdaptiveGamma, FixedGamma, GammaController
 from .autoregressive import AutoregressiveDecoder
 from .base import Decoder, encode_prompt
 from .cost_model import PROFILES, CostModel, CostProfile, get_profile
@@ -10,9 +9,6 @@ from .speculative import Drafter, LlamaTextDraft, LlavaDraft
 from .tree import TreeDraft, VerifyOutcome, speculative_verify, tree_extra_blocked
 
 __all__ = [
-    "GammaController",
-    "FixedGamma",
-    "AdaptiveGamma",
     "Decoder",
     "encode_prompt",
     "AutoregressiveDecoder",

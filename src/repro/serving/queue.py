@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..errors import AdmissionError, ServingError
 from ..obs.metrics import get_registry
@@ -76,30 +76,14 @@ class AdmissionQueue:
             self._publish()
         return handle
 
-    def pop_ready(
-        self,
-        k: int,
-        predicate: Optional[Callable[[ServeHandle], bool]] = None,
-    ) -> List[ServeHandle]:
-        """Dequeue up to ``k`` handles satisfying ``predicate``, FIFO order.
-
-        Handles failing the predicate stay queued *in place* (no reordering
-        among themselves), which is how the scheduler leaves gamma-
-        incompatible requests waiting for the current batch to drain.
-        """
+    def pop_ready(self, k: int) -> List[ServeHandle]:
+        """Dequeue up to ``k`` handles, oldest first."""
         if k <= 0:
             return []
-        taken: List[ServeHandle] = []
         with self._lock:
-            kept: deque = deque()
-            while self._items:
-                handle = self._items.popleft()
-                if len(taken) < k and (predicate is None or predicate(handle)):
-                    taken.append(handle)
-                    self._ids.discard(handle.request_id)
-                else:
-                    kept.append(handle)
-            self._items = kept
+            taken = [self._items.popleft() for _ in range(min(k, len(self._items)))]
+            for handle in taken:
+                self._ids.discard(handle.request_id)
             self._publish()
         return taken
 

@@ -51,10 +51,8 @@ _STATUSES = (STATUS_COMPLETED, STATUS_TIMEOUT, STATUS_REJECTED, STATUS_FAILED)
 class ServeRequest:
     """One generation job as submitted by a client.
 
-    ``gamma`` pins the speculation depth for this request; the scheduler
-    only batches requests with the same effective depth together (see
-    "Batch compatibility" in :mod:`repro.serving.scheduler`).  ``None``
-    means "use the engine's configured depth".  ``deadline_ms`` is a
+    ``gamma`` pins the speculation depth for this request; ``None`` means
+    "use the engine's configured depth".  ``deadline_ms`` is a
     relative budget: the request times out once the server clock advances
     that far past its submission.
     """

@@ -33,14 +33,6 @@ to sequential decoding — and with one request in the system the server
 clock is charged the same additions, which the equivalence tests pin
 down.
 
-Batch compatibility
--------------------
-A batch only mixes requests with the same speculation depth (the paper's
-gamma): requests pinning a different ``gamma`` wait in the queue until the
-current batch drains, mirroring how a real server groups requests whose
-draft/verify tensor shapes can share a forward.  The model is trivially
-"the same" — one scheduler serves one engine.
-
 Backpressure and deadlines
 --------------------------
 Admission control is a bounded queue (:class:`~repro.serving.queue.AdmissionQueue`)
@@ -86,12 +78,11 @@ KV-arena accounting into ``scheduler.memory`` (surfaced as
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclasses_field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.engine import AASDEngine, DecodeSession, StepReport
 from ..core.kv_arena import ArenaStats
 from ..data.tasks import MultimodalSample
-from ..decoding.adaptive import FixedGamma, GammaController
 from ..decoding.metrics import DecodeRecord
 from ..errors import AdmissionError, ServingError
 from ..obs.logsetup import get_logger, log_exception
@@ -130,13 +121,10 @@ logger = get_logger(__name__)
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Scheduler knobs: batch width, queue bound, per-session gamma policy."""
+    """Scheduler knobs: batch width, queue bound, resilience policies."""
 
     max_batch_size: int = 8     #: sessions advanced per round
     max_queue_depth: int = 64   #: admission-control bound (backpressure)
-    #: Optional per-session controller factory (e.g. ``AdaptiveGamma``);
-    #: default is a fresh ``FixedGamma`` at the request's effective depth.
-    gamma_controller_factory: Optional[Callable[[], GammaController]] = None
     #: Resilience policies (retry / breaker / shedding / in-round
     #: deadlines); ``None`` keeps the legacy fail-fast behavior exactly.
     resilience: Optional[ResilienceConfig] = None
@@ -252,7 +240,6 @@ class ContinuousBatchingScheduler:
         self.max_batch_occupancy = 0
         self.memory = ArenaStats()   #: KV-arena accounting over retired sessions
         self._active: List[_Active] = []
-        self._batch_gamma: Optional[int] = None
         resilience = self.config.resilience
         #: Circuit breaker (None unless configured via the resilience bundle).
         self.breaker: Optional[CircuitBreaker] = (
@@ -294,19 +281,6 @@ class ContinuousBatchingScheduler:
     def idle(self) -> bool:
         """True when nothing is queued, in flight, or waiting out a backoff."""
         return not self._active and len(self.queue) == 0 and not self._backoff
-
-    def _effective_gamma(self, request: ServeRequest) -> int:
-        """The depth used for batch-compatibility grouping."""
-        if request.gamma is not None:
-            return request.gamma
-        return self.engine.config.gamma
-
-    def _controller(self, gamma: int) -> GammaController:
-        """Fresh per-session gamma controller."""
-        factory = self.config.gamma_controller_factory
-        if factory is not None:
-            return factory()
-        return FixedGamma(gamma)
 
     # ------------------------------------------------------------------
     def submit(self, request: ServeRequest) -> ServeHandle:
@@ -469,29 +443,13 @@ class ContinuousBatchingScheduler:
             )
 
     def _admit(self, span) -> None:
-        """Fill free batch slots from the queue (batched prefill).
+        """Fill free batch slots from the queue, FIFO (batched prefill).
 
-        Only requests whose effective gamma matches the active batch are
-        taken; incompatible ones stay queued until the batch drains.  The
-        engine charges the server clock for the admission's prefill.
+        Each request keeps its own speculation depth: one batch mixes
+        depths, since the draft lane grows walks of any depth in lockstep.
+        The engine charges the server clock for the admission's prefill.
         """
-        free = self.config.max_batch_size - len(self._active)
-        if free <= 0:
-            return
-        if self._batch_gamma is None:
-            lead = self.queue.pop_ready(1)
-            if not lead:
-                return
-            self._batch_gamma = self._effective_gamma(lead[0].request)
-            handles = lead + self.queue.pop_ready(
-                free - 1,
-                lambda h: self._effective_gamma(h.request) == self._batch_gamma,
-            )
-        else:
-            handles = self.queue.pop_ready(
-                free,
-                lambda h: self._effective_gamma(h.request) == self._batch_gamma,
-            )
+        handles = self.queue.pop_ready(self.config.max_batch_size - len(self._active))
         if not handles:
             return
 
@@ -509,9 +467,7 @@ class ContinuousBatchingScheduler:
             [h.request.sample for h in handles],
             records=[DecodeRecord() for _ in handles],
             max_new_tokens=[h.request.max_new_tokens for h in handles],
-            gamma_controllers=[
-                self._controller(self._effective_gamma(h.request)) for h in handles
-            ],
+            gammas=[h.request.gamma for h in handles],
             request_ids=[h.request_id for h in handles],
             clock=self.clock,
         )
@@ -663,8 +619,6 @@ class ContinuousBatchingScheduler:
                 else:
                     still.append(entry)
         self._active = still
-        if not self._active:
-            self._batch_gamma = None
 
     # ------------------------------------------------------------------
     def run_round(self) -> bool:

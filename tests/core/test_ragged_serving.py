@@ -43,7 +43,6 @@ from repro.data.tasks import make_dataset
 from repro.decoding import (
     AutoregressiveDecoder, CostModel, LlamaTextDraft, LlavaDraft, get_profile,
 )
-from repro.decoding.adaptive import FixedGamma
 from repro.decoding.base import encode_prompt
 from repro.decoding.sampling import SamplerConfig
 from repro.decoding.tree import VerifyOutcome
@@ -121,7 +120,7 @@ def _solo_tokens(world, samples, gammas=None, **overrides):
     for i, sample in enumerate(samples):
         session = engine.begin(
             sample, request_id=f"req-{i}",
-            gamma_controller=FixedGamma(gammas[i]) if gammas else None,
+            gamma=gammas[i] if gammas else None,
         )
         while not session.finished:
             engine.step(session)
@@ -135,7 +134,7 @@ def _packed_tokens(world, samples, gammas=None, order=None, **overrides):
     order = list(order) if order is not None else list(range(len(samples)))
     sessions = engine.begin_batch(
         [samples[i] for i in order],
-        gamma_controllers=[FixedGamma(gammas[i]) for i in order] if gammas else None,
+        gammas=[gammas[i] for i in order] if gammas else None,
         request_ids=[f"req-{i}" for i in order],
     )
     for outcome in sessions:
@@ -306,6 +305,25 @@ class TestSoloReduction:
             engine.step_batch([s for s in sessions if not s.finished])
         with pytest.raises(DecodingError):
             engine.step_batch(sessions)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("entry,option,name", [
+        ("begin", "max_new_tokens", "max_new_tokens"), ("begin", "gamma", "gamma"),
+        ("begin_batch", "max_new_tokens", "max_new_tokens"), ("begin_batch", "gammas", "gamma"),
+    ])
+    def test_non_positive_override_rejected_before_prefill(
+        self, world, monkeypatch, entry, option, name, value
+    ):
+        engine = _engine(world)
+        prefills = []
+        monkeypatch.setattr(world["target"], "prefill_batch",
+                            lambda *args, **kwargs: prefills.append(args))
+        with pytest.raises(DecodingError, match=f"{name} must be positive"):
+            if entry == "begin":
+                engine.begin(world["samples"][0], **{option: value})
+            else:   # one bad entry rejects the whole batch
+                engine.begin_batch(list(world["samples"][:2]), **{option: [None, value]})
+        assert prefills == []
 
 
 class _RowFaultHead:

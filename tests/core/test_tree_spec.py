@@ -31,7 +31,6 @@ import repro.core.engine as engine_mod
 from repro.core import AASDDraftHead, AASDEngine, AASDEngineConfig, DraftHeadConfig
 from repro.data.tasks import make_dataset
 from repro.decoding import AutoregressiveDecoder, CostModel, get_profile
-from repro.decoding.adaptive import FixedGamma
 from repro.decoding.sampling import SamplerConfig
 from repro.decoding.tree import TreeDraft, speculative_verify, tree_extra_blocked
 from repro.errors import DecodingError
@@ -97,8 +96,8 @@ def _tree_engine(world, **overrides):
     return _engine(world, **overrides)
 
 
-def _run(engine, sample, gamma_controller=None):
-    session = engine.begin(sample, gamma_controller=gamma_controller)
+def _run(engine, sample, gamma=None):
+    session = engine.begin(sample, gamma=gamma)
     while not session.finished:
         engine.step(session)
     return session
@@ -479,11 +478,20 @@ class TestCommitState:
         positions = session.target_cache.positions
         assert positions[-1] == positions[0] + session.target_cache.seq_len - 1
 
-    def test_gamma_controller_sees_tree_depth(self, world):
-        # FixedGamma keeps gamma constant; the adaptive update must still
-        # be called with the tree's max depth (not node count) — pinned by
-        # drafting with gamma=2 and checking no block drafts deeper.
-        session = _run(_tree_engine(world, gamma=2), world["samples"][0],
-                       gamma_controller=FixedGamma(2))
+    def test_gamma_2_tree_never_drafts_deeper_than_2(self, world, monkeypatch):
+        # The session's gamma bounds a tree's depth, not its node count:
+        # a gamma=2 session on a gamma=4 engine branches past 2 nodes but
+        # never drafts past depth 2.
+        drafts = []
+
+        def spy(draft, *args, **kwargs):
+            drafts.append(draft)
+            return speculative_verify(draft, *args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "speculative_verify", spy)
+        session = _run(_tree_engine(world), world["samples"][0], gamma=2)
+        assert drafts and len(drafts) == len(session.record.blocks)
+        assert max(draft.max_depth for draft in drafts) == 2
+        assert any(draft.n_nodes > draft.max_depth for draft in drafts)
         for block in session.record.blocks:
-            assert block.n_accepted <= block.n_draft
+            assert block.n_accepted <= 2

@@ -112,16 +112,6 @@ class TestAdmissionQueue:
         with pytest.raises(AdmissionError):
             queue.submit(self._req(sample, "r0"), now_ms=0.0)
 
-    def test_predicate_skips_without_reordering(self, sample):
-        queue = AdmissionQueue(max_depth=8)
-        for i, gamma in enumerate([3, 5, 3, 5]):
-            queue.submit(self._req(sample, f"r{i}", gamma=gamma), now_ms=0.0)
-        taken = queue.pop_ready(4, predicate=lambda h: h.request.gamma == 5)
-        assert [h.request_id for h in taken] == ["r1", "r3"]
-        # the incompatible ones stayed queued, still in order
-        rest = queue.pop_ready(4)
-        assert [h.request_id for h in rest] == ["r0", "r2"]
-
     def test_expire_removes_overdue_only(self, sample):
         queue = AdmissionQueue(max_depth=8)
         queue.submit(self._req(sample, "tight", deadline_ms=10.0), now_ms=0.0)

@@ -239,19 +239,35 @@ class TestFaultIsolation:
 
 
 class TestCompatibilityAndBackpressure:
-    def test_batches_never_mix_gammas(self, make_engine, world):
+    @pytest.mark.parametrize("sampler_config", [
+        pytest.param(None, id="greedy"),
+        pytest.param(SamplerConfig(greedy=False, seed=3), id="sampled"),
+    ])
+    def test_one_batch_mixes_depths(self, make_engine, world, sampler_config):
+        gammas = [2, 5, 2, 5]
         scheduler = ContinuousBatchingScheduler(
-            make_engine(), ServingConfig(max_batch_size=4)
+            make_engine(sampler_config=sampler_config), ServingConfig(max_batch_size=4)
         )
-        for i, gamma in enumerate([2, 5, 2, 5]):
+        handles = [
             scheduler.submit(
                 ServeRequest(request_id=f"r{i}", sample=world["samples"][i], gamma=gamma)
             )
+            for i, gamma in enumerate(gammas)
+        ]
         scheduler.run_round()
-        gammas = {e.session.gamma_controller.gamma for e in scheduler._active}
-        assert gammas == {2}
+        assert scheduler.n_active == 4   # no request waits for a same-depth batch
+        assert [e.session.gamma for e in scheduler._active] == gammas
         scheduler.run_until_idle(max_rounds=200)
         assert scheduler.idle
+        for i, (handle, gamma) in enumerate(zip(handles, gammas)):
+            # the request decoded alone by an engine configured at its depth
+            # (under the same request id, so a sampled stream draws alike)
+            engine = make_engine(sampler_config=sampler_config, gamma=gamma)
+            session = engine.begin(world["samples"][i], request_id=f"r{i}")
+            while not session.finished:
+                engine.step(session)
+            assert handle.result().status == STATUS_COMPLETED
+            assert handle.result().record.token_ids == session.committed
 
     def test_submit_raises_when_queue_full(self, make_engine, world):
         scheduler = ContinuousBatchingScheduler(
