@@ -11,8 +11,7 @@ local bound to such a view (a slice of a view is still a view, and
 
 * **write-through** — a subscript store or augmented assignment through a
   view (``view[i] = x``, ``view += y``, ``hybrid.gather(0)[0] = z``)
-  corrupts cache state for every other reader, including COW forks that
-  still share the buffer;
+  corrupts cache state for every other reader;
 * **stale read / stale return** — a view used (or returned) after a
   mutating call (``append``/``rollback``/``clear_draft``/...) on *the same
   receiver*: ``rows = table.gather_rows(...); table.append(...);

@@ -13,11 +13,11 @@ can mask a modality at attention time.
 
 Storage is a single :class:`~repro.utils.arena.Arena` lane pair per array
 with the context occupying ``[0, context_len)`` and the draft segment the
-tail ``[context_len, seq_len)``.  Because the engine only ever appends
-context while the draft segment is empty (cleared after every verify),
-both lanes share one buffer, and the old per-``gather`` rebuild — five
-``np.concatenate`` calls over the *entire* context on every draft step —
-becomes a cached zero-copy view:
+tail ``[context_len, seq_len)``.  Context is appended only while the
+draft segment is empty (the engine clears it after every verify, and
+``append_context`` enforces it), so both lanes share one buffer, and
+the old per-``gather`` rebuild — five ``np.concatenate`` calls over the
+*entire* context on every draft step — becomes a cached zero-copy view:
 
 * ``append_draft`` memcpys one token into slack,
 * ``clear_draft`` is a pointer decrement,
@@ -102,27 +102,17 @@ class HybridKVCache:
     def append_context(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray, segment: int) -> None:
         """Append target-provided (or projected) KV to the context store.
 
-        When a draft segment is live (not the engine's pattern, but legal
-        API), the few draft tokens are lifted out, the context extended,
-        and the draft re-appended behind it — O(draft) extra copy, never
-        O(context).
+        The draft segment must be empty (``clear_draft`` first, as the
+        engine does after every verify): context rows sit below the draft
+        rows in the one shared lane.
         """
         if segment not in (SEGMENT_VISION, SEGMENT_TEXT):
             raise ShapeError(f"unknown segment tag {segment}")
-        k, v, positions = self._check(k, v, positions)
-        stashed = None
         if self.draft_len:
-            stashed = (
-                # repro: allow[hotpath] -- Draft-segment stash in append_context, a legal-API path used by tests and tooling, not the engine block loop; copies O(draft_len) keys so arena truncation cannot alias the re-appended segment.
-                self._k.view()[:, :, self._ctx_len:, :].copy(),
-                # repro: allow[hotpath] -- Draft-segment stash in append_context (values); same O(draft_len) non-engine path as the key stash above.
-                self._v.view()[:, :, self._ctx_len:, :].copy(),
-                # repro: allow[hotpath] -- Draft-segment stash in append_context (positions); same O(draft_len) non-engine path as the key stash above.
-                self._pos.view()[self._ctx_len:].copy(),
+            raise ShapeError(
+                f"append_context with {self.draft_len} live draft rows; call clear_draft first"
             )
-            self._k.truncate(self._ctx_len)
-            self._v.truncate(self._ctx_len)
-            self._pos.truncate(self._ctx_len)
+        k, v, positions = self._check(k, v, positions)
         self._k.append(k)
         self._v.append(v)
         self._pos.append(positions)
@@ -130,10 +120,6 @@ class HybridKVCache:
         self._ctx_len += k.shape[2]
         if segment == SEGMENT_VISION:
             self._n_vision += k.shape[2]
-        if stashed is not None:
-            self._k.append(stashed[0])
-            self._v.append(stashed[1])
-            self._pos.append(stashed[2])
         self._blocked.clear()
 
     def append_draft(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:

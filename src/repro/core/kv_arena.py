@@ -5,13 +5,14 @@ The implementation lives in :mod:`repro.utils.arena` so that
 it without an import cycle; this module is the documented entry point the
 rest of the stack imports from.  See the implementation module and
 ``docs/performance.md`` for the design: amortized-doubling growth, cached
-zero-copy views, pointer-decrement rollback, and copy-on-write forking.
+zero-copy views and pointer-decrement rollback.
 
-This module also owns :class:`BlockTable`, the batch-level gather view
-the packed ragged-batch kernels (``docs/kernels.md``) index per-request
-KV through: one table wraps B per-request caches and hands the fused
-forward per-layer key/value *views* plus cu-seqlen offsets, so assembling
-a batch's KV costs zero copies and O(B) Python, not O(B·T).
+This module also owns :class:`BlockTable`, a batch-level gather view:
+one table wraps B per-request caches and hands out per-layer key/value
+*views* plus cu-seqlen offsets, so assembling a batch's KV costs zero
+copies and O(B) Python, not O(B·T).  The packed forward
+(``docs/kernels.md``) does not go through it: it reads each request's
+``caches[i].layer()`` directly.
 """
 
 from __future__ import annotations

@@ -50,13 +50,6 @@ class ReferenceKVCache:
         """Tokens currently cached (0 when empty)."""
         return 0 if self._keys[0] is None else self._keys[0].shape[2]
 
-    @property
-    def batch_size(self) -> int:
-        """Leading batch dimension of the cached arrays."""
-        if self._keys[0] is None:
-            raise ShapeError("cache is empty")
-        return self._keys[0].shape[0]
-
     def layer(self, idx: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return (K, V) for layer ``idx``."""
         k, v = self._keys[idx], self._values[idx]
@@ -115,15 +108,6 @@ class ReferenceKVCache:
     def next_position(self) -> int:
         """Absolute position the next token should occupy."""
         return 0 if self.positions.size == 0 else int(self.positions[-1]) + 1
-
-    def clone(self) -> "ReferenceKVCache":
-        """Eager deep copy of every layer."""
-        out = ReferenceKVCache(self.n_layers)
-        out._keys = [None if k is None else k.copy() for k in self._keys]
-        out._values = [None if v is None else v.copy() for v in self._values]
-        out.positions = self.positions.copy()
-        out.segments = self.segments
-        return out
 
 
 class ReferenceHybridKVCache:

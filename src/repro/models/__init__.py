@@ -2,7 +2,7 @@
 
 from .config import LlamaConfig, LlavaConfig, MODEL_REGISTRY, VisionConfig, get_config
 from .connector import Connector
-from .generation import GenerationLimits, greedy_generate, greedy_generate_text_only
+from .generation import GenerationLimits, greedy_generate
 from .kv_cache import KVCache, Segments
 from .llama import LlamaOutput, MiniLlama
 from .llava import MiniLlava
@@ -24,5 +24,4 @@ __all__ = [
     "Connector",
     "GenerationLimits",
     "greedy_generate",
-    "greedy_generate_text_only",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 from ..nn.tensor import no_grad
 from .llava import MiniLlava
 
-__all__ = ["GenerationLimits", "greedy_generate", "greedy_generate_text_only"]
+__all__ = ["GenerationLimits", "greedy_generate"]
 
 
 @dataclass(frozen=True)
@@ -43,22 +43,5 @@ def greedy_generate(
             if limits.eos_id is not None and token == limits.eos_id:
                 break
             out = model.decode(np.asarray([[token]]), cache)
-            token = int(np.argmax(out.logits.data[0, -1]))
-    return generated
-
-
-def greedy_generate_text_only(model, prompt_ids: np.ndarray, limits: GenerationLimits) -> List[int]:
-    """Greedy generation for a text-only MiniLlama model."""
-    with no_grad():
-        cache = model.new_cache()
-        prompt_ids = np.asarray(prompt_ids, dtype=np.int64).reshape(1, -1)
-        out = model.forward(prompt_ids, cache=cache)
-        generated: List[int] = []
-        token = int(np.argmax(out.logits.data[0, -1]))
-        for _ in range(limits.max_new_tokens):
-            generated.append(token)
-            if limits.eos_id is not None and token == limits.eos_id:
-                break
-            out = model.forward(np.asarray([[token]]), cache=cache)
             token = int(np.argmax(out.logits.data[0, -1]))
     return generated

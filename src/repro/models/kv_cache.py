@@ -12,12 +12,11 @@ reallocation:
 * ``append`` memcpys only the new tokens into preallocated slack,
 * ``truncate`` (rejected-draft rollback) is a pointer decrement,
 * ``layer``/``last_layer``/``positions`` return cached zero-copy views,
-  identity-stable until the next mutation,
-* ``clone`` is copy-on-write: O(1) to take, and nobody pays a deep copy
-  until a side actually writes into shared storage (the old
-  implementation eagerly copied every layer; see
-  :class:`repro.core.reference.ReferenceKVCache` for that executable
-  spec, and ``docs/performance.md`` for the design).
+  identity-stable until the next mutation.
+
+:class:`repro.core.reference.ReferenceKVCache` keeps the old
+concatenate-per-append implementation as the executable spec, and
+``docs/performance.md`` has the design.
 """
 
 from __future__ import annotations
@@ -81,13 +80,6 @@ class KVCache:
     def seq_len(self) -> int:
         """Tokens currently cached (0 when empty)."""
         return 0 if self._keys[0] is None else len(self._keys[0])
-
-    @property
-    def batch_size(self) -> int:
-        """Leading batch dimension of the cached arrays."""
-        if self._keys[0] is None:
-            raise ShapeError("cache is empty")
-        return self._keys[0].view().shape[0]
 
     @property
     def positions(self) -> np.ndarray:
@@ -178,17 +170,3 @@ class KVCache:
     def footprint(self) -> Tuple[int, int]:
         """``(reserved, live)`` bytes of every layer and the positions."""
         return total_footprint([*self._keys, *self._values, self._positions])
-
-    def clone(self) -> "KVCache":
-        """Copy-on-write snapshot (verification rollouts, what-if decoding).
-
-        O(1): every layer arena is forked, sharing storage until one side
-        writes.  The old implementation deep-copied all layers eagerly,
-        even though AASD only ever reads the last layer's slice.
-        """
-        out = KVCache(self.n_layers)
-        out._keys = [None if k is None else k.fork(out._stats) for k in self._keys]
-        out._values = [None if v is None else v.fork(out._stats) for v in self._values]
-        out._positions = self._positions.fork(out._stats)
-        out.segments = self.segments
-        return out

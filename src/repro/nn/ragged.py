@@ -8,8 +8,8 @@ embedding gather, RMSNorm, the q/k/v/o projections, RoPE, the MLP — then
 runs as **one** fused call over all rows instead of B per-request Python
 dispatches.  Attention needs per-request structure, because request
 ``i``'s queries may attend to request ``i``'s keys alone: the packed
-forward attends per request over zero-copy cache views
-(:class:`repro.core.kv_arena.BlockTable`) at exactly the solo shapes.
+forward attends per request over that request's own cache views
+(``caches[i].layer()``) at exactly the solo shapes.
 So does the vocabulary-wide LM head, whose rows are not stable under
 stacking (below).
 
@@ -35,27 +35,20 @@ runs on, pinned by ``tests/nn/test_ragged.py::TestPackingStability``:
   batch axis, so each slice still takes the gemv kernel (bitwise equal
   to the solo call) while Python pays one dispatch instead of B.
 
-Consequently: the verify/prefill paths (every row >= 2 tokens) use
-cu-seqlen packing via :func:`pack_rows`, and the draft path (1 token per
-request per step) uses lockstep ``(B, 1, d)`` batching.  Layout details
-and a worked example live in ``docs/kernels.md``.
+Consequently: the verify/prefill paths (every row >= 2 tokens)
+concatenate their rows into one cu-seqlen packed feed indexed by
+:func:`cu_seqlens`, and the draft path (1 token per request per step)
+uses lockstep ``(B, 1, d)`` batching.  Layout details and a worked
+example live in ``docs/kernels.md``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, concat
-
-__all__ = [
-    "cu_seqlens",
-    "row_extents",
-    "pack_rows",
-    "unpack_rows",
-    "tree_blocked",
-]
+__all__ = ["cu_seqlens", "row_extents", "tree_blocked"]
 
 
 def cu_seqlens(lengths: Sequence[int]) -> np.ndarray:
@@ -73,35 +66,6 @@ def cu_seqlens(lengths: Sequence[int]) -> np.ndarray:
 def row_extents(cu: np.ndarray) -> List[Tuple[int, int]]:
     """``(start, end)`` pairs per segment of a cu-seqlen offsets vector."""
     return [(int(cu[i]), int(cu[i + 1])) for i in range(len(cu) - 1)]
-
-
-def pack_rows(rows: Sequence[Union[Tensor, np.ndarray]], axis: int = 1) -> Tensor:
-    """Concatenate per-request rows into one packed tensor.
-
-    ``rows`` are tensors shaped ``(1, L_i, ...)`` (or any shapes equal
-    outside ``axis``); the result is their concatenation along ``axis``
-    — one allocation, one memcpy per row.  Use :func:`cu_seqlens` on the
-    per-row lengths to index the result.
-    """
-    tensors = [r if isinstance(r, Tensor) else Tensor(np.asarray(r)) for r in rows]
-    if len(tensors) == 1:
-        return tensors[0]
-    return concat(tensors, axis=axis)
-
-
-def unpack_rows(packed: np.ndarray, cu: np.ndarray, axis: int = 1) -> List[np.ndarray]:
-    """Split a packed array back into per-request views (zero-copy).
-
-    The inverse of :func:`pack_rows`: returns one numpy view per
-    segment, sliced along ``axis`` at the ``cu`` offsets.
-    """
-    data = np.asarray(packed)
-    index: List[slice] = [slice(None)] * data.ndim
-    views = []
-    for start, end in row_extents(cu):
-        index[axis] = slice(start, end)
-        views.append(data[tuple(index)])
-    return views
 
 
 def tree_blocked(parents: Sequence[int]) -> np.ndarray:

@@ -9,12 +9,6 @@ layer that removes both costs:
   Appends memcpy only the new tokens into preallocated slack; truncation
   (draft rollback) is a pointer decrement; reads return **cached
   zero-copy views** that stay identity-stable until the next mutation.
-* **Copy-on-write forking** (:meth:`Arena.fork`) — a fork shares the
-  backing buffer in O(1).  The fork privatizes itself on its first write;
-  the original keeps appending into shared slack (always beyond every
-  fork's visible range) and only pays a copy if it rolls back *below* a
-  fork's snapshot length and then appends.  This is what makes
-  ``KVCache.clone()`` cheap for read-mostly verification snapshots.
 * :class:`ArenaStats` — per-cache byte/grow/peak accounting, mirrored
   into the process :class:`~repro.obs.metrics.MetricsRegistry`
   (``kv_arena.bytes_copied_total``, ``kv_arena.grow_events_total``,
@@ -56,7 +50,7 @@ class ArenaStats:
     """Copy/growth accounting for one cache's arenas (shared across them).
 
     ``bytes_copied`` counts every byte the arenas memcpy'd: the
-    unavoidable new-token writes plus the occasional doubling/COW
+    unavoidable new-token writes plus the occasional doubling
     relocations.  ``grow_events`` counts buffer reallocations, and
     ``peak_tokens`` is the longest any arena ever got.  The same three
     numbers are mirrored into the metrics registry so cross-request
@@ -96,22 +90,6 @@ def total_footprint(arenas) -> Tuple[int, int]:
     return sum(r for r, _ in sizes), sum(n for _, n in sizes)
 
 
-class _Store:
-    """Refcounted backing buffer shared between an arena and its COW forks.
-
-    ``frozen_len`` is the high-water mark of every fork's snapshot length:
-    slots below it may be visible to another sharer and must never be
-    rewritten in place while ``refs > 1``.
-    """
-
-    __slots__ = ("buf", "refs", "frozen_len")
-
-    def __init__(self, buf: np.ndarray) -> None:
-        self.buf = buf
-        self.refs = 1
-        self.frozen_len = 0
-
-
 def _grown_capacity(current: int, needed: int) -> int:
     """Next capacity: double from ``current`` until ``needed`` fits."""
     cap = max(current, MIN_CAPACITY)
@@ -131,7 +109,7 @@ class Arena:
     """
 
     __slots__ = (
-        "_store", "_len", "_axis", "_owner", "_stats", "_view",
+        "_buf", "_len", "_axis", "_stats", "_view",
         "_reg", "_ctr_bytes", "_gauge_peak",
     )
 
@@ -145,10 +123,9 @@ class Arena:
     ) -> None:
         shape = list(item_shape)
         shape[axis] = _grown_capacity(0, int(capacity))
-        self._store = _Store(np.empty(tuple(shape), dtype=dtype))
+        self._buf = np.empty(tuple(shape), dtype=dtype)
         self._len = 0
         self._axis = axis
-        self._owner = True
         self._stats = stats if stats is not None else ArenaStats()
         self._view: Optional[np.ndarray] = None
         self._reg = None
@@ -161,31 +138,16 @@ class Arena:
     @property
     def capacity(self) -> int:
         """Allocated slots along the grow axis."""
-        return self._store.buf.shape[self._axis]
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Element dtype of the backing buffer."""
-        return self._store.buf.dtype
+        return self._buf.shape[self._axis]
 
     def footprint(self) -> Tuple[int, int]:
         """``(reserved, live)`` bytes: the backing buffer, and its live prefix."""
-        buf = self._store.buf
-        return buf.nbytes, buf.nbytes // self.capacity * self._len
-
-    @property
-    def stats(self) -> ArenaStats:
-        """The (possibly shared) accounting object this arena feeds."""
-        return self._stats
-
-    @property
-    def shared(self) -> bool:
-        """True while the backing buffer is shared with a COW fork."""
-        return self._store.refs > 1
+        nbytes = self._buf.nbytes
+        return nbytes, nbytes // self.capacity * self._len
 
     def _slice(self, n: int) -> Tuple[slice, ...]:
         """Index tuple selecting the first ``n`` tokens along the axis."""
-        index = [slice(None)] * self._store.buf.ndim
+        index = [slice(None)] * self._buf.ndim
         index[self._axis] = slice(0, n)
         return tuple(index)
 
@@ -216,20 +178,20 @@ class Arena:
         if self._view is None:
             if _PROFILER.enabled:
                 begin = time.perf_counter()
-                self._view = self._store.buf[self._slice(self._len)]
+                self._view = self._buf[self._slice(self._len)]
                 _PROFILER.record(OP_ARENA_VIEW,
                                  1000.0 * (time.perf_counter() - begin))
             else:
-                self._view = self._store.buf[self._slice(self._len)]
+                self._view = self._buf[self._slice(self._len)]
         return self._view
 
     # ------------------------------------------------------------------
     def _relocate(self, capacity: int) -> None:
-        """Move the live prefix into a fresh private buffer (grow or COW split)."""
-        shape = list(self._store.buf.shape)
+        """Move the live prefix into a fresh buffer of ``capacity`` slots."""
+        shape = list(self._buf.shape)
         shape[self._axis] = capacity
-        fresh = np.empty(tuple(shape), dtype=self._store.buf.dtype)
-        live = self._store.buf[self._slice(self._len)]
+        fresh = np.empty(tuple(shape), dtype=self._buf.dtype)
+        live = self._buf[self._slice(self._len)]
         if _PROFILER.enabled:
             begin = time.perf_counter()
             fresh[self._slice(self._len)] = live
@@ -238,13 +200,7 @@ class Arena:
                              nbytes=live.nbytes)
         else:
             fresh[self._slice(self._len)] = live
-        if self._store.refs > 1:
-            self._store.refs -= 1
-            self._store = _Store(fresh)
-        else:
-            self._store.buf = fresh
-            self._store.frozen_len = 0
-        self._owner = True
+        self._buf = fresh
         moved = live.nbytes
         self._stats.bytes_copied += moved
         self._stats.grow_events += 1
@@ -255,11 +211,11 @@ class Arena:
     def append(self, array: np.ndarray) -> None:
         """Memcpy ``array`` (same shape off-axis) into preallocated slack."""
         array = np.asarray(array)
-        if array.ndim != self._store.buf.ndim:
+        if array.ndim != self._buf.ndim:
             raise ShapeError(
-                f"arena append ndim {array.ndim} != {self._store.buf.ndim}"
+                f"arena append ndim {array.ndim} != {self._buf.ndim}"
             )
-        expect = self._store.buf.shape
+        expect = self._buf.shape
         got = array.shape
         if got[: self._axis] != expect[: self._axis] or got[self._axis + 1:] != expect[self._axis + 1:]:
             raise ShapeError(
@@ -268,22 +224,18 @@ class Arena:
             )
         n_new = array.shape[self._axis]
         need = self._len + n_new
-        store = self._store
-        unsafe_shared = store.refs > 1 and (
-            not self._owner or self._len < store.frozen_len
-        )
-        if need > self.capacity or unsafe_shared:
+        if need > self.capacity:
             self._relocate(_grown_capacity(self.capacity, need))
-        index = [slice(None)] * self._store.buf.ndim
+        index = [slice(None)] * self._buf.ndim
         index[self._axis] = slice(self._len, need)
         if _PROFILER.enabled:
             begin = time.perf_counter()
-            self._store.buf[tuple(index)] = array
+            self._buf[tuple(index)] = array
             _PROFILER.record(OP_ARENA_COPY,
                              1000.0 * (time.perf_counter() - begin),
                              nbytes=array.nbytes)
         else:
-            self._store.buf[tuple(index)] = array
+            self._buf[tuple(index)] = array
         self._len = need
         self._view = None
         self._stats.bytes_copied += array.nbytes
@@ -302,25 +254,3 @@ class Arena:
         if new_len != self._len:
             self._len = new_len
             self._view = None
-
-    def fork(self, stats: Optional[ArenaStats] = None) -> "Arena":
-        """O(1) copy-on-write fork sharing this arena's storage.
-
-        The fork reads the current prefix for free and privatizes itself
-        on its first ``append``; this arena keeps in-place append rights
-        for slots beyond the fork's snapshot length.  ``stats`` lets the
-        forking cache route the fork's accounting into its own
-        :class:`ArenaStats`.
-        """
-        store = self._store
-        store.refs += 1
-        store.frozen_len = max(store.frozen_len, self._len)
-        fork = Arena.__new__(Arena)
-        fork._store = store
-        fork._len = self._len
-        fork._axis = self._axis
-        fork._owner = False
-        fork._stats = stats if stats is not None else ArenaStats()
-        fork._view = None
-        fork._reg = None
-        return fork

@@ -36,6 +36,16 @@ class TestAppend:
         assert cache.draft_len == 0
         assert cache.seq_len == 0
 
+    def test_context_with_live_draft_rejected(self, cache):
+        cache.append_context(*kv(3), positions=np.arange(3), segment=SEGMENT_VISION)
+        cache.append_draft(*kv(2, seed=1), positions=np.array([3, 4]))
+        before = [a.copy() for a in cache.gather()]
+        with pytest.raises(ShapeError, match="clear_draft"):
+            cache.append_context(*kv(1, seed=2), positions=np.array([5]), segment=SEGMENT_TEXT)
+        assert (cache.context_len, cache.draft_len) == (3, 2)
+        for old, new in zip(before, cache.gather()):
+            np.testing.assert_array_equal(old, new)
+
     def test_bad_segment(self, cache):
         with pytest.raises(ShapeError):
             cache.append_context(*kv(1), positions=np.array([0]), segment=9)

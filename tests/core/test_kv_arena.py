@@ -1,7 +1,7 @@
 """Unit tests for the KV arena storage layer (``repro.core.kv_arena``).
 
 Covers the arena contract directly (growth, truncate, cached views,
-copy-on-write forks, stats accounting) plus the zero-copy regression
+stats accounting) plus the zero-copy regression
 guarantees for the two caches built on top: ``KVCache.layer`` and
 ``HybridKVCache.gather`` must return *views* — the same objects across
 repeated calls, invalidated only by mutation.
@@ -83,37 +83,6 @@ class TestArena:
         v2 = a.view()
         a.truncate(1)
         assert a.view() is not v2        # truncate invalidates
-
-    def test_fork_shares_until_owner_appends_past_watermark(self):
-        a = _arena()
-        a.append(_tokens(3, seed=3))
-        fork = a.fork()
-        np.testing.assert_array_equal(fork.view(), a.view())
-        snapshot = fork.view().copy()
-        # Owner appends into shared slack beyond the fork's watermark:
-        # legal in place, invisible to the fork.
-        a.append(_tokens(2, seed=4))
-        assert len(fork) == 3
-        np.testing.assert_array_equal(fork.view(), snapshot)
-
-    def test_fork_write_detaches(self):
-        a = _arena()
-        a.append(_tokens(3, seed=5))
-        fork = a.fork()
-        fork.append(_tokens(1, seed=6))    # fork must copy out, not clobber
-        a.append(_tokens(1, seed=7))
-        assert len(a) == len(fork) == 4
-        assert not np.array_equal(a.view(), fork.view())
-        np.testing.assert_array_equal(a.view()[:, :, :3, :], fork.view()[:, :, :3, :])
-
-    def test_owner_rollback_below_watermark_relocates(self):
-        a = _arena()
-        a.append(_tokens(4, seed=8))
-        fork = a.fork()
-        snapshot = fork.view().copy()
-        a.truncate(2)
-        a.append(_tokens(2, seed=9))       # would overwrite fork's view in place
-        np.testing.assert_array_equal(fork.view(), snapshot)
 
     def test_stats_accounting(self):
         stats = ArenaStats()

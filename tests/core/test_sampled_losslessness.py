@@ -30,6 +30,7 @@ from repro.decoding import CostModel, LlamaTextDraft, get_profile
 from repro.decoding.base import encode_prompt
 from repro.decoding.sampling import SamplerConfig, logits_to_probs
 from repro.decoding.tree import VerifyOutcome
+from repro.models.kv_cache import KVCache
 from repro.nn.tensor import no_grad
 from repro.utils.rng import derive
 
@@ -62,13 +63,24 @@ def parts(smoke_zoo):
     )
 
 
+def _copy_cache(cache: KVCache) -> KVCache:
+    """A fresh cache holding ``cache``'s rows, positions and segments."""
+    out = KVCache(cache.n_layers)
+    for layer in range(cache.n_layers):
+        out.append(layer, *cache.layer(layer))
+    out.extend_positions(cache.positions)
+    out.segments = cache.segments
+    return out
+
+
 @pytest.fixture(scope="module")
 def reference(parts):
     """Per prompt, ``N_REFERENCE`` token tuples sampled from the target alone.
 
-    One prefill per prompt; every draw continues on a copy-on-write clone
-    of its cache, and the clones advance together through one packed
-    forward per position, which is what keeps a large reference cheap.
+    One prefill per prompt; every draw continues on its own copy of that
+    cache (:func:`_copy_cache`), and the copies advance together through
+    one packed forward per position, which is what keeps a large
+    reference cheap.
     """
     target, config = parts["target"], _sampler(0)
     eos = parts["tokenizer"].vocab.eos_id
@@ -84,7 +96,7 @@ def reference(parts):
             prompt_ids = encode_prompt(parts["tokenizer"], sample)
             cache, first = target.prefill(sample.image[None], prompt_ids[None])
             runs = [[draw(first[0])] for _ in range(N_REFERENCE)]
-            live = [(run, cache.clone()) for run in runs if run[-1] != eos]
+            live = [(run, _copy_cache(cache)) for run in runs if run[-1] != eos]
             for _ in range(N_TOKENS - 1):
                 outs = target.decode_batch(
                     [np.asarray([run[-1]]) for run, _ in live], [c for _, c in live]

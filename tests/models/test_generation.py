@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
-from repro.models.generation import GenerationLimits, greedy_generate, greedy_generate_text_only
-from repro.models.llama import MiniLlama
+from repro.models.generation import GenerationLimits, greedy_generate
 from repro.models.llava import MiniLlava
 
 
@@ -37,12 +36,6 @@ class TestGreedyGenerate:
         a = greedy_generate(llava, img, np.array([1]), limits)
         b = greedy_generate(llava, img, np.array([1]), limits)
         assert a == b
-
-    def test_text_only_variant(self, rng):
-        lm = MiniLlama(LlamaConfig(vocab_size=15, dim=16, n_layers=1, n_heads=2, mlp_hidden=32), rng=rng)
-        out = greedy_generate_text_only(lm, np.array([1, 2, 3]), GenerationLimits(max_new_tokens=6))
-        assert len(out) == 6
-        assert all(0 <= t < 15 for t in out)
 
     def test_eos_included_in_output(self, llava, rng):
         """When eos is generated it is the last returned token."""

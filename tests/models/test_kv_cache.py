@@ -28,15 +28,12 @@ class TestBasics:
         assert cache.next_position() == 0
         with pytest.raises(ShapeError):
             cache.layer(0)
-        with pytest.raises(ShapeError):
-            cache.batch_size
 
     def test_append_and_grow(self):
         cache = KVCache(2)
         fill(cache, 4)
         fill(cache, 3)
         assert cache.seq_len == 7
-        assert cache.batch_size == 1
         assert cache.next_position() == 7
         k, v = cache.last_layer()
         assert k.shape == (1, 2, 7, 4)
@@ -104,53 +101,3 @@ class TestSegments:
         seg = Segments(vision=(0, 4), prompt=(4, 7))
         assert seg.n_vision == 4
         assert seg.prefix_len == 7
-
-
-class TestClone:
-    def test_clone_independent(self):
-        cache = KVCache(2)
-        fill(cache, 4)
-        cache.set_segments(2, 2)
-        other = cache.clone()
-        other.truncate(4)
-        fill(other, 1)
-        assert cache.seq_len == 4
-        assert other.seq_len == 5
-        assert other.segments == cache.segments
-
-    def test_clone_is_copy_on_write(self):
-        """clone() shares storage until a side writes — no eager deep copy."""
-        cache = KVCache(2)
-        fill(cache, 4)
-        copied_before = cache.arena_stats().bytes_copied
-        other = cache.clone()
-        # Taking the snapshot moves no array data on either side.
-        assert cache.arena_stats().bytes_copied == copied_before
-        assert other.arena_stats().bytes_copied == 0
-        k_orig, _ = cache.layer(0)
-        k_fork, _ = other.layer(0)
-        assert k_fork.base is k_orig.base    # same underlying buffer
-        # First write on the clone detaches it (pays the copy), and the
-        # original is untouched.
-        fill(other, 1)
-        assert other.arena_stats().bytes_copied > 0
-        assert other.layer(0)[0].base is not cache.layer(0)[0].base
-        np.testing.assert_array_equal(cache.layer(0)[0], k_fork[:, :, :4, :])
-
-    def test_original_can_mutate_without_touching_clone(self):
-        cache = KVCache(1)
-        fill(cache, 5)
-        snapshot = cache.clone()
-        frozen = snapshot.layer(0)[0].copy()
-        cache.truncate(2)
-        fill(cache, 2)
-        assert snapshot.seq_len == 5
-        np.testing.assert_array_equal(snapshot.layer(0)[0], frozen)
-
-    def test_clone_of_empty_cache(self):
-        cache = KVCache(2)
-        other = cache.clone()
-        assert other.seq_len == 0
-        fill(other, 2)
-        assert other.seq_len == 2
-        assert cache.seq_len == 0

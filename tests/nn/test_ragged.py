@@ -1,4 +1,4 @@
-"""Ragged packing helpers, the tree mask, and the packing-stability contract.
+"""Cu-seqlen offsets, the tree mask, and the packing-stability contract.
 
 ``TestPackingStability`` pins the empirical BLAS properties the packed
 serving paths depend on (see the ``repro.nn.ragged`` module docstring):
@@ -12,14 +12,7 @@ identity.
 import numpy as np
 import pytest
 
-from repro.nn.ragged import (
-    cu_seqlens,
-    pack_rows,
-    row_extents,
-    tree_blocked,
-    unpack_rows,
-)
-from repro.nn.tensor import Tensor
+from repro.nn.ragged import cu_seqlens, row_extents, tree_blocked
 
 
 class TestCuSeqlens:
@@ -33,26 +26,6 @@ class TestCuSeqlens:
 
     def test_row_extents(self):
         assert row_extents(cu_seqlens([2, 5])) == [(0, 2), (2, 7)]
-
-
-class TestPackUnpack:
-    def test_roundtrip(self, rng):
-        rows = [rng.standard_normal((1, n, 4)) for n in (3, 1, 5)]
-        packed = pack_rows(rows)
-        assert isinstance(packed, Tensor)
-        assert packed.shape == (1, 9, 4)
-        views = unpack_rows(packed.data, cu_seqlens([3, 1, 5]))
-        for row, view in zip(rows, views):
-            assert np.array_equal(row, view)
-
-    def test_unpack_is_zero_copy(self, rng):
-        packed = rng.standard_normal((1, 6, 2))
-        views = unpack_rows(packed, cu_seqlens([2, 4]))
-        assert all(v.base is not None for v in views)
-
-    def test_single_row_passthrough(self, rng):
-        row = Tensor(rng.standard_normal((1, 4, 2)))
-        assert pack_rows([row]) is row
 
 
 class TestTreeBlocked:
