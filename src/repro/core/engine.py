@@ -105,7 +105,6 @@ class AASDEngineConfig:
     max_new_tokens: int = 64
     fallback_on_fault: bool = True   # degrade instead of raising on draft faults
     max_draft_faults: int = 3        # after this many faults, go target-only
-    guard_cache: bool = True         # validate draft-state invariants per block
     # Tree speculation (repro.decoding.tree): draft a candidate *tree*
     # instead of a gamma-chain and verify every branch in one target
     # forward, greedy or sampled, by the one acceptance rule.  With
@@ -368,7 +367,7 @@ class AASDEngine(Decoder):
             sp.add_sim_ms(session.record.charge_sim(ms, category))
             # A fallback step follows a block with no (clean) draft-phase
             # guard, so the state is re-validated here.
-            if category == "fallback" and cfg.guard_cache:
+            if category == "fallback":
                 self.head.check(state)
             return ms
         except Exception as exc:  # degrade to plain decode
@@ -497,8 +496,7 @@ class AASDEngine(Decoder):
                 phase = self.head.prefill_phase
                 if phase is not None:
                     sp.add_sim_ms(record.charge_sim(self.cost_model.price(phase, (1,)), "prefill"))
-                if cfg.guard_cache:
-                    self.head.check(session.draft_state)
+                self.head.check(session.draft_state)
             except Exception as exc:  # any drafter fault degrades, never aborts
                 if not cfg.fallback_on_fault:
                     raise
@@ -712,7 +710,7 @@ class AASDEngine(Decoder):
                 sp.set_attr("gamma", max(st.session.gamma for st in states))
                 self._draft(states, sp, clock)
                 for st in states:
-                    if self.config.guard_cache and not st.faulted:
+                    if not st.faulted:
                         try:
                             self.head.check(st.session.draft_state)
                         except Exception as exc:

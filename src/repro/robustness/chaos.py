@@ -89,8 +89,10 @@ class StormProfile:
     """One deterministic fault storm, fully described by plain values.
 
     The profile stays free of serving-layer types on purpose (layering:
-    this module may only import :mod:`repro.serving` lazily); resilience
-    policy objects are built from these scalars inside :func:`run_storm`.
+    this module may only import :mod:`repro.serving` lazily); its
+    resilience switches become ``ServingConfig`` fields inside
+    :func:`run_storm`, and the policy thresholds are the constants of
+    :mod:`repro.serving.resilience`.
     """
 
     name: str
@@ -107,17 +109,10 @@ class StormProfile:
     max_batch_size: int = 4
     max_queue_depth: int = 64
     deadline_ms: Optional[float] = None      #: per-request relative deadline
-    # -- resilience policies (scalars; objects built lazily) -----------
+    # -- resilience switches (retry jitter is seeded by ``seed``) -------
     use_retry: bool = False
-    max_retries: int = 2
-    base_backoff_ms: float = 20.0
     use_breaker: bool = False
-    breaker_window: int = 4
-    breaker_fault_rate: float = 1.0          #: open at >= this many faults/round
-    breaker_cooldown: int = 3
-    breaker_probes: int = 2
-    shed_policy: Optional[str] = None        #: "reject-newest" / "reject-over-deadline"
-    max_queue_ms: Optional[float] = None     #: shed pressure threshold
+    max_queue_ms: Optional[float] = None     #: shed pressure threshold (None = no shedding)
     # -- checkpoint corruption on reload -------------------------------
     corrupt_reload: Optional[str] = None     #: "truncate" / "byteflip" (None = skip)
 
@@ -234,7 +229,6 @@ def default_profiles(quick: bool = False, seed: int = 0) -> Tuple[StormProfile, 
             max_batch_size=2,
             max_queue_depth=4,
             deadline_ms=2500.0,
-            shed_policy="reject-newest",
             max_queue_ms=600.0,
         ),
         StormProfile(
@@ -282,15 +276,18 @@ def _corrupt_reload(world: ChaosWorld, profile: StormProfile,
 
     Returns the CheckpointError message (the *expected* outcome — silent
     corruption would be the failure) or None when the reload succeeded,
-    which :func:`run_storm` records as an invariant violation.
+    which :func:`run_storm` records as an invariant violation.  The
+    message names the checkpoint relative to ``work_dir``, so equal
+    storms report equal messages wherever their scratch directory is.
     """
-    path = work_dir / f"chaos-{profile.name}-head.npz"
+    name = f"chaos-{profile.name}-head.npz"
+    path = work_dir / name
     save_state_dict(path, world.head.state_dict(), meta={"storm": profile.name})
     corrupt_checkpoint(path, mode=profile.corrupt_reload, seed=profile.seed)
     try:
         load_state_dict(path, verify=True)
     except CheckpointError as exc:
-        return str(exc)
+        return str(exc).replace(str(path), name)
     return None
 
 
@@ -392,12 +389,6 @@ def run_storm(profile: StormProfile, world: ChaosWorld,
         ServingConfig,
         serve_requests,
     )
-    from ..serving.resilience import (
-        BreakerConfig,
-        ResilienceConfig,
-        RetryPolicy,
-        ShedConfig,
-    )
 
     if oracle is None:
         oracle = clean_token_ids(world)
@@ -412,28 +403,6 @@ def run_storm(profile: StormProfile, world: ChaosWorld,
         checkpoint_error = _corrupt_reload(world, profile, Path(work_dir))
         if checkpoint_error is None:
             violations.append("corrupted checkpoint reloaded without detection")
-
-    retry = (
-        RetryPolicy(max_retries=profile.max_retries,
-                    base_backoff_ms=profile.base_backoff_ms,
-                    seed=profile.seed)
-        if profile.use_retry else None
-    )
-    breaker = (
-        BreakerConfig(window=profile.breaker_window,
-                      open_above_fault_rate=profile.breaker_fault_rate,
-                      cooldown_rounds=profile.breaker_cooldown,
-                      probe_rounds=profile.breaker_probes)
-        if profile.use_breaker else None
-    )
-    shed = (
-        ShedConfig(max_queue_ms=profile.max_queue_ms, policy=profile.shed_policy)
-        if profile.shed_policy is not None else None
-    )
-    resilience = (
-        ResilienceConfig(retry=retry, breaker=breaker, shed=shed)
-        if (retry or breaker or shed) else None
-    )
 
     requests = [
         ServeRequest(
@@ -465,7 +434,10 @@ def run_storm(profile: StormProfile, world: ChaosWorld,
         config = ServingConfig(
             max_batch_size=profile.max_batch_size,
             max_queue_depth=profile.max_queue_depth,
-            resilience=resilience,
+            retry=profile.use_retry,
+            retry_seed=profile.seed,
+            breaker=profile.use_breaker,
+            max_queue_ms=profile.max_queue_ms,
         )
         scheduler = ContinuousBatchingScheduler(engine, config)
         report = serve_requests(engine, requests, config, scheduler=scheduler)

@@ -1,6 +1,6 @@
 """Continuous-batching serving layer over :class:`~repro.core.engine.AASDEngine`.
 
-The subsystem has three parts (see ``docs/serving.md``):
+The subsystem has four parts (see ``docs/serving.md``):
 
 * :mod:`~repro.serving.request` — the request/response types
   (:class:`ServeRequest`, :class:`ServeResult`, :class:`ServeHandle`);
@@ -10,9 +10,9 @@ The subsystem has three parts (see ``docs/serving.md``):
 * :mod:`~repro.serving.scheduler` — the continuous-batching round loop
   (:class:`ContinuousBatchingScheduler`) and the synchronous
   :func:`serve_requests` facade for offline throughput runs;
-* :mod:`~repro.serving.resilience` — retry / circuit-breaker / shedding
-  policies (:class:`ResilienceConfig`), wired into the scheduler via
-  ``ServingConfig(resilience=...)``.
+* :mod:`~repro.serving.resilience` — the retry / circuit-breaker /
+  shedding policies and their threshold constants, switched on per
+  scheduler by ``ServingConfig(retry=..., breaker=..., max_queue_ms=...)``.
 """
 
 from .queue import AdmissionQueue
@@ -25,13 +25,7 @@ from .request import (
     ServeRequest,
     ServeResult,
 )
-from .resilience import (
-    BreakerConfig,
-    CircuitBreaker,
-    ResilienceConfig,
-    RetryPolicy,
-    ShedConfig,
-)
+from .resilience import CircuitBreaker
 from .scheduler import (
     ContinuousBatchingScheduler,
     ServingConfig,
@@ -52,9 +46,5 @@ __all__ = [
     "ServingReport",
     "ContinuousBatchingScheduler",
     "serve_requests",
-    "RetryPolicy",
-    "BreakerConfig",
     "CircuitBreaker",
-    "ShedConfig",
-    "ResilienceConfig",
 ]

@@ -34,6 +34,7 @@ class AdmissionQueue:
         self.max_depth = max_depth
         self._lock = threading.Lock()
         self._items: deque = deque()
+        #: ids submitted and not yet released: queued, in the batch or backing off
         self._ids: set = set()
         self._publish()
 
@@ -60,7 +61,10 @@ class AdmissionQueue:
 
         ``now_ms`` (server clock) is stamped as the submission time, from
         which any relative deadline is anchored.  Duplicate request ids are
-        refused — per-request attribution relies on their uniqueness.
+        refused — per-request attribution relies on their uniqueness.  An
+        id stays taken from here until :meth:`release`, so it is refused
+        while the request is queued, in the batch, or waiting out a retry
+        backoff.
         """
         with self._lock:
             if len(self._items) >= self.max_depth:
@@ -82,8 +86,6 @@ class AdmissionQueue:
             return []
         with self._lock:
             taken = [self._items.popleft() for _ in range(min(k, len(self._items)))]
-            for handle in taken:
-                self._ids.discard(handle.request_id)
             self._publish()
         return taken
 
@@ -96,13 +98,13 @@ class AdmissionQueue:
         queue — by submission time it is the oldest waiter.
         """
         with self._lock:
-            if handle.request_id in self._ids:
-                raise AdmissionError(
-                    f"request {handle.request_id!r} is already queued"
-                )
             self._items.appendleft(handle)
-            self._ids.add(handle.request_id)
             self._publish()
+
+    def release(self, request_id: str) -> None:
+        """Free a resolved request's id for a later :meth:`submit`."""
+        with self._lock:
+            self._ids.discard(request_id)
 
     def oldest_wait_ms(self, now_ms: float) -> Optional[float]:
         """Queue time of the oldest waiter (None when empty).
@@ -118,41 +120,16 @@ class AdmissionQueue:
     def shed_newest(self, target_depth: int) -> List[ServeHandle]:
         """Drop handles from the *tail* until at most ``target_depth`` wait.
 
-        The reject-newest shed policy: the oldest requests (closest to
-        service, longest already invested) keep their place.  Returns the
-        shed handles for the scheduler to reject.
+        The scheduler's shed policy (reject-newest): the oldest requests
+        (closest to service, longest already invested) keep their place.
+        Returns the shed handles for the scheduler to reject.
         """
         if target_depth < 0:
             raise ServingError(f"target_depth must be non-negative, got {target_depth}")
         shed: List[ServeHandle] = []
         with self._lock:
             while len(self._items) > target_depth:
-                handle = self._items.pop()
-                self._ids.discard(handle.request_id)
-                shed.append(handle)
-            self._publish()
-        return shed
-
-    def shed_over_deadline(self, now_ms: float, horizon_ms: float) -> List[ServeHandle]:
-        """Drop queued handles whose deadline falls inside the horizon.
-
-        The reject-over-deadline shed policy: a request whose absolute
-        deadline is within ``horizon_ms`` (the projected further wait)
-        cannot finish in time anyway, so shedding it costs nothing and
-        frees queue space for requests that still can.  Deadline-less
-        requests are never shed by this policy.
-        """
-        shed: List[ServeHandle] = []
-        with self._lock:
-            kept: deque = deque()
-            for handle in self._items:
-                limit = expiry_ms(handle)
-                if limit is not None and limit < now_ms + horizon_ms:
-                    shed.append(handle)
-                    self._ids.discard(handle.request_id)
-                else:
-                    kept.append(handle)
-            self._items = kept
+                shed.append(self._items.pop())
             self._publish()
         return shed
 
@@ -165,7 +142,6 @@ class AdmissionQueue:
                 limit = expiry_ms(handle)
                 if limit is not None and now_ms >= limit:
                     expired.append(handle)
-                    self._ids.discard(handle.request_id)
                 else:
                     kept.append(handle)
             self._items = kept

@@ -1,29 +1,32 @@
 """Resilience policies for the serving tier: retry, breaker, shedding.
 
-The policies are plain data + small state machines; the scheduler in
-:mod:`repro.serving.scheduler` owns *when* they fire.  Everything is
-deterministic given the policy seeds and the request stream, which is what
-lets the chaos harness (:mod:`repro.robustness.chaos`) assert exact
-token-identity and metric reconciliation after a fault storm.
+Each policy is one switch on :class:`~repro.serving.scheduler.ServingConfig`
+(``retry`` with its jitter ``retry_seed``, ``breaker``, and the shed
+threshold ``max_queue_ms``); their thresholds are the module constants
+below.  The scheduler in :mod:`repro.serving.scheduler` owns *when* they
+fire.  Everything is deterministic given the retry seed and the request
+stream, which is what lets the chaos harness
+(:mod:`repro.robustness.chaos`) assert exact token-identity and metric
+reconciliation after a fault storm.
 
-* :class:`RetryPolicy` — exponential backoff with deterministic
-  per-(request, attempt) jitter and a bounded retry budget.  Only faults
-  classified transient by :func:`repro.robustness.faults.is_transient` are
-  retried; retried requests restart from a fresh prefill with the engine
-  RNG replayed, so their output is token-identical to a clean run.
-* :class:`CircuitBreaker` + :class:`BreakerConfig` — a closed / open /
-  half-open state machine over per-round acceptance and draft-fault rates.
-  While open the scheduler forces target-only decoding; after a cooldown
-  the breaker half-opens and probes speculation for a few rounds before
-  re-closing (hysteresis: the re-close bar is higher than the open bar).
-* :class:`ShedConfig` — load-shedding policy applied when queued requests
-  wait longer than ``max_queue_ms``: ``reject-newest`` drains the youngest
-  queued requests down to a target depth, ``reject-over-deadline`` drops
-  exactly the queued requests that could not meet their deadline anyway.
-* :class:`ResilienceConfig` — the bundle handed to
-  :class:`~repro.serving.scheduler.ServingConfig`; ``None`` fields disable
-  the corresponding policy, and a ``None`` bundle keeps the scheduler's
-  legacy (fail-fast) behavior bit-for-bit.
+* :func:`retry_backoff_ms` — exponential backoff with deterministic
+  per-(request, attempt) jitter, at most :data:`MAX_RETRIES` retries per
+  request.  Only faults classified transient by
+  :func:`repro.robustness.faults.is_transient` are retried; retried
+  requests restart from a fresh prefill with the engine RNG replayed, so
+  their output is token-identical to a clean run.
+* :class:`CircuitBreaker` — a closed / open / half-open state machine over
+  per-round acceptance and draft-fault rates.  While open the scheduler
+  forces target-only decoding; after a cooldown the breaker half-opens and
+  probes speculation for a few rounds before re-closing (hysteresis: the
+  re-close bar is higher than the open bar).
+* Shedding — when the oldest queued request has waited longer than
+  ``max_queue_ms``, the scheduler rejects the youngest queued requests
+  until half the queue bound remains
+  (:meth:`~repro.serving.queue.AdmissionQueue.shed_newest`).
+
+Deadlines are not a policy: every request carrying one is checked inside
+its draft/verify round as well as while queued and between rounds.
 
 See the "Resilience policies" section of ``docs/robustness.md``.
 """
@@ -31,24 +34,34 @@ See the "Resilience policies" section of ``docs/robustness.md``.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..errors import ServingError
 from ..obs.metrics import get_registry
 
 __all__ = [
-    "RetryPolicy",
-    "BreakerConfig",
+    "retry_backoff_ms",
     "CircuitBreaker",
-    "ShedConfig",
-    "ResilienceConfig",
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
-    "SHED_REJECT_NEWEST",
-    "SHED_REJECT_OVER_DEADLINE",
 ]
+
+# -- retry --------------------------------------------------------------
+MAX_RETRIES = 2              #: retries per request after the first run
+BASE_BACKOFF_MS = 20.0       #: delay before the first retry
+BACKOFF_MULTIPLIER = 2.0     #: growth factor per further attempt
+MAX_BACKOFF_MS = 500.0       #: cap on the exponential term
+JITTER_MS = 5.0              #: deterministic de-synchronization spread
+
+# -- circuit breaker ----------------------------------------------------
+BREAKER_WINDOW = 4                    #: rolling window, in rounds
+BREAKER_MIN_DRAFTED = 16              #: draft tokens required to judge acceptance
+BREAKER_OPEN_BELOW_ACCEPTANCE = 0.15  #: open when window acceptance < this
+BREAKER_OPEN_AT_FAULT_RATE = 1.0      #: open when faults/round >= this
+BREAKER_COOLDOWN_ROUNDS = 3           #: open duration before probing
+BREAKER_PROBE_ROUNDS = 2              #: half-open probes before judging
+#: Probes must beat this to close; it is above the open bar (hysteresis).
+BREAKER_RECLOSE_ABOVE_ACCEPTANCE = 0.3
 
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
@@ -60,10 +73,6 @@ _STATE_GAUGE = {BREAKER_CLOSED: 0, BREAKER_HALF_OPEN: 1, BREAKER_OPEN: 2}
 _STATE_SUFFIX = {BREAKER_CLOSED: "closed", BREAKER_HALF_OPEN: "half_open",
                  BREAKER_OPEN: "opened"}
 
-SHED_REJECT_NEWEST = "reject-newest"
-SHED_REJECT_OVER_DEADLINE = "reject-over-deadline"
-_SHED_POLICIES = (SHED_REJECT_NEWEST, SHED_REJECT_OVER_DEADLINE)
-
 
 def _hash_unit(seed: int, tag: str) -> float:
     """Deterministic uniform in [0, 1) from (seed, tag), SHA-256 based."""
@@ -71,86 +80,30 @@ def _hash_unit(seed: int, tag: str) -> float:
     return int.from_bytes(digest[:8], "little") / float(1 << 64)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with deterministic jitter and a retry budget.
+def retry_backoff_ms(seed: int, request_id: str, attempt: int) -> float:
+    """Server-ms delay before retry number ``attempt`` (0-based).
 
-    ``backoff_ms(request_id, attempt)`` is a pure function of the policy
-    seed, the request id, and the attempt index, so two chaos runs with
-    the same seeds produce identical retry timelines regardless of
-    scheduling order.  Attempt 0 is the first *retry* (the original run
-    is not an attempt).
+    A pure function of the jitter seed, the request id and the attempt
+    index, so two chaos runs with the same seeds produce identical retry
+    timelines regardless of scheduling order.  Attempt 0 is the first
+    *retry* (the original run is not an attempt).
     """
-
-    max_retries: int = 2            #: retries per request after the first run
-    base_backoff_ms: float = 20.0   #: delay before the first retry
-    backoff_multiplier: float = 2.0  #: growth factor per further attempt
-    max_backoff_ms: float = 500.0   #: cap on the exponential term
-    jitter_ms: float = 5.0          #: deterministic de-synchronization spread
-    seed: int = 0                   #: jitter seed
-
-    def __post_init__(self) -> None:
-        """Validate the policy knobs."""
-        if self.max_retries <= 0:
-            raise ServingError(f"max_retries must be positive, got {self.max_retries}")
-        if self.base_backoff_ms < 0 or self.jitter_ms < 0:
-            raise ServingError("backoff and jitter must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ServingError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
-
-    def backoff_ms(self, request_id: str, attempt: int) -> float:
-        """Server-ms delay before retry number ``attempt`` (0-based)."""
-        delay = min(
-            self.base_backoff_ms * self.backoff_multiplier ** attempt,
-            self.max_backoff_ms,
-        )
-        return delay + self.jitter_ms * _hash_unit(self.seed, f"{request_id}:{attempt}")
-
-
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Thresholds of the speculation circuit breaker.
-
-    The breaker watches a rolling window of scheduler rounds.  It opens
-    when drafting is net-negative — acceptance below
-    ``open_below_acceptance`` or draft faults above
-    ``open_above_fault_rate`` per round — and, after ``cooldown_rounds``
-    of target-only decoding, half-opens to probe speculation for
-    ``probe_rounds``.  Probes must clear ``reclose_above_acceptance``
-    (strictly above the open bar: hysteresis) to close the breaker again;
-    otherwise it re-opens for another cooldown.
-    """
-
-    window: int = 8                       #: rolling window, in rounds
-    min_drafted: int = 16                 #: draft tokens required to judge acceptance
-    open_below_acceptance: float = 0.15   #: open when window acceptance < this
-    open_above_fault_rate: float = 0.5    #: open when faults/round >= this
-    cooldown_rounds: int = 4              #: open duration before probing
-    probe_rounds: int = 2                 #: half-open probes before judging
-    reclose_above_acceptance: float = 0.3  #: probes must beat this to close
-
-    def __post_init__(self) -> None:
-        """Validate thresholds, including the hysteresis ordering."""
-        if self.window <= 0 or self.cooldown_rounds <= 0 or self.probe_rounds <= 0:
-            raise ServingError("window, cooldown_rounds, probe_rounds must be positive")
-        if self.min_drafted <= 0:
-            raise ServingError(f"min_drafted must be positive, got {self.min_drafted}")
-        if not 0.0 <= self.open_below_acceptance <= 1.0:
-            raise ServingError("open_below_acceptance must be in [0, 1]")
-        if self.reclose_above_acceptance < self.open_below_acceptance:
-            raise ServingError(
-                "reclose_above_acceptance must be >= open_below_acceptance "
-                "(hysteresis), got "
-                f"{self.reclose_above_acceptance} < {self.open_below_acceptance}"
-            )
-        if self.open_above_fault_rate < 0:
-            raise ServingError("open_above_fault_rate must be non-negative")
+    delay = min(BASE_BACKOFF_MS * BACKOFF_MULTIPLIER ** attempt, MAX_BACKOFF_MS)
+    return delay + JITTER_MS * _hash_unit(seed, f"{request_id}:{attempt}")
 
 
 class CircuitBreaker:
     """Closed / open / half-open state machine over speculation health.
+
+    The breaker watches a rolling window of :data:`BREAKER_WINDOW` rounds.
+    It opens when drafting is net-negative — window acceptance below
+    :data:`BREAKER_OPEN_BELOW_ACCEPTANCE` (once at least
+    :data:`BREAKER_MIN_DRAFTED` tokens were drafted) or draft faults at
+    :data:`BREAKER_OPEN_AT_FAULT_RATE` per round or more — and, after
+    :data:`BREAKER_COOLDOWN_ROUNDS` of target-only decoding, half-opens to
+    probe speculation for :data:`BREAKER_PROBE_ROUNDS`.  Probes must clear
+    :data:`BREAKER_RECLOSE_ABOVE_ACCEPTANCE` with no fault to close the
+    breaker again; otherwise it re-opens for another cooldown.
 
     The scheduler calls :meth:`observe_round` exactly once per round with
     that round's draft/accept/fault totals, and consults
@@ -161,8 +114,7 @@ class CircuitBreaker:
     by the chaos harness.
     """
 
-    def __init__(self, config: Optional[BreakerConfig] = None) -> None:
-        self.config = config or BreakerConfig()
+    def __init__(self) -> None:
         self.state = BREAKER_CLOSED
         self.n_rounds = 0
         #: ``(round_index, from_state, to_state)`` per transition.
@@ -196,10 +148,9 @@ class CircuitBreaker:
     def observe_round(self, n_drafted: int, n_accepted: int, n_faults: int) -> None:
         """Feed one scheduler round's speculation totals into the machine."""
         self.n_rounds += 1
-        cfg = self.config
         if self.state == BREAKER_OPEN:
             self._rounds_open += 1
-            if self._rounds_open >= cfg.cooldown_rounds:
+            if self._rounds_open >= BREAKER_COOLDOWN_ROUNDS:
                 self._probes = []
                 self._transition(BREAKER_HALF_OPEN)
             return
@@ -212,9 +163,9 @@ class CircuitBreaker:
             if any(r[2] for r in self._probes):
                 self._reopen()
                 return
-            if len(self._probes) >= cfg.probe_rounds:
+            if len(self._probes) >= BREAKER_PROBE_ROUNDS:
                 _, acceptance = self._acceptance(self._probes)
-                if acceptance > cfg.reclose_above_acceptance:
+                if acceptance > BREAKER_RECLOSE_ABOVE_ACCEPTANCE:
                     self._window = []
                     self._transition(BREAKER_CLOSED)
                 else:
@@ -222,14 +173,15 @@ class CircuitBreaker:
             return
         # closed: maintain the rolling window and check the open bars
         self._window.append((n_drafted, n_accepted, n_faults))
-        if len(self._window) > cfg.window:
+        if len(self._window) > BREAKER_WINDOW:
             del self._window[0]
-        if len(self._window) < cfg.window:
+        if len(self._window) < BREAKER_WINDOW:
             return
         faults_per_round = sum(r[2] for r in self._window) / len(self._window)
         drafted, acceptance = self._acceptance(self._window)
-        if faults_per_round >= cfg.open_above_fault_rate or (
-            drafted >= cfg.min_drafted and acceptance < cfg.open_below_acceptance
+        if faults_per_round >= BREAKER_OPEN_AT_FAULT_RATE or (
+            drafted >= BREAKER_MIN_DRAFTED
+            and acceptance < BREAKER_OPEN_BELOW_ACCEPTANCE
         ):
             self._reopen()
 
@@ -237,49 +189,3 @@ class CircuitBreaker:
         self._rounds_open = 0
         self._window = []
         self._transition(BREAKER_OPEN)
-
-
-@dataclass(frozen=True)
-class ShedConfig:
-    """Load-shedding policy under queue-time pressure.
-
-    Pressure is "the oldest queued request has waited longer than
-    ``max_queue_ms``".  ``reject-newest`` sheds from the tail of the queue
-    down to ``shed_target_depth`` (default: half the queue bound),
-    preserving the oldest work already closest to service;
-    ``reject-over-deadline`` sheds exactly the queued requests whose
-    deadline cannot be met even if admitted immediately.
-    """
-
-    max_queue_ms: float                   #: pressure threshold (oldest wait)
-    policy: str = SHED_REJECT_NEWEST
-    shed_target_depth: Optional[int] = None  #: reject-newest drain target
-
-    def __post_init__(self) -> None:
-        """Validate the shed policy."""
-        if self.max_queue_ms <= 0:
-            raise ServingError(f"max_queue_ms must be positive, got {self.max_queue_ms}")
-        if self.policy not in _SHED_POLICIES:
-            raise ServingError(
-                f"unknown shed policy {self.policy!r}; choose from {_SHED_POLICIES}"
-            )
-        if self.shed_target_depth is not None and self.shed_target_depth < 0:
-            raise ServingError("shed_target_depth must be non-negative")
-
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Bundle of serving-tier resilience policies.
-
-    Any field left ``None`` disables that policy;
-    ``ServingConfig(resilience=None)`` (the default) keeps the scheduler's
-    legacy fail-fast behavior exactly.  ``deadline_in_round`` additionally
-    enforces deadlines *inside* draft/verify rounds via the engine's
-    ``budget_ms`` check, so an expired request stops consuming batch
-    compute mid-round.
-    """
-
-    retry: Optional[RetryPolicy] = None
-    breaker: Optional[BreakerConfig] = None
-    shed: Optional[ShedConfig] = None
-    deadline_in_round: bool = True

@@ -36,30 +36,30 @@ down.
 Backpressure and deadlines
 --------------------------
 Admission control is a bounded queue (:class:`~repro.serving.queue.AdmissionQueue`)
-raising :class:`~repro.errors.AdmissionError` when full.  Deadlines are
-relative simulated-ms budgets checked both while queued and after every
-round, so an expired request is retired mid-batch with the tokens it
-committed so far.
+raising :class:`~repro.errors.AdmissionError` when full or when the
+request id is already queued, in the batch or waiting out a retry.
+Deadlines are relative simulated-ms budgets checked while queued, inside
+every round and after it: each session's remaining budget goes into
+:meth:`~repro.core.engine.AASDEngine.step_batch`, so a request expiring
+mid-round stops before its verify forward, and an expired request retires
+with the tokens it committed so far.
 
 Resilience
 ----------
-``ServingConfig(resilience=ResilienceConfig(...))`` layers the policies of
-:mod:`repro.serving.resilience` onto the round loop; the default ``None``
-keeps the legacy fail-fast behavior exactly.  With a
-:class:`~repro.serving.resilience.RetryPolicy`, a session that dies on a
-*transient* fault (per :func:`repro.robustness.faults.is_transient`) is
-dropped and re-enqueued after a deterministic backoff: the retry restarts
-from a fresh prefill and, because the engine derives each request's random
-stream from its ``request_id``, redraws exactly what the failed attempt
-drew — the retried output is token-identical to a clean run under greedy
-and sampling alike, and its batch-mates' outputs do not move.  With a
-:class:`~repro.serving.resilience.BreakerConfig`, a circuit breaker watches
+Three switches on :class:`ServingConfig` layer the policies of
+:mod:`repro.serving.resilience` onto the round loop; all are off by
+default, and a fault then fails the one request it hit.  With ``retry``,
+a session that dies on a *transient* fault (per
+:func:`repro.robustness.faults.is_transient`) is dropped and re-enqueued
+after a deterministic backoff: the retry restarts from a fresh prefill
+and, because the engine derives each request's random stream from its
+``request_id``, redraws exactly what the failed attempt drew — the
+retried output is token-identical to a clean run under greedy and
+sampling alike, and its batch-mates' outputs do not move.  With
+``breaker``, a :class:`~repro.serving.resilience.CircuitBreaker` watches
 per-round acceptance/fault rates and forces the whole batch target-only
-while open.  With a :class:`~repro.serving.resilience.ShedConfig`, queued
-requests are shed under queue-time pressure.  ``deadline_in_round=True``
-passes each session's remaining budget into
-:meth:`~repro.core.engine.AASDEngine.step_batch` so a request expiring
-mid-round stops before its verify forward.
+while open.  With ``max_queue_ms``, queued requests are shed under
+queue-time pressure.
 
 Observability
 -------------
@@ -91,13 +91,7 @@ from ..obs.profile import summarize_latencies
 from ..robustness.faults import is_transient
 from ..utils.timing import SimulatedClock
 from .queue import AdmissionQueue
-from .resilience import (
-    CircuitBreaker,
-    ResilienceConfig,
-    RetryPolicy,
-    ShedConfig,
-    SHED_REJECT_NEWEST,
-)
+from .resilience import MAX_RETRIES, CircuitBreaker, retry_backoff_ms
 from .request import (
     STATUS_COMPLETED,
     STATUS_FAILED,
@@ -121,13 +115,20 @@ logger = get_logger(__name__)
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Scheduler knobs: batch width, queue bound, resilience policies."""
+    """Scheduler knobs: batch width, queue bound, resilience switches.
+
+    The policy thresholds behind ``retry``, ``breaker`` and
+    ``max_queue_ms`` are the constants of :mod:`repro.serving.resilience`.
+    """
 
     max_batch_size: int = 8     #: sessions advanced per round
     max_queue_depth: int = 64   #: admission-control bound (backpressure)
-    #: Resilience policies (retry / breaker / shedding / in-round
-    #: deadlines); ``None`` keeps the legacy fail-fast behavior exactly.
-    resilience: Optional[ResilienceConfig] = None
+    retry: bool = False         #: retry transient faults after a backoff
+    retry_seed: int = 0         #: backoff jitter seed
+    breaker: bool = False       #: speculation circuit breaker
+    #: shed the youngest queued requests once the oldest has waited this
+    #: long (``None``: never shed)
+    max_queue_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         """Validate the scheduler knobs."""
@@ -135,6 +136,8 @@ class ServingConfig:
             raise ServingError(f"max_batch_size must be positive, got {self.max_batch_size}")
         if self.max_queue_depth <= 0:
             raise ServingError(f"max_queue_depth must be positive, got {self.max_queue_depth}")
+        if self.max_queue_ms is not None and self.max_queue_ms <= 0:
+            raise ServingError(f"max_queue_ms must be positive, got {self.max_queue_ms}")
 
 
 @dataclass(frozen=True)
@@ -240,12 +243,9 @@ class ContinuousBatchingScheduler:
         self.max_batch_occupancy = 0
         self.memory = ArenaStats()   #: KV-arena accounting over retired sessions
         self._active: List[_Active] = []
-        resilience = self.config.resilience
-        #: Circuit breaker (None unless configured via the resilience bundle).
+        #: Circuit breaker (None unless ``config.breaker`` is on).
         self.breaker: Optional[CircuitBreaker] = (
-            CircuitBreaker(resilience.breaker)
-            if resilience is not None and resilience.breaker is not None
-            else None
+            CircuitBreaker() if self.config.breaker else None
         )
         self.n_retries = 0   #: transient-fault retries scheduled, lifetime
         self.n_shed = 0      #: requests shed under queue pressure, lifetime
@@ -255,16 +255,6 @@ class ContinuousBatchingScheduler:
         self._retry_attempts: Dict[str, int] = {}   #: retries consumed per request id
         #: ``(ready_ms, handle)`` for requests waiting out their backoff.
         self._backoff: List[Tuple[float, ServeHandle]] = []
-
-    @property
-    def _retry_policy(self) -> Optional[RetryPolicy]:
-        resilience = self.config.resilience
-        return resilience.retry if resilience is not None else None
-
-    @property
-    def _shed_config(self) -> Optional[ShedConfig]:
-        resilience = self.config.resilience
-        return resilience.shed if resilience is not None else None
 
     # ------------------------------------------------------------------
     @property
@@ -284,7 +274,12 @@ class ContinuousBatchingScheduler:
 
     # ------------------------------------------------------------------
     def submit(self, request: ServeRequest) -> ServeHandle:
-        """Admit one request; raises :class:`AdmissionError` when the queue is full."""
+        """Admit one request; raises :class:`AdmissionError` when the queue is full.
+
+        An id still in the system — queued, in the batch, or waiting out a
+        retry backoff — is refused as a duplicate; the id of a request
+        that already finished may be submitted again.
+        """
         handle = self.queue.submit(request, now_ms=self.now_ms)
         get_registry().counter("serving.requests_submitted_total").inc()
         return handle
@@ -296,6 +291,7 @@ class ContinuousBatchingScheduler:
                  first_token_ms: Optional[float] = None) -> None:
         """Retire a request with a terminal status (updates counters)."""
         retry_count = self._retry_attempts.pop(handle.request_id, 0)
+        self.queue.release(handle.request_id)
         handle.resolve(ServeResult(
             request_id=handle.request_id,
             status=status,
@@ -367,13 +363,13 @@ class ContinuousBatchingScheduler:
         stream.  Not retried: persistent faults, exhausted budgets, and
         backoffs that would land past the request's deadline.
         """
-        policy = self._retry_policy
-        if policy is None or not is_transient(exc):
+        if not self.config.retry or not is_transient(exc):
             return False
         attempts = self._retry_attempts.get(handle.request_id, 0)
-        if attempts >= policy.max_retries:
+        if attempts >= MAX_RETRIES:
             return False
-        ready_ms = self.now_ms + policy.backoff_ms(handle.request_id, attempts)
+        ready_ms = self.now_ms + retry_backoff_ms(
+            self.config.retry_seed, handle.request_id, attempts)
         limit = expiry_ms(handle)
         if limit is not None and ready_ms >= limit:
             return False
@@ -415,31 +411,25 @@ class ContinuousBatchingScheduler:
         self._requeue_ready_backoffs()
 
     def _shed_queued(self) -> None:
-        """Apply the configured shed policy under queue-time pressure."""
-        shed_cfg = self._shed_config
-        if shed_cfg is None:
+        """Reject the youngest queued requests under queue-time pressure.
+
+        Fires when the oldest waiter has queued past ``max_queue_ms`` and
+        drains the queue tail down to half its bound, keeping the oldest
+        work, closest to service.
+        """
+        max_queue_ms = self.config.max_queue_ms
+        if max_queue_ms is None:
             return
         wait = self.queue.oldest_wait_ms(self.now_ms)
-        if wait is None or wait <= shed_cfg.max_queue_ms:
+        if wait is None or wait <= max_queue_ms:
             return
-        if shed_cfg.policy == SHED_REJECT_NEWEST:
-            target = shed_cfg.shed_target_depth
-            if target is None:
-                target = self.config.max_queue_depth // 2
-            victims = self.queue.shed_newest(target)
-        else:
-            # The projected extra wait of a queued request is at least the
-            # current oldest wait (service is not outpacing arrivals when
-            # this fires), so deadlines inside that horizon are lost causes.
-            victims = self.queue.shed_over_deadline(self.now_ms, wait)
         registry = get_registry()
-        for handle in victims:
+        for handle in self.queue.shed_newest(self.config.max_queue_depth // 2):
             self.n_shed += 1
             registry.counter("resilience.requests_shed_total").inc()
             self._resolve(
                 handle, STATUS_REJECTED,
-                error=f"shed under queue pressure ({shed_cfg.policy}, "
-                      f"oldest wait {wait:.0f}ms)",
+                error=f"shed under queue pressure (reject-newest, oldest wait {wait:.0f}ms)",
             )
 
     def _admit(self, span) -> None:
@@ -494,9 +484,6 @@ class ContinuousBatchingScheduler:
 
     def _step_budget_ms(self, entry: _Active) -> Optional[float]:
         """Remaining deadline budget to pass into the engine step (or None)."""
-        resilience = self.config.resilience
-        if resilience is None or not resilience.deadline_in_round:
-            return None
         limit = expiry_ms(entry.handle)
         if limit is None:
             return None
@@ -505,11 +492,11 @@ class ContinuousBatchingScheduler:
     def _step_batch(self, span) -> None:
         """Advance every active session one block (the engine charges the clock).
 
-        With resilience configured, this is also where the policies bite:
-        the breaker's ``force_fallback`` flips the whole batch target-only,
-        per-session deadline budgets let the engine expire a request
-        before its verify forward, and sessions dying on transient faults
-        are dropped for retry instead of failing.
+        This is also where deadlines and the policies bite: per-session
+        deadline budgets let the engine expire a request before its verify
+        forward, the breaker's ``force_fallback`` flips the whole batch
+        target-only, and with ``retry`` on, sessions dying on transient
+        faults are dropped for retry instead of failing.
         """
         tracer = self.engine.tracer
         force_fallback = self.breaker is not None and self.breaker.force_fallback

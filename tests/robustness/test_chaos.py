@@ -72,6 +72,10 @@ def _storm(report, name) -> StormReport:
     return by_name[name]
 
 
+def _storm_profile(name) -> StormProfile:
+    return next(p for p in default_profiles(quick=True) if p.name == name)
+
+
 class TestStormSuite:
     def test_every_storm_passes_every_invariant(self, chaos_report):
         for storm in chaos_report.storms:
@@ -123,6 +127,17 @@ class TestHarnessPlumbing:
         first = run_storm(profile, chaos_world, work_dir=tmp_path)
         second = run_storm(profile, chaos_world, work_dir=tmp_path)
         assert first == second
+
+    def test_report_does_not_depend_on_work_dir(self, chaos_world, tmp_path):
+        profile = _storm_profile("corrupt-reload")
+        first_dir, second_dir = tmp_path / "a", tmp_path / "b"
+        first_dir.mkdir()
+        second_dir.mkdir()
+        first = run_storm(profile, chaos_world, work_dir=first_dir)
+        second = run_storm(profile, chaos_world, work_dir=second_dir)
+        assert first.checkpoint_error is not None
+        assert str(tmp_path) not in first.checkpoint_error
+        assert first.to_dict() == second.to_dict()
 
     def test_registry_swap_is_restored(self, chaos_world, tmp_path):
         before = get_registry()

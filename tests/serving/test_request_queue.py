@@ -111,6 +111,12 @@ class TestAdmissionQueue:
         queue.submit(self._req(sample, "r0"), now_ms=0.0)
         with pytest.raises(AdmissionError):
             queue.submit(self._req(sample, "r0"), now_ms=0.0)
+        # the id stays taken after leaving the queue, until released
+        queue.pop_ready(1)
+        with pytest.raises(AdmissionError):
+            queue.submit(self._req(sample, "r0"), now_ms=0.0)
+        queue.release("r0")
+        queue.submit(self._req(sample, "r0"), now_ms=0.0)
 
     def test_expire_removes_overdue_only(self, sample):
         queue = AdmissionQueue(max_depth=8)

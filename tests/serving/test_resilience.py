@@ -13,6 +13,7 @@ import logging
 
 import pytest
 
+from repro.decoding import LlavaDraft
 from repro.decoding.sampling import SamplerConfig
 from repro.errors import ServingError
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -23,21 +24,18 @@ from repro.serving import (
     STATUS_REJECTED,
     STATUS_TIMEOUT,
     AdmissionQueue,
-    BreakerConfig,
     CircuitBreaker,
     ContinuousBatchingScheduler,
-    ResilienceConfig,
-    RetryPolicy,
     ServeRequest,
     ServingConfig,
-    ShedConfig,
     serve_requests,
 )
+from repro.serving import resilience
 from repro.serving.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    SHED_REJECT_OVER_DEADLINE,
+    retry_backoff_ms,
 )
 
 MAX_NEW_TOKENS = 20   # matches the conftest world
@@ -70,86 +68,76 @@ def propagating_logs():
 # ---------------------------------------------------------------------------
 class TestRetryPolicy:
     def test_backoff_is_deterministic_and_jittered(self):
-        policy = RetryPolicy(base_backoff_ms=20.0, jitter_ms=5.0, seed=3)
-        a = policy.backoff_ms("r1", 0)
-        assert a == policy.backoff_ms("r1", 0)
+        a = retry_backoff_ms(3, "r1", 0)
+        assert a == retry_backoff_ms(3, "r1", 0)
         assert 20.0 <= a < 25.0
-        # distinct requests de-synchronize
-        assert a != policy.backoff_ms("r2", 0)
+        # distinct requests and seeds de-synchronize
+        assert a != retry_backoff_ms(3, "r2", 0)
+        assert a != retry_backoff_ms(4, "r1", 0)
 
     def test_backoff_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(max_retries=10, base_backoff_ms=100.0,
-                             backoff_multiplier=2.0, max_backoff_ms=300.0,
-                             jitter_ms=0.0)
-        assert policy.backoff_ms("r", 0) == 100.0
-        assert policy.backoff_ms("r", 1) == 200.0
-        assert policy.backoff_ms("r", 2) == 300.0
-        assert policy.backoff_ms("r", 5) == 300.0   # capped
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(max_retries=0),
-        dict(base_backoff_ms=-1.0),
-        dict(jitter_ms=-0.1),
-        dict(backoff_multiplier=0.5),
-    ])
-    def test_invalid_policy_rejected(self, kwargs):
-        with pytest.raises(ServingError):
-            RetryPolicy(**kwargs)
+        # base 20 ms doubling per attempt, capped at 500 ms, plus < 5 ms jitter
+        for attempt, floor in [(0, 20.0), (1, 40.0), (2, 80.0), (4, 320.0),
+                               (5, 500.0), (9, 500.0)]:
+            assert floor <= retry_backoff_ms(0, "r", attempt) < floor + 5.0
 
 
 class TestBreakerConfig:
     def test_hysteresis_ordering_enforced(self):
-        with pytest.raises(ServingError):
-            BreakerConfig(open_below_acceptance=0.4, reclose_above_acceptance=0.2)
+        # the re-close bar sits strictly above the open bar, so a marginal
+        # drafter cannot flap the breaker
+        assert (resilience.BREAKER_RECLOSE_ABOVE_ACCEPTANCE
+                > resilience.BREAKER_OPEN_BELOW_ACCEPTANCE)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(window=0),
-        dict(cooldown_rounds=0),
-        dict(probe_rounds=0),
-        dict(min_drafted=0),
-        dict(open_above_fault_rate=-1.0),
-    ])
-    def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(ServingError):
-            BreakerConfig(**kwargs)
+
+# (drafted, accepted, faults) rounds that fill the breaker's 4-round
+# window, each at its 1.0 faults/round open bar.
+OPENING_ROUNDS = [(4, 0, 1)] * 4
 
 
 class TestCircuitBreaker:
-    def _breaker(self, **kwargs):
-        defaults = dict(window=2, min_drafted=4, open_below_acceptance=0.25,
-                       open_above_fault_rate=2.0, cooldown_rounds=2,
-                       probe_rounds=2, reclose_above_acceptance=0.5)
-        defaults.update(kwargs)
-        return CircuitBreaker(BreakerConfig(**defaults))
+    def _open_breaker(self):
+        breaker = CircuitBreaker()
+        for row in OPENING_ROUNDS:
+            breaker.observe_round(*row)
+        assert breaker.state == BREAKER_OPEN
+        return breaker
+
+    def _half_open_breaker(self):
+        breaker = self._open_breaker()
+        for _ in range(3):                        # cooldown rounds
+            breaker.observe_round(0, 0, 0)
+        assert breaker.state == BREAKER_HALF_OPEN
+        return breaker
 
     def test_opens_on_fault_rate(self, registry):
-        breaker = self._breaker()
-        breaker.observe_round(n_drafted=4, n_accepted=4, n_faults=2)
+        breaker = CircuitBreaker()
+        for row in OPENING_ROUNDS[:-1]:
+            breaker.observe_round(*row)
         assert breaker.state == BREAKER_CLOSED    # window not full yet
-        breaker.observe_round(n_drafted=4, n_accepted=4, n_faults=2)
+        breaker.observe_round(*OPENING_ROUNDS[-1])
         assert breaker.state == BREAKER_OPEN
         assert breaker.force_fallback
 
     def test_opens_on_low_acceptance_once_enough_drafted(self, registry):
-        breaker = self._breaker()
-        breaker.observe_round(n_drafted=4, n_accepted=0, n_faults=0)
-        breaker.observe_round(n_drafted=4, n_accepted=0, n_faults=0)
+        # 4 rounds x 4 drafted = the 16-token minimum, acceptance 2/16 < 0.15
+        breaker = CircuitBreaker()
+        for accepted in (1, 1, 0, 0):
+            breaker.observe_round(n_drafted=4, n_accepted=accepted, n_faults=0)
         assert breaker.state == BREAKER_OPEN
 
     def test_low_acceptance_needs_min_drafted(self, registry):
-        breaker = self._breaker(min_drafted=100)
-        for _ in range(6):
-            breaker.observe_round(n_drafted=4, n_accepted=0, n_faults=0)
+        breaker = CircuitBreaker()
+        for _ in range(6):                        # 12 drafted per window < 16
+            breaker.observe_round(n_drafted=3, n_accepted=0, n_faults=0)
         assert breaker.state == BREAKER_CLOSED
 
     def test_cooldown_then_half_open_then_reclose(self, registry):
-        breaker = self._breaker()
-        breaker.observe_round(4, 0, 2)
-        breaker.observe_round(4, 0, 2)
-        assert breaker.state == BREAKER_OPEN
+        breaker = self._open_breaker()
         breaker.observe_round(0, 0, 0)            # cooldown round 1
-        assert breaker.state == BREAKER_OPEN
         breaker.observe_round(0, 0, 0)            # cooldown round 2
+        assert breaker.state == BREAKER_OPEN
+        breaker.observe_round(0, 0, 0)            # cooldown round 3
         assert breaker.state == BREAKER_HALF_OPEN
         # idle rounds prove nothing and are not probes
         breaker.observe_round(0, 0, 0)
@@ -165,32 +153,23 @@ class TestCircuitBreaker:
         ]
 
     def test_probe_fault_reopens_immediately(self, registry):
-        breaker = self._breaker()
-        breaker.observe_round(4, 0, 2)
-        breaker.observe_round(4, 0, 2)
-        breaker.observe_round(0, 0, 0)
-        breaker.observe_round(0, 0, 0)
-        assert breaker.state == BREAKER_HALF_OPEN
+        breaker = self._half_open_breaker()
         breaker.observe_round(4, 4, 1)            # probe faults
         assert breaker.state == BREAKER_OPEN
 
     def test_weak_probes_reopen_with_hysteresis(self, registry):
-        # acceptance 0.375 clears the open bar (0.25) but not the
-        # re-close bar (0.5): hysteresis keeps the breaker open.
-        breaker = self._breaker()
-        breaker.observe_round(4, 0, 2)
-        breaker.observe_round(4, 0, 2)
-        breaker.observe_round(0, 0, 0)
-        breaker.observe_round(0, 0, 0)
-        breaker.observe_round(4, 1, 0)
-        breaker.observe_round(4, 2, 0)
+        # acceptance 5/20 = 0.25 clears the open bar (0.15) but not the
+        # re-close bar (0.3): hysteresis keeps the breaker open.
+        breaker = self._half_open_breaker()
+        breaker.observe_round(10, 2, 0)
+        breaker.observe_round(10, 3, 0)
         assert breaker.state == BREAKER_OPEN
 
     def test_transitions_publish_to_registry(self, registry):
-        breaker = self._breaker()
+        breaker = CircuitBreaker()
         assert registry.get("resilience.breaker_state").value == 0
-        breaker.observe_round(4, 0, 2)
-        breaker.observe_round(4, 0, 2)
+        for row in OPENING_ROUNDS:
+            breaker.observe_round(*row)
         assert registry.get("resilience.breaker_state").value == 2
         assert registry.get("resilience.breaker_transitions_total").value == 1
         assert registry.get("resilience.breaker_opened_total").value == 1
@@ -198,12 +177,10 @@ class TestCircuitBreaker:
 
 class TestShedConfig:
     def test_invalid_policy_rejected(self):
-        with pytest.raises(ServingError):
-            ShedConfig(max_queue_ms=100.0, policy="drop-everything")
-        with pytest.raises(ServingError):
-            ShedConfig(max_queue_ms=0.0)
-        with pytest.raises(ServingError):
-            ShedConfig(max_queue_ms=10.0, shed_target_depth=-1)
+        # the shed policy is its threshold: it must be a positive wait
+        for max_queue_ms in (0.0, -10.0):
+            with pytest.raises(ServingError):
+                ServingConfig(max_queue_ms=max_queue_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +224,12 @@ class TestQueueResilienceOps:
         with pytest.raises(ServingError):
             queue.shed_newest(-1)
 
-    def test_shed_over_deadline_spares_deadline_less(self, world):
-        queue = AdmissionQueue(max_depth=8)
-        sample = world["samples"][0]
-        queue.submit(ServeRequest(request_id="doomed", sample=sample,
-                                  deadline_ms=50.0), now_ms=0.0)
-        queue.submit(ServeRequest(request_id="roomy", sample=sample,
-                                  deadline_ms=5000.0), now_ms=0.0)
-        queue.submit(ServeRequest(request_id="forever", sample=sample), now_ms=0.0)
-        shed = queue.shed_over_deadline(now_ms=20.0, horizon_ms=100.0)
-        assert [h.request_id for h in shed] == ["doomed"]
-        assert queue.depth == 2
-
 
 # ---------------------------------------------------------------------------
 def _resilient_config(**overrides):
-    resilience = overrides.pop("resilience", ResilienceConfig(retry=RetryPolicy()))
+    overrides.setdefault("retry", True)
     return ServingConfig(max_batch_size=overrides.pop("max_batch_size", 4),
-                         resilience=resilience, **overrides)
+                         **overrides)
 
 
 class TestRetryIntegration:
@@ -330,24 +295,20 @@ class TestRetryIntegration:
         head = FaultyDraftHead(world["head"], mode="raise", transient=True,
                                per_request=True, fail_every=1)
         engine = make_engine(head=head, fallback_on_fault=False)
-        policy = RetryPolicy(max_retries=2)
-        report = serve_requests(
-            engine, world["samples"][:1],
-            _resilient_config(resilience=ResilienceConfig(retry=policy)))
+        report = serve_requests(engine, world["samples"][:1],
+                                _resilient_config())
         assert report.count(STATUS_FAILED) == 1
-        assert report.n_retries == policy.max_retries
+        assert report.n_retries == resilience.MAX_RETRIES
 
     def test_no_retry_scheduled_past_deadline(self, world, make_engine):
         head = FaultyDraftHead(world["head"], mode="raise", transient=True,
                                per_request=True, fail_steps=[0])
         engine = make_engine(head=head, fallback_on_fault=False)
-        policy = RetryPolicy(base_backoff_ms=10_000.0)
         request = ServeRequest(request_id="tight", sample=world["samples"][0],
-                               deadline_ms=500.0)
-        report = serve_requests(
-            engine, [request],
-            _resilient_config(resilience=ResilienceConfig(retry=policy)))
-        # The backoff would land past the deadline, so the fault is terminal.
+                               deadline_ms=30.0)
+        report = serve_requests(engine, [request], _resilient_config())
+        # The fault hits the first draft step, after the prefill; a 20 ms
+        # backoff from there lands past the 30 ms deadline, so it is terminal.
         assert report.results[0].status == STATUS_FAILED
         assert report.n_retries == 0
 
@@ -387,10 +348,7 @@ class TestBreakerIntegration:
         head = FaultyDraftHead(world["head"], mode="latency", fail_every=1)
         engine = make_engine(head=head, fallback_on_fault=True,
                              max_draft_faults=10_000)
-        breaker_cfg = BreakerConfig(window=2, open_above_fault_rate=1.0,
-                                    cooldown_rounds=2, probe_rounds=2)
-        config = _resilient_config(
-            resilience=ResilienceConfig(breaker=breaker_cfg))
+        config = _resilient_config(retry=False, breaker=True)
         scheduler = ContinuousBatchingScheduler(engine, config)
         samples = world["samples"][:4]
         report = serve_requests(engine, samples, scheduler=scheduler)
@@ -406,13 +364,11 @@ class TestBreakerIntegration:
                 == len(report.breaker_transitions))
 
     def test_healthy_run_never_transitions(self, world, make_engine, registry):
-        engine = make_engine()
-        # Fault-only breaker: the untrained head's acceptance is naturally
-        # low, so the acceptance bar is disabled for this liveness check.
-        breaker_cfg = BreakerConfig(open_below_acceptance=0.0,
-                                    reclose_above_acceptance=0.0)
-        config = _resilient_config(
-            resilience=ResilienceConfig(breaker=breaker_cfg))
+        # The untrained head's acceptance is naturally low enough to open
+        # the breaker; the target drafting for itself accepts every token,
+        # so a fault-free run of it is healthy on both open bars.
+        engine = make_engine(head=LlavaDraft(world["target"], "self-draft"))
+        config = _resilient_config(retry=False, breaker=True)
         report = serve_requests(engine, world["samples"][:3], config)
         assert report.count(STATUS_COMPLETED) == 3
         assert report.breaker_transitions == ()
@@ -422,10 +378,8 @@ class TestBreakerIntegration:
 class TestShedIntegration:
     def test_reject_newest_sheds_under_pressure(self, world, make_engine):
         engine = make_engine()
-        shed = ShedConfig(max_queue_ms=200.0, shed_target_depth=1)
-        config = ServingConfig(
-            max_batch_size=1, max_queue_depth=4,
-            resilience=ResilienceConfig(shed=shed))
+        config = ServingConfig(max_batch_size=1, max_queue_depth=4,
+                               max_queue_ms=200.0)
         report = serve_requests(engine, world["samples"], config)
         assert report.n_shed > 0
         assert report.count(STATUS_REJECTED) >= report.n_shed
@@ -434,23 +388,6 @@ class TestShedIntegration:
                    for r in rejected)
         # everything still resolves terminally
         assert len(report.results) == len(world["samples"])
-
-    def test_reject_over_deadline_spares_deadline_less(self, world, make_engine):
-        engine = make_engine()
-        shed = ShedConfig(max_queue_ms=100.0, policy=SHED_REJECT_OVER_DEADLINE)
-        config = ServingConfig(
-            max_batch_size=1, max_queue_depth=8,
-            resilience=ResilienceConfig(shed=shed))
-        requests = []
-        for i, sample in enumerate(world["samples"]):
-            deadline = 150.0 if i % 2 else None
-            requests.append(ServeRequest(request_id=f"r{i}", sample=sample,
-                                         deadline_ms=deadline))
-        report = serve_requests(engine, requests, config)
-        shed_ids = {r.request_id for r in report.results
-                    if r.status == STATUS_REJECTED}
-        # only deadline-carrying requests are ever shed by this policy
-        assert all(int(rid[1:]) % 2 for rid in shed_ids)
 
 
 class TestDeadlineInRound:
@@ -464,6 +401,22 @@ class TestDeadlineInRound:
         assert result.status == STATUS_TIMEOUT
         tokens = list(result.record.token_ids)
         assert len(tokens) < MAX_NEW_TOKENS
+        oracle = list(sequential_records[0].token_ids)
+        assert tokens == oracle[: len(tokens)]
+
+    def test_plain_config_expires_before_verify(
+            self, world, make_engine, sequential_records):
+        # No policy is switched on: the deadline still reaches the round,
+        # so the request retires before its verify forward, not after it.
+        engine = make_engine()
+        request = ServeRequest(request_id="tight", sample=world["samples"][0],
+                               deadline_ms=30.0)
+        report = serve_requests(engine, [request], ServingConfig())
+        result = report.results[0]
+        assert result.status == STATUS_TIMEOUT
+        assert result.error == "deadline expired mid-round"
+        tokens = list(result.record.token_ids)
+        assert 0 < len(tokens) < MAX_NEW_TOKENS
         oracle = list(sequential_records[0].token_ids)
         assert tokens == oracle[: len(tokens)]
 

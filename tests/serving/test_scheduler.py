@@ -22,7 +22,6 @@ from repro.serving import (
     ServingConfig,
     serve_requests,
 )
-from repro.serving.resilience import BreakerConfig, ResilienceConfig
 from repro.utils.timing import SimulatedClock
 
 
@@ -278,6 +277,35 @@ class TestCompatibilityAndBackpressure:
         with pytest.raises(AdmissionError):
             scheduler.submit(ServeRequest(request_id="r2", sample=world["samples"][2]))
 
+    def test_submit_refuses_id_still_in_system(self, make_engine, world):
+        # "busy" faults transiently on its first draft step and waits out
+        # a retry backoff; "live" is mid-decode in the batch.
+        head = FaultyDraftHead(world["head"], mode="raise", transient=True,
+                               per_request=True, fail_steps=[0])
+        scheduler = ContinuousBatchingScheduler(
+            make_engine(head=head, fallback_on_fault=False),
+            ServingConfig(max_batch_size=2, retry=True),
+        )
+        sample = world["samples"][0]
+        scheduler.submit(ServeRequest(request_id="busy", sample=sample))
+        scheduler.run_round()
+        assert scheduler.n_retries == 1 and scheduler.n_active == 0
+        with pytest.raises(AdmissionError):
+            scheduler.submit(ServeRequest(request_id="busy", sample=sample))
+
+        head.fail_steps = frozenset()
+        scheduler.submit(ServeRequest(request_id="live", sample=sample))
+        scheduler.run_round()
+        assert "live" in [e.handle.request_id for e in scheduler._active]
+        with pytest.raises(AdmissionError):
+            scheduler.submit(ServeRequest(request_id="live", sample=sample))
+
+        scheduler.run_until_idle(max_rounds=200)
+        # a finished request's id may come back
+        again = scheduler.submit(ServeRequest(request_id="live", sample=sample))
+        scheduler.run_until_idle(max_rounds=200)
+        assert again.result().status == STATUS_COMPLETED
+
     def test_facade_drains_past_backpressure(self, make_engine, world):
         # more requests than the queue holds: the facade interleaves rounds
         # with submissions instead of rejecting
@@ -493,11 +521,9 @@ class TestOneChargePerModelCall:
         and half-open probes."""
         head = FaultyDraftHead(world["head"], mode="latency", fail_every=1)
         engine = make_engine(head=head, max_draft_faults=10_000)
-        breaker = BreakerConfig(window=4, open_above_fault_rate=1.0,
-                                cooldown_rounds=3, probe_rounds=2)
         counts, scheduler = self._serve(
             engine, head, world["samples"][:4], monkeypatch, max_batch_size=4,
-            resilience=ResilienceConfig(breaker=breaker),
+            breaker=True,
         )
         assert ("closed", "open") in [t[1:] for t in scheduler.breaker.transitions]
         assert counts["decode"] > counts["decode_batch"] == 0
