@@ -49,7 +49,7 @@ VIEW_METHODS = {"view", "layer", "last_layer", "gather",
 VIEW_ATTRS = {"positions"}
 #: Cache methods that invalidate previously returned views.
 MUTATORS = {"append", "append_context", "append_draft", "clear_draft",
-            "truncate", "extend_positions", "rollback"}
+            "truncate", "keep_rows", "extend_positions", "rollback"}
 
 
 @dataclass

@@ -255,20 +255,18 @@ class AASDDraftHead(Module, Drafter):
         hybrid.clear_draft()
 
     def absorb(self, hybrid: HybridKVCache, out, tokens: Sequence[int],
-               positions: np.ndarray, cost: CostModel,
-               rows: Optional[np.ndarray] = None) -> float:
+               positions: np.ndarray, rows: np.ndarray, cost: CostModel) -> float:
         """Move the verified tokens' KV into the context store.
 
-        A free by-product of verification: the forward's last-layer KV,
-        trimmed to the accepted prefix (or gathered along the accepted
-        root path ``rows``).  Without target KV the head re-encodes them.
+        A free by-product of verification: the forward's last-layer KV at
+        the verified rows ``rows``.  Without target KV the head re-encodes
+        them.
         """
         hybrid.clear_draft()
         if self.config.use_target_kv:
             k_new, v_new = out.last_layer_kv
-            keep = slice(len(tokens)) if rows is None else rows
             hybrid.append_context(
-                k_new.data[:, :, keep, :], v_new.data[:, :, keep, :], positions, SEGMENT_TEXT
+                k_new.data[:, :, rows, :], v_new.data[:, :, rows, :], positions, SEGMENT_TEXT
             )
             return 0.0
         k_own, v_own = self.self_encode(np.asarray(tokens, dtype=np.int64), positions)

@@ -10,9 +10,12 @@ This is the paper's Figure 2a pipeline:
    tokens, attending over [compressed vision KV, target text KV, its own
    block-local KV].
 3. **Verify** — one parallel target forward checks the block (greedy match
-   or speculative sampling).  The verification forward's *own last-layer KV
-   output* for the accepted tokens is appended to the draft context, so
-   context maintenance costs nothing extra.
+   or speculative sampling).  It writes every fed row into the target
+   cache, and one ``KVCache.keep_rows`` commits the block: the anchor and
+   the accepted rows stay, the rejected ones go.  The verification
+   forward's *own last-layer KV output* for the accepted tokens is
+   appended to the draft context, so context maintenance costs nothing
+   extra.
 
 One drafter seam: what is particular to the speculating module — its
 per-request state, how that is opened, stepped, rolled back and extended
@@ -344,14 +347,13 @@ class AASDEngine(Decoder):
             )
 
     def _absorb(self, session: DecodeSession, out, tokens: Sequence[int], last_pos: int,
-                category: str, sp, rows: Optional[np.ndarray] = None) -> float:
+                rows: np.ndarray, category: str, sp) -> float:
         """Draft-state maintenance after a verify (or fallback) target forward.
 
         ``tokens`` are the fed tokens now committed (the anchor at
-        ``last_pos``, then the accepted drafts); ``rows`` selects which
-        fed rows they were when the feed was a candidate tree (a root
-        path need not be contiguous), ``None`` meaning the first
-        ``len(tokens)``.  Returns what the drafter charged for it.
+        ``last_pos``, then the accepted drafts) and ``rows`` the fed rows
+        they were (a tree's root path need not be contiguous).  Returns
+        what the drafter charged for it.
 
         This is the one guard around the absorb: failing to extend the
         draft state never loses the tokens the target just produced.
@@ -363,7 +365,7 @@ class AASDEngine(Decoder):
         state = session.draft_state
         positions = last_pos + np.arange(len(tokens), dtype=np.int64)
         try:
-            ms = self.head.absorb(state, out, tokens, positions, self.cost_model, rows=rows)
+            ms = self.head.absorb(state, out, tokens, positions, rows, self.cost_model)
             sp.add_sim_ms(session.record.charge_sim(ms, category))
             # A fallback step follows a block with no (clean) draft-phase
             # guard, so the state is re-validated here.
@@ -672,13 +674,13 @@ class AASDEngine(Decoder):
            target step, as in lane 1.
         5. **Verify lane**, one ``verify`` span — one cu-seqlen-packed
            target forward (:meth:`MiniLlava.decode_batch`) over every
-           drafted block, then per session the accept rule, cache commit,
-           context maintenance and token commit (:meth:`_verify_block`).
+           drafted block, which writes every fed row into its target
+           cache, then per session the accept rule, cache commit, context
+           maintenance and token commit (:meth:`_verify_block`).
 
-        Chain and tree differ in exactly two places: the walk's width (2)
-        and how the verify forward's rows reach the target cache (5); the
-        child rule and the accept rule are the same
-        (``repro.decoding.tree``).
+        Chain and tree differ in exactly one place: the walk's width (2).
+        The child rule, the verify forward, the accept rule and the
+        commit are the same (``repro.decoding.tree``).
         Tokens are identical, request by request, at any batch width and
         in any batch order, greedy or sampled.
         """
@@ -749,27 +751,22 @@ class AASDEngine(Decoder):
                     if clock is not None:
                         clock.charge(self.cost_model.price("verify", [len(f) for f in feeds]),
                                      "verify")
-                    # Chain rows are written to the cache and truncated to
-                    # the accepted prefix; tree rows carry per-branch
-                    # positions and ancestor masks and are never written
-                    # — the accepted root path is gathered in afterwards.
                     outs = self.target.decode_batch(
                         feeds,
                         caches,
-                        update_cache=not tree,
                         position_rows=[
                             st.walk.draft.feed_positions(st.last_pos) for st in verifying
-                        ] if tree else None,
+                        ],
                         extra_blocked_rows=[
                             tree_extra_blocked(st.walk.draft.parents, start)
                             for st, start in zip(verifying, verify_starts)
-                        ] if tree else None,
+                        ],
                     )
                     n_accepted = 0
                     for st, out, start in zip(verifying, outs, verify_starts):
                         try:
                             report = outcomes[st.slot] = self._verify_block(
-                                st, out, start, sp, tree)
+                                st, out, start, sp)
                             n_accepted += report.n_accepted
                         except Exception as exc:  # isolate the fault to this session
                             log_exception(logger, "step_fault", exc,
@@ -811,8 +808,8 @@ class AASDEngine(Decoder):
                 token = self.sampler.sample(out.logits.data[0, -1], rng=session.rng)
                 if session.speculating:
                     absorb_ms = self._absorb(
-                        session, out, (last,),
-                        session.gen_base + len(committed) - 1, "fallback", sp,
+                        session, out, (last,), session.gen_base + len(committed) - 1,
+                        np.zeros(1, dtype=np.int64), "fallback", sp,
                     )
                     if clock is not None:
                         clock.charge(absorb_ms, "fallback")
@@ -888,17 +885,16 @@ class AASDEngine(Decoder):
                     self._draft_fault(st, exc, sp)
 
     def _verify_block(self, state: _PackedDraftState, out, verify_start: int,
-                      sp, tree: bool) -> StepReport:
+                      sp) -> StepReport:
         """Accept rule + commit for one session's slice of the verify forward.
 
         The one acceptance rule (:func:`repro.decoding.tree.speculative_verify`)
-        walks the block, chain or tree, greedy or sampled.  Committing
-        then forks on the feed: a chain's rows were written to the target
-        cache and the rejected ones are truncated off; a tree's forward
-        ran with ``update_cache=False``, so committing means *gathering*
-        the accepted rows' fresh KV (anchor + root path) into the target
-        cache — rejected branches were never written and rollback costs
-        nothing.
+        walks the block, chain or tree, greedy or sampled.  The forward
+        wrote every fed row into the target cache from ``verify_start``
+        on; the commit keeps the anchor and the accepted root path there
+        and drops the rest (:meth:`KVCache.keep_rows`: a chain's accepted
+        path is a prefix of its feed, so that is a truncate).  The same
+        rows extend the draft state.
         """
         session = state.session
         record = session.record
@@ -909,18 +905,8 @@ class AASDEngine(Decoder):
         outcome = speculative_verify(
             draft, state.walk.probs, out.logits.data[0], self.sampler.config, session.rng,
         )
-        rows = None
-        if not tree:
-            session.target_cache.truncate(verify_start + 1 + outcome.n_accepted)
-        else:
-            rows = np.asarray([0] + [i + 1 for i in outcome.path], dtype=np.int64)
-            for layer_idx, (k_new, v_new) in enumerate(out.new_kv):
-                session.target_cache.append(
-                    layer_idx, k_new.data[:, :, rows, :], v_new.data[:, :, rows, :]
-                )
-            session.target_cache.extend_positions(
-                state.last_pos + np.arange(len(rows), dtype=np.int64)
-            )
+        rows = np.asarray([0] + [i + 1 for i in outcome.path], dtype=np.int64)
+        session.target_cache.keep_rows(verify_start, rows)
         record.add_block(
             BlockRecord(
                 n_draft=n_draft,
@@ -929,8 +915,7 @@ class AASDEngine(Decoder):
             )
         )
         state.absorb_ms = self._absorb(
-            session, out, (state.last, *outcome.accepted), state.last_pos,
-            "verify", sp, rows=rows,
+            session, out, (state.last, *outcome.accepted), state.last_pos, rows, "verify", sp,
         )
         session.commit(outcome.accepted, outcome.next_token)
         return StepReport(kind="verify", n_draft_forwards=state.n_forwards,

@@ -101,6 +101,15 @@ class ReferenceKVCache:
                 self._values[i] = self._values[i][:, :, :new_len, :]
         self.positions = self.positions[:new_len]
 
+    def keep_rows(self, start: int, rows: np.ndarray) -> None:
+        """Keep rows ``start + rows`` after the first ``start`` via index-copy."""
+        keep = np.concatenate([np.arange(start), start + np.asarray(rows, dtype=np.int64)])
+        for i in range(self.n_layers):
+            if self._keys[i] is not None:
+                self._keys[i] = self._keys[i][:, :, keep, :]
+                self._values[i] = self._values[i][:, :, keep, :]
+        self.positions = self.positions[keep]
+
     def set_segments(self, n_vision: int, n_prompt: int) -> None:
         """Mark the vision/prompt boundaries right after prefill."""
         self.segments = Segments(vision=(0, n_vision), prompt=(n_vision, n_vision + n_prompt))

@@ -153,7 +153,8 @@ class CostModel:
         ``kv_lens[i]`` (default: none beyond the reference) the keys it
         attends.  A tree verify feeds its anchor plus every node, so it
         is billed per fed row whether a branch is later accepted or not;
-        rollback is free, since rejected rows are never written.
+        rejected rows are written and dropped by ``keep_rows``, at no
+        simulated cost.
         """
         coef = self._phases.get(phase)
         if coef is None:

@@ -85,7 +85,7 @@ class Drafter(ABC):
 
     @abstractmethod
     def absorb(self, state, out, tokens: Sequence[int], positions: np.ndarray,
-               cost: CostModel, rows: Optional[np.ndarray] = None) -> float:
+               rows: np.ndarray, cost: CostModel) -> float:
         """Extend ``state`` over a verified block; returns the simulated ms it cost.
 
         The ms are the :meth:`CostModel.price` of the forwards this runs
@@ -94,8 +94,8 @@ class Drafter(ABC):
         ``tokens`` are the block's anchor and accepted drafts, now
         committed, at absolute ``positions``; ``out`` is the target
         forward that verified them and ``rows`` the fed rows they came
-        from (``None``: the first ``len(tokens)``).  Whatever else the
-        block speculated is dropped.
+        from (``[0]`` for a fallback step).  Whatever else the block
+        speculated is dropped.
         """
 
     def check(self, state) -> None:
@@ -180,8 +180,7 @@ class _CachedLMDraft(Drafter):
         state.cache.truncate(state.kept)
 
     def absorb(self, state: _LMDraftState, out, tokens: Sequence[int],
-               positions: np.ndarray, cost: CostModel,
-               rows: Optional[np.ndarray] = None) -> float:
+               positions: np.ndarray, rows: np.ndarray, cost: CostModel) -> float:
         """Keep the block's verified rows; feed the token the cache still lacks.
 
         Drafting ``n`` tokens cached ``[anchor, d1 .. d_{n-1}]``, so only a

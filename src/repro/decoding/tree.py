@@ -44,10 +44,13 @@ rule proposed it.
 
 Also here: :class:`TreeDraft`, the serialized tree (DFS preorder plus
 parent pointers), and :func:`tree_extra_blocked`, the ancestor-closure
-mask of the verify forward.  The engine glue — the lockstep draft lane
-over the walks, the single verify forward and the commit — lives in
-``repro.core``; a tree is priced per fed row like any verify feed, by
-the ``verify`` phase of :meth:`CostModel.price
+mask of the verify forward.  The engine glue lives in ``repro.core``:
+the lockstep draft lane over the walks, the single verify forward,
+which writes every fed row into the target cache whatever the walk's
+width, and the commit, one ``KVCache.keep_rows`` that keeps the anchor
+and the accepted root path (for a chain, a prefix, so a truncate).  A
+tree is priced per fed row like any verify feed, by the ``verify``
+phase of :meth:`CostModel.price
 <repro.decoding.cost_model.CostModel.price>`.
 """
 
@@ -358,7 +361,7 @@ def _try_children(kids: Sequence[int], tokens: Sequence[int], p: np.ndarray,
     return None, p
 
 
-def tree_extra_blocked(parents: Sequence[int], n_cache: int) -> np.ndarray:
+def tree_extra_blocked(parents: Sequence[int], n_cache: int) -> Optional[np.ndarray]:
     """Full-width extra mask for a tree-verification forward.
 
     Returns a ``(1 + n, n_cache + 1 + n)`` boolean array (``n`` nodes,
@@ -369,8 +372,10 @@ def tree_extra_blocked(parents: Sequence[int], n_cache: int) -> np.ndarray:
     feed columns carry :func:`repro.nn.ragged.tree_blocked`, so each node
     attends to the committed context, the anchor, and its root-path
     ancestors only.  For a chain the feed part equals the causal rule and
-    the OR is a no-op, preserving bitwise identity with linear verify.
+    the OR would be a no-op, so a chain gets ``None``: no mask at all.
     """
+    if all(p == i - 1 for i, p in enumerate(parents)):
+        return None
     n_feed = len(parents) + 1
     extra = np.zeros((n_feed, n_cache + n_feed), dtype=bool)
     extra[:, n_cache:] = tree_blocked(parents)

@@ -11,6 +11,9 @@ reallocation:
 
 * ``append`` memcpys only the new tokens into preallocated slack,
 * ``truncate`` (rejected-draft rollback) is a pointer decrement,
+* ``keep_rows`` (a verified block's commit) is ``truncate`` when the
+  accepted path is a prefix of the feed, and otherwise re-appends only
+  the rows it moves,
 * ``layer``/``last_layer``/``positions`` return cached zero-copy views,
   identity-stable until the next mutation.
 
@@ -62,7 +65,8 @@ class KVCache:
 
     Reads alias arena storage: arrays returned by :meth:`layer` /
     :meth:`last_layer` and the :attr:`positions` view are valid until the
-    next ``append``/``truncate``; copy them to hold across mutations.
+    next ``append``/``truncate``/``keep_rows``; copy them to hold across
+    mutations.
     """
 
     def __init__(self, n_layers: int) -> None:
@@ -152,6 +156,29 @@ class KVCache:
                 self._keys[i].truncate(new_len)
                 self._values[i].truncate(new_len)
         self._positions.truncate(min(new_len, len(self._positions)))
+
+    def keep_rows(self, start: int, rows: np.ndarray) -> None:
+        """Keep rows ``start + rows`` right after the first ``start``; drop the rest.
+
+        The commit of a verified block: ``start`` is the block's anchor
+        row and ``rows`` (ascending, beginning at 0) are the fed rows of
+        the anchor and the accepted root path.  A prefix of the feed —
+        every chain — is :meth:`truncate`, and moves no data; any other
+        path moves only the rows after its leading in-place run.
+        """
+        n = len(rows)
+        if rows[-1] == n - 1:
+            self.truncate(start + n)
+            return
+        # ascending from 0, so the rows already in place are a leading run
+        stay = int(np.count_nonzero(rows == np.arange(n)))
+        moved = start + np.asarray(rows[stay:], dtype=np.int64)
+        kept = [tuple(a[:, :, moved, :] for a in self.layer(i)) for i in range(self.n_layers)]
+        positions = self.positions[moved]
+        self.truncate(start + stay)
+        for layer, (k, v) in enumerate(kept):
+            self.append(layer, k, v)
+        self.extend_positions(positions)
 
     def set_segments(self, n_vision: int, n_prompt: int) -> None:
         """Mark the vision/prompt boundaries right after prefill."""

@@ -47,47 +47,29 @@ class LlamaOutput:
 class _RowOutput:
     """One row's view of an inference forward, materialised on access.
 
-    Quacks like :class:`LlamaOutput` (``logits`` / ``hidden`` / ``new_kv``
-    / ``last_layer_kv``) but builds each ``Tensor`` only when the field
-    is read: the decode rounds consume just ``logits`` and
-    ``last_layer_kv`` — a prefill only the last-position logits — so
-    eagerly wrapping n_layers x 2 KV slices per row per forward was
-    almost entirely thrown away.  Slicing the raw array and wrapping it
-    is the same view ``Tensor.__getitem__`` would produce, so values are
-    bitwise unchanged; a solo forward is the one row ``0:T``.  The row's
-    logits come already cut to it (the LM head runs per row).
+    Quacks like :class:`LlamaOutput`'s ``logits`` / ``hidden`` /
+    ``last_layer_kv`` but builds each ``Tensor`` only when the field is
+    read: the decode rounds consume just ``logits`` and ``last_layer_kv``
+    — a prefill only the last-position logits.  Slicing the raw array and
+    wrapping it is the same view ``Tensor.__getitem__`` would produce, so
+    values are bitwise unchanged; a solo forward is the one row ``0:T``.
+    The row's logits come already cut to it (the LM head runs per row).
 
-    A forward that wrote every row's cache kept only the last layer's
-    fresh K/V arrays (``None`` stands for the others in ``kv_data``):
-    ``new_kv`` reads those layers back from ``cache``, at the rows the
-    forward appended from ``cached_at`` on.  The read-back views follow
-    :meth:`KVCache.layer`'s contract — valid until that cache next
-    changes.  ``last_layer_kv`` never reads the cache, so it survives the
-    rollback a verify applies before the draft head absorbs it.
+    Of the fresh K/V only the last layer's packed arrays are kept — the
+    one layer anything reads, the draft head absorbing a verified block.
+    They are the forward's own arrays, not the cache's rows, so they
+    survive the ``keep_rows`` commit that precedes the absorb.
     """
 
-    __slots__ = ("_logits_d", "_normed_d", "_kv_data", "_start", "_end",
-                 "_cache", "_cached_at")
+    __slots__ = ("_logits_d", "_normed_d", "_last_kv", "_start", "_end")
 
-    def __init__(self, logits_d, normed_d, kv_data, start: int, end: int,
-                 cache: Optional[KVCache] = None, cached_at: int = 0) -> None:
+    def __init__(self, logits_d, normed_d, last_kv: Tuple[np.ndarray, np.ndarray],
+                 start: int, end: int) -> None:
         self._logits_d = logits_d
         self._normed_d = normed_d
-        self._kv_data = kv_data
+        self._last_kv = last_kv
         self._start = start
         self._end = end
-        self._cache = cache
-        self._cached_at = cached_at
-
-    def _layer_kv(self, layer: int) -> Tuple[Tensor, Tensor]:
-        kv = self._kv_data[layer]
-        if kv is None:
-            k, v = self._cache.layer(layer)
-            rows = slice(self._cached_at, self._cached_at + self._end - self._start)
-        else:
-            k, v = kv
-            rows = slice(self._start, self._end)
-        return Tensor(k[:, :, rows, :]), Tensor(v[:, :, rows, :])
 
     @property
     def logits(self) -> Tensor:
@@ -98,17 +80,15 @@ class _RowOutput:
         return Tensor(self._normed_d[:, self._start:self._end, :])
 
     @property
-    def new_kv(self) -> List[Tuple[Tensor, Tensor]]:
-        return [self._layer_kv(layer) for layer in range(len(self._kv_data))]
-
-    @property
     def last_logits_data(self) -> np.ndarray:
         """``logits.data[:, -1, :]``, read without building the ``Tensor``."""
         return self._logits_d[:, -1, :]
 
     @property
     def last_layer_kv(self) -> Tuple[Tensor, Tensor]:
-        return self._layer_kv(len(self._kv_data) - 1)
+        k, v = self._last_kv
+        rows = slice(self._start, self._end)
+        return Tensor(k[:, :, rows, :]), Tensor(v[:, :, rows, :])
 
 
 class MiniLlama(Module):
@@ -144,13 +124,12 @@ class MiniLlama(Module):
         x: Tensor,
         positions: np.ndarray,
         cache: Optional[KVCache] = None,
-        update_cache: bool = True,
         extra_blocked: Optional[np.ndarray] = None,
     ) -> LlamaOutput:
         """Run the decoder stack over pre-computed embeddings.
 
-        When ``cache`` is non-empty the new tokens attend to the cached
-        context; with ``update_cache`` the fresh KV is appended.
+        When ``cache`` is given the fresh KV is appended to it and the new
+        tokens attend to its context plus themselves.
         ``extra_blocked`` (broadcastable to ``(T, Tk_total)``) is OR'd with
         the causal mask at every layer — the tree-verification hook, where
         new tokens on sibling branches may share positions and must not
@@ -171,7 +150,7 @@ class MiniLlama(Module):
             )
         if not is_grad_enabled():
             return self._infer_rows(
-                x.data, [positions], [cache], update_cache, [extra_blocked]
+                x.data, [positions], [cache], [extra_blocked]
             )[0]
         use_cache = cache is not None and cache.seq_len > 0
         key_positions = cache.positions if use_cache else None
@@ -188,10 +167,10 @@ class MiniLlama(Module):
                 extra_blocked=extra_blocked,
             )
             new_kv.append((k_new, v_new))
-            if cache is not None and update_cache:
+            if cache is not None:
                 cache.append(layer_idx, k_new.data, v_new.data)
 
-        if cache is not None and update_cache:
+        if cache is not None:
             cache.extend_positions(positions)
 
         normed = self.norm(hidden)
@@ -202,7 +181,6 @@ class MiniLlama(Module):
         token_ids: np.ndarray,
         positions: Optional[np.ndarray] = None,
         cache: Optional[KVCache] = None,
-        update_cache: bool = True,
         extra_blocked: Optional[np.ndarray] = None,
     ) -> LlamaOutput:
         """Decoder forward over token ids (see :meth:`forward_embeds`)."""
@@ -214,7 +192,7 @@ class MiniLlama(Module):
             positions = np.arange(start, start + token_ids.shape[1], dtype=np.int64)
         return self.forward_embeds(
             self.embed_tokens(token_ids), positions, cache=cache,
-            update_cache=update_cache, extra_blocked=extra_blocked,
+            extra_blocked=extra_blocked,
         )
 
     # ------------------------------------------------------------------
@@ -228,14 +206,14 @@ class MiniLlama(Module):
         x: np.ndarray,
         pos_rows: List[np.ndarray],
         caches: List[Optional[KVCache]],
-        update_cache: bool,
         extra_blocked_rows: Optional[List[Optional[np.ndarray]]],
     ) -> List[_RowOutput]:
         """The one no-grad decoder pass over ``len(pos_rows)`` rows.
 
         ``x`` is ``(B, sum_tokens, D)`` raw embeddings; row ``i`` owns the
-        tokens at ``cu[i]:cu[i+1]`` along axis 1 and attends to
-        ``caches[i]`` plus itself, never across rows.  Every row-wise op
+        tokens at ``cu[i]:cu[i+1]`` along axis 1, appends its fresh K/V to
+        ``caches[i]`` (when given) and attends to that cache's rows —
+        its context plus itself — never across rows.  Every row-wise op
         (norms, q/k/v/o projections, RoPE, MLP) runs once over all rows
         through :mod:`repro.nn.kernels` — the same ufuncs in the same
         order as the ``Module`` layers, so each row is bitwise what the
@@ -247,18 +225,14 @@ class MiniLlama(Module):
         and a one-row call needs nothing.  Builds no ``Tensor``; outputs
         are wrapped lazily by :class:`_RowOutput`.
 
-        When every row writes its cache, each fresh K/V row has one copy,
-        the cache's: only the last layer's arrays are kept beside it (the
-        draft head absorbs them after a verify rolled the cache back), and
-        the rows read the other layers back from their caches.
+        Each fresh K/V row of a cached row has one copy, the cache's; only
+        the last layer's packed arrays are kept beside it, for the draft
+        head's absorb.
         """
         extents = row_extents(cu_seqlens([p.shape[0] for p in pos_rows]))
         # repro: allow[hotpath] -- packs O(feed) position rows once per forward
         positions = np.concatenate(pos_rows)
-        cached = [0 if c is None else c.seq_len for c in caches]
-        use_cache = [n > 0 for n in cached]
-        read_back = update_cache and None not in caches
-        last = len(self.blocks) - 1
+        use_cache = [c is not None and c.seq_len > 0 for c in caches]
 
         # Masks and rotary tables depend on positions only, never on
         # layer values — build them once and reuse across the stack.
@@ -277,7 +251,6 @@ class MiniLlama(Module):
             blocked.append(mask)
         rope = rope_tables_data(self.rope, positions)
 
-        new_kv: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
         hidden = x
         for layer_idx, block in enumerate(self.blocks):
             qd, kd, vd = project_qkv_data(
@@ -287,23 +260,13 @@ class MiniLlama(Module):
             )
             outs: List[np.ndarray] = []
             for i, (start, end) in enumerate(extents):
-                k_i = kd[:, :, start:end, :]
-                v_i = vd[:, :, start:end, :]
-                if update_cache and caches[i] is not None:
-                    # append first, then attend over the cache's own view:
-                    # the values the concat would build, minus the
-                    # per-layer-per-row concat copies
-                    caches[i].append(layer_idx, k_i, v_i)
+                k_all = kd[:, :, start:end, :]
+                v_all = vd[:, :, start:end, :]
+                if caches[i] is not None:
+                    # append first: the cache's own view is then (context |
+                    # fresh), the keys a concat would build, without the copy
+                    caches[i].append(layer_idx, k_all, v_all)
                     k_all, v_all = caches[i].layer(layer_idx)
-                    k_all, v_all = np.asarray(k_all), np.asarray(v_all)
-                elif use_cache[i]:
-                    past_k, past_v = caches[i].layer(layer_idx)
-                    # repro: allow[hotpath] -- read-only feed (tree verify): the cache must not grow, so K is assembled beside it
-                    k_all = np.concatenate([np.asarray(past_k), k_i], axis=2)
-                    # repro: allow[hotpath] -- read-only feed (tree verify): the cache must not grow, so V is assembled beside it
-                    v_all = np.concatenate([np.asarray(past_v), v_i], axis=2)
-                else:
-                    k_all, v_all = k_i, v_i
                 outs.append(
                     attend_data(qd[:, :, start:end, :], k_all, v_all, blocked[i])
                 )
@@ -319,19 +282,16 @@ class MiniLlama(Module):
             hidden = block_tail_data(
                 hidden, attn_out, block.attn.wo, block.mlp_norm, block.mlp
             )
-            new_kv.append(None if read_back and layer_idx < last else (kd, vd))
-        if update_cache:
-            for cache, pos in zip(caches, pos_rows):
-                if cache is not None:
-                    cache.extend_positions(pos)
+        for cache, pos in zip(caches, pos_rows):
+            if cache is not None:
+                cache.extend_positions(pos)
         normed = rmsnorm_data(hidden, self.norm)
         head = operand(self.embed.weight, transpose=True)
         # the tied head runs at each row's solo shape: its vocabulary-wide
         # product is not row-stable once rows are stacked (docs/kernels.md §2)
         return [
-            _RowOutput(matmul_data(normed[:, start:end, :], head),
-                       normed, new_kv, start, end, cache, at)
-            for (start, end), cache, at in zip(extents, caches, cached)
+            _RowOutput(matmul_data(normed[:, start:end, :], head), normed, (kd, vd), start, end)
+            for start, end in extents
         ]
 
     def forward_packed_embeds(
@@ -339,7 +299,6 @@ class MiniLlama(Module):
         x: Tensor,
         position_rows: List[np.ndarray],
         caches: List[Optional[KVCache]],
-        update_cache: bool = True,
         extra_blocked_rows: Optional[List[Optional[np.ndarray]]] = None,
     ) -> List[LlamaOutput]:
         """Fused decoder pass over a cu-seqlen-packed ragged batch.
@@ -358,11 +317,9 @@ class MiniLlama(Module):
             Per-request absolute positions of the new tokens.
         caches:
             Per-request KV caches (entries may be ``None`` for cacheless
-            requests); request ``i``'s queries attend to ``caches[i]``'s
-            context plus its own new tokens — never across requests.
-        update_cache:
-            Append each request's fresh KV to its cache (as in
-            :meth:`forward_embeds`).
+            requests); request ``i``'s fresh KV is appended to
+            ``caches[i]`` and its queries attend to that cache's context
+            plus its own new tokens — never across requests.
         extra_blocked_rows:
             Optional per-request extra masks (each broadcastable to
             ``(T_i, Tk_i_total)``, or ``None``), OR'd with that request's
@@ -370,9 +327,9 @@ class MiniLlama(Module):
             may share positions and must not see each other).
 
         Returns one :class:`LlamaOutput`-shaped result per request whose
-        ``logits`` / ``hidden`` / ``new_kv`` are zero-copy slices of the
-        packed results, bitwise identical to that request's solo forward
-        and wrapped lazily (:class:`_RowOutput`).
+        ``logits`` / ``hidden`` / ``last_layer_kv`` are zero-copy slices
+        of the packed results, bitwise identical to that request's solo
+        forward and wrapped lazily (:class:`_RowOutput`).
         """
         if len(position_rows) != len(caches):
             raise ShapeError(
@@ -391,14 +348,13 @@ class MiniLlama(Module):
                 f"{len(extra_blocked_rows)} extra-mask rows vs {len(caches)} caches"
             )
         return self._infer_rows(
-            x.data, pos_rows, caches, update_cache, extra_blocked_rows
+            x.data, pos_rows, caches, extra_blocked_rows
         )
 
     def forward_packed(
         self,
         token_rows: List[np.ndarray],
         caches: List[Optional[KVCache]],
-        update_cache: bool = True,
         position_rows: Optional[List[np.ndarray]] = None,
         extra_blocked_rows: Optional[List[Optional[np.ndarray]]] = None,
     ) -> List[LlamaOutput]:
@@ -407,10 +363,13 @@ class MiniLlama(Module):
         Each ``token_rows[i]`` is request ``i``'s new token ids (1-D or
         ``(1, T_i)``); positions continue from ``caches[i].next_position()``
         exactly as in :meth:`forward`, unless explicit ``position_rows``
-        are given (tree-verification feeds carry non-monotone per-branch
-        positions).  ``extra_blocked_rows`` optionally adds per-request
-        masks on top of causality.  The embedding gather and all row-wise
-        ops run fused over the packed batch; see
+        are given (every verify passes its feed's: a tree's branches
+        carry non-monotone per-branch positions).  ``extra_blocked_rows``
+        optionally adds per-request masks on top of causality.  Every
+        row's fresh KV is appended to its cache, rejected tree branches
+        included; the caller commits what it keeps
+        (:meth:`KVCache.keep_rows`).  The embedding gather and all
+        row-wise ops run fused over the packed batch; see
         :meth:`forward_packed_embeds`.
         """
         if len(token_rows) != len(caches):
@@ -440,7 +399,7 @@ class MiniLlama(Module):
         # repro: allow[hotpath] -- packs O(feed) token ids once per packed forward
         packed_ids = np.concatenate(rows2d, axis=1)
         return self.forward_packed_embeds(
-            self.embed_tokens(packed_ids), pos_rows, caches, update_cache,
+            self.embed_tokens(packed_ids), pos_rows, caches,
             extra_blocked_rows=extra_blocked_rows,
         )
 

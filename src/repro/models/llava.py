@@ -146,25 +146,13 @@ class MiniLlava:
         cache.set_segments(self.n_vision_tokens, text_ids.shape[1])
         return cache, out.logits.data[:, -1, :]
 
-    def decode(
-        self,
-        token_ids: np.ndarray,
-        cache: KVCache,
-        update_cache: bool = True,
-        positions: Optional[np.ndarray] = None,
-        extra_blocked: Optional[np.ndarray] = None,
-    ) -> LlamaOutput:
-        """Decode new tokens against the cache (verification / AR steps).
+    def decode(self, token_ids: np.ndarray, cache: KVCache) -> LlamaOutput:
+        """Decode new tokens against the cache (AR and fallback steps).
 
-        ``positions`` / ``extra_blocked`` serve tree-verification feeds,
-        whose rows carry per-branch (non-monotone) positions and need the
-        ancestor mask OR'd onto causality; both default to the plain
-        linear-decode behavior.
+        The tokens continue at ``cache.next_position()`` and their fresh
+        KV is appended to ``cache``.
         """
-        return self.llama.forward(
-            token_ids, positions=positions, cache=cache,
-            update_cache=update_cache, extra_blocked=extra_blocked,
-        )
+        return self.llama.forward(token_ids, cache=cache)
 
     # ------------------------------------------------------------------
     # Packed ragged-batch paths (docs/kernels.md)
@@ -236,7 +224,7 @@ class MiniLlava:
             caches.append(self.llama.new_cache())
         outs = self.llama._infer_rows(
             # repro: allow[hotpath] -- packs the prefill rows once per request, not per decode step
-            np.concatenate(pieces, axis=1), position_rows, caches, True, None
+            np.concatenate(pieces, axis=1), position_rows, caches, None
         )
         for cache, text_ids in zip(caches, rows2d):
             cache.set_segments(self.n_vision_tokens, text_ids.shape[1])
@@ -246,8 +234,7 @@ class MiniLlava:
         self,
         token_rows: Sequence[np.ndarray],
         caches: Sequence[KVCache],
-        update_cache: bool = True,
-        position_rows: Optional[Sequence[Optional[np.ndarray]]] = None,
+        position_rows: Optional[Sequence[np.ndarray]] = None,
         extra_blocked_rows: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> List[LlamaOutput]:
         """Batched :meth:`decode`: one packed forward over B feed rows.
@@ -255,14 +242,15 @@ class MiniLlava:
         Used by the engine's packed verification round.  With two or
         more rows, every row must hold >= 2 tokens for the
         packing-stability contract to apply (verify feeds are
-        ``gamma + 1 >= 2`` tokens by construction, tree feeds
-        ``1 + n_nodes >= 2``); a single row runs exactly the solo
-        :meth:`decode` kernels and may be any length.  ``position_rows``
-        / ``extra_blocked_rows`` carry per-request tree-feed positions
-        and ancestor masks (see :meth:`decode`).
+        ``1 + n_nodes >= 2`` tokens by construction); a single row runs
+        exactly the solo :meth:`decode` kernels and may be any length.
+        Every row's fresh KV is appended to its cache.  ``position_rows``
+        (default: continue each cache) and ``extra_blocked_rows`` carry
+        per-request feed positions — a tree's branches share positions —
+        and ancestor masks, ``None`` for a chain.
         """
         return self.llama.forward_packed(
-            list(token_rows), list(caches), update_cache,
+            list(token_rows), list(caches),
             position_rows=list(position_rows) if position_rows is not None else None,
             extra_blocked_rows=(
                 list(extra_blocked_rows) if extra_blocked_rows is not None else None

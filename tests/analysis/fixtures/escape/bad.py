@@ -30,3 +30,9 @@ class Holder:
 def deferred(cache):
     view = cache.layer(0)
     return lambda: view.sum()  # closure may run after the cache mutates
+
+
+def stale_after_keep(cache, start, rows):
+    pos = cache.positions
+    cache.keep_rows(start, rows)  # moves the kept rows over the dropped ones
+    return pos                    # returns an invalidated view

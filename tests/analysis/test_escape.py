@@ -13,6 +13,7 @@ def test_bad_fixture_flags_all_escape_shapes(load_fixture):
     messages = [f.message for f in findings]
     assert any("stale view read" in m for m in messages), messages
     assert any("stale view returned" in m for m in messages), messages
+    assert any("cache.keep_rows()" in m for m in messages), messages
     assert any("stored on self.last" in m for m in messages), messages
     assert any("closure" in m for m in messages), messages
 

@@ -98,6 +98,9 @@ PAIR_FINDINGS = {
         ("escape/bad.py", 32,
          "closure '<lambda>' captures zero-copy view 'view'; it may run "
          "after the cache mutates, reading through a dangling alias"),
+        ("escape/bad.py", 38,
+         "stale view returned: 'pos' (view of cache from line 36) is used "
+         "after cache.keep_rows() on line 37 invalidated it"),
     },
     # determinism | determinism-flow
     "determinism": {

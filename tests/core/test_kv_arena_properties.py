@@ -1,8 +1,9 @@
 """Property tests: arena-backed caches vs. the concatenate reference spec.
 
-Random interleavings of append / truncate / rollback / gather are
-driven through the arena-backed :class:`~repro.models.kv_cache.KVCache`
-and :class:`~repro.core.hybrid_cache.HybridKVCache` in lock-step with the
+Random interleavings of append / truncate / keep_rows / rollback /
+gather are driven through the arena-backed
+:class:`~repro.models.kv_cache.KVCache` and
+:class:`~repro.core.hybrid_cache.HybridKVCache` in lock-step with the
 pre-arena reference implementations from ``repro.core.reference``; every
 observable array must stay element-identical at every step.
 """
@@ -23,6 +24,9 @@ kv_ops = st.lists(
     st.one_of(
         st.tuples(st.just("append"), st.integers(1, 5)),
         st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+        # a verified block's commit: where its anchor row sits, and which
+        # of the rows after the anchor its accepted path keeps (bit j-1)
+        st.tuples(st.just("keep"), st.tuples(st.floats(0.0, 1.0), st.integers(0, 2**12 - 1))),
     ),
     min_size=1,
     max_size=30,
@@ -75,6 +79,14 @@ def test_kv_cache_matches_reference(seed, ops):
             new_len = int(round(arg * arena.seq_len))
             arena.truncate(new_len)
             ref.truncate(new_len)
+            pos = arena.next_position()
+        elif op == "keep" and arena.seq_len:
+            where, bits = arg
+            start = int(where * (arena.seq_len - 1))   # no segments: the prefix is 0
+            rows = np.asarray([0] + [j for j in range(1, arena.seq_len - start)
+                                     if bits >> (j - 1) & 1], dtype=np.int64)
+            arena.keep_rows(start, rows)
+            ref.keep_rows(start, rows)
             pos = arena.next_position()
         _assert_kv_equal(arena, ref)
 

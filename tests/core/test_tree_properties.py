@@ -7,7 +7,8 @@ Across randomly drawn model weights, gammas, and fault cadences:
   counts, and per-block acceptance all match exactly,
 * tree speculation stays lossless (greedy-AR token identity) even when
   the draft head is wrapped in a fault injector (which gates the engine
-  back onto the linear fallback path),
+  back onto the linear fallback path), and after every step the target
+  cache holds exactly the committed context at positions ``0 .. T-1``,
 * a tree-configured engine under ``force_fallback`` is AR-identical.
 """
 
@@ -92,6 +93,13 @@ def test_tree_config_lossless_under_faults(seed, gamma, fail_every, tokenizer):
     assert sd.token_ids == ar.token_ids
 
 
+def assert_canonical_target_cache(session):
+    """The target cache holds the committed context, at positions ``0 .. T-1``."""
+    cache = session.target_cache
+    assert np.array_equal(cache.positions, np.arange(cache.seq_len))
+    assert cache.seq_len == session.gen_base + len(session.committed) - 1
+
+
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 1000), gamma=st.integers(1, 4),
        branch=st.integers(1, 3))
@@ -99,11 +107,15 @@ def test_tree_lossless_and_fallback_ar_identical(seed, gamma, branch, tokenizer)
     target, head, cm, sample = _world(tokenizer, seed)
     ar = AutoregressiveDecoder(target, tokenizer, cm,
                                max_new_tokens=MAX_NEW_TOKENS).decode(sample)
-    tree = _engine(
+    engine = _engine(
         tokenizer, target, head, cm, gamma,
         tree_speculation=True, tree_max_branch=branch, tree_max_nodes=6,
-    ).decode(sample)
-    assert tree.token_ids == ar.token_ids
+    )
+    session = engine.begin(sample)
+    while not session.finished:
+        engine.step(session)
+        assert_canonical_target_cache(session)
+    assert engine.finish(session).token_ids == ar.token_ids
     engine = _engine(
         tokenizer, target, head, cm, gamma,
         tree_speculation=True, tree_max_branch=branch, tree_max_nodes=6,

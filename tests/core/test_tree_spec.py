@@ -15,7 +15,8 @@ tree path:
   forward per expansion index — each exactly as ``draft_tree`` alone,
 * the ``tree_ready`` gate (``supports_tree`` heads only; sampled engines
   draft trees too) and fault injection in tree rounds,
-* pointer-only commit keeps the target cache exactly in sync.
+* the ``keep_rows`` commit keeps the target cache exactly in sync, also
+  when the accepted root path is not a prefix of the feed.
 
 The world uses dim=96 like the ragged-serving tests: the gemv/gemm
 K-reduction divergence only appears at K >= 64, so a smaller world could
@@ -34,6 +35,8 @@ from repro.decoding import AutoregressiveDecoder, CostModel, get_profile
 from repro.decoding.sampling import SamplerConfig
 from repro.decoding.tree import TreeDraft, speculative_verify, tree_extra_blocked
 from repro.errors import DecodingError
+from repro.eval import build_aasd_engine
+from repro.models.kv_cache import KVCache
 from repro.nn.ragged import tree_blocked
 from repro.nn.tensor import no_grad
 from repro.robustness.faults import FaultyDraftHead
@@ -191,10 +194,11 @@ class TestTreeExtraBlocked:
         assert np.array_equal(extra[:, 5:], tree_blocked(parents))
 
     def test_chain_is_causal_noop(self):
-        # For a chain the feed part equals the strict upper triangle the
-        # causal rule already imposes, so OR-ing it in changes nothing.
-        extra = tree_extra_blocked([-1, 0], n_cache=3)
-        assert np.array_equal(extra[:, 3:], np.triu(np.ones((3, 3), bool), k=1))
+        # For a chain the feed mask equals the strict upper triangle the
+        # causal rule already imposes, so OR-ing it in would change
+        # nothing: a chain gets no extra mask at all.
+        assert np.array_equal(tree_blocked([-1, 0]), np.triu(np.ones((3, 3), bool), k=1))
+        assert tree_extra_blocked([-1, 0], n_cache=3) is None
 
 
 class TestSingleForwardPerRound:
@@ -477,6 +481,32 @@ class TestCommitState:
         # cache positions are the contiguous committed range
         positions = session.target_cache.positions
         assert positions[-1] == positions[0] + session.target_cache.seq_len - 1
+
+    def test_non_prefix_path_on_the_smoke_target(self, smoke_zoo, monkeypatch):
+        # gamma 7, branch 2 on the smoke sim-7b: some block accepts a root
+        # path through a second child, so keep_rows moves rows
+        config = AASDEngineConfig(gamma=7, max_new_tokens=48, tree_speculation=True,
+                                  tree_max_branch=2)
+        cm = CostModel(get_profile("sim-7b"))
+        engine = build_aasd_engine(smoke_zoo, "sim-7b", 7, cm, config=config)
+        ar = AutoregressiveDecoder(smoke_zoo.target("sim-7b"), smoke_zoo.tokenizer(), cm,
+                                   max_new_tokens=48)
+        kept = []
+        keep_rows = KVCache.keep_rows
+
+        def spy(cache, start, rows):
+            kept.append(list(rows))
+            keep_rows(cache, start, rows)
+
+        monkeypatch.setattr(KVCache, "keep_rows", spy)
+        for sample in smoke_zoo.eval_dataset("coco-sim", 2):
+            session = engine.begin(sample)
+            while not session.finished:
+                engine.step(session)
+                cache = session.target_cache
+                assert np.array_equal(cache.positions, np.arange(cache.seq_len))
+            assert engine.finish(session).token_ids == ar.decode(sample).token_ids
+        assert any(rows != list(range(len(rows))) for rows in kept)
 
     def test_gamma_2_tree_never_drafts_deeper_than_2(self, world, monkeypatch):
         # The session's gamma bounds a tree's depth, not its node count:

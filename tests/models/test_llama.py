@@ -59,14 +59,6 @@ class TestCacheDecoding:
             out = model.forward(ids[:, t : t + 1], cache=cache)
             assert np.abs(full.logits.data[:, t, :] - out.logits.data[:, 0, :]).max() < 1e-3
 
-    def test_update_cache_false_leaves_cache(self, model, rng):
-        ids = rng.integers(0, 30, size=(1, 4))
-        cache = model.new_cache()
-        model.forward(ids, cache=cache)
-        length = cache.seq_len
-        model.forward(np.array([[1]]), cache=cache, update_cache=False)
-        assert cache.seq_len == length
-
     def test_positions_default_continue_from_cache(self, model, rng):
         cache = model.new_cache()
         model.forward(np.array([[1, 2, 3]]), cache=cache)

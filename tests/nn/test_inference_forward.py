@@ -6,8 +6,9 @@ KV projector each have one no-grad implementation (``_infer_rows``)
 behind their solo and packed entry points.  The autograd ``Module`` path
 — what the same call computes with gradients on — is the executable
 spec, and every case here demands ``np.array_equal`` between the two on
-the smoke target and head: outputs, fresh KV, and the caches left
-behind.  The target and head are pinned for the whole module, as a
+the smoke target and head: outputs, the last layer's fresh KV (the one
+layer a no-grad output keeps), and the caches left behind, which hold
+every layer's.  The target and head are pinned for the whole module, as a
 serving engine pins them, so the kernels read the prepared float64
 operands (``tests/nn/test_operands.py``).
 """
@@ -26,6 +27,7 @@ from repro.core.reference import ReferenceHybridKVCache, ReferenceKVCache
 from repro.data.tasks import make_dataset
 from repro.decoding.base import encode_prompt
 from repro.decoding.tree import TreeDraft, tree_extra_blocked
+from repro.models.kv_cache import KVCache
 from repro.nn.kernels import pin_operands
 from repro.nn.tensor import Tensor, no_grad
 
@@ -98,9 +100,6 @@ def same_output(spec, fast):
     assert fast.logits.data.dtype == spec.logits.data.dtype
     assert np.array_equal(spec.logits.data, fast.logits.data)
     assert np.array_equal(spec.hidden.data, fast.hidden.data)
-    assert len(spec.new_kv) == len(fast.new_kv)
-    for (ks, vs), (kf, vf) in zip(spec.new_kv, fast.new_kv):
-        assert np.array_equal(ks.data, kf.data) and np.array_equal(vs.data, vf.data)
     for s, f in zip(spec.last_layer_kv, fast.last_layer_kv):
         assert np.array_equal(s.data, f.data)
 
@@ -160,38 +159,31 @@ class TestTargetForward:
         same_output(out_s, out_f)
         same_cache(cache_s, cache_f)
 
-    def test_tree_feed(self, world):                                 # (d)
+    def test_tree_feed(self, world, monkeypatch):                    # (d)
+        # the root path anchor -> node 0 -> node 2 -> node 3 skips node 1,
+        # so its fed rows are not a prefix of the feed
+        rows = np.asarray([0, 1, 3, 4])
+        n_prefix = len(world["prompts"][0]) + world["target"].n_vision_tokens
+
         def build():
             cache, _ = prefill(world)
-            anchor = cache.next_position()
-            positions = TREE.feed_positions(anchor)
+            positions = TREE.feed_positions(cache.next_position())
             assert (np.diff(positions) < 0).any()       # non-monotone
-            out = world["target"].decode(
-                np.asarray([[FEED[0], *TREE.tokens]]), cache, update_cache=False,
-                positions=positions,
+            out = world["target"].llama.forward(
+                np.asarray([[FEED[0], *TREE.tokens]]), positions=positions, cache=cache,
                 extra_blocked=tree_extra_blocked(TREE.parents, cache.seq_len),
             )
+            assert cache.seq_len == n_prefix + 1 + TREE.n_nodes
+            cache.keep_rows(n_prefix, rows)
             return cache, out
 
-        (cache_s, out_s), (cache_f, out_f) = both(build)
-        same_output(out_s, out_f)
-        same_cache(cache_s, cache_f)
-        assert cache_f.seq_len == len(world["prompts"][0]) + world["target"].n_vision_tokens
-
-    def test_update_cache_false_leaves_the_cache_alone(self, world):  # (e)
-        def build():
-            cache, _ = prefill(world)
-            before = [tuple(np.array(a) for a in cache.layer(i))
-                      for i in range(cache.n_layers)]
-            out = world["target"].decode(np.asarray([FEED]), cache, update_cache=False)
-            for i, (k, v) in enumerate(before):
-                assert np.array_equal(cache.layer(i)[0], k)
-                assert np.array_equal(cache.layer(i)[1], v)
-            return cache, out
-
-        (cache_s, out_s), (cache_f, out_f) = both(build)
-        same_output(out_s, out_f)
-        same_cache(cache_s, cache_f)
+        for cache_cls in (KVCache, ReferenceKVCache):
+            monkeypatch.setattr(llama_mod, "KVCache", cache_cls)
+            (cache_s, out_s), (cache_f, out_f) = both(build)
+            assert isinstance(cache_f, cache_cls)
+            same_output(out_s, out_f)
+            same_cache(cache_s, cache_f)
+            assert np.array_equal(cache_f.positions, np.arange(n_prefix + len(rows)))
 
     def test_dense_batch(self, world):                               # (h)
         width = min(len(p) for p in world["prompts"])
@@ -288,11 +280,6 @@ class TestTargetForward:
         for (cache_s, out_s), cache_f, out_f in zip(spec, caches, outs):
             same_output(out_s, out_f)
             same_cache(cache_s, cache_f)
-            # one copy of each fresh row: every layer but the last is the cache's
-            for layer, (k, v) in enumerate(out_f.new_kv):
-                k_all, v_all = cache_f.layer(layer)
-                shared = np.shares_memory(k.data, k_all) and np.shares_memory(v.data, v_all)
-                assert shared == (layer < llama.config.n_layers - 1)
 
     def test_no_tensor_is_built_until_an_output_is_read(self, world, tensors_built):
         cache, _ = prefill(world)
