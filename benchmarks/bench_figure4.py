@@ -1,6 +1,6 @@
 """Regenerates **Figure 4**: is vision information really important?
 
-Disables the image KV or the text KV segment of the hybrid cache at
+Leaves the image KV or the text KV block out of what the draft head attends at
 inference and measures block efficiency.  The paper's finding: text KV is
 essential (tau collapses without it) while image KV is a useful bonus.
 """

@@ -74,8 +74,6 @@ def test_kv_projector(benchmark):
 
 def test_draft_head_step(benchmark, zoo):
     """One speculating-module step against a realistic hybrid context."""
-    from repro.core.hybrid_cache import SEGMENT_TEXT, SEGMENT_VISION, HybridKVCache
-
     head = zoo.aasd_head("sim-7b")
     target = zoo.target("sim-7b")
     tok = zoo.tokenizer()
@@ -85,9 +83,8 @@ def test_draft_head_step(benchmark, zoo):
         cache, _ = target.prefill(sample.image[None], prompt[None])
 
     def run():
-        hybrid = HybridKVCache(head.config.n_heads, head.config.head_dim)
         with no_grad():
-            head.build_context(cache, hybrid)
+            hybrid = head.build_context(cache)   # reads the target's text rows in place
             return head.step(5, cache.seq_len, hybrid)
 
     out = benchmark(run)

@@ -2,7 +2,7 @@
 
 from .draft_head import AASDDraftHead, DraftHeadConfig
 from .engine import AASDEngine, AASDEngineConfig, DecodeSession, StepReport
-from .hybrid_cache import SEGMENT_TEXT, SEGMENT_VISION, HybridKVCache
+from .hybrid_cache import HybridKVCache
 from .kv_projector import KVProjector
 from .td_attention import (
     naive_target_draft_attention,
@@ -16,8 +16,6 @@ __all__ = [
     "target_draft_attention",
     "naive_target_draft_attention",
     "HybridKVCache",
-    "SEGMENT_VISION",
-    "SEGMENT_TEXT",
     "AASDDraftHead",
     "DraftHeadConfig",
     "AASDEngine",

@@ -2,8 +2,12 @@
 
 A single-block transformer that shares the target's embedding geometry and
 generates draft tokens by attending over the *target model's last-layer KV
-cache* (vision slice compressed by the :class:`KVProjector`) plus its own KV
-for tokens drafted in the current block.  Trained with Target-Draft
+cache* plus its own KV for tokens drafted in the current block.  The cache
+is read in place, never copied: the vision slice is compressed once by the
+:class:`KVProjector`, the text rows are the target cache's own
+(:class:`HybridKVCache`).  A step scores each block separately and takes
+one softmax over them — the inference form of T-D Attention's
+``Q'Kᵀ`` / ``Q'K'ᵀ`` split (paper Eq. 12-13).  Trained with Target-Draft
 Attention so the training-time attention pattern matches inference exactly.
 
 Parameter budget: one attention block + one SwiGLU + tied embedding head —
@@ -27,7 +31,8 @@ from ..models.llama import MiniLlama
 from ..nn import functional as F
 from ..nn.attention import (
     MultiHeadAttention,
-    attend_data,
+    attend_blocks,
+    attend_blocks_data,
     causal_mask,
     merge_heads,
     split_heads,
@@ -39,11 +44,11 @@ from ..nn.layers import Embedding, Linear
 from ..nn.module import Module
 from ..nn.normalization import RMSNorm
 from ..nn.rope import RotaryEmbedding, apply_rope
-from ..nn.tensor import Tensor, concat, is_grad_enabled, matmul_data
+from ..nn.tensor import Tensor, is_grad_enabled, matmul_data
 from ..nn.transformer import SwiGLU
 from ..robustness.guards import check_hybrid_cache, ensure_finite
 from ..utils.rng import derive
-from .hybrid_cache import SEGMENT_TEXT, SEGMENT_VISION, HybridKVCache
+from .hybrid_cache import Block, HybridKVCache
 from .kv_projector import KVProjector
 from .td_attention import target_draft_attention
 
@@ -96,18 +101,19 @@ class AASDDraftHead(Module, Drafter):
     """One hybrid-attention transformer block + tied LM head.
 
     The KV-reusing :class:`~repro.decoding.speculative.Drafter`: a
-    request's draft state is its :class:`HybridKVCache`, opened from the
-    target's prefill and extended by each verify forward's own last-layer
-    KV.  The Figure 3 (``use_target_kv=False``: the head encodes its own
-    context) and Figure 4 (:meth:`ablate_kv`) variants sit behind the seam.
+    request's draft state is its :class:`HybridKVCache`, which reads the
+    target's last-layer KV in place — each verify's commit extends it at
+    no cost of its own.  The Figure 3 (``use_target_kv=False``: the head
+    encodes its own context) and Figure 4 (:meth:`ablate_kv`) variants
+    sit behind the seam.
     """
 
     name = "ours"
-    #: A step attends any root path of the draft segment (``ancestor_rows``).
+    #: A step attends any root path of the draft lane (``ancestor_rows``).
     supports_tree = True
     #: One lockstep step is one batched head forward over the hybrid KV.
     step_phase = "head"
-    #: Figure 4 ablation: context segments hidden from every draft step
+    #: Figure 4 ablation: context blocks left out of every draft step
     #: (set on a weight-sharing view by :meth:`ablate_kv`).
     disable_image_kv = False
     disable_text_kv = False
@@ -152,10 +158,10 @@ class AASDDraftHead(Module, Drafter):
         return apply_rope(q, cos, sin), apply_rope(k, cos, sin), v
 
     def compress_vision(self, k_vision, v_vision) -> Tuple[Tensor, Tensor]:
-        """Apply the KV Projector (or pass raw vision KV through)."""
+        """Apply the KV Projector (or pass a copy of the raw vision KV through)."""
         if self.projector is not None:
             return self.projector(k_vision, v_vision)
-        return Tensor(np.asarray(k_vision)), Tensor(np.asarray(v_vision))
+        return Tensor(np.array(k_vision)), Tensor(np.array(v_vision))
 
     # ------------------------------------------------------------------
     # Training forward (Target-Draft Attention)
@@ -216,15 +222,21 @@ class AASDDraftHead(Module, Drafter):
     # ------------------------------------------------------------------
     def ablate_kv(self, disable_image_kv: bool = False,
                   disable_text_kv: bool = False) -> "AASDDraftHead":
-        """A view of this head (same weights) drafting without a context segment."""
+        """A view of this head (same weights) drafting without a context block."""
         view = copy.copy(self)
         view.disable_image_kv = disable_image_kv
         view.disable_text_kv = disable_text_kv
         return view
 
     def check_target(self, target) -> None:
-        """The projector is sized for one vision-token count: the target's."""
-        if self.config.use_target_kv and self.config.n_vision_tokens != target.n_vision_tokens:
+        """The head attends the target's KV: its geometry and vision-token count must match."""
+        cfg, llama = self.config, target.llama.config
+        if (cfg.dim, cfg.n_heads) != (llama.dim, llama.n_heads):
+            raise DecodingError(
+                f"draft head KV geometry (dim {cfg.dim}, {cfg.n_heads} heads) does not "
+                f"match the target's (dim {llama.dim}, {llama.n_heads} heads)"
+            )
+        if cfg.use_target_kv and cfg.n_vision_tokens != target.n_vision_tokens:
             raise DecodingError(
                 f"draft head expects {self.config.n_vision_tokens} vision tokens, "
                 f"target produces {target.n_vision_tokens}"
@@ -233,14 +245,11 @@ class AASDDraftHead(Module, Drafter):
     def open(self, sample, prompt_ids: np.ndarray, target_cache) -> HybridKVCache:
         """The request's draft context: the target's KV, or (Figure 3) the head's own."""
         del sample
-        hybrid = HybridKVCache(self.config.n_heads, self.config.head_dim)
         if self.config.use_target_kv:
-            self.build_context(target_cache, hybrid)
-        else:
-            positions = target_cache.segments.n_vision + np.arange(
-                len(prompt_ids), dtype=np.int64)
-            k_own, v_own = self.self_encode(prompt_ids, positions)
-            hybrid.append_context(k_own, v_own, positions, SEGMENT_TEXT)
+            return self.build_context(target_cache)
+        hybrid = HybridKVCache(self.config.n_heads, self.config.head_dim)
+        positions = target_cache.segments.n_vision + np.arange(len(prompt_ids), dtype=np.int64)
+        hybrid.append_context(*self.self_encode(prompt_ids, positions))
         return hybrid
 
     @property
@@ -251,58 +260,40 @@ class AASDDraftHead(Module, Drafter):
         return "projector" if self.projector is not None else None
 
     def rollback(self, hybrid: HybridKVCache) -> None:
-        """Drop the draft segment (a pointer decrement)."""
+        """Drop the draft lane (a pointer decrement)."""
         hybrid.clear_draft()
 
-    def absorb(self, hybrid: HybridKVCache, out, tokens: Sequence[int],
-               positions: np.ndarray, rows: np.ndarray, cost: CostModel) -> float:
-        """Move the verified tokens' KV into the context store.
+    def absorb(self, hybrid: HybridKVCache, tokens: Sequence[int],
+               positions: np.ndarray, cost: CostModel) -> float:
+        """Drop the draft lane; the verified tokens are already context.
 
-        A free by-product of verification: the forward's last-layer KV at
-        the verified rows ``rows``.  Without target KV the head re-encodes
-        them.
+        With target KV the verify's commit wrote them into the cache the
+        store reads, so this is free.  Without it the head re-encodes them.
         """
         hybrid.clear_draft()
         if self.config.use_target_kv:
-            k_new, v_new = out.last_layer_kv
-            hybrid.append_context(
-                k_new.data[:, :, rows, :], v_new.data[:, :, rows, :], positions, SEGMENT_TEXT
-            )
             return 0.0
-        k_own, v_own = self.self_encode(np.asarray(tokens, dtype=np.int64), positions)
-        hybrid.append_context(k_own, v_own, positions, SEGMENT_TEXT)
+        hybrid.append_context(*self.self_encode(np.asarray(tokens, dtype=np.int64), positions))
         return cost.price("sync", (len(tokens),))
 
     def check(self, hybrid: HybridKVCache) -> None:
         """Structural and numeric invariants of the hybrid cache."""
         check_hybrid_cache(hybrid)
 
-    def build_context(self, target_cache, hybrid: HybridKVCache) -> None:
-        """Populate the hybrid cache from the target's last-layer KV.
+    def build_context(self, target_cache) -> HybridKVCache:
+        """The request's hybrid cache over the target's last-layer KV.
 
-        Vision KV is compressed by the projector (positions ``0..k-1``,
-        which is safe because every text query position exceeds them);
-        text KV keeps its true absolute positions.
+        The projector compresses the vision rows once, into the store's
+        vision block; the text rows are the target cache's own, read in
+        place from row ``n_vision`` on.
         """
         if not self.config.use_target_kv:
             raise ShapeError("build_context is only valid when use_target_kv=True")
         k_last, v_last = target_cache.last_layer()
         n_vis = target_cache.segments.n_vision
-        k_vis = k_last[:, :, :n_vis, :]
-        v_vis = v_last[:, :, :n_vis, :]
-        k_cmp, v_cmp = self.compress_vision(k_vis, v_vis)
-        hybrid.append_context(
-            k_cmp.data,
-            v_cmp.data,
-            np.arange(k_cmp.shape[2], dtype=np.int64),
-            SEGMENT_VISION,
-        )
-        hybrid.append_context(
-            k_last[:, :, n_vis:, :],
-            v_last[:, :, n_vis:, :],
-            target_cache.positions[n_vis:],
-            SEGMENT_TEXT,
-        )
+        k_cmp, v_cmp = self.compress_vision(k_last[:, :, :n_vis, :], v_last[:, :, :n_vis, :])
+        return HybridKVCache(self.config.n_heads, self.config.head_dim, source=target_cache,
+                             first_row=n_vis, vision=(k_cmp.data, v_cmp.data))
 
     def self_encode(self, token_ids: np.ndarray, positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Compute the head's own K/V for tokens (no attention needed).
@@ -329,19 +320,19 @@ class AASDDraftHead(Module, Drafter):
     ) -> np.ndarray:
         """One draft forward: returns next-token logits ``(vocab,)``.
 
-        Appends the token's own K/V as the hybrid cache's next draft row
-        (the query attends to it, matching T-D Attention's ``j = i``
-        rule), so DFS-preorder expansion keeps draft-row order equal to
-        node order.  ``position`` must lie past every attended key
-        position, as it does wherever the engine drafts.  Of the draft
-        segment only ``ancestor_rows`` (a tree node's root path: distinct
-        rows in increasing order, so the whole segment exactly when it is
-        as long) are attended — sibling branches are excluded by
-        *selection* rather than masking, which also keeps same-position
-        sibling keys out of the causal rule's reach; ``None`` (a chain
-        step) attends the whole segment.  ``request_id`` identifies the
-        requesting session; the head itself ignores it, but wrappers
-        (fault injectors, per-request telemetry) key their behavior on it.
+        Attends the hybrid cache's blocks (:meth:`_attended`) and the
+        token's own K/V (T-D Attention's ``j = i`` rule), then appends that
+        K/V as the next draft-lane row, so DFS-preorder expansion keeps
+        draft-row order equal to node order.  ``position`` must lie past
+        every attended key position, as it does wherever the engine
+        drafts: no key is masked.  Of the draft lane only
+        ``ancestor_rows`` (a tree node's root path: distinct rows in
+        increasing order, so the whole lane exactly when it is as long)
+        are attended — sibling branches are excluded by *selection*;
+        ``None`` (a chain step) attends the whole lane.  ``request_id``
+        identifies the requesting session; the head itself ignores it,
+        but wrappers (fault injectors, per-request telemetry) key their
+        behavior on it.
 
         With gradients off this is the one-row case of
         :meth:`_infer_rows`; the ``Module`` ops below are what it must
@@ -357,29 +348,30 @@ class AASDDraftHead(Module, Drafter):
         h = self.attn_norm(x)
         q, k, v = self.qkv(h, positions)
 
-        ctx_k, ctx_v, key_pos, key_blocked = hybrid.gather(
-            disable_image_kv=self.disable_image_kv, disable_text_kv=self.disable_text_kv
-        )
-        if ancestor_rows is not None:
-            index = np.concatenate([
-                np.arange(hybrid.context_len, dtype=np.int64),
-                hybrid.context_len + np.asarray(ancestor_rows, dtype=np.int64),
-            ])
-            ctx_k, ctx_v = ctx_k[:, :, index, :], ctx_v[:, :, index, :]
-            key_pos, key_blocked = key_pos[index], key_blocked[index]
-        k_all = concat([Tensor(ctx_k), k], axis=2)
-        v_all = concat([Tensor(ctx_v), v], axis=2)
-        all_pos = np.concatenate([key_pos, positions])
-        blocked = causal_mask(positions, all_pos)
-        blocked = blocked | np.concatenate([key_blocked, [False]])[None, :]
-
-        attn = MultiHeadAttention.attend(q, k_all, v_all, blocked=blocked)
+        blocks = [(Tensor(kb), Tensor(vb)) for kb, vb in self._attended(hybrid, ancestor_rows)]
+        attn = attend_blocks(q, [*blocks, (k, v)])
         x = x + self.wo(merge_heads(attn))
         x = x + self.mlp(self.mlp_norm(x))
         logits = self.lm_head(self.out_norm(x))
 
-        hybrid.append_draft(k.data, v.data, positions)
+        hybrid.append_draft(k.data, v.data)
         return logits.data[0, -1]
+
+    def _attended(self, hybrid: HybridKVCache,
+                  rows: Optional[Tuple[int, ...]]) -> List[Block]:
+        """The cache blocks one step attends before its own key.
+
+        :meth:`HybridKVCache.gather` under this head's ablation flags,
+        its draft lane cut to ``rows`` (``None``: all of it) and left out
+        when empty.
+        """
+        *blocks, (k, v) = hybrid.gather(self.disable_image_kv, self.disable_text_kv)
+        if rows is not None and len(rows) != k.shape[2]:
+            index = np.asarray(rows, dtype=np.int64)
+            k, v = k[:, :, index, :], v[:, :, index, :]
+        if k.shape[2]:
+            blocks.append((k, v))
+        return blocks
 
     def draft_tree(self, token_id: int, position: int, hybrid: HybridKVCache, *,
                    gamma: int, max_branch: int = 2, max_nodes: int = 12,
@@ -441,18 +433,12 @@ class AASDDraftHead(Module, Drafter):
         packing-stability contract in :mod:`repro.nn.ragged` — and the
         ufuncs replay the ``Module`` layers' op order, so each row is
         bitwise what :meth:`step` computes with gradients on.  Attention
-        runs per session over ``(context | chosen draft rows | own key)``
-        at exactly the solo shapes.  ``ancestor_rows[i]``, when given,
-        restricts session ``i``'s draft segment to those rows (the
-        :meth:`step` rule); ``None`` attends the whole segment.
-
-        When no ablation flag is set the attention mask is skipped
-        outright: during draft steps every attended key position is
-        strictly below the query position (compressed vision keys sit at
-        ``0..k-1``, committed-text keys below the last committed
-        position, draft keys at earlier draft positions), so the causal +
-        segment mask is all-``False`` — and ``masked_fill`` with an
-        all-``False`` mask is a bitwise identity.
+        runs per session over its :meth:`_attended` blocks and its own
+        key, each block scored where it lives and all of them under one
+        softmax (:func:`~repro.nn.attention.attend_blocks_data`): no K or
+        V is concatenated.  ``ancestor_rows[i]``, when given, restricts
+        session ``i``'s draft lane to those rows (the :meth:`step` rule);
+        ``None`` attends the whole lane.
 
         Appends each session's own K/V as its next draft row and returns
         one ``(vocab,)`` logits row per session.  Builds no ``Tensor``.
@@ -460,8 +446,6 @@ class AASDDraftHead(Module, Drafter):
         b = len(hybrids)
         pos = np.asarray(positions, dtype=np.int64)
         ids = np.asarray(token_ids, dtype=np.int64).reshape(b, 1)
-        disable_image_kv, disable_text_kv = self.disable_image_kv, self.disable_text_kv
-        ablated = disable_image_kv or disable_text_kv
 
         xd = self.embed.weight.data[ids]
         h = rmsnorm_data(xd, self.attn_norm)
@@ -472,41 +456,15 @@ class AASDDraftHead(Module, Drafter):
         )
         outs = []
         for i, hybrid in enumerate(hybrids):
-            ctx_k, ctx_v, key_pos, key_blocked = hybrid.gather(
-                disable_image_kv=disable_image_kv, disable_text_kv=disable_text_kv
-            )
             rows = None if ancestor_rows is None else ancestor_rows[i]
-            if rows is not None and len(rows) != hybrid.draft_len:
-                # repro: allow[hotpath] -- O(context) int index selecting a tree node's root path
-                index = np.concatenate([
-                    np.arange(hybrid.context_len, dtype=np.int64),
-                    hybrid.context_len + np.asarray(rows, dtype=np.int64),
-                ])
-                ctx_k, ctx_v = ctx_k[:, :, index, :], ctx_v[:, :, index, :]
-                key_pos, key_blocked = key_pos[index], key_blocked[index]
-            blocked = None
-            if ablated:
-                # repro: allow[hotpath] -- O(context) mask bookkeeping on the ablation path only
-                all_pos = np.concatenate([key_pos, pos[i : i + 1]])
-                # repro: allow[hotpath] -- O(context) bool mask row on the ablation path only
-                blocked = causal_mask(pos[i : i + 1], all_pos) | np.concatenate(
-                    [key_blocked, [False]]
-                )[None, :]
-            outs.append(
-                attend_data(
-                    qd[i : i + 1],
-                    # repro: allow[hotpath] -- (context | own key): the own key stays float64 beside the float32 cache, as in the Module path
-                    np.concatenate([ctx_k, kd[i : i + 1]], axis=2),
-                    # repro: allow[hotpath] -- (context | own value), same reason
-                    np.concatenate([ctx_v, vd[i : i + 1]], axis=2),
-                    blocked,
-                )
-            )
+            blocks = self._attended(hybrid, rows)
+            blocks.append((kd[i : i + 1], vd[i : i + 1]))
+            outs.append(attend_blocks_data(qd[i : i + 1], blocks))
         # repro: allow[hotpath] -- reassembles B per-row outputs into one batch tensor, O(batch) per step
         attn_d = np.concatenate(outs, axis=0) if b > 1 else outs[0]
         xd = block_tail_data(xd, attn_d, self.wo, self.mlp_norm, self.mlp)
         normed = rmsnorm_data(xd, self.out_norm)
         logits_d = matmul_data(normed, operand(self.embed.weight, transpose=True))
         for i, hybrid in enumerate(hybrids):
-            hybrid.append_draft(kd[i : i + 1], vd[i : i + 1], pos[i : i + 1])
+            hybrid.append_draft(kd[i : i + 1], vd[i : i + 1])
         return [logits_d[i, -1] for i in range(b)]

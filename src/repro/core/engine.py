@@ -4,18 +4,17 @@ This is the paper's Figure 2a pipeline:
 
 1. **Prefill** — the target processes image + prompt, producing its KV
    cache and the first token; the draft head compresses the vision slice of
-   the last-layer KV through the projector and adopts the text slice as its
-   attention context.
+   the last-layer KV through the projector and reads the text slice in
+   place as its attention context.
 2. **Draft** — the speculating module autoregressively proposes gamma
    tokens, attending over [compressed vision KV, target text KV, its own
    block-local KV].
 3. **Verify** — one parallel target forward checks the block (greedy match
    or speculative sampling).  It writes every fed row into the target
    cache, and one ``KVCache.keep_rows`` commits the block: the anchor and
-   the accepted rows stay, the rejected ones go.  The verification
-   forward's *own last-layer KV output* for the accepted tokens is
-   appended to the draft context, so context maintenance costs nothing
-   extra.
+   the accepted rows stay, the rejected ones go.  The draft head's context
+   *is* the target cache's last layer, so that commit extends it too and
+   context maintenance costs nothing extra.
 
 One drafter seam: what is particular to the speculating module — its
 per-request state, how that is opened, stepped, rolled back and extended
@@ -174,9 +173,12 @@ class DecodeSession:
             or len(self.committed) >= self.max_new_tokens
         )
 
-    def commit(self, accepted: Sequence[int], next_token: int) -> None:
-        """Emit a verified block, cut at eos or the token budget, whichever is first."""
-        commit_block(self.committed, accepted, next_token, self.eos, self.max_new_tokens)
+    def commit(self, accepted: Sequence[int], next_token: int) -> int:
+        """Emit a verified block, cut at eos or the token budget, whichever is first.
+
+        Returns how many of the block's tokens were kept.
+        """
+        return commit_block(self.committed, accepted, next_token, self.eos, self.max_new_tokens)
 
     @property
     def kv_tokens(self) -> int:
@@ -346,14 +348,13 @@ class AASDEngine(Decoder):
                 session, f"{session.record.n_draft_faults} draft faults"
             )
 
-    def _absorb(self, session: DecodeSession, out, tokens: Sequence[int], last_pos: int,
-                rows: np.ndarray, category: str, sp) -> float:
+    def _absorb(self, session: DecodeSession, tokens: Sequence[int], last_pos: int,
+                category: str, sp) -> float:
         """Draft-state maintenance after a verify (or fallback) target forward.
 
         ``tokens`` are the fed tokens now committed (the anchor at
-        ``last_pos``, then the accepted drafts) and ``rows`` the fed rows
-        they were (a tree's root path need not be contiguous).  Returns
-        what the drafter charged for it.
+        ``last_pos``, then the accepted drafts).  Returns what the drafter
+        charged for it.
 
         This is the one guard around the absorb: failing to extend the
         draft state never loses the tokens the target just produced.
@@ -365,7 +366,7 @@ class AASDEngine(Decoder):
         state = session.draft_state
         positions = last_pos + np.arange(len(tokens), dtype=np.int64)
         try:
-            ms = self.head.absorb(state, out, tokens, positions, rows, self.cost_model)
+            ms = self.head.absorb(state, tokens, positions, self.cost_model)
             sp.add_sim_ms(session.record.charge_sim(ms, category))
             # A fallback step follows a block with no (clean) draft-phase
             # guard, so the state is re-validated here.
@@ -808,8 +809,7 @@ class AASDEngine(Decoder):
                 token = self.sampler.sample(out.logits.data[0, -1], rng=session.rng)
                 if session.speculating:
                     absorb_ms = self._absorb(
-                        session, out, (last,), session.gen_base + len(committed) - 1,
-                        np.zeros(1, dtype=np.int64), "fallback", sp,
+                        session, (last,), session.gen_base + len(committed) - 1, "fallback", sp,
                     )
                     if clock is not None:
                         clock.charge(absorb_ms, "fallback")
@@ -893,8 +893,9 @@ class AASDEngine(Decoder):
         wrote every fed row into the target cache from ``verify_start``
         on; the commit keeps the anchor and the accepted root path there
         and drops the rest (:meth:`KVCache.keep_rows`: a chain's accepted
-        path is a prefix of its feed, so that is a truncate).  The same
-        rows extend the draft state.
+        path is a prefix of its feed, so that is a truncate).  The drafter
+        then absorbs the fed tokens, and a block cut at eos or the token
+        budget drops the rows of the tokens it did not commit.
         """
         session = state.session
         record = session.record
@@ -915,9 +916,11 @@ class AASDEngine(Decoder):
             )
         )
         state.absorb_ms = self._absorb(
-            session, out, (state.last, *outcome.accepted), state.last_pos, rows, "verify", sp,
+            session, (state.last, *outcome.accepted), state.last_pos, "verify", sp,
         )
-        session.commit(outcome.accepted, outcome.next_token)
+        kept = session.commit(outcome.accepted, outcome.next_token)
+        if kept < len(rows):   # cut at eos or the budget: drop the rows it did not commit
+            session.target_cache.truncate(verify_start + kept)
         return StepReport(kind="verify", n_draft_forwards=state.n_forwards,
                           n_accepted=outcome.n_accepted)
 

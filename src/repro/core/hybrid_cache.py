@@ -1,181 +1,160 @@
-"""Hybrid KV cache: target-provided context + the draft head's own KV.
+"""Hybrid KV cache: what the draft head attends, read where it lives.
 
-During AASD inference the speculating module attends over two stores:
+During AASD inference the speculating module attends over three blocks
+(PAPER.md §1 step 1: ``[K*_I, K_T, own draft K]``):
 
-* the **context**: compressed vision KV plus the target model's last-layer
-  text KV for every committed token except the newest (grows after each
-  verify step, fed by the verification forward's KV by-product);
-* the **draft segment**: the head's own KV for tokens drafted in the
-  current block (cleared after each verify).
+* the **vision block**: the projector's compressed vision K/V, computed
+  once when the request opens and held as plain arrays (the Figure 3 head,
+  which ignores the target's KV, has none);
+* the **context source**: rows ``first_row:`` of one layer of a
+  :class:`~repro.models.kv_cache.KVCache`, read in place at step time.
+  For AASD that is the target's own cache, its last layer, from the first
+  text row on — every committed token except the newest, which the next
+  block's first step feeds.  The verify commit
+  (:meth:`KVCache.keep_rows`) is what extends it; the store copies no
+  target row.  For the Figure 3 ablation it is a one-layer cache the
+  store owns, filled by :meth:`HybridKVCache.append_context`;
+* the **draft lane**: the head's own K/V for tokens drafted in the current
+  block, one float64 :class:`~repro.utils.arena.Arena` pair — ``append_draft``
+  memcpys one row into slack and ``clear_draft`` (after every verify) is
+  a pointer decrement.
 
-Context entries carry a segment tag (vision/text) so the Figure 4 ablations
-can mask a modality at attention time.
+:meth:`HybridKVCache.gather` returns the blocks a step attends, in that
+order, and leaves a Figure 4 ablation's block out.  Every block is a
+zero-copy view, valid until the next mutation of the store *or of the
+target cache*.
 
-Storage is a single :class:`~repro.utils.arena.Arena` lane pair per array
-with the context occupying ``[0, context_len)`` and the draft segment the
-tail ``[context_len, seq_len)``.  Context is appended only while the
-draft segment is empty (the engine clears it after every verify, and
-``append_context`` enforces it), so both lanes share one buffer, and
-the old per-``gather`` rebuild — five ``np.concatenate`` calls over the
-*entire* context on every draft step — becomes a cached zero-copy view:
-
-* ``append_draft`` memcpys one token into slack,
-* ``clear_draft`` is a pointer decrement,
-* ``gather`` returns cached views plus a memoized blocked-mask row,
-  invalidated only by mutation.
-
-:class:`repro.core.reference.ReferenceHybridKVCache` preserves the old
-implementation as the executable spec the property tests compare against.
+:class:`repro.core.reference.ReferenceHybridKVCache` is the
+concatenate-per-call spec the property tests compare against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ShapeError
+from ..models.kv_cache import KVCache
 from ..utils.arena import Arena, ArenaStats, total_footprint
 
-__all__ = ["HybridKVCache", "SEGMENT_VISION", "SEGMENT_TEXT"]
+__all__ = ["HybridKVCache"]
 
-SEGMENT_VISION = 0
-SEGMENT_TEXT = 1
+Block = Tuple[np.ndarray, np.ndarray]
+
+#: First capacity of the draft lane: one block's rows (γ, or a tree's node
+#: budget) fit without a relocation.
+LANE_ROWS = 16
 
 
 class HybridKVCache:
-    """Numpy KV store for one AASD generation session (batch size 1).
+    """The draft state of one AASD request (batch size 1).
 
-    Arrays returned by :meth:`gather` alias arena storage: they are valid
-    until the next mutating call (``append_context`` / ``append_draft`` /
-    ``clear_draft``), after which their contents are undefined.  The
-    engine consumes them within a single draft step, which is what makes
-    the zero-copy contract safe.
+    ``source`` (default: a fresh one-layer cache the store owns) supplies
+    the context rows of its last layer from ``first_row`` on; ``vision``
+    is the compressed vision ``(K, V)``, or ``None``.
     """
 
-    def __init__(self, n_heads: int, head_dim: int) -> None:
+    def __init__(self, n_heads: int, head_dim: int, source: Optional[KVCache] = None,
+                 first_row: int = 0, vision: Optional[Block] = None) -> None:
         self.n_heads = n_heads
         self.head_dim = head_dim
+        self.owns_source = source is None
+        self.source = KVCache(1) if source is None else source
+        self.layer = self.source.n_layers - 1
+        self.first_row = first_row
+        self.vision = vision
+        self._vision_rows = 0 if vision is None else vision[0].shape[2]
         self._stats = ArenaStats()
         item = (1, n_heads, 0, head_dim)
-        self._k = Arena(item, axis=2, dtype=np.float32, stats=self._stats)
-        self._v = Arena(item, axis=2, dtype=np.float32, stats=self._stats)
-        self._pos = Arena((0,), axis=0, dtype=np.int64, stats=self._stats)
-        self._seg = Arena((0,), axis=0, dtype=np.int8, stats=self._stats)
-        self._ctx_len = 0
-        self._n_vision = 0
-        self._blocked: Dict[Tuple[bool, bool], np.ndarray] = {}
+        self._k, self._v = (
+            Arena(item, axis=2, dtype=np.float64, stats=self._stats, capacity=LANE_ROWS)
+            for _ in range(2)
+        )
 
     # ------------------------------------------------------------------
     @property
     def context_len(self) -> int:
-        """Entries in the fixed context store (projected vision + text KV)."""
-        return self._ctx_len
+        """Keys before the draft lane: the vision block plus the source's rows."""
+        return self._vision_rows + self.source.seq_len - self.first_row
 
     @property
     def draft_len(self) -> int:
-        """Entries in the block-local draft store (cleared every block)."""
-        return len(self._k) - self._ctx_len
+        """Rows in the block-local draft lane (cleared every block)."""
+        return len(self._k)
 
     @property
     def seq_len(self) -> int:
-        """Total attended KV length: context plus current draft segment."""
-        return len(self._k)
-
-    def _check(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        positions = np.asarray(positions, dtype=np.int64)
-        if k.shape != v.shape:
-            raise ShapeError(f"K/V mismatch: {k.shape} vs {v.shape}")
-        if k.ndim != 4 or k.shape[0] != 1 or k.shape[1] != self.n_heads or k.shape[3] != self.head_dim:
-            raise ShapeError(
-                f"expected (1, {self.n_heads}, T, {self.head_dim}), got {k.shape}"
-            )
-        if positions.shape != (k.shape[2],):
-            raise ShapeError(
-                f"positions shape {positions.shape} != ({k.shape[2]},)"
-            )
-        return k, v, positions
+        """Total attended KV length: context plus the draft lane."""
+        return self.context_len + len(self._k)
 
     # ------------------------------------------------------------------
-    def append_context(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray, segment: int) -> None:
-        """Append target-provided (or projected) KV to the context store.
+    def _check(self, k: np.ndarray, v: np.ndarray) -> None:
+        """Reject K/V that is not one ``(1, n_heads, T, head_dim)`` pair."""
+        if np.shape(k) != np.shape(v):
+            raise ShapeError(f"K/V mismatch: {np.shape(k)} vs {np.shape(v)}")
+        shape = np.shape(k)
+        if len(shape) != 4 or shape[:2] != (1, self.n_heads) or shape[3] != self.head_dim:
+            raise ShapeError(f"expected (1, {self.n_heads}, T, {self.head_dim}), got {shape}")
 
-        The draft segment must be empty (``clear_draft`` first, as the
-        engine does after every verify): context rows sit below the draft
-        rows in the one shared lane.
+    def append_context(self, k: np.ndarray, v: np.ndarray) -> None:
+        """Append the head's own context K/V to the source the store owns.
+
+        The Figure 3 path (``use_target_kv=False``); an AASD store's
+        context is the target's cache, which only its forwards extend.
+        The draft lane must be empty (``clear_draft`` first, as the engine
+        does after every verify): context rows precede the block's.
         """
-        if segment not in (SEGMENT_VISION, SEGMENT_TEXT):
-            raise ShapeError(f"unknown segment tag {segment}")
-        if self.draft_len:
+        if not self.owns_source:
+            raise ShapeError("append_context on a store reading the target's cache")
+        if len(self._k):
             raise ShapeError(
-                f"append_context with {self.draft_len} live draft rows; call clear_draft first"
+                f"append_context with {len(self._k)} live draft rows; call clear_draft first"
             )
-        k, v, positions = self._check(k, v, positions)
-        self._k.append(k)
-        self._v.append(v)
-        self._pos.append(positions)
-        self._seg.append(np.full(k.shape[2], segment, dtype=np.int8))
-        self._ctx_len += k.shape[2]
-        if segment == SEGMENT_VISION:
-            self._n_vision += k.shape[2]
-        self._blocked.clear()
+        self._check(k, v)
+        self.source.append(0, k, v)
 
-    def append_draft(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
-        """Append the draft head's own KV for freshly drafted tokens."""
-        k, v, positions = self._check(k, v, positions)
+    def append_draft(self, k: np.ndarray, v: np.ndarray) -> None:
+        """Append the draft head's own K/V for freshly drafted tokens."""
+        self._check(k, v)
         self._k.append(k)
         self._v.append(v)
-        self._pos.append(positions)
-        self._blocked.clear()
 
     def clear_draft(self) -> None:
-        """Drop the block-local draft KV (called after every verify).
-
-        A pointer decrement on the shared lane — rollback after a
-        rejected draft block costs nothing.
-        """
-        if self.draft_len:
-            self._k.truncate(self._ctx_len)
-            self._v.truncate(self._ctx_len)
-            self._pos.truncate(self._ctx_len)
-            self._blocked.clear()
+        """Drop the draft lane (after every verify): a pointer decrement."""
+        self._k.truncate(0)
+        self._v.truncate(0)
 
     # ------------------------------------------------------------------
-    def gather(
-        self,
-        disable_image_kv: bool = False,
-        disable_text_kv: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(K, V, key_positions, blocked)`` over context + draft.
+    def gather(self, disable_image_kv: bool = False,
+               disable_text_kv: bool = False) -> List[Block]:
+        """The ``(K, V)`` blocks a draft step attends: vision, context, draft lane.
 
-        ``blocked`` is a per-key boolean row implementing the modality
-        ablations; the draft segment is never blocked.  All four arrays
-        are zero-copy cached views/rows: repeated calls between mutations
-        return the same objects without touching the data.
+        The draft lane is always last, empty or not; a Figure 4 ablation
+        leaves its block out.  Every block is a zero-copy view, valid
+        until the next mutation of this store or of the source cache.
         """
-        key = (disable_image_kv, disable_text_kv)
-        blocked = self._blocked.get(key)
-        if blocked is None:
-            blocked = np.zeros(self.seq_len, dtype=bool)
-            if disable_image_kv or disable_text_kv:
-                seg = self._seg.view()[: self._ctx_len]
-                if disable_image_kv:
-                    blocked[: self._ctx_len] |= seg == SEGMENT_VISION
-                if disable_text_kv:
-                    blocked[: self._ctx_len] |= seg == SEGMENT_TEXT
-            self._blocked[key] = blocked
-        return self._k.view(), self._v.view(), self._pos.view(), blocked
-
-    def segment_counts(self) -> Tuple[int, int]:
-        """(n_vision, n_text) context entries — used by cost accounting."""
-        return self._n_vision, self._ctx_len - self._n_vision
+        blocks = []
+        if self.vision is not None and not disable_image_kv:
+            blocks.append(self.vision)
+        if self.source.seq_len and not disable_text_kv:
+            k, v = self.source.layer(self.layer)
+            blocks.append((k[:, :, self.first_row:, :], v[:, :, self.first_row:, :]))
+        blocks.append((self._k.view(), self._v.view()))
+        return blocks
 
     def arena_stats(self) -> ArenaStats:
-        """Copy/growth accounting aggregated over this cache's arenas."""
-        return self._stats
+        """Copy/growth accounting of the draft lane (and of an owned source)."""
+        stats = ArenaStats().add(self._stats)
+        return stats.add(self.source.arena_stats()) if self.owns_source else stats
 
     def footprint(self) -> Tuple[int, int]:
-        """``(reserved, live)`` bytes of the K/V, position and segment lanes."""
-        return total_footprint([self._k, self._v, self._pos, self._seg])
+        """``(reserved, live)`` bytes this store holds: lane, vision, owned source."""
+        reserved, live = total_footprint([self._k, self._v])
+        if self.vision is not None:
+            held = sum(a.nbytes for a in self.vision)
+            reserved, live = reserved + held, live + held
+        if self.owns_source:
+            r, n = self.source.footprint()
+            reserved, live = reserved + r, live + n
+        return reserved, live

@@ -96,12 +96,12 @@ class BlockTable:
 
     def gather_rows(
         self, *, disable_image_kv: bool = False, disable_text_kv: bool = False
-    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-request hybrid gathers ``(k, v, key_positions, key_blocked)``.
+    ) -> List[List[Tuple[np.ndarray, np.ndarray]]]:
+        """Per-request hybrid gathers: each a list of ``(k, v)`` blocks.
 
         Only meaningful over hybrid caches; delegates to each cache's
         ``gather`` with the ablation flags, returning the zero-copy
-        unified-lane views the draft head attends over.
+        block views the draft head attends over.
         """
         return [
             c.gather(

@@ -1,9 +1,10 @@
 """Concatenate-based reference caches: the executable pre-arena spec.
 
-These are the original ``np.concatenate``-on-every-append implementations
-of :class:`~repro.models.kv_cache.KVCache` and
-:class:`~repro.core.hybrid_cache.HybridKVCache`, kept verbatim (O(T) per
-appended token, O(T^2) per sequence) for three jobs:
+These are ``np.concatenate``-on-every-append implementations of
+:class:`~repro.models.kv_cache.KVCache` (the original, kept verbatim) and
+of :class:`~repro.core.hybrid_cache.HybridKVCache` (its draft lane, and
+copies on every ``gather``) — O(T) per appended token, O(T^2) per
+sequence — kept for three jobs:
 
 * **Property tests** — random interleavings of append / truncate /
   rollback / gather on the arena-backed caches must stay
@@ -28,10 +29,6 @@ from ..errors import ShapeError
 from ..models.kv_cache import Segments
 
 __all__ = ["ReferenceKVCache", "ReferenceHybridKVCache"]
-
-SEGMENT_VISION = 0
-SEGMENT_TEXT = 1
-
 
 class ReferenceKVCache:
     """Per-layer KV store that reallocates on every append (the old way)."""
@@ -120,94 +117,79 @@ class ReferenceKVCache:
 
 
 class ReferenceHybridKVCache:
-    """Hybrid context+draft KV store rebuilt by concatenate on every call."""
+    """The hybrid store's spec: every call rebuilds its arrays.
 
-    def __init__(self, n_heads: int, head_dim: int) -> None:
+    Same constructor and blocks as :class:`~repro.core.hybrid_cache.HybridKVCache`;
+    the draft lane (and an owned source, a :class:`ReferenceKVCache`)
+    grows by concatenation and :meth:`gather` returns fresh copies.
+    """
+
+    def __init__(self, n_heads: int, head_dim: int, source=None, first_row: int = 0,
+                 vision: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> None:
         self.n_heads = n_heads
         self.head_dim = head_dim
-        shape = (1, n_heads, 0, head_dim)
-        self._ctx_k = np.empty(shape, dtype=np.float32)
-        self._ctx_v = np.empty(shape, dtype=np.float32)
-        self._ctx_pos = np.empty((0,), dtype=np.int64)
-        self._ctx_seg = np.empty((0,), dtype=np.int8)
-        self._draft_k = np.empty(shape, dtype=np.float32)
-        self._draft_v = np.empty(shape, dtype=np.float32)
-        self._draft_pos = np.empty((0,), dtype=np.int64)
+        self.owns_source = source is None
+        self.source = ReferenceKVCache(1) if source is None else source
+        self.layer = self.source.n_layers - 1
+        self.first_row = first_row
+        self.vision = vision
+        self.clear_draft()
 
     @property
     def context_len(self) -> int:
-        """Entries in the fixed context store (projected vision + text KV)."""
-        return self._ctx_k.shape[2]
+        """Keys before the draft lane: the vision block plus the source's rows."""
+        n_vision = 0 if self.vision is None else self.vision[0].shape[2]
+        return n_vision + self.source.seq_len - self.first_row
 
     @property
     def draft_len(self) -> int:
-        """Entries in the block-local draft store (cleared every block)."""
+        """Rows in the block-local draft lane (cleared every block)."""
         return self._draft_k.shape[2]
 
     @property
     def seq_len(self) -> int:
-        """Total attended KV length: context plus current draft segment."""
+        """Total attended KV length: context plus the draft lane."""
         return self.context_len + self.draft_len
 
-    def _check(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        positions = np.asarray(positions, dtype=np.int64)
-        if k.shape != v.shape:
-            raise ShapeError(f"K/V mismatch: {k.shape} vs {v.shape}")
-        if k.ndim != 4 or k.shape[0] != 1 or k.shape[1] != self.n_heads or k.shape[3] != self.head_dim:
-            raise ShapeError(
-                f"expected (1, {self.n_heads}, T, {self.head_dim}), got {k.shape}"
-            )
-        if positions.shape != (k.shape[2],):
-            raise ShapeError(
-                f"positions shape {positions.shape} != ({k.shape[2]},)"
-            )
-        return k, v, positions
+    def _check(self, k: np.ndarray, v: np.ndarray) -> None:
+        """Reject K/V that is not one ``(1, n_heads, T, head_dim)`` pair."""
+        if np.shape(k) != np.shape(v):
+            raise ShapeError(f"K/V mismatch: {np.shape(k)} vs {np.shape(v)}")
+        shape = np.shape(k)
+        if len(shape) != 4 or shape[:2] != (1, self.n_heads) or shape[3] != self.head_dim:
+            raise ShapeError(f"expected (1, {self.n_heads}, T, {self.head_dim}), got {shape}")
 
-    def append_context(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray, segment: int) -> None:
-        """Append target-provided (or projected) KV to the context store."""
-        if segment not in (SEGMENT_VISION, SEGMENT_TEXT):
-            raise ShapeError(f"unknown segment tag {segment}")
-        k, v, positions = self._check(k, v, positions)
-        self._ctx_k = np.concatenate([self._ctx_k, k], axis=2)
-        self._ctx_v = np.concatenate([self._ctx_v, v], axis=2)
-        self._ctx_pos = np.concatenate([self._ctx_pos, positions])
-        self._ctx_seg = np.concatenate(
-            [self._ctx_seg, np.full(k.shape[2], segment, dtype=np.int8)]
-        )
+    def append_context(self, k: np.ndarray, v: np.ndarray) -> None:
+        """Append the head's own context K/V to the owned source."""
+        if not self.owns_source:
+            raise ShapeError("append_context on a store reading the target's cache")
+        if self.draft_len:
+            raise ShapeError(
+                f"append_context with {self.draft_len} live draft rows; call clear_draft first"
+            )
+        self._check(k, v)
+        self.source.append(0, k, v)
 
-    def append_draft(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
-        """Append the draft head's own KV for freshly drafted tokens."""
-        k, v, positions = self._check(k, v, positions)
+    def append_draft(self, k: np.ndarray, v: np.ndarray) -> None:
+        """Append draft K/V by concatenating the whole lane."""
+        self._check(k, v)
         self._draft_k = np.concatenate([self._draft_k, k], axis=2)
         self._draft_v = np.concatenate([self._draft_v, v], axis=2)
-        self._draft_pos = np.concatenate([self._draft_pos, positions])
 
     def clear_draft(self) -> None:
-        """Drop the block-local draft KV (called after every verify)."""
+        """Drop the draft lane (called after every verify)."""
         shape = (1, self.n_heads, 0, self.head_dim)
-        self._draft_k = np.empty(shape, dtype=np.float32)
-        self._draft_v = np.empty(shape, dtype=np.float32)
-        self._draft_pos = np.empty((0,), dtype=np.int64)
+        self._draft_k = np.empty(shape, dtype=np.float64)
+        self._draft_v = np.empty(shape, dtype=np.float64)
 
-    def gather(
-        self,
-        disable_image_kv: bool = False,
-        disable_text_kv: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(K, V, key_positions, blocked)`` via full concatenation."""
-        k = np.concatenate([self._ctx_k, self._draft_k], axis=2)
-        v = np.concatenate([self._ctx_v, self._draft_v], axis=2)
-        positions = np.concatenate([self._ctx_pos, self._draft_pos])
-        blocked = np.zeros(k.shape[2], dtype=bool)
-        if disable_image_kv:
-            blocked[: self.context_len] |= self._ctx_seg == SEGMENT_VISION
-        if disable_text_kv:
-            blocked[: self.context_len] |= self._ctx_seg == SEGMENT_TEXT
-        return k, v, positions, blocked
-
-    def segment_counts(self) -> Tuple[int, int]:
-        """(n_vision, n_text) context entries — used by cost accounting."""
-        n_vision = int((self._ctx_seg == SEGMENT_VISION).sum())
-        return n_vision, self.context_len - n_vision
+    def gather(self, disable_image_kv: bool = False,
+               disable_text_kv: bool = False) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The attended ``(K, V)`` blocks, each a fresh copy: vision, context, draft lane."""
+        blocks = []
+        if self.vision is not None and not disable_image_kv:
+            blocks.append(self.vision)
+        if self.source.seq_len and not disable_text_kv:
+            k, v = self.source.layer(self.layer)
+            blocks.append((k[:, :, self.first_row:, :], v[:, :, self.first_row:, :]))
+        blocks.append((self._draft_k, self._draft_v))
+        return [(k.copy(), v.copy()) for k, v in blocks]

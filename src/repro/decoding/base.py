@@ -22,20 +22,22 @@ def encode_prompt(tokenizer: WordTokenizer, sample: MultimodalSample) -> np.ndar
 
 
 def commit_block(committed: List[int], accepted: Sequence[int], next_token: int,
-                 eos_id: int, max_new_tokens: int) -> None:
-    """Emit a verified block into ``committed``, in place.
+                 eos_id: int, max_new_tokens: int) -> int:
+    """Emit a verified block into ``committed``, in place; return how many tokens it kept.
 
     The one eos/cap rule of every speculative loop: the output is cut at
     the first eos (inclusive) or at ``max_new_tokens``, whichever comes
     first — so a block that crosses the token budget never emits past it,
     even when it holds an eos further on.
     """
+    before = len(committed)
     committed.extend(accepted)
     committed.append(next_token)
     cut = max_new_tokens
     if eos_id in committed:
         cut = min(cut, committed.index(eos_id) + 1)
     del committed[cut:]
+    return len(committed) - before
 
 
 class Decoder(ABC):

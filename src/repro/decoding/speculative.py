@@ -84,18 +84,17 @@ class Drafter(ABC):
         """Drop the speculated, unverified block from ``state``."""
 
     @abstractmethod
-    def absorb(self, state, out, tokens: Sequence[int], positions: np.ndarray,
-               rows: np.ndarray, cost: CostModel) -> float:
+    def absorb(self, state, tokens: Sequence[int], positions: np.ndarray,
+               cost: CostModel) -> float:
         """Extend ``state`` over a verified block; returns the simulated ms it cost.
 
         The ms are the :meth:`CostModel.price` of the forwards this runs
         (``0.0`` when it runs none).
 
-        ``tokens`` are the block's anchor and accepted drafts, now
-        committed, at absolute ``positions``; ``out`` is the target
-        forward that verified them and ``rows`` the fed rows they came
-        from (``[0]`` for a fallback step).  Whatever else the block
-        speculated is dropped.
+        ``tokens`` are the block's anchor and accepted drafts (the anchor
+        alone for a fallback step), now committed, at absolute
+        ``positions``; the target cache already holds their rows.
+        Whatever else the block speculated is dropped.
         """
 
     def check(self, state) -> None:
@@ -179,15 +178,15 @@ class _CachedLMDraft(Drafter):
         """Truncate the cache back to the committed prefix."""
         state.cache.truncate(state.kept)
 
-    def absorb(self, state: _LMDraftState, out, tokens: Sequence[int],
-               positions: np.ndarray, rows: np.ndarray, cost: CostModel) -> float:
+    def absorb(self, state: _LMDraftState, tokens: Sequence[int],
+               positions: np.ndarray, cost: CostModel) -> float:
         """Keep the block's verified rows; feed the token the cache still lacks.
 
         Drafting ``n`` tokens cached ``[anchor, d1 .. d_{n-1}]``, so only a
         fully accepted block (or a fallback step, which drafted nothing)
         is one token short: that forward is charged as one draft step.
         """
-        del out, positions, rows   # nothing of the target's forward is reused
+        del positions   # the cache carries its own positions
         cache = state.cache
         have = min(cache.seq_len - state.kept, len(tokens))
         cache.truncate(state.kept + have)

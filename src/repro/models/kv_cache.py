@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import ShapeError
-from ..utils.arena import Arena, ArenaStats, total_footprint
+from ..utils.arena import MIN_CAPACITY, Arena, ArenaStats, total_footprint
 
 __all__ = ["KVCache", "Segments"]
 
@@ -115,7 +115,7 @@ class KVCache:
             # sized from this first append (the prefill), so it lands
             # without relocating a MIN_CAPACITY buffer it just allocated
             item = (k.shape[0], k.shape[1], 0, k.shape[3])
-            rows = k.shape[2]
+            rows = max(k.shape[2], MIN_CAPACITY)
             arena_k = Arena(item, axis=2, dtype=k.dtype, stats=self._stats, capacity=rows)
             arena_v = Arena(item, axis=2, dtype=v.dtype, stats=self._stats, capacity=rows)
             self._keys[layer] = arena_k

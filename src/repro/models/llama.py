@@ -47,27 +47,21 @@ class LlamaOutput:
 class _RowOutput:
     """One row's view of an inference forward, materialised on access.
 
-    Quacks like :class:`LlamaOutput`'s ``logits`` / ``hidden`` /
-    ``last_layer_kv`` but builds each ``Tensor`` only when the field is
-    read: the decode rounds consume just ``logits`` and ``last_layer_kv``
-    — a prefill only the last-position logits.  Slicing the raw array and
-    wrapping it is the same view ``Tensor.__getitem__`` would produce, so
-    values are bitwise unchanged; a solo forward is the one row ``0:T``.
-    The row's logits come already cut to it (the LM head runs per row).
-
-    Of the fresh K/V only the last layer's packed arrays are kept — the
-    one layer anything reads, the draft head absorbing a verified block.
-    They are the forward's own arrays, not the cache's rows, so they
-    survive the ``keep_rows`` commit that precedes the absorb.
+    Quacks like :class:`LlamaOutput`'s ``logits`` / ``hidden`` but builds
+    each ``Tensor`` only when the field is read: the decode rounds consume
+    just ``logits`` — a prefill only the last-position logits.  Slicing
+    the raw array and wrapping it is the same view ``Tensor.__getitem__``
+    would produce, so values are bitwise unchanged; a solo forward is the
+    one row ``0:T``.  The row's logits come already cut to it (the LM head
+    runs per row).  No fresh K/V is kept: the caches hold every row the
+    forward wrote, and the draft head reads the target's in place.
     """
 
-    __slots__ = ("_logits_d", "_normed_d", "_last_kv", "_start", "_end")
+    __slots__ = ("_logits_d", "_normed_d", "_start", "_end")
 
-    def __init__(self, logits_d, normed_d, last_kv: Tuple[np.ndarray, np.ndarray],
-                 start: int, end: int) -> None:
+    def __init__(self, logits_d, normed_d, start: int, end: int) -> None:
         self._logits_d = logits_d
         self._normed_d = normed_d
-        self._last_kv = last_kv
         self._start = start
         self._end = end
 
@@ -83,12 +77,6 @@ class _RowOutput:
     def last_logits_data(self) -> np.ndarray:
         """``logits.data[:, -1, :]``, read without building the ``Tensor``."""
         return self._logits_d[:, -1, :]
-
-    @property
-    def last_layer_kv(self) -> Tuple[Tensor, Tensor]:
-        k, v = self._last_kv
-        rows = slice(self._start, self._end)
-        return Tensor(k[:, :, rows, :]), Tensor(v[:, :, rows, :])
 
 
 class MiniLlama(Module):
@@ -225,9 +213,7 @@ class MiniLlama(Module):
         and a one-row call needs nothing.  Builds no ``Tensor``; outputs
         are wrapped lazily by :class:`_RowOutput`.
 
-        Each fresh K/V row of a cached row has one copy, the cache's; only
-        the last layer's packed arrays are kept beside it, for the draft
-        head's absorb.
+        Each fresh K/V row of a cached row has one copy, the cache's.
         """
         extents = row_extents(cu_seqlens([p.shape[0] for p in pos_rows]))
         # repro: allow[hotpath] -- packs O(feed) position rows once per forward
@@ -290,7 +276,7 @@ class MiniLlama(Module):
         # the tied head runs at each row's solo shape: its vocabulary-wide
         # product is not row-stable once rows are stacked (docs/kernels.md §2)
         return [
-            _RowOutput(matmul_data(normed[:, start:end, :], head), normed, (kd, vd), start, end)
+            _RowOutput(matmul_data(normed[:, start:end, :], head), normed, start, end)
             for start, end in extents
         ]
 
@@ -327,9 +313,9 @@ class MiniLlama(Module):
             may share positions and must not see each other).
 
         Returns one :class:`LlamaOutput`-shaped result per request whose
-        ``logits`` / ``hidden`` / ``last_layer_kv`` are zero-copy slices
-        of the packed results, bitwise identical to that request's solo
-        forward and wrapped lazily (:class:`_RowOutput`).
+        ``logits`` / ``hidden`` are zero-copy slices of the packed results,
+        bitwise identical to that request's solo forward and wrapped
+        lazily (:class:`_RowOutput`).
         """
         if len(position_rows) != len(caches):
             raise ShapeError(

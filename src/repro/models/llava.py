@@ -257,15 +257,19 @@ class MiniLlava:
             ),
         )
 
-    def forward_train(self, images: np.ndarray, text_ids: np.ndarray) -> LlamaOutput:
-        """Full teacher-forced pass (no cache) for training and KV harvest.
+    def forward_train(self, images: np.ndarray, text_ids: np.ndarray,
+                      cache: Optional[KVCache] = None) -> LlamaOutput:
+        """Full teacher-forced pass for training and KV harvest.
 
         The returned logits/hidden cover vision + text positions; use
-        :meth:`text_slice` to index the text part.
+        :meth:`text_slice` to index the text part.  Given a fresh
+        ``cache`` the pass writes every layer's K/V into it — how a
+        no-grad caller harvests the KV, which an inference output does
+        not keep.
         """
         x = self.build_input_embeds(images, text_ids)
         return self.llama.forward_embeds(
-            x, np.arange(x.shape[1], dtype=np.int64), cache=None
+            x, np.arange(x.shape[1], dtype=np.int64), cache=cache
         )
 
     def text_slice(self, tensor: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ needs:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .tensor import Tensor, concat, is_grad_enabled, matmul_data
 
 __all__ = [
     "MultiHeadAttention",
+    "attend_blocks",
+    "attend_blocks_data",
     "attend_data",
     "causal_mask",
     "split_heads",
@@ -59,6 +61,48 @@ def attend_data(
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     return matmul_data(scores, v)
+
+
+def attend_blocks(q: Tensor, blocks: Sequence[Tuple[Tensor, Tensor]]) -> Tensor:
+    """Attention over ``(K, V)`` key blocks under one softmax, without joining them.
+
+    T-D Attention's form (paper Eq. 12-13): each block is scored
+    separately, one softmax runs over the joined score rows, and each
+    block's slice of the weights multiplies its own ``V`` — the sum is
+    attention over the blocks' concatenation, but no K or V is ever
+    concatenated.  No mask: every key is attended.
+    """
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    scores = concat([q @ k.swapaxes(-1, -2) for k, _ in blocks], axis=-1) * scale
+    weights = F.softmax(scores, axis=-1)
+    out, start = None, 0
+    for _, v in blocks:
+        end = start + v.shape[2]
+        part = weights[..., start:end] @ v
+        out = part if out is None else out + part
+        start = end
+    return out
+
+
+def attend_blocks_data(q: np.ndarray,
+                       blocks: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """:func:`attend_blocks` on raw arrays: the same ops in the same order, bitwise."""
+    # repro: allow[hotpath] -- joins the per-block score rows (heads x keys), never K or V
+    scores = np.concatenate([matmul_data(q, k.swapaxes(-1, -2)) for k, _ in blocks], axis=-1)
+    scores *= np.asarray(1.0 / np.sqrt(q.shape[-1]))
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    out, start = None, 0
+    for _, v in blocks:
+        end = start + v.shape[2]
+        part = matmul_data(scores[..., start:end], v)
+        if out is None:
+            out = part
+        else:
+            out += part
+        start = end
+    return out
 
 
 def causal_mask(query_positions: np.ndarray, key_positions: np.ndarray) -> np.ndarray:

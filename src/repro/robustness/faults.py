@@ -183,7 +183,7 @@ class FaultyDraftHead:
     * ``"latency"``    — raise :class:`LatencySpikeFault` (transient),
     * ``"arena-pressure"`` — raise :class:`ArenaPressureFault` (transient),
     * ``"corrupt-cache"`` — run the real step, then append a NaN entry to
-      the hybrid cache's draft segment (tests the cache-invariant guard).
+      the hybrid cache's draft lane (tests the cache-invariant guard).
 
     Scheduling
     ----------
@@ -329,7 +329,7 @@ class FaultyDraftHead:
             logits = self._head.step(token_id, position, hybrid, **kwargs)
             cfg = self._head.config
             bad = np.full((1, cfg.n_heads, 1, cfg.head_dim), np.nan, dtype=np.float32)
-            hybrid.append_draft(bad, bad, np.asarray([position + 1], dtype=np.int64))
+            hybrid.append_draft(bad, bad)
             return logits
         fill = np.nan if self.mode == "nan-logits" else np.inf
         return np.full(self._head.config.vocab_size, fill, dtype=np.float64)

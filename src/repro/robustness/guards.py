@@ -39,34 +39,29 @@ def ensure_finite(array: np.ndarray, name: str = "array") -> np.ndarray:
 def check_hybrid_cache(cache: "HybridKVCache") -> None:
     """Validate the hybrid KV cache's structural and numeric invariants.
 
-    Checks (via the public API only): K/V shape agreement, position-row
-    alignment, segment bookkeeping consistency, non-negative positions,
-    and finiteness of every cached entry.
+    Checks (via the public API only): the source holds its ``first_row``
+    rows, every block a step attends has K/V of one ``(1, H, T, Dh)``
+    shape, the blocks add up to ``seq_len``, and every attended row —
+    vision, context and draft lane — is finite.
     """
-    k, v, positions, blocked = cache.gather()
-    if k.shape != v.shape:
-        raise GuardViolation(f"hybrid cache K/V shape mismatch: {k.shape} vs {v.shape}")
-    total = cache.context_len + cache.draft_len
-    if k.shape[2] != total:
+    if cache.source.seq_len < cache.first_row:
         raise GuardViolation(
-            f"hybrid cache length mismatch: K holds {k.shape[2]} entries, "
-            f"bookkeeping says {total}"
+            f"hybrid cache source holds {cache.source.seq_len} rows, "
+            f"fewer than its first row {cache.first_row}"
         )
-    if positions.shape != (total,):
+    blocks = cache.gather()
+    expect = (1, cache.n_heads, cache.head_dim)
+    for k, v in blocks:
+        if k.shape != v.shape or (k.shape[:2] + k.shape[3:]) != expect:
+            raise GuardViolation(
+                f"hybrid cache block K {k.shape} / V {v.shape}, "
+                f"expected (1, {expect[1]}, T, {expect[2]})"
+            )
+    total = sum(k.shape[2] for k, _ in blocks)
+    if total != cache.seq_len:
         raise GuardViolation(
-            f"hybrid cache positions shape {positions.shape} != ({total},)"
+            f"hybrid cache blocks hold {total} rows, bookkeeping says {cache.seq_len}"
         )
-    if blocked.shape != (total,):
-        raise GuardViolation(
-            f"hybrid cache blocked-mask shape {blocked.shape} != ({total},)"
-        )
-    if total and int(positions.min()) < 0:
-        raise GuardViolation("hybrid cache contains negative key positions")
-    n_vision, n_text = cache.segment_counts()
-    if n_vision + n_text != cache.context_len:
-        raise GuardViolation(
-            f"hybrid cache segment counts ({n_vision} vision + {n_text} text) "
-            f"do not sum to context length {cache.context_len}"
-        )
-    ensure_finite(k, "hybrid cache K")
-    ensure_finite(v, "hybrid cache V")
+    for k, v in blocks:
+        ensure_finite(k, "hybrid cache K")
+        ensure_finite(v, "hybrid cache V")

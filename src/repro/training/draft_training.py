@@ -64,9 +64,9 @@ def train_draft_head(
         batch = collate_multimodal([samples[int(i)] for i in idx], tokenizer)
 
         with no_grad():
-            out = target.forward_train(batch.images, batch.text_ids)
-        k_full, v_full = out.last_layer_kv
-        k_full, v_full = k_full.data, v_full.data
+            cache = target.llama.new_cache()
+            out = target.forward_train(batch.images, batch.text_ids, cache)
+        k_full, v_full = cache.last_layer()
         teacher_logits = out.logits.data[:, n_vis:, :]
 
         if head.config.use_target_kv:

@@ -19,7 +19,10 @@ Growth policy: capacities start at :data:`MIN_CAPACITY` tokens and double
 until they fit the request, so total relocation work over a sequence of
 appends is O(T) — amortized O(1) per token.  A caller that knows its
 first append (``KVCache`` does: the prefill) passes it as ``capacity`` and
-the same rule sizes the first buffer, so the prefill never relocates.
+the same rule sizes the first buffer, so the prefill never relocates.  A
+store that knows it stays small (the draft head's block-local lane) passes
+a ``capacity`` below :data:`MIN_CAPACITY`, which is taken as is; a
+relocation still doubles from :data:`MIN_CAPACITY`.
 
 This module lives in ``repro.utils`` (below both ``repro.models`` and
 ``repro.core``) so either cache can build on it without an import cycle;
@@ -122,7 +125,8 @@ class Arena:
         capacity: int = MIN_CAPACITY,
     ) -> None:
         shape = list(item_shape)
-        shape[axis] = _grown_capacity(0, int(capacity))
+        capacity = int(capacity)
+        shape[axis] = capacity if capacity < MIN_CAPACITY else _grown_capacity(0, capacity)
         self._buf = np.empty(tuple(shape), dtype=dtype)
         self._len = 0
         self._axis = axis

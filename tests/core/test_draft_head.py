@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.draft_head import AASDDraftHead, DraftHeadConfig
-from repro.core.hybrid_cache import SEGMENT_TEXT, SEGMENT_VISION, HybridKVCache
+from repro.core.hybrid_cache import HybridKVCache
 from repro.errors import ConfigError, ShapeError
 from repro.models.config import LlamaConfig
 from repro.models.llama import MiniLlama
@@ -91,13 +91,10 @@ class TestTrainInferenceAlignment:
             train_logits = head.forward_train(
                 text_ids, k_txt, v_txt, k_vis, v_vis, s=s, position_offset=n_vis
             )
-            hybrid = HybridKVCache(2, 12)
             kc, vc = head.compress_vision(k_vis, v_vis)
-            hybrid.append_context(kc.data, vc.data, np.arange(kc.shape[2]), SEGMENT_VISION)
+            hybrid = HybridKVCache(2, 12, vision=(kc.data, vc.data))
             n_ctx = i - s + 1
-            hybrid.append_context(
-                k_txt[:, :, :n_ctx], v_txt[:, :, :n_ctx], n_vis + np.arange(n_ctx), SEGMENT_TEXT
-            )
+            hybrid.append_context(k_txt[:, :, :n_ctx], v_txt[:, :, :n_ctx])
             logits = None
             for step in range(s):
                 tok = int(text_ids[0, i - s + 1 + step])
@@ -113,7 +110,7 @@ class TestTrainInferenceAlignment:
             # inference: self-encode the first 4 tokens as context, step on token 4
             hybrid = HybridKVCache(2, 12)
             k, v = head.self_encode(ids[0, :4], 6 + np.arange(4))
-            hybrid.append_context(k, v, 6 + np.arange(4), SEGMENT_TEXT)
+            hybrid.append_context(k, v)
             step_logits = head.step(int(ids[0, 4]), 10, hybrid)
         assert np.abs(logits.data[0, 4] - step_logits).max() < 1e-3
 
@@ -125,16 +122,15 @@ class TestTrainInferenceAlignment:
         cfg = DraftHeadConfig(vocab_size=50, dim=24, n_heads=2, use_target_kv=False, n_vision_tokens=6, k_compressed=3)
         head = AASDDraftHead(cfg, rng=rng)
         with pytest.raises(ShapeError):
-            head.build_context(None, HybridKVCache(2, 12))
+            head.build_context(None)
 
 
 class TestStep:
     def test_step_appends_draft_kv(self, head, rng):
-        hybrid = HybridKVCache(2, 12)
         k_vis, v_vis = fake_target_kv(rng, 6)
         kc, vc = head.compress_vision(k_vis, v_vis)
+        hybrid = HybridKVCache(2, 12, vision=(kc.data, vc.data))
         with no_grad():
-            hybrid.append_context(kc.data, vc.data, np.arange(3), SEGMENT_VISION)
             head.step(5, 10, hybrid)
             head.step(7, 11, hybrid)
         assert hybrid.draft_len == 2
@@ -143,7 +139,7 @@ class TestStep:
         hybrid = HybridKVCache(2, 12)
         with no_grad():
             k, v = head.self_encode(np.array([1, 2]), np.array([6, 7]))
-            hybrid.append_context(k, v, np.array([6, 7]), SEGMENT_TEXT)
+            hybrid.append_context(k, v)
             logits = head.step(3, 8, hybrid)
         assert logits.shape == (50,)
 

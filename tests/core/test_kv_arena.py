@@ -3,14 +3,14 @@
 Covers the arena contract directly (growth, truncate, cached views,
 stats accounting) plus the zero-copy regression
 guarantees for the two caches built on top: ``KVCache.layer`` and
-``HybridKVCache.gather`` must return *views* — the same objects across
-repeated calls, invalidated only by mutation.
+``HybridKVCache.gather`` must return *views*, invalidated only by
+mutation.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.hybrid_cache import SEGMENT_TEXT, SEGMENT_VISION, HybridKVCache
+from repro.core.hybrid_cache import HybridKVCache
 from repro.core.kv_arena import MIN_CAPACITY, Arena, ArenaStats, combined_stats
 from repro.errors import ShapeError
 from repro.models.kv_cache import KVCache
@@ -50,6 +50,15 @@ class TestArena:
         assert stats.grow_events >= 1
         # Doubling: growth count is logarithmic, not linear, in appends.
         assert stats.grow_events <= 8
+
+    def test_floor_sizes_a_small_first_buffer(self):
+        # the draft lane's sizing: a block fits, an overflow doubles from the minimum
+        a = Arena((1, 2, 0, 4), axis=2, dtype=np.float64, capacity=16)
+        assert a.capacity == 16
+        a.append(_tokens(17))
+        assert a.capacity == MIN_CAPACITY
+        lane = HybridKVCache(2, 4, source=KVCache(1))     # no owned source, no vision
+        assert lane.footprint() == (2 * 16 * 2 * 4 * 8, 0)
 
     def test_truncate_is_pointer_only(self):
         a = _arena()
@@ -106,7 +115,7 @@ class TestArena:
         kv = KVCache(n_layers=1)
         kv.append(0, _tokens(2), _tokens(2))
         hybrid = HybridKVCache(n_heads=2, head_dim=4)
-        hybrid.append_draft(_tokens(1), _tokens(1), np.array([0]))
+        hybrid.append_draft(_tokens(1), _tokens(1))
         total = combined_stats(kv, hybrid, None, object())
         assert total.bytes_copied == (
             kv.arena_stats().bytes_copied + hybrid.arena_stats().bytes_copied
@@ -178,40 +187,32 @@ class TestFirstAppendSizing:
 
 
 class TestHybridGatherViews:
-    """Regression: ``gather`` is zero-copy with a memoized blocked row."""
+    """Regression: ``gather`` is zero-copy — views of the lane and the source."""
 
     @staticmethod
     def _cache():
-        cache = HybridKVCache(n_heads=2, head_dim=4)
-        cache.append_context(_tokens(2), _tokens(2), np.arange(2), SEGMENT_VISION)
-        cache.append_context(_tokens(3), _tokens(3), np.arange(2, 5), SEGMENT_TEXT)
-        return cache
+        source = KVCache(n_layers=2)
+        for layer in range(2):
+            source.append(layer, _tokens(5, seed=layer), _tokens(5, seed=layer))
+        source.extend_positions(np.arange(5))
+        return HybridKVCache(n_heads=2, head_dim=4, source=source, first_row=2)
 
     def test_gather_returns_cached_views(self):
         cache = self._cache()
-        first = cache.gather()
-        second = cache.gather()
-        for a, b in zip(first, second):
-            assert a is b
-        assert first[0].base is not None
-
-    def test_blocked_row_memoized_per_ablation(self):
-        cache = self._cache()
-        plain = cache.gather()[3]
-        no_img = cache.gather(disable_image_kv=True)[3]
-        assert cache.gather(disable_image_kv=True)[3] is no_img
-        assert no_img is not plain
-        assert no_img[:2].all() and not no_img[2:].any()
+        (k_txt, _), (k_dft, _) = cache.gather()
+        assert np.shares_memory(k_txt, cache.source.last_layer()[0])
+        assert k_txt.shape[2] == 3
+        assert cache.gather()[1][0] is k_dft      # the lane's view is cached
+        assert k_dft.base is not None
 
     def test_mutation_invalidates_gather(self):
         cache = self._cache()
-        k1 = cache.gather()[0]
-        blocked1 = cache.gather(disable_text_kv=True)[3]
-        cache.append_draft(_tokens(1), _tokens(1), np.array([5]))
-        k2, _, _, blocked2 = cache.gather(disable_text_kv=True)
+        k1 = cache.gather()[1][0]
+        cache.append_draft(_tokens(1), _tokens(1))
+        (k_txt, _), (k2, _) = cache.gather(disable_image_kv=True)
         assert k2 is not k1
-        assert blocked2 is not blocked1
-        assert k2.shape[2] == 6
-        assert not blocked2[5]           # draft entries never blocked
+        assert k2.shape[2] == 1
+        cache.source.truncate(4)                  # the source's mutations show through
+        assert cache.gather()[0][0].shape[2] == 2
         cache.clear_draft()
-        assert cache.gather()[0].shape[2] == 5
+        assert cache.gather()[-1][0].shape[2] == 0

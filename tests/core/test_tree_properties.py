@@ -15,7 +15,7 @@ Across randomly drawn model weights, gammas, and fault cadences:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.draft_head import AASDDraftHead, DraftHeadConfig
@@ -103,6 +103,8 @@ def assert_canonical_target_cache(session):
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 1000), gamma=st.integers(1, 4),
        branch=st.integers(1, 3))
+# the last block accepts its draft but the budget keeps only one token
+@example(seed=62, gamma=1, branch=1)
 def test_tree_lossless_and_fallback_ar_identical(seed, gamma, branch, tokenizer):
     target, head, cm, sample = _world(tokenizer, seed)
     ar = AutoregressiveDecoder(target, tokenizer, cm,

@@ -6,9 +6,8 @@ KV projector each have one no-grad implementation (``_infer_rows``)
 behind their solo and packed entry points.  The autograd ``Module`` path
 — what the same call computes with gradients on — is the executable
 spec, and every case here demands ``np.array_equal`` between the two on
-the smoke target and head: outputs, the last layer's fresh KV (the one
-layer a no-grad output keeps), and the caches left behind, which hold
-every layer's.  The target and head are pinned for the whole module, as a
+the smoke target and head: outputs and the caches left behind, which
+hold every layer's fresh KV (a no-grad output keeps none).  The target and head are pinned for the whole module, as a
 serving engine pins them, so the kernels read the prepared float64
 operands (``tests/nn/test_operands.py``).
 """
@@ -100,8 +99,6 @@ def same_output(spec, fast):
     assert fast.logits.data.dtype == spec.logits.data.dtype
     assert np.array_equal(spec.logits.data, fast.logits.data)
     assert np.array_equal(spec.hidden.data, fast.hidden.data)
-    for s, f in zip(spec.last_layer_kv, fast.last_layer_kv):
-        assert np.array_equal(s.data, f.data)
 
 
 def same_cache(spec, fast):
@@ -114,8 +111,16 @@ def same_cache(spec, fast):
 
 def same_hybrid(spec, fast):
     assert (spec.context_len, spec.draft_len) == (fast.context_len, fast.draft_len)
-    for s, f in zip(spec.gather(), fast.gather()):
-        assert np.array_equal(s, f)
+    assert len(spec.gather()) == len(fast.gather())
+    for (ks, vs), (kf, vf) in zip(spec.gather(), fast.gather()):
+        assert np.array_equal(ks, kf) and np.array_equal(vs, vf)
+
+
+def build_context(head, cache, hybrid_cls=HybridKVCache):
+    """``head.build_context(cache)``, its blocks held by a ``hybrid_cls`` store."""
+    hybrid = head.build_context(cache)
+    return hybrid_cls(hybrid.n_heads, hybrid.head_dim, source=hybrid.source,
+                      first_row=hybrid.first_row, vision=hybrid.vision)
 
 
 class TestTargetForward:
@@ -301,8 +306,7 @@ class TestDraftForward:
         head = world["head"]
         with no_grad():
             cache, logits = prefill(world, i)
-            hybrid = hybrid_cls(head.config.n_heads, head.config.head_dim)
-            head.build_context(cache, hybrid)
+            hybrid = build_context(head, cache, hybrid_cls)
         return hybrid, cache.next_position(), int(np.argmax(logits[0]))
 
     @pytest.mark.parametrize("flags", ABLATIONS, ids=["plain", "no-image", "no-text"])
@@ -328,7 +332,7 @@ class TestDraftForward:
     def test_tree_step(self, world, flags):                          # (g)
         head = world["head"].ablate_kv(**flags)
         # (token, depth, ancestor rows): rows 0-1 attend the whole draft
-        # segment (the chain case); row 2 is row 1's sibling and row 3 its
+        # lane (the chain case); row 2 is row 1's sibling and row 3 its
         # child, so both select a strict subset
         plan = [(None, 0, ()), (5, 1, (0,)), (9, 1, (0,)), (7, 2, (0, 2))]
 
@@ -398,14 +402,15 @@ class TestOneCopyOfEachKVRow:
 
     Under tracemalloc a 4-request ``prefill_batch`` and the packed
     ``decode_batch`` after it retain, beside what their caches allocated,
-    only what their row outputs hold: the last layer's fresh K and V, the
-    final-norm hidden states and the logits.  At six layers, keeping every
-    layer's K/V beside the caches holds five more K/V pairs.
+    only what their row outputs hold: the final-norm hidden states and the
+    logits.  Keeping any layer's fresh K/V beside the caches holds one
+    more K/V pair per layer kept.
     """
 
     SLACK = 64 << 10     # Python objects: caches, arenas, cached views, row wrappers
 
-    def test_prefill_and_decode_batch_retain_only_the_last_layer(self, world, monkeypatch):
+    def test_prefill_and_decode_batch_retain_only_the_hidden_states_and_logits(
+            self, world, monkeypatch):
         target = world["target"]
         config = target.llama.config
         held = []
@@ -424,8 +429,8 @@ class TestOneCopyOfEachKVRow:
                  np.asarray([FEED[1:]]), np.asarray([FEED[:2]])]
 
         def outputs(n_tokens):
-            # last layer K + V, final-norm hidden (each tokens x dim) and the logits
-            return 8 * n_tokens * (3 * config.dim + config.vocab_size)
+            # final-norm hidden (tokens x dim) and the logits
+            return 8 * n_tokens * (config.dim + config.vocab_size)
 
         def traced(call):
             tracemalloc.start()
@@ -463,10 +468,7 @@ class TestPrefillThroughTheProjector:
 
     @staticmethod
     def _context(world, cache, hybrid_cls):
-        head = world["head"]
-        hybrid = hybrid_cls(head.config.n_heads, head.config.head_dim)
-        head.build_context(cache, hybrid)
-        return hybrid
+        return build_context(world["head"], cache, hybrid_cls)
 
     def test_vision_tower_and_connector(self, world):
         images = np.stack([s.image for s in world["samples"]])

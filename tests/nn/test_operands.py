@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    AASDDraftHead, AASDEngine, AASDEngineConfig, DraftHeadConfig, HybridKVCache,
+    AASDDraftHead, AASDEngine, AASDEngineConfig, DraftHeadConfig,
 )
 from repro.core.kv_projector import KVProjector
 from repro.data.tasks import make_dataset
@@ -114,8 +114,7 @@ def _tiny(seed, vocab_size=60):
 def _forwards(target, head, image, prompt):
     """Prefill logits, then one draft step over the projected context."""
     cache, logits = target.prefill(image[None], prompt[None])
-    hybrid = HybridKVCache(head.config.n_heads, head.config.head_dim)
-    head.build_context(cache, hybrid)
+    hybrid = head.build_context(cache)
     return logits, head.step(int(np.argmax(logits[0])), cache.next_position(), hybrid)
 
 

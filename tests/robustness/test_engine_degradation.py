@@ -6,6 +6,8 @@ output must match greedy autoregressive output token-for-token even when
 the draft path is actively sabotaged.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.data.tasks import make_dataset
 from repro.decoding import AutoregressiveDecoder
 from repro.decoding.cost_model import CostModel, get_profile
 from repro.decoding.metrics import aggregate_metrics
-from repro.errors import GuardViolation
+from repro.errors import DecodingError, GuardViolation
 from repro.robustness import DraftFault, FaultyDraftHead, inject_nan_weights
 
 
@@ -129,6 +131,21 @@ class TestFaultModes:
             assert record.n_draft_faults == 0
             assert not record.degraded
             assert record.fallback_mode == "none"
+
+
+class TestTargetCheck:
+    @pytest.mark.parametrize("geometry", [{"n_heads": 2}, {"dim": 24, "n_heads": 2}],
+                             ids=["heads", "dim"])
+    def test_head_with_other_kv_geometry_is_rejected(self, tiny, tokenizer, cost_model,
+                                                     geometry):
+        # the head attends the target's own K/V rows: a mismatch must fail
+        # at construction, not as a draft fault on every request
+        target, _ = tiny
+        config = replace(DraftHeadConfig.for_target(
+            target.config.llama, n_vision_tokens=target.n_vision_tokens), **geometry)
+        head = AASDDraftHead(config, rng=np.random.default_rng(1))
+        with pytest.raises(DecodingError, match="geometry"):
+            _engine(target, head, tokenizer, cost_model)
 
 
 class TestFallbackDisabled:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.hybrid_cache import SEGMENT_TEXT, HybridKVCache
+from repro.core.hybrid_cache import HybridKVCache
 from repro.errors import ConfigError, DecodingError, GuardViolation
 from repro.decoding.sampling import SamplerConfig, logits_to_probs
 from repro.decoding.tree import TreeDraft, speculative_verify
+from repro.models.kv_cache import KVCache
 from repro.nn.layers import Linear
 from repro.robustness import (
     ArenaPressureFault,
@@ -41,27 +42,50 @@ class TestFiniteGuards:
 
 
 class TestCacheGuard:
+    N_VISION = 3
+
     def _cache(self, n=4, n_heads=2, head_dim=4):
-        cache = HybridKVCache(n_heads, head_dim)
-        k = np.ones((1, n_heads, n, head_dim), dtype=np.float32)
-        cache.append_context(k, k, np.arange(n, dtype=np.int64), SEGMENT_TEXT)
-        return cache
+        """A store reading ``n`` text rows of a target-like cache past its vision rows."""
+        source = KVCache(1)
+        k = np.ones((1, n_heads, self.N_VISION + n, head_dim))
+        source.append(0, k, k)
+        source.extend_positions(np.arange(self.N_VISION + n))
+        vision = np.ones((1, n_heads, 2, head_dim))
+        return HybridKVCache(n_heads, head_dim, source=source, first_row=self.N_VISION,
+                             vision=(vision, vision))
 
     def test_clean_cache_passes(self):
-        check_hybrid_cache(self._cache())
+        cache = self._cache()
+        cache.append_draft(np.ones((1, 2, 1, 4)), np.ones((1, 2, 1, 4)))
+        check_hybrid_cache(cache)
 
     def test_nan_in_draft_segment_detected(self):
         cache = self._cache()
         bad = np.full((1, 2, 1, 4), np.nan, dtype=np.float32)
-        cache.append_draft(bad, bad, np.asarray([9], dtype=np.int64))
+        cache.append_draft(bad, bad)
         with pytest.raises(GuardViolation):
             check_hybrid_cache(cache)
 
-    def test_negative_positions_detected(self):
-        cache = HybridKVCache(2, 4)
-        k = np.ones((1, 2, 1, 4), dtype=np.float32)
-        cache.append_context(k, k, np.asarray([-1], dtype=np.int64), SEGMENT_TEXT)
-        with pytest.raises(GuardViolation):
+    @pytest.mark.parametrize("block", ["vision", "text"])
+    def test_nan_in_an_attended_block_detected(self, block):
+        cache = self._cache()
+        if block == "vision":
+            cache.vision[0][0, 0, 1, 0] = np.nan
+        else:
+            cache.source.append(0, *[np.full((1, 2, 1, 4), np.inf)] * 2)
+        with pytest.raises(GuardViolation, match="non-finite"):
+            check_hybrid_cache(cache)
+
+    def test_source_shorter_than_its_first_row_detected(self):
+        cache = self._cache()
+        cache.first_row = cache.source.seq_len + 1
+        with pytest.raises(GuardViolation, match="first row"):
+            check_hybrid_cache(cache)
+
+    def test_block_shape_mismatch_detected(self):
+        cache = self._cache()
+        cache.vision = (np.ones((1, 2, 2, 4)), np.ones((1, 2, 1, 4)))
+        with pytest.raises(GuardViolation, match="block"):
             check_hybrid_cache(cache)
 
 
