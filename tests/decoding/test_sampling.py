@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import repro.decoding.tree as tree_mod
 from repro.decoding.sampling import Sampler, SamplerConfig, logits_to_probs
@@ -124,11 +125,53 @@ class TestSampler:
         logits = np.array([0.0, 5.0, 1.0])
         assert sampler.sample(logits) == 1
 
-    def test_sampling_respects_distribution(self):
-        sampler = Sampler(SamplerConfig(greedy=False), rng=np.random.default_rng(0))
-        logits = np.log(np.array([0.8, 0.2]))
-        draws = [sampler.sample(logits) for _ in range(2000)]
-        assert np.mean(np.asarray(draws) == 0) == pytest.approx(0.8, abs=0.05)
+    def test_sampling_respects_distribution(self, exact):
+        config = SamplerConfig(greedy=False, top_k=2)
+        logits = np.log(np.array([0.7, 0.2, 0.1]))
+        law = exact(lambda rng: Sampler(config, rng=rng).sample(logits))
+        assert law.distance({0: 0.7 / 0.9, 1: 0.2 / 0.9}) <= 1e-12
+
+
+class TestExactLaw:
+    """The replaying generator behind ``exact`` (tests/conftest.py) guards itself."""
+
+    def test_independent_draws_multiply(self, exact):
+        law = exact(lambda rng: (rng.random() < 0.25, int(rng.choice(3, p=[0.5, 0.5, 0.0]))))
+        assert law.distance({(True, 0): 0.125, (True, 1): 0.125,
+                             (False, 0): 0.375, (False, 1): 0.375}) <= 1e-12
+
+    def test_a_replay_that_diverges_fails_clearly(self, exact):
+        calls = []
+
+        def run(rng):
+            calls.append(rng)
+            n = 2 if len(calls) == 1 else 3
+            return int(rng.choice(n, p=np.full(n, 1.0 / n)))
+
+        with pytest.raises(AssertionError, match="replay diverged at decision 0"):
+            exact(run)
+
+    def test_a_replay_that_stops_early_fails_clearly(self, exact):
+        calls = []
+
+        def run(rng):
+            calls.append(rng)
+            draws = 2 if len(calls) == 1 else 1
+            return tuple(int(rng.choice(2, p=[0.5, 0.5])) for _ in range(draws))
+
+        with pytest.raises(AssertionError, match="stopped after 1 of its 2"):
+            exact(run)
+
+    def test_an_unmodelled_draw_fails_even_when_caught(self, exact):
+        def run(rng):
+            try:
+                rng.integers(3)
+            except Exception:   # as the engine's fault isolation would
+                pass
+            return 0
+
+        with pytest.raises(AssertionError, match="does not model rng.integers"):
+            exact(run)
 
 
 class TestGreedyVerify:
@@ -177,46 +220,145 @@ class TestGreedyVerify:
                                SamplerConfig(greedy=False), rng)
 
 
+V = 3   # vocabulary of the drawn logit tables
+
+
+def _row(table, prefix):
+    """``table``'s logits after the context ``prefix`` (tokens past the prompt).
+
+    Prefixes are numbered in bijective base ``V``, so a ``(13, 3)`` table
+    gives every context of length <= 2 its own row.
+    """
+    index = 0
+    for token in prefix:
+        index = index * V + token + 1
+    return table[index]
+
+
+def _sample_target(target, config, k, rng, out=()):
+    """Plain target sampling after ``out`` up to ``k`` tokens: the law to match."""
+    sampler = Sampler(config, rng=rng)
+    while len(out) < k:
+        out += (sampler.sample(target(out)),)
+    return out
+
+
+def _emit(draft, target, config, k, rng, *, gamma=2, width=1, max_nodes=0, corrupt=()):
+    """The first ``k`` tokens a block of the one walk commits, as the engine runs it.
+
+    ``draft(prefix)`` and ``target(prefix)`` give the logits after a
+    context.  The block drafts a :class:`DraftWalk`, verifies it against
+    the target's row for every node's root path, and commits; the draft
+    rows listed in ``corrupt`` reach the verifier as NaN.  A block that
+    commits fewer than ``k`` tokens is continued by target draws: by the
+    k = 1 case, which the same check proves for every context, that is
+    the law of the next block's first token.  A pending node's context is
+    rebuilt from its token and depth, which is exact up to gamma = 2;
+    past it the replays multiply, so memoise before lifting the bound.
+    """
+    assert gamma <= 2
+    walk = DraftWalk(0, gamma, max_branch=width, max_nodes=max_nodes, entropy_scale=1e-9,
+                     config=config, rng=rng)
+    while walk.pending is not None:
+        token, depth, _ = walk.pending
+        walk.expand(draft((token,) * depth))
+    tree, paths = walk.draft, []   # paths: each node's root path, in node order
+    for token, parent in zip(tree.tokens, tree.parents):
+        paths.append((paths[parent] if parent >= 0 else ()) + (token,))
+    rows = np.stack([target(path) for path in [(), *paths]])
+    probs = [np.full_like(q, np.nan) if i in corrupt else q for i, q in enumerate(walk.probs)]
+    verdict = speculative_verify(tree, probs, rows, config, rng)
+    return _sample_target(target, config, k, rng, (*verdict.accepted, verdict.next_token))[:k]
+
+
 class TestSpeculativeSamplingLossless:
-    def test_marginal_matches_target(self):
-        """One-position speculative sampling must reproduce the target
-        distribution exactly, whatever the draft distribution is."""
+    """Speculative sampling is lossless, proven by enumeration.
+
+    The theorem: for any draft and target logits, the first ``k`` tokens
+    the walk commits (:func:`_emit`) are distributed exactly as the
+    target's (:func:`_sample_target`), k = 1, 2.  ``exact``
+    (tests/conftest.py) computes both laws over every decision path, so
+    every check is an equality to 1e-12 and a broken rule misses
+    deterministically.
+    """
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_first_tokens_follow_the_target(self, exact, data):
+        """Greedy and sampled; temperature, top-k, top-p; the chain and widths 2
+        and 3; the guards: corrupt draft rows, zero-mass tokens in q and p
+        (masked logits), and contexts where q = p (a rejection there would
+        leave no residual: the accept draw must be exactly 1)."""
+        config = SamplerConfig(
+            greedy=data.draw(st.booleans()), temperature=data.draw(st.floats(0.5, 2.0)),
+            top_k=data.draw(st.integers(0, V)), top_p=data.draw(st.floats(0.5, 1.0)))
+        logits = data.draw(arrays(np.float64, (2, 13, V), elements=st.floats(-3.0, 3.0)))
+        masked = data.draw(arrays(bool, (2, 13, V)))
+        target_table, draft_table = np.where(masked & ~masked.all(-1, keepdims=True),
+                                             -np.inf, logits)
+        tied = data.draw(arrays(bool, 13))
+        draft_table[tied] = target_table[tied]
+        gamma, k = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        walk = dict(gamma=gamma, width=data.draw(st.integers(1, 3)),
+                    max_nodes=data.draw(st.integers(gamma, 4)),
+                    corrupt=data.draw(st.sets(st.integers(0, 3), max_size=2)))
+
+        def draft(prefix):
+            return _row(draft_table, prefix)
+
+        def target(prefix):
+            return _row(target_table, prefix)
+
+        ours = exact(lambda rng: _emit(draft, target, config, k, rng, **walk))
+        theirs = exact(lambda rng: _sample_target(target, config, k, rng))
+        assert ours.distance(theirs) <= 1e-12
+
+    def test_marginal_matches_target(self, exact):
+        """k = 1 on the chain, whatever the draft distribution is."""
         gen = np.random.default_rng(7)
         vocab = 5
         target_logits = gen.standard_normal(vocab) * 1.5
-        draft_probs = gen.dirichlet(np.ones(vocab))
-        cfg = SamplerConfig(greedy=False)
-        target_probs = logits_to_probs(target_logits, cfg)
+        draft_logits = np.log(gen.dirichlet(np.ones(vocab)))
+        config = SamplerConfig(greedy=False)
 
-        counts = np.zeros(vocab)
-        trials = 6000
-        for _ in range(trials):
-            draft_token = int(gen.choice(vocab, p=draft_probs))
-            out = speculative_verify(
-                TreeDraft.chain([draft_token]),
-                draft_probs[None, :],
-                np.stack([target_logits, target_logits]),
-                cfg,
-                gen,
-            )
-            emitted = out.accepted[0] if out.accepted else out.next_token
-            counts[emitted] += 1
-        empirical = counts / trials
-        assert np.abs(empirical - target_probs).max() < 0.03
+        def draft(prefix):
+            return draft_logits
 
-    def test_identical_distributions_accept_almost_always(self):
-        gen = np.random.default_rng(1)
-        vocab = 4
-        logits = gen.standard_normal(vocab)
-        cfg = SamplerConfig(greedy=False)
-        probs = logits_to_probs(logits, cfg)
-        accepted = 0
-        for _ in range(500):
-            token = int(gen.choice(vocab, p=probs))
-            out = speculative_verify(TreeDraft.chain([token]), probs[None], np.stack([logits, logits]),
-                                     cfg, gen)
-            accepted += out.n_accepted
-        assert accepted == 500
+        def target(prefix):
+            return target_logits
+
+        ours = exact(lambda rng: _emit(draft, target, config, 1, rng, gamma=1))
+        assert ours.distance(exact(lambda rng: _sample_target(target, config, 1, rng))) <= 1e-12
+
+    def test_identical_distributions_accept_almost_always(self, exact):
+        """q = p: the drafted token is accepted with probability exactly 1."""
+        logits = np.random.default_rng(1).standard_normal(4)
+        config = SamplerConfig(greedy=False)
+
+        def n_accepted(rng):
+            walk = DraftWalk(0, 1, config=config, rng=rng)
+            walk.expand(logits)
+            return speculative_verify(walk.draft, walk.probs, np.stack([logits, logits]),
+                                      config, rng).n_accepted
+
+        law = exact(n_accepted)
+        assert list(law) == [1] and abs(law[1] - 1.0) <= 1e-12   # no path rejects
+
+    def test_a_child_no_one_can_draw_leaves_the_target_law(self, exact):
+        """The q(c) = 0 and zero-residual guards together: a drafted token of
+        zero mass under q = p is rejected without an accept draw, the
+        rejection leaves no residual, and the correction token is drawn
+        from p itself."""
+        config = SamplerConfig(greedy=False, top_k=2)
+        logits = np.log(np.array([0.1, 0.5, 0.4]))   # top-2 leaves token 0 no mass
+        p = logits_to_probs(logits, config)
+
+        def first(rng):
+            verdict = speculative_verify(TreeDraft.chain([0]), [p], np.stack([logits, logits]),
+                                         config, rng)
+            return (*verdict.accepted, verdict.next_token)[0]
+
+        assert exact(first).distance({1: p[1], 2: p[2]}) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), gamma=st.integers(1, 6), greedy=st.booleans(),
@@ -248,61 +390,29 @@ class TestSpeculativeSamplingLossless:
         assert out.path == tuple(range(out.n_accepted))
         assert spec_rng.bit_generator.state == rule_rng.bit_generator.state
 
-    # Sibling rescue is exact: a width-2, depth-2 tree drafted by the
-    # walk's own child rule (siblings drawn without replacement) and
-    # verified by the one rule commits its first two tokens distributed
-    # as the target's.
-    VOCAB = 5
-    # the target's and the draft's first-token distributions: the draft
-    # favours what the target does not, so rejections and rescues are common
-    P0 = np.array([0.05, 0.10, 0.15, 0.30, 0.40])
+    # The broken rules' tables: the draft favours what the target does not,
+    # so rejections and sibling rescues are common.
+    P0 = np.array([0.1, 0.3, 0.6])   # first-token laws
     Q0 = P0[::-1].copy()
-    # second-token distributions given the first (every cell >= 0.1)
-    P1 = 0.5 * np.random.default_rng(1).dirichlet(np.full(VOCAB, 2.0), size=VOCAB) + 0.1
-    Q1 = 0.5 * np.random.default_rng(2).dirichlet(np.full(VOCAB, 2.0), size=VOCAB) + 0.1
-    WALKS = 20_000
-    MAX_Z = 4.0
+    # second-token laws given the first (every cell >= 1/6)
+    P1 = 0.5 * np.random.default_rng(1).dirichlet(np.full(V, 2.0), size=V) + 0.5 / V
+    Q1 = 0.5 * np.random.default_rng(11).dirichlet(np.full(V, 2.0), size=V) + 0.5 / V
 
-    def _walks(self, rng):
-        """First-token counts and first-two-token counts of ``WALKS`` walks."""
+    def _miss(self, exact):
+        """How far the first two tokens of width-2, gamma-2 trees are from the target's."""
         config = SamplerConfig(greedy=False)
-        firsts, pairs = np.zeros(self.VOCAB), np.zeros((self.VOCAB, self.VOCAB))
-        for _ in range(self.WALKS):
-            walk = DraftWalk(0, 2, max_branch=2, max_nodes=6, entropy_scale=1e-3,
-                             config=config, rng=rng)
-            while walk.pending is not None:
-                token, depth, _ = walk.pending
-                walk.expand(np.log(self.Q0 if depth == 0 else self.Q1[token]))
-            tree = walk.draft
-            rows = [self.P0] + [self.P1[t] if d == 1 else self.P0
-                                for t, d in zip(tree.tokens, tree.depths)]
-            out = speculative_verify(tree, walk.probs, np.log(rows), config, rng)
-            first, *rest = [*out.accepted, out.next_token]
-            # a rejection at the anchor commits one token; the next block's
-            # first token is a plain target draw given it
-            second = rest[0] if rest else int(rng.choice(self.VOCAB, p=self.P1[first]))
-            firsts[first] += 1
-            pairs[first, second] += 1
-        return firsts, pairs
 
-    @staticmethod
-    def _z(counts, probs):
-        """Normalised chi-square of ``counts`` against ``probs``."""
-        expected = counts.sum() * probs.ravel()
-        chi2 = ((counts.ravel() - expected) ** 2 / expected).sum()
-        df = probs.size - 1
-        return (chi2 - df) / np.sqrt(2 * df)
+        def draft(prefix):
+            return np.log(self.Q1[prefix[-1]] if prefix else self.Q0)
 
-    def _worst_z(self):
-        firsts, pairs = self._walks(np.random.default_rng(0))
-        joint = self.P0[:, None] * self.P1
-        return max(self._z(firsts, self.P0), self._z(pairs, joint))
+        def target(prefix):
+            return np.log(self.P1[prefix[-1]] if prefix else self.P0)
 
-    def test_tree_first_two_tokens_match_the_target(self):
-        assert self._worst_z() < self.MAX_Z
+        ours = exact(lambda rng: _emit(draft, target, config, 2, rng, width=2, max_nodes=4))
+        return ours.distance(exact(lambda rng: _sample_target(target, config, 2, rng)))
 
-    def test_the_check_sees_broken_sibling_rules(self, monkeypatch):
-        """Power: siblings tried without the residual update, or taken top-k."""
+    def test_the_check_sees_broken_sibling_rules(self, exact, monkeypatch):
+        """Siblings tried without the residual update, or taken top-k, miss."""
         def no_residual(kids, tokens, p, q, config, rng):
             for child in kids:
                 if rng.random() < min(1.0, p[tokens[child]] / q[tokens[child]]):
@@ -315,12 +425,13 @@ class TestSpeculativeSamplingLossless:
             walk.probs.append(q)
             return np.argsort(-q, kind="stable")[:2]
 
+        assert self._miss(exact) <= 1e-12
         with monkeypatch.context() as patch:
             patch.setattr(tree_mod, "_try_children", no_residual)
-            assert self._worst_z() > self.MAX_Z
+            assert self._miss(exact) > 0.05
         with monkeypatch.context() as patch:
             patch.setattr(DraftWalk, "_children", top_k)
-            assert self._worst_z() > self.MAX_Z
+            assert self._miss(exact) > 0.05
 
 
 class TestSamplerSeedPlumbing:
