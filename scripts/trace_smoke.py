@@ -8,6 +8,10 @@ a metrics-registry snapshot:
 
 Inspect with ``python -m repro.obs summarize <out>/trace.jsonl`` or load
 ``<out>/trace_chrome.json`` in chrome://tracing / https://ui.perfetto.dev.
+
+Exits 1 when a ``draft`` span reports a block deeper than the token budget
+can commit: the prefill commits the first token, so no block may draft
+past ``max(1, min(gamma, max_new_tokens - 2))``.
 """
 
 from __future__ import annotations
@@ -72,6 +76,13 @@ def main() -> None:
     metrics = out_dir / "metrics.json"
     metrics.write_text(json.dumps(get_registry().snapshot(), indent=2), encoding="utf-8")
     logger.info("wrote %s, %s, %s", jsonl, chrome, metrics)
+
+    deepest = max(1, min(args.gamma, args.max_new_tokens - 2))
+    too_deep = [span.attrs["gamma"] for span in tracer.spans
+                if span.name == "draft" and span.attrs["gamma"] > deepest]
+    if too_deep:
+        logger.error("%d draft spans deeper than %d: %s", len(too_deep), deepest, too_deep)
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -649,9 +649,12 @@ class AASDEngine(Decoder):
            target-only temporarily, so speculation can resume the moment
            it re-closes.
         2. **Draft lane**, one ``draft`` span — every session's block is
-           a :class:`~repro.decoding.tree.DraftWalk` (a gamma-chain, or
-           under :attr:`tree_ready` a candidate tree; the chain is the
-           width-1 tree), and the walks grow in lockstep: one
+           a :class:`~repro.decoding.tree.DraftWalk` (a chain, or under
+           :attr:`tree_ready` a candidate tree; the chain is the width-1
+           tree) no deeper than the session's budget can commit
+           (:meth:`_open_block`: ``max(1, min(gamma, remaining - 1))``;
+           the span's ``gamma`` is the round's deepest such depth), and
+           the walks grow in lockstep: one
            ``step_packed`` call per expansion index (for the AASD head
            one ``(B, 1, D)`` kernel set), each row attending its node's
            root path, rows dropping out as their walk completes or a
@@ -675,7 +678,8 @@ class AASDEngine(Decoder):
            target step, as in lane 1.
         5. **Verify lane**, one ``verify`` span — one cu-seqlen-packed
            target forward (:meth:`MiniLlava.decode_batch`) over every
-           drafted block, which writes every fed row into its target
+           drafted block's ``[last, *drafted]`` feed (``1 + nodes`` rows),
+           which writes every fed row into its target
            cache, then per session the accept rule, cache commit, context
            maintenance and token commit (:meth:`_verify_block`).
 
@@ -710,7 +714,7 @@ class AASDEngine(Decoder):
             with self.tracer.span("draft") as sp:
                 states = [self._open_block(i, sessions[i], tree) for i in drafting]
                 sp.set_attr("batch", len(states))
-                sp.set_attr("gamma", max(st.session.gamma for st in states))
+                sp.set_attr("gamma", max(st.walk.gamma for st in states))
                 self._draft(states, sp, clock)
                 for st in states:
                     if not st.faulted:
@@ -821,12 +825,23 @@ class AASDEngine(Decoder):
 
     def _open_block(self, slot: int, session: DecodeSession,
                     tree: bool) -> _PackedDraftState:
-        """Anchor a new block at the session's last committed token."""
+        """Anchor a new block at the session's last committed token.
+
+        The block is drafted to depth ``max(1, min(gamma, remaining - 1))``,
+        ``remaining`` being the session's token budget left: a block
+        commits at most its accepted path plus one target token, so a
+        deeper node could never be committed.  A chain's node budget is
+        that depth; a tree keeps ``tree_max_nodes`` and is cut in depth
+        only.  The verify feed is ``[last, *drafted]``, so its rows shrink
+        with the block.
+        """
         cfg = self.config
-        last, gamma = session.committed[-1], session.gamma
+        committed = session.committed
+        last = committed[-1]
+        depth = max(1, min(session.gamma, session.max_new_tokens - len(committed) - 1))
         walk = DraftWalk(
-            last, gamma, max_branch=cfg.tree_max_branch if tree else 1,
-            max_nodes=cfg.tree_max_nodes if tree else gamma,
+            last, depth, max_branch=cfg.tree_max_branch if tree else 1,
+            max_nodes=cfg.tree_max_nodes if tree else depth,
             entropy_scale=cfg.tree_entropy_scale,
             config=self.sampler.config, rng=session.rng,
         )

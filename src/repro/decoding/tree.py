@@ -118,16 +118,20 @@ class DraftWalk:
     expansion order and (at width 1) the chain's order coincide.  Nodes
     at depth ``gamma`` are leaves, never expanded (the last drafted
     token's KV is never computed), and no node is created past
-    ``max(max_nodes, gamma)``.  The defaults draft the greedy
-    ``gamma``-chain.  The caller runs each expansion, so many walks can
-    share one packed forward per expansion index while each keeps its own
-    order.
+    ``max(max_nodes, gamma)``.  ``gamma`` is the block's depth, at least
+    1 (:class:`~repro.errors.DecodingError` otherwise); the engine passes
+    the session's speculation depth capped at what its token budget can
+    still commit.  The defaults draft the greedy ``gamma``-chain.  The
+    caller runs each expansion, so many walks can share one packed
+    forward per expansion index while each keeps its own order.
     """
 
     def __init__(self, anchor: int, gamma: int, *, max_branch: int = 1,
                  max_nodes: int = 0, entropy_scale: float = 1.0,
                  config: SamplerConfig = _GREEDY,
                  rng: Optional[np.random.Generator] = None) -> None:
+        if gamma < 1:
+            raise DecodingError(f"a draft walk needs gamma >= 1, got {gamma}")
         self.gamma, self.budget = gamma, max(int(max_nodes), int(gamma))
         self.max_branch, self.entropy_scale = max_branch, entropy_scale
         self.config, self.rng = config, rng

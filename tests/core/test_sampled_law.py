@@ -9,7 +9,10 @@ commit — once per decision path and sums the path weights: the exact
 law, no sampling and no tolerance.  The target's law is enumerated the
 same way, through ``AutoregressiveDecoder(rng=...)``.  Top-2 sampling
 bounds the branching; ``K`` is 3 solo and 2 for the packed pair, whose
-joint law must be the product of the two solo laws.
+joint law must be the product of the two solo laws.  A block drafts at
+most the tokens its budget can still commit after the target's own, so
+at ``K = 3`` every block is one node deep; ``K = 4`` opens with a block
+drafted to its full ``gamma = 2``, chain and tree.
 
 The engine isolates a draft's exceptions as draft faults, which could
 turn a harness error into a quiet fault-path run, so every replay also
@@ -17,6 +20,8 @@ asserts its scheduled number of draft faults.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -122,6 +127,20 @@ def test_tree_law_is_the_targets(engine_law, target_law, monkeypatch):
     monkeypatch.setattr(engine_mod, "speculative_verify", watched)
     assert target_law(0).distance(_solo(engine_law(TREE))) <= 1e-12
     assert any(rescued), "no path accepted a later sibling: nothing was rescued"
+
+
+@pytest.mark.parametrize("config", [CHAIN, TREE], ids=["chain", "tree"])
+def test_full_depth_blocks_keep_the_targets_law(engine_law, target_law, monkeypatch, config):
+    honest, depths = engine_mod.speculative_verify, []
+
+    def watched(tree, *args):
+        depths.append(tree.max_depth)
+        return honest(tree, *args)
+
+    monkeypatch.setattr(engine_mod, "speculative_verify", watched)
+    law = engine_law(dataclasses.replace(config, max_new_tokens=K + 1))
+    assert target_law(0, K + 1).distance(_solo(law)) <= 1e-12
+    assert max(depths) == config.gamma
 
 
 def test_independent_draft_law_is_the_targets(engine_law, target_law, parts):

@@ -33,7 +33,7 @@ from repro.core import AASDDraftHead, AASDEngine, AASDEngineConfig, DraftHeadCon
 from repro.data.tasks import make_dataset
 from repro.decoding import AutoregressiveDecoder, CostModel, get_profile
 from repro.decoding.sampling import SamplerConfig
-from repro.decoding.tree import TreeDraft, speculative_verify, tree_extra_blocked
+from repro.decoding.tree import DraftWalk, TreeDraft, speculative_verify, tree_extra_blocked
 from repro.errors import DecodingError
 from repro.eval import build_aasd_engine
 from repro.models.kv_cache import KVCache
@@ -128,6 +128,12 @@ class TestTreeDraftUnit:
             TreeDraft(tokens=(1, 2), parents=(-1, 1), depths=(1, 2))
         with pytest.raises(DecodingError):    # depth inconsistent with parent
             TreeDraft(tokens=(1, 2), parents=(-1, 0), depths=(1, 3))
+
+    @pytest.mark.parametrize("max_nodes", [0, 4])
+    @pytest.mark.parametrize("gamma", [0, -1])
+    def test_a_walk_drafts_at_least_one_deep(self, gamma, max_nodes):
+        with pytest.raises(DecodingError, match="gamma"):
+            DraftWalk(5, gamma, max_nodes=max_nodes)
 
 
 class TestAcceptTree:

@@ -79,13 +79,14 @@ class TestSpeculativeAccounting:
         cm = setup["cm"]
         gamma = 3
         rec = _sd(setup, gamma).decode(setup["sample"])
-        n_blocks = len(rec.blocks)
         n_full = sum(1 for b in rec.blocks if b.n_accepted == b.n_draft)
         draft_step = cm.price("draft", (1,))
+        # each block drafts its own (budget-capped) depth and verifies 1 + that
         expected = (
             cm.target_prefill()
             + cm.price("draft_prefill", (1,))
-            + n_blocks * (gamma * draft_step + cm.price("verify", (gamma + 1,)))
+            + sum(b.n_draft * draft_step + cm.price("verify", (b.n_draft + 1,))
+                  for b in rec.blocks)
             + n_full * draft_step  # cache-sync forward on full acceptance
         )
         assert rec.sim_time_ms == pytest.approx(expected)
@@ -113,15 +114,16 @@ class TestAASDAccounting:
         rec = engine.decode(setup["sample"])
         assert rec.n_target_forwards == len(rec.blocks) + 1
 
-        n_blocks = len(rec.blocks)
+        assert all(1 <= b.n_draft <= gamma for b in rec.blocks)
+        n_drafted = sum(b.n_draft for b in rec.blocks)
         fixed = (cm.target_prefill() + cm.price("projector", (1,))
-                 + n_blocks * cm.price("verify", (gamma + 1,)))
+                 + sum(cm.price("verify", (b.n_draft + 1,)) for b in rec.blocks))
         # Draft steps attend to a KV whose length grows within a generation;
         # bound it by the shortest and longest possible spans.
         min_step = cm.price("head", (1,), (0,))
         max_step = cm.price("head", (1,), (10_000,))
-        assert fixed + n_blocks * gamma * min_step <= rec.sim_time_ms
-        assert rec.sim_time_ms <= fixed + n_blocks * gamma * max_step
+        assert fixed + n_drafted * min_step <= rec.sim_time_ms
+        assert rec.sim_time_ms <= fixed + n_drafted * max_step
 
     def test_termination_contract(self, setup):
         engine = AASDEngine(

@@ -143,8 +143,14 @@ class TestSpeculativeLossless:
         sd = _sd(world, LlamaTextDraft(world["text_draft"]))
         rec = sd.decode(world["dataset"][0])
         assert rec.blocks
-        assert all(b.n_draft == 3 for b in rec.blocks)
-        assert all(0 <= b.n_accepted <= 3 for b in rec.blocks)
+        # each block drafts gamma = 3, capped at the tokens its budget of 16
+        # can still commit after the target's own token
+        committed = 1   # the prefill's token
+        for b in rec.blocks:
+            assert b.n_draft == max(1, min(3, 16 - committed - 1))
+            assert 0 <= b.n_accepted <= b.n_draft
+            committed += b.n_emitted
+        assert rec.blocks[0].n_draft == 3
         # Emitted tokens across blocks equal the generated count (first
         # token came from prefill; the last block may be trimmed by eos/cap).
         emitted = sum(b.n_emitted for b in rec.blocks)
