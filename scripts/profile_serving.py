@@ -13,7 +13,8 @@ Outputs under ``--out``:
 * ``flamegraph.collapsed`` — collapsed stacks for speedscope/flamegraph.pl
 * ``attribution.txt`` / ``attribution.json`` — the {gemm, gemm_cast,
   arena_copy, python_overhead, other} wall-clock split
-* ``metrics.json``       — registry snapshot (histograms with p50/p95/p99)
+* ``metrics.json``       — the run's ``ServingReport.summary()``: request
+  counts, tokens, KV-arena totals and the TTFT / TPOT / E2E p50/p95/p99
 * ``memory.txt`` / ``memory.json`` — where the run's ``peak_rss_mb`` goes:
   parameters, pinned operands, target KV (reserved vs live), draft state
   and the forward transient, at the admission or round that set the peak
@@ -60,7 +61,6 @@ from repro.obs import (
     export_jsonl,
     get_logger,
     get_profiler,
-    get_registry,
     render_attribution,
 )
 from repro.obs.profile import OP_GEMM_CAST
@@ -134,9 +134,7 @@ def main() -> int:
         encoding="utf-8",
     )
     metrics = out_dir / "metrics.json"
-    metrics.write_text(
-        json.dumps(get_registry().snapshot(), indent=2), encoding="utf-8"
-    )
+    metrics.write_text(json.dumps(report.summary(), indent=2), encoding="utf-8")
 
     print(rendered)
     print()

@@ -1,8 +1,7 @@
 """Traced smoke decode: emit JSONL + Chrome traces for a few SD decodes.
 
 Runs a greedy AASD decode (plus the AR baseline for one sample) on the
-smoke-profile zoo with tracing enabled, then writes both trace formats and
-a metrics-registry snapshot:
+smoke-profile zoo with tracing enabled, then writes both trace formats:
 
     python scripts/trace_smoke.py [--out results/trace] [--samples 3]
 
@@ -17,7 +16,6 @@ past ``max(1, min(gamma, max_new_tokens - 2))``.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 from repro.decoding.autoregressive import AutoregressiveDecoder
@@ -29,7 +27,6 @@ from repro.obs import (
     export_chrome,
     export_jsonl,
     get_logger,
-    get_registry,
 )
 from repro.zoo import ModelZoo, PROFILE_SMOKE
 
@@ -73,9 +70,7 @@ def main() -> None:
 
     jsonl = export_jsonl(tracer, out_dir / "trace.jsonl")
     chrome = export_chrome(tracer, out_dir / "trace_chrome.json")
-    metrics = out_dir / "metrics.json"
-    metrics.write_text(json.dumps(get_registry().snapshot(), indent=2), encoding="utf-8")
-    logger.info("wrote %s, %s, %s", jsonl, chrome, metrics)
+    logger.info("wrote %s, %s", jsonl, chrome)
 
     deepest = max(1, min(args.gamma, args.max_new_tokens - 2))
     too_deep = [span.attrs["gamma"] for span in tracer.spans

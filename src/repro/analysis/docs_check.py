@@ -6,8 +6,8 @@ Run as ``python -m repro.analysis docs``.  Two checks:
    ``README.md`` must point at an existing file (fragments are stripped;
    external ``http(s)``/``mailto`` links are not fetched).
 2. **Examples** — the fenced ``python`` blocks of the executable pages
-   (``docs/api_guide.md``, ``docs/serving.md``, ``docs/kernels.md``)
-   are run top-to-bottom in
+   (``docs/api_guide.md``, ``docs/serving.md``, ``docs/kernels.md``,
+   ``docs/observability.md``) are run top-to-bottom in
    one shared namespace per page, from a scratch working directory.  A
    block preceded by an ``<!-- doccheck: skip -->`` marker is
    compile-checked only (used for pages whose examples would train
@@ -40,7 +40,9 @@ FENCE_RE = re.compile(r"^```")
 SKIP_MARKER = "<!-- doccheck: skip -->"
 
 #: Pages whose python blocks must execute end-to-end.
-EXECUTABLE_PAGES = ("docs/api_guide.md", "docs/serving.md", "docs/kernels.md")
+EXECUTABLE_PAGES = (
+    "docs/api_guide.md", "docs/serving.md", "docs/kernels.md", "docs/observability.md",
+)
 
 
 def iter_doc_files(root: Path) -> Iterator[Path]:

@@ -1,7 +1,7 @@
 """Lock discipline: guarded writes, no re-acquisition, one acquisition order.
 
-The metrics registry, the serving admission queue, the tracer, and the
-profiler are documented thread-safe.  Any class whose ``__init__`` assigns
+The serving admission queue, the tracer, and the profiler are documented
+thread-safe.  Any class whose ``__init__`` assigns
 ``self._lock`` is a *lock owner*; one lexical walk over each owner's
 methods records, per method, its ``self.<attr>`` writes, its
 ``with self._lock:`` acquisitions, and every call with whether it sits
@@ -22,10 +22,10 @@ inside a locked region.  That walk feeds two checks.
 ``__init__``/``__post_init__``/``__new__`` stay exempt as callers and as
 writers: the object is not shared yet.
 
-**Order** (over the whole-program call graph).  Code paths legitimately
-nest locks (``AdmissionQueue._publish`` updates the queue-depth gauge
-*while holding* the queue lock); that is fine as long as every thread
-acquires in one global order.  So:
+**Order** (over the whole-program call graph).  Code paths may nest
+locks (a queue that updates a metrics object *while holding* its own
+lock, as ``Queue.push`` does in the ``lockorder`` test fixture); that is
+fine as long as every thread acquires in one global order.  So:
 
 * every function gets the set of owners whose lock it may acquire —
   directly or through any resolved call (fixpoint over the call graph);

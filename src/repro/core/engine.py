@@ -481,7 +481,7 @@ class AASDEngine(Decoder):
                 record.request_id = request_id
             sp.add_sim_ms(record.charge_sim(
                 self.cost_model.price("prefill", (n_vis + len(prompt_ids),)), "prefill"))
-            record.count_target_forward()
+            record.n_target_forwards += 1
             session = DecodeSession(
                 sample=sample,
                 record=record,
@@ -808,8 +808,8 @@ class AASDEngine(Decoder):
                     np.asarray([[last]], dtype=np.int64), session.target_cache
                 )
                 sp.add_sim_ms(record.charge_sim(step_ms, "fallback"))
-                record.count_target_forward()
-                record.count_fallback_step()
+                record.n_target_forwards += 1
+                record.n_fallback_steps += 1
                 token = self.sampler.sample(out.logits.data[0, -1], rng=session.rng)
                 if session.speculating:
                     absorb_ms = self._absorb(
@@ -917,13 +917,13 @@ class AASDEngine(Decoder):
         draft = state.walk.draft
         n_draft = draft.n_nodes
         sp.add_sim_ms(record.charge_sim(self.cost_model.price("verify", (n_draft + 1,)), "verify"))
-        record.count_target_forward()
+        record.n_target_forwards += 1
         outcome = speculative_verify(
             draft, state.walk.probs, out.logits.data[0], self.sampler.config, session.rng,
         )
         rows = np.asarray([0] + [i + 1 for i in outcome.path], dtype=np.int64)
         session.target_cache.keep_rows(verify_start, rows)
-        record.add_block(
+        record.blocks.append(
             BlockRecord(
                 n_draft=n_draft,
                 n_accepted=outcome.n_accepted,

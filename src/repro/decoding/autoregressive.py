@@ -70,7 +70,7 @@ class AutoregressiveDecoder(Decoder):
             with tracer.span("prefill") as sp:
                 cache, last_logits = self.target.prefill(sample.image[None], prompt_ids[None])
                 sp.add_sim_ms(record.charge_sim(self.cost_model.target_prefill(), "prefill"))
-                record.count_target_forward()
+                record.n_target_forwards += 1
 
                 token = self.sampler.sample(last_logits[0])
                 record.token_ids.append(token)
@@ -78,7 +78,7 @@ class AutoregressiveDecoder(Decoder):
                 with tracer.span("ar_step") as sp:
                     out = self.target.decode(np.asarray([[token]]), cache)
                     sp.add_sim_ms(record.charge_sim(self.cost_model.target_step(), "ar_step"))
-                    record.count_target_forward()
+                    record.n_target_forwards += 1
                     token = self.sampler.sample(out.logits.data[0, -1])
                     record.token_ids.append(token)
             root.set_attr("n_tokens", record.n_tokens)

@@ -5,11 +5,9 @@
 * block efficiency  (tau)   — mean tokens emitted per target forward,
 * decoding speed    (delta) — tokens per (simulated) second.
 
-Beyond the per-sample fields, every mutation funnels the same event into
-the process-wide metrics registry (:mod:`repro.obs.metrics`), so
-cross-sample totals (``decode.tokens_accepted_total``,
-``decode.draft_faults_total``, ...) are available without re-walking
-records, and fault events are logged structurally via ``logging``.
+Every number lives on the per-sample :class:`DecodeRecord`;
+:func:`aggregate_metrics` sums records into a :class:`SpeedupReport`, and
+fault events are logged structurally via ``logging``.
 """
 
 from __future__ import annotations
@@ -19,32 +17,11 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import DecodingError
 from ..obs.logsetup import get_logger
-from ..obs.metrics import get_registry
 from ..utils.timing import SimulatedClock
 
 __all__ = ["BlockRecord", "DecodeRecord", "SpeedupReport", "aggregate_metrics"]
 
 logger = get_logger(__name__)
-
-#: Bucket ladder for ``decode.block_efficiency``: tokens emitted per verify
-#: forward are small integers (1 .. gamma+1, or up to the tree node budget),
-#: so the default latency ladder would crush them into two buckets.
-BLOCK_EFFICIENCY_BUCKETS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0)
-
-
-def _update_acceptance_gauge(registry) -> None:
-    """Refresh ``decode.accepted_tokens_per_target_forward``.
-
-    Ratio of the process-wide emitted-token and target-forward counters —
-    the tree-speculation headline: how many committed tokens each target
-    forward (verify, prefill, or fallback) buys on average.
-    """
-    forwards = registry.counter("decode.target_forwards_total").value
-    if forwards > 0:
-        emitted = registry.counter("decode.tokens_emitted_total").value
-        registry.gauge("decode.accepted_tokens_per_target_forward").set(
-            emitted / forwards
-        )
 
 
 @dataclass(frozen=True)
@@ -71,14 +48,13 @@ class DecodeRecord:
     skipped due to a fault, and ``"target-only"`` after the engine gave up
     on speculation entirely for the rest of the sample.
 
-    Simulated charges should go through :meth:`charge_sim` so they land in
-    ``sim_by_category`` (prefill/draft/verify/...) as well as the total;
-    direct ``sim_time_ms +=`` still works but stays uncategorised.
+    Simulated charges go through :meth:`charge_sim`, which books them in
+    ``sim_clock`` per category (prefill/draft/verify/...);
+    :attr:`sim_time_ms` reads the clock's total.
     """
 
     token_ids: List[int] = field(default_factory=list)
     request_id: Optional[str] = None   # serving-layer attribution (None when decoded directly)
-    sim_time_ms: float = 0.0
     wall_time_s: float = 0.0
     ttft_wall_s: float = 0.0           # wall time to first committed token (prefill)
     blocks: List[BlockRecord] = field(default_factory=list)
@@ -100,42 +76,19 @@ class DecodeRecord:
         return self.fallback_mode != "none"
 
     @property
+    def sim_time_ms(self) -> float:
+        """Simulated ms charged so far: ``sim_clock``'s running total."""
+        return self.sim_clock.total
+
+    @property
     def sim_by_category(self) -> Dict[str, float]:
         """Simulated ms per phase category (prefill, draft, verify, ...)."""
         return self.sim_clock.by_category
 
-    # ------------------------------------------------------------------
-    # Mutation funnels: record fields + process-wide registry together.
-    # ------------------------------------------------------------------
     def charge_sim(self, ms: float, category: str = "other") -> float:
         """Charge simulated milliseconds under ``category``; returns ms."""
-        self.sim_time_ms += ms
         self.sim_clock.charge(ms, category)
         return ms
-
-    def add_block(self, block: BlockRecord) -> None:
-        """Record one draft-then-verify round."""
-        self.blocks.append(block)
-        registry = get_registry()
-        registry.counter("decode.blocks_total").inc()
-        registry.counter("decode.tokens_drafted_total").inc(block.n_draft)
-        registry.counter("decode.tokens_accepted_total").inc(block.n_accepted)
-        registry.counter("decode.tokens_emitted_total").inc(block.n_emitted)
-        registry.histogram(
-            "decode.block_efficiency",
-            buckets=BLOCK_EFFICIENCY_BUCKETS,
-        ).observe(block.n_emitted)
-        _update_acceptance_gauge(registry)
-
-    def count_target_forward(self) -> None:
-        self.n_target_forwards += 1
-        registry = get_registry()
-        registry.counter("decode.target_forwards_total").inc()
-        _update_acceptance_gauge(registry)
-
-    def count_fallback_step(self) -> None:
-        self.n_fallback_steps += 1
-        get_registry().counter("decode.fallback_steps_total").inc()
 
     def note_fault(self, message: str) -> None:
         """Record one draft fault and mark the decode as degraded."""
@@ -143,7 +96,6 @@ class DecodeRecord:
         self.fault_log.append(message)
         if self.fallback_mode == "none":
             self.fallback_mode = "degraded"
-        get_registry().counter("decode.draft_faults_total").inc()
         logger.warning(
             "draft fault: %s",
             message,
@@ -183,8 +135,7 @@ class SpeedupReport:
     #: fallback forwards included) — the tree-speculation headline number.
     accepted_per_target_forward: float = 0.0
     sim_time_by_category: Dict[str, float] = field(default_factory=dict)
-    # ^ SD simulated ms per phase, summed over records (empty for legacy
-    #   records that charged the total directly).
+    # ^ SD simulated ms per phase, summed over records.
 
     def row(self) -> dict:
         """Flat dict used by the table renderers (the four paper metrics).

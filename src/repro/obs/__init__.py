@@ -1,14 +1,16 @@
-"""repro.obs — tracing, metrics, and structured logging for the pipeline.
+"""repro.obs — tracing, profiling, and structured logging for the pipeline.
 
 Three pillars (see ``docs/observability.md``):
 
 * :mod:`~repro.obs.tracing` — span tracer instrumenting the prefill /
   draft / verify loop, the autoregressive baseline, training, and the
   experiment runner.  Disabled by default; near-zero overhead when off.
-* :mod:`~repro.obs.metrics` — process-wide registry of counters, gauges,
-  and histograms fed by the decoders and the tracer.
 * :mod:`~repro.obs.exporters` + the ``python -m repro.obs summarize`` CLI
   — JSONL and Chrome-trace span export and per-phase breakdowns.
+* :mod:`~repro.obs.logsetup` — structured logging.
+
+Counts are not kept here: each number is read from the object that owns
+it (``DecodeRecord``, ``ServingReport``, ``ArenaStats``) or from the spans.
 
 Quickstart::
 
@@ -22,14 +24,6 @@ Quickstart::
 
 from .exporters import export_chrome, export_jsonl, read_chrome, read_jsonl, read_trace
 from .logsetup import StructuredFormatter, configure_logging, get_logger
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
 from .profile import (
     AttributionReport,
     PhaseAttribution,
@@ -63,13 +57,6 @@ __all__ = [
     "set_tracer",
     "enable_tracing",
     "disable_tracing",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
-    "set_registry",
     # exporters
     "export_jsonl",
     "export_chrome",

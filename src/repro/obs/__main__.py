@@ -5,10 +5,12 @@ Usage:
     python -m repro.obs flamegraph TRACE OUT
 
 ``TRACE`` may be a JSONL span log or a Chrome trace-event file (the format
-is sniffed from the content).  ``summarize`` prints the per-phase
-breakdown table; ``--attribution`` adds the op-level wall-clock split
-({gemm, gemm_cast, arena_copy, python_overhead, other}) from spans recorded with
-profiling enabled.  ``flamegraph`` folds the span tree into a
+is sniffed from the content; an empty file is a log with no spans).  A
+missing or unreadable trace prints one ``error:`` line to stderr and
+exits 2.  ``summarize`` prints the per-phase breakdown table;
+``--attribution`` adds the op-level wall-clock split ({gemm, gemm_cast,
+arena_copy, python_overhead, other}) from spans recorded with profiling
+enabled.  ``flamegraph`` folds the span tree into a
 collapsed-stack file loadable by speedscope / ``flamegraph.pl``.
 """
 
@@ -18,6 +20,7 @@ import argparse
 import json
 import sys
 
+from ..errors import ConfigError
 from .exporters import read_trace
 from .flamegraph import export_collapsed
 from .logsetup import configure_logging
@@ -42,7 +45,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     configure_logging()
-    spans = read_trace(args.trace)
+    try:
+        spans = read_trace(args.trace)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "flamegraph":
         out = export_collapsed(spans, args.out)
         print(f"wrote {out}")

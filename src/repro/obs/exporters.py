@@ -68,18 +68,18 @@ def read_jsonl(path: PathLike) -> List[SpanRecord]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{lineno}: invalid trace line: {exc}") from exc
-        spans.append(SpanRecord(
-            name=obj["name"],
-            span_id=int(obj["span_id"]),
-            parent_id=None if obj.get("parent_id") is None else int(obj["parent_id"]),
-            start_s=float(obj["start_s"]),
-            end_s=float(obj["end_s"]),
-            thread_id=int(obj.get("thread_id", 0)),
-            thread_name=str(obj.get("thread_name", "")),
-            attrs=dict(obj.get("attrs", {})),
-        ))
+            spans.append(SpanRecord(
+                name=obj["name"],
+                span_id=int(obj["span_id"]),
+                parent_id=None if obj.get("parent_id") is None else int(obj["parent_id"]),
+                start_s=float(obj["start_s"]),
+                end_s=float(obj["end_s"]),
+                thread_id=int(obj.get("thread_id", 0)),
+                thread_name=str(obj.get("thread_name", "")),
+                attrs=dict(obj.get("attrs", {})),
+            ))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"{path}:{lineno}: invalid trace line: {exc!r}") from exc
     return spans
 
 
@@ -121,44 +121,60 @@ def export_chrome(source: Union[Tracer, Iterable[SpanRecord]], path: PathLike,
 
 def read_chrome(path: PathLike) -> List[SpanRecord]:
     """Load complete-events from a Chrome trace file back into spans."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid Chrome trace: {exc}") from exc
     if isinstance(payload, list):       # bare event-array variant
         events, origin = payload, 0.0
     else:
         events = payload.get("traceEvents", [])
         origin = float(payload.get("otherData", {}).get("origin_s", 0.0))
     spans: List[SpanRecord] = []
-    for event in events:
-        if event.get("ph") != "X":
-            continue
-        args = dict(event.get("args", {}))
-        span_id = int(args.pop("span_id", len(spans) + 1))
-        parent_id = args.pop("parent_id", None)
-        start = origin + float(event["ts"]) / 1e6
-        spans.append(SpanRecord(
-            name=event["name"],
-            span_id=span_id,
-            parent_id=None if parent_id is None else int(parent_id),
-            start_s=start,
-            end_s=start + float(event.get("dur", 0.0)) / 1e6,
-            thread_id=int(event.get("tid", 0)),
-            thread_name=str(event.get("tname", "")),
-            attrs=args,
-        ))
+    for index, event in enumerate(events):
+        try:
+            if event.get("ph") != "X":
+                continue
+            args = dict(event.get("args", {}))
+            span_id = int(args.pop("span_id", len(spans) + 1))
+            parent_id = args.pop("parent_id", None)
+            start = origin + float(event["ts"]) / 1e6
+            spans.append(SpanRecord(
+                name=event["name"],
+                span_id=span_id,
+                parent_id=None if parent_id is None else int(parent_id),
+                start_s=start,
+                end_s=start + float(event.get("dur", 0.0)) / 1e6,
+                thread_id=int(event.get("tid", 0)),
+                thread_name=str(event.get("tname", "")),
+                attrs=args,
+            ))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"{path}: invalid trace event {index}: {exc!r}") from exc
     return spans
 
 
 def read_trace(path: PathLike) -> List[SpanRecord]:
-    """Load either format, sniffing JSONL vs Chrome JSON from the content."""
+    """Load either format, sniffing JSONL vs Chrome JSON from the content.
+
+    An empty file is an empty JSONL log: what :func:`export_jsonl` writes
+    for a tracer with zero spans.  A missing or unreadable file raises
+    :class:`~repro.errors.ConfigError`.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"trace file not found: {path}")
-    head = path.read_text(encoding="utf-8").lstrip()[:1]
-    if head == "[":
+    try:
+        text = path.read_text(encoding="utf-8").lstrip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read trace: {exc}") from exc
+    if not text:
+        return []
+    if text[0] == "[":
         return read_chrome(path)
-    if head == "{":
+    if text[0] == "{":
         # Either a Chrome {"traceEvents": ...} object or a single JSONL line.
-        first_line = path.read_text(encoding="utf-8").lstrip().splitlines()[0]
+        first_line = text.splitlines()[0]
         try:
             obj = json.loads(first_line)
         except json.JSONDecodeError:

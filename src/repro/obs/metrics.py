@@ -1,53 +1,25 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Exact quantiles over raw samples.
 
-The decoders publish pipeline counters here (``decode.tokens_accepted_total``,
-``decode.draft_faults_total``, ...) as they update their per-sample
-:class:`~repro.decoding.metrics.DecodeRecord`, and the tracer feeds
-per-phase latency histograms (``span_ms.<phase>``).  The registry is the
-cross-sample aggregate view; per-sample pairing for the paper's omega/alpha
-metrics still lives in :func:`repro.decoding.metrics.aggregate_metrics`,
-whose totals must agree with the registry counters (tested in
-``tests/obs/test_metrics_registry.py``).
-
-All instruments are thread-safe and cheap enough to leave always-on.
+Numbers are owned by the objects that produce them (``DecodeRecord``,
+``ServingReport``, ``ArenaStats``, the span trace); digests over their
+samples use :func:`exact_quantile`, so a p95 is always the p95 of the
+samples themselves, never a bucket estimate.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from ..errors import ConfigError
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
-    "set_registry",
-    "exact_quantile",
-]
-
-#: Default histogram bucket upper bounds (milliseconds-flavoured).
-#: Log-spaced 1/2.5/5 ladder from 1 µs to 10 s so sub-millisecond arena
-#: ops and multi-second decodes land in the same instrument without
-#: losing resolution at either end.  Override per histogram at
-#: registration for anything with known, tighter dynamic range.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-    10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
-    1000.0, 2500.0, 5000.0, 10000.0,
-)
+__all__ = ["exact_quantile"]
 
 
 def exact_quantile(values: Sequence[float], q: float) -> float:
     """Exact quantile with linear interpolation (numpy's default method).
 
-    The reference the bucket-interpolated :meth:`Histogram.quantile` is
-    tested against; also used directly where the raw samples are at hand
-    (latency digests over per-request records).
+    Every latency and block-efficiency digest is computed from its raw
+    samples with this function (per-request records, span durations).
     """
     if not 0.0 <= q <= 1.0:
         raise ConfigError(f"quantile must be in [0, 1], got {q}")
@@ -61,245 +33,3 @@ def exact_quantile(values: Sequence[float], q: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = pos - lo
     return ordered[lo] + (ordered[hi] - ordered[lo]) * frac
-
-
-class Counter:
-    """Monotonically increasing count."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, description: str = "") -> None:
-        self.name = name
-        self.description = description
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ConfigError(f"counter {self.name} cannot decrease (inc {amount})")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"kind": self.kind, "value": self._value}
-
-
-class Gauge:
-    """Last-set value (may go up or down)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, description: str = "") -> None:
-        self.name = name
-        self.description = description
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, amount: float) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"kind": self.kind, "value": self._value}
-
-
-class Histogram:
-    """Cumulative-bucket histogram plus count/sum/min/max summary."""
-
-    kind = "histogram"
-
-    def __init__(self, name: str, description: str = "",
-                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ConfigError(f"histogram {name} needs ascending bucket bounds")
-        self.name = name
-        self.description = description
-        self.bounds: Tuple[float, ...] = tuple(buckets)
-        self._lock = threading.Lock()
-        self._counts = [0] * (len(self.bounds) + 1)   # +inf overflow bucket
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            idx = len(self.bounds)
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    idx = i
-                    break
-            self._counts[idx] += 1
-            self.count += 1
-            self.total += value
-            self.min = value if self.min is None else min(self.min, value)
-            self.max = value if self.max is None else max(self.max, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def bucket_counts(self) -> List[int]:
-        return list(self._counts)
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Estimate the ``q``-quantile by linear bucket interpolation.
-
-        Walks the cumulative bucket counts to the bucket containing the
-        target rank, then interpolates linearly inside it.  The first
-        bucket's lower edge is the observed minimum (not zero), the
-        overflow bucket reports the observed maximum, and the result is
-        clamped to ``[min, max]`` — so the estimate degrades gracefully
-        when a bucket ladder is coarse relative to the data.  Returns
-        ``None`` on an empty histogram.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            if self.count == 0 or self.min is None or self.max is None:
-                return None
-            rank = q * self.count
-            cumulative = 0
-            for i, bucket_count in enumerate(self._counts):
-                if bucket_count == 0:
-                    continue
-                if cumulative + bucket_count >= rank:
-                    if i == len(self.bounds):
-                        return self.max
-                    lower = self.bounds[i - 1] if i > 0 else self.min
-                    upper = self.bounds[i]
-                    frac = (rank - cumulative) / bucket_count
-                    estimate = lower + (upper - lower) * frac
-                    return min(max(estimate, self.min), self.max)
-                cumulative += bucket_count
-            return self.max
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counts = [0] * (len(self.bounds) + 1)
-            self.count = 0
-            self.total = 0.0
-            self.min = None
-            self.max = None
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.quantile(0.5),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-            "buckets": dict(zip([*map(str, self.bounds), "+inf"], self._counts)),
-        }
-
-
-class MetricsRegistry:
-    """Named instruments, memoized on first use.
-
-    ``registry.counter("decode.blocks_total")`` returns the same object on
-    every call; asking for an existing name with a different instrument
-    kind raises :class:`~repro.errors.ConfigError`.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._instruments: Dict[str, object] = {}
-
-    def _get(self, cls, name: str, description: str, **kwargs):
-        with self._lock:
-            inst = self._instruments.get(name)
-            if inst is None:
-                inst = self._instruments[name] = cls(name, description, **kwargs)
-            elif not isinstance(inst, cls):
-                raise ConfigError(
-                    f"metric {name!r} already registered as {inst.kind}, not {cls.kind}"
-                )
-            return inst
-
-    def counter(self, name: str, description: str = "") -> Counter:
-        return self._get(Counter, name, description)
-
-    def gauge(self, name: str, description: str = "") -> Gauge:
-        return self._get(Gauge, name, description)
-
-    def histogram(self, name: str, description: str = "",
-                  buckets: Optional[Sequence[float]] = None) -> Histogram:
-        """Histogram under ``name``; ``buckets`` overrides the default ladder.
-
-        The override only applies when the histogram is first created.
-        Re-registering an existing histogram with *different* explicit
-        buckets raises :class:`~repro.errors.ConfigError` (silently
-        keeping the old ladder would mis-bucket the caller's data);
-        passing ``None`` (the default) always returns the existing one.
-        """
-        inst = self._get(Histogram, name, description,
-                         buckets=DEFAULT_BUCKETS if buckets is None else buckets)
-        if buckets is not None and inst.bounds != tuple(buckets):
-            raise ConfigError(
-                f"histogram {name!r} already registered with buckets "
-                f"{inst.bounds}, conflicting override {tuple(buckets)}"
-            )
-        return inst
-
-    # -- access ----------------------------------------------------------
-    def get(self, name: str):
-        """The instrument registered under ``name`` (None if absent)."""
-        with self._lock:
-            return self._instruments.get(name)
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._instruments)
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Plain-dict dump of every instrument (JSON-serialisable)."""
-        with self._lock:
-            instruments = dict(self._instruments)
-        return {name: inst.snapshot() for name, inst in sorted(instruments.items())}
-
-    def reset(self) -> None:
-        """Zero every instrument in place (registrations are kept)."""
-        with self._lock:
-            instruments = list(self._instruments.values())
-        for inst in instruments:
-            inst.reset()
-
-
-# ---------------------------------------------------------------------------
-_GLOBAL = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide registry instrumented components default to."""
-    return _GLOBAL
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Replace the process-wide registry; returns the previous one."""
-    global _GLOBAL
-    previous, _GLOBAL = _GLOBAL, registry
-    return previous

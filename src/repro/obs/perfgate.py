@@ -1,8 +1,8 @@
 """Perf-regression gate: compare benchmark results to a checked-in baseline.
 
 ``scripts/perf_gate.py`` (the CLI over this module) guards the perf
-trajectory the way ``repro.analysis`` guards invariants: a checked-in
-baseline (``results/perf_baseline.json``) records the blessed value of
+trajectory with a checked-in baseline
+(``results/perf_baseline.json``) that records the blessed value of
 every gated metric, and updates require a real justification — empty or
 ``TODO`` justifications are rejected, and the full update history
 (timestamp, git SHA, reason) accumulates inside the baseline file so

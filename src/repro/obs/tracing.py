@@ -23,8 +23,8 @@ Design constraints, in priority order:
   by the cost model via :meth:`Span.add_sim_ms`, so reports can show both
   side by side per phase.
 
-Finished spans optionally feed per-phase latency histograms in a
-:class:`~repro.obs.metrics.MetricsRegistry` (``span_ms.<name>``).
+Per-phase latency digests are computed from the finished spans
+(``python -m repro.obs summarize``), not kept beside them.
 """
 
 from __future__ import annotations
@@ -154,19 +154,13 @@ class Span:
     def __exit__(self, *exc_info) -> None:
         self._tracer._pop(self)
         self.end_s = time.perf_counter()
-        registry = self._tracer.registry
-        if registry is not None:
-            registry.histogram(f"span_ms.{self.name}").observe(
-                1000.0 * (self.end_s - self.start_s)
-            )
 
 
 class Tracer:
     """Collects spans in memory; export via :mod:`repro.obs.exporters`."""
 
-    def __init__(self, enabled: bool = True, registry=None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.registry = registry   # optional MetricsRegistry for span_ms.* histograms
         self._lock = threading.Lock()
         self._finished: List[Span] = []
         self._local = threading.local()
@@ -246,14 +240,9 @@ def set_tracer(tracer: Tracer) -> Tracer:
     return previous
 
 
-def enable_tracing(registry=None) -> Tracer:
-    """Switch the global tracer on (optionally feeding ``registry``)."""
-    if registry is None:
-        from .metrics import get_registry
-
-        registry = get_registry()
+def enable_tracing() -> Tracer:
+    """Switch the global tracer on; returns it."""
     _GLOBAL.enabled = True
-    _GLOBAL.registry = registry
     return _GLOBAL
 
 

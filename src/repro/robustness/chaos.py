@@ -12,15 +12,11 @@ invariant checks:
   fault-free sequential decode of the same request (completed requests
   match exactly, partial outputs are exact prefixes), which is the
   serving-tier extension of the engine's AR-identical fallback guarantee;
-* **reconciliation** — retry / shed / breaker counters in the metrics
-  registry agree exactly with the scheduler's own report, so dashboards
-  can be trusted under failure;
 * **no leaks** — all retired sessions folded their KV-arena accounting
   into the scheduler and none remain holding cache memory.
 
-Each storm runs against a *fresh* :class:`~repro.obs.metrics.MetricsRegistry`
-(the process registry is swapped in and restored afterwards), so the
-reconciliation checks are exact rather than delta-based.
+The retry / shed / breaker numbers are read from the scheduler's own
+:class:`~repro.serving.scheduler.ServingReport`, their one owner.
 
 Everything is seeded: the afflicted request set, the fault step indices,
 and the retry jitter all derive from the storm seed via SHA-256, so a
@@ -43,7 +39,6 @@ import numpy as np
 from ..core.engine import AASDEngine, AASDEngineConfig
 from ..errors import ChaosError, CheckpointError
 from ..nn.serialization import load_state_dict, save_state_dict
-from ..obs.metrics import MetricsRegistry, set_registry
 from .faults import FaultyDraftHead, corrupt_checkpoint
 
 __all__ = [
@@ -311,52 +306,6 @@ def _check_identity(results, oracle_by_id: Dict[str, List[int]]) -> List[str]:
     return violations
 
 
-def _check_reconciliation(report, scheduler, registry: MetricsRegistry) -> List[str]:
-    """Registry counters must agree exactly with the scheduler's report."""
-    violations: List[str] = []
-
-    def counter(name: str) -> float:
-        instrument = registry.get(name)
-        return instrument.value if instrument is not None else 0.0
-
-    for status in ("completed", "timeout", "rejected", "failed"):
-        observed = counter(f"serving.requests_{status}_total")
-        expected = report.count(status)
-        if observed != expected:
-            violations.append(
-                f"counter serving.requests_{status}_total={observed:g} "
-                f"!= report {expected}"
-            )
-    if counter("resilience.retries_total") != report.n_retries:
-        violations.append(
-            f"counter resilience.retries_total={counter('resilience.retries_total'):g} "
-            f"!= report {report.n_retries}"
-        )
-    if counter("resilience.requests_shed_total") != report.n_shed:
-        violations.append(
-            f"counter resilience.requests_shed_total="
-            f"{counter('resilience.requests_shed_total'):g} != report {report.n_shed}"
-        )
-    transitions = report.breaker_transitions
-    if counter("resilience.breaker_transitions_total") != len(transitions):
-        violations.append(
-            f"counter resilience.breaker_transitions_total="
-            f"{counter('resilience.breaker_transitions_total'):g} "
-            f"!= report {len(transitions)}"
-        )
-    n_opened = sum(1 for _, _, to in transitions if to == "open")
-    n_closed = sum(1 for _, _, to in transitions if to == "closed")
-    if counter("resilience.breaker_opened_total") != n_opened:
-        violations.append("breaker opened counter does not match transitions")
-    if counter("resilience.breaker_closed_total") != n_closed:
-        violations.append("breaker closed counter does not match transitions")
-    depth = registry.get("serving.queue_depth")
-    if depth is not None and depth.value != 0:
-        violations.append(f"queue_depth gauge left at {depth.value:g} after drain")
-    del scheduler  # liveness/leak checks live in _check_drained
-    return violations
-
-
 def _check_drained(report, scheduler) -> List[str]:
     """Liveness + leak freedom once the facade returns."""
     violations: List[str] = []
@@ -379,8 +328,7 @@ def run_storm(profile: StormProfile, world: ChaosWorld,
 
     ``oracle`` is the output of :func:`clean_token_ids` (recomputed when
     omitted).  ``work_dir`` is only needed by checkpoint-corruption
-    storms.  The process metrics registry is swapped for a fresh one for
-    the duration of the run and always restored.
+    storms.
     """
     # Lazy: serving is an application-layer package (see module docstring).
     from ..serving import (
@@ -417,37 +365,31 @@ def run_storm(profile: StormProfile, world: ChaosWorld,
         for i, request in enumerate(requests)
     }
 
-    registry = MetricsRegistry()
-    previous = set_registry(registry)
-    try:
-        engine = AASDEngine(
-            world.target, _storm_head(world, profile), world.tokenizer,
-            world.cost_model,
-            AASDEngineConfig(
-                gamma=GAMMA,
-                max_new_tokens=world.max_new_tokens,
-                fallback_on_fault=profile.fallback_on_fault,
-                max_draft_faults=profile.max_draft_faults,
-            ),
-            rng=np.random.default_rng(ENGINE_SEED),
-        )
-        config = ServingConfig(
-            max_batch_size=profile.max_batch_size,
-            max_queue_depth=profile.max_queue_depth,
-            retry=profile.use_retry,
-            retry_seed=profile.seed,
-            breaker=profile.use_breaker,
-            max_queue_ms=profile.max_queue_ms,
-        )
-        scheduler = ContinuousBatchingScheduler(engine, config)
-        report = serve_requests(engine, requests, config, scheduler=scheduler)
-    finally:
-        set_registry(previous)
+    engine = AASDEngine(
+        world.target, _storm_head(world, profile), world.tokenizer,
+        world.cost_model,
+        AASDEngineConfig(
+            gamma=GAMMA,
+            max_new_tokens=world.max_new_tokens,
+            fallback_on_fault=profile.fallback_on_fault,
+            max_draft_faults=profile.max_draft_faults,
+        ),
+        rng=np.random.default_rng(ENGINE_SEED),
+    )
+    config = ServingConfig(
+        max_batch_size=profile.max_batch_size,
+        max_queue_depth=profile.max_queue_depth,
+        retry=profile.use_retry,
+        retry_seed=profile.seed,
+        breaker=profile.use_breaker,
+        max_queue_ms=profile.max_queue_ms,
+    )
+    scheduler = ContinuousBatchingScheduler(engine, config)
+    report = serve_requests(engine, requests, config, scheduler=scheduler)
 
     identity = _check_identity(report.results, oracle_by_id)
     violations.extend(identity)
     violations.extend(_check_drained(report, scheduler))
-    violations.extend(_check_reconciliation(report, scheduler, registry))
 
     n_completed = report.count("completed")
     return StormReport(

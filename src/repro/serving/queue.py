@@ -15,7 +15,6 @@ from collections import deque
 from typing import List, Optional
 
 from ..errors import AdmissionError, ServingError
-from ..obs.metrics import get_registry
 from .request import ServeHandle, ServeRequest, expiry_ms
 
 __all__ = ["AdmissionQueue"]
@@ -24,8 +23,7 @@ __all__ = ["AdmissionQueue"]
 class AdmissionQueue:
     """Bounded FIFO of :class:`~repro.serving.request.ServeHandle` objects.
 
-    Thread-safe; publishes its depth as the ``serving.queue_depth`` gauge
-    on every mutation so dashboards see backlog without polling.
+    Thread-safe; :attr:`depth` reads the current backlog.
     """
 
     def __init__(self, max_depth: int = 64) -> None:
@@ -36,13 +34,8 @@ class AdmissionQueue:
         self._items: deque = deque()
         #: ids submitted and not yet released: queued, in the batch or backing off
         self._ids: set = set()
-        self._publish()
 
     # ------------------------------------------------------------------
-    def _publish(self) -> None:
-        """Push the current depth to the ``serving.queue_depth`` gauge."""
-        get_registry().gauge("serving.queue_depth").set(len(self._items))
-
     @property
     def depth(self) -> int:
         """Number of requests currently waiting."""
@@ -77,7 +70,6 @@ class AdmissionQueue:
             handle = ServeHandle(request, submitted_ms=now_ms)
             self._items.append(handle)
             self._ids.add(request.request_id)
-            self._publish()
         return handle
 
     def pop_ready(self, k: int) -> List[ServeHandle]:
@@ -86,7 +78,6 @@ class AdmissionQueue:
             return []
         with self._lock:
             taken = [self._items.popleft() for _ in range(min(k, len(self._items)))]
-            self._publish()
         return taken
 
     def requeue(self, handle: ServeHandle) -> None:
@@ -99,7 +90,6 @@ class AdmissionQueue:
         """
         with self._lock:
             self._items.appendleft(handle)
-            self._publish()
 
     def release(self, request_id: str) -> None:
         """Free a resolved request's id for a later :meth:`submit`."""
@@ -130,7 +120,6 @@ class AdmissionQueue:
         with self._lock:
             while len(self._items) > target_depth:
                 shed.append(self._items.pop())
-            self._publish()
         return shed
 
     def expire(self, now_ms: float) -> List[ServeHandle]:
@@ -145,7 +134,6 @@ class AdmissionQueue:
                 else:
                     kept.append(handle)
             self._items = kept
-            self._publish()
         return expired
 
     def __len__(self) -> int:

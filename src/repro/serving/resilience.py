@@ -6,8 +6,8 @@ threshold ``max_queue_ms``); their thresholds are the module constants
 below.  The scheduler in :mod:`repro.serving.scheduler` owns *when* they
 fire.  Everything is deterministic given the retry seed and the request
 stream, which is what lets the chaos harness
-(:mod:`repro.robustness.chaos`) assert exact token-identity and metric
-reconciliation after a fault storm.
+(:mod:`repro.robustness.chaos`) assert exact token-identity and an
+identical replay after a fault storm.
 
 * :func:`retry_backoff_ms` — exponential backoff with deterministic
   per-(request, attempt) jitter, at most :data:`MAX_RETRIES` retries per
@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import hashlib
 from typing import List, Tuple
-
-from ..obs.metrics import get_registry
 
 __all__ = [
     "retry_backoff_ms",
@@ -66,12 +64,6 @@ BREAKER_RECLOSE_ABOVE_ACCEPTANCE = 0.3
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
-
-#: Gauge encoding of breaker states (``resilience.breaker_state``).
-_STATE_GAUGE = {BREAKER_CLOSED: 0, BREAKER_HALF_OPEN: 1, BREAKER_OPEN: 2}
-#: Counter-name suffix per state (dashes are not metric-name friendly).
-_STATE_SUFFIX = {BREAKER_CLOSED: "closed", BREAKER_HALF_OPEN: "half_open",
-                 BREAKER_OPEN: "opened"}
 
 
 def _hash_unit(seed: int, tag: str) -> float:
@@ -107,11 +99,9 @@ class CircuitBreaker:
 
     The scheduler calls :meth:`observe_round` exactly once per round with
     that round's draft/accept/fault totals, and consults
-    :attr:`force_fallback` before stepping sessions.  State changes are
-    published to the *current* metrics registry (gauge
-    ``resilience.breaker_state`` plus ``resilience.breaker_*_total``
-    counters) and recorded on :attr:`transitions` for exact reconciliation
-    by the chaos harness.
+    :attr:`force_fallback` before stepping sessions.  :attr:`state` is
+    the current state, and every change is recorded on :attr:`transitions`
+    (the scheduler reports them as ``ServingReport.breaker_transitions``).
     """
 
     def __init__(self) -> None:
@@ -122,7 +112,6 @@ class CircuitBreaker:
         self._window: List[Tuple[int, int, int]] = []   # (drafted, accepted, faults)
         self._rounds_open = 0
         self._probes: List[Tuple[int, int, int]] = []
-        get_registry().gauge("resilience.breaker_state").set(_STATE_GAUGE[self.state])
 
     @property
     def force_fallback(self) -> bool:
@@ -132,12 +121,6 @@ class CircuitBreaker:
     def _transition(self, new_state: str) -> None:
         old, self.state = self.state, new_state
         self.transitions.append((self.n_rounds, old, new_state))
-        registry = get_registry()
-        registry.gauge("resilience.breaker_state").set(_STATE_GAUGE[new_state])
-        registry.counter("resilience.breaker_transitions_total").inc()
-        registry.counter(
-            f"resilience.breaker_{_STATE_SUFFIX[new_state]}_total"
-        ).inc()
 
     @staticmethod
     def _acceptance(rows: List[Tuple[int, int, int]]) -> Tuple[int, float]:

@@ -63,16 +63,15 @@ queue-time pressure.
 
 Observability
 -------------
-Every round runs inside a ``schedule`` span (feeding the
-``span_ms.schedule`` histogram when tracing is enabled with a registry),
-each phase emits one ``request`` marker span per request it serves
-(tagged with the request id and the phase), and the registry carries
-``serving.queue_depth`` / ``serving.batch_occupancy`` /
-``serving.kv_tokens`` gauges plus
-``serving.requests_*_total`` counters.  Retired sessions fold their
-KV-arena accounting into ``scheduler.memory`` (surfaced as
-``bytes_copied`` / ``arena_grows`` / ``peak_cache_tokens`` on the
-:class:`ServingReport`); see ``docs/performance.md``.
+Every round runs inside a ``schedule`` span (tagged with its
+``batch_size`` and ``kv_tokens``), and each phase emits one ``request``
+marker span per request it serves (tagged with the request id and the
+phase).  The numbers are read from their owners: request counts by
+status and ``n_rounds`` from the :class:`ServingReport`, the backlog from
+``scheduler.queue.depth``.  Retired sessions fold their KV-arena
+accounting into ``scheduler.memory`` (surfaced as ``bytes_copied`` /
+``arena_grows`` / ``peak_cache_tokens`` on the :class:`ServingReport`);
+see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ from ..data.tasks import MultimodalSample
 from ..decoding.metrics import DecodeRecord
 from ..errors import AdmissionError, ServingError
 from ..obs.logsetup import get_logger, log_exception
-from ..obs.metrics import exact_quantile, get_registry
+from ..obs.metrics import exact_quantile
 from ..obs.profile import summarize_latencies
 from ..robustness.faults import is_transient
 from ..utils.timing import SimulatedClock
@@ -280,16 +279,14 @@ class ContinuousBatchingScheduler:
         retry backoff — is refused as a duplicate; the id of a request
         that already finished may be submitted again.
         """
-        handle = self.queue.submit(request, now_ms=self.now_ms)
-        get_registry().counter("serving.requests_submitted_total").inc()
-        return handle
+        return self.queue.submit(request, now_ms=self.now_ms)
 
     def _resolve(self, handle: ServeHandle, status: str, *,
                  record: Optional[DecodeRecord] = None,
                  error: Optional[str] = None,
                  started_ms: Optional[float] = None,
                  first_token_ms: Optional[float] = None) -> None:
-        """Retire a request with a terminal status (updates counters)."""
+        """Retire a request with a terminal status."""
         retry_count = self._retry_attempts.pop(handle.request_id, 0)
         self.queue.release(handle.request_id)
         handle.resolve(ServeResult(
@@ -302,7 +299,6 @@ class ContinuousBatchingScheduler:
             finished_ms=self.now_ms,
         ))
         self._record_latency(handle, record, first_token_ms)
-        get_registry().counter(f"serving.requests_{status}_total").inc()
         if status != STATUS_COMPLETED:
             logger.warning(
                 "request %s retired: %s",
@@ -322,11 +318,9 @@ class ContinuousBatchingScheduler:
         the first; E2E = submit -> retirement.  Every retirement
         contributes E2E; only requests that actually committed tokens
         contribute TTFT (and TPOT needs at least two).  Each sample feeds
-        three sinks: the raw lists digested into the report, registry
-        histograms (``serving.ttft_ms`` / ``serving.tpot_ms`` /
-        ``serving.e2e_ms``), and a zero-duration ``request_latency`` span
-        so exported traces carry per-request latencies for offline
-        ``summarize`` runs.
+        two sinks: the raw lists digested into the report, and a
+        zero-duration ``request_latency`` span so exported traces carry
+        per-request latencies for offline ``summarize`` runs.
         """
         samples: Dict[str, float] = {"e2e_ms": self.now_ms - handle.submitted_ms}
         if first_token_ms is not None and record is not None and record.n_tokens > 0:
@@ -335,10 +329,8 @@ class ContinuousBatchingScheduler:
                 samples["tpot_ms"] = (
                     (self.now_ms - first_token_ms) / (record.n_tokens - 1)
                 )
-        registry = get_registry()
         for metric, value in samples.items():
             self.latency_samples.setdefault(metric, []).append(value)
-            registry.histogram(f"serving.{metric}").observe(value)
         with self.engine.tracer.span("request_latency",
                                      request_id=handle.request_id, **samples):
             pass
@@ -376,9 +368,6 @@ class ContinuousBatchingScheduler:
         self._retry_attempts[handle.request_id] = attempts + 1
         self.n_retries += 1
         self._backoff.append((ready_ms, handle))
-        registry = get_registry()
-        registry.counter("resilience.retries_total").inc()
-        registry.gauge("resilience.pending_retries").set(len(self._backoff))
         log_exception(logger, "request_retry", exc,
                       request_id=handle.request_id,
                       retry_count=attempts + 1,
@@ -396,7 +385,6 @@ class ContinuousBatchingScheduler:
             else:
                 still.append((ready_ms, handle))
         self._backoff = still
-        get_registry().gauge("resilience.pending_retries").set(len(self._backoff))
 
     def _advance_to_next_backoff(self) -> None:
         """Idle-wait (on the simulated clock) for the earliest pending retry.
@@ -423,10 +411,8 @@ class ContinuousBatchingScheduler:
         wait = self.queue.oldest_wait_ms(self.now_ms)
         if wait is None or wait <= max_queue_ms:
             return
-        registry = get_registry()
         for handle in self.queue.shed_newest(self.config.max_queue_depth // 2):
             self.n_shed += 1
-            registry.counter("resilience.requests_shed_total").inc()
             self._resolve(
                 handle, STATUS_REJECTED,
                 error=f"shed under queue pressure (reject-newest, oldest wait {wait:.0f}ms)",
@@ -572,14 +558,9 @@ class ContinuousBatchingScheduler:
             )
         if not reports:
             return
-        kv_tokens = sum(e.session.kv_tokens for e in self._active)
-        span.set_attr("kv_tokens", kv_tokens)
-        get_registry().gauge("serving.kv_tokens").set(kv_tokens)
-
+        span.set_attr("kv_tokens", sum(e.session.kv_tokens for e in self._active))
         span.set_attr("batch_size", len(reports))
-        occupancy = len(reports)
-        self.max_batch_occupancy = max(self.max_batch_occupancy, occupancy)
-        get_registry().gauge("serving.batch_occupancy").set(occupancy)
+        self.max_batch_occupancy = max(self.max_batch_occupancy, len(reports))
 
     def _retire(self) -> None:
         """Resolve finished and deadline-expired sessions (batch keeps going)."""
@@ -640,7 +621,6 @@ class ContinuousBatchingScheduler:
             if self.n_shed > shed_before:
                 span.set_attr("n_shed", self.n_shed - shed_before)
         self.n_rounds += 1
-        get_registry().counter("serving.rounds_total").inc()
         return True
 
     def run_until_idle(self, max_rounds: Optional[int] = None) -> int:
@@ -686,7 +666,7 @@ def serve_requests(
     requests with generated ids.
 
     Pass a fresh ``scheduler`` to inspect its state (clock, memory,
-    breaker, gauges) after the run — ``engine`` and ``config`` are then
+    breaker, queue) after the run — ``engine`` and ``config`` are then
     taken from it and the positional arguments must agree.
     """
     if scheduler is None:
@@ -710,7 +690,6 @@ def serve_requests(
                 error=str(exc),
                 submitted_ms=scheduler.now_ms,
             )
-            get_registry().counter("serving.requests_rejected_total").inc()
     scheduler.run_until_idle()
 
     results = []

@@ -9,11 +9,10 @@ layer that removes both costs:
   Appends memcpy only the new tokens into preallocated slack; truncation
   (draft rollback) is a pointer decrement; reads return **cached
   zero-copy views** that stay identity-stable until the next mutation.
-* :class:`ArenaStats` — per-cache byte/grow/peak accounting, mirrored
-  into the process :class:`~repro.obs.metrics.MetricsRegistry`
-  (``kv_arena.bytes_copied_total``, ``kv_arena.grow_events_total``,
-  ``kv_arena.peak_tokens``) so ``python -m repro.obs summarize`` can show
-  the memory story next to the per-phase wall table.
+* :class:`ArenaStats` — per-cache byte/grow/peak accounting, the one
+  owner of those numbers: the engine stamps them on each ``decode`` span
+  and the serving scheduler sums them into ``ServingReport.bytes_copied``
+  / ``arena_grows`` / ``peak_cache_tokens``.
 
 Growth policy: capacities start at :data:`MIN_CAPACITY` tokens and double
 until they fit the request, so total relocation work over a sequence of
@@ -39,7 +38,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import ShapeError
-from ..obs.metrics import get_registry
 from ..obs.profile import OP_ARENA_COPY, OP_ARENA_VIEW, PROFILER as _PROFILER
 
 __all__ = ["Arena", "ArenaStats", "MIN_CAPACITY", "combined_stats", "total_footprint"]
@@ -55,9 +53,7 @@ class ArenaStats:
     ``bytes_copied`` counts every byte the arenas memcpy'd: the
     unavoidable new-token writes plus the occasional doubling
     relocations.  ``grow_events`` counts buffer reallocations, and
-    ``peak_tokens`` is the longest any arena ever got.  The same three
-    numbers are mirrored into the metrics registry so cross-request
-    aggregates exist without threading stats objects around.
+    ``peak_tokens`` is the longest any arena ever got.
     """
 
     bytes_copied: int = 0
@@ -111,10 +107,7 @@ class Arena:
     reads".
     """
 
-    __slots__ = (
-        "_buf", "_len", "_axis", "_stats", "_view",
-        "_reg", "_ctr_bytes", "_gauge_peak",
-    )
+    __slots__ = ("_buf", "_len", "_axis", "_stats", "_view")
 
     def __init__(
         self,
@@ -132,7 +125,6 @@ class Arena:
         self._axis = axis
         self._stats = stats if stats is not None else ArenaStats()
         self._view: Optional[np.ndarray] = None
-        self._reg = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -154,22 +146,6 @@ class Arena:
         index = [slice(None)] * self._buf.ndim
         index[self._axis] = slice(0, n)
         return tuple(index)
-
-    def _metrics(self):
-        """Cached (bytes counter, peak gauge) handles for the hot append path.
-
-        Appends run per request per layer per round, so re-resolving the
-        metric objects through the registry's name->object map (a lock
-        plus a dict probe each) on every call is measurable.  The cache
-        is keyed on registry identity so ``set_registry`` swaps in tests
-        still take effect.
-        """
-        registry = get_registry()
-        if registry is not self._reg:
-            self._reg = registry
-            self._ctr_bytes = registry.counter("kv_arena.bytes_copied_total")
-            self._gauge_peak = registry.gauge("kv_arena.peak_tokens")
-        return self._ctr_bytes, self._gauge_peak
 
     def view(self) -> np.ndarray:
         """Zero-copy view of the live prefix; cached until a mutation.
@@ -205,12 +181,8 @@ class Arena:
         else:
             fresh[self._slice(self._len)] = live
         self._buf = fresh
-        moved = live.nbytes
-        self._stats.bytes_copied += moved
+        self._stats.bytes_copied += live.nbytes
         self._stats.grow_events += 1
-        registry = get_registry()
-        registry.counter("kv_arena.grow_events_total").inc()
-        registry.counter("kv_arena.bytes_copied_total").inc(moved)
 
     def append(self, array: np.ndarray) -> None:
         """Memcpy ``array`` (same shape off-axis) into preallocated slack."""
@@ -244,10 +216,6 @@ class Arena:
         self._view = None
         self._stats.bytes_copied += array.nbytes
         self._stats.peak_tokens = max(self._stats.peak_tokens, need)
-        ctr_bytes, gauge_peak = self._metrics()
-        ctr_bytes.inc(array.nbytes)
-        if need > gauge_peak.value:
-            gauge_peak.set(need)
 
     def truncate(self, new_len: int) -> None:
         """Drop tokens beyond ``new_len``: a pointer decrement, no copy."""

@@ -1,18 +1,53 @@
 """Metric aggregation tests (omega, alpha, tau, delta)."""
 
+import numpy as np
 import pytest
 
+from repro.core import AASDDraftHead, AASDEngine, AASDEngineConfig, DraftHeadConfig
+from repro.data.tasks import make_dataset
+from repro.decoding import AutoregressiveDecoder, CostModel, get_profile
 from repro.decoding.metrics import BlockRecord, DecodeRecord, aggregate_metrics
 from repro.errors import DecodingError
+from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
+from repro.models.llava import MiniLlava
 
 
 def record(tokens, sim_ms, blocks=(), wall=0.0):
-    return DecodeRecord(
+    rec = DecodeRecord(
         token_ids=list(range(tokens)),
-        sim_time_ms=sim_ms,
         wall_time_s=wall,
         blocks=list(blocks),
     )
+    rec.charge_sim(sim_ms)
+    return rec
+
+
+@pytest.fixture(scope="module")
+def decoded(tokenizer):
+    """Paired AASD / AR records of three samples on tiny random models."""
+    gen = np.random.default_rng(0)
+    vocab = tokenizer.vocab_size
+    target = MiniLlava(
+        LlavaConfig(
+            llama=LlamaConfig(vocab_size=vocab, dim=16, n_layers=1, n_heads=2, mlp_hidden=24),
+            vision=VisionConfig(image_size=48, patch_size=16, dim=8, n_layers=1,
+                                n_heads=2, mlp_hidden=16),
+        ),
+        rng=gen,
+    )
+    head = AASDDraftHead(
+        DraftHeadConfig(
+            vocab_size=vocab, dim=16, n_heads=2, mlp_hidden=24,
+            n_vision_tokens=9, k_compressed=3,
+        ),
+        rng=gen,
+    )
+    cm = CostModel(get_profile("sim-7b"))
+    samples = make_dataset("coco-sim", 3, seed=4).samples
+    engine = AASDEngine(target, head, tokenizer, cm,
+                        AASDEngineConfig(gamma=3, max_new_tokens=10))
+    ar = AutoregressiveDecoder(target, tokenizer, cm, max_new_tokens=10)
+    return [engine.decode(s) for s in samples], [ar.decode(s) for s in samples]
 
 
 class TestBlockRecord:
@@ -90,3 +125,20 @@ class TestAggregate:
     def test_no_blocks_raises(self):
         with pytest.raises(DecodingError):
             aggregate_metrics([record(1, 1.0)], [record(1, 1.0)])
+
+
+class TestSimCategories:
+    def test_sim_categories_cover_total(self, decoded):
+        record = decoded[0][0]
+        assert record.sim_by_category           # categorised charges exist
+        assert sum(record.sim_by_category.values()) == pytest.approx(record.sim_time_ms)
+        assert set(record.sim_by_category) <= {"prefill", "draft", "verify", "fallback"}
+
+    def test_report_surfaces_categories(self, decoded):
+        sd_records, ar_records = decoded
+        report = aggregate_metrics(sd_records, ar_records)
+        assert sum(report.sim_time_by_category.values()) == pytest.approx(
+            sum(r.sim_time_ms for r in sd_records)
+        )
+        assert "draft" in report.sim_time_by_category
+        assert "verify" in report.sim_time_by_category

@@ -14,11 +14,12 @@ from repro.eval.svg import grouped_bar_chart, save_svg
 
 
 def record_with_blocks(blocks):
-    return DecodeRecord(
+    record = DecodeRecord(
         token_ids=[1] * 8,
-        sim_time_ms=10.0,
         blocks=[BlockRecord(n, a, a + 1) for n, a in blocks],
     )
+    record.charge_sim(10.0)
+    return record
 
 
 class TestAcceptanceByPosition:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs.__main__ import main as obs_main
 from repro.obs.exporters import (
     export_chrome,
     export_jsonl,
@@ -86,3 +87,33 @@ class TestFormatSniffing:
         path.write_text("hello world\n")
         with pytest.raises(ConfigError):
             read_trace(path)
+
+    def test_zero_span_exports_read_back_empty(self, tmp_path):
+        empty = Tracer()
+        jsonl = export_jsonl(empty, tmp_path / "empty.jsonl")
+        chrome = export_chrome(empty, tmp_path / "empty.json")
+        assert jsonl.read_text() == ""
+        assert read_trace(jsonl) == []
+        assert read_trace(chrome) == []
+
+
+class TestCliErrors:
+    @pytest.mark.parametrize("command", ["summarize", "flamegraph"])
+    @pytest.mark.parametrize(
+        "trace", ["missing.jsonl", "bad.json", "nokeys.jsonl", "noevent.json", "."])
+    def test_unreadable_trace_is_one_error_line(self, command, trace, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "nokeys.jsonl").write_text('{"span_id": 1}\n')
+        (tmp_path / "noevent.json").write_text('{"traceEvents": [{"ph": "X"}]}')
+        argv = [command, str(tmp_path / trace)]
+        if command == "flamegraph":
+            argv.append(str(tmp_path / "out.collapsed"))
+        assert obs_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_summarize_of_an_empty_trace(self, tmp_path, capsys):
+        path = export_jsonl(Tracer(), tmp_path / "empty.jsonl")
+        assert obs_main(["summarize", str(path)]) == 0
+        assert "0 spans" in capsys.readouterr().out

@@ -12,7 +12,7 @@ from repro.decoding import AutoregressiveDecoder
 from repro.errors import ConfigError
 from repro.nn.tensor import Tensor, matmul_data
 from repro.obs.flamegraph import export_collapsed, fold_spans, read_collapsed
-from repro.obs.metrics import MetricsRegistry, exact_quantile
+from repro.obs.metrics import exact_quantile
 from repro.obs.profile import (
     PROFILER,
     _self_check_phase_sets,
@@ -64,61 +64,6 @@ class TestQuantiles:
             exact_quantile([], 0.5)
         with pytest.raises(ConfigError):
             exact_quantile([1.0], 1.5)
-
-    def test_histogram_quantile_fine_buckets_accurate(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram(
-            "fine", buckets=tuple(float(b) for b in range(0, 1001, 10))
-        )
-        rng = np.random.default_rng(5)
-        values = rng.uniform(0.0, 1000.0, size=2000)
-        for v in values:
-            hist.observe(float(v))
-        for q in (0.5, 0.95, 0.99):
-            exact = float(np.percentile(values, 100 * q))
-            assert hist.quantile(q) == pytest.approx(exact, rel=0.05)
-
-    def test_histogram_quantile_default_ladder_bounded_error(self):
-        # The log ladder steps by at most 2.5x, so an interpolated
-        # estimate is within one bucket ratio of the exact quantile.
-        registry = MetricsRegistry()
-        hist = registry.histogram("coarse")
-        rng = np.random.default_rng(6)
-        values = rng.lognormal(mean=0.0, sigma=1.5, size=1500)
-        for v in values:
-            hist.observe(float(v))
-        for q in (0.5, 0.95, 0.99):
-            exact = float(np.percentile(values, 100 * q))
-            estimate = hist.quantile(q)
-            assert estimate is not None
-            assert exact / 2.5 <= estimate <= exact * 2.5
-            assert hist.min <= estimate <= hist.max
-
-    def test_histogram_quantile_empty_and_snapshot(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("empty")
-        assert hist.quantile(0.5) is None
-        assert hist.snapshot()["p50"] is None
-        hist.observe(3.0)
-        assert hist.snapshot()["p50"] == pytest.approx(3.0)
-
-    def test_default_ladder_resolves_sub_millisecond(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("subms")
-        for v in (0.002, 0.03, 0.4):
-            hist.observe(v)
-        # Three sub-millisecond observations land in three distinct buckets.
-        assert sum(1 for c in hist.bucket_counts if c > 0) == 3
-
-    def test_bucket_override_and_conflict(self):
-        registry = MetricsRegistry()
-        custom = (1.0, 2.0, 4.0)
-        hist = registry.histogram("custom", buckets=custom)
-        assert hist.bounds == custom
-        assert registry.histogram("custom") is hist            # None = keep
-        assert registry.histogram("custom", buckets=custom) is hist
-        with pytest.raises(ConfigError):
-            registry.histogram("custom", buckets=(1.0, 8.0))
 
 
 # ---------------------------------------------------------------------------

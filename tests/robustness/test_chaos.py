@@ -21,7 +21,6 @@ from repro.decoding import CostModel, get_profile
 from repro.errors import ChaosError
 from repro.models.config import LlamaConfig, LlavaConfig, VisionConfig
 from repro.models.llava import MiniLlava
-from repro.obs.metrics import get_registry
 from repro.robustness.chaos import (
     ChaosWorld,
     StormProfile,
@@ -138,12 +137,6 @@ class TestHarnessPlumbing:
         assert first.checkpoint_error is not None
         assert str(tmp_path) not in first.checkpoint_error
         assert first.to_dict() == second.to_dict()
-
-    def test_registry_swap_is_restored(self, chaos_world, tmp_path):
-        before = get_registry()
-        run_storm(default_profiles(quick=True)[0], chaos_world,
-                  work_dir=tmp_path)
-        assert get_registry() is before
 
     def test_corruption_storm_requires_work_dir(self, chaos_world):
         profile = StormProfile(name="corrupt", n_requests=1,

@@ -4,7 +4,7 @@ Unit tests pin the policy state machines in isolation; the integration
 tests drive the continuous-batching scheduler over the tiny world from
 ``conftest`` and check the headline guarantees — retried outputs are
 token-identical to a clean run, a forced-fallback batch stays lossless,
-and every policy action reconciles with the metrics registry.
+and every policy action shows on the report and the breaker that own it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from repro.decoding import LlavaDraft
 from repro.decoding.sampling import SamplerConfig
 from repro.errors import ServingError
-from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.robustness import FaultyDraftHead
 from repro.serving import (
     STATUS_COMPLETED,
@@ -39,15 +38,6 @@ from repro.serving.resilience import (
 )
 
 MAX_NEW_TOKENS = 20   # matches the conftest world
-
-
-@pytest.fixture()
-def registry():
-    """Fresh process registry for exact counter assertions."""
-    fresh = MetricsRegistry()
-    previous = set_registry(fresh)
-    yield fresh
-    set_registry(previous)
 
 
 @pytest.fixture()
@@ -110,7 +100,7 @@ class TestCircuitBreaker:
         assert breaker.state == BREAKER_HALF_OPEN
         return breaker
 
-    def test_opens_on_fault_rate(self, registry):
+    def test_opens_on_fault_rate(self):
         breaker = CircuitBreaker()
         for row in OPENING_ROUNDS[:-1]:
             breaker.observe_round(*row)
@@ -119,20 +109,20 @@ class TestCircuitBreaker:
         assert breaker.state == BREAKER_OPEN
         assert breaker.force_fallback
 
-    def test_opens_on_low_acceptance_once_enough_drafted(self, registry):
+    def test_opens_on_low_acceptance_once_enough_drafted(self):
         # 4 rounds x 4 drafted = the 16-token minimum, acceptance 2/16 < 0.15
         breaker = CircuitBreaker()
         for accepted in (1, 1, 0, 0):
             breaker.observe_round(n_drafted=4, n_accepted=accepted, n_faults=0)
         assert breaker.state == BREAKER_OPEN
 
-    def test_low_acceptance_needs_min_drafted(self, registry):
+    def test_low_acceptance_needs_min_drafted(self):
         breaker = CircuitBreaker()
         for _ in range(6):                        # 12 drafted per window < 16
             breaker.observe_round(n_drafted=3, n_accepted=0, n_faults=0)
         assert breaker.state == BREAKER_CLOSED
 
-    def test_cooldown_then_half_open_then_reclose(self, registry):
+    def test_cooldown_then_half_open_then_reclose(self):
         breaker = self._open_breaker()
         breaker.observe_round(0, 0, 0)            # cooldown round 1
         breaker.observe_round(0, 0, 0)            # cooldown round 2
@@ -152,12 +142,12 @@ class TestCircuitBreaker:
             (BREAKER_HALF_OPEN, BREAKER_CLOSED),
         ]
 
-    def test_probe_fault_reopens_immediately(self, registry):
+    def test_probe_fault_reopens_immediately(self):
         breaker = self._half_open_breaker()
         breaker.observe_round(4, 4, 1)            # probe faults
         assert breaker.state == BREAKER_OPEN
 
-    def test_weak_probes_reopen_with_hysteresis(self, registry):
+    def test_weak_probes_reopen_with_hysteresis(self):
         # acceptance 5/20 = 0.25 clears the open bar (0.15) but not the
         # re-close bar (0.3): hysteresis keeps the breaker open.
         breaker = self._half_open_breaker()
@@ -165,14 +155,15 @@ class TestCircuitBreaker:
         breaker.observe_round(10, 3, 0)
         assert breaker.state == BREAKER_OPEN
 
-    def test_transitions_publish_to_registry(self, registry):
+    def test_transitions_are_recorded(self):
         breaker = CircuitBreaker()
-        assert registry.get("resilience.breaker_state").value == 0
+        assert breaker.state == BREAKER_CLOSED and breaker.transitions == []
         for row in OPENING_ROUNDS:
             breaker.observe_round(*row)
-        assert registry.get("resilience.breaker_state").value == 2
-        assert registry.get("resilience.breaker_transitions_total").value == 1
-        assert registry.get("resilience.breaker_opened_total").value == 1
+        assert breaker.state == BREAKER_OPEN
+        assert breaker.transitions == [
+            (len(OPENING_ROUNDS), BREAKER_CLOSED, BREAKER_OPEN)
+        ]
 
 
 class TestShedConfig:
@@ -234,7 +225,7 @@ def _resilient_config(**overrides):
 
 class TestRetryIntegration:
     def test_transient_fault_retried_token_identical(
-            self, world, make_engine, sequential_records, registry):
+            self, world, make_engine, sequential_records):
         # Every request crashes its draft once (at request-local step 2);
         # the retry must complete it with the clean run's exact tokens.
         head = FaultyDraftHead(world["head"], mode="raise", transient=True,
@@ -248,8 +239,7 @@ class TestRetryIntegration:
         assert report.n_retries == len(samples)
         for result, solo in zip(report.results, sequential_records):
             assert result.record.token_ids == solo.token_ids, result.request_id
-        assert registry.get("resilience.retries_total").value == report.n_retries
-        assert registry.get("resilience.pending_retries").value == 0
+        assert scheduler.idle                     # no retry left backing off
 
     def test_sampled_retry_replays_clean_run_and_spares_batch_mates(
             self, world, make_engine):
@@ -340,7 +330,7 @@ class TestRetryIntegration:
 
 class TestBreakerIntegration:
     def test_breaker_opens_and_batch_stays_lossless(
-            self, world, make_engine, sequential_records, registry):
+            self, world, make_engine, sequential_records):
         # Every draft step spikes; the engine absorbs each fault in place
         # (fallback_on_fault) while the breaker learns speculation is
         # useless and flips the batch target-only.  Degraded decoding is
@@ -359,20 +349,19 @@ class TestBreakerIntegration:
         assert report.breaker_transitions
         first = report.breaker_transitions[0]
         assert (first[1], first[2]) == (BREAKER_CLOSED, BREAKER_OPEN)
-        # exact reconciliation with the registry
-        assert (registry.get("resilience.breaker_transitions_total").value
-                == len(report.breaker_transitions))
+        assert scheduler.breaker.state == report.breaker_transitions[-1][2]
 
-    def test_healthy_run_never_transitions(self, world, make_engine, registry):
+    def test_healthy_run_never_transitions(self, world, make_engine):
         # The untrained head's acceptance is naturally low enough to open
         # the breaker; the target drafting for itself accepts every token,
         # so a fault-free run of it is healthy on both open bars.
         engine = make_engine(head=LlavaDraft(world["target"], "self-draft"))
-        config = _resilient_config(retry=False, breaker=True)
-        report = serve_requests(engine, world["samples"][:3], config)
+        scheduler = ContinuousBatchingScheduler(
+            engine, _resilient_config(retry=False, breaker=True))
+        report = serve_requests(engine, world["samples"][:3], scheduler=scheduler)
         assert report.count(STATUS_COMPLETED) == 3
         assert report.breaker_transitions == ()
-        assert registry.get("resilience.breaker_state").value == 0
+        assert scheduler.breaker.state == BREAKER_CLOSED
 
 
 class TestShedIntegration:
