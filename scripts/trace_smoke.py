@@ -10,7 +10,10 @@ Inspect with ``python -m repro.obs summarize <out>/trace.jsonl`` or load
 
 Exits 1 when a ``draft`` span reports a block deeper than the token budget
 can commit: the prefill commits the first token, so no block may draft
-past ``max(1, min(gamma, max_new_tokens - 2))``.
+past ``max(1, min(gamma, max_new_tokens - 2))``.  Exits 1 as well when a
+chain block whose accepted drafts include eos drafted any node past it:
+the draft walk ends at a drafted eos, as nothing after it can be
+committed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,25 @@ from repro.obs import (
 from repro.zoo import ModelZoo, PROFILE_SMOKE
 
 logger = get_logger("repro.scripts.trace_smoke")
+
+
+def drafted_past_eos(record, eos: int) -> int:
+    """Nodes a chain decode drafted past an accepted eos (0 when none).
+
+    The prefill commits the first token and each verified block its
+    accepted drafts and the target's token, cut at eos; a fault's
+    fallback steps cannot be placed among the blocks, so a record with
+    any is not read.
+    """
+    if record.n_fallback_steps:
+        return 0
+    start = 1
+    for block in record.blocks:
+        accepted = record.token_ids[start:start + block.n_accepted]
+        if eos in accepted:
+            return block.n_draft - accepted.index(eos) - 1
+        start += block.n_emitted
+    return 0
 
 
 def main() -> None:
@@ -58,8 +80,11 @@ def main() -> None:
     samples = zoo.eval_dataset("coco-sim", args.samples)
 
     tracer = enable_tracing()
+    eos = zoo.tokenizer().vocab.eos_id
+    past_eos = []
     for sample in samples:
         record = engine.decode(sample)
+        past_eos.append(drafted_past_eos(record, eos))
         logger.info(
             "decoded sample",
             extra={"event": "smoke_decode", "n_tokens": record.n_tokens,
@@ -77,6 +102,9 @@ def main() -> None:
                 if span.name == "draft" and span.attrs["gamma"] > deepest]
     if too_deep:
         logger.error("%d draft spans deeper than %d: %s", len(too_deep), deepest, too_deep)
+    if any(past_eos):
+        logger.error("nodes drafted past an accepted eos, per sample: %s", past_eos)
+    if too_deep or any(past_eos):
         raise SystemExit(1)
 
 

@@ -374,11 +374,15 @@ class AASDDraftHead(Module, Drafter):
         return blocks
 
     def draft_tree(self, token_id: int, position: int, hybrid: HybridKVCache, *,
-                   gamma: int, max_branch: int = 2, max_nodes: int = 12,
-                   entropy_scale: float = 1.0, request_id: Optional[str] = None) -> TreeDraft:
-        """One session's greedy tree alone: the engine's lockstep :class:`DraftWalk`, one :meth:`step` each."""
-        walk = DraftWalk(token_id, gamma, max_branch=max_branch, max_nodes=max_nodes,
-                         entropy_scale=entropy_scale)
+                   gamma: int, eos: Optional[int] = None, max_branch: int = 2,
+                   max_nodes: int = 12, entropy_scale: float = 1.0,
+                   request_id: Optional[str] = None) -> TreeDraft:
+        """One session's greedy tree alone: the engine's lockstep :class:`DraftWalk`, one :meth:`step` each.
+
+        ``eos`` ends the walk where it is drafted, as the engine's walk does.
+        """
+        walk = DraftWalk(token_id, gamma, eos=eos, max_branch=max_branch,
+                         max_nodes=max_nodes, entropy_scale=entropy_scale)
         while walk.pending is not None:
             token, depth, ancestors = walk.pending
             logits = self.step(token, position + depth, hybrid, request_id, ancestors)

@@ -653,8 +653,9 @@ class AASDEngine(Decoder):
            :attr:`tree_ready` a candidate tree; the chain is the width-1
            tree) no deeper than the session's budget can commit
            (:meth:`_open_block`: ``max(1, min(gamma, remaining - 1))``;
-           the span's ``gamma`` is the round's deepest such depth), and
-           the walks grow in lockstep: one
+           the span's ``gamma`` is the round's deepest such depth) and
+           ending at a drafted eos, past which nothing could be
+           committed; the walks grow in lockstep: one
            ``step_packed`` call per expansion index (for the AASD head
            one ``(B, 1, D)`` kernel set), each row attending its node's
            root path, rows dropping out as their walk completes or a
@@ -832,15 +833,17 @@ class AASDEngine(Decoder):
         commits at most its accepted path plus one target token, so a
         deeper node could never be committed.  A chain's node budget is
         that depth; a tree keeps ``tree_max_nodes`` and is cut in depth
-        only.  The verify feed is ``[last, *drafted]``, so its rows shrink
-        with the block.
+        only.  The walk also stops at the session's ``eos``: a drafted eos
+        is the block's last node, as nothing after it could be committed.
+        The verify feed is ``[last, *drafted]``, so its rows shrink with
+        the block.
         """
         cfg = self.config
         committed = session.committed
         last = committed[-1]
         depth = max(1, min(session.gamma, session.max_new_tokens - len(committed) - 1))
         walk = DraftWalk(
-            last, depth, max_branch=cfg.tree_max_branch if tree else 1,
+            last, depth, eos=session.eos, max_branch=cfg.tree_max_branch if tree else 1,
             max_nodes=cfg.tree_max_nodes if tree else depth,
             entropy_scale=cfg.tree_entropy_scale,
             config=self.sampler.config, rng=session.rng,

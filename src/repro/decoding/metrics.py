@@ -28,9 +28,9 @@ logger = get_logger(__name__)
 class BlockRecord:
     """One draft-then-verify round."""
 
-    n_draft: int       # gamma tokens proposed
+    n_draft: int       # nodes drafted (a chain: to its depth, or to a drafted eos)
     n_accepted: int    # of those, how many the target accepted
-    n_emitted: int     # tokens committed this round (accepted + 1)
+    n_emitted: int     # accepted + 1, before the commit's eos / budget cut
 
     def __post_init__(self) -> None:
         if not 0 <= self.n_accepted <= self.n_draft:

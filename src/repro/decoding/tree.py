@@ -17,6 +17,14 @@ replacement* from ``q = logits_to_probs(logits, config)``, and ``q`` is
 recorded per expansion (:attr:`DraftWalk.probs`); at ``w = 1`` that is one
 ``rng.choice`` from ``q``.
 
+**Drafting stops at eos.**  A :class:`DraftWalk` is done the moment it
+creates an eos node: that node is never expanded and nothing after it
+is drafted, so a chain ends at its eos and a tree is whatever was
+drafted before it.  A node below or after an eos could never be
+committed — the accept walk reaches a node only through its accepted
+ancestors, and the commit cuts at the first eos — so neither a draft
+forward nor a verify row is spent on one.
+
 **The walk** (:func:`speculative_verify`).  Start at the anchor with ``p``
 the target's distribution there.  Try the children in draft order: accept
 child ``c`` with probability ``min(1, p(c) / q(c))`` and descend into it.
@@ -121,18 +129,31 @@ class DraftWalk:
     ``max(max_nodes, gamma)``.  ``gamma`` is the block's depth, at least
     1 (:class:`~repro.errors.DecodingError` otherwise); the engine passes
     the session's speculation depth capped at what its token budget can
-    still commit.  The defaults draft the greedy ``gamma``-chain.  The
-    caller runs each expansion, so many walks can share one packed
-    forward per expansion index while each keeps its own order.
+    still commit.
+
+    Drafting stops at ``eos``: creating an ``eos`` node completes the
+    walk.  That node is never expanded and no further node is created
+    or expanded, so a chain ends at its ``eos`` and a tree is what was
+    drafted up to it.  Nothing below or after an ``eos`` could be
+    committed (the commit cuts at the first ``eos``), so this spends no
+    draft forward or verify row on it.  Under sampling the walk stops on
+    draws already made (siblings drawn beside the ``eos`` and not yet
+    created are dropped), so every try of the accept walk is still an
+    exact speculative-sampling step.  ``eos=None`` never stops early.
+
+    The defaults draft the greedy ``gamma``-chain.  The caller runs each
+    expansion, so many walks can share one packed forward per expansion
+    index while each keeps its own order.
     """
 
-    def __init__(self, anchor: int, gamma: int, *, max_branch: int = 1,
-                 max_nodes: int = 0, entropy_scale: float = 1.0,
+    def __init__(self, anchor: int, gamma: int, *, eos: Optional[int] = None,
+                 max_branch: int = 1, max_nodes: int = 0, entropy_scale: float = 1.0,
                  config: SamplerConfig = _GREEDY,
                  rng: Optional[np.random.Generator] = None) -> None:
         if gamma < 1:
             raise DecodingError(f"a draft walk needs gamma >= 1, got {gamma}")
         self.gamma, self.budget = gamma, max(int(max_nodes), int(gamma))
+        self.eos = eos
         self.max_branch, self.entropy_scale = max_branch, entropy_scale
         self.config, self.rng = config, rng
         #: under sampling, the draft distribution of each expansion, in order
@@ -174,6 +195,9 @@ class DraftWalk:
                 continue
             self._node = len(nodes)
             nodes.append((int(child), parent, depth + 1))
+            if int(child) == self.eos:   # the response ends here, and so does the walk
+                self._stack.clear()
+                break
             if depth + 1 < self.gamma and len(nodes) < self.budget:
                 self.pending = (int(child), depth + 1, ancestors)
         if self.pending is None:

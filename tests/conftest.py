@@ -133,6 +133,51 @@ def exact_law(run) -> Law:
     return law
 
 
+class EosAtDepth:
+    """A drafter that drafts eos at one depth: the head with eos's logit raised.
+
+    Every draft step feeding a node at depth ``depth - 1`` (the root path
+    in ``ancestor_rows`` has that many rows) returns the head's logits
+    with eos moved to rank ``rank`` among them: the argmax at rank 0,
+    halfway between the first and the second at rank 1.  Everything else
+    is the wrapped head's; ``rows`` counts the draft forwards served.  It
+    keeps that count, so build one per decode (or per replay).
+    """
+
+    def __init__(self, head, eos, depth, rank=0):
+        self._head, self.eos, self.depth, self.rank = head, eos, depth, rank
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self._head, name)
+
+    def _raised(self, logits, ancestors):
+        self.rows += 1
+        if isinstance(logits, Exception) or len(ancestors) != self.depth - 1:
+            return logits
+        out = np.array(logits, dtype=np.float64)
+        others = np.sort(np.delete(out, self.eos))[::-1]
+        out[self.eos] = others[0] + 1.0 if self.rank == 0 else (others[0] + others[1]) / 2
+        return out
+
+    def step(self, token_id, position, hybrid, request_id=None, ancestor_rows=None):
+        logits = self._head.step(token_id, position, hybrid, request_id, ancestor_rows)
+        return self._raised(logits, ancestor_rows)
+
+    def step_packed(self, token_ids, positions, hybrids, request_ids=None,
+                    ancestor_rows=None):
+        rows = self._head.step_packed(token_ids, positions, hybrids, request_ids,
+                                      ancestor_rows)
+        return [self._raised(logits, ancestors)
+                for logits, ancestors in zip(rows, ancestor_rows)]
+
+
+@pytest.fixture(scope="session")
+def eos_at_depth():
+    """:class:`EosAtDepth`, for tests that make the draft walk meet eos."""
+    return EosAtDepth
+
+
 @pytest.fixture(scope="session")
 def exact():
     """:func:`exact_law`, for tests that prove a law by enumeration."""

@@ -12,7 +12,9 @@ bounds the branching; ``K`` is 3 solo and 2 for the packed pair, whose
 joint law must be the product of the two solo laws.  A block drafts at
 most the tokens its budget can still commit after the target's own, so
 at ``K = 3`` every block is one node deep; ``K = 4`` opens with a block
-drafted to its full ``gamma = 2``, chain and tree.
+drafted to its full ``gamma = 2``, chain and tree, and runs them again
+with eos second in the draft's top-2 (``eos_at_depth``), so a walk that
+draws eos ends on it.
 
 The engine isolates a draft's exceptions as draft faults, which could
 turn a harness error into a quiet fault-path run, so every replay also
@@ -143,6 +145,29 @@ def test_full_depth_blocks_keep_the_targets_law(engine_law, target_law, monkeypa
     assert max(depths) == config.gamma
 
 
+@pytest.mark.parametrize("config", [CHAIN, TREE], ids=["chain", "tree"])
+def test_a_drafted_eos_keeps_the_targets_law(engine_law, target_law, parts, eos_at_depth,
+                                             monkeypatch, config):
+    """eos second in the draft's top-2 at depth 1: a first block (drafted to
+    depth 2) whose first draw is eos is that one node, unexpanded, and a
+    tree's other child is never created."""
+    eos, honest, first = parts["tokenizer"].vocab.eos_id, engine_mod.speculative_verify, []
+
+    def head():   # one per replay: its first verify is the replay's first block
+        first.append(None)
+        return eos_at_depth(parts["head"], eos, 1, rank=1)
+
+    def watched(tree, *args):
+        if first[-1] is None:
+            first[-1] = tree
+        return honest(tree, *args)
+
+    monkeypatch.setattr(engine_mod, "speculative_verify", watched)
+    law = engine_law(dataclasses.replace(config, max_new_tokens=K + 1), head=head)
+    assert target_law(0, K + 1).distance(_solo(law)) <= 1e-12
+    assert (eos,) in [tree.tokens for tree in first], "no first block drew eos first"
+
+
 def test_independent_draft_law_is_the_targets(engine_law, target_law, parts):
     law = engine_law(CHAIN, head=lambda: parts["baseline"])
     assert target_law(0).distance(_solo(law)) <= 1e-12
@@ -169,9 +194,13 @@ def test_packed_joint_law_is_the_product_of_the_targets(engine_law, target_law):
     assert law.distance(product) <= 1e-12
 
 
-@pytest.mark.parametrize("config", [CHAIN, TREE], ids=["chain", "tree"])
-def test_the_check_sees_a_biased_accept_rule(engine_law, target_law, monkeypatch, config):
-    """Power: a rule that keeps the first branch to its leaf misses, deterministically."""
+@pytest.mark.parametrize("config,eos_drafted",
+                         [(CHAIN, False), (TREE, False), (CHAIN, True), (TREE, True)],
+                         ids=["chain", "tree", "chain-eos", "tree-eos"])
+def test_the_check_sees_a_biased_accept_rule(engine_law, target_law, parts, eos_at_depth,
+                                             monkeypatch, config, eos_drafted):
+    """Power: a rule that keeps the first branch to its leaf misses, deterministically,
+    also when the walks end at a drafted eos."""
     honest = engine_mod.speculative_verify
 
     def accept_everything(tree, draft_probs, target_logits, config, rng):
@@ -184,7 +213,10 @@ def test_the_check_sees_a_biased_accept_rule(engine_law, target_law, monkeypatch
                              True, path)
 
     monkeypatch.setattr(engine_mod, "speculative_verify", accept_everything)
-    assert target_law(0).distance(_solo(engine_law(config))) > 1e-3
+    eos = parts["tokenizer"].vocab.eos_id
+    head = ((lambda: eos_at_depth(parts["head"], eos, 1, rank=1)) if eos_drafted
+            else (lambda: parts["head"]))
+    assert target_law(0).distance(_solo(engine_law(config, head=head))) > 1e-3
 
 
 def test_a_wrapper_that_is_not_rebuilt_breaks_the_replay(engine_law, parts):

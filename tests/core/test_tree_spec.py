@@ -382,7 +382,8 @@ class TestLockstepDraftLane:
             with no_grad():
                 spec = head.draft_tree(
                     solo.committed[-1], solo.gen_base + len(solo.committed) - 1,
-                    solo.draft_state, gamma=cfg.gamma, max_branch=cfg.tree_max_branch,
+                    solo.draft_state, gamma=cfg.gamma, eos=solo.eos,
+                    max_branch=cfg.tree_max_branch,
                     max_nodes=cfg.tree_max_nodes, entropy_scale=cfg.tree_entropy_scale,
                 )
             assert tree == spec
@@ -409,30 +410,74 @@ class TestLockstepDraftLane:
         assert one_row == [(kv,) for row in by_expansion for kv in row]
 
 
+def _decode_drafting_trees(engine, samples, monkeypatch):
+    """Decode each sample; check per decode that its blocks were trees.
+
+    A block whose walk drew eos counts neither way: the walk stops at a
+    drafted eos, so a tree can end as a chain.  Every other block counts,
+    and every decode with one must have verified a block that is not a
+    chain.  A decode whose every block drew eos shows nothing, and at most
+    one decode may show nothing, so the check cannot pass on such decodes
+    alone.
+    """
+    eos = engine.tokenizer.vocab.eos_id
+    trees = []
+    monkeypatch.setattr(engine_mod, "speculative_verify",
+                        lambda tree, *a: trees.append(tree) or speculative_verify(tree, *a))
+    records, checked = [], 0
+    for sample in samples:
+        trees.clear()
+        records.append(engine.decode(sample))
+        counted = [tree for tree in trees if eos not in tree.tokens]
+        if counted:
+            checked += 1
+            assert not all(tree.is_chain for tree in counted), "no block was a tree"
+    assert checked >= len(samples) - 1, "more than one decode drew eos in every block"
+    return records
+
+
 class TestTreeGate:
     def test_ready_when_greedy_and_supported(self, world):
         assert _tree_engine(world).tree_ready
         assert not _engine(world).tree_ready    # tree_speculation off
 
-    def test_sampled_engine_drafts_trees(self, world):
+    def test_sampled_engine_drafts_trees(self, world, monkeypatch):
         engine = _tree_engine(world, sampler_config=SAMPLED)
         assert engine.tree_ready
         vocab = world["tokenizer"].vocab_size
-        for sample in world["samples"]:
-            record = engine.decode(sample)
-            assert all(0 <= t < vocab for t in record.token_ids)
-            assert any(b.n_draft > engine.config.gamma for b in record.blocks)
+        records = _decode_drafting_trees(engine, world["samples"], monkeypatch)
+        assert all(0 <= t < vocab for r in records for t in r.token_ids)
 
-    def test_faulty_wrapper_drafts_sampled_trees(self, world):
+    def test_faulty_wrapper_drafts_sampled_trees(self, world, monkeypatch):
         wrapped = FaultyDraftHead(world["head"], mode="nan-logits", fail_every=7)
         engine = _tree_engine(world, head=wrapped, sampler_config=SAMPLED)
-        records = [engine.decode(sample) for sample in world["samples"]]
+        steps, decode = [], engine.decode
+
+        def counted(sample):
+            before = wrapped.n_steps
+            record = decode(sample)
+            steps.append(wrapped.n_steps - before)
+            return record
+
+        monkeypatch.setattr(engine, "decode", counted)
+        records = _decode_drafting_trees(engine, world["samples"], monkeypatch)
         eos = world["tokenizer"].vocab.eos_id
         # every decode completes: at its budget or at eos
         assert all(len(r.token_ids) == MAX_NEW_TOKENS or r.token_ids[-1] == eos
                    for r in records)
-        assert all(r.n_draft_faults > 0 for r in records)
-        assert any(b.n_draft > engine.config.gamma for r in records for b in r.blocks)
+        # every 7th draft step faults, so each decode that drafted 7 steps saw one
+        long = [r for r, n in zip(records, steps) if n >= wrapped.fail_every]
+        assert len(long) >= len(records) - 1
+        assert all(r.n_draft_faults > 0 for r in long)
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["plain", "faulty"])
+    def test_the_tree_check_sees_chains(self, world, monkeypatch, faulty):
+        """Power: with trees cut to chains the per-decode check fails."""
+        head = (FaultyDraftHead(world["head"], mode="nan-logits", fail_every=7)
+                if faulty else world["head"])
+        engine = _tree_engine(world, head=head, sampler_config=SAMPLED, tree_max_branch=1)
+        with pytest.raises(AssertionError, match="no block was a tree"):
+            _decode_drafting_trees(engine, world["samples"], monkeypatch)
 
     def test_faulty_wrapper_drafts_trees(self, world):
         ar = AutoregressiveDecoder(
