@@ -1,10 +1,11 @@
 """``repro.analysis`` — AST-based invariant linter for this codebase.
 
-The repo's architectural invariants (layering direction, seeded-RNG
-determinism, zero-copy hot paths, view read-only-ness, exception and lock
-discipline) exist only as convention without enforcement; this package
-makes them an executable CI gate.  It is pure stdlib (``ast`` + ``json``)
-so it runs on any tree without importing the code under analysis.
+The repo's architectural invariants (layering direction, one thread,
+seeded-RNG determinism, zero-copy hot paths, view read-only-ness,
+exception discipline) exist only as convention without enforcement;
+this package makes them an executable CI gate.  It is pure stdlib
+(``ast`` + ``json``) so it runs on any tree without importing the code
+under analysis.
 
 Pieces:
 
@@ -13,7 +14,7 @@ Pieces:
 * :mod:`~repro.analysis.project` — parsed modules + resolved import graph;
 * :mod:`~repro.analysis.callgraph` / :mod:`~repro.analysis.dataflow` —
   the whole-program engines the rules' n-hop checks run on;
-* :mod:`~repro.analysis.rules` — the six repo-specific rules, one per
+* :mod:`~repro.analysis.rules` — the five repo-specific rules, one per
   invariant;
 * :mod:`~repro.analysis.suppressions` — justified inline
   ``# repro: allow[rule] -- reason`` comments, the only suppression;

@@ -1,10 +1,9 @@
 """Whole-program call graph over a parsed :class:`~repro.analysis.project.Project`.
 
-This module is the spine of the interprocedural checks (``locks``,
-``determinism``, ``hotpath``): it turns the per-module ASTs into a
-project-wide symbol table (every function, method, and class under a
-stable qualified name), resolves call sites to their targets, and answers
-reachability queries.
+This module is the spine of the interprocedural checks (``determinism``,
+``hotpath``): it turns the per-module ASTs into a project-wide symbol
+table (every function, method, and class under a stable qualified name),
+resolves call sites to their targets, and answers reachability queries.
 
 Resolution is deliberately *static and conservative* — no code is ever
 imported or executed:
@@ -21,7 +20,7 @@ imported or executed:
   pick up types from annotations and constructor assignments, and chained
   calls follow return-type annotations (``get_registry().gauge(n).set(v)``);
 * property accesses (``queue.depth``) produce call edges to the getter,
-  because evaluating a property *does* run its body (and may take locks);
+  because evaluating a property *does* run its body (and may allocate);
 * decorators are transparent: a decorated function keeps its name and its
   edges, and ``super().m()`` resolves through the base-class list.
 

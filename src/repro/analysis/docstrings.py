@@ -38,7 +38,6 @@ TARGETS = (
     "src/repro/analysis/dataflow.py",
     "src/repro/analysis/suppressions.py",
     "src/repro/analysis/rules/hotpath.py",
-    "src/repro/analysis/rules/locks.py",
     "src/repro/analysis/rules/views.py",
     "src/repro/analysis/rules/determinism.py",
 )
@@ -52,7 +51,6 @@ STRICT = {
     "src/repro/analysis/dataflow.py": 1.0,
     "src/repro/analysis/suppressions.py": 1.0,
     "src/repro/analysis/rules/hotpath.py": 1.0,
-    "src/repro/analysis/rules/locks.py": 1.0,
     "src/repro/analysis/rules/views.py": 1.0,
     "src/repro/analysis/rules/determinism.py": 1.0,
 }

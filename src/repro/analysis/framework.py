@@ -3,10 +3,11 @@
 A rule is a small class with a unique ``rule_id`` and one or both hooks:
 
 * :meth:`Rule.check_module` — called once per parsed module (AST-local
-  checks: views, except-discipline, determinism's zero-hop case);
+  checks: views, except-discipline, determinism's zero-hop case,
+  layering's thread-import clause);
 * :meth:`Rule.check_project` — called once with the whole
   :class:`~repro.analysis.project.Project` (graph checks: layering,
-  locks, hotpath, determinism's n-hop case).
+  hotpath, determinism's n-hop case).
 
 Registering is one decorator::
 

@@ -6,7 +6,8 @@ finding is its zero-hop case:
 
 ===================== =======================================================
 ``layering``          import direction follows the architecture's layer
-                      contract; module import graph is acyclic
+                      contract; module import graph is acyclic; no
+                      threading / _thread / concurrent.futures import
 ``determinism``       no global np.random state, stdlib random, or
                       wall-clock seeds; no unseeded RNG / wall-clock / env
                       value flows into a decode rng/seed slot
@@ -16,8 +17,6 @@ finding is its zero-hop case:
                       returned, stored or captured past a mutation
 ``except-discipline`` no bare except; broad handlers log structurally or
                       re-raise; CheckpointError is never swallowed
-``locks``             guarded state is written with self._lock held on every
-                      call path; no re-acquisition; one global lock order
 ===================== =======================================================
 """
 
@@ -25,7 +24,6 @@ from .determinism import DeterminismRule
 from .exceptions import ExceptionDisciplineRule
 from .hotpath import HotPathRule
 from .layering import LayeringRule
-from .locks import LockRule
 from .views import ViewRule
 
 __all__ = [
@@ -33,6 +31,5 @@ __all__ = [
     "ExceptionDisciplineRule",
     "HotPathRule",
     "LayeringRule",
-    "LockRule",
     "ViewRule",
 ]

@@ -8,6 +8,11 @@ point *sideways or down*, and the module-level import graph must be
 acyclic (same-layer imports are legal exactly because cycles are rejected
 at module granularity).
 
+One clause guards the single-thread contract (``docs/serving.md``): one
+thread drives the scheduler, queue, tracer and profiler, so they take no
+locks, and no module inside the contract may import ``threading``,
+``_thread`` or ``concurrent.futures`` — at load time or lazily.
+
 The default contract, bottom to top:
 
 * layer 0 — **foundation**: ``errors``, ``version``, ``obs``, ``nn``,
@@ -25,11 +30,12 @@ The default contract, bottom to top:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import ast
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..findings import Finding
 from ..framework import Rule, register
-from ..project import Project
+from ..project import ModuleInfo, Project
 
 __all__ = ["LayeringRule", "DEFAULT_LAYERS"]
 
@@ -45,6 +51,18 @@ DEFAULT_LAYERS: Sequence[Tuple[str, Set[str]]] = (
 #: Top-level package whose children the layer keys name.
 ROOT_PACKAGE = "repro"
 
+#: Modules that start or synchronise threads; nothing in the contract imports them.
+THREAD_MODULES = ("threading", "_thread", "concurrent.futures")
+
+
+def _imported_modules(node: ast.AST) -> List[str]:
+    """Dotted names an import statement binds (``from a import b`` gives a, a.b)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
 
 @register
 class LayeringRule(Rule):
@@ -53,7 +71,8 @@ class LayeringRule(Rule):
     rule_id = "layering"
     description = (
         "module imports must point sideways or down the declared layer "
-        "contract, and the module import graph must be acyclic"
+        "contract, the module import graph must be acyclic, and no module "
+        "imports threading, _thread or concurrent.futures"
     )
     fix_hint = (
         "invert the dependency (emit through a callback / move shared code "
@@ -79,6 +98,22 @@ class LayeringRule(Rule):
         else:
             key = parts[0]
         return self._index.get(key)
+
+    def check_module(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
+        """Every import of a thread module by a module inside the contract."""
+        if self._layer_of(module.name) is None:
+            return
+        for node in ast.walk(module.tree):
+            for name in _imported_modules(node):
+                if any(name == m or name.startswith(m + ".") for m in THREAD_MODULES):
+                    yield self.finding(
+                        module, node.lineno,
+                        f"thread import: {module.name} imports {name}; one "
+                        "thread drives the pipeline (docs/serving.md)",
+                        fix_hint="keep the work on the driving thread; a second "
+                                 "thread would need every lock this contract removed",
+                    )
+                    break
 
     def check_project(self, project: Project):
         findings: List[Finding] = []

@@ -53,8 +53,6 @@ def export_jsonl(source: Union[Tracer, Iterable[SpanRecord]], path: PathLike) ->
                 "parent_id": span.parent_id,
                 "start_s": span.start_s,
                 "end_s": span.end_s,
-                "thread_id": span.thread_id,
-                "thread_name": span.thread_name,
                 "attrs": span.attrs,
             }, sort_keys=True))
             fh.write("\n")
@@ -74,8 +72,6 @@ def read_jsonl(path: PathLike) -> List[SpanRecord]:
                 parent_id=None if obj.get("parent_id") is None else int(obj["parent_id"]),
                 start_s=float(obj["start_s"]),
                 end_s=float(obj["end_s"]),
-                thread_id=int(obj.get("thread_id", 0)),
-                thread_name=str(obj.get("thread_name", "")),
                 attrs=dict(obj.get("attrs", {})),
             ))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -107,7 +103,7 @@ def export_chrome(source: Union[Tracer, Iterable[SpanRecord]], path: PathLike,
             "ts": (span.start_s - origin) * 1e6,     # microseconds
             "dur": span.duration_s * 1e6,
             "pid": pid,
-            "tid": span.thread_id,
+            "tid": 1,                                # one thread drives every span
             "args": args,
         })
     payload = {
@@ -145,8 +141,6 @@ def read_chrome(path: PathLike) -> List[SpanRecord]:
                 parent_id=None if parent_id is None else int(parent_id),
                 start_s=start,
                 end_s=start + float(event.get("dur", 0.0)) / 1e6,
-                thread_id=int(event.get("tid", 0)),
-                thread_name=str(event.get("tname", "")),
                 attrs=args,
             ))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:

@@ -42,7 +42,6 @@ emit byte-identical tokens (``tests/obs/test_profile.py``).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -111,27 +110,26 @@ class Profiler:
     Hooks call :meth:`record`; the profiler accumulates per-op totals
     *and* stamps the measured milliseconds onto the innermost open span
     (``<op>_ms`` / ``<op>_calls`` / ``<op>_flops`` / ``<op>_bytes``
-    attributes) so exported traces carry the attribution.  Thread-safe;
-    when ``enabled`` is False every hook reduces to one attribute check.
+    attributes) so exported traces carry the attribution.  Driven by the
+    one thread that runs the pipeline (no lock); when ``enabled`` is False
+    every hook reduces to one attribute check.
     """
 
-    __slots__ = ("enabled", "tracer", "_lock", "_ops")
+    __slots__ = ("enabled", "tracer", "_ops")
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         #: Optional explicit tracer; None means the process-global one.
         self.tracer = None
-        self._lock = threading.Lock()
         self._ops: Dict[str, OpStats] = {}
 
     def record(self, op: str, wall_ms: float, flops: float = 0.0,
                nbytes: int = 0) -> None:
         """Account one op invocation (hooks must pre-check ``enabled``)."""
-        with self._lock:
-            stats = self._ops.get(op)
-            if stats is None:
-                stats = self._ops[op] = OpStats()
-            stats.add(wall_ms, flops=flops, nbytes=nbytes)
+        stats = self._ops.get(op)
+        if stats is None:
+            stats = self._ops[op] = OpStats()
+        stats.add(wall_ms, flops=flops, nbytes=nbytes)
         tracer = self.tracer if self.tracer is not None else get_tracer()
         span = tracer.current_span()
         span.add_attr(f"{op}_ms", wall_ms)
@@ -143,18 +141,15 @@ class Profiler:
 
     def op(self, name: str) -> OpStats:
         """Accumulated stats for ``name`` (zeros if never recorded)."""
-        with self._lock:
-            return self._ops.get(name, OpStats())
+        return self._ops.get(name, OpStats())
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """Per-op accounting as a JSON-friendly dict."""
-        with self._lock:
-            return {op: stats.snapshot() for op, stats in sorted(self._ops.items())}
+        return {op: stats.snapshot() for op, stats in sorted(self._ops.items())}
 
     def reset(self) -> None:
         """Drop all accumulated op accounting (enabled flag unchanged)."""
-        with self._lock:
-            self._ops.clear()
+        self._ops.clear()
 
 
 #: The singleton every hook checks.  A single object (rather than a

@@ -1,7 +1,7 @@
 """Span-based tracing for the prefill / draft / verify pipeline.
 
 A :class:`Tracer` hands out context-manager :class:`Span` objects that nest
-via a thread-local stack, so the decode loop can be tiled into phases::
+via one span stack, so the decode loop can be tiled into phases::
 
     with tracer.span("decode", decoder="ours"):
         with tracer.span("prefill"):
@@ -16,8 +16,9 @@ Design constraints, in priority order:
   shared no-op singleton without allocating, so instrumented code paths
   cost one attribute check per span when tracing is off.  Tracing never
   touches RNG state, so traced and untraced decodes emit identical tokens.
-* **Thread-safe** — each thread keeps its own span stack; finished spans
-  are appended under a lock.
+* **One thread** — the tracer is driven by the one thread that runs the
+  pipeline (see :mod:`repro.serving.scheduler`), so it keeps one plain
+  span stack and takes no lock.
 * **Dual clocks** — every span measures real wall time
   (``time.perf_counter``) and accumulates *simulated* milliseconds charged
   by the cost model via :meth:`Span.add_sim_ms`, so reports can show both
@@ -30,7 +31,6 @@ Per-phase latency digests are computed from the finished spans
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -55,8 +55,6 @@ class SpanRecord:
     parent_id: Optional[int]
     start_s: float              # time.perf_counter seconds
     end_s: float
-    thread_id: int
-    thread_name: str
     attrs: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -108,7 +106,7 @@ class Span:
     """
 
     __slots__ = ("_tracer", "name", "attrs", "span_id", "parent_id",
-                 "start_s", "end_s", "thread_id", "thread_name")
+                 "start_s", "end_s")
 
     def __init__(self, tracer: "Tracer", name: str, span_id: int,
                  parent_id: Optional[int], attrs: Dict[str, object]) -> None:
@@ -119,8 +117,6 @@ class Span:
         self.attrs = attrs
         self.start_s = 0.0
         self.end_s = 0.0
-        self.thread_id = 0
-        self.thread_name = ""
 
     def set_attr(self, key: str, value: object) -> None:
         self.attrs[key] = value
@@ -141,8 +137,6 @@ class Span:
             parent_id=self.parent_id,
             start_s=self.start_s,
             end_s=self.end_s,
-            thread_id=self.thread_id,
-            thread_name=self.thread_name,
             attrs=dict(self.attrs),
         )
 
@@ -161,9 +155,8 @@ class Tracer:
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._lock = threading.Lock()
         self._finished: List[Span] = []
-        self._local = threading.local()
+        self._stack: List[Span] = []
         self._ids = itertools.count(1)
 
     # -- instrumentation entry point ------------------------------------
@@ -171,55 +164,39 @@ class Tracer:
         """Open a span; returns the no-op singleton when disabled."""
         if not self.enabled:
             return NULL_SPAN
-        parent = self._stack()[-1].span_id if self._stack() else None
+        parent = self._stack[-1].span_id if self._stack else None
         return Span(self, name, next(self._ids), parent, attrs)
 
     def current_span(self):
-        """Innermost open span on this thread (``NULL_SPAN`` if none)."""
-        stack = self._stack()
-        return stack[-1] if stack else NULL_SPAN
+        """Innermost open span (``NULL_SPAN`` if none)."""
+        return self._stack[-1] if self._stack else NULL_SPAN
 
     # -- span lifecycle (called by Span) --------------------------------
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def _push(self, span: Span) -> None:
-        self._stack().append(span)
+        self._stack.append(span)
 
     def _pop(self, span: Span) -> None:
         # Runs inside the span's timed window (before end_s is stamped),
         # so this bookkeeping never shows up as a gap between siblings.
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:          # tolerate out-of-order exits
-            stack.remove(span)
-        span.thread_id = threading.get_ident()
-        span.thread_name = threading.current_thread().name
-        with self._lock:
-            self._finished.append(span)
+        if self._stack and self._stack[-1] is span:
+            self._stack.pop()
+        elif span in self._stack:    # tolerate out-of-order exits
+            self._stack.remove(span)
+        self._finished.append(span)
 
     # -- access ----------------------------------------------------------
     @property
     def spans(self) -> List[SpanRecord]:
         """Snapshot of finished spans, in completion order."""
-        with self._lock:
-            finished = list(self._finished)
-        return [s.record() for s in finished]
+        return [s.record() for s in self._finished]
 
     def drain(self) -> List[SpanRecord]:
         """Return finished spans and clear the buffer."""
-        with self._lock:
-            out = self._finished
-            self._finished = []
+        out, self._finished = self._finished, []
         return [s.record() for s in out]
 
     def clear(self) -> None:
-        with self._lock:
-            self._finished.clear()
+        self._finished.clear()
 
 
 # ---------------------------------------------------------------------------

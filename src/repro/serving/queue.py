@@ -10,7 +10,6 @@ they are ever admitted (:meth:`AdmissionQueue.expire`).
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import List, Optional
 
@@ -23,14 +22,14 @@ __all__ = ["AdmissionQueue"]
 class AdmissionQueue:
     """Bounded FIFO of :class:`~repro.serving.request.ServeHandle` objects.
 
-    Thread-safe; :attr:`depth` reads the current backlog.
+    Driven by one thread, like the scheduler that owns it (no locks);
+    :attr:`depth` reads the current backlog.
     """
 
     def __init__(self, max_depth: int = 64) -> None:
         if max_depth <= 0:
             raise ServingError(f"max_depth must be positive, got {max_depth}")
         self.max_depth = max_depth
-        self._lock = threading.Lock()
         self._items: deque = deque()
         #: ids submitted and not yet released: queued, in the batch or backing off
         self._ids: set = set()
@@ -39,14 +38,12 @@ class AdmissionQueue:
     @property
     def depth(self) -> int:
         """Number of requests currently waiting."""
-        with self._lock:
-            return len(self._items)
+        return len(self._items)
 
     @property
     def free(self) -> int:
         """Remaining admission capacity."""
-        with self._lock:
-            return self.max_depth - len(self._items)
+        return self.max_depth - len(self._items)
 
     # ------------------------------------------------------------------
     def submit(self, request: ServeRequest, now_ms: float) -> ServeHandle:
@@ -59,26 +56,23 @@ class AdmissionQueue:
         while the request is queued, in the batch, or waiting out a retry
         backoff.
         """
-        with self._lock:
-            if len(self._items) >= self.max_depth:
-                raise AdmissionError(
-                    f"queue full ({self.max_depth} waiting); "
-                    f"request {request.request_id!r} refused"
-                )
-            if request.request_id in self._ids:
-                raise AdmissionError(f"duplicate request_id {request.request_id!r}")
-            handle = ServeHandle(request, submitted_ms=now_ms)
-            self._items.append(handle)
-            self._ids.add(request.request_id)
+        if len(self._items) >= self.max_depth:
+            raise AdmissionError(
+                f"queue full ({self.max_depth} waiting); "
+                f"request {request.request_id!r} refused"
+            )
+        if request.request_id in self._ids:
+            raise AdmissionError(f"duplicate request_id {request.request_id!r}")
+        handle = ServeHandle(request, submitted_ms=now_ms)
+        self._items.append(handle)
+        self._ids.add(request.request_id)
         return handle
 
     def pop_ready(self, k: int) -> List[ServeHandle]:
         """Dequeue up to ``k`` handles, oldest first."""
         if k <= 0:
             return []
-        with self._lock:
-            taken = [self._items.popleft() for _ in range(min(k, len(self._items)))]
-        return taken
+        return [self._items.popleft() for _ in range(min(k, len(self._items)))]
 
     def requeue(self, handle: ServeHandle) -> None:
         """Front-insert a handle (retry re-admission).
@@ -88,13 +82,11 @@ class AdmissionQueue:
         backpressure must not orphan it.  It joins the *front* of the
         queue — by submission time it is the oldest waiter.
         """
-        with self._lock:
-            self._items.appendleft(handle)
+        self._items.appendleft(handle)
 
     def release(self, request_id: str) -> None:
         """Free a resolved request's id for a later :meth:`submit`."""
-        with self._lock:
-            self._ids.discard(request_id)
+        self._ids.discard(request_id)
 
     def oldest_wait_ms(self, now_ms: float) -> Optional[float]:
         """Queue time of the oldest waiter (None when empty).
@@ -102,10 +94,9 @@ class AdmissionQueue:
         The scheduler's load-shedding pressure signal: sustained growth
         here means admission is outpacing service.
         """
-        with self._lock:
-            if not self._items:
-                return None
-            return now_ms - self._items[0].submitted_ms
+        if not self._items:
+            return None
+        return now_ms - self._items[0].submitted_ms
 
     def shed_newest(self, target_depth: int) -> List[ServeHandle]:
         """Drop handles from the *tail* until at most ``target_depth`` wait.
@@ -117,23 +108,21 @@ class AdmissionQueue:
         if target_depth < 0:
             raise ServingError(f"target_depth must be non-negative, got {target_depth}")
         shed: List[ServeHandle] = []
-        with self._lock:
-            while len(self._items) > target_depth:
-                shed.append(self._items.pop())
+        while len(self._items) > target_depth:
+            shed.append(self._items.pop())
         return shed
 
     def expire(self, now_ms: float) -> List[ServeHandle]:
         """Remove and return queued handles whose deadline has passed."""
         expired: List[ServeHandle] = []
-        with self._lock:
-            kept: deque = deque()
-            for handle in self._items:
-                limit = expiry_ms(handle)
-                if limit is not None and now_ms >= limit:
-                    expired.append(handle)
-                else:
-                    kept.append(handle)
-            self._items = kept
+        kept: deque = deque()
+        for handle in self._items:
+            limit = expiry_ms(handle)
+            if limit is not None and now_ms >= limit:
+                expired.append(handle)
+            else:
+                kept.append(handle)
+        self._items = kept
         return expired
 
     def __len__(self) -> int:

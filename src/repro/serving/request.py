@@ -20,7 +20,6 @@ failed     an exception escaped decode; other requests were unaffected
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -124,17 +123,15 @@ class ServeResult:
 class ServeHandle:
     """Future-like view of a submitted request.
 
-    The scheduler resolves the handle exactly once; :meth:`result` blocks
-    on a :class:`threading.Event` so a driver thread can feed the scheduler
-    while client threads wait.  In the synchronous
-    :func:`~repro.serving.scheduler.serve_requests` facade everything runs
-    on one thread and the event is already set by the time it is read.
+    The scheduler resolves the handle exactly once, on the one thread that
+    drives it (see :mod:`repro.serving.scheduler`), so nothing can resolve
+    a handle while a caller waits on it: :meth:`result` returns at once or
+    raises.
     """
 
     def __init__(self, request: ServeRequest, submitted_ms: float) -> None:
         self.request = request
         self.submitted_ms = submitted_ms
-        self._done = threading.Event()
         self._result: Optional[ServeResult] = None
 
     @property
@@ -145,22 +142,22 @@ class ServeHandle:
     @property
     def done(self) -> bool:
         """True once a terminal :class:`ServeResult` is available."""
-        return self._done.is_set()
+        return self._result is not None
 
     def resolve(self, result: ServeResult) -> None:
         """Set the terminal result (scheduler-internal; one-shot)."""
-        if self._done.is_set():
+        if self._result is not None:
             raise ServingError(f"request {self.request_id!r} already resolved")
         self._result = result
-        self._done.set()
 
     def result(self, timeout: Optional[float] = None) -> ServeResult:
-        """Block until resolved and return the :class:`ServeResult`."""
-        if not self._done.wait(timeout):
-            raise ServingError(
-                f"request {self.request_id!r} not resolved within {timeout}s"
-            )
-        assert self._result is not None
+        """The :class:`ServeResult`; raises :class:`ServingError` while unresolved.
+
+        ``timeout`` is accepted for future-like call sites and ignored: with
+        one thread driving the scheduler, waiting could never end.
+        """
+        if self._result is None:
+            raise ServingError(f"request {self.request_id!r} is not resolved")
         return self._result
 
     def __repr__(self) -> str:

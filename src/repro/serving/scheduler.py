@@ -10,7 +10,10 @@ for the requests it admits and
 :meth:`~repro.core.engine.AASDEngine.step_batch` for every active session —
 advancing each session by one draft-then-verify block; new requests join
 at these block boundaries and finished ones retire without stalling the
-rest — classic continuous batching.  Both calls return one outcome per
+rest — classic continuous batching.  One thread drives the scheduler, its
+queue, the tracer and the profiler: nothing here takes a lock, and the
+``layering`` rule of :mod:`repro.analysis` refuses any ``threading``
+import into ``repro``.  Both calls return one outcome per
 request, a session / :class:`~repro.core.engine.StepReport` or the
 exception that request raised, so a fault retries or fails the request it
 hit and nothing else.  A batch of one is a one-row round: there is no

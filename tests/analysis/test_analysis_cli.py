@@ -58,12 +58,12 @@ def test_output_artifact_written(bad_file, tmp_path, capsys):
 
 def test_rule_selection_and_listing(bad_file, capsys):
     # Selecting a rule that cannot fire on the file -> clean.
-    assert main([bad_file, "--rules", "locks"]) == 0
+    assert main([bad_file, "--rules", "views"]) == 0
     capsys.readouterr()
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("layering", "determinism", "hotpath",
-                    "views", "except-discipline", "locks"):
+                    "views", "except-discipline"):
         assert rule_id in out
 
 

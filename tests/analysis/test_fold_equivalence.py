@@ -1,6 +1,6 @@
 """Fold equivalence: each merged rule reports what its retired pair reported.
 
-``hotpath``, ``locks``, ``views`` and ``determinism`` each replace a
+``hotpath``, ``views`` and ``determinism`` each replace a
 lexical rule and a whole-program rule.  ``PAIR_FINDINGS`` records the
 union of the two old rules' ``(file, line, message)`` findings on every
 fixture tree of the pair, with the scopes the fixture tests pass.  The
@@ -17,7 +17,6 @@ from repro.analysis import load_project
 from repro.analysis.framework import run_rules
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.hotpath import HotPathRule
-from repro.analysis.rules.locks import LockRule
 from repro.analysis.rules.views import ViewRule
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -29,8 +28,6 @@ RULES = {
     "hotreach": lambda: HotPathRule(
         hot_modules=set(), hot_prefixes=(), exempt=set(),
         entry_patterns=("hotreach.bad.Engine.step", "hotreach.ok.Engine.step")),
-    "locks": LockRule,
-    "lockorder": LockRule,
     "views": ViewRule,
     "escape": ViewRule,
     "determinism": DeterminismRule,
@@ -53,28 +50,6 @@ PAIR_FINDINGS = {
         ("hotreach/bad.py", 10,
          "hot-path allocation: np.concatenate() in bad.assemble, reachable "
          "from a decode entry via Engine.step -> bad.assemble"),
-    },
-    # lock-discipline | lock-order
-    "locks": {
-        ("locks/bad.py", 12,
-         "unguarded write to self._counts in Registry.reset: class owns "
-         "self._lock, so shared state must be written under it"),
-        ("locks/bad.py", 17,
-         "unguarded write to self._dirty in Registry.bump: class owns "
-         "self._lock, so shared state must be written under it"),
-    },
-    "lockorder": {
-        ("lockorder/bad.py", 17,
-         "unguarded write to self._queue in Metrics.attach: class owns "
-         "self._lock, so shared state must be written under it"),
-        ("lockorder/bad.py", 42,
-         "lock-order inversion: acquisition cycle bad.Metrics -> bad.Queue "
-         "-> bad.Metrics (witness: Queue.push -> Metrics.set); opposite "
-         "nesting orders can deadlock under concurrency"),
-        ("lockorder/bad.py", 63,
-         "re-acquisition of bad.Registry._lock: Registry.add_many calls "
-         "Registry.add with the lock already held; threading.Lock is not "
-         "re-entrant, this path self-deadlocks"),
     },
     # view-mutation | view-escape
     "views": {

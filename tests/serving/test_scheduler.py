@@ -17,6 +17,7 @@ from repro.serving import (
     STATUS_FAILED,
     STATUS_TIMEOUT,
     ContinuousBatchingScheduler,
+    ServeHandle,
     ServeRequest,
     ServingConfig,
     serve_requests,
@@ -304,6 +305,40 @@ class TestCompatibilityAndBackpressure:
         again = scheduler.submit(ServeRequest(request_id="live", sample=sample))
         scheduler.run_until_idle(max_rounds=200)
         assert again.result().status == STATUS_COMPLETED
+
+    def test_submits_between_rounds_resolve_once(self, make_engine, world, monkeypatch):
+        # Submits interleave with rounds on the one driving thread: every
+        # attempt is admitted or refused, and every admitted handle
+        # resolves exactly once.
+        resolved = []
+        resolve = ServeHandle.resolve
+
+        def counting_resolve(handle, result):
+            resolved.append(handle.request_id)
+            resolve(handle, result)
+
+        monkeypatch.setattr(ServeHandle, "resolve", counting_resolve)
+        scheduler = ContinuousBatchingScheduler(
+            make_engine(max_new_tokens=4),
+            ServingConfig(max_batch_size=2, max_queue_depth=3),
+        )
+        accepted, refused = [], []
+        for burst in range(4):
+            for i in range(4):
+                request = ServeRequest(request_id=f"b{burst}-{i}", sample=world["samples"][i])
+                try:
+                    accepted.append(scheduler.submit(request))
+                except AdmissionError:
+                    refused.append(request.request_id)
+            scheduler.run_round()
+        scheduler.run_until_idle(max_rounds=200)
+
+        assert scheduler.idle and scheduler.n_active == 0
+        assert refused and len(accepted) + len(refused) == 16
+        assert sorted(resolved) == sorted(h.request_id for h in accepted)
+        for handle in accepted:
+            result = handle.result(timeout=0)
+            assert result.status == STATUS_COMPLETED and result.record is not None
 
     def test_facade_drains_past_backpressure(self, make_engine, world):
         # more requests than the queue holds: the facade interleaves rounds
