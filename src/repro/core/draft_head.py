@@ -28,10 +28,8 @@ from ..decoding.speculative import Drafter
 from ..decoding.tree import DraftWalk, TreeDraft
 from ..errors import ConfigError, DecodingError, ShapeError
 from ..models.llama import MiniLlama
-from ..nn import functional as F
 from ..nn.attention import (
     MultiHeadAttention,
-    attend_blocks,
     attend_blocks_data,
     causal_mask,
     merge_heads,
@@ -44,7 +42,7 @@ from ..nn.layers import Embedding, Linear
 from ..nn.module import Module
 from ..nn.normalization import RMSNorm
 from ..nn.rope import RotaryEmbedding, apply_rope
-from ..nn.tensor import Tensor, is_grad_enabled, matmul_data
+from ..nn.tensor import Tensor, matmul_data
 from ..nn.transformer import SwiGLU
 from ..robustness.guards import check_hybrid_cache, ensure_finite
 from ..utils.rng import derive
@@ -334,28 +332,13 @@ class AASDDraftHead(Module, Drafter):
         but wrappers (fault injectors, per-request telemetry) key their
         behavior on it.
 
-        With gradients off this is the one-row case of
-        :meth:`_infer_rows`; the ``Module`` ops below are what it must
-        equal bit for bit (``tests/nn/test_inference_forward.py``).
+        Inference only: the one-row case of :meth:`_infer_rows` whatever
+        the grad mode, bitwise the same row of :meth:`step_packed`.
         """
         del request_id
-        if not is_grad_enabled():
-            return self._infer_rows(
-                [token_id], [position], [hybrid], ancestor_rows=[ancestor_rows]
-            )[0]
-        positions = np.asarray([position], dtype=np.int64)
-        x = self.embed(np.asarray([[token_id]], dtype=np.int64))
-        h = self.attn_norm(x)
-        q, k, v = self.qkv(h, positions)
-
-        blocks = [(Tensor(kb), Tensor(vb)) for kb, vb in self._attended(hybrid, ancestor_rows)]
-        attn = attend_blocks(q, [*blocks, (k, v)])
-        x = x + self.wo(merge_heads(attn))
-        x = x + self.mlp(self.mlp_norm(x))
-        logits = self.lm_head(self.out_norm(x))
-
-        hybrid.append_draft(k.data, v.data)
-        return logits.data[0, -1]
+        return self._infer_rows(
+            [token_id], [position], [hybrid], ancestor_rows=[ancestor_rows]
+        )[0]
 
     def _attended(self, hybrid: HybridKVCache,
                   rows: Optional[Tuple[int, ...]]) -> List[Block]:
@@ -426,7 +409,7 @@ class AASDDraftHead(Module, Drafter):
         hybrids: Sequence[HybridKVCache],
         ancestor_rows: Optional[Sequence[Optional[Tuple[int, ...]]]] = None,
     ) -> List[np.ndarray]:
-        """The one no-grad draft step: B sessions, one token each.
+        """The one inference draft step: B sessions, one token each.
 
         The batch runs as a ``(B, 1, D)`` array through
         :mod:`repro.nn.kernels`: the embedding gather, norms, q/k/v/o
@@ -436,13 +419,13 @@ class AASDDraftHead(Module, Drafter):
         single-row gemv kernel whatever B is — the M = 1 side of the
         packing-stability contract in :mod:`repro.nn.ragged` — and the
         ufuncs replay the ``Module`` layers' op order, so each row is
-        bitwise what :meth:`step` computes with gradients on.  Attention
-        runs per session over its :meth:`_attended` blocks and its own
-        key, each block scored where it lives and all of them under one
-        softmax (:func:`~repro.nn.attention.attend_blocks_data`): no K or
-        V is concatenated.  ``ancestor_rows[i]``, when given, restricts
-        session ``i``'s draft lane to those rows (the :meth:`step` rule);
-        ``None`` attends the whole lane.
+        bitwise what they compute (the spec in ``tests/nn/conftest.py``).
+        Attention runs per session over its :meth:`_attended` blocks and
+        its own key, each block scored where it lives and all of them
+        under one softmax (:func:`~repro.nn.attention.attend_blocks_data`):
+        no K or V is concatenated.  ``ancestor_rows[i]``, when given,
+        restricts session ``i``'s draft lane to those rows (the
+        :meth:`step` rule); ``None`` attends the whole lane.
 
         Appends each session's own K/V as its next draft row and returns
         one ``(vocab,)`` logits row per session.  Builds no ``Tensor``.

@@ -8,7 +8,7 @@ LLaVA draft baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -36,12 +36,6 @@ class LlamaOutput:
 
     logits: Tensor              # (B, T, vocab)
     hidden: Tensor              # (B, T, dim) final-norm hidden states
-    new_kv: List[Tuple[Tensor, Tensor]]  # per layer, (B, H, T, Dh)
-
-    @property
-    def last_layer_kv(self) -> Tuple[Tensor, Tensor]:
-        """The slice of fresh KV that AASD's draft head consumes."""
-        return self.new_kv[-1]
 
 
 class _RowOutput:
@@ -112,22 +106,16 @@ class MiniLlama(Module):
         x: Tensor,
         positions: np.ndarray,
         cache: Optional[KVCache] = None,
-        extra_blocked: Optional[np.ndarray] = None,
     ) -> LlamaOutput:
         """Run the decoder stack over pre-computed embeddings.
 
-        When ``cache`` is given the fresh KV is appended to it and the new
-        tokens attend to its context plus themselves.
-        ``extra_blocked`` (broadcastable to ``(T, Tk_total)``) is OR'd with
-        the causal mask at every layer — the tree-verification hook, where
-        new tokens on sibling branches may share positions and must not
-        attend to each other (``repro.decoding.tree``).
-
-        With gradients off the call is one row of :meth:`_infer_rows`
-        (whatever the batch width B) and the result wraps its arrays
-        lazily; the ``Module`` layers below run only when a graph is being
-        recorded, and are what the kernels must equal bit for bit
-        (``tests/nn/test_inference_forward.py``).
+        A call given a ``cache`` is inference: the fresh KV is appended to
+        it and the new tokens attend to its context plus themselves.  It
+        runs as one row of :meth:`_infer_rows` (whatever the batch width
+        B) whatever the grad mode, as does any call with gradients off,
+        and the result wraps its arrays lazily.  Only a cacheless call
+        with gradients on runs the ``Module`` layers and records a graph:
+        the dense, causal training forward.
         """
         positions = np.asarray(positions, dtype=np.int64)
         if x.ndim != 3:
@@ -136,57 +124,35 @@ class MiniLlama(Module):
             raise ShapeError(
                 f"positions length {positions.shape[0]} != sequence length {x.shape[1]}"
             )
-        if not is_grad_enabled():
-            return self._infer_rows(
-                x.data, [positions], [cache], [extra_blocked]
-            )[0]
-        use_cache = cache is not None and cache.seq_len > 0
-        key_positions = cache.positions if use_cache else None
-
-        new_kv: List[Tuple[Tensor, Tensor]] = []
+        if cache is not None or not is_grad_enabled():
+            return self._infer_rows(x.data, [positions], [cache], None)[0]
         hidden = x
-        for layer_idx, block in enumerate(self.blocks):
-            past = cache.layer(layer_idx) if use_cache else None
-            hidden, k_new, v_new = block(
-                hidden,
-                positions=positions,
-                past_kv=past,
-                key_positions=key_positions,
-                extra_blocked=extra_blocked,
-            )
-            new_kv.append((k_new, v_new))
-            if cache is not None:
-                cache.append(layer_idx, k_new.data, v_new.data)
-
-        if cache is not None:
-            cache.extend_positions(positions)
-
+        for block in self.blocks:
+            hidden = block(hidden, positions)
         normed = self.norm(hidden)
-        return LlamaOutput(logits=self.lm_head(normed), hidden=normed, new_kv=new_kv)
+        return LlamaOutput(logits=self.lm_head(normed), hidden=normed)
 
     def forward(
         self,
         token_ids: np.ndarray,
-        positions: Optional[np.ndarray] = None,
         cache: Optional[KVCache] = None,
-        extra_blocked: Optional[np.ndarray] = None,
     ) -> LlamaOutput:
-        """Decoder forward over token ids (see :meth:`forward_embeds`)."""
+        """Decoder forward over token ids (see :meth:`forward_embeds`).
+
+        The tokens continue at ``cache.next_position()`` (0 without a
+        cache).
+        """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim == 1:
             token_ids = token_ids[None, :]
-        if positions is None:
-            start = cache.next_position() if cache is not None else 0
-            positions = np.arange(start, start + token_ids.shape[1], dtype=np.int64)
-        return self.forward_embeds(
-            self.embed_tokens(token_ids), positions, cache=cache,
-            extra_blocked=extra_blocked,
-        )
+        start = cache.next_position() if cache is not None else 0
+        positions = np.arange(start, start + token_ids.shape[1], dtype=np.int64)
+        return self.forward_embeds(self.embed_tokens(token_ids), positions, cache=cache)
 
     # ------------------------------------------------------------------
-    # The inference forward (docs/kernels.md).  Gradients off => raw
-    # kernels, one row or many: forward_embeds hands its single row (of
-    # any batch width) and forward_packed_embeds its cu-seqlen-packed
+    # The inference forward (docs/kernels.md).  A cache or gradients off
+    # => raw kernels, one row or many: forward_embeds hands its single row
+    # (of any batch width) and forward_packed_embeds its cu-seqlen-packed
     # rows to the same layer loop below.
 
     def _infer_rows(
@@ -196,7 +162,7 @@ class MiniLlama(Module):
         caches: List[Optional[KVCache]],
         extra_blocked_rows: Optional[List[Optional[np.ndarray]]],
     ) -> List[_RowOutput]:
-        """The one no-grad decoder pass over ``len(pos_rows)`` rows.
+        """The one inference decoder pass over ``len(pos_rows)`` rows.
 
         ``x`` is ``(B, sum_tokens, D)`` raw embeddings; row ``i`` owns the
         tokens at ``cu[i]:cu[i+1]`` along axis 1, appends its fresh K/V to
@@ -204,9 +170,10 @@ class MiniLlama(Module):
         its context plus itself — never across rows.  Every row-wise op
         (norms, q/k/v/o projections, RoPE, MLP) runs once over all rows
         through :mod:`repro.nn.kernels` — the same ufuncs in the same
-        order as the ``Module`` layers, so each row is bitwise what the
-        autograd path computes — and attention and the LM head run per
-        row at exactly the solo shapes.  A lone row therefore *is* the solo
+        order as the ``Module`` layers, so each row is bitwise what they
+        compute over the same cache (the spec in ``tests/nn/conftest.py``)
+        — and attention and the LM head run per row at exactly the solo
+        shapes.  A lone row therefore *is* the solo
         forward (GEMM shapes included, down to the M = 1 gemv), which is
         why packing needs every row of a multi-row call to hold >= 2
         tokens (the packing-stability contract in :mod:`repro.nn.ragged`)

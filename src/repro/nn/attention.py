@@ -1,13 +1,11 @@
-"""Multi-head attention with KV-cache support.
+"""Multi-head attention: the training layer and the raw inference kernels.
 
 The attention layer here is the one used by both the target MLLM backbone and
-the AASD draft head, so it exposes exactly the hooks the paper's method
-needs:
-
-* incremental decoding against cached key/value arrays,
-* access to the per-layer K/V produced for new tokens (the target model's
-  last-layer KV is what the AASD speculating module consumes),
-* arbitrary boolean attention masks in addition to the implicit causal rule.
+the AASD draft head.  :class:`MultiHeadAttention` is the dense, causal
+training forward; inference runs the raw-array kernels below
+(:func:`attend_data` over a cache's view, :func:`attend_blocks_data`
+over the draft head's key blocks), and a cache is an inference-side
+object the ``Module`` layers never see.
 """
 
 from __future__ import annotations
@@ -20,11 +18,10 @@ from . import functional as F
 from .layers import Linear
 from .module import Module
 from .rope import RotaryEmbedding, apply_rope
-from .tensor import Tensor, concat, is_grad_enabled, matmul_data
+from .tensor import Tensor, matmul_data
 
 __all__ = [
     "MultiHeadAttention",
-    "attend_blocks",
     "attend_blocks_data",
     "attend_data",
     "causal_mask",
@@ -39,14 +36,12 @@ def attend_data(
     v: np.ndarray,
     blocked: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Scaled dot-product attention on raw arrays (inference fast path).
+    """Scaled dot-product attention on raw arrays (the inference kernel).
 
     Exactly the op sequence of :meth:`MultiHeadAttention.attend` — same
     numpy calls in the same order, so the result is bitwise identical —
-    minus the autograd graph nodes.  Decode paths call attention once per
-    request per layer per round, which makes those five skipped ``Tensor``
-    allocations a measurable wall-clock win; the packed serving kernels
-    (``docs/kernels.md``) call this directly on cache views.
+    minus the autograd graph nodes.  The inference forwards
+    (``docs/kernels.md`` §5) call it on cache views.
     """
     scale = 1.0 / np.sqrt(q.shape[-1])
     # 0-d array, not a scalar: matches as_tensor(scale)'s dtype
@@ -63,30 +58,17 @@ def attend_data(
     return matmul_data(scores, v)
 
 
-def attend_blocks(q: Tensor, blocks: Sequence[Tuple[Tensor, Tensor]]) -> Tensor:
-    """Attention over ``(K, V)`` key blocks under one softmax, without joining them.
-
-    T-D Attention's form (paper Eq. 12-13): each block is scored
-    separately, one softmax runs over the joined score rows, and each
-    block's slice of the weights multiplies its own ``V`` — the sum is
-    attention over the blocks' concatenation, but no K or V is ever
-    concatenated.  No mask: every key is attended.
-    """
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = concat([q @ k.swapaxes(-1, -2) for k, _ in blocks], axis=-1) * scale
-    weights = F.softmax(scores, axis=-1)
-    out, start = None, 0
-    for _, v in blocks:
-        end = start + v.shape[2]
-        part = weights[..., start:end] @ v
-        out = part if out is None else out + part
-        start = end
-    return out
-
-
 def attend_blocks_data(q: np.ndarray,
                        blocks: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """:func:`attend_blocks` on raw arrays: the same ops in the same order, bitwise."""
+    """Attention over ``(K, V)`` key blocks under one softmax, without joining them.
+
+    T-D Attention's form (paper Eq. 12-13): each block is scored where it
+    lives (``q @ K_bᵀ``), one softmax runs over the joined score rows, and
+    each block's slice of the weights multiplies its own ``V`` — the sum is
+    attention over the blocks' concatenation, but no K or V is ever
+    concatenated.  No mask: every key is attended.  The draft head's
+    inference step runs it on raw arrays.
+    """
     # repro: allow[hotpath] -- joins the per-block score rows (heads x keys), never K or V
     scores = np.concatenate([matmul_data(q, k.swapaxes(-1, -2)) for k, _ in blocks], axis=-1)
     scores *= np.asarray(1.0 / np.sqrt(q.shape[-1]))
@@ -131,7 +113,7 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 class MultiHeadAttention(Module):
-    """Causal multi-head self-attention with RoPE and optional KV cache."""
+    """Causal multi-head self-attention with RoPE (the dense training forward)."""
 
     def __init__(
         self,
@@ -180,78 +162,22 @@ class MultiHeadAttention(Module):
         """Scaled dot-product attention; ``blocked`` marks disallowed pairs.
 
         ``blocked`` broadcasts against the score tensor ``(B, H, Tq, Tk)``.
-
-        When no gradient can flow (inference, or no input requires grad)
-        the same numpy ops run in the same order without the autograd
-        wrappers — bitwise-identical output, but decode-path attention is
-        called once per request per layer per round, so skipping the
-        five intermediate graph nodes is a real wall-clock win.
+        :func:`attend_data` is the same op sequence on raw arrays.
         """
         scale = 1.0 / np.sqrt(q.shape[-1])
-        track = is_grad_enabled() and (
-            q.requires_grad or k.requires_grad or v.requires_grad
-        )
-        if not track:
-            return Tensor(attend_data(q.data, k.data, v.data, blocked))
         scores = (q @ k.swapaxes(-1, -2)) * scale
         if blocked is not None:
             scores = scores.masked_fill(blocked, -1e9)
         weights = F.softmax(scores, axis=-1)
         return weights @ v
 
-    def forward(
-        self,
-        x: Tensor,
-        positions: np.ndarray,
-        past_kv: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        key_positions: Optional[np.ndarray] = None,
-        extra_blocked: Optional[np.ndarray] = None,
-    ) -> Tuple[Tensor, Tensor, Tensor]:
-        """Causal self-attention over new tokens plus an optional KV cache.
+    def forward(self, x: Tensor, positions: np.ndarray) -> Tensor:
+        """Causal self-attention over ``x`` ``(B, T, D)``; returns ``(B, T, D)``.
 
-        Parameters
-        ----------
-        x:
-            New-token activations ``(B, T, D)``.
-        positions:
-            Absolute positions of the T new tokens (used for RoPE and the
-            causal rule).
-        past_kv:
-            Cached ``(K, V)`` arrays of shape ``(B, H, Tpast, Dh)``; treated
-            as constants (no gradient flows into the cache).
-        key_positions:
-            Absolute positions of the cached keys; defaults to
-            ``arange(Tpast)``.
-        extra_blocked:
-            Extra boolean blocking mask broadcastable to ``(Tq, Tk_total)``,
-            combined (OR) with the causal mask.  Used by the ablations that
-            hide the image or text KV segments.
-
-        Returns
-        -------
-        (output, k_new, v_new):
-            ``output`` is ``(B, T, D)`` after the output projection;
-            ``k_new``/``v_new`` are the fresh per-head K/V for the new tokens
-            (post-RoPE), ready to append to a cache.
+        ``positions`` are the tokens' absolute positions, used for RoPE
+        and the causal rule.
         """
         positions = np.asarray(positions, dtype=np.int64)
-        q, k_new, v_new = self.project_qkv(x, positions)
-
-        if past_kv is not None:
-            past_k, past_v = past_kv
-            k_all = concat([Tensor(np.asarray(past_k)), k_new], axis=2)
-            v_all = concat([Tensor(np.asarray(past_v)), v_new], axis=2)
-            n_past = np.asarray(past_k).shape[2]
-            if key_positions is None:
-                key_positions = np.arange(n_past, dtype=np.int64)
-            all_key_pos = np.concatenate([np.asarray(key_positions, dtype=np.int64), positions])
-        else:
-            k_all, v_all = k_new, v_new
-            all_key_pos = positions
-
-        blocked = causal_mask(positions, all_key_pos)
-        if extra_blocked is not None:
-            blocked = blocked | np.asarray(extra_blocked, dtype=bool)
-
-        out = self.attend(q, k_all, v_all, blocked=blocked)
-        return self.wo(merge_heads(out)), k_new, v_new
+        q, k, v = self.project_qkv(x, positions)
+        out = self.attend(q, k, v, blocked=causal_mask(positions, positions))
+        return self.wo(merge_heads(out))

@@ -97,9 +97,9 @@ def matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.matmul`` with the repo's GEMM attribution hook.
 
     Every GEMM in the repo flows through here (``Tensor.__matmul__``
-    delegates, and inference fast paths that skip the autograd wrapper —
-    e.g. :meth:`repro.nn.attention.MultiHeadAttention.attend` — call it
-    directly), so this one hook gives complete compute attribution.  A
+    delegates, and the inference kernels — e.g.
+    :func:`repro.nn.attention.attend_data` — call it directly), so this
+    one hook gives complete compute attribution.  A
     product of two dtypes is booked as ``gemm_cast``: numpy copies the
     narrower operand into a fresh buffer first, the per-call cost the
     inference operands (:mod:`repro.nn.kernels`) exist to remove.  One

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -49,22 +49,7 @@ class DecoderBlock(Module):
         self.mlp_norm = RMSNorm(dim)
         self.mlp = SwiGLU(dim, mlp_hidden, rng=gen)
 
-    def forward(
-        self,
-        x: Tensor,
-        positions: np.ndarray,
-        past_kv: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        key_positions: Optional[np.ndarray] = None,
-        extra_blocked: Optional[np.ndarray] = None,
-    ) -> Tuple[Tensor, Tensor, Tensor]:
-        """Return (hidden, k_new, v_new) for the new tokens."""
-        attn_out, k_new, v_new = self.attn(
-            self.attn_norm(x),
-            positions=positions,
-            past_kv=past_kv,
-            key_positions=key_positions,
-            extra_blocked=extra_blocked,
-        )
-        x = x + attn_out
-        x = x + self.mlp(self.mlp_norm(x))
-        return x, k_new, v_new
+    def forward(self, x: Tensor, positions: np.ndarray) -> Tensor:
+        """The block's output for ``x`` at absolute ``positions``."""
+        x = x + self.attn(self.attn_norm(x), positions)
+        return x + self.mlp(self.mlp_norm(x))

@@ -19,7 +19,6 @@ class TestForward:
         out = model.forward(ids)
         assert out.logits.shape == (2, 7, 30)
         assert out.hidden.shape == (2, 7, 24)
-        assert len(out.new_kv) == 2
 
     def test_1d_input_promoted(self, model):
         out = model.forward(np.array([1, 2, 3]))
@@ -34,11 +33,6 @@ class TestForward:
         x = model.embed_tokens(np.array([[1, 2, 3]]))
         with pytest.raises(ShapeError):
             model.forward_embeds(x, np.arange(5))
-
-    def test_last_layer_kv_accessor(self, model):
-        out = model.forward(np.array([[1, 2]]))
-        k, v = out.last_layer_kv
-        assert k.shape == (1, 2, 2, 12)
 
 
 class TestCacheDecoding:

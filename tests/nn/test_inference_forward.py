@@ -1,19 +1,23 @@
 """The differential oracle for the inference forwards.
 
-Gradients off => raw kernels, one row or many (``docs/kernels.md`` §5):
-``MiniLlama``, ``AASDDraftHead``, the vision tower, the connector and the
-KV projector each have one no-grad implementation (``_infer_rows``)
-behind their solo and packed entry points.  The autograd ``Module`` path
-— what the same call computes with gradients on — is the executable
-spec, and every case here demands ``np.array_equal`` between the two on
-the smoke target and head: outputs and the caches left behind, which
-hold every layer's fresh KV (a no-grad output keeps none).  The target and head are pinned for the whole module, as a
+A cache or gradients off => raw kernels, one row or many
+(``docs/kernels.md`` §5): ``MiniLlama``, ``AASDDraftHead``, the vision
+tower, the connector and the KV projector each have one inference
+implementation (``_infer_rows``) behind their solo and packed entry
+points.  The executable spec is written on the ``Module`` layers' own
+pieces (``tests/nn/conftest.py``) — for the vision tower, connector and
+projector it is their forward with gradients on — and every case here
+demands ``np.array_equal`` between the two on the smoke target and head,
+with the spec side recording a graph: outputs and the caches left
+behind, which hold every layer's fresh KV (an inference output keeps
+none).  The target and head are pinned for the whole module, as a
 serving engine pins them, so the kernels read the prepared float64
 operands (``tests/nn/test_operands.py``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -82,14 +86,6 @@ def tensors_built(monkeypatch):
     return built
 
 
-def both(build):
-    """``build()`` with gradients on (the Module spec), then off (the kernels)."""
-    spec = build()
-    with no_grad():
-        fast = build()
-    return spec, fast
-
-
 def prefill(world, i=0):
     return world["target"].prefill(world["samples"][i].image[None], world["prompts"][i][None])
 
@@ -123,16 +119,45 @@ def build_context(head, cache, hybrid_cls=HybridKVCache):
                       first_row=hybrid.first_row, vision=hybrid.vision)
 
 
+class TestACacheMeansInference:
+    """A call given a cache runs the kernels whatever the grad mode;
+    only a cacheless call with gradients on records a graph."""
+
+    def test_a_cached_call_records_nothing_with_gradients_on(self, world, tensors_built):
+        runs = []
+        for grad_mode in (contextlib.nullcontext, no_grad):
+            with grad_mode():
+                cache, logits = prefill(world)          # no cache: the vision tower records
+                hybrid = world["head"].build_context(cache)
+                del tensors_built[:]
+                out = world["target"].decode(np.asarray([FEED]), cache)
+                row = world["head"].step(int(np.argmax(logits[0])), cache.next_position(),
+                                         hybrid)
+            assert len(tensors_built) == 1 and not out.logits.requires_grad  # the embedding
+            runs.append((cache, hybrid, [logits, out.logits.data, out.hidden.data, row]))
+        (cache_on, hybrid_on, on), (cache_off, hybrid_off, off) = runs
+        same_cache(cache_on, cache_off)
+        same_hybrid(hybrid_on, hybrid_off)
+        assert all(np.array_equal(a, b) for a, b in zip(on, off))
+
+    def test_a_cacheless_call_with_gradients_on_records_a_graph(self, world):
+        llama = world["target"].llama
+        out = llama.forward(np.asarray([FEED]))
+        with no_grad():
+            same_output(out, llama.forward(np.asarray([FEED])))
+
+
 class TestTargetForward:
-    def test_prefill(self, world):                                   # (a)
-        (cache_s, logits_s), (cache_f, logits_f) = both(lambda: prefill(world))
+    def test_prefill(self, world, spec):                             # (a)
+        (cache_s, logits_s), (cache_f, logits_f) = spec.both(lambda: prefill(world))
         assert np.array_equal(logits_s, logits_f)
         same_cache(cache_s, cache_f)
         assert cache_s.segments == cache_f.segments
 
     @pytest.mark.parametrize("cache_cls", [None, ReferenceKVCache],
                              ids=["arena", "reference"])
-    def test_verify_feed_and_cache_afterwards(self, world, monkeypatch, cache_cls):   # (b)
+    def test_verify_feed_and_cache_afterwards(self, world, monkeypatch, cache_cls,  # (b)
+                                              spec):
         if cache_cls is not None:
             monkeypatch.setattr(llama_mod, "KVCache", cache_cls)
 
@@ -140,7 +165,7 @@ class TestTargetForward:
             cache, _ = prefill(world)
             return cache, world["target"].decode(np.asarray([FEED]), cache)
 
-        (cache_s, out_s), (cache_f, out_f) = both(build)
+        (cache_s, out_s), (cache_f, out_f) = spec.both(build)
         if cache_cls is not None:
             assert isinstance(cache_f, cache_cls)
         same_output(out_s, out_f)
@@ -148,23 +173,24 @@ class TestTargetForward:
         # ... and after the rejected tail is rolled back and decoding resumes
         for cache in (cache_s, cache_f):
             cache.truncate(cache.seq_len - 2)
-        out_s = world["target"].decode(np.asarray([[FEED[0]]]), cache_s)
+        with spec.recording():
+            out_s = world["target"].decode(np.asarray([[FEED[0]]]), cache_s)
         with no_grad():
             out_f = world["target"].decode(np.asarray([[FEED[0]]]), cache_f)
         same_output(out_s, out_f)
         same_cache(cache_s, cache_f)
 
-    def test_one_token_step(self, world):                            # (c)
+    def test_one_token_step(self, world, spec):                      # (c)
         def build():
             cache, _ = prefill(world)
             return cache, world["target"].decode(np.asarray([[FEED[0]]]), cache)
 
-        (cache_s, out_s), (cache_f, out_f) = both(build)
+        (cache_s, out_s), (cache_f, out_f) = spec.both(build)
         assert out_f.logits.shape[1] == 1     # the M = 1 gemv case
         same_output(out_s, out_f)
         same_cache(cache_s, cache_f)
 
-    def test_tree_feed(self, world, monkeypatch):                    # (d)
+    def test_tree_feed(self, world, monkeypatch, spec):              # (d)
         # the root path anchor -> node 0 -> node 2 -> node 3 skips node 1,
         # so its fed rows are not a prefix of the feed
         rows = np.asarray([0, 1, 3, 4])
@@ -174,9 +200,9 @@ class TestTargetForward:
             cache, _ = prefill(world)
             positions = TREE.feed_positions(cache.next_position())
             assert (np.diff(positions) < 0).any()       # non-monotone
-            out = world["target"].llama.forward(
-                np.asarray([[FEED[0], *TREE.tokens]]), positions=positions, cache=cache,
-                extra_blocked=tree_extra_blocked(TREE.parents, cache.seq_len),
+            out, = world["target"].decode_batch(      # one row, as a solo verify
+                [np.asarray([FEED[0], *TREE.tokens])], [cache], position_rows=[positions],
+                extra_blocked_rows=[tree_extra_blocked(TREE.parents, cache.seq_len)],
             )
             assert cache.seq_len == n_prefix + 1 + TREE.n_nodes
             cache.keep_rows(n_prefix, rows)
@@ -184,21 +210,21 @@ class TestTargetForward:
 
         for cache_cls in (KVCache, ReferenceKVCache):
             monkeypatch.setattr(llama_mod, "KVCache", cache_cls)
-            (cache_s, out_s), (cache_f, out_f) = both(build)
+            (cache_s, out_s), (cache_f, out_f) = spec.both(build)
             assert isinstance(cache_f, cache_cls)
             same_output(out_s, out_f)
             same_cache(cache_s, cache_f)
             assert np.array_equal(cache_f.positions, np.arange(n_prefix + len(rows)))
 
-    def test_dense_batch(self, world):                               # (h)
+    def test_dense_batch(self, world, spec):                         # (h)
         width = min(len(p) for p in world["prompts"])
         images = np.stack([s.image for s in world["samples"]])
         text = np.stack([p[:width] for p in world["prompts"]])
-        out_s, out_f = both(lambda: world["target"].forward_train(images, text))
+        out_s, out_f = spec.both(lambda: world["target"].forward_train(images, text))
         assert out_f.logits.shape[0] == len(world["samples"]) > 1
         same_output(out_s, out_f)
 
-    def test_dense_batch_through_a_cache(self, world):
+    def test_dense_batch_through_a_cache(self, world, spec):
         width = min(len(p) for p in world["prompts"])
         text = np.stack([p[:width] for p in world["prompts"]])
         llama = world["target"].llama
@@ -208,27 +234,29 @@ class TestTargetForward:
             llama.forward(text[:, :-2], cache=cache)
             return cache, llama.forward(text[:, -2:], cache=cache)
 
-        (cache_s, out_s), (cache_f, out_f) = both(build)
+        (cache_s, out_s), (cache_f, out_f) = spec.both(build)
         same_output(out_s, out_f)
         same_cache(cache_s, cache_f)
 
     @pytest.mark.parametrize("cache_cls", [None, ReferenceKVCache],
                              ids=["arena", "reference"])
-    def test_packed_rows_equal_the_spec_row_by_row(self, world, monkeypatch, cache_cls):
+    def test_packed_rows_equal_the_spec_row_by_row(self, world, monkeypatch, cache_cls,
+                                                   spec):
         if cache_cls is not None:
             monkeypatch.setattr(llama_mod, "KVCache", cache_cls)
         feeds = [np.asarray([FEED]), np.asarray([FEED[:2]])]
-        spec = []
-        for i, feed in enumerate(feeds):
-            cache, _ = prefill(world, i)
-            spec.append((cache, world["target"].decode(feed, cache)))
+        made = []
+        with spec.recording():
+            for i, feed in enumerate(feeds):
+                cache, _ = prefill(world, i)
+                made.append((cache, world["target"].decode(feed, cache)))
         with no_grad():
             caches, first = world["target"].prefill_batch(
                 [world["samples"][i].image for i in range(2)],
                 [world["prompts"][i] for i in range(2)],
             )
             outs = world["target"].decode_batch(feeds, caches)
-        for i, ((cache_s, out_s), cache_f, out_f) in enumerate(zip(spec, caches, outs)):
+        for i, ((cache_s, out_s), cache_f, out_f) in enumerate(zip(made, caches, outs)):
             same_output(out_s, out_f)
             same_cache(cache_s, cache_f)
             assert np.array_equal(first[i], prefill(world, i)[1])
@@ -267,22 +295,23 @@ class TestTargetForward:
     @pytest.mark.parametrize("cache_cls", [None, ReferenceKVCache],
                              ids=["arena", "reference"])
     def test_packed_prefill_reads_new_kv_back_from_the_caches(self, world, monkeypatch,
-                                                              cache_cls):
+                                                              cache_cls, spec):
         if cache_cls is not None:
             monkeypatch.setattr(llama_mod, "KVCache", cache_cls)
         target, llama = world["target"], world["target"].llama
         rows = [target.build_input_embeds(s.image[None], p[None]).data
                 for s, p in zip(world["samples"], world["prompts"])]
         positions = [np.arange(x.shape[1]) for x in rows]
-        spec = []
-        for x, pos in zip(rows, positions):
-            cache = llama.new_cache()
-            spec.append((cache, llama.forward_embeds(Tensor(x), pos, cache=cache)))
+        made = []
+        with spec.recording():
+            for x, pos in zip(rows, positions):
+                cache = llama.new_cache()
+                made.append((cache, llama.forward_embeds(Tensor(x), pos, cache=cache)))
         caches = [llama.new_cache() for _ in rows]
         with no_grad():
             outs = llama.forward_packed_embeds(
                 Tensor(np.concatenate(rows, axis=1)), positions, caches)
-        for (cache_s, out_s), cache_f, out_f in zip(spec, caches, outs):
+        for (cache_s, out_s), cache_f, out_f in zip(made, caches, outs):
             same_output(out_s, out_f)
             same_cache(cache_s, cache_f)
 
@@ -303,16 +332,14 @@ class TestTargetForward:
 class TestDraftForward:
     @staticmethod
     def _hybrid(world, hybrid_cls=HybridKVCache, i=0):
-        head = world["head"]
-        with no_grad():
-            cache, logits = prefill(world, i)
-            hybrid = build_context(head, cache, hybrid_cls)
+        cache, logits = prefill(world, i)
+        hybrid = build_context(world["head"], cache, hybrid_cls)
         return hybrid, cache.next_position(), int(np.argmax(logits[0]))
 
     @pytest.mark.parametrize("flags", ABLATIONS, ids=["plain", "no-image", "no-text"])
     @pytest.mark.parametrize("hybrid_cls", [HybridKVCache, ReferenceHybridKVCache],
                              ids=["arena", "reference"])
-    def test_step(self, world, flags, hybrid_cls):                   # (f)
+    def test_step(self, world, flags, hybrid_cls, spec):             # (f)
         head = world["head"].ablate_kv(**flags)
 
         def build():
@@ -323,13 +350,13 @@ class TestDraftForward:
                 token = FEED[step]
             return hybrid, rows
 
-        (hybrid_s, rows_s), (hybrid_f, rows_f) = both(build)
+        (hybrid_s, rows_s), (hybrid_f, rows_f) = spec.both(build)
         for s, f in zip(rows_s, rows_f):
             assert s.dtype == f.dtype and np.array_equal(s, f)
         same_hybrid(hybrid_s, hybrid_f)
 
     @pytest.mark.parametrize("flags", ABLATIONS, ids=["plain", "no-image", "no-text"])
-    def test_tree_step(self, world, flags):                          # (g)
+    def test_tree_step(self, world, flags, spec):                    # (g)
         head = world["head"].ablate_kv(**flags)
         # (token, depth, ancestor rows): rows 0-1 attend the whole draft
         # lane (the chain case); row 2 is row 1's sibling and row 3 its
@@ -348,13 +375,13 @@ class TestDraftForward:
             assert whole_segment == [True, True, False, False]
             return hybrid, rows
 
-        (hybrid_s, rows_s), (hybrid_f, rows_f) = both(build)
+        (hybrid_s, rows_s), (hybrid_f, rows_f) = spec.both(build)
         for s, f in zip(rows_s, rows_f):
             assert np.array_equal(s, f)
         same_hybrid(hybrid_s, hybrid_f)
 
     @pytest.mark.parametrize("flags", ABLATIONS, ids=["plain", "no-image", "no-text"])
-    def test_packed_rows_equal_the_spec_row_by_row(self, world, flags):
+    def test_packed_rows_equal_the_spec_row_by_row(self, world, flags, spec):
         head = world["head"].ablate_kv(**flags)
 
         def step(hybrid, pos, first, node):
@@ -369,10 +396,12 @@ class TestDraftForward:
             return hybrid, pos, first
 
         for case in PACKED_CASES:
-            spec = []
-            for i, (plan, node) in enumerate(case):
-                hybrid, pos, first = drafted(i, plan)
-                spec.append((hybrid, step(hybrid, pos, first, node)))
+            made = []
+            with spec.recording() as graphs:
+                for i, (plan, node) in enumerate(case):
+                    hybrid, pos, first = drafted(i, plan)
+                    made.append((hybrid, step(hybrid, pos, first, node)))
+            assert all(logits.requires_grad for logits in graphs)
             with no_grad():
                 fresh = [drafted(i, plan) for i, (plan, _) in enumerate(case)]
                 rows = head.step_packed(
@@ -382,7 +411,7 @@ class TestDraftForward:
                     [hybrid for hybrid, _, _ in fresh],
                     ancestor_rows=[ancestors for _, (_, _, ancestors) in case],
                 )
-            for (hybrid_s, row_s), (hybrid_f, _, _), row_f in zip(spec, fresh, rows):
+            for (hybrid_s, row_s), (hybrid_f, _, _), row_f in zip(made, fresh, rows):
                 assert np.array_equal(row_s, row_f)
                 same_hybrid(hybrid_s, hybrid_f)
 
@@ -473,7 +502,9 @@ class TestPrefillThroughTheProjector:
     def test_vision_tower_and_connector(self, world):
         images = np.stack([s.image for s in world["samples"]])
         target = world["target"]
-        spec, fast = both(lambda: target.encode_image(images))
+        spec = target.encode_image(images)          # no cache: the Module path
+        with no_grad():
+            fast = target.encode_image(images)
         assert spec.requires_grad and not fast.requires_grad
         assert np.array_equal(spec.data, fast.data)
         raw = target.connector._infer_rows(target.vision._infer_rows(images))
@@ -481,13 +512,16 @@ class TestPrefillThroughTheProjector:
 
     @pytest.mark.parametrize("hybrid_cls, cache_cls", CACHES, ids=["arena", "reference"])
     @pytest.mark.parametrize("width", [1, 3], ids=["solo", "packed3"])
-    def test_prefill_and_context(self, world, monkeypatch, width, hybrid_cls, cache_cls):
+    def test_prefill_and_context(self, world, monkeypatch, width, hybrid_cls, cache_cls,
+                                 spec):
         if cache_cls is not None:
             monkeypatch.setattr(llama_mod, "KVCache", cache_cls)
-        spec = []
-        for i in range(width):
-            cache, logits = prefill(world, i)
-            spec.append((cache, logits, self._context(world, cache, hybrid_cls)))
+        made = []
+        with spec.recording() as graphs:
+            for i in range(width):
+                cache, logits = prefill(world, i)
+                made.append((cache, logits, self._context(world, cache, hybrid_cls)))
+        assert len(graphs) == width and all(logits.requires_grad for logits in graphs)
         with no_grad():
             if width == 1:
                 solo = [prefill(world)]
@@ -496,7 +530,7 @@ class TestPrefillThroughTheProjector:
                     [s.image for s in world["samples"][:width]], world["prompts"][:width])
                 solo = list(zip(caches, logit_rows))
             fast = [(c, l, self._context(world, c, hybrid_cls)) for c, l in solo]
-        for (cache_s, logits_s, hybrid_s), (cache_f, logits_f, hybrid_f) in zip(spec, fast):
+        for (cache_s, logits_s, hybrid_s), (cache_f, logits_f, hybrid_f) in zip(made, fast):
             if cache_cls is not None:
                 assert isinstance(cache_f, cache_cls)
             assert np.array_equal(logits_s, logits_f)

@@ -128,40 +128,38 @@ class TestInvalidation:
         release()
 
     @staticmethod
-    def agree(target, head, image, prompt):
-        """The no-grad forward (operands) equals the ``Module`` path; returns it."""
-        spec = _forwards(target, head, image, prompt)
-        with no_grad():
-            fast = _forwards(target, head, image, prompt)
-        for s, f in zip(spec, fast):
+    def agree(spec, target, head, image, prompt):
+        """The inference forward (operands) equals the test-side spec; returns it."""
+        made, fast = spec.both(lambda: _forwards(target, head, image, prompt))
+        for s, f in zip(made, fast):
             assert np.array_equal(s, f)
         return fast
 
-    def test_an_optimizer_step_rebuilds_the_operands(self, world):
-        before = self.agree(*world)
+    def test_an_optimizer_step_rebuilds_the_operands(self, world, spec):
+        before = self.agree(spec, *world)
         target, head = world[:2]
         params = [*target.parameters(), *head.parameters()]
         rng = np.random.default_rng(2)
         for p in params:
             p.grad = rng.standard_normal(p.data.shape).astype(p.data.dtype)
         SGD(params, lr=0.05).step()
-        after = self.agree(*world)
+        after = self.agree(spec, *world)
         assert not np.array_equal(before[0], after[0])
 
-    def test_load_state_dict_and_init_from_target_rebuild_them(self, world):
-        before = self.agree(*world)
+    def test_load_state_dict_and_init_from_target_rebuild_them(self, world, spec):
+        before = self.agree(spec, *world)
         target, head = world[:2]
         other, other_head = _tiny(5)
         target.load_state_dict(other.state_dict())
         head.load_state_dict(other_head.state_dict())
-        loaded = self.agree(*world)
+        loaded = self.agree(spec, *world)
         assert not np.array_equal(before[1], loaded[1])
         head.init_from_target(_tiny(9)[0].llama)
-        retied = self.agree(*world)
+        retied = self.agree(spec, *world)
         assert not np.array_equal(loaded[1], retied[1])
 
-    def test_an_in_place_write_to_a_live_operand_raises(self, world):
-        self.agree(*world)
+    def test_an_in_place_write_to_a_live_operand_raises(self, world, spec):
+        self.agree(spec, *world)
         weight = world[0].llama.blocks[0].attn.wq.weight
         with pytest.raises(ValueError):
             weight.data[0, 0] = 0.0
@@ -256,13 +254,16 @@ class TestPinningIsInvisible:
                 assert state[name].dtype == expected[name].dtype
                 assert state[name].tobytes() == expected[name].tobytes()
 
-    def test_the_module_forward_and_an_sgd_step_match_the_twins(self, served):
+    def test_the_module_forward_and_an_sgd_step_match_the_twins(self, served, spec):
         models, twin, _ = served
         sample = make_dataset("coco-sim", 1, seed=3).samples[0]
         prompt = np.array([1, 5, 7, 9])
-        for spec, fast in zip(_forwards(*models, sample.image, prompt),
-                              _forwards(*twin, sample.image, prompt)):
-            assert np.array_equal(spec, fast)
+        with spec.recording() as graphs:
+            pairs = list(zip(_forwards(*models, sample.image, prompt),
+                             _forwards(*twin, sample.image, prompt)))
+        assert len(graphs) == 4 and all(logits.requires_grad for logits in graphs)
+        for served_out, twin_out in pairs:
+            assert np.array_equal(served_out, twin_out)
         rng = np.random.default_rng(2)
         for p, q in zip(_params(models), _params(twin)):
             p.grad = q.grad = rng.standard_normal(q.shape).astype(q.dtype)
